@@ -79,14 +79,28 @@ def critical_path_ns(circuit: QuantumCircuit) -> float:
     This is the paper's "Gate-Based Runtime": the critical path through the
     parallel-scheduled circuit, with each gate weighted by its Table 1 pulse
     duration.
-    """
-    dag = CircuitDag(circuit)
 
-    def weight(idx: int) -> float:
-        name = circuit[idx].gate.name
+    One linear ASAP sweep over the instructions, tracking the finish time
+    of the last gate on each qubit.  That last gate is exactly the
+    instruction's DAG predecessor on that qubit, so the sweep takes the
+    same ``max`` over the same predecessor finish times and adds the same
+    weight as :meth:`CircuitDag.weighted_critical_path`: the two agree
+    float for float, without building a graph.
+    """
+    qubit_finish: dict[int, float] = {}
+    longest = 0.0
+    for inst in circuit:
+        name = inst.gate.name
         try:
-            return GATE_DURATIONS_NS[name]
+            weight = GATE_DURATIONS_NS[name]
         except KeyError:
             raise CircuitError(f"no pulse duration for gate {name!r}") from None
-
-    return dag.weighted_critical_path(weight)
+        start = max(
+            (qubit_finish[q] for q in inst.qubits if q in qubit_finish),
+            default=0.0,
+        )
+        finish = start + weight
+        for q in inst.qubits:
+            qubit_finish[q] = finish
+        longest = max(longest, finish)
+    return longest

@@ -32,13 +32,17 @@ import os
 import pickle
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.circuits.circuit import QuantumCircuit
+from repro.pulse.device import ChannelLayout
 from repro.pulse.hamiltonian import ControlSet
 from repro.pulse.schedule import PulseSchedule
+from repro.sim.unitary import circuit_unitary
 
 
 def unitary_fingerprint(unitary: np.ndarray, decimals: int = 8) -> str:
@@ -59,13 +63,23 @@ def unitary_fingerprint(unitary: np.ndarray, decimals: int = 8) -> str:
     return hashlib.sha256(rounded.tobytes()).hexdigest()
 
 
-def control_context_key(control_set: ControlSet, dt_ns: float, target_fidelity: float) -> tuple:
-    """The physical context under which a cached pulse remains valid."""
+def control_context_key(
+    layout: ControlSet | ChannelLayout, dt_ns: float, target_fidelity: float
+) -> tuple:
+    """The physical context under which a cached pulse remains valid.
+
+    The key reads only the block's ``qubits``, ``levels`` and ``channels``,
+    so ``layout`` is either a full :class:`ControlSet` or the device's
+    operator-free :class:`~repro.pulse.device.ChannelLayout` for the same
+    block (:meth:`~repro.pulse.device.GmonDevice.channel_layout`); both
+    give the same key.
+    """
+    origin = layout.qubits[0]
     channels = tuple(
-        (ch.kind, tuple(q - control_set.qubits[0] for q in ch.qubits), round(ch.max_amplitude, 9))
-        for ch in control_set.channels
+        (ch.kind, tuple(q - origin for q in ch.qubits), round(ch.max_amplitude, 9))
+        for ch in layout.channels
     )
-    return (control_set.levels, channels, round(dt_ns, 9), round(target_fidelity, 9))
+    return (layout.levels, channels, round(dt_ns, 9), round(target_fidelity, 9))
 
 
 @dataclass
@@ -102,9 +116,16 @@ class PulseCache:
     entry dict are guarded by one lock; lookup/store wall time is accumulated
     so cache overhead shows up in pipeline telemetry rather than hiding in
     GRAPE time.
+
+    The cache also memoizes block fingerprints (:meth:`block_fingerprint`):
+    an LRU of at most :attr:`key_memo_max` bound blocks, keyed on their
+    exact content, counted in ``key_memo_*`` stats.
     """
 
     backend = "memory"
+    #: Bound of the block-fingerprint memo.  An entry is two hex digests
+    #: plus its LRU link (about 330 bytes), so a full memo is under 1.5 MB.
+    key_memo_max = 4096
 
     def __init__(self):
         self._entries: dict = {}
@@ -118,24 +139,64 @@ class PulseCache:
         self.misses = 0
         self.lookup_time_s = 0.0
         self.store_time_s = 0.0
+        # content fingerprint -> unitary fingerprint, LRU order.
+        self._fingerprints: OrderedDict = OrderedDict()
+        self.key_memo_hits = 0
+        self.key_memo_misses = 0
 
     # The lock cannot cross process boundaries (the process-pool executor
     # pickles the block compiler, cache included); recreate it on unpickle.
+    # The fingerprint memo stays behind too: job venues never re-key blocks.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
+        state["_fingerprints"] = OrderedDict()
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-    def key(self, unitary: np.ndarray, control_set: ControlSet, dt_ns: float, target_fidelity: float) -> tuple:
-        """Cache key: phase-canonical unitary fingerprint + physical context."""
-        return (
-            unitary_fingerprint(unitary),
-            control_context_key(control_set, dt_ns, target_fidelity),
-        )
+    def key(
+        self,
+        unitary: np.ndarray | str,
+        layout: ControlSet | ChannelLayout,
+        dt_ns: float,
+        target_fidelity: float,
+    ) -> tuple:
+        """Cache key: phase-canonical unitary fingerprint + physical context.
+
+        ``unitary`` is the target matrix or its precomputed
+        :func:`unitary_fingerprint` (see :meth:`block_fingerprint`).
+        """
+        if not isinstance(unitary, str):
+            unitary = unitary_fingerprint(unitary)
+        return (unitary, control_context_key(layout, dt_ns, target_fidelity))
+
+    def block_fingerprint(self, block: QuantumCircuit) -> str:
+        """``unitary_fingerprint(circuit_unitary(block))``, memoized.
+
+        The memo key is the block's exact
+        :meth:`~repro.circuits.circuit.QuantumCircuit.content_fingerprint`
+        (gate names, qubits, and angles to the last bit), which fixes the
+        unitary, so a hit returns exactly what recomputing would.  Bounded
+        LRU of ``key_memo_max`` entries; the unitary is built outside the
+        lock.
+        """
+        content = block.content_fingerprint()
+        with self._lock:
+            fingerprint = self._fingerprints.get(content)
+            if fingerprint is not None:
+                self._fingerprints.move_to_end(content)
+                self.key_memo_hits += 1
+                return fingerprint
+            self.key_memo_misses += 1
+        fingerprint = unitary_fingerprint(circuit_unitary(block))
+        with self._lock:
+            self._fingerprints[content] = fingerprint
+            while len(self._fingerprints) > self.key_memo_max:
+                self._fingerprints.popitem(last=False)
+        return fingerprint
 
     def get(self, key: tuple) -> CacheEntry | None:
         """Look up ``key``, counting the hit or miss."""
@@ -285,6 +346,9 @@ class PulseCache:
             "hit_rate": round(self.hit_rate, 4),
             "lookup_time_s": round(self.lookup_time_s, 6),
             "store_time_s": round(self.store_time_s, 6),
+            "key_memo_hits": self.key_memo_hits,
+            "key_memo_misses": self.key_memo_misses,
+            "key_memo_size": len(self._fingerprints),
         }
 
 

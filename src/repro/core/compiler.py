@@ -90,16 +90,20 @@ class BlockPulseCompiler:
         scheduler may compile one and fan the result out to the others.
         Parametrized, empty, and zero-duration blocks return ``None``:
         they are either not compilable yet or too cheap to dedup.
+
+        The key equals ``cache.key(circuit_unitary(subcircuit),
+        build_control_set(device, device_qubits), dt, fidelity)`` — the key
+        :meth:`compile_block` stores under — but is built from the device's
+        memoized channel layout and the cache's memoized block fingerprint,
+        so re-keying an already-compiled block builds no operators.
         """
         if subcircuit is None or subcircuit.is_parameterized():
             return None
         if len(subcircuit) == 0 or critical_path_ns(subcircuit) <= 0:
             return None
-        control_set = build_control_set(self.device, device_qubits)
-        target = circuit_unitary(subcircuit)
         return self.cache.key(
-            target,
-            control_set,
+            self.cache.block_fingerprint(subcircuit),
+            self.device.channel_layout(device_qubits),
             self.settings.resolved_dt(),
             self.settings.resolved_target(),
         )

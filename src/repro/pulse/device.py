@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,8 +53,26 @@ class ControlChannel:
         return f"{self.kind}[{inner}]"
 
 
+class ChannelLayout(NamedTuple):
+    """The control channels of one block, without any operators.
+
+    ``qubits`` are the block's device qubits, sorted; ``levels`` the
+    per-site truncation.  This is everything a pulse's physical cache
+    context depends on (:func:`repro.core.cache.control_context_key`), so
+    block identity can be keyed without building a Hamiltonian.
+    """
+
+    qubits: tuple
+    levels: int
+    channels: tuple
+
+
 class GmonDevice:
-    """A gmon chip: topology + drive limits + level truncation."""
+    """A gmon chip: topology + drive limits + level truncation.
+
+    Channel layouts are memoized per instance (:meth:`channel_layout`), so
+    a device is treated as immutable once built.
+    """
 
     def __init__(
         self,
@@ -73,6 +91,7 @@ class GmonDevice:
         self.max_flux = float(max_flux)
         self.max_coupling = float(max_coupling)
         self.anharmonicity = float(anharmonicity)
+        self._layouts: dict = {}
 
     @classmethod
     def grid_for(cls, num_qubits: int, levels: int = 2) -> "GmonDevice":
@@ -93,7 +112,21 @@ class GmonDevice:
         the substitution is logged in the channel list itself (couplers only
         exist between the listed pairs).
         """
-        qubits = sorted(set(int(q) for q in qubits))
+        return list(self.channel_layout(qubits).channels)
+
+    def channel_layout(self, qubits: Sequence[int]) -> ChannelLayout:
+        """The :class:`ChannelLayout` of the block ``qubits`` (memoized)."""
+        block = tuple(sorted(set(int(q) for q in qubits)))
+        layout = self._layouts.get(block)
+        if layout is None:
+            # Threads that race here build equal layouts; setdefault keeps
+            # the first, so every caller shares one object.
+            layout = self._layouts.setdefault(
+                block, ChannelLayout(block, self.levels, self._build_channels(block))
+            )
+        return layout
+
+    def _build_channels(self, qubits: tuple) -> tuple:
         for q in qubits:
             if q < 0 or q >= self.num_qubits:
                 raise DeviceError(f"qubit {q} outside device of size {self.num_qubits}")
@@ -109,7 +142,14 @@ class GmonDevice:
                     edges.append((a, b))
         for a, b in sorted(edges):
             channels.append(ControlChannel("coupling", (a, b), self.max_coupling))
-        return channels
+        return tuple(channels)
+
+    # The layout memo is rebuilt on demand, so it does not travel with a
+    # pickled device (every BlockJob carries one).
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_layouts"] = {}
+        return state
 
     def __repr__(self) -> str:
         return (

@@ -104,6 +104,8 @@ class CompilationService:
         # Blocking plans keyed by ansatz content: repeated requests for one
         # symbolic circuit replay blocking instead of recomputing it.
         self.plan_cache = PlanCache()
+        # Default device per circuit width (see device_for).
+        self._default_devices: dict = {}
         # ``_lock`` guards only the counters and lifecycle flags; strategy
         # execution runs outside it (the scheduler state and plan cache
         # serialize themselves).  ``_idle`` lets close() wait for in-flight
@@ -321,12 +323,21 @@ class CompilationService:
         return result.compiled
 
     def device_for(self, circuit):
-        """The service device, or the default grid sized for ``circuit``."""
+        """The service device, or the default grid sized for ``circuit``.
+
+        Default grids are built once per qubit count and reused by every
+        later request, so their memoized channel layouts stay warm.
+        """
         if self.device is not None:
             return self.device
         from repro.core.compiler import default_device_for
 
-        return default_device_for(circuit)
+        with self._lock:
+            device = self._default_devices.get(circuit.num_qubits)
+            if device is None:
+                device = default_device_for(circuit)
+                self._default_devices[circuit.num_qubits] = device
+        return device
 
     # -- telemetry -----------------------------------------------------------
     def stats(self) -> dict:

@@ -244,9 +244,11 @@ class StrictPartialStrategy(_PartialStrategyBase):
 
     Precompilation flows through the service's scheduler state, so the
     Fixed blocks of an ansatz the service has seen before cost zero GRAPE
-    dispatches.  Each request still pays the (GRAPE-free) blocking and
-    fingerprinting pass; callers replaying one ansatz thousands of times
-    can precompile once (``values=None``) and reuse
+    dispatches.  Each request still runs the (GRAPE-free) blocking pass
+    and a scheduler lookup per Fixed block; re-keying a block the service
+    has already fingerprinted is a memo hit on the service cache (see
+    DESIGN.md "Block identity").  Callers replaying one ansatz thousands
+    of times can precompile once (``values=None``) and reuse
     ``result.compiler.compile(values)`` directly.
     """
 
@@ -259,7 +261,7 @@ class StrictPartialStrategy(_PartialStrategyBase):
 
         return _StrictPartialCompiler.precompile_many(
             [request.circuit],
-            device=service.device,
+            device=service.device_for(request.circuit),
             settings=request.settings or service.settings,
             hyperparameters=request.hyperparameters or service.hyperparameters,
             max_block_width=request.max_block_width,
@@ -290,7 +292,7 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
 
         return _FlexiblePartialCompiler.precompile_many(
             [request.circuit],
-            device=service.device,
+            device=service.device_for(request.circuit),
             settings=request.settings or service.settings,
             hyperparameters=request.hyperparameters or service.hyperparameters,
             max_block_width=request.max_block_width,
