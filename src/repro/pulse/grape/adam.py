@@ -42,7 +42,9 @@ class AdamOptimizer:
         """One descent update; returns the new parameters.
 
         ``scale`` multiplies the step per row (per control channel); passing
-        the amplitude bounds makes the learning rate dimensionless.
+        the amplitude bounds makes the learning rate dimensionless.  A 1-D
+        array is one entry per row; a prepared ``(rows, 1)`` column is used
+        as given.
         """
         if self._m is None:
             self._m = np.zeros_like(params)
@@ -54,6 +56,6 @@ class AdamOptimizer:
         v_hat = self._v / (1 - self.beta2**self._t)
         lr = self.learning_rate / (1.0 + self.decay_rate * self._t)
         direction = m_hat / (np.sqrt(v_hat) + self.epsilon)
-        if isinstance(scale, np.ndarray):
+        if isinstance(scale, np.ndarray) and scale.ndim == 1:
             scale = scale[:, None]
         return params - lr * scale * direction

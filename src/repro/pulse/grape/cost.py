@@ -37,9 +37,25 @@ batched kernel rather than a per-step Python loop:
   pre-flattened control operators;
 * contraction plans — pre-reshaped operand layouts that turn every hot
   contraction into a batched BLAS matmul — are prepared in ``__init__``,
-  and the forward/backward scan buffers are preallocated and reused
-  across iterations, so the optimizer's inner loop does no einsum path
-  planning and a minimal amount of allocation.
+  so the optimizer's inner loop does no einsum path planning;
+* per-pulse-length plans (:class:`_LengthPlan`), built on the first call
+  at a given ``n_steps`` and kept for the four most recent lengths, hold
+  everything that depends only on the length: the scan buffers and their
+  per-step views, the identity, the sequential-or-blocked scan decision,
+  and whether any regularization penalty applies.  At the sizes the
+  workloads run (dim 4, a few slices) a call is a few dozen tiny numpy
+  calls, so wrapper and setup work would otherwise cost as much as the
+  arithmetic.
+
+Bit-identity invariant
+----------------------
+Overhead cuts here must not change any floating-point operation, its
+operand order, or any operand's memory layout: numpy's ``matmul`` picks
+BLAS or its own loop (and BLAS its kernel) from the operand strides, so a
+transposed view and a contiguous copy of the same matrix can round
+differently.  The returned pulses are checked bit for bit — against the
+frozen pre-plan kernel in ``tests/pulse/test_grape_kernel_regression.py``
+and against the reference hashes of the repository benchmark.
 """
 
 from __future__ import annotations
@@ -54,7 +70,11 @@ from repro.linalg.expm import (
     expm_hermitian,
     expm_hermitian_factorized,
 )
-from repro.linalg.scan import backward_partial_products, forward_partial_products
+from repro.linalg.scan import (
+    ScanPlan,
+    backward_partial_products,
+    forward_partial_products,
+)
 from repro.pulse.hamiltonian import ControlSet, embed_target_unitary
 
 
@@ -134,32 +154,28 @@ class GrapeCost:
         # With these fixed layouts every hot contraction compiles to a
         # batched BLAS matmul, so no einsum path planning survives in the
         # iteration loop at all (the seed re-planned several per call).
-        dim = control_set.dim
+        dim = self._dim = control_set.dim
         self._ops = np.ascontiguousarray(control_set.operators, dtype=complex)
         self._ops_flat = self._ops.reshape(self._ops.shape[0], dim * dim)
         self._e_dag = np.ascontiguousarray(embedded.conj().T)
-        #: forward/backward scan buffers keyed by (n_steps, dim).
-        self._scan_buffers: dict = {}
+        #: per-pulse-length plans keyed by n_steps (see :class:`_LengthPlan`).
+        self._plans: dict = {}
 
-    def _buffers(self, n_steps: int, dim: int) -> tuple:
-        """Reusable forward/backward scan buffers for this problem size.
+    def _plan(self, n_steps: int) -> "_LengthPlan":
+        """The prepared plan for ``n_steps`` slices, built on first use.
 
         The ADAM/L-BFGS loop calls ``cost_and_gradient`` hundreds of times
-        with an unchanged shape; reusing the scan arrays keeps the inner
-        loop allocation-free where it matters most.
+        with an unchanged length; the minimum-time search changes length
+        per probe, so only the four most recent lengths are kept.
         """
-        key = (n_steps, dim)
-        buffers = self._scan_buffers.get(key)
-        if buffers is None:
-            forward = np.empty((n_steps + 1, dim, dim), dtype=complex)
-            bwd = np.empty((n_steps, dim, dim), dtype=complex)
-            buffers = (forward, bwd)
-            # One shape dominates per optimization run; evict stale sizes
-            # (minimum-time search probes several pulse lengths).
-            if len(self._scan_buffers) >= 4:
-                self._scan_buffers.clear()
-            self._scan_buffers[key] = buffers
-        return buffers
+        plan = self._plans.get(n_steps)
+        if plan is None:
+            if len(self._plans) >= 4:
+                self._plans.clear()
+            plan = self._plans[n_steps] = _LengthPlan(
+                n_steps, self._dim, self.regularization
+            )
+        return plan
 
     # -- fidelity only (cheap path used for final verification) -----------
     def propagate(self, controls: np.ndarray) -> np.ndarray:
@@ -183,7 +199,8 @@ class GrapeCost:
                 f"controls rows {n_controls} != channels {self.control_set.num_controls}"
             )
         dt = self.dt_ns
-        dim = self.control_set.dim
+        dim = self._dim
+        plan = self._plan(n_steps)
 
         # One shared propagator code path with ``propagate``: diagonalize
         # and exponentiate every time slice in a single stacked call.
@@ -191,14 +208,15 @@ class GrapeCost:
             self._step_hamiltonians(controls), dt
         )
 
-        forward, bwd = self._buffers(n_steps, dim)
         # Forward partial products A_k = U_k … U_1 (A[0] = identity) and the
         # backward partial products with the target folded in — bwd[k] = E† B_k
         # where B_k = U_{N-1} … U_{k+1} (so bwd[N-1] = E†) — via the shared
-        # blocked prefix-product scan (~2√S batched GEMMs instead of S).
+        # prefix-product scan, into the plan's buffers.
         e_dag = self._e_dag
-        forward_partial_products(props, out=forward)
-        backward_partial_products(props, e_dag, out=bwd)
+        forward = forward_partial_products(props, plan=plan.forward)
+        bwd = backward_partial_products(
+            props, e_dag, out=plan.bwd, plan=plan.backward
+        )
 
         total = forward[n_steps]
         overlap = np.einsum("ij,ji->", e_dag, total) / self._dim_comp
@@ -206,7 +224,7 @@ class GrapeCost:
 
         # dz/du_ck = Tr(G_k · dU_k/du_ck) / d_comp with
         # G_k = A_{k-1} E† B_k   (z = Tr(E† B_k U_k A_{k-1}) / d_comp).
-        g_mats = np.matmul(forward[:-1], bwd)
+        g_mats = np.matmul(plan.forward_head, bwd)
         # All Loewner (divided-difference) matrices in one broadcasted call.
         gammas = _divided_differences(eigvals, phases, dt)
 
@@ -215,10 +233,10 @@ class GrapeCost:
         # matrix K_k = V̄_k M_k V_kᵀ: the O(d³) transforms run once per step
         # (not per step × control) as batched GEMMs, and the per-control
         # reduction is one GEMM against the pre-flattened operators.
-        vecs_t = np.swapaxes(eigvecs, -1, -2)
+        vecs_t = eigvecs.transpose(0, 2, 1)
         vecs_conj = eigvecs.conj()
         # (V† G V)ᵀ = Vᵀ Gᵀ V̄, built directly in transposed form.
-        g_eig_t = np.matmul(vecs_t, np.matmul(np.swapaxes(g_mats, -1, -2), vecs_conj))
+        g_eig_t = np.matmul(vecs_t, np.matmul(g_mats.transpose(0, 2, 1), vecs_conj))
         np.multiply(g_eig_t, gammas, out=g_eig_t)  # M_k, in place
         k_mats = np.matmul(vecs_conj, np.matmul(g_eig_t, vecs_t))
         overlap_grad = (
@@ -228,8 +246,13 @@ class GrapeCost:
         cost = 1.0 - fidelity
         gradient = -grad_fidelity
 
-        reg_cost, reg_grad = self._regularization_terms(controls)
-        return cost + reg_cost, gradient + reg_grad, fidelity
+        if plan.regularized:
+            reg_cost, reg_grad = self._regularization_terms(controls)
+            return cost + reg_cost, gradient + reg_grad, fidelity
+        # No penalty applies at this length: the terms would be 0.0 and a
+        # zero array, and adding them still maps -0.0 to +0.0 — keep that.
+        gradient += 0.0
+        return cost + 0.0, gradient, fidelity
 
     # -- helpers ------------------------------------------------------------
     def _step_hamiltonians(self, controls: np.ndarray) -> np.ndarray:
@@ -238,10 +261,9 @@ class GrapeCost:
         One GEMM against the pre-flattened control operators replaces the
         seed's 3-index einsum (which re-planned its path every call).
         """
-        drift = self.control_set.drift
-        dim = self.control_set.dim
+        dim = self._dim
         hams = (controls.T @ self._ops_flat).reshape(-1, dim, dim)
-        hams += drift
+        hams += self.control_set.drift
         return hams
 
     def _regularization_terms(self, controls: np.ndarray) -> tuple:
@@ -269,3 +291,27 @@ class GrapeCost:
             back[:, 2:] += curv
             grad += 2 * reg.curvature_weight * back / bounds / curv.size
         return cost, grad
+
+
+class _LengthPlan:
+    """What ``GrapeCost.cost_and_gradient`` prepares once per pulse length.
+
+    The forward scan (``n_steps`` propagators) and the transposed backward
+    scan (``n_steps - 1``) each get a :class:`~repro.linalg.scan.ScanPlan`
+    — output buffer, per-step views, identity and the sequential-or-blocked
+    decision — plus the backward result buffer and whether any
+    regularization penalty is non-zero at this length.
+    """
+
+    __slots__ = ("forward", "forward_head", "backward", "bwd", "regularized")
+
+    def __init__(self, n_steps: int, dim: int, regularization: RegularizationSettings):
+        self.forward = ScanPlan(n_steps, dim)
+        self.forward_head = self.forward.out[:-1]
+        self.backward = ScanPlan(n_steps - 1, dim)
+        self.bwd = np.empty((n_steps, dim, dim), dtype=complex)
+        self.regularized = (
+            regularization.amplitude_weight > 0
+            or (regularization.slope_weight > 0 and n_steps > 1)
+            or (regularization.curvature_weight > 0 and n_steps > 2)
+        )

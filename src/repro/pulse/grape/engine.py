@@ -10,7 +10,7 @@ import numpy as np
 from repro.config import get_preset
 from repro.errors import GrapeError
 from repro.pulse.grape.adam import AdamOptimizer
-from repro.pulse.grape.controls import clip_controls, envelope_window, initial_controls
+from repro.pulse.grape.controls import envelope_window, initial_controls
 from repro.pulse.grape.cost import GrapeCost, RegularizationSettings
 from repro.pulse.hamiltonian import ControlSet
 from repro.pulse.schedule import PulseSchedule
@@ -35,6 +35,10 @@ class GrapeHyperparameters:
         if self.optimizer not in ("adam", "lbfgs"):
             raise GrapeError(
                 f"unknown optimizer {self.optimizer!r}; use 'adam' or 'lbfgs'"
+            )
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise GrapeError(
+                f"max_iterations must be >= 1, got {self.max_iterations}"
             )
 
     def resolved_iterations(self) -> int:
@@ -135,6 +139,10 @@ def optimize_pulse(
 
     cost_fn = GrapeCost(control_set, target, dt, settings.regularization)
     bounds = control_set.max_amplitudes
+    # Per-channel bound columns for the optimizer's step scale and the
+    # amplitude clip, built once per run instead of once per iteration.
+    upper = bounds[:, None]
+    lower = -upper
 
     if initial is None:
         controls = initial_controls(
@@ -196,8 +204,8 @@ def optimize_pulse(
             break
         if stall >= settings.plateau_patience:
             break
-        controls = optimizer.step(controls, gradient, scale=bounds)
-        controls = clip_controls(controls, bounds)
+        controls = optimizer.step(controls, gradient, scale=upper)
+        controls = controls.clip(lower, upper)
         if window is not None:
             controls = controls * window
 

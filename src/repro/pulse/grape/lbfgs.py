@@ -86,12 +86,13 @@ class LBFGSOptimizer:
     ) -> np.ndarray:
         """One quasi-Newton update; returns the new parameters.
 
-        ``scale`` carries the per-channel amplitude bounds (same semantics
-        as the ADAM optimizer).  Internally the recursion runs in the
+        ``scale`` carries the per-channel amplitude bounds, as a 1-D array
+        or a prepared ``(rows, 1)`` column (same semantics as the ADAM
+        optimizer).  Internally the recursion runs in the
         bound-normalized space ``x = params / scale`` — per-row scaling of
         the raw direction would break the curvature-pair geometry.
         """
-        if isinstance(scale, np.ndarray):
+        if isinstance(scale, np.ndarray) and scale.ndim == 1:
             scale = scale[:, None]
         x = (params / scale).ravel().astype(float)
         # Chain rule: d/dx = scale · d/dparams.

@@ -6,6 +6,7 @@ import pytest
 from repro.linalg.random import haar_random_unitary
 from repro.linalg.scan import (
     MIN_BLOCKED_STEPS,
+    ScanPlan,
     backward_partial_products,
     forward_partial_products,
     scan_block_size,
@@ -122,3 +123,29 @@ class TestBackwardScan:
             assert np.array_equal(
                 batched[b], backward_partial_products(stack[b], inits[b])
             )
+
+
+class TestReusedPlan:
+    """A plan kept across calls (as the GRAPE kernel keeps one per pulse
+    length) must give exactly the bytes of a fresh one-shot scan, call
+    after call — no state may leak through the reused buffers."""
+
+    # Sequential, blocked without padding (9 = 3·3), blocked with padding.
+    @pytest.mark.parametrize("n_steps", [3, 9, 13])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_forward_and_backward_match_one_shot(self, n_steps, lead):
+        forward_plan = ScanPlan(n_steps, 3, lead=lead)
+        backward_plan = ScanPlan(n_steps - 1, 3, lead=lead)
+        for seed in (0, 1):
+            props = _props(n_steps * int(np.prod(lead)), 3, seed=seed).reshape(
+                lead + (n_steps, 3, 3)
+            )
+            init = np.broadcast_to(
+                haar_random_unitary(3, seed=50 + seed), lead + (3, 3)
+            ).copy()
+            planned = forward_partial_products(props, plan=forward_plan)
+            assert planned is forward_plan.out
+            assert planned.tobytes() == forward_partial_products(props).tobytes()
+            planned_b = backward_partial_products(props, init, plan=backward_plan)
+            fresh_b = backward_partial_products(props, init)
+            assert planned_b.tobytes() == fresh_b.tobytes()

@@ -100,6 +100,29 @@ class TestOptimizePulse:
         with pytest.raises(GrapeError):
             optimize_pulse(single_qubit_cs, X, num_steps=0)
 
+    @pytest.mark.parametrize("budget", [0, -1, -50])
+    def test_iteration_budget_below_one_rejected(self, budget):
+        # A zero budget used to return fidelity -1.0 and the unoptimized
+        # start without complaint.
+        with pytest.raises(GrapeError, match="max_iterations"):
+            GrapeHyperparameters(max_iterations=budget)
+        with pytest.raises(GrapeError, match="max_iterations"):
+            GrapeHyperparameters().with_iterations(budget)
+
+    def test_iteration_budget_of_one_runs_one_iteration(
+        self, single_qubit_cs, fast_settings
+    ):
+        result = optimize_pulse(
+            single_qubit_cs,
+            X,
+            num_steps=6,
+            hyperparameters=GrapeHyperparameters(max_iterations=1),
+            settings=fast_settings,
+        )
+        assert result.iterations == 1
+        assert len(result.fidelity_history) == 1
+        assert 0.0 <= result.fidelity <= 1.0
+
     def test_history_recorded(self, single_qubit_cs, fast_settings):
         result = optimize_pulse(single_qubit_cs, X, num_steps=14, settings=fast_settings)
         assert len(result.fidelity_history) == result.iterations

@@ -7,6 +7,11 @@ gradient, fidelity)`` to ≤1e-10.  The frozen pre-rewrite kernel lives in
 ``benchmarks/grape_reference.py`` (one copy, shared with the perf
 harness), and one configuration is additionally pinned to golden numbers
 so *any* future kernel change that moves the numerics shows up.
+
+The per-pulse-length plans were a pure overhead cut with a stricter
+contract: the whole optimizer loop must reproduce the kernel and loop as
+they stood before the plans *bit for bit* (control bytes, iteration count,
+fidelity history).  That frozen copy lives in the same module.
 """
 
 import sys
@@ -16,13 +21,23 @@ import numpy as np
 import pytest
 
 from repro.linalg.expm import _divided_differences, expm_hermitian
+from repro.linalg.random import haar_random_unitary
+from repro.pulse.device import GmonDevice
 from repro.pulse.grape.cost import RegularizationSettings
+from repro.pulse.grape.engine import (
+    GrapeHyperparameters,
+    GrapeSettings,
+    optimize_pulse,
+)
+from repro.pulse.hamiltonian import build_control_set
+from repro.transpile.topology import line_topology
 
 BENCH_DIR = str(Path(__file__).resolve().parents[2] / "benchmarks")
 if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 from grape_reference import (  # noqa: E402
     kernel_fixture as _fixture,
+    pre_plan_optimize_pulse,
     reference_cost_and_gradient as _reference_cost_and_gradient,
 )
 
@@ -136,3 +151,87 @@ class TestBatchedDividedDifferences:
         assert gamma[0, 0, 0] == pytest.approx(expected)
         assert gamma[0, 0, 1] == pytest.approx(expected)  # degenerate pair
         assert gamma[0, 1, 0] == pytest.approx(expected)
+
+
+def _assert_bit_identical(control_set, target, num_steps, hyper, settings, initial=None):
+    live = optimize_pulse(control_set, target, num_steps, hyper, settings, initial)
+    controls, iterations, history = pre_plan_optimize_pulse(
+        control_set, target, num_steps, hyper, settings, initial
+    )
+    assert live.iterations == iterations
+    assert live.fidelity_history == history
+    assert live.schedule.controls.tobytes() == controls.tobytes()
+    return live
+
+
+class TestOptimizePulseBitIdentical:
+    """The live loop against the frozen pre-plan kernel and loop, exactly."""
+
+    SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.9999, seed=3)
+    HYPER = GrapeHyperparameters(learning_rate=0.05, max_iterations=30)
+
+    @pytest.fixture(scope="class")
+    def qubit_pair(self):
+        control_set = build_control_set(GmonDevice(line_topology(2)), (0, 1))
+        return control_set, haar_random_unitary(4, seed=7)
+
+    # Both sides of MIN_BLOCKED_STEPS for the forward (n) and backward
+    # (n - 1) scans, with and without identity padding of the last chunk.
+    @pytest.mark.parametrize("num_steps", [1, 2, 6, 7, 8, 9, 13, 50])
+    def test_qubit_block(self, qubit_pair, num_steps):
+        control_set, target = qubit_pair
+        _assert_bit_identical(
+            control_set, target, num_steps, self.HYPER, self.SETTINGS
+        )
+
+    def test_qutrit_block(self):
+        device = GmonDevice(line_topology(2), levels=3)
+        control_set = build_control_set(device, (0, 1))
+        assert control_set.dim == 9
+        _assert_bit_identical(
+            control_set,
+            haar_random_unitary(4, seed=11),
+            9,
+            self.HYPER,
+            self.SETTINGS,
+        )
+
+    @pytest.mark.parametrize("num_steps", [2, 9])
+    def test_realistic_regularization(self, qubit_pair, num_steps):
+        control_set, target = qubit_pair
+        settings = GrapeSettings(
+            dt_ns=0.5,
+            target_fidelity=0.9999,
+            seed=3,
+            regularization=RegularizationSettings.realistic(),
+        )
+        _assert_bit_identical(control_set, target, num_steps, self.HYPER, settings)
+
+    def test_warm_start(self, qubit_pair):
+        control_set, target = qubit_pair
+        rng = np.random.default_rng(5)
+        initial = (
+            rng.uniform(-0.5, 0.5, size=(control_set.num_controls, 6))
+            * control_set.max_amplitudes[:, None]
+        )
+        _assert_bit_identical(
+            control_set, target, 6, self.HYPER, self.SETTINGS, initial
+        )
+
+    @pytest.mark.parametrize("num_steps", [6, 13])
+    def test_lbfgs(self, qubit_pair, num_steps):
+        control_set, target = qubit_pair
+        hyper = GrapeHyperparameters(
+            learning_rate=0.05, max_iterations=30, optimizer="lbfgs"
+        )
+        _assert_bit_identical(control_set, target, num_steps, hyper, self.SETTINGS)
+
+    def test_converged_run(self, qubit_pair):
+        """An early exit on the fidelity target stops both loops alike."""
+        control_set, _ = qubit_pair
+        settings = GrapeSettings(dt_ns=0.5, target_fidelity=0.99, seed=3)
+        hyper = GrapeHyperparameters(learning_rate=0.05, max_iterations=200)
+        live = _assert_bit_identical(
+            control_set, np.eye(4, dtype=complex), 4, hyper, settings
+        )
+        assert live.converged
