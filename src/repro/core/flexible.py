@@ -73,6 +73,7 @@ class _ParametrizedEntry:
     gate_based_ns: float
     tuning: TuningResult
     probe_iterations: int = 0  # minimum-time probe cost (precompute phase)
+    memo_hits: int = 0  # probe and tuning runs replayed from the memo
 
 
 def _tune_parametrized_block(
@@ -85,6 +86,7 @@ def _tune_parametrized_block(
     seed: int,
     tuning_strategy: str,
     probe_executor,
+    memo,
     task: BlockTask,
 ) -> _ParametrizedEntry:
     """Precompute phase for one single-θ block (picklable pulse handler).
@@ -94,6 +96,8 @@ def _tune_parametrized_block(
     sample angles (paper section 7.2).  ``probe_executor`` (an executor
     *name*, so the handler stays picklable) parallelizes the probe's
     feasibility doublings for blocks whose initial bound is infeasible.
+    Every probe and tuning run goes through ``memo`` (a
+    :class:`~repro.pulse.grape.memo.GrapeRunMemo`, or ``None``).
     """
     sub = task.subcircuit
     dt = settings.resolved_dt()
@@ -109,6 +113,7 @@ def _tune_parametrized_block(
         hyperparameters=hyperparameters,
         settings=settings,
         probe_executor=probe_executor,
+        memo=memo,
     )
     if probe.converged and probe.duration_ns <= gate_ns:
         num_steps = probe.schedule.num_steps
@@ -124,6 +129,7 @@ def _tune_parametrized_block(
             settings=settings,
             learning_rates=lr_grid,
             decay_rates=decay_grid,
+            memo=memo,
         )
     else:
         from repro.core.search import tune_with_strategy
@@ -135,6 +141,7 @@ def _tune_parametrized_block(
             num_steps,
             settings=settings,
             seed=seed + task.local_index,
+            memo=memo,
         )
     return _ParametrizedEntry(
         subcircuit=sub,
@@ -146,6 +153,37 @@ def _tune_parametrized_block(
         gate_based_ns=gate_ns,
         tuning=tuning,
         probe_iterations=probe.total_iterations,
+        memo_hits=probe.memo_hits + tuning.memo_hits,
+    )
+
+
+def _block_tuner(
+    device,
+    settings,
+    hyperparameters,
+    tuning_samples,
+    learning_rates,
+    decay_rates,
+    seed,
+    tuning_strategy,
+    probe_executor,
+    memo,
+):
+    """The picklable per-θ-block precompile handler, its options checked."""
+    if tuning_samples < 1:
+        raise CompilationError(f"tuning_samples must be >= 1, got {tuning_samples}")
+    return partial(
+        _tune_parametrized_block,
+        device,
+        settings,
+        hyperparameters,
+        tuning_samples,
+        learning_rates or DEFAULT_LEARNING_RATES,
+        decay_rates or DEFAULT_DECAY_RATES,
+        seed,
+        tuning_strategy,
+        probe_executor,
+        memo,
     )
 
 
@@ -248,6 +286,7 @@ class _FlexiblePartialCompiler:
         tuning_strategy: str = "grid",
         executor=None,
         probe_executor: str | None = None,
+        grape_memo=None,
     ) -> "FlexiblePartialCompiler":
         """Slice, precompile fixed blocks, and tune parametrized blocks.
 
@@ -260,7 +299,10 @@ class _FlexiblePartialCompiler:
         additionally parallelizes the feasibility-doubling probes *within*
         each parametrized block's minimum-time search — useful when a few
         hard blocks dominate precompute latency; the binary-search probes
-        stay sequential by design.
+        stay sequential by design.  ``grape_memo`` (a
+        :class:`~repro.pulse.grape.memo.GrapeRunMemo`) replays the probe
+        and tuning runs an earlier precompile already ran; the report's
+        ``metadata["grape_memo_hits"]`` counts them.
         """
         device = device or default_device_for(circuit)
         settings = settings or GrapeSettings()
@@ -270,17 +312,17 @@ class _FlexiblePartialCompiler:
             hyperparameters,
             cache if cache is not None else default_pulse_cache(),
         )
-        tuner = partial(
-            _tune_parametrized_block,
+        tuner = _block_tuner(
             device,
             settings,
             hyperparameters,
             tuning_samples,
-            learning_rates or DEFAULT_LEARNING_RATES,
-            decay_rates or DEFAULT_DECAY_RATES,
+            learning_rates,
+            decay_rates,
             seed,
             tuning_strategy,
             probe_executor,
+            grape_memo,
         )
         pipeline = flexible_precompile_pipeline(
             block_compiler, tuner, flexible_slices, max_block_width, executor
@@ -314,6 +356,7 @@ class _FlexiblePartialCompiler:
         executor=None,
         probe_executor: str | None = None,
         state=None,
+        grape_memo=None,
     ) -> list:
         """Precompile a batch of ansätze, sharing Fixed blocks across them.
 
@@ -322,7 +365,8 @@ class _FlexiblePartialCompiler:
         whole batch (and, via ``state``, across successive calls — see
         :meth:`StrictPartialCompiler.precompile_many
         <repro.core.strict.StrictPartialCompiler.precompile_many>`), while
-        each parametrized single-θ block is tuned per circuit as usual.
+        each parametrized single-θ block is tuned per circuit as usual
+        (through ``grape_memo``, as in :meth:`precompile`).
         Returns one compiler per circuit, in order, with the shared batch
         wall time and dedup accounting on every report.
         """
@@ -339,17 +383,17 @@ class _FlexiblePartialCompiler:
             hyperparameters,
             cache if cache is not None else default_pulse_cache(),
         )
-        tuner = partial(
-            _tune_parametrized_block,
+        tuner = _block_tuner(
             device,
             settings,
             hyperparameters,
             tuning_samples,
-            learning_rates or DEFAULT_LEARNING_RATES,
-            decay_rates or DEFAULT_DECAY_RATES,
+            learning_rates,
+            decay_rates,
             seed,
             tuning_strategy,
             probe_executor,
+            grape_memo,
         )
         pipeline = flexible_precompile_pipeline(
             block_compiler, tuner, flexible_slices, max_block_width, executor
@@ -393,6 +437,7 @@ class _FlexiblePartialCompiler:
         param_blocks = 0
         cache_hits = 0
         hyperopt_trials = 0
+        memo_hits = 0
         plan: list = []
         for task, result in zip(context.tasks, context.block_results):
             if task.kind == "parametrized":
@@ -400,13 +445,17 @@ class _FlexiblePartialCompiler:
                 iterations += result.probe_iterations
                 iterations += result.tuning.total_iterations
                 hyperopt_trials += len(result.tuning.trials)
+                memo_hits += result.memo_hits
                 plan.append(result)
             else:
                 iterations += result.iterations
                 fixed_blocks += 1
                 cache_hits += int(result.cache_hit)
                 plan.append(_FixedEntry(result.schedule))
-        metadata = {"stage_timings": context.stage_timing_dict()}
+        metadata = {
+            "stage_timings": context.stage_timing_dict(),
+            "grape_memo_hits": memo_hits,
+        }
         if extra_metadata:
             metadata.update(extra_metadata)
         report = PrecompileReport(

@@ -53,6 +53,7 @@ class TuningResult:
     trials: list = field(default_factory=list)
     wall_time_s: float = 0.0
     total_iterations: int = 0
+    memo_hits: int = 0  # trial runs a GrapeRunMemo replayed
 
     @property
     def best_trial(self) -> HyperparameterTrial:
@@ -81,11 +82,14 @@ def tune_hyperparameters(
     learning_rates: tuple = DEFAULT_LEARNING_RATES,
     decay_rates: tuple = DEFAULT_DECAY_RATES,
     iteration_budget: int | None = None,
+    memo=None,
 ) -> TuningResult:
     """Grid-search (learning rate, decay) minimizing iterations-to-converge.
 
     ``targets`` are the block's unitaries at sampled angles; the winning
     configuration must converge on all of them (Figure 4 robustness).
+    Every trial run goes through ``memo`` (a
+    :class:`~repro.pulse.grape.memo.GrapeRunMemo`) when one is given.
     """
     if not targets:
         raise CompilationError("need at least one sample target to tune")
@@ -96,15 +100,17 @@ def tune_hyperparameters(
     start = time.perf_counter()
     trials: list[HyperparameterTrial] = []
     total_iterations = 0
+    memo_hits = 0
     for lr in learning_rates:
         for decay in decay_rates:
             hyper = GrapeHyperparameters(lr, decay, max_iterations=budget)
             iters, fids, converged = [], [], True
             for target in targets:
                 result = optimize_pulse(
-                    control_set, target, num_steps, hyper, settings
+                    control_set, target, num_steps, hyper, settings, memo=memo
                 )
                 total_iterations += result.iterations
+                memo_hits += result.memo_hit
                 iters.append(result.iterations)
                 fids.append(result.fidelity)
                 converged = converged and result.converged
@@ -126,6 +132,7 @@ def tune_hyperparameters(
         trials=trials,
         wall_time_s=time.perf_counter() - start,
         total_iterations=total_iterations,
+        memo_hits=memo_hits,
     )
 
 

@@ -18,7 +18,8 @@ this module adds three budget-aware alternatives over the same
 
 All three return the same :class:`~repro.core.hyperopt.TuningResult` shape
 as the grid tuner, so :class:`~repro.core.flexible.FlexiblePartialCompiler`
-can swap them in via ``tuning_strategy``.
+can swap them in via ``tuning_strategy``, and like it they run every trial
+through an optional ``memo`` (a :class:`~repro.pulse.grape.memo.GrapeRunMemo`).
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class _Objective:
         num_steps: int,
         settings: GrapeSettings,
         optimizer: str = "adam",
+        memo=None,
     ):
         if not targets:
             raise CompilationError("need at least one sample target to tune")
@@ -94,7 +96,9 @@ class _Objective:
         self.num_steps = num_steps
         self.settings = settings
         self.optimizer = optimizer
+        self.memo = memo
         self.total_iterations = 0
+        self.memo_hits = 0
 
     def evaluate(self, lr: float, decay: float, budget: int) -> HyperparameterTrial:
         hyper = GrapeHyperparameters(
@@ -103,9 +107,15 @@ class _Objective:
         iterations, fidelities, converged = [], [], True
         for target in self.targets:
             result = optimize_pulse(
-                self.control_set, target, self.num_steps, hyper, self.settings
+                self.control_set,
+                target,
+                self.num_steps,
+                hyper,
+                self.settings,
+                memo=self.memo,
             )
             self.total_iterations += result.iterations
+            self.memo_hits += result.memo_hit
             iterations.append(result.iterations)
             fidelities.append(result.fidelity)
             converged = converged and result.converged
@@ -133,6 +143,7 @@ def _finish(objective: _Objective, trials: list, budget: int, start: float) -> T
         trials=trials,
         wall_time_s=time.perf_counter() - start,
         total_iterations=objective.total_iterations,
+        memo_hits=objective.memo_hits,
     )
 
 
@@ -153,12 +164,15 @@ def random_search(
     num_trials: int = 12,
     iteration_budget: int | None = None,
     seed: int = 0,
+    memo=None,
 ) -> TuningResult:
     """Log-uniform random search over (learning rate, decay rate)."""
     settings = settings or GrapeSettings()
     space = space or SearchSpace()
     budget = _resolve_budget(iteration_budget)
-    objective = _Objective(control_set, targets, num_steps, settings, space.optimizer)
+    objective = _Objective(
+        control_set, targets, num_steps, settings, space.optimizer, memo
+    )
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     trials = [objective.evaluate(*space.sample(rng), budget) for _ in range(num_trials)]
@@ -175,6 +189,7 @@ def successive_halving(
     eta: int = 3,
     iteration_budget: int | None = None,
     seed: int = 0,
+    memo=None,
 ) -> TuningResult:
     """Bandit-style racing over sampled configurations.
 
@@ -189,7 +204,9 @@ def successive_halving(
     settings = settings or GrapeSettings()
     space = space or SearchSpace()
     max_budget = _resolve_budget(iteration_budget)
-    objective = _Objective(control_set, targets, num_steps, settings, space.optimizer)
+    objective = _Objective(
+        control_set, targets, num_steps, settings, space.optimizer, memo
+    )
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
 
@@ -220,6 +237,7 @@ def rbf_search(
     num_iterations: int = 7,
     iteration_budget: int | None = None,
     seed: int = 0,
+    memo=None,
 ) -> TuningResult:
     """Radial-basis-function surrogate search (paper §7.2's cited method).
 
@@ -234,7 +252,9 @@ def rbf_search(
     settings = settings or GrapeSettings()
     space = space or SearchSpace()
     budget = _resolve_budget(iteration_budget)
-    objective = _Objective(control_set, targets, num_steps, settings, space.optimizer)
+    objective = _Objective(
+        control_set, targets, num_steps, settings, space.optimizer, memo
+    )
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
 
@@ -307,7 +327,7 @@ def tune_with_strategy(
     if strategy == "grid":
         from repro.core.hyperopt import tune_hyperparameters
 
-        allowed = {"learning_rates", "decay_rates", "iteration_budget"}
+        allowed = {"learning_rates", "decay_rates", "iteration_budget", "memo"}
         grid_kwargs = {k: v for k, v in kwargs.items() if k in allowed}
         return tune_hyperparameters(
             control_set, targets, num_steps, settings=settings, **grid_kwargs

@@ -93,6 +93,9 @@ class GrapeResult:
     wall_time_s: float
     fidelity_history: list
     target_fidelity: float
+    #: True when a :class:`~repro.pulse.grape.memo.GrapeRunMemo` replayed
+    #: this run instead of running it.
+    memo_hit: bool = False
 
     @property
     def duration_ns(self) -> float:
@@ -107,6 +110,7 @@ def optimize_pulse(
     hyperparameters: GrapeHyperparameters | None = None,
     settings: GrapeSettings | None = None,
     initial: np.ndarray | None = None,
+    memo=None,
 ) -> GrapeResult:
     """Run GRAPE for a fixed pulse length of ``num_steps`` slices.
 
@@ -128,7 +132,15 @@ def optimize_pulse(
         fields when omitted.  Non-finite values or amplitudes beyond the
         device bounds raise :class:`ValueError` — a wrongly-scaled seed
         silently clipped into garbage is worse than a loud failure.
+    memo:
+        Optional :class:`~repro.pulse.grape.memo.GrapeRunMemo`.  A run with
+        exactly these inputs that the memo holds is replayed from it
+        (``memo_hit`` set), bit-identical to running it again.
     """
+    if memo is not None:
+        return memo.run(
+            control_set, target, num_steps, hyperparameters, settings, initial
+        )
     if num_steps < 1:
         raise GrapeError("num_steps must be >= 1")
     hyper = hyperparameters or GrapeHyperparameters()

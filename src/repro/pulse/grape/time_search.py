@@ -44,7 +44,8 @@ class MinimumTimeResult:
 
     ``total_iterations`` counts every ADAM step across every probe — the
     hardware-independent compilation-latency measure used in the Figure 7
-    reproduction.
+    reproduction; ``memo_hits`` counts the probes a
+    :class:`~repro.pulse.grape.memo.GrapeRunMemo` replayed.
     """
 
     schedule: PulseSchedule
@@ -55,6 +56,7 @@ class MinimumTimeResult:
     grape_calls: int
     wall_time_s: float
     probes: list = field(default_factory=list)  # (duration_ns, fidelity, converged)
+    memo_hits: int = 0
 
     @property
     def best_result_duration(self) -> float:
@@ -89,12 +91,15 @@ def _feasibility_probe(
     settings: GrapeSettings,
     dt: float,
     warm: PulseSchedule | None,
+    memo,
     duration_ns: float,
 ) -> GrapeResult:
     """One independent feasibility probe (module-level so pools can pickle)."""
     steps = max(1, int(round(duration_ns / dt)))
     initial = warm.resampled(steps).controls if warm is not None else None
-    return optimize_pulse(control_set, target, steps, hyper, settings, initial=initial)
+    return optimize_pulse(
+        control_set, target, steps, hyper, settings, initial=initial, memo=memo
+    )
 
 
 def minimum_time_pulse(
@@ -108,6 +113,7 @@ def minimum_time_pulse(
     max_doublings: int = 3,
     probe_executor=None,
     warm_start: PulseSchedule | None = None,
+    memo=None,
 ) -> MinimumTimeResult:
     """Find the shortest pulse that realizes ``target`` at the set fidelity.
 
@@ -140,6 +146,9 @@ def minimum_time_pulse(
         upper bound — a near-miss neighbor's minimum time is an excellent
         guess for this block's, letting the search open already close to
         the answer.
+    memo:
+        Optional :class:`~repro.pulse.grape.memo.GrapeRunMemo` every probe
+        goes through (see :func:`~repro.pulse.grape.engine.optimize_pulse`).
     """
     settings = settings or GrapeSettings()
     hyper = hyperparameters or GrapeHyperparameters()
@@ -154,17 +163,19 @@ def minimum_time_pulse(
     start = time.perf_counter()
     total_iterations = 0
     grape_calls = 0
+    memo_hits = 0
     probes: list[tuple] = []
 
     def run(duration_ns: float, warm: PulseSchedule | None) -> GrapeResult:
-        nonlocal total_iterations, grape_calls
+        nonlocal total_iterations, grape_calls, memo_hits
         steps = max(1, int(round(duration_ns / dt)))
         initial = warm.resampled(steps).controls if warm is not None else None
         result = optimize_pulse(
-            control_set, target, steps, hyper, settings, initial=initial
+            control_set, target, steps, hyper, settings, initial=initial, memo=memo
         )
         total_iterations += result.iterations
         grape_calls += 1
+        memo_hits += result.memo_hit
         probes.append((steps * dt, result.fidelity, result.converged))
         return result
 
@@ -212,11 +223,13 @@ def minimum_time_pulse(
                 settings,
                 dt,
                 best.schedule,
+                memo,
             )
             results = executor.map(worker, doubling_times)
             for duration, result in zip(doubling_times, results):
                 total_iterations += result.iterations
                 grape_calls += 1
+                memo_hits += result.memo_hit
                 steps = max(1, int(round(duration / dt)))
                 probes.append((steps * dt, result.fidelity, result.converged))
             converged = [r for r in results if r.converged]
@@ -245,6 +258,7 @@ def minimum_time_pulse(
             grape_calls=grape_calls,
             wall_time_s=time.perf_counter() - start,
             probes=probes,
+            memo_hits=memo_hits,
         )
 
     feasible = best
@@ -297,4 +311,5 @@ def minimum_time_pulse(
         grape_calls=grape_calls,
         wall_time_s=time.perf_counter() - start,
         probes=probes,
+        memo_hits=memo_hits,
     )

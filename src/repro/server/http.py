@@ -20,7 +20,7 @@ Routes::
 Structured error mapping — every failure is JSON with an ``error`` field:
 
 * 400 — malformed JSON, undecodable circuit/request, unknown strategy,
-  wire-version mismatch
+  options the strategy rejects, wire-version mismatch
 * 404 — unknown route or unknown/expired ticket
 * 405 — wrong method for a route
 * 413 — body larger than the configured limit
@@ -323,7 +323,12 @@ def _make_handler(server: CompilationServer):
                 return
             try:
                 request = decode_request(payload)
-                get_strategy(request.strategy)  # unknown strategy → 400 now
+                # Unknown strategies and bad options → 400 now, not a
+                # failed compile later.
+                strategy = get_strategy(request.strategy)
+                validate = getattr(strategy, "validate", None)
+                if validate is not None:
+                    validate(request)
             except WireError as exc:
                 self._send_error_json(400, str(exc))
                 return

@@ -11,7 +11,9 @@ One service instance owns the machinery every request shares:
 * one cross-call :class:`~repro.pipeline.scheduler.SchedulerState`
   (optionally resumed from — and spilled back to —
   ``scheduler_state_path``, so a *new process* inherits a previous
-  session's dedup memory).
+  session's dedup memory),
+* one :class:`~repro.pulse.grape.memo.GrapeRunMemo` of the flexible
+  precompile's θ-independent GRAPE runs (DESIGN.md "GRAPE-run memo").
 
 Requests are typed (:class:`~repro.service.requests.CompileRequest` in,
 :class:`~repro.service.requests.CompileResult` out) and strategy dispatch
@@ -82,6 +84,7 @@ class CompilationService:
         from repro.pipeline.executors import resolve_executor
         from repro.pipeline.plan import PlanCache
         from repro.pipeline.scheduler import SchedulerState
+        from repro.pulse.grape.memo import GrapeRunMemo
 
         self.config = config if config is not None else ServiceConfig.from_env()
         self.device = device
@@ -104,6 +107,8 @@ class CompilationService:
         # Blocking plans keyed by ansatz content: repeated requests for one
         # symbolic circuit replay blocking instead of recomputing it.
         self.plan_cache = PlanCache()
+        # Replays the flexible precompile's probe and tuning GRAPE runs.
+        self.grape_memo = GrapeRunMemo()
         # Default device per circuit width (see device_for).
         self._default_devices: dict = {}
         # ``_lock`` guards only the counters and lifecycle flags; strategy
@@ -358,6 +363,7 @@ class CompilationService:
             },
             "scheduler": self.scheduler_state.as_dict(),
             "plan_cache": self.plan_cache.as_dict(),
+            "grape_memo": self.grape_memo.stats(),
             "cache": self.cache.stats(),
             "executor": executor_info,
             # Fleet telemetry (queue depth, worker hosts, autoscaler

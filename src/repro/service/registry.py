@@ -39,6 +39,11 @@ class CompilationStrategy:
         """Serve one request using ``service``'s shared machinery."""
         raise NotImplementedError
 
+    def validate(self, request: CompileRequest) -> None:
+        """Raise :class:`~repro.errors.ReproError` for a request this
+        strategy cannot serve, before any work (the HTTP frontend turns
+        it into 400).  Accepts everything by default."""
+
     def describe(self) -> dict:
         """Telemetry fragment identifying this strategy."""
         return {"strategy": self.name, "class": type(self).__qualname__}

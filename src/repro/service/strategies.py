@@ -12,11 +12,29 @@ to the legacy API.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 
 from repro.errors import ReproError
 from repro.service.registry import CompilationStrategy
 from repro.service.requests import CompileRequest, CompileResult
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_rate_grid(grid, positive: bool) -> bool:
+    """``grid`` is a list or tuple of finite rates, each > 0 when
+    ``positive``, else >= 0."""
+    return isinstance(grid, (list, tuple)) and all(
+        isinstance(rate, numbers.Real)
+        and not isinstance(rate, bool)
+        and math.isfinite(rate)
+        and (rate > 0 if positive else rate >= 0)
+        for rate in grid
+    )
 
 
 class _StrategyBase(CompilationStrategy):
@@ -25,7 +43,7 @@ class _StrategyBase(CompilationStrategy):
     #: Option keys this strategy understands (unknown keys raise).
     allowed_options: frozenset = frozenset()
 
-    def _check_options(self, request: CompileRequest) -> None:
+    def validate(self, request: CompileRequest) -> None:
         unknown = set(request.options) - set(self.allowed_options)
         if unknown:
             raise ReproError(
@@ -34,7 +52,7 @@ class _StrategyBase(CompilationStrategy):
             )
 
     def compile(self, service, request: CompileRequest) -> CompileResult:
-        self._check_options(request)
+        self.validate(request)
         start = time.perf_counter()
         compiled, report, compiler = self._run(service, request)
         return CompileResult(
@@ -160,10 +178,10 @@ class FullGrapeStrategy(_StrategyBase):
 
         first = requests[0]
         for request in requests:
-            self._check_options(request)
+            self.validate(request)
             if (
-                request.settings is not first.settings
-                or request.hyperparameters is not first.hyperparameters
+                request.settings != first.settings
+                or request.hyperparameters != first.hyperparameters
                 or request.max_block_width != first.max_block_width
                 or request.use_cache != first.use_cache
             ):
@@ -272,7 +290,20 @@ class StrictPartialStrategy(_PartialStrategyBase):
 
 
 class FlexiblePartialStrategy(_PartialStrategyBase):
-    """Single-θ slices with tuned warm-started GRAPE at runtime."""
+    """Single-θ slices with tuned warm-started GRAPE at runtime.
+
+    Each request precompiles its ansatz: Fixed blocks through the
+    service's scheduler state (as in strict-partial), and for every
+    single-θ block a minimum-time probe plus hyperparameter tuning.  Those
+    probe and tuning runs depend on the ansatz and the options but not on
+    θ, so a cached request runs them through the service's
+    :class:`~repro.pulse.grape.memo.GrapeRunMemo`: the first request of an
+    ansatz runs them, later ones replay them bit for bit, and
+    ``precompile_report.metadata["grape_memo_hits"]`` counts the replays
+    of this request.  The per-θ runtime GRAPE never goes through the
+    memo, and neither does an uncached request (``use_cache=False``).
+    Options are checked in :meth:`validate`, before any work.
+    """
 
     name = "flexible-partial"
     allowed_options = frozenset(
@@ -285,6 +316,33 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             "probe_executor",
         }
     )
+
+    def validate(self, request: CompileRequest) -> None:
+        from repro.core.search import STRATEGIES
+
+        super().validate(request)
+        samples = request.option("tuning_samples", 2)
+        if not _is_int(samples) or samples < 1:
+            raise ReproError(
+                f"option 'tuning_samples' must be a positive integer, got {samples!r}"
+            )
+        seed = request.option("seed", 11)
+        if not _is_int(seed):
+            raise ReproError(f"option 'seed' must be an integer, got {seed!r}")
+        for name, positive in (("learning_rates", True), ("decay_rates", False)):
+            grid = request.option(name)
+            if grid is not None and not _is_rate_grid(grid, positive):
+                raise ReproError(
+                    f"option {name!r} must be a list of finite "
+                    f"{'positive' if positive else 'non-negative'} numbers, "
+                    f"got {grid!r}"
+                )
+        tuner = request.option("tuning_strategy", "grid")
+        if tuner != "grid" and tuner not in STRATEGIES:
+            raise ReproError(
+                f"option 'tuning_strategy' must be one of "
+                f"{sorted([*STRATEGIES, 'grid'])}, got {tuner!r}"
+            )
 
     def _precompile(self, service, request):
         from repro.core.cache import PulseCache
@@ -305,4 +363,5 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             executor=service.executor,
             probe_executor=request.option("probe_executor"),
             state=service.scheduler_state if request.use_cache else None,
+            grape_memo=service.grape_memo if request.use_cache else None,
         )[0]

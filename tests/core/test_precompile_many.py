@@ -5,6 +5,7 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.core import FlexiblePartialCompiler, PulseCache, StrictPartialCompiler
+from repro.errors import CompilationError
 from repro.pipeline import SchedulerState
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -122,3 +123,19 @@ class TestFlexiblePrecompileMany:
 
     def test_empty_batch(self):
         assert FlexiblePartialCompiler.precompile_many([]) == []
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_nonpositive_tuning_samples_rejected_before_work(self, samples):
+        cache = CountingCache()
+        kwargs = dict(
+            device=GmonDevice(line_topology(2)),
+            settings=SETTINGS,
+            hyperparameters=HYPER,
+            cache=cache,
+            tuning_samples=samples,
+        )
+        with pytest.raises(CompilationError, match="tuning_samples"):
+            FlexiblePartialCompiler.precompile_many([_ansatz("a")], **kwargs)
+        with pytest.raises(CompilationError, match="tuning_samples"):
+            FlexiblePartialCompiler.precompile(_ansatz("a"), **kwargs)
+        assert cache.put_keys == []

@@ -104,6 +104,17 @@ class TestErrorPaths:
         assert exc_info.value.status == 400
         assert "quantum-vibes" in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "options", [{"tuning_samples": 0}, {"tuning_samples": -1}, {"turbo": True}]
+    )
+    def test_rejected_options_are_400(self, client, make_request, options):
+        payload = encode_request(make_request("flexible-partial", options=options))
+        payload["mode"] = "sync"
+        with pytest.raises(RemoteCompileError) as exc_info:
+            client._roundtrip("POST", "/v1/compile", payload)
+        assert exc_info.value.status == 400
+        assert next(iter(options)) in str(exc_info.value)
+
     def test_unknown_mode_is_400(self, client, make_request):
         payload = encode_request(make_request("gate"))
         payload["mode"] = "telepathy"

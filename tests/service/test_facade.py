@@ -6,11 +6,13 @@ import pytest
 
 from repro.core import PulseCache
 from repro.errors import PipelineError, ReproError
+from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.service import (
     CompilationService,
     CompilationStrategy,
     CompileRequest,
     CompileResult,
+    ServiceConfig,
     available_strategies,
     get_strategy,
     register_strategy,
@@ -176,6 +178,66 @@ class TestRequestSurface:
                     )
                 )
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"tuning_samples": 0},
+            {"tuning_samples": -2},
+            {"tuning_samples": 1.5},
+            {"learning_rates": (0.05, -0.1)},
+            {"decay_rates": (float("nan"),)},
+            {"tuning_strategy": "annealing"},
+            {"seed": "eleven"},
+        ],
+    )
+    def test_bad_flexible_options_rejected_before_work(self, workload, options):
+        circuit, theta = workload
+        request = CompileRequest(
+            circuit, theta, strategy="flexible-partial", options=options
+        )
+        with CompilationService() as service:
+            with pytest.raises(ReproError, match=next(iter(options))):
+                service.compile(request)
+            with pytest.raises(ReproError, match=next(iter(options))):
+                service.submit(request).result()
+            assert service.stats()["grape_memo"]["misses"] == 0
+            assert service.stats()["cache"]["misses"] == 0
+
+    def test_compile_batch_compares_settings_by_value(
+        self, workload, coarse_settings, coarse_hyper, programs_identical
+    ):
+        circuit, theta = workload
+        requests = [
+            CompileRequest(
+                circuit,
+                values,
+                strategy="full-grape",
+                settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
+                hyperparameters=GrapeHyperparameters(
+                    learning_rate=0.05, decay_rate=0.002, max_iterations=80
+                ),
+                max_block_width=2,
+            )
+            for values in (theta, [0.2, 0.7])
+        ]
+        assert requests[0].settings is not requests[1].settings
+        with CompilationService(ServiceConfig(warm_start=False)) as service:
+            batch = service.compile_batch(requests)
+        with CompilationService(ServiceConfig(warm_start=False)) as service:
+            alone = [service.compile(request) for request in requests]
+        for a, b in zip(batch, alone):
+            assert programs_identical(a.program, b.program)
+
+    def test_compile_batch_still_refuses_mixed_settings(self, workload, coarse_settings):
+        circuit, theta = workload
+        requests = [
+            CompileRequest(circuit, theta, strategy="full-grape", settings=settings)
+            for settings in (coarse_settings, GrapeSettings(dt_ns=0.25))
+        ]
+        with CompilationService() as service:
+            with pytest.raises(ReproError, match="uniform settings"):
+                service.compile_batch(requests)
+
     def test_request_requires_circuit_and_strategy(self):
         with pytest.raises(ReproError):
             CompileRequest(None)
@@ -233,6 +295,12 @@ class TestLifecycle:
         assert stats["requests"]["by_strategy"] == {"gate": 1}
         assert "scheduler" in stats and "known_blocks" in stats["scheduler"]
         assert "cache" in stats and "hits" in stats["cache"]
+        assert stats["grape_memo"] == {
+            "hits": 0,
+            "misses": 0,
+            "size": 0,
+            "max_entries": service.grape_memo.max_entries,
+        }
         assert "executor" in stats
         assert stats["config"]["executor"] == service.config.executor
 
