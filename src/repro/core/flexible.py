@@ -18,6 +18,7 @@ independent θ-blocks compile concurrently.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -157,6 +158,19 @@ def _tune_parametrized_block(
     )
 
 
+def check_tuning_samples(tuning_samples) -> None:
+    """Raise :class:`CompilationError` unless ``tuning_samples`` (the
+    sample angles each single-θ block is tuned on) is a positive integer."""
+    if (
+        not isinstance(tuning_samples, numbers.Integral)
+        or isinstance(tuning_samples, bool)
+        or tuning_samples < 1
+    ):
+        raise CompilationError(
+            f"tuning_samples must be a positive integer, got {tuning_samples!r}"
+        )
+
+
 def _block_tuner(
     device,
     settings,
@@ -170,8 +184,7 @@ def _block_tuner(
     memo,
 ):
     """The picklable per-θ-block precompile handler, its options checked."""
-    if tuning_samples < 1:
-        raise CompilationError(f"tuning_samples must be >= 1, got {tuning_samples}")
+    check_tuning_samples(tuning_samples)
     return partial(
         _tune_parametrized_block,
         device,
@@ -286,7 +299,6 @@ class _FlexiblePartialCompiler:
         tuning_strategy: str = "grid",
         executor=None,
         probe_executor: str | None = None,
-        grape_memo=None,
     ) -> "FlexiblePartialCompiler":
         """Slice, precompile fixed blocks, and tune parametrized blocks.
 
@@ -299,10 +311,7 @@ class _FlexiblePartialCompiler:
         additionally parallelizes the feasibility-doubling probes *within*
         each parametrized block's minimum-time search — useful when a few
         hard blocks dominate precompute latency; the binary-search probes
-        stay sequential by design.  ``grape_memo`` (a
-        :class:`~repro.pulse.grape.memo.GrapeRunMemo`) replays the probe
-        and tuning runs an earlier precompile already ran; the report's
-        ``metadata["grape_memo_hits"]`` counts them.
+        stay sequential by design.
         """
         device = device or default_device_for(circuit)
         settings = settings or GrapeSettings()
@@ -322,7 +331,7 @@ class _FlexiblePartialCompiler:
             seed,
             tuning_strategy,
             probe_executor,
-            grape_memo,
+            None,
         )
         pipeline = flexible_precompile_pipeline(
             block_compiler, tuner, flexible_slices, max_block_width, executor
@@ -365,8 +374,10 @@ class _FlexiblePartialCompiler:
         whole batch (and, via ``state``, across successive calls — see
         :meth:`StrictPartialCompiler.precompile_many
         <repro.core.strict.StrictPartialCompiler.precompile_many>`), while
-        each parametrized single-θ block is tuned per circuit as usual
-        (through ``grape_memo``, as in :meth:`precompile`).
+        each parametrized single-θ block is tuned per circuit as usual.
+        ``grape_memo`` (a :class:`~repro.pulse.grape.memo.GrapeRunMemo`)
+        replays the probe and tuning runs an earlier precompile already
+        ran; each report's ``metadata["grape_memo_hits"]`` counts them.
         Returns one compiler per circuit, in order, with the shared batch
         wall time and dedup accounting on every report.
         """

@@ -318,30 +318,33 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
     )
 
     def validate(self, request: CompileRequest) -> None:
+        """Check the options the request sets; an absent option takes the
+        default of :meth:`_FlexiblePartialCompiler.precompile_many
+        <repro.core.flexible._FlexiblePartialCompiler.precompile_many>`."""
+        from repro.core.flexible import check_tuning_samples
         from repro.core.search import STRATEGIES
 
         super().validate(request)
-        samples = request.option("tuning_samples", 2)
-        if not _is_int(samples) or samples < 1:
+        options = request.options
+        if "tuning_samples" in options:
+            check_tuning_samples(options["tuning_samples"])
+        if "seed" in options and not _is_int(options["seed"]):
             raise ReproError(
-                f"option 'tuning_samples' must be a positive integer, got {samples!r}"
+                f"option 'seed' must be an integer, got {options['seed']!r}"
             )
-        seed = request.option("seed", 11)
-        if not _is_int(seed):
-            raise ReproError(f"option 'seed' must be an integer, got {seed!r}")
         for name, positive in (("learning_rates", True), ("decay_rates", False)):
-            grid = request.option(name)
+            grid = options.get(name)
             if grid is not None and not _is_rate_grid(grid, positive):
                 raise ReproError(
                     f"option {name!r} must be a list of finite "
                     f"{'positive' if positive else 'non-negative'} numbers, "
                     f"got {grid!r}"
                 )
-        tuner = request.option("tuning_strategy", "grid")
-        if tuner != "grid" and tuner not in STRATEGIES:
+        tuners = sorted([*STRATEGIES, "grid"])
+        if "tuning_strategy" in options and options["tuning_strategy"] not in tuners:
             raise ReproError(
-                f"option 'tuning_strategy' must be one of "
-                f"{sorted([*STRATEGIES, 'grid'])}, got {tuner!r}"
+                f"option 'tuning_strategy' must be one of {tuners}, "
+                f"got {options['tuning_strategy']!r}"
             )
 
     def _precompile(self, service, request):
@@ -355,13 +358,8 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             hyperparameters=request.hyperparameters or service.hyperparameters,
             max_block_width=request.max_block_width,
             cache=service.cache if request.use_cache else PulseCache(),
-            tuning_samples=request.option("tuning_samples", 2),
-            learning_rates=request.option("learning_rates"),
-            decay_rates=request.option("decay_rates"),
-            seed=request.option("seed", 11),
-            tuning_strategy=request.option("tuning_strategy", "grid"),
             executor=service.executor,
-            probe_executor=request.option("probe_executor"),
             state=service.scheduler_state if request.use_cache else None,
             grape_memo=service.grape_memo if request.use_cache else None,
+            **request.options,
         )[0]
