@@ -351,7 +351,7 @@ def bench_cache(quick: bool) -> dict:
                 )
             ).compiled
             wall = time.perf_counter() - start
-            stats = service.cache.stats()
+            stats = service.stats()["cache"]
             service.close()
             runs[name] = (wall, result, stats)
             entries.append(
@@ -427,12 +427,12 @@ def bench_cache(quick: bool) -> dict:
                 "wall_s": round(lookup_wall, 4),
                 "lookups": len(lookups),
                 "per_lookup_us": round(lookup_wall / len(lookups) * 1e6, 2),
-                "nonempty_shards": library.stats()["nonempty_shards"],
+                "nonempty_shards": library.sweep()["nonempty_shards"],
             }
         )
 
         # -- LRU gc down to half the population ----------------------------
-        total = library.total_bytes()
+        total = library.sweep()["total_bytes"]
         budget_mb = total / 2 / (1024 * 1024)
         start = time.perf_counter()
         report = library.gc(budget_mb)

@@ -210,7 +210,7 @@ def _cmd_compile(args) -> int:
                 options=options,
             )
         )
-        stats = service.cache.stats()
+        stats = service.stats()["cache"]
         executor_name = service.executor.name
 
     if result.precompile_report is not None:
@@ -425,14 +425,15 @@ def _pool_rows() -> list:
     return rows
 
 
-def _cache_stats_rows(directory, stats, size_kib: float) -> list:
+def _cache_stats_rows(directory, stats) -> list:
     """One row set for both the live and the never-created cache paths,
-    so the two reports cannot drift apart."""
+    so the two reports cannot drift apart.  ``stats`` is a swept report
+    (``PersistentPulseCache.stats(sweep=True)``)."""
     library = stats["library"]
     return [
         ("directory", str(directory)),
         ("persisted entries", stats["persisted_entries"]),
-        ("size (KiB)", f"{size_kib:.1f}"),
+        ("size (KiB)", f"{library['total_bytes'] / 1024:.1f}"),
         ("schema version", stats["schema_version"]),
         ("hits / misses", f"{stats['hits']} / {stats['misses']}"),
         ("shards", library["shards"]),
@@ -465,13 +466,11 @@ def _cmd_cache_stats(args) -> int:
             "misses": 0,
             "library": PulseLibrary.empty_stats(args.dir),
         }
-        rows = _cache_stats_rows(args.dir, stats, size_kib=0.0)
+        rows = _cache_stats_rows(args.dir, stats)
         title = "persistent pulse cache (empty — not created yet)"
     else:
         cache = PersistentPulseCache(args.dir)
-        rows = _cache_stats_rows(
-            cache.directory, cache.stats(), cache.persisted_bytes() / 1024
-        )
+        rows = _cache_stats_rows(cache.directory, cache.stats(sweep=True))
         title = "persistent pulse cache"
     rows.extend(_pool_rows())
     print(format_table(("property", "value"), rows, title=title))
@@ -486,11 +485,12 @@ def _cmd_library_stats(args) -> int:
     if not Path(args.dir).is_dir():
         # Same contract as cache-stats: a never-created library is empty,
         # and inspecting it must not create it.  ``empty_stats`` mirrors
-        # the live ``stats()`` schema exactly.
+        # the live ``{**stats(), **sweep()}`` schema exactly.
         stats = PulseLibrary.empty_stats(args.dir)
         title = "pulse library (empty — not created yet)"
     else:
-        stats = PulseLibrary(args.dir).stats()
+        library = PulseLibrary(args.dir)
+        stats = {**library.stats(), **library.sweep()}
         title = "pulse library"
     rows = [(key, stats[key]) for key in sorted(stats)]
     print(format_table(("property", "value"), rows, title=title))

@@ -336,8 +336,12 @@ class PulseCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def stats(self) -> dict:
-        """Telemetry snapshot: counts, rates, and time spent in the cache."""
+    def stats(self, sweep: bool = False) -> dict:
+        """Telemetry snapshot: counts, rates, and time spent in the cache.
+
+        Reads memory only.  ``sweep=True`` asks a disk-backed cache to add
+        its on-disk inventory too; the memory cache has none.
+        """
         return {
             "backend": self.backend,
             "entries": len(self._entries),
@@ -538,15 +542,14 @@ class PersistentPulseCache(PulseCache):
         """
         return self.library.gc(budget_mb)
 
-    def persisted_count(self) -> int:
-        """Number of entries currently durable on disk."""
-        return self.library.count()
+    def stats(self, sweep: bool = False) -> dict:
+        """Counters of both tiers, with no file I/O unless ``sweep``.
 
-    def persisted_bytes(self) -> int:
-        """Total size of the on-disk tier."""
-        return self.library.total_bytes()
-
-    def stats(self) -> dict:
+        ``sweep=True`` adds the on-disk inventory of
+        :meth:`repro.library.PulseLibrary.sweep`: ``persisted_entries`` and
+        the swept fields under ``"library"``.  That reads every shard, so
+        only inspection surfaces ask for it, never a request.
+        """
         data = super().stats()
         library_stats = self.library.stats()
         data.update(
@@ -556,11 +559,14 @@ class PersistentPulseCache(PulseCache):
                 "disk_errors": self.disk_errors,
                 "schema_version": CACHE_SCHEMA_VERSION,
                 "schema_mismatches": self.schema_mismatches,
-                "persisted_entries": library_stats["entries"],
                 "library": library_stats,
                 "neighbors": self.neighbors.stats(),
             }
         )
+        if sweep:
+            inventory = self.library.sweep()
+            library_stats.update(inventory)
+            data["persisted_entries"] = inventory["entries"]
         return data
 
 

@@ -41,9 +41,9 @@ def result_from_context(
     Shared by :class:`FullGrapeCompiler` and the long-lived
     :class:`repro.pipeline.session.VariationalSession`, which produce the
     same pipeline contexts but own their lifecycles differently.  Batch
-    callers pass one ``cache_stats`` snapshot for all their contexts — a
-    disk-backed cache's ``stats()`` sweeps the whole library, which must
-    not repeat per circuit in the per-iteration hot path.
+    callers pass one ``cache_stats`` snapshot (in-memory counters, see
+    :meth:`PulseCache.stats`) for all their contexts, so every result of
+    a batch reports the same numbers.
     """
     outcomes = context.block_results
     metadata = {

@@ -54,8 +54,11 @@ class FileLock:
         """Block until the lock is held (no-op where flock is unavailable)."""
         if self._fd is not None:
             raise RuntimeError(f"lock {self.path} is already held by this object")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
         if fcntl is not None:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX)

@@ -33,15 +33,22 @@ against crashes between a data write and its index update.
 
 All manifest writes are atomic (temp + ``os.replace``) and happen under the
 shard's :class:`~repro.library.locking.FileLock`, so concurrent processes
-never interleave read-modify-write cycles.
+never interleave read-modify-write cycles.  Manifests are written as
+compact JSON (the C encoder's fast path); readers accept any layout.
+
+Every write replaces the file, so a manifest's :func:`manifest_identity`
+— ``(st_ino, st_mtime_ns, st_size)`` — moves whenever its content does.
+That lets a reader tell whether a shard changed since it last read it with
+one ``stat`` instead of a re-read.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import uuid
 from pathlib import Path
+
+from repro.library.files import read_file, replace_file
 
 #: Format version embedded in every manifest file.  A manifest with any
 #: other version is rebuilt from the shard's data files instead of trusted.
@@ -61,27 +68,52 @@ def load_manifest(shard_dir: Path) -> dict:
     A missing, unreadable, or wrong-version manifest yields an empty one —
     the data files remain authoritative and ``gc`` rebuilds the index.
     """
-    path = shard_dir / MANIFEST_FILENAME
+    return read_manifest(shard_dir)[0]
+
+
+def read_manifest(shard_dir: Path) -> tuple:
+    """:func:`load_manifest` plus the :func:`manifest_identity` of the very
+    file version it read (``None`` when the shard has no manifest)."""
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return empty_manifest()
+        raw, stat = read_file(shard_dir / MANIFEST_FILENAME)
+    except OSError:
+        return empty_manifest(), None
+    identity = _identity(stat)
+    try:
+        data = json.loads(raw)
+    except ValueError:
+        return empty_manifest(), identity
     if (
         not isinstance(data, dict)
         or data.get("manifest_version") != MANIFEST_VERSION
         or not isinstance(data.get("entries"), dict)
     ):
-        return empty_manifest()
+        return empty_manifest(), identity
     data.setdefault("evictions", 0)
-    return data
+    return data, identity
 
 
-def save_manifest(shard_dir: Path, manifest: dict) -> None:
-    """Atomically write ``manifest`` into ``shard_dir``."""
-    path = shard_dir / MANIFEST_FILENAME
-    tmp = path.with_name(f".{MANIFEST_FILENAME}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def save_manifest(shard_dir: Path, manifest: dict) -> tuple:
+    """Atomically write ``manifest`` into ``shard_dir``.
+
+    Returns the written file's :func:`manifest_identity` (the rename keeps
+    the temp file's inode, mtime and size).
+    """
+    text = json.dumps(manifest, separators=(",", ":"), sort_keys=True)
+    return _identity(replace_file(shard_dir / MANIFEST_FILENAME, text.encode()))
+
+
+def _identity(stat: os.stat_result) -> tuple:
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+
+
+def manifest_identity(shard_dir: str | Path) -> tuple | None:
+    """``(st_ino, st_mtime_ns, st_size)`` of a shard's manifest, or ``None``
+    when it has none."""
+    try:
+        return _identity(os.stat(os.path.join(shard_dir, MANIFEST_FILENAME)))
+    except OSError:
+        return None
 
 
 def entry_record(size: int, created: float, last_used: float, schema_version=None) -> dict:

@@ -43,23 +43,38 @@ means "pulse whose replay comes closest to the new target".
 
 Search is bucketed by ``(dim, ctx)`` and threshold-gated
 (``REPRO_WARM_START_MAX_DIST``): a match farther than the threshold is
-worse than no seed at all.  The parsed index is cached in memory and
-rebuilt when the owning library's ``puts`` counter moves; entries another
-process adds become visible at the next rebuild (or an explicit
-:meth:`NeighborIndex.refresh`) — staleness only costs a missed seed, never
-a wrong pulse, because seeds are re-optimized and best-of guarded.
+worse than no seed at all; equal distances go to the smallest name.
+
+Keeping the index current
+-------------------------
+The parsed index lives in memory and is maintained incrementally, so a
+lookup costs the same whatever the library's size:
+
+* writes made through the owning library object (puts, overwrites, LRU
+  stamps, annotations, deletes, ``gc``) are applied in place as they
+  happen (:meth:`~repro.library.store.PulseLibrary.observe`);
+* writes by other processes or library objects are found by
+  :meth:`NeighborIndex.sync`, which calls ``stat`` on every shard manifest
+  and re-reads only those whose identity ``(st_ino, st_mtime_ns, st_size)``
+  moved since the index last read or wrote them.  It runs at the
+  outermost :meth:`~NeighborIndex.freeze` and on every unfrozen lookup; a
+  frozen lookup never touches the disk.
+
+Staleness only costs a missed seed, never a wrong pulse, because seeds
+are re-optimized and best-of guarded.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.library.manifest import load_manifest, save_manifest
+from repro.library.manifest import manifest_identity, read_manifest
 
 __all__ = [
     "NeighborHit",
@@ -159,18 +174,22 @@ def _valid_meta(meta) -> bool:
 class NeighborIndex:
     """In-memory ``(dim, ctx)``-bucketed view of a library's target metadata.
 
-    Thread-safe; one index per :class:`PulseLibrary`.  The scan walks every
-    shard manifest once and is re-run whenever the library's ``puts``
-    counter has moved since the last build, so a long-lived process sees
-    its own writes without polling the filesystem per lookup.
+    Thread-safe; one index per :class:`PulseLibrary`.  The index observes
+    its library, so this process's own manifest writes land in place, and
+    :meth:`sync` re-reads only the shards another writer changed (see the
+    module docstring).  An unpickled copy starts empty and builds its scan
+    on its first lookup, frozen or not.
     """
 
     def __init__(self, library):
         self.library = library
         self._lock = threading.Lock()
         self._buckets: dict = {}  # (dim, ctx) -> {name: sig string}
-        self._decoded: dict = {}  # name -> np.ndarray (lazily decoded)
-        self._built_at_puts: int | None = None
+        self._shards: dict = {}  # shard name -> {name: ((dim, ctx), sig)}
+        self._seen: dict = {}  # shard name -> identity last read or written
+        self._versions: dict = {}  # shard name -> updates applied (see sync)
+        self._decoded: dict = {}  # name -> (sig string, np.ndarray)
+        self._synced = False
         # While frozen, search sees only the names captured at freeze
         # time (depth-counted; see PulseCache.freeze_neighbors for why).
         self._frozen_depth = 0
@@ -178,6 +197,8 @@ class NeighborIndex:
         self.lookups = 0
         self.hits = 0
         self.annotated = 0
+        self.shard_reads = 0
+        library.observe(self._observe)
 
     # The lock stays behind at pickle boundaries (the process-pool block
     # executor ships compilers, cache and index included); workers rebuild
@@ -185,51 +206,121 @@ class NeighborIndex:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
-        state["_buckets"] = {}
-        state["_decoded"] = {}
-        state["_built_at_puts"] = None
+        for name in ("_buckets", "_shards", "_seen", "_versions", "_decoded"):
+            state[name] = {}
+        state["_synced"] = False
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        self.library.observe(self._observe)
 
-    # -- build -----------------------------------------------------------------
-    def refresh(self) -> int:
-        """Rescan every shard manifest; returns the indexed entry count."""
-        buckets: dict = {}
-        for shard in self.library.shard_dirs():
-            for name, record in load_manifest(shard)["entries"].items():
-                meta = record.get("target") if isinstance(record, dict) else None
-                if _valid_meta(meta):
-                    buckets.setdefault((meta["dim"], meta["ctx"]), {})[name] = (
-                        meta["sig"]
-                    )
+    # -- keeping current -------------------------------------------------------
+    def _observe(self, shard, entries, identity, base, changed) -> None:
+        """Apply a manifest write of the owning library (see
+        :meth:`~repro.library.store.PulseLibrary.observe`).
+
+        When the write edited the very version this index holds, only the
+        edited names are re-indexed; otherwise the whole shard is.
+        """
         with self._lock:
-            self._buckets = buckets
-            # Drop decoded arrays for entries that vanished (gc/eviction).
-            live = {n for bucket in buckets.values() for n in bucket}
-            self._decoded = {
-                n: sig for n, sig in self._decoded.items() if n in live
+            if changed is not None and self._seen.get(shard) == base:
+                indexed = self._shards.setdefault(shard, {})
+                for name in changed:
+                    self._unindex(indexed, name)
+                    record = entries.get(name)
+                    meta = record.get("target") if isinstance(record, dict) else None
+                    if _valid_meta(meta):
+                        key = (meta["dim"], meta["ctx"])
+                        indexed[name] = (key, meta["sig"])
+                        self._buckets.setdefault(key, {})[name] = meta["sig"]
+                    else:
+                        self._decoded.pop(name, None)
+                self._seen[shard] = identity
+                self._versions[shard] = self._versions.get(shard, 0) + 1
+                return
+        self._replace(shard, entries, identity)
+
+    def _unindex(self, indexed: dict, name: str) -> None:
+        """Drop ``name`` from a shard's part of the index; caller holds the
+        lock."""
+        old = indexed.pop(name, None)
+        if old is None:
+            return
+        bucket = self._buckets[old[0]]
+        del bucket[name]
+        if not bucket:
+            del self._buckets[old[0]]
+
+    def _replace(
+        self, shard: str, entries: dict, identity, version: int | None = None
+    ) -> None:
+        """Make ``entries`` (one shard's manifest, read at ``identity``) that
+        shard's whole contribution to the index.
+
+        :meth:`sync` passes the shard ``version`` it saw before reading; if
+        a library write was applied since, that write is newer and the
+        read is dropped.
+        """
+        fresh = {}
+        for name, record in entries.items():
+            meta = record.get("target") if isinstance(record, dict) else None
+            if _valid_meta(meta):
+                fresh[name] = ((meta["dim"], meta["ctx"]), meta["sig"])
+        with self._lock:
+            current = self._versions.get(shard, 0)
+            if version is not None and version != current:
+                return
+            self._versions[shard] = current + 1
+            self._seen[shard] = identity
+            indexed = self._shards.pop(shard, {})
+            for name in list(indexed):
+                self._unindex(indexed, name)
+                if name not in fresh:
+                    self._decoded.pop(name, None)
+            for name, (key, sig) in fresh.items():
+                self._buckets.setdefault(key, {})[name] = sig
+            self._shards[shard] = fresh
+
+    def sync(self) -> int:
+        """Re-read the shards whose manifest changed since this index last
+        read or wrote it; returns how many shards were read."""
+        root = self.library.directory
+        on_disk = {
+            shard: manifest_identity(os.path.join(root, shard))
+            for shard in self.library.shard_names()
+        }
+        with self._lock:
+            stale = {
+                shard: self._versions.get(shard, 0)
+                for shard, identity in on_disk.items()
+                if self._seen.get(shard) != identity
             }
-            self._built_at_puts = self.library.puts
-            return sum(len(b) for b in buckets.values())
-
-    def _ensure_fresh(self) -> None:
+            gone = [shard for shard in self._shards if shard not in on_disk]
+        for shard in gone:
+            self._replace(shard, {}, None)
+        for shard, version in stale.items():
+            manifest, identity = read_manifest(self.library.directory / shard)
+            self._replace(shard, manifest["entries"], identity, version)
         with self._lock:
-            stale = self._built_at_puts != self.library.puts
-        if stale:
-            self.refresh()
+            self.shard_reads += len(stale)
+            self._synced = True
+        return len(stale)
 
     # -- freeze ----------------------------------------------------------------
     def freeze(self) -> None:
         """Pin search to the entries annotated right now.
 
-        The frozen-name snapshot — not the bucket dicts — is what pickles
-        across to process-pool workers, so a worker that rebuilds its own
-        scan mid-pass still resolves exactly the pre-pass candidate set.
+        The outermost freeze syncs first, so it sees other writers' entries
+        too.  The frozen-name snapshot — not the bucket dicts — is what
+        pickles across to process-pool workers, so a worker that builds its
+        own scan mid-pass still resolves exactly the pre-pass candidate set.
         """
-        self._ensure_fresh()
+        with self._lock:
+            outermost = self._frozen_names is None
+        if outermost:
+            self.sync()
         with self._lock:
             self._frozen_depth += 1
             if self._frozen_names is None:
@@ -259,38 +350,41 @@ class NeighborIndex:
         ``exclude`` names the entry an exact lookup already missed (the
         would-be filename of this very key), so an entry can never seed
         itself.  Returns ``None`` when the bucket is empty or the best
-        distance exceeds ``max_dist``.
+        distance exceeds ``max_dist``; equal distances go to the smallest
+        name.  Syncs first unless frozen (and already built).
         """
-        self._ensure_fresh()
+        with self._lock:
+            needs_sync = not self._synced or self._frozen_names is None
+        if needs_sync:
+            self.sync()
         target = np.asarray(target, dtype=complex)
         bucket_key = (int(target.shape[0]), context_token(context))
         with self._lock:
             self.lookups += 1
-            bucket = dict(self._buckets.get(bucket_key, ()))
             frozen = self._frozen_names
-        best_name = None
-        best_dist = np.inf
-        for name, sig_text in bucket.items():
-            if name == exclude:
-                continue
-            if frozen is not None and name not in frozen:
-                continue
-            with self._lock:
-                sig = self._decoded.get(name)
-            if sig is None:
+            candidates = [
+                (name, sig_text, self._decoded.get(name))
+                for name, sig_text in self._buckets.get(bucket_key, {}).items()
+                if name != exclude and (frozen is None or name in frozen)
+            ]
+        best = None  # (distance, name)
+        for name, sig_text, decoded in candidates:
+            if decoded is not None and decoded[0] == sig_text:
+                sig = decoded[1]
+            else:
                 sig = decode_signature(sig_text)
                 if sig is None or sig.shape[0] != target.shape[0]:
                     continue
                 with self._lock:
-                    self._decoded[name] = sig
-            dist = signature_distance(target, sig)
-            if dist < best_dist:
-                best_name, best_dist = name, dist
-        if best_name is None or best_dist > max_dist:
+                    self._decoded[name] = (sig_text, sig)
+            candidate = (signature_distance(target, sig), name)
+            if best is None or candidate < best:
+                best = candidate
+        if best is None or best[0] > max_dist:
             return None
         with self._lock:
             self.hits += 1
-        return NeighborHit(name=best_name, distance=best_dist)
+        return NeighborHit(name=best[1], distance=best[0])
 
     # -- lazy healing ----------------------------------------------------------
     def annotate(self, name: str, target: np.ndarray, context: tuple) -> bool:
@@ -299,7 +393,7 @@ class NeighborIndex:
         Called at cache-hit time, when the caller holds the target unitary
         that hashing threw away.  A no-op (``False``) when the entry is
         already annotated or has no manifest record; on success the
-        in-memory index is updated in place — no rescan needed.
+        manifest write reaches this index in place — no rescan needed.
         """
         meta = target_metadata(target, context)
         shard = self.library.shard_dir(name)
@@ -307,23 +401,18 @@ class NeighborIndex:
             return False
         try:
             with self.library._shard_lock(shard):
-                manifest = load_manifest(shard)
+                manifest, base = read_manifest(shard)
                 record = manifest["entries"].get(name)
                 if not isinstance(record, dict) or _valid_meta(
                     record.get("target")
                 ):
                     return False
                 record["target"] = meta
-                save_manifest(shard, manifest)
+                self.library._write_manifest(shard, manifest, base, (name,))
         except OSError:
             return False
         with self._lock:
             self.annotated += 1
-            if self._built_at_puts is not None:
-                self._buckets.setdefault((meta["dim"], meta["ctx"]), {})[
-                    name
-                ] = meta["sig"]
-                self._decoded.pop(name, None)
         return True
 
     # -- telemetry -------------------------------------------------------------
@@ -337,4 +426,5 @@ class NeighborIndex:
                 "lookups": self.lookups,
                 "hits": self.hits,
                 "annotated": self.annotated,
+                "shard_reads": self.shard_reads,
             }

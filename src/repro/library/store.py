@@ -43,6 +43,11 @@ into an in-memory layer; later reads in that shard are served from memory
 recorded, so a long-lived variational session streaming over a warm
 library pays one sequential sweep per shard instead of one file open per
 lookup.
+
+Telemetry comes in two costs.  :meth:`PulseLibrary.stats` reads in-memory
+counters only, so per-request callers may use it freely;
+:meth:`PulseLibrary.sweep` walks every shard (data files and manifests)
+and is for inspection surfaces only.
 """
 
 from __future__ import annotations
@@ -51,18 +56,18 @@ import math
 import os
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.config import CACHE_SHARD_CHOICES
 from repro.errors import ReproError
+from repro.library.files import read_file, replace_file
 from repro.library.locking import FileLock
 from repro.library.manifest import (
     MANIFEST_FILENAME,
-    empty_manifest,
     entry_record,
     load_manifest,
+    read_manifest,
     rebuild_entries,
     save_manifest,
 )
@@ -153,6 +158,12 @@ class PulseLibrary:
             prefetch = get_pipeline_config().prefetch
         self.budget_mb = budget_mb
         self._global_lock = FileLock(self.directory / ".lock")
+        # Submit threads share one library, so every lifetime counter is
+        # bumped under this lock (see _bump).
+        self._counter_lock = threading.Lock()
+        # Callbacks told about every manifest this instance writes (see
+        # observe); the neighbor index keeps itself current through one.
+        self._observers: list = []
         self.migrated_entries = 0
         self.puts = 0
         self.gets = 0
@@ -251,13 +262,47 @@ class PulseLibrary:
     def _shard_lock(self, shard_dir: Path) -> FileLock:
         return FileLock(shard_dir / ".lock")
 
+    def _write_manifest(
+        self, shard_dir: Path, manifest: dict, base=None, changed=None
+    ) -> None:
+        """Save a shard's manifest and tell the observers; the caller holds
+        the shard lock, so observers see this shard's writes in order."""
+        identity = save_manifest(shard_dir, manifest)
+        for callback in self._observers:
+            callback(shard_dir.name, manifest["entries"], identity, base, changed)
+
+    def observe(self, callback) -> None:
+        """Call ``callback(shard_name, entries, identity, base, changed)``
+        after every manifest this instance writes.
+
+        ``entries`` is the shard's whole manifest as written and
+        ``identity`` the new file's
+        :func:`~repro.library.manifest.manifest_identity`.  When the write
+        edited a manifest it read, ``base`` is the identity of the version
+        read and ``changed`` the names it edited; otherwise both are
+        ``None``.  Callbacks run under the shard lock and must not take
+        it.  Observers stay behind at pickle boundaries.
+        """
+        self._observers.append(callback)
+
+    def _bump(self, **deltas: int) -> None:
+        """Add ``deltas`` to the named lifetime counters, atomically."""
+        with self._counter_lock:
+            for counter, delta in deltas.items():
+                setattr(self, counter, getattr(self, counter) + delta)
+
+    def shard_names(self) -> list:
+        """Prefixes of the existing shard directories, sorted."""
+        with os.scandir(self.directory) as found:
+            return sorted(
+                entry.name
+                for entry in found
+                if len(entry.name) == self.prefix_len and entry.is_dir()
+            )
+
     def shard_dirs(self) -> list:
         """Existing shard directories, sorted by prefix."""
-        return sorted(
-            p
-            for p in self.directory.iterdir()
-            if p.is_dir() and len(p.name) == self.prefix_len
-        )
+        return [self.directory / name for name in self.shard_names()]
 
     # -- migration -------------------------------------------------------------
     def _migrate_flat_layout(self) -> None:
@@ -287,24 +332,25 @@ class PulseLibrary:
         for shard_name, paths in by_shard.items():
             shard = self.directory / shard_name
             shard.mkdir(exist_ok=True)
-            manifest = load_manifest(shard)
             moved = 0
-            for path in paths:
-                try:
-                    stat = path.stat()
-                    os.replace(path, shard / path.name)
-                except OSError:
-                    # Another writer beat us or the file vanished; gc will
-                    # reconcile whatever remains.
-                    self.index_errors += 1
-                    continue
-                manifest["entries"][path.name] = entry_record(
-                    stat.st_size, stat.st_mtime, stat.st_mtime
-                )
-                moved += 1
-            if moved:
-                save_manifest(shard, manifest)
-                self.migrated_entries += moved
+            with self._shard_lock(shard):
+                manifest = load_manifest(shard)
+                for path in paths:
+                    try:
+                        stat = path.stat()
+                        os.replace(path, shard / path.name)
+                    except OSError:
+                        # Another writer beat us or the file vanished; gc
+                        # will reconcile whatever remains.
+                        self._bump(index_errors=1)
+                        continue
+                    manifest["entries"][path.name] = entry_record(
+                        stat.st_size, stat.st_mtime, stat.st_mtime
+                    )
+                    moved += 1
+                if moved:
+                    self._write_manifest(shard, manifest)
+            self._bump(migrated_entries=moved)
 
     # -- entry operations ------------------------------------------------------
     def put(
@@ -324,22 +370,14 @@ class PulseLibrary:
         keeps whatever metadata the previous record carried.
         """
         shard = self.shard_dir(name)
-        shard.mkdir(exist_ok=True)
         path = shard / name
-        tmp = path.with_name(f".{name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            # Don't leave partial temp files behind (e.g. ENOSPC mid-write)
-            # on top of whatever condition caused the failure.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
-        self.puts += 1
+            replace_file(path, payload)
+        except FileNotFoundError:
+            # First write into this shard.
+            shard.mkdir(exist_ok=True)
+            replace_file(path, payload)
+        self._bump(puts=1)
         if self.prefetch_enabled:
             shard_name = self.shard_name(name)
             # Keep an already-prefetched shard coherent with the write.
@@ -354,7 +392,7 @@ class PulseLibrary:
         now = time.time()
         try:
             with self._shard_lock(shard):
-                manifest = load_manifest(shard)
+                manifest, base = read_manifest(shard)
                 previous = manifest["entries"].get(name)
                 # A damaged record (non-dict junk, missing/null stamp from a
                 # hand-edited or legacy manifest) must not crash the write.
@@ -372,9 +410,9 @@ class PulseLibrary:
                 if isinstance(target_meta, dict):
                     record["target"] = target_meta
                 manifest["entries"][name] = record
-                save_manifest(shard, manifest)
+                self._write_manifest(shard, manifest, base, (name,))
         except OSError:
-            self.index_errors += 1
+            self._bump(index_errors=1)
 
     def get(self, name: str) -> bytes | None:
         """Read entry ``name``, bumping its LRU stamp on a hit.
@@ -387,14 +425,13 @@ class PulseLibrary:
         from memory (``prefetch_hits``); LRU stamps are still recorded so
         eviction decisions stay honest.
         """
-        self.gets += 1
+        self._bump(gets=1)
         if self.prefetch_enabled:
             self._ensure_prefetched(self.shard_name(name))
             with self._prefetch_lock:
                 payload = self._prefetched.get(name)
             if payload is not None:
-                self.get_hits += 1
-                self.prefetch_hits += 1
+                self._bump(get_hits=1, prefetch_hits=1)
                 # LRU stamp without manifest I/O: bump the file mtime only
                 # (cheap), and let gc's reconcile pass fold newer mtimes
                 # into ``last_used`` — paying a lock + manifest rewrite per
@@ -407,16 +444,16 @@ class PulseLibrary:
                 return payload
         path = self.path_for(name)
         try:
-            payload = path.read_bytes()
+            payload = read_file(path)[0]
         except FileNotFoundError:
             # A not-yet-migrated flat file (e.g. written concurrently by an
             # old-layout process sharing the directory) still serves.
             try:
-                payload = (self.directory / name).read_bytes()
+                payload = read_file(self.directory / name)[0]
             except FileNotFoundError:
                 return None
             path = self.directory / name
-        self.get_hits += 1
+        self._bump(get_hits=1)
         self._touch(name, path)
         # Orphans the manifest missed stay on the disk path (no buffer
         # insert here: adopting a just-read payload could race a concurrent
@@ -478,7 +515,7 @@ class PulseLibrary:
                         continue  # ghost entry; the next gc reconciles
                     # Writes that raced the bulk read are newer: keep them.
                     self._buffer_insert(entry_name, payload, overwrite=False)
-                self.prefetches += 1
+                self._bump(prefetches=1)
             self._prefetched_shards.add(shard_name)
 
     def _touch(self, name: str, path: Path) -> None:
@@ -493,7 +530,7 @@ class PulseLibrary:
             return
         try:
             with self._shard_lock(shard):
-                manifest = load_manifest(shard)
+                manifest, base = read_manifest(shard)
                 record = manifest["entries"].get(name)
                 if record is None:
                     try:
@@ -503,9 +540,9 @@ class PulseLibrary:
                     record = entry_record(size, now, now)
                     manifest["entries"][name] = record
                 record["last_used"] = round(now, 3)
-                save_manifest(shard, manifest)
+                self._write_manifest(shard, manifest, base, (name,))
         except OSError:
-            self.index_errors += 1
+            self._bump(index_errors=1)
 
     def delete(self, name: str) -> bool:
         """Remove entry ``name``; returns whether a file was deleted."""
@@ -526,11 +563,11 @@ class PulseLibrary:
         if shard.is_dir():
             try:
                 with self._shard_lock(shard):
-                    manifest = load_manifest(shard)
+                    manifest, base = read_manifest(shard)
                     if manifest["entries"].pop(name, None) is not None:
-                        save_manifest(shard, manifest)
+                        self._write_manifest(shard, manifest, base, (name,))
             except OSError:
-                self.index_errors += 1
+                self._bump(index_errors=1)
         return removed
 
     def __contains__(self, name: str) -> bool:
@@ -546,17 +583,6 @@ class PulseLibrary:
     def count(self) -> int:
         """Number of entries on disk (data files are the source of truth)."""
         return len(self.names())
-
-    def total_bytes(self) -> int:
-        """Total payload bytes on disk across all shards."""
-        total = 0
-        for shard in [self.directory, *self.shard_dirs()]:
-            for path in shard.glob(f"*{self.suffix}"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
-        return total
 
     # -- garbage collection ----------------------------------------------------
     def gc(self, budget_mb: float | None = None) -> GCReport:
@@ -587,7 +613,7 @@ class PulseLibrary:
                     report.ghosts_dropped += len(before - set(manifest["entries"]))
                     report.orphans_adopted += len(set(manifest["entries"]) - before)
                     report.stale_tmp_removed += self._sweep_tmp(shard)
-                    save_manifest(shard, manifest)
+                    self._write_manifest(shard, manifest)
                 manifests[shard] = manifest
                 for name, record in manifest["entries"].items():
                     # Reconciliation heals stamps above, but belt-and-braces:
@@ -633,7 +659,7 @@ class PulseLibrary:
                             live["entries"].pop(name, None)
                         live["evictions"] = manifests[shard]["evictions"]
                         rebuild_entries(shard, live, self.suffix)
-                        save_manifest(shard, live)
+                        self._write_manifest(shard, live)
             report.entries_after = report.entries_before - report.evicted
             report.bytes_after = report.bytes_before - report.bytes_freed
         if self.prefetch_enabled and report.evicted_names:
@@ -656,12 +682,14 @@ class PulseLibrary:
                 pass
         return removed
 
-    # The prefetch buffer and its lock stay behind at pickle boundaries
-    # (process-pool workers re-prefetch on demand against their own copy);
-    # everything else — paths, layout, counters — travels.
+    # The locks, observers and prefetch buffer stay behind at pickle
+    # boundaries (process-pool workers re-prefetch on demand against their
+    # own copy); everything else — paths, layout, counters — travels.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_prefetch_lock"]
+        del state["_counter_lock"]
+        state["_observers"] = []
         state["_prefetched"] = {}
         state["_prefetched_bytes"] = 0
         state["_prefetched_shards"] = set()
@@ -671,21 +699,12 @@ class PulseLibrary:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._prefetch_lock = threading.Lock()
+        self._counter_lock = threading.Lock()
 
     # -- telemetry -------------------------------------------------------------
-    def index_bytes(self) -> int:
-        """Total size of the manifest files (the on-disk index)."""
-        total = 0
-        for shard in self.shard_dirs():
-            try:
-                total += (shard / MANIFEST_FILENAME).stat().st_size
-            except OSError:
-                pass
-        return total
-
     @staticmethod
     def empty_stats(directory: str | os.PathLike) -> dict:
-        """The :meth:`stats` shape for a library that was never created.
+        """The ``{**stats(), **sweep()}`` report of a never-created library.
 
         Lets inspection surfaces (``cache-stats`` / ``library stats``)
         report a zeroed snapshot with the exact same schema as a live
@@ -717,41 +736,69 @@ class PulseLibrary:
         }
 
     def stats(self) -> dict:
-        """Layout, occupancy, and lifetime counters for this library."""
-        occupancy = {}
-        evictions = 0
-        indexed = 0
-        for shard in self.shard_dirs():
-            manifest = load_manifest(shard)
-            count = len(manifest["entries"])
-            evictions += manifest.get("evictions", 0)
-            indexed += count
-            if count:
-                occupancy[shard.name] = count
-        entries = self.count()
+        """Layout and lifetime counters: in memory only, no file I/O."""
+        with self._counter_lock:
+            counters = {
+                "migrated_entries": self.migrated_entries,
+                "puts": self.puts,
+                "gets": self.gets,
+                "get_hits": self.get_hits,
+                "index_errors": self.index_errors,
+                "prefetches": self.prefetches,
+                "prefetch_hits": self.prefetch_hits,
+            }
+        with self._prefetch_lock:
+            prefetched = len(self._prefetched), self._prefetched_bytes
         return {
             "directory": str(self.directory),
             "layout_version": LIBRARY_LAYOUT_VERSION,
             "shards": self.shards,
             "prefix_len": self.prefix_len,
+            "budget_mb": self.budget_mb,
+            **counters,
+            "prefetch_enabled": self.prefetch_enabled,
+            "prefetched_entries": prefetched[0],
+            "prefetched_bytes": prefetched[1],
+        }
+
+    def sweep(self) -> dict:
+        """Inventory the library on disk in one pass over every shard.
+
+        ``entries`` and ``total_bytes`` count the data files (the source of
+        truth); ``indexed_entries``, occupancy and ``evictions`` come from
+        the manifests.  The cost grows with the library, so only inspection
+        surfaces call it — ``CompilationService.stats()`` and the CLI —
+        never a request.
+        """
+        entries = total_bytes = index_bytes = indexed = evictions = 0
+        occupancy = []
+        for shard in [self.directory, *self.shard_dirs()]:
+            for path in shard.glob(f"*{self.suffix}"):
+                try:
+                    total_bytes += path.stat().st_size
+                except OSError:
+                    continue
+                entries += 1
+            if shard == self.directory:
+                continue  # un-migrated flat entries have no manifest
+            manifest = load_manifest(shard)
+            count = len(manifest["entries"])
+            indexed += count
+            evictions += manifest.get("evictions", 0)
+            if count:
+                occupancy.append(count)
+            try:
+                index_bytes += (shard / MANIFEST_FILENAME).stat().st_size
+            except OSError:
+                pass
+        return {
             "entries": entries,
             "indexed_entries": indexed,
-            "total_bytes": self.total_bytes(),
-            "index_bytes": self.index_bytes(),
+            "total_bytes": total_bytes,
+            "index_bytes": index_bytes,
             "nonempty_shards": len(occupancy),
-            "max_shard_entries": max(occupancy.values(), default=0),
+            "max_shard_entries": max(occupancy, default=0),
             "evictions": evictions,
-            "budget_mb": self.budget_mb,
-            "migrated_entries": self.migrated_entries,
-            "puts": self.puts,
-            "gets": self.gets,
-            "get_hits": self.get_hits,
-            "index_errors": self.index_errors,
-            "prefetch_enabled": self.prefetch_enabled,
-            "prefetches": self.prefetches,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetched_entries": len(self._prefetched),
-            "prefetched_bytes": self._prefetched_bytes,
         }
 
     def __repr__(self) -> str:

@@ -163,8 +163,7 @@ class VariationalSession:
             "session": self.state.as_dict(),
             "batch_wall_time_s": elapsed,
         }
-        # One stats snapshot for the whole batch: a disk-backed cache's
-        # stats() sweeps the library, which must not repeat per circuit.
+        # One counters snapshot shared by every result of the batch.
         cache_stats = self.cache.stats()
         return [
             result_from_context(

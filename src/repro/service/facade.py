@@ -364,7 +364,8 @@ class CompilationService:
             "scheduler": self.scheduler_state.as_dict(),
             "plan_cache": self.plan_cache.as_dict(),
             "grape_memo": self.grape_memo.stats(),
-            "cache": self.cache.stats(),
+            # The one per-service call that sweeps the disk library.
+            "cache": self.cache.stats(sweep=True),
             "executor": executor_info,
             # Fleet telemetry (queue depth, worker hosts, autoscaler
             # counters) when the executor is a QueueDispatcher, else None.

@@ -226,8 +226,7 @@ class FullGrapeStrategy(_StrategyBase):
             "batch_wall_time_s": elapsed,
             "service": True,
         }
-        # One stats snapshot for the whole batch: a disk-backed cache's
-        # stats() sweeps the library, which must not repeat per circuit.
+        # One counters snapshot shared by every result of the batch.
         cache_stats = cache.stats()
         return [
             CompileResult(

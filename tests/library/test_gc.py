@@ -52,9 +52,9 @@ class TestEviction:
         for i in range(6):
             library.put(_name(i), b"x" * KIB)
         library.gc(budget_mb=3 * KIB / (1024 * 1024))
-        assert library.stats()["evictions"] == 3
+        assert library.sweep()["evictions"] == 3
         library.gc(budget_mb=1 * KIB / (1024 * 1024))
-        assert library.stats()["evictions"] == 5
+        assert library.sweep()["evictions"] == 5
 
     def test_instance_default_budget_used(self, tmp_path):
         library = PulseLibrary(
@@ -174,8 +174,7 @@ class TestDamagedManifests:
         for record in manifest["entries"].values():
             record["last_used"] = None
         (shard / "manifest.json").write_text(json.dumps(manifest))
-        stats = library.stats()
-        assert stats["entries"] == 1
+        assert library.sweep()["entries"] == 1
 
 
 class TestConcurrency:

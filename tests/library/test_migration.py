@@ -138,5 +138,6 @@ class TestCacheMigration:
     def test_migration_preserves_persisted_stats(self, tmp_path):
         payloads = _populate_flat(tmp_path, 9)
         cache = PersistentPulseCache(tmp_path)
-        assert cache.persisted_count() == 9
-        assert cache.persisted_bytes() == sum(len(b) for b in payloads.values())
+        swept = cache.library.sweep()
+        assert swept["entries"] == 9
+        assert swept["total_bytes"] == sum(len(b) for b in payloads.values())

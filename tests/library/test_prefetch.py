@@ -129,7 +129,8 @@ class TestEmptyStats:
         """The zeroed snapshot for never-created directories must keep the
         exact key set of a live library's stats(), or the CLI's empty and
         populated reports drift apart."""
-        live = PulseLibrary(tmp_path, shards=16).stats()
+        library = PulseLibrary(tmp_path, shards=16)
+        live = {**library.stats(), **library.sweep()}
         empty = PulseLibrary.empty_stats(tmp_path / "elsewhere")
         assert set(empty) == set(live)
         assert empty["entries"] == 0

@@ -87,7 +87,7 @@ class TestRoundTrip:
             library.put(_name(i), b"x" * (i + 1))
         assert library.count() == 5
         assert library.names() == sorted(_name(i) for i in range(5))
-        assert library.total_bytes() == sum(range(1, 6))
+        assert library.sweep()["total_bytes"] == sum(range(1, 6))
 
     def test_reopen_serves_existing_entries(self, tmp_path):
         PulseLibrary(tmp_path, shards=16).put(_name(4), b"durable")
@@ -154,16 +154,53 @@ class TestStats:
             library.put(_name(i), b"x" * 100)
         library.get(_name(0))
         stats = library.stats()
-        assert stats["entries"] == 4
-        assert stats["indexed_entries"] == 4
         assert stats["shards"] == 16
-        assert stats["total_bytes"] == 400
-        assert stats["index_bytes"] > 0
-        assert stats["nonempty_shards"] >= 1
         assert stats["budget_mb"] == 5.0
         assert stats["puts"] == 4
         assert stats["gets"] == 1 and stats["get_hits"] == 1
-        assert stats["evictions"] == 0
+        swept = library.sweep()
+        assert swept["entries"] == 4
+        assert swept["indexed_entries"] == 4
+        assert swept["total_bytes"] == 400
+        assert swept["index_bytes"] > 0
+        assert swept["nonempty_shards"] >= 1
+        assert swept["evictions"] == 0
+
+
+class TestCounters:
+    def test_concurrent_bumps_are_not_lost(self, tmp_path):
+        import sys
+
+        library = PulseLibrary(tmp_path, shards=16)
+
+        def worker(t):
+            for i in range(50):
+                name = _name(t * 1000 + i)
+                library.put(name, b"x")
+                library.get(name)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = library.stats()
+        assert stats["puts"] == 200
+        assert stats["gets"] == 200 and stats["get_hits"] == 200
+        assert stats["index_errors"] == 0
+
+    def test_counters_survive_pickling(self, tmp_path):
+        library = PulseLibrary(tmp_path, shards=16)
+        library.put(_name(1), b"x")
+        clone = pickle.loads(pickle.dumps(library))
+        clone.put(_name(2), b"y")
+        assert clone.stats()["puts"] == 2
 
 
 class TestPickling:

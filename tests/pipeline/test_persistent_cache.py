@@ -67,8 +67,9 @@ class TestRoundTrip:
     def test_persisted_inventory(self, tmp_path):
         cache = PersistentPulseCache(tmp_path)
         cache.put(_key(cache), _entry())
-        assert cache.persisted_count() == 1
-        assert cache.persisted_bytes() > 0
+        swept = cache.library.sweep()
+        assert swept["entries"] == 1
+        assert swept["total_bytes"] > 0
 
 
 class TestRobustness:
@@ -168,7 +169,7 @@ class TestSchemaVersioning:
         cold = PersistentPulseCache(tmp_path)
         assert cold.get(key) is not None
         assert cold.disk_errors == 0
-        assert cache.persisted_count() == 1
+        assert cache.library.sweep()["entries"] == 1
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_pickles_without_its_lock(self, tmp_path):
@@ -188,8 +189,9 @@ class TestTelemetry:
         assert stats["backend"] == "disk"
         assert stats["directory"] == str(tmp_path)
         assert stats["hits"] == 0 and stats["misses"] == 1
-        assert stats["persisted_entries"] == 1
         assert stats["store_time_s"] > 0
+        assert "persisted_entries" not in stats  # counters only, no sweep
+        assert cache.stats(sweep=True)["persisted_entries"] == 1
 
     def test_memory_backend_stats(self):
         cache = PulseCache()
