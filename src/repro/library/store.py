@@ -56,6 +56,7 @@ import math
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -268,12 +269,14 @@ class PulseLibrary:
         """Save a shard's manifest and tell the observers; the caller holds
         the shard lock, so observers see this shard's writes in order."""
         identity = save_manifest(shard_dir, manifest)
-        for callback in self._observers:
-            callback(shard_dir.name, manifest["entries"], identity, base, changed)
+        for ref in self._observers:
+            callback = ref()
+            if callback is not None:
+                callback(shard_dir.name, manifest["entries"], identity, base, changed)
 
     def observe(self, callback) -> None:
-        """Call ``callback(shard_name, entries, identity, base, changed)``
-        after every manifest this instance writes.
+        """Call the bound method ``callback(shard_name, entries, identity,
+        base, changed)`` after every manifest this instance writes.
 
         ``entries`` is the shard's whole manifest as written and
         ``identity`` the new file's
@@ -281,9 +284,12 @@ class PulseLibrary:
         edited a manifest it read, ``base`` is the identity of the version
         read and ``changed`` the names it edited; otherwise both are
         ``None``.  Callbacks run under the shard lock and must not take
-        it.  Observers stay behind at pickle boundaries.
+        it.  The library holds them weakly, so an observer that refers
+        back to the library forms no reference cycle, and observers stay
+        behind at pickle boundaries.
         """
-        self._observers.append(callback)
+        self._observers = [ref for ref in self._observers if ref() is not None]
+        self._observers.append(weakref.WeakMethod(callback))
 
     def _bump(self, **deltas: int) -> None:
         """Add ``deltas`` to the named lifetime counters, atomically."""

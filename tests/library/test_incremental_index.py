@@ -323,3 +323,18 @@ class TestIncrementalIndex:
         rebuilt = NeighborIndex(PulseLibrary(tmp_path))
         rebuilt.sync()
         assert index._buckets == rebuilt._buckets
+
+    def test_a_dropped_cache_frees_without_the_cycle_collector(self, tmp_path):
+        import gc
+        import weakref
+
+        cache = PersistentPulseCache(tmp_path)
+        refs = [weakref.ref(cache.library), weakref.ref(cache.neighbors)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cache
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
