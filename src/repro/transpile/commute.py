@@ -89,12 +89,14 @@ def commuting_rotation_merge(circuit: QuantumCircuit) -> QuantumCircuit:
                         merged = _add_angles(inst.gate.params[0], other.gate.params[0])
                         emitted[other_pos] = None
                         if _is_zero_angle(merged):
+                            # Both cancelled: a later rotation starts its
+                            # own walk instead of merging into this one.
                             emitted[pos] = None
-                        else:
-                            emitted[pos] = Instruction(
-                                _ROTATION_CLASSES[axis](merged), (q,)
-                            )
-                            inst = emitted[pos]
+                            break
+                        emitted[pos] = Instruction(
+                            _ROTATION_CLASSES[axis](merged), (q,)
+                        )
+                        inst = emitted[pos]
                         j += 1
                         continue
                     break

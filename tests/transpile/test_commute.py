@@ -54,6 +54,14 @@ class TestCommutingMerge:
         out = commuting_rotation_merge(qc)
         assert out.count_ops() == {"cx": 1}
 
+    def test_rotation_after_cancellation_survives(self):
+        qc = QuantumCircuit(2).rz(-0.5, 0).cx(0, 1).rz(0.5, 0).cx(0, 1).rz(0.5, 0)
+        out = commuting_rotation_merge(qc)
+        assert out.count_ops() == {"rz": 1, "cx": 2}
+        assert unitaries_equal_up_to_phase(
+            circuit_unitary(out), circuit_unitary(qc), atol=1e-9
+        )
+
     def test_symbolic_same_parameter_merges(self):
         theta = Parameter("theta_0")
         qc = QuantumCircuit(2).rz(theta, 0).cx(0, 1).rz(theta, 0)
