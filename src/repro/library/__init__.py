@@ -17,8 +17,8 @@ surface.  This package provides that store as a first-class subsystem:
 * :mod:`repro.library.locking` — advisory cross-process file locks so
   several processes (or hosts on a network filesystem) can share one
   library safely.
-* :mod:`repro.library.files` — whole-file reads and atomic replaces in
-  few system calls, for the per-request paths.
+* :mod:`repro.library.files` — the atomic temp-file-and-rename write
+  shared by data files and manifests.
 
 :class:`repro.core.cache.PersistentPulseCache` is a thin adapter that
 stores its pickled cache entries through a :class:`PulseLibrary`.

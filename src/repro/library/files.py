@@ -1,44 +1,10 @@
-"""Whole-file reads and atomic replaces in few system calls.
-
-Every system call releases the interpreter lock, and while another thread
-runs Python (a GRAPE optimizer, say) the caller may wait for the lock
-after each one.  So the library's per-request paths use these raw
-``os``-level helpers: :func:`read_file` is open/fstat/read/close and
-:func:`replace_file` is open/write/fstat/close/rename, against the
-roughly twice as many calls the buffered ``open()`` route makes.
-"""
+"""Atomic whole-file replacement, shared by data files and manifests."""
 
 from __future__ import annotations
 
-import itertools
 import os
+import uuid
 from pathlib import Path
-
-# Temp names are ``.<name>.<pid>.<token><n>.tmp``: the pid and counter
-# keep one host's writers apart, the per-process random token keeps hosts
-# on a shared filesystem apart, and no per-write entropy call is needed.
-_TOKEN = os.urandom(4).hex()
-_COUNTER = itertools.count()
-
-
-def read_file(path: Path) -> tuple:
-    """``(contents, stat)`` of ``path``, read through one descriptor.
-
-    Reads ``st_size`` bytes, which is the whole file for the library's
-    files: writers only ever replace them, never append.
-    """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        stat = os.fstat(fd)
-        data = b""
-        while len(data) < stat.st_size:
-            chunk = os.read(fd, stat.st_size - len(data))
-            if not chunk:
-                break
-            data += chunk
-    finally:
-        os.close(fd)
-    return data, stat
 
 
 def replace_file(path: Path, data: bytes) -> os.stat_result:
@@ -47,22 +13,19 @@ def replace_file(path: Path, data: bytes) -> os.stat_result:
     Writes a unique temp file next to ``path`` and renames it over
     ``path``, so readers see the old or the new file, never a partial
     one.  Returns the new file's stat: the rename keeps its inode, mtime
-    and size.  The temp file is removed if any step fails.
+    and size.  The temp file is removed if any step fails (e.g. ENOSPC
+    mid-write).
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{_TOKEN}{next(_COUNTER)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
-            stat = os.fstat(fd)
-        finally:
-            os.close(fd)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            stat = os.fstat(fh.fileno())
         os.replace(tmp, path)
     except OSError:
         try:
-            os.unlink(tmp)
+            tmp.unlink(missing_ok=True)
         except OSError:
             pass
         raise

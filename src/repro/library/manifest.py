@@ -48,7 +48,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.library.files import read_file, replace_file
+from repro.library.files import replace_file
 
 #: Format version embedded in every manifest file.  A manifest with any
 #: other version is rebuilt from the shard's data files instead of trusted.
@@ -75,10 +75,11 @@ def read_manifest(shard_dir: Path) -> tuple:
     """:func:`load_manifest` plus the :func:`manifest_identity` of the very
     file version it read (``None`` when the shard has no manifest)."""
     try:
-        raw, stat = read_file(shard_dir / MANIFEST_FILENAME)
+        with open(shard_dir / MANIFEST_FILENAME, "rb") as fh:
+            identity = _identity(os.fstat(fh.fileno()))
+            raw = fh.read()
     except OSError:
         return empty_manifest(), None
-    identity = _identity(stat)
     try:
         data = json.loads(raw)
     except ValueError:

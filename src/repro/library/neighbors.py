@@ -51,8 +51,9 @@ The parsed index lives in memory and is maintained incrementally, so a
 lookup costs the same whatever the library's size:
 
 * writes made through the owning library object (puts, overwrites, LRU
-  stamps, annotations, deletes, ``gc``) are applied in place as they
-  happen (:meth:`~repro.library.store.PulseLibrary.observe`);
+  stamps, annotations, deletes, ``gc``) are applied as they happen: the
+  written shard is re-indexed from the manifest just written, with no
+  re-read (:meth:`~repro.library.store.PulseLibrary.observe`);
 * writes by other processes or library objects are found by
   :meth:`NeighborIndex.sync`, which calls ``stat`` on every shard manifest
   and re-reads only those whose identity ``(st_ino, st_mtime_ns, st_size)``
@@ -74,7 +75,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.library.manifest import manifest_identity, read_manifest
+from repro.library.manifest import (
+    load_manifest,
+    manifest_identity,
+    read_manifest,
+)
 
 __all__ = [
     "NeighborHit",
@@ -198,7 +203,7 @@ class NeighborIndex:
         self.hits = 0
         self.annotated = 0
         self.shard_reads = 0
-        library.observe(self._observe)
+        library.observe(self._replace)
 
     # The lock stays behind at pickle boundaries (the process-pool block
     # executor ships compilers, cache and index included); workers rebuild
@@ -214,52 +219,18 @@ class NeighborIndex:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        self.library.observe(self._observe)
+        self.library.observe(self._replace)
 
     # -- keeping current -------------------------------------------------------
-    def _observe(self, shard, entries, identity, base, changed) -> None:
-        """Apply a manifest write of the owning library (see
-        :meth:`~repro.library.store.PulseLibrary.observe`).
-
-        When the write edited the very version this index holds, only the
-        edited names are re-indexed; otherwise the whole shard is.
-        """
-        with self._lock:
-            if changed is not None and self._seen.get(shard) == base:
-                indexed = self._shards.setdefault(shard, {})
-                for name in changed:
-                    self._unindex(indexed, name)
-                    record = entries.get(name)
-                    meta = record.get("target") if isinstance(record, dict) else None
-                    if _valid_meta(meta):
-                        key = (meta["dim"], meta["ctx"])
-                        indexed[name] = (key, meta["sig"])
-                        self._buckets.setdefault(key, {})[name] = meta["sig"]
-                    else:
-                        self._decoded.pop(name, None)
-                self._seen[shard] = identity
-                self._versions[shard] = self._versions.get(shard, 0) + 1
-                return
-        self._replace(shard, entries, identity)
-
-    def _unindex(self, indexed: dict, name: str) -> None:
-        """Drop ``name`` from a shard's part of the index; caller holds the
-        lock."""
-        old = indexed.pop(name, None)
-        if old is None:
-            return
-        bucket = self._buckets[old[0]]
-        del bucket[name]
-        if not bucket:
-            del self._buckets[old[0]]
-
     def _replace(
         self, shard: str, entries: dict, identity, version: int | None = None
     ) -> None:
-        """Make ``entries`` (one shard's manifest, read at ``identity``) that
-        shard's whole contribution to the index.
+        """Make ``entries`` (one shard's manifest, read or written at
+        ``identity``) that shard's whole contribution to the index.
 
-        :meth:`sync` passes the shard ``version`` it saw before reading; if
+        The owning library calls this after every manifest it writes (see
+        :meth:`~repro.library.store.PulseLibrary.observe`).  :meth:`sync`
+        passes the shard ``version`` it saw before reading; if
         a library write was applied since, that write is newer and the
         read is dropped.
         """
@@ -274,9 +245,11 @@ class NeighborIndex:
                 return
             self._versions[shard] = current + 1
             self._seen[shard] = identity
-            indexed = self._shards.pop(shard, {})
-            for name in list(indexed):
-                self._unindex(indexed, name)
+            for name, (key, _sig) in self._shards.pop(shard, {}).items():
+                bucket = self._buckets[key]
+                del bucket[name]
+                if not bucket:
+                    del self._buckets[key]
                 if name not in fresh:
                     self._decoded.pop(name, None)
             for name, (key, sig) in fresh.items():
@@ -401,14 +374,14 @@ class NeighborIndex:
             return False
         try:
             with self.library._shard_lock(shard):
-                manifest, base = read_manifest(shard)
+                manifest = load_manifest(shard)
                 record = manifest["entries"].get(name)
                 if not isinstance(record, dict) or _valid_meta(
                     record.get("target")
                 ):
                     return False
                 record["target"] = meta
-                self.library._write_manifest(shard, manifest, base, (name,))
+                self.library._write_manifest(shard, manifest)
         except OSError:
             return False
         with self._lock:

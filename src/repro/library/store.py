@@ -62,13 +62,12 @@ from pathlib import Path
 
 from repro.config import CACHE_SHARD_CHOICES
 from repro.errors import ReproError
-from repro.library.files import read_file, replace_file
+from repro.library.files import replace_file
 from repro.library.locking import FileLock
 from repro.library.manifest import (
     MANIFEST_FILENAME,
     entry_record,
     load_manifest,
-    read_manifest,
     rebuild_entries,
     save_manifest,
 )
@@ -162,9 +161,9 @@ class PulseLibrary:
         # Submit threads share one library, so every lifetime counter is
         # bumped under this lock (see _bump).
         self._counter_lock = threading.Lock()
-        # Callbacks told about every manifest this instance writes (see
-        # observe); the neighbor index keeps itself current through one.
-        self._observers: list = []
+        # Weak reference to the callback told about every manifest this
+        # instance writes (see observe): the neighbor index's.
+        self._observer = None
         self.migrated_entries = 0
         self.puts = 0
         self.gets = 0
@@ -263,33 +262,27 @@ class PulseLibrary:
     def _shard_lock(self, shard_dir: Path) -> FileLock:
         return FileLock(shard_dir / ".lock")
 
-    def _write_manifest(
-        self, shard_dir: Path, manifest: dict, base=None, changed=None
-    ) -> None:
-        """Save a shard's manifest and tell the observers; the caller holds
-        the shard lock, so observers see this shard's writes in order."""
+    def _write_manifest(self, shard_dir: Path, manifest: dict) -> None:
+        """Save a shard's manifest and tell the observer; the caller holds
+        the shard lock, so the observer sees this shard's writes in order."""
         identity = save_manifest(shard_dir, manifest)
-        for ref in self._observers:
-            callback = ref()
-            if callback is not None:
-                callback(shard_dir.name, manifest["entries"], identity, base, changed)
+        callback = self._observer() if self._observer is not None else None
+        if callback is not None:
+            callback(shard_dir.name, manifest["entries"], identity)
 
     def observe(self, callback) -> None:
-        """Call the bound method ``callback(shard_name, entries, identity,
-        base, changed)`` after every manifest this instance writes.
+        """Call the bound method ``callback(shard_name, entries, identity)``
+        after every manifest this instance writes, replacing any earlier
+        observer.
 
         ``entries`` is the shard's whole manifest as written and
         ``identity`` the new file's
-        :func:`~repro.library.manifest.manifest_identity`.  When the write
-        edited a manifest it read, ``base`` is the identity of the version
-        read and ``changed`` the names it edited; otherwise both are
-        ``None``.  Callbacks run under the shard lock and must not take
-        it.  The library holds them weakly, so an observer that refers
-        back to the library forms no reference cycle, and observers stay
-        behind at pickle boundaries.
+        :func:`~repro.library.manifest.manifest_identity`.  The callback
+        runs under the shard lock and must not take it.  The library holds
+        it weakly, so an observer that refers back to the library forms no
+        reference cycle, and it stays behind at pickle boundaries.
         """
-        self._observers = [ref for ref in self._observers if ref() is not None]
-        self._observers.append(weakref.WeakMethod(callback))
+        self._observer = weakref.WeakMethod(callback)
 
     def _bump(self, **deltas: int) -> None:
         """Add ``deltas`` to the named lifetime counters, atomically."""
@@ -398,7 +391,7 @@ class PulseLibrary:
         now = time.time()
         try:
             with self._shard_lock(shard):
-                manifest, base = read_manifest(shard)
+                manifest = load_manifest(shard)
                 previous = manifest["entries"].get(name)
                 # A damaged record (non-dict junk, missing/null stamp from a
                 # hand-edited or legacy manifest) must not crash the write.
@@ -416,7 +409,7 @@ class PulseLibrary:
                 if isinstance(target_meta, dict):
                     record["target"] = target_meta
                 manifest["entries"][name] = record
-                self._write_manifest(shard, manifest, base, (name,))
+                self._write_manifest(shard, manifest)
         except OSError:
             self._bump(index_errors=1)
 
@@ -450,12 +443,12 @@ class PulseLibrary:
                 return payload
         path = self.path_for(name)
         try:
-            payload = read_file(path)[0]
+            payload = path.read_bytes()
         except FileNotFoundError:
             # A not-yet-migrated flat file (e.g. written concurrently by an
             # old-layout process sharing the directory) still serves.
             try:
-                payload = read_file(self.directory / name)[0]
+                payload = (self.directory / name).read_bytes()
             except FileNotFoundError:
                 return None
             path = self.directory / name
@@ -536,7 +529,7 @@ class PulseLibrary:
             return
         try:
             with self._shard_lock(shard):
-                manifest, base = read_manifest(shard)
+                manifest = load_manifest(shard)
                 record = manifest["entries"].get(name)
                 if record is None:
                     try:
@@ -546,7 +539,7 @@ class PulseLibrary:
                     record = entry_record(size, now, now)
                     manifest["entries"][name] = record
                 record["last_used"] = round(now, 3)
-                self._write_manifest(shard, manifest, base, (name,))
+                self._write_manifest(shard, manifest)
         except OSError:
             self._bump(index_errors=1)
 
@@ -569,9 +562,9 @@ class PulseLibrary:
         if shard.is_dir():
             try:
                 with self._shard_lock(shard):
-                    manifest, base = read_manifest(shard)
+                    manifest = load_manifest(shard)
                     if manifest["entries"].pop(name, None) is not None:
-                        self._write_manifest(shard, manifest, base, (name,))
+                        self._write_manifest(shard, manifest)
             except OSError:
                 self._bump(index_errors=1)
         return removed
@@ -688,14 +681,14 @@ class PulseLibrary:
                 pass
         return removed
 
-    # The locks, observers and prefetch buffer stay behind at pickle
+    # The locks, observer and prefetch buffer stay behind at pickle
     # boundaries (process-pool workers re-prefetch on demand against their
     # own copy); everything else — paths, layout, counters — travels.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_prefetch_lock"]
         del state["_counter_lock"]
-        state["_observers"] = []
+        state["_observer"] = None
         state["_prefetched"] = {}
         state["_prefetched_bytes"] = 0
         state["_prefetched_shards"] = set()
