@@ -36,13 +36,7 @@ from repro import (
     transpile,
     vqe,
 )
-from repro.config import (
-    available_presets,
-    get_pipeline_config,
-    get_preset,
-    set_pipeline_config,
-    set_preset,
-)
+from repro.config import available_presets, get_preset, set_preset
 from repro.errors import ReproError
 
 __version__ = "1.0.0"
@@ -55,14 +49,12 @@ __all__ = [
     "circuits",
     "core",
     "fleet",
-    "get_pipeline_config",
     "get_preset",
     "linalg",
     "pipeline",
     "pulse",
     "qaoa",
     "service",
-    "set_pipeline_config",
     "set_preset",
     "sim",
     "transpile",

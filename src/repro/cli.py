@@ -360,7 +360,6 @@ def _cmd_config_show(args) -> int:
         ("scheduler_state_path", "scheduler_state"),
         ("grape_batch_size", "grape_batch_size"),
         ("warm_start_max_dist", "warm_start_max_dist"),
-        ("scan_block", "scan_block"),
         ("dispatcher", "dispatcher"),
         ("fleet_dir", "fleet_dir"),
         ("fleet_workers", "fleet_workers"),
@@ -455,6 +454,7 @@ def _cmd_cache_stats(args) -> int:
     from repro.core import PersistentPulseCache
     from repro.core.cache import CACHE_SCHEMA_VERSION
     from repro.library import PulseLibrary
+    from repro.service import ServiceConfig
 
     if not Path(args.dir).is_dir():
         # A cache directory that was never written to is an *empty cache*,
@@ -469,7 +469,8 @@ def _cmd_cache_stats(args) -> int:
         rows = _cache_stats_rows(args.dir, stats)
         title = "persistent pulse cache (empty — not created yet)"
     else:
-        cache = PersistentPulseCache(args.dir)
+        options = ServiceConfig.from_env().library_options()
+        cache = PersistentPulseCache(args.dir, **options)
         rows = _cache_stats_rows(cache.directory, cache.stats(sweep=True))
         title = "persistent pulse cache"
     rows.extend(_pool_rows())
@@ -481,6 +482,7 @@ def _cmd_library_stats(args) -> int:
     from pathlib import Path
 
     from repro.library import PulseLibrary
+    from repro.service import ServiceConfig
 
     if not Path(args.dir).is_dir():
         # Same contract as cache-stats: a never-created library is empty,
@@ -489,7 +491,8 @@ def _cmd_library_stats(args) -> int:
         stats = PulseLibrary.empty_stats(args.dir)
         title = "pulse library (empty — not created yet)"
     else:
-        library = PulseLibrary(args.dir)
+        options = ServiceConfig.from_env().library_options()
+        library = PulseLibrary(args.dir, **options)
         stats = {**library.stats(), **library.sweep()}
         title = "pulse library"
     rows = [(key, stats[key]) for key in sorted(stats)]
@@ -501,11 +504,15 @@ def _cmd_library_gc(args) -> int:
     from pathlib import Path
 
     from repro.library import PulseLibrary
+    from repro.service import ServiceConfig
 
     if not Path(args.dir).is_dir():
         print(f"error: no library directory at {args.dir}", file=sys.stderr)
         return 2
-    report = PulseLibrary(args.dir).gc(args.budget_mb)
+    # Without --budget-mb, gc falls back to the library's budget, which
+    # comes from REPRO_CACHE_BUDGET_MB here.
+    options = ServiceConfig.from_env().library_options()
+    report = PulseLibrary(args.dir, **options).gc(args.budget_mb)
     rows = [(key, value) for key, value in sorted(report.as_dict().items())]
     print(format_table(("property", "value"), rows, title="pulse library gc"))
     return 0
@@ -514,11 +521,13 @@ def _cmd_library_gc(args) -> int:
 def _cmd_worker(args) -> int:
     from repro.errors import ReproError
     from repro.fleet import FleetWorker
+    from repro.service import ServiceConfig
 
     try:
         worker = FleetWorker(
             args.fleet_dir,
             cache_dir=args.cache_dir,
+            config=ServiceConfig.from_env(),
             lease_ttl_s=args.lease_ttl,
             poll_s=args.poll,
             heartbeat_s=args.heartbeat,
@@ -789,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="dispatch of independent per-block GRAPE searches; the "
         "*-persistent variants keep one worker pool warm across every "
-        "map of the run (default: REPRO_EXECUTOR or serial)",
+        "map of the run (default: REPRO_EXECUTOR or auto)",
     )
     compile_.add_argument(
         "--jobs", type=int, default=None, help="worker count for parallel executors"
@@ -1162,14 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="warm_start_max_dist",
         help="warm_start_max_dist override (neighbor acceptance "
         "threshold, phase-invariant trace distance in (0, 1])",
-    )
-    show.add_argument(
-        "--scan-block",
-        type=int,
-        default=None,
-        dest="scan_block",
-        help="scan_block override (blocked propagator-scan chunk length; "
-        "unset keeps the auto sqrt heuristic)",
     )
     show.add_argument(
         "--dispatcher",

@@ -14,14 +14,13 @@ All four are thin strategy configurations of the shared
 :class:`repro.pipeline.CompilationPipeline`; independent per-block GRAPE
 searches dispatch through its pluggable block executor, and GRAPE results
 land in a :class:`PulseCache` (optionally the on-disk
-:class:`PersistentPulseCache`, see ``REPRO_CACHE_DIR``).
+:class:`PersistentPulseCache` when a cache directory is configured).
 """
 
 from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     PersistentPulseCache,
     PulseCache,
-    default_pulse_cache,
     unitary_fingerprint,
 )
 from repro.core.compiler import BlockPulseCompiler, default_device_for
@@ -85,7 +84,6 @@ __all__ = [
     "PersistentPulseCache",
     "PrecompileReport",
     "PulseCache",
-    "default_pulse_cache",
     "StrictPartialCompiler",
     "TuningResult",
     "default_device_for",

@@ -20,9 +20,8 @@ Two backends are provided:
   network filesystem.  The library also carries the index, the LRU/budget
   ``gc()``, and the one-time migration of legacy flat directories.
 
-:func:`default_pulse_cache` picks the backend from the active
-:class:`repro.config.PipelineConfig` (``cache_dir`` setting /
-``REPRO_CACHE_DIR``).
+The service picks the backend from its ``ServiceConfig.cache_dir``; every
+other caller passes the cache it wants.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.pulse.device import ChannelLayout
 from repro.pulse.hamiltonian import ControlSet
 from repro.pulse.schedule import PulseSchedule
+from repro.service.config import ServiceConfig
 from repro.sim.unitary import circuit_unitary
 
 
@@ -402,9 +402,9 @@ class PersistentPulseCache(PulseCache):
     def __init__(
         self,
         directory: str | os.PathLike,
-        shards: int | None = None,
-        budget_mb: float | None = None,
-        prefetch: bool | None = None,
+        shards: int = ServiceConfig.cache_shards,
+        budget_mb: float | None = ServiceConfig.cache_budget_mb,
+        prefetch: bool = ServiceConfig.prefetch,
     ):
         super().__init__()
         from repro.library import NeighborIndex, PulseLibrary
@@ -568,19 +568,3 @@ class PersistentPulseCache(PulseCache):
             library_stats.update(inventory)
             data["persisted_entries"] = inventory["entries"]
         return data
-
-
-def default_pulse_cache() -> PulseCache:
-    """The cache backend selected by the active pipeline configuration.
-
-    With ``cache_dir`` unset (the default) this is the seed's in-memory
-    cache; with a directory configured (``REPRO_CACHE_DIR`` or
-    :func:`repro.config.set_pipeline_config`), GRAPE results persist across
-    processes.
-    """
-    from repro.config import get_pipeline_config
-
-    cache_dir = get_pipeline_config().cache_dir
-    if cache_dir:
-        return PersistentPulseCache(cache_dir)
-    return PulseCache()

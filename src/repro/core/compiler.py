@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import critical_path_ns
-from repro.core.cache import CacheEntry, PulseCache, default_pulse_cache
+from repro.core.cache import CacheEntry, PulseCache
 from repro.errors import CompilationError
 from repro.perf import get_perf_registry
 from repro.pipeline.executors import resolve_executor
@@ -36,6 +36,7 @@ from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.pulse.grape.time_search import minimum_time_pulse
 from repro.pulse.hamiltonian import build_control_set
 from repro.pulse.schedule import PulseSchedule, lookup_schedule
+from repro.service.config import ServiceConfig
 from repro.sim.unitary import circuit_unitary
 
 
@@ -61,15 +62,13 @@ class BlockPulseCompiler:
         settings: GrapeSettings | None = None,
         hyperparameters: GrapeHyperparameters | None = None,
         cache: PulseCache | None = None,
-        warm_start: bool | None = None,
-        warm_start_max_dist: float | None = None,
+        warm_start: bool = ServiceConfig.warm_start,
+        warm_start_max_dist: float = ServiceConfig.warm_start_max_dist,
     ):
         self.device = device
         self.settings = settings or GrapeSettings()
         self.hyperparameters = hyperparameters or GrapeHyperparameters()
-        self.cache = cache if cache is not None else default_pulse_cache()
-        # ``None`` defers to the active pipeline configuration at search
-        # time (the service passes its own config values explicitly).
+        self.cache = cache if cache is not None else PulseCache()
         self.warm_start = warm_start
         self.warm_start_max_dist = warm_start_max_dist
 
@@ -208,22 +207,11 @@ class BlockPulseCompiler:
         blocks only) the analytic KAK seed, then nothing — the caller runs
         a cold search.  Every branch is counted under ``grape.warm_start``.
         """
-        from repro.config import get_pipeline_config
-
-        config = get_pipeline_config()
-        enabled = (
-            config.warm_start if self.warm_start is None else self.warm_start
-        )
-        if not enabled:
+        if not self.warm_start:
             return None
-        max_dist = (
-            config.warm_start_max_dist
-            if self.warm_start_max_dist is None
-            else self.warm_start_max_dist
-        )
         perf = get_perf_registry()
         perf.count("grape.warm_start.lookups")
-        match = self.cache.find_neighbor(key, target, max_dist)
+        match = self.cache.find_neighbor(key, target, self.warm_start_max_dist)
         if match is not None:
             perf.count("grape.warm_start.neighbor_seeds")
             donor = match.entry.schedule
@@ -383,13 +371,13 @@ class BlockPulseCompiler:
         block that needs no GRAPE.
 
         Deferred-to-runtime knobs are materialized here: preset-resolved
-        GRAPE settings, the warm-start policy from the active pipeline
-        configuration, and the preset name itself — so the job compiles
+        GRAPE settings, this compiler's warm-start policy, and the active
+        preset name itself — so the job compiles
         identically in a process that never saw this configuration.
         ``key`` skips recomputing a dedup identity the caller already
         paid for (the batch scheduler always has one).
         """
-        from repro.config import get_pipeline_config, get_preset
+        from repro.config import get_preset
         from repro.pipeline.jobs import BlockJob
 
         if subcircuit.is_parameterized():
@@ -403,13 +391,6 @@ class BlockPulseCompiler:
         fid_target = self.settings.resolved_target()
         if key is None:
             key = self.cache.key(target, control_set, dt, fid_target)
-        config = get_pipeline_config()
-        warm = config.warm_start if self.warm_start is None else self.warm_start
-        max_dist = (
-            config.warm_start_max_dist
-            if self.warm_start_max_dist is None
-            else self.warm_start_max_dist
-        )
         return BlockJob(
             key=key,
             target=target,
@@ -420,8 +401,8 @@ class BlockPulseCompiler:
                 self.settings, dt_ns=dt, target_fidelity=fid_target
             ),
             hyperparameters=self.hyperparameters,
-            warm_start=bool(warm),
-            warm_start_max_dist=float(max_dist),
+            warm_start=bool(self.warm_start),
+            warm_start_max_dist=float(self.warm_start_max_dist),
             preset=get_preset().name,
             cache_dir=cache_dir,
         )
@@ -587,7 +568,7 @@ class BlockPulseCompiler:
         A convenience wrapper over the pipeline's blocking + pulse stages.
         ``executor`` dispatches the independent per-block GRAPE searches
         (an executor name or :class:`~repro.pipeline.executors.BlockExecutor`;
-        ``None`` uses the configured default).  Returns ``(outcomes, blocked)``
+        ``None`` uses the ``auto`` default).  Returns ``(outcomes, blocked)``
         with outcomes in block order regardless of executor.
         """
         from functools import partial

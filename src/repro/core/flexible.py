@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import critical_path_ns
-from repro.core.cache import PulseCache, default_pulse_cache
+from repro.core.cache import PulseCache
 from repro.core.compiler import BlockPulseCompiler, default_device_for, gate_based_program
 from repro.core.hyperopt import (
     DEFAULT_DECAY_RATES,
@@ -52,7 +52,7 @@ from repro.pulse.grape.engine import (
 from repro.pulse.grape.time_search import minimum_time_pulse
 from repro.pulse.hamiltonian import ControlSet, build_control_set
 from repro.pulse.schedule import PulseProgram, PulseSchedule, lookup_schedule
-from repro.service.config import warn_deprecated
+from repro.service.config import ServiceConfig, warn_deprecated
 from repro.sim.unitary import circuit_unitary
 
 
@@ -319,7 +319,7 @@ class _FlexiblePartialCompiler:
             device,
             settings,
             hyperparameters,
-            cache if cache is not None else default_pulse_cache(),
+            cache if cache is not None else PulseCache(),
         )
         tuner = _block_tuner(
             device,
@@ -366,6 +366,7 @@ class _FlexiblePartialCompiler:
         probe_executor: str | None = None,
         state=None,
         grape_memo=None,
+        config: ServiceConfig | None = None,
     ) -> list:
         """Precompile a batch of ansätze, sharing Fixed blocks across them.
 
@@ -378,6 +379,8 @@ class _FlexiblePartialCompiler:
         ``grape_memo`` (a :class:`~repro.pulse.grape.memo.GrapeRunMemo`)
         replays the probe and tuning runs an earlier precompile already
         ran; each report's ``metadata["grape_memo_hits"]`` counts them.
+        ``config`` (a :class:`~repro.service.ServiceConfig`) supplies the
+        warm-start and batched-GRAPE settings; ``None`` uses the defaults.
         Returns one compiler per circuit, in order, with the shared batch
         wall time and dedup accounting on every report.
         """
@@ -388,11 +391,14 @@ class _FlexiblePartialCompiler:
             max(circuits, key=lambda c: c.num_qubits)
         )
         settings = settings or GrapeSettings()
+        config = config if config is not None else ServiceConfig()
         block_compiler = BlockPulseCompiler(
             device,
             settings,
             hyperparameters,
-            cache if cache is not None else default_pulse_cache(),
+            cache if cache is not None else PulseCache(),
+            warm_start=config.warm_start,
+            warm_start_max_dist=config.warm_start_max_dist,
         )
         tuner = _block_tuner(
             device,
@@ -410,7 +416,12 @@ class _FlexiblePartialCompiler:
             block_compiler, tuner, flexible_slices, max_block_width, executor
         )
         start = time.perf_counter()
-        contexts, report = pipeline.run_many(circuits, state=state)
+        contexts, report = pipeline.run_many(
+            circuits,
+            state=state,
+            grape_batch=config.grape_batch,
+            grape_batch_size=config.grape_batch_size,
+        )
         elapsed = time.perf_counter() - start
         batch_metadata = {
             "scheduler": report.as_dict() if report is not None else None,

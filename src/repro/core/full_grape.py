@@ -19,7 +19,7 @@ import time
 from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.cache import PulseCache, default_pulse_cache
+from repro.core.cache import PulseCache
 from repro.core.compiler import BlockPulseCompiler, default_device_for
 from repro.core.results import CompiledPulse
 from repro.pipeline.strategies import full_grape_pipeline
@@ -90,7 +90,7 @@ class _FullGrapeCompiler:
         self.settings = settings or GrapeSettings()
         self.hyperparameters = hyperparameters or GrapeHyperparameters()
         self.max_block_width = max_block_width
-        self.cache = cache if cache is not None else default_pulse_cache()
+        self.cache = cache if cache is not None else PulseCache()
         self.executor = executor
 
     def compile(self, circuit: QuantumCircuit, use_cache: bool = True) -> CompiledPulse:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.config import GATE_DURATIONS_NS
-from repro.core.cache import PulseCache, default_pulse_cache
+from repro.core.cache import PulseCache
 from repro.core.compiler import BlockPulseCompiler, default_device_for, gate_based_program
 from repro.core.results import CompiledPulse, PrecompileReport
 from repro.errors import CompilationError
@@ -30,7 +30,7 @@ from repro.pipeline.strategies import strict_precompile_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.pulse.schedule import PulseProgram, lookup_schedule
-from repro.service.config import warn_deprecated
+from repro.service.config import ServiceConfig, warn_deprecated
 
 
 def _lookup_plan_entry(task: BlockTask) -> tuple:
@@ -74,14 +74,14 @@ class _StrictPartialCompiler:
         This is the pre-computation phase; its cost is recorded in
         :attr:`report` and is *not* charged to runtime compilation.
         ``executor`` parallelizes the independent Fixed-block GRAPE
-        searches (name or executor instance; ``None`` = configured default).
+        searches (name or executor instance; ``None`` = the ``auto`` default).
         """
         device = device or default_device_for(circuit)
         block_compiler = BlockPulseCompiler(
             device,
             settings,
             hyperparameters,
-            cache if cache is not None else default_pulse_cache(),
+            cache if cache is not None else PulseCache(),
         )
         # Parametrized gates become isolated singleton blocks; the Fixed
         # gates between them aggregate into maximal parametrization-
@@ -108,6 +108,7 @@ class _StrictPartialCompiler:
         cache: PulseCache | None = None,
         executor=None,
         state=None,
+        config: ServiceConfig | None = None,
     ) -> list:
         """Precompile a *batch* of ansätze, sharing Fixed blocks across them.
 
@@ -121,6 +122,9 @@ class _StrictPartialCompiler:
         :class:`~repro.pipeline.session.VariationalSession`) and later
         batches pay only for blocks never seen before.
 
+        ``config`` (a :class:`~repro.service.ServiceConfig`) supplies the
+        warm-start and batched-GRAPE settings; ``None`` uses the defaults.
+
         Returns one compiler per circuit, in order; each report's
         ``wall_time_s`` is the shared batch wall time and its
         ``metadata["scheduler"]`` the batch dedup accounting.
@@ -131,17 +135,25 @@ class _StrictPartialCompiler:
         device = device or default_device_for(
             max(circuits, key=lambda c: c.num_qubits)
         )
+        config = config if config is not None else ServiceConfig()
         block_compiler = BlockPulseCompiler(
             device,
             settings,
             hyperparameters,
-            cache if cache is not None else default_pulse_cache(),
+            cache if cache is not None else PulseCache(),
+            warm_start=config.warm_start,
+            warm_start_max_dist=config.warm_start_max_dist,
         )
         pipeline = strict_precompile_pipeline(
             block_compiler, _lookup_plan_entry, max_block_width, executor
         )
         start = time.perf_counter()
-        contexts, report = pipeline.run_many(circuits, state=state)
+        contexts, report = pipeline.run_many(
+            circuits,
+            state=state,
+            grape_batch=config.grape_batch,
+            grape_batch_size=config.grape_batch_size,
+        )
         elapsed = time.perf_counter() - start
         batch_metadata = {
             "scheduler": report.as_dict() if report is not None else None,

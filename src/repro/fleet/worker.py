@@ -32,6 +32,7 @@ import time
 from repro.config import set_preset
 from repro.fleet.queue import FleetQueue
 from repro.pipeline.jobs import _encode_outcome, run_block_job
+from repro.service.config import ServiceConfig
 
 
 class FleetWorker:
@@ -63,6 +64,11 @@ class FleetWorker:
     announce:
         Publish a registration record (start time, knobs, capabilities)
         in the worker heartbeat, surfaced by ``fleet status``.
+    config:
+        The :class:`~repro.service.ServiceConfig` whose pulse-library
+        fields (shards, budget, prefetch) open the worker's caches;
+        ``None`` uses the defaults.  ``python -m repro worker`` passes
+        :meth:`~repro.service.ServiceConfig.from_env`.
     """
 
     def __init__(
@@ -77,6 +83,7 @@ class FleetWorker:
         worker_id: str | None = None,
         host_label: str | None = None,
         announce: bool = False,
+        config: ServiceConfig | None = None,
     ):
         from repro.errors import ReproError
 
@@ -84,6 +91,7 @@ class FleetWorker:
             fleet_dir, lease_ttl_s=lease_ttl_s, host_label=host_label
         )
         self.cache_dir = cache_dir
+        self.config = config if config is not None else ServiceConfig()
         self.poll_s = float(poll_s)
         if heartbeat_s is not None and heartbeat_s >= float(lease_ttl_s):
             raise ReproError(
@@ -137,7 +145,9 @@ class FleetWorker:
             from repro.core.cache import PersistentPulseCache, PulseCache
 
             self._caches[directory] = (
-                PersistentPulseCache(directory) if directory else PulseCache()
+                PersistentPulseCache(directory, **self.config.library_options())
+                if directory
+                else PulseCache()
             )
         return self._caches[directory]
 

@@ -60,7 +60,6 @@ import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.config import CACHE_SHARD_CHOICES
 from repro.errors import ReproError
 from repro.library.files import replace_file
 from repro.library.locking import FileLock
@@ -71,6 +70,7 @@ from repro.library.manifest import (
     rebuild_entries,
     save_manifest,
 )
+from repro.service.config import CACHE_SHARD_CHOICES, ServiceConfig
 
 #: On-disk layout version recorded in ``library.json``.
 LIBRARY_LAYOUT_VERSION = 1
@@ -78,7 +78,7 @@ LIBRARY_LAYOUT_VERSION = 1
 LIBRARY_DESCRIPTOR = "library.json"
 
 #: Shard counts that map to whole hex-character prefixes of the fingerprint
-#: (one source of truth: :data:`repro.config.CACHE_SHARD_CHOICES`).
+#: (one source of truth: :data:`repro.service.config.CACHE_SHARD_CHOICES`).
 VALID_SHARD_COUNTS = CACHE_SHARD_CHOICES
 
 #: Temp files older than this are considered crash debris and collectable.
@@ -124,11 +124,7 @@ class GCReport:
         }
 
 
-def _resolve_shards(shards: int | None) -> int:
-    if shards is None:
-        from repro.config import get_pipeline_config
-
-        shards = get_pipeline_config().cache_shards
+def _resolve_shards(shards: int) -> int:
     if shards not in VALID_SHARD_COUNTS:
         raise ReproError(
             f"cache shard count must be one of {VALID_SHARD_COUNTS}, got {shards!r}"
@@ -144,18 +140,12 @@ class PulseLibrary:
     def __init__(
         self,
         directory: str | os.PathLike,
-        shards: int | None = None,
-        budget_mb: float | None = None,
-        prefetch: bool | None = None,
+        shards: int = ServiceConfig.cache_shards,
+        budget_mb: float | None = ServiceConfig.cache_budget_mb,
+        prefetch: bool = ServiceConfig.prefetch,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        from repro.config import get_pipeline_config
-
-        if budget_mb is None:
-            budget_mb = get_pipeline_config().cache_budget_mb
-        if prefetch is None:
-            prefetch = get_pipeline_config().prefetch
         self.budget_mb = budget_mb
         self._global_lock = FileLock(self.directory / ".lock")
         # Submit threads share one library, so every lifetime counter is

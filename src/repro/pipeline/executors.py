@@ -26,7 +26,7 @@ Choosing an executor
     available).  True CPU parallelism; the submitted callables and their
     results must be picklable, and in-memory cache writes made by workers
     stay in the workers — pair this executor with a persistent cache
-    directory (``REPRO_CACHE_DIR``) so GRAPE results survive the pool.
+    directory (``ServiceConfig.cache_dir``) so GRAPE results survive the pool.
 ``thread-persistent`` / ``process-persistent``
     The persistent variants keep ONE pool alive across every ``map`` call
     instead of spinning a fresh pool up and down per call.  Variational
@@ -50,9 +50,9 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable
 
-from repro.config import EXECUTOR_CHOICES, get_pipeline_config
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
+from repro.service.config import EXECUTOR_CHOICES, ServiceConfig
 
 #: Per-worker deserialized task function (set by the pool initializer).
 _process_worker_fn = None
@@ -146,8 +146,6 @@ class _PoolBlockExecutor(BlockExecutor):
     """Shared sizing logic for the pool-backed executors."""
 
     def __init__(self, max_workers: int | None = None):
-        if max_workers is None:
-            max_workers = get_pipeline_config().max_workers
         self.max_workers = max_workers or os.cpu_count() or 1
 
     def describe(self) -> dict:
@@ -480,16 +478,17 @@ def resolve_executor(
     """Turn an executor spec into an executor instance.
 
     ``spec`` may be an executor instance (returned as-is), one of the names
-    in :data:`repro.config.EXECUTOR_CHOICES`, or ``None`` to use the active
-    pipeline configuration (``REPRO_EXECUTOR``, default serial).  The
-    stateless names resolve to fresh instances; the ``*-persistent`` names
-    resolve to one shared instance per (name, worker count) so the pool
-    survives — and amortizes across — repeated ``compile`` calls.
+    in :data:`repro.config.EXECUTOR_CHOICES`, or ``None`` for the
+    :class:`~repro.service.ServiceConfig` default, ``"auto"``.
+    ``max_workers=None`` means ``os.cpu_count()``.  The stateless names
+    resolve to fresh instances; the ``*-persistent`` names resolve to one
+    shared instance per (name, worker count) so the pool survives — and
+    amortizes across — repeated ``compile`` calls.
     """
     if isinstance(spec, BlockExecutor):
         return spec
     if spec is None:
-        spec = get_pipeline_config().executor
+        spec = ServiceConfig.executor
     if spec == "serial":
         return SerialExecutor()
     if spec == "auto":
@@ -499,14 +498,10 @@ def resolve_executor(
     if spec == "process":
         return ProcessPoolBlockExecutor(max_workers)
     if spec in _PERSISTENT_CLASSES:
-        # Normalize the worker count before keying: ``None`` means "the
-        # configured/default count *right now*", so an explicit request for
-        # that same count aliases the same pool, and a later config change
-        # resolves to a new key (new pool) instead of a stale one.
-        if max_workers is None:
-            workers = get_pipeline_config().max_workers or os.cpu_count() or 1
-        else:
-            workers = max_workers
+        # Normalize the worker count before keying: ``None`` means the CPU
+        # count, so an explicit request for that same count aliases the
+        # same pool.
+        workers = max_workers or os.cpu_count() or 1
         key = (spec, workers)
         with _persistent_registry_lock:
             executor = _persistent_executors.get(key)

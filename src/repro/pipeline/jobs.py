@@ -141,7 +141,7 @@ class BlockJob:
         Time-search hyperparameters (learning rates, iteration budget).
     warm_start / warm_start_max_dist:
         The warm-start policy resolved to concrete values at job-build
-        time — jobs never consult the builder's pipeline configuration.
+        time — jobs never consult the builder's configuration.
     preset:
         The active preset name at job-build time.  Fleet workers apply it
         before compiling (it still controls ``time_search_precision_ns``);

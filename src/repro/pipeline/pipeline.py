@@ -18,6 +18,7 @@ from typing import Iterable
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
 from repro.pipeline.stages import PipelineContext, Stage
+from repro.service.config import ServiceConfig
 
 
 class CompilationPipeline:
@@ -102,8 +103,8 @@ class CompilationPipeline:
         state=None,
         plan_cache=None,
         plan_scope: str = "",
-        grape_batch: bool | None = None,
-        grape_batch_size: int | None = None,
+        grape_batch: bool = ServiceConfig.grape_batch,
+        grape_batch_size: int = ServiceConfig.grape_batch_size,
     ) -> tuple:
         """Flow a *batch* of circuits through the pipeline, deduplicating
         block compilations across the whole batch.
@@ -137,10 +138,9 @@ class CompilationPipeline:
         not once per call.  Misses build and insert the plan.
         ``plan_scope`` namespaces the cache keys per caller.
 
-        ``grape_batch`` / ``grape_batch_size`` override the configured
-        cross-block batched-GRAPE dispatch for this pass's scheduler
-        (``None`` defers to the pipeline config; both are ignored when a
-        caller-owned ``scheduler`` is supplied).
+        ``grape_batch`` / ``grape_batch_size`` set the cross-block
+        batched-GRAPE dispatch for this pass's scheduler (both are ignored
+        when a caller-owned ``scheduler`` is supplied).
         """
         from repro.pipeline.scheduler import BlockScheduler
         from repro.pipeline.stages import BindStage, BlockingStage, PulseStage

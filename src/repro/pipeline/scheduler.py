@@ -56,6 +56,7 @@ from repro.pipeline.jobs import (
 )
 from repro.pipeline.stages import BlockTask, PipelineContext, _dispatch_task
 from repro.pulse.schedule import PulseSchedule, lookup_schedule
+from repro.service.config import ServiceConfig
 
 
 @dataclass
@@ -414,10 +415,9 @@ class BlockScheduler:
         executor: BlockExecutor | None = None,
         parametrized_handler=None,
         state: SchedulerState | None = None,
-        grape_batch: bool | None = None,
-        grape_batch_size: int | None = None,
+        grape_batch: bool = ServiceConfig.grape_batch,
+        grape_batch_size: int = ServiceConfig.grape_batch_size,
     ):
-        from repro.config import get_pipeline_config
         from repro.pipeline.strategies import compile_fixed_block
 
         self.block_compiler = block_compiler
@@ -426,18 +426,11 @@ class BlockScheduler:
         # ``state`` makes the scheduler long-lived: representatives compiled
         # in one ``run`` are remembered and served for free in the next.
         self.state = state
-        # Cross-block batched GRAPE dispatch (``None`` → configuration):
-        # when the executor runs tasks inline, same-shape representatives
-        # are stacked through the batched kernel instead of mapped.
-        config = get_pipeline_config()
-        self.grape_batch = (
-            config.grape_batch if grape_batch is None else bool(grape_batch)
-        )
-        self.grape_batch_size = (
-            config.grape_batch_size
-            if grape_batch_size is None
-            else max(1, int(grape_batch_size))
-        )
+        # Cross-block batched GRAPE dispatch: when the executor runs tasks
+        # inline, same-shape representatives are stacked through the
+        # batched kernel instead of mapped.
+        self.grape_batch = bool(grape_batch)
+        self.grape_batch_size = max(1, int(grape_batch_size))
         self._dispatch = partial(
             _dispatch_task,
             partial(compile_fixed_block, block_compiler),

@@ -63,13 +63,13 @@ class VariationalSession:
         cache=None,
         executor=None,
     ):
-        from repro.core.cache import default_pulse_cache
+        from repro.core.cache import PulseCache
         from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 
         self.settings = settings or GrapeSettings()
         self.hyperparameters = hyperparameters or GrapeHyperparameters()
         self.max_block_width = max_block_width
-        self.cache = cache if cache is not None else default_pulse_cache()
+        self.cache = cache if cache is not None else PulseCache()
         self.executor = resolve_executor(executor)
         self.state = SchedulerState()
         # Blocking plans keyed by ansatz content: iteration N ≥ 2 of a

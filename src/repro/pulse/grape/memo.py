@@ -26,7 +26,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.config import get_pipeline_config
 from repro.pulse.grape.engine import (
     GrapeHyperparameters,
     GrapeResult,
@@ -62,14 +61,10 @@ def run_key(
     )
     digest = hashlib.blake2b(digest_size=32)
     names = tuple(ch.name for ch in control_set.channels)
-    # The scan chunk lengths (forward over num_steps, backward over
-    # num_steps - 1) reassociate the propagator products, and with
-    # num_steps they are fixed by the configured override or its absence.
-    scan_block = get_pipeline_config().scan_block
+    # num_steps also fixes the scan chunk lengths that reassociate the
+    # propagator products (see repro.linalg.scan.scan_block_size).
     digest.update(
-        repr(
-            (control_set.qubits, control_set.levels, names, num_steps, scan_block)
-        ).encode()
+        repr((control_set.qubits, control_set.levels, names, num_steps)).encode()
     )
     digest.update(repr((hyper, resolved)).encode())
     _add_array(digest, control_set.drift)

@@ -68,8 +68,8 @@ def _resolve_probe_executor(spec):
 
     Unlike :func:`repro.pipeline.executors.resolve_executor`, a ``None``
     spec stays ``None`` — speculative probing is opt-in per call site, not
-    inherited from ``REPRO_EXECUTOR`` (the block-level executor config
-    would otherwise silently multiply GRAPE work inside every block).
+    inherited from the block-level executor (which would otherwise
+    silently multiply GRAPE work inside every block).
     """
     if spec is None:
         return None

@@ -2,8 +2,8 @@
 
 :class:`ServiceConfig` consolidates every ``REPRO_*`` environment knob —
 executor, worker count, cache directory/sharding/budget, prefetch, preset,
-scheduler-state spill path, GRAPE batching, warm-start seeding, scan block
-size — into one frozen dataclass.
+scheduler-state spill path, GRAPE batching, warm-start seeding, fleet and
+server settings — into one frozen dataclass.
 :meth:`ServiceConfig.from_env` is the **only** code path in the whole
 package that reads ``REPRO_*`` environment variables (a repo test greps
 for strays), so "what configuration am I actually running with?" always
@@ -161,9 +161,11 @@ class ServiceConfig:
         Manifest-aware shard prefetch for the on-disk pulse library
         (``REPRO_PREFETCH``).
     preset:
-        The active workload preset name (``REPRO_PRESET``); validated
-        lazily by :func:`repro.config.get_preset` so an unknown name only
-        errors when actually used.
+        The workload preset named by ``REPRO_PRESET``, read once at
+        import to seed the process-wide active preset; validated lazily by
+        :func:`repro.config.get_preset` so an unknown name only errors
+        when actually used.  Setting this field in code does *not* switch
+        the active preset — call :func:`repro.config.set_preset` for that.
     scheduler_state_path:
         Where the service spills its cross-call block-dedup memory
         (``REPRO_SCHEDULER_STATE``).  When set, a new
@@ -194,11 +196,6 @@ class ServiceConfig:
         ``sqrt(1 - |tr(U†V)|/d)`` between the targets is at most this, in
         ``(0, 1]``.  ``1.0`` accepts any same-context pulse; the default
         0.25 keeps seeds to genuinely nearby unitaries.
-    scan_block:
-        Fixed block size for the blocked propagator scan of
-        :mod:`repro.linalg.scan` (``REPRO_SCAN_BLOCK``).  ``None`` (the
-        default) keeps the auto heuristic (``≈√n_steps``); setting it
-        pins the chunk length for cache tuning on unusual hosts.
     dispatcher:
         Where fixed-block jobs are compiled (``REPRO_DISPATCHER``):
         ``"executor"`` (default) keeps them on the in-process block
@@ -265,7 +262,6 @@ class ServiceConfig:
     grape_batch_size: int = 16
     warm_start: bool = True
     warm_start_max_dist: float = 0.25
-    scan_block: int | None = None
     dispatcher: str = "executor"
     fleet_dir: str | None = None
     fleet_workers: int = 0
@@ -308,10 +304,6 @@ class ServiceConfig:
             raise ReproError(
                 "warm_start_max_dist must be in (0, 1], "
                 f"got {self.warm_start_max_dist}"
-            )
-        if self.scan_block is not None and self.scan_block < 1:
-            raise ReproError(
-                f"scan_block must be >= 1, got {self.scan_block}"
             )
         if self.dispatcher not in DISPATCHER_CHOICES:
             raise ReproError(
@@ -376,9 +368,10 @@ class ServiceConfig:
     def from_env(cls) -> "ServiceConfig":
         """The configuration selected by the ``REPRO_*`` environment.
 
-        The single supported env-reading path: every other module obtains
-        environment-derived settings through this constructor (directly or
-        via :mod:`repro.config`'s compatibility wrappers).
+        The single supported env-reading path.  Only the front doors call
+        it — :class:`~repro.service.CompilationService` built without a
+        config, the CLI and ``repro worker`` — and every layer below them
+        takes its values from its caller.
         """
         config, _sources = cls.from_env_with_sources()
         return config
@@ -405,45 +398,14 @@ class ServiceConfig:
                     stacklevel=3,
                 )
 
-        workers_raw = os.environ.get("REPRO_MAX_WORKERS")
-        if workers_raw:
-            try:
-                workers = int(workers_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_MAX_WORKERS={workers_raw!r} (not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if workers < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_MAX_WORKERS={workers} (must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["max_workers"] = workers
-                    sources["max_workers"] = "env"
-
-        submit_raw = os.environ.get("REPRO_SUBMIT_WORKERS")
-        if submit_raw:
-            try:
-                submit_workers = int(submit_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_SUBMIT_WORKERS={submit_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if submit_workers < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_SUBMIT_WORKERS={submit_workers} "
-                        "(must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["submit_workers"] = submit_workers
-                    sources["submit_workers"] = "env"
+        _env_number(
+            "REPRO_MAX_WORKERS", "max_workers", int,
+            lambda v: v >= 1, "must be >= 1", values, sources,
+        )
+        _env_number(
+            "REPRO_SUBMIT_WORKERS", "submit_workers", int,
+            lambda v: v >= 1, "must be >= 1", values, sources,
+        )
 
         cache_dir = os.environ.get("REPRO_CACHE_DIR")
         if cache_dir:
@@ -466,39 +428,11 @@ class ServiceConfig:
                     stacklevel=3,
                 )
 
-        budget_raw = os.environ.get("REPRO_CACHE_BUDGET_MB")
-        if budget_raw:
-            try:
-                budget = float(budget_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_CACHE_BUDGET_MB={budget_raw!r} (not a number)",
-                    stacklevel=3,
-                )
-            else:
-                if budget <= 0:
-                    warnings.warn(
-                        f"ignoring REPRO_CACHE_BUDGET_MB={budget} (must be positive)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["cache_budget_mb"] = budget
-                    sources["cache_budget_mb"] = "env"
-
-        prefetch_raw = os.environ.get("REPRO_PREFETCH", "")
-        if prefetch_raw:
-            lowered = prefetch_raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                values["prefetch"] = True
-                sources["prefetch"] = "env"
-            elif lowered in ("0", "false", "no", "off"):
-                values["prefetch"] = False
-                sources["prefetch"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_PREFETCH={prefetch_raw!r} (expected a boolean)",
-                    stacklevel=3,
-                )
+        _env_number(
+            "REPRO_CACHE_BUDGET_MB", "cache_budget_mb", float,
+            lambda v: v > 0, "must be positive", values, sources,
+        )
+        _env_bool("REPRO_PREFETCH", "prefetch", values, sources)
 
         preset = os.environ.get("REPRO_PRESET")
         if preset:
@@ -510,98 +444,16 @@ class ServiceConfig:
             values["scheduler_state_path"] = state_path
             sources["scheduler_state_path"] = "env"
 
-        batch_raw = os.environ.get("REPRO_GRAPE_BATCH", "")
-        if batch_raw:
-            lowered = batch_raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                values["grape_batch"] = True
-                sources["grape_batch"] = "env"
-            elif lowered in ("0", "false", "no", "off"):
-                values["grape_batch"] = False
-                sources["grape_batch"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_GRAPE_BATCH={batch_raw!r} "
-                    "(expected a boolean)",
-                    stacklevel=3,
-                )
-
-        batch_size_raw = os.environ.get("REPRO_GRAPE_BATCH_SIZE")
-        if batch_size_raw:
-            try:
-                batch_size = int(batch_size_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_GRAPE_BATCH_SIZE={batch_size_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if batch_size < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_GRAPE_BATCH_SIZE={batch_size} "
-                        "(must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["grape_batch_size"] = batch_size
-                    sources["grape_batch_size"] = "env"
-
-        warm_raw = os.environ.get("REPRO_WARM_START", "")
-        if warm_raw:
-            lowered = warm_raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                values["warm_start"] = True
-                sources["warm_start"] = "env"
-            elif lowered in ("0", "false", "no", "off"):
-                values["warm_start"] = False
-                sources["warm_start"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_WARM_START={warm_raw!r} "
-                    "(expected a boolean)",
-                    stacklevel=3,
-                )
-
-        dist_raw = os.environ.get("REPRO_WARM_START_MAX_DIST")
-        if dist_raw:
-            try:
-                dist = float(dist_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_WARM_START_MAX_DIST={dist_raw!r} "
-                    "(not a number)",
-                    stacklevel=3,
-                )
-            else:
-                if not 0.0 < dist <= 1.0:
-                    warnings.warn(
-                        f"ignoring REPRO_WARM_START_MAX_DIST={dist} "
-                        "(must be in (0, 1])",
-                        stacklevel=3,
-                    )
-                else:
-                    values["warm_start_max_dist"] = dist
-                    sources["warm_start_max_dist"] = "env"
-
-        scan_raw = os.environ.get("REPRO_SCAN_BLOCK")
-        if scan_raw:
-            try:
-                scan_block = int(scan_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_SCAN_BLOCK={scan_raw!r} (not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if scan_block < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_SCAN_BLOCK={scan_block} (must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["scan_block"] = scan_block
-                    sources["scan_block"] = "env"
+        _env_bool("REPRO_GRAPE_BATCH", "grape_batch", values, sources)
+        _env_number(
+            "REPRO_GRAPE_BATCH_SIZE", "grape_batch_size", int,
+            lambda v: v >= 1, "must be >= 1", values, sources,
+        )
+        _env_bool("REPRO_WARM_START", "warm_start", values, sources)
+        _env_number(
+            "REPRO_WARM_START_MAX_DIST", "warm_start_max_dist", float,
+            lambda v: 0.0 < v <= 1.0, "must be in (0, 1]", values, sources,
+        )
 
         dispatcher = os.environ.get("REPRO_DISPATCHER")
         if dispatcher is not None:
@@ -620,48 +472,14 @@ class ServiceConfig:
             values["fleet_dir"] = fleet_dir
             sources["fleet_dir"] = "env"
 
-        fleet_raw = os.environ.get("REPRO_FLEET_WORKERS")
-        if fleet_raw:
-            try:
-                fleet_workers = int(fleet_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_FLEET_WORKERS={fleet_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if fleet_workers < 0:
-                    warnings.warn(
-                        f"ignoring REPRO_FLEET_WORKERS={fleet_workers} "
-                        "(must be >= 0)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["fleet_workers"] = fleet_workers
-                    sources["fleet_workers"] = "env"
-
-        depth_raw = os.environ.get("REPRO_QUEUE_DEPTH")
-        if depth_raw:
-            try:
-                queue_depth = int(depth_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_QUEUE_DEPTH={depth_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if queue_depth < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_QUEUE_DEPTH={queue_depth} "
-                        "(must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["queue_depth"] = queue_depth
-                    sources["queue_depth"] = "env"
-
+        _env_number(
+            "REPRO_FLEET_WORKERS", "fleet_workers", int,
+            lambda v: v >= 0, "must be >= 0", values, sources,
+        )
+        _env_number(
+            "REPRO_QUEUE_DEPTH", "queue_depth", int,
+            lambda v: v >= 1, "must be >= 1", values, sources,
+        )
         _env_number(
             "REPRO_FLEET_LEASE_TTL", "fleet_lease_ttl_s", float,
             lambda v: v > 0, "must be positive", values, sources,
@@ -729,6 +547,15 @@ class ServiceConfig:
     def replace(self, **overrides) -> "ServiceConfig":
         """A copy with ``overrides`` applied (validation re-runs)."""
         return replace(self, **overrides)
+
+    def library_options(self) -> dict:
+        """The pulse-library fields as ``PulseLibrary`` /
+        ``PersistentPulseCache`` keyword arguments."""
+        return {
+            "shards": self.cache_shards,
+            "budget_mb": self.cache_budget_mb,
+            "prefetch": self.prefetch,
+        }
 
     def as_dict(self) -> dict:
         """Field → value, in declaration order (for stats and the CLI)."""

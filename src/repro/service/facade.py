@@ -93,7 +93,9 @@ class CompilationService:
         self.default_strategy = default_strategy
         self.max_block_width = max_block_width
         self.cache = (
-            PersistentPulseCache(self.config.cache_dir)
+            PersistentPulseCache(
+                self.config.cache_dir, **self.config.library_options()
+            )
             if self.config.cache_dir
             else PulseCache()
         )

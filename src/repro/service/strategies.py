@@ -285,6 +285,7 @@ class StrictPartialStrategy(_PartialStrategyBase):
             cache=service.cache if request.use_cache else PulseCache(),
             executor=service.executor,
             state=service.scheduler_state if request.use_cache else None,
+            config=service.config,
         )[0]
 
 
@@ -360,5 +361,6 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             executor=service.executor,
             state=service.scheduler_state if request.use_cache else None,
             grape_memo=service.grape_memo if request.use_cache else None,
+            config=service.config,
             **request.options,
         )[0]

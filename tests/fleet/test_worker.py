@@ -176,3 +176,49 @@ class TestKillNineReclaim:
         )
         assert queue.consume_result(job_id)["error"] is None
         assert list(queue.leases_dir.glob("*.json")) == []
+
+
+class TestForeignPreset:
+    def test_worker_under_another_preset_returns_identical_pulses(self, tmp_path):
+        """A job built under ``ci`` and run by a worker whose process came
+        up under ``paper`` (as ``REPRO_PRESET=paper`` would set it) returns
+        the pulses of an inline compile, bit for bit."""
+        from repro.circuits.circuit import QuantumCircuit
+        from repro.config import get_preset, set_preset
+        from repro.core.compiler import BlockPulseCompiler
+        from repro.fleet.worker import FleetWorker
+        from repro.pipeline.jobs import _decode_outcome
+        from repro.pulse.device import GmonDevice
+        from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+        from repro.transpile.topology import line_topology
+
+        original = get_preset().name
+        try:
+            set_preset("ci")
+            # The iteration budget is left to the preset, so running under
+            # the wrong one would change the search.
+            compiler = BlockPulseCompiler(
+                GmonDevice(line_topology(2)),
+                GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
+                GrapeHyperparameters(0.05, 0.002),
+                PulseCache(),
+                warm_start=False,
+            )
+            block = QuantumCircuit(2).h(0).cx(0, 1).rz(0.7, 1)
+            job = compiler.make_job(block, (0, 1))
+            assert job.preset == "ci"
+            inline = run_block_job(job, cache=PulseCache())
+
+            set_preset("paper")
+            queue = FleetQueue(tmp_path)
+            job_id = queue.enqueue(job)
+            worker = FleetWorker(tmp_path, poll_s=0.01, max_jobs=1)
+            assert worker.run() == 0
+            record = queue.consume_result(job_id)
+        finally:
+            set_preset(original)
+        assert record["error"] is None
+        remote = _decode_outcome(record["outcome"])
+        assert remote.schedule.controls.tobytes() == inline.schedule.controls.tobytes()
+        assert remote.duration_ns == inline.duration_ns
+        assert remote.iterations == inline.iterations

@@ -42,14 +42,11 @@ class TestPrefetch:
         assert stats["prefetch_hits"] == 0
 
     def test_config_knob_enables_prefetch(self, tmp_path):
-        from repro.config import set_pipeline_config
+        from repro.service import ServiceConfig
 
-        set_pipeline_config(prefetch=True)
-        try:
-            library = PulseLibrary(tmp_path)
-            assert library.prefetch_enabled is True
-        finally:
-            set_pipeline_config(prefetch=False)
+        options = ServiceConfig(prefetch=True).library_options()
+        library = PulseLibrary(tmp_path, **options)
+        assert library.prefetch_enabled is True
 
     def test_miss_in_prefetched_shard_still_misses(self, tmp_path):
         _seeded_library(tmp_path)

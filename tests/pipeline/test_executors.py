@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.config import set_pipeline_config
 from repro.core import FullGrapeCompiler, PulseCache
 from repro.errors import PipelineError
 from repro.pipeline import (
@@ -62,17 +61,18 @@ class TestResolveExecutor:
         with pytest.raises(PipelineError):
             resolve_executor("gpu")
 
-    def test_default_follows_config(self):
-        original = set_pipeline_config()
-        try:
-            set_pipeline_config(executor="thread", max_workers=2)
-            resolved = resolve_executor(None)
-            assert isinstance(resolved, ThreadPoolBlockExecutor)
-            assert resolved.max_workers == 2
-        finally:
-            set_pipeline_config(
-                executor=original.executor, max_workers=original.max_workers
-            )
+    def test_default_follows_config(self, monkeypatch):
+        from repro.pipeline.executors import AutoExecutor
+        from repro.service import ServiceConfig
+
+        # ``None`` is the ServiceConfig default, whatever the environment.
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        assert ServiceConfig().executor == "auto"
+        assert isinstance(resolve_executor(None), AutoExecutor)
+        config = ServiceConfig(executor="thread", max_workers=2)
+        resolved = resolve_executor(config.executor, config.max_workers)
+        assert isinstance(resolved, ThreadPoolBlockExecutor)
+        assert resolved.max_workers == 2
 
     def test_explicit_workers_override(self):
         assert ThreadPoolBlockExecutor(max_workers=5).max_workers == 5
@@ -90,11 +90,10 @@ class TestAutoExecutor:
         assert executor.name == "auto"
 
     def test_auto_is_a_registered_choice_and_the_default(self):
-        from repro.config import EXECUTOR_CHOICES, PipelineConfig
+        from repro.config import EXECUTOR_CHOICES
         from repro.service.config import ServiceConfig
 
         assert "auto" in EXECUTOR_CHOICES
-        assert PipelineConfig().executor == "auto"
         assert ServiceConfig().executor == "auto"
 
     def test_policy_flags_follow_cpu_count(self, monkeypatch):

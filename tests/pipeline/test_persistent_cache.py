@@ -9,13 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import set_pipeline_config
 from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     CacheEntry,
     PersistentPulseCache,
     PulseCache,
-    default_pulse_cache,
 )
 from repro.pulse.device import GmonDevice
 from repro.pulse.hamiltonian import build_control_set
@@ -199,17 +197,21 @@ class TestTelemetry:
         assert stats["backend"] == "memory"
         assert "disk_hits" not in stats
 
-    def test_default_cache_follows_config(self, tmp_path):
-        original = set_pipeline_config()
-        try:
-            set_pipeline_config(cache_dir=str(tmp_path))
-            cache = default_pulse_cache()
-            assert isinstance(cache, PersistentPulseCache)
-            assert cache.directory == tmp_path
-            set_pipeline_config(cache_dir=None)
-            assert not isinstance(default_pulse_cache(), PersistentPulseCache)
-        finally:
-            set_pipeline_config(cache_dir=original.cache_dir)
+    def test_default_cache_follows_config(self, tmp_path, monkeypatch):
+        from repro.core.compiler import BlockPulseCompiler
+        from repro.service import CompilationService, ServiceConfig
+
+        # Below the service the default is in memory, whatever the
+        # environment; the service's cache follows its config.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        compiler = BlockPulseCompiler(GmonDevice(line_topology(2)))
+        assert not isinstance(compiler.cache, PersistentPulseCache)
+        with CompilationService(ServiceConfig(cache_dir=str(tmp_path))) as service:
+            assert isinstance(service.cache, PersistentPulseCache)
+            assert service.cache.directory == tmp_path
+        with CompilationService(ServiceConfig()) as service:
+            assert not isinstance(service.cache, PersistentPulseCache)
+        assert not (tmp_path / "env").exists()
 
 
 @pytest.mark.slow

@@ -8,8 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import get_pipeline_config, get_preset, set_pipeline_config, set_preset
-from repro.linalg.scan import scan_block_size
+from repro.config import get_preset, set_preset
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings, optimize_pulse
 from repro.pulse.grape.memo import GrapeRunMemo, run_key
@@ -154,21 +153,6 @@ class TestKey:
             set_preset(original)
         assert not switched.memo_hit
         assert switched.schedule.dt_ns == get_preset(other).dt_ns
-
-
-    def test_scan_block_override_misses(self, control_set):
-        # At 13 steps the default chunks are 4 (forward) and 3 (backward);
-        # an override of 4 keeps the forward chunk but changes the backward.
-        assert (scan_block_size(13), scan_block_size(12)) == (4, 3)
-        key = run_key(control_set, X, 13, HYPER, SETTINGS, None)
-        original = get_pipeline_config().scan_block
-        try:
-            set_pipeline_config(scan_block=4)
-            assert (scan_block_size(13), scan_block_size(12)) == (4, 4)
-            assert run_key(control_set, X, 13, HYPER, SETTINGS, None) != key
-        finally:
-            set_pipeline_config(scan_block=original)
-        assert run_key(control_set, X, 13, HYPER, SETTINGS, None) == key
 
 
 class TestBoundAndPickle:

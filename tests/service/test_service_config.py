@@ -46,7 +46,6 @@ class TestEnvConsolidation:
             "REPRO_GRAPE_BATCH_SIZE",
             "REPRO_WARM_START",
             "REPRO_WARM_START_MAX_DIST",
-            "REPRO_SCAN_BLOCK",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
             "REPRO_FLEET_WORKERS",
@@ -80,7 +79,6 @@ class TestFromEnv:
             "REPRO_GRAPE_BATCH_SIZE",
             "REPRO_WARM_START",
             "REPRO_WARM_START_MAX_DIST",
-            "REPRO_SCAN_BLOCK",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
             "REPRO_FLEET_WORKERS",
@@ -114,7 +112,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "8")
         monkeypatch.setenv("REPRO_WARM_START", "no")
         monkeypatch.setenv("REPRO_WARM_START_MAX_DIST", "0.4")
-        monkeypatch.setenv("REPRO_SCAN_BLOCK", "32")
         monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
         monkeypatch.setenv("REPRO_FLEET_WORKERS", "2")
@@ -142,7 +139,6 @@ class TestFromEnv:
         assert config.grape_batch_size == 8
         assert config.warm_start is False
         assert config.warm_start_max_dist == 0.4
-        assert config.scan_block == 32
         assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
         assert config.fleet_workers == 2
@@ -222,10 +218,6 @@ class TestValidation:
             ServiceConfig(warm_start_max_dist=0.0)
         with pytest.raises(ReproError):
             ServiceConfig(warm_start_max_dist=1.5)
-
-    def test_bad_scan_block_rejected(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(scan_block=0)
 
     def test_choices_match_config_module(self):
         from repro import config as legacy
@@ -322,14 +314,72 @@ class TestUtilities:
             ServiceConfig().executor = "thread"
 
 
-class TestLegacyWrappers:
-    def test_pipeline_config_from_env_routes_through_service_config(
-        self, monkeypatch
-    ):
-        from repro.config import _pipeline_config_from_env
+class TestCodeConfigUnderConflictingEnv:
+    """A ServiceConfig built in code takes effect field by field, whatever
+    the ``REPRO_*`` environment says: only ``from_env()`` reads it."""
 
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "4096")
-        config = _pipeline_config_from_env()
-        assert config.executor == "thread"
-        assert config.cache_shards == 4096
+    def test_every_field_takes_effect(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.circuits.circuit import QuantumCircuit
+        from repro.perf import get_perf_registry
+        from repro.pipeline.scheduler import BlockScheduler
+        from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+        from repro.service import CompilationService, CompileRequest
+
+        env_dir = tmp_path / "env-cache"
+        for name, value in {
+            "REPRO_CACHE_DIR": str(env_dir),
+            "REPRO_CACHE_SHARDS": "4096",
+            "REPRO_CACHE_BUDGET_MB": "99",
+            "REPRO_PREFETCH": "0",
+            "REPRO_EXECUTOR": "thread",
+            "REPRO_WARM_START": "1",
+            "REPRO_WARM_START_MAX_DIST": "0.9",
+            "REPRO_GRAPE_BATCH_SIZE": "7",
+        }.items():
+            monkeypatch.setenv(name, value)
+        batch_sizes = []
+        original_init = BlockScheduler.__init__
+
+        def spy_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            batch_sizes.append(self.grape_batch_size)
+
+        monkeypatch.setattr(BlockScheduler, "__init__", spy_init)
+
+        cache_dir = tmp_path / "cache"
+        config = ServiceConfig(
+            cache_dir=str(cache_dir),
+            cache_shards=256,
+            cache_budget_mb=5.0,
+            prefetch=True,
+            executor="serial",
+            warm_start=False,
+            warm_start_max_dist=0.5,
+            grape_batch_size=3,
+        )
+        circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
+        perf = get_perf_registry()
+        with CompilationService(config) as service:
+            library = service.cache.library
+            descriptor = json.loads((cache_dir / "library.json").read_text())
+            assert descriptor["shards"] == 256
+            assert library.budget_mb == 5.0
+            assert library.prefetch_enabled is True
+            assert service.executor.name == "serial"
+            lookups = perf.counter("grape.warm_start.lookups")
+            result = service.compile(
+                CompileRequest(
+                    circuit,
+                    strategy="full-grape",
+                    settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
+                    hyperparameters=GrapeHyperparameters(
+                        0.05, 0.002, max_iterations=60
+                    ),
+                )
+            )
+            assert result.compiled.runtime_iterations > 0  # a cold compile
+            assert perf.counter("grape.warm_start.lookups") == lookups
+        assert batch_sizes == [3]
+        assert not env_dir.exists()

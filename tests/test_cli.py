@@ -486,3 +486,40 @@ class TestServerCli:
         )
         assert code == 2
         assert "shorter than" in capsys.readouterr().err
+
+
+class TestEnvFrontDoors:
+    """The CLI is a front door: it reads ``REPRO_*`` through
+    ``ServiceConfig.from_env()`` and passes the values down."""
+
+    def test_library_gc_defaults_to_env_budget(self, capsys, tmp_path, monkeypatch):
+        from repro.library import PulseLibrary
+
+        library = PulseLibrary(tmp_path)
+        for i in range(3):
+            library.put(f"{i:040x}-0.pulse", b"x" * 1024)
+        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", str(1024 / (1024 * 1024)))
+        assert main(["library", "gc", "--dir", str(tmp_path)]) == 0
+        lines = {
+            line.split("|")[0].strip(): line.split("|")[1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        }
+        assert lines["budget_bytes"] == "1024"
+        assert lines["evicted"] == "2"
+        assert library.count() == 1
+
+    def test_compile_creates_library_with_env_shards(self, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
+        cache_dir = tmp_path / "cache"
+        code = main(
+            [
+                "compile", "--benchmark", "qaoa:erdosrenyi:6:1",
+                "--method", "gate", "--cache-dir", str(cache_dir),
+            ]
+        )
+        assert code == 0
+        descriptor = json.loads((cache_dir / "library.json").read_text())
+        assert descriptor["shards"] == 256
