@@ -29,7 +29,7 @@ from repro.circuits.dag import critical_path_ns
 from repro.core.cache import CacheEntry, PulseCache
 from repro.errors import CompilationError
 from repro.perf import get_perf_registry
-from repro.pipeline.executors import resolve_executor
+from repro.pipeline.executors import SerialExecutor, resolve_executor
 from repro.pipeline.stages import lookup_program
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -233,72 +233,6 @@ class BlockPulseCompiler:
         perf.count("grape.warm_start.no_seed")
         return None
 
-    def _seeded_search(
-        self, control_set, target, gate_ns, hyper, seed: PulseSchedule
-    ):
-        """Minimum-time search from ``seed``, guarded best-of against cold.
-
-        A converged seeded search is accepted outright — it met the same
-        fidelity threshold a cold search would have.  Otherwise the cold
-        search runs too and whichever result is better wins (convergence
-        first, then final fidelity), with the loser's iterations merged
-        into the returned result so latency accounting stays honest.
-        """
-        perf = get_perf_registry()
-        dt = self.settings.resolved_dt()
-        upper = max(gate_ns, dt)
-        seeded = minimum_time_pulse(
-            control_set,
-            target,
-            upper_bound_ns=upper,
-            hyperparameters=hyper,
-            settings=self.settings,
-            warm_start=seed,
-        )
-        perf.count(
-            "grape.warm_start.seeded_iterations", seeded.total_iterations
-        )
-        if seeded.converged:
-            perf.count("grape.warm_start.accepted")
-            return seeded
-        cold = minimum_time_pulse(
-            control_set,
-            target,
-            upper_bound_ns=upper,
-            hyperparameters=hyper,
-            settings=self.settings,
-        )
-        perf.count(
-            "grape.warm_start.cold_rerun_iterations", cold.total_iterations
-        )
-        if cold.converged or cold.fidelity >= seeded.fidelity:
-            perf.count("grape.warm_start.rejected")
-            winner, loser = cold, seeded
-        else:
-            perf.count("grape.warm_start.accepted")
-            winner, loser = seeded, cold
-        return replace(
-            winner,
-            total_iterations=winner.total_iterations + loser.total_iterations,
-            grape_calls=winner.grape_calls + loser.grape_calls,
-            wall_time_s=winner.wall_time_s + loser.wall_time_s,
-            probes=[*seeded.probes, *cold.probes],
-        )
-
-    def _search(self, control_set, target, gate_ns, hyper, key):
-        """One block's minimum-time search, warm-started when a seed exists."""
-        seed = self._find_seed(key, target, control_set, gate_ns)
-        if seed is not None:
-            return self._seeded_search(control_set, target, gate_ns, hyper, seed)
-        dt = self.settings.resolved_dt()
-        return minimum_time_pulse(
-            control_set,
-            target,
-            upper_bound_ns=max(gate_ns, dt),
-            hyperparameters=hyper,
-            settings=self.settings,
-        )
-
     def compile_block(
         self,
         subcircuit: QuantumCircuit,
@@ -328,36 +262,53 @@ class BlockPulseCompiler:
         dt = self.settings.resolved_dt()
         fid_target = self.settings.resolved_target()
         key = self.cache.key(target, control_set, dt, fid_target)
-        return self._compile_resolved(
-            control_set, target, device_qubits, gate_ns, key, hyperparameters
+        job = self._job(
+            key,
+            target,
+            device_qubits,
+            gate_ns,
+            hyperparameters or self.hyperparameters,
         )
+        return compile_jobs([job], self.cache, SerialExecutor())[0]
 
-    def _compile_resolved(
+    def _job(
         self,
-        control_set,
+        key,
         target: np.ndarray,
         device_qubits: tuple,
         gate_ns: float,
-        key,
-        hyperparameters: GrapeHyperparameters | None = None,
-    ) -> BlockCompileOutcome:
-        """Compile a block whose identity is already resolved.
+        hyperparameters: GrapeHyperparameters,
+        seed: PulseSchedule | None = None,
+        cache_dir: str | None = None,
+    ):
+        """The :class:`~repro.pipeline.jobs.BlockJob` for one resolved block.
 
-        The shared tail of :meth:`compile_block` and :meth:`compile_job`:
-        cache consultation, the warm-started minimum-time search, and the
-        strictly-not-worse judgment, given the control set, target
-        unitary, gate-based duration, and dedup key.
+        Deferred-to-runtime knobs are materialized here: preset-resolved
+        GRAPE settings, this compiler's warm-start policy, and the active
+        preset name itself — so the job compiles identically in a process
+        that never saw this configuration.
         """
-        cached = self.cache.get(key)
-        if cached is not None:
-            # Heal the warm-start index: the hit proves this target is in
-            # the cache, and only the caller still holds the unitary.
-            self.cache.annotate_target(key, target)
-            return self._cache_hit_outcome(device_qubits, gate_ns, cached)
+        from repro.config import get_preset
+        from repro.pipeline.jobs import BlockJob
 
-        hyper = hyperparameters or self.hyperparameters
-        result = self._search(control_set, target, gate_ns, hyper, key)
-        return self._fresh_outcome(device_qubits, gate_ns, key, result, target)
+        return BlockJob(
+            key=key,
+            target=target,
+            device_qubits=tuple(device_qubits),
+            gate_based_ns=gate_ns,
+            device=self.device,
+            settings=replace(
+                self.settings,
+                dt_ns=self.settings.resolved_dt(),
+                target_fidelity=self.settings.resolved_target(),
+            ),
+            hyperparameters=hyperparameters,
+            warm_start=bool(self.warm_start),
+            warm_start_max_dist=float(self.warm_start_max_dist),
+            preset=get_preset().name,
+            cache_dir=cache_dir,
+            seed=seed,
+        )
 
     def make_job(
         self,
@@ -370,81 +321,71 @@ class BlockPulseCompiler:
         one bound block, or ``None`` for a trivial (empty / zero-duration)
         block that needs no GRAPE.
 
-        Deferred-to-runtime knobs are materialized here: preset-resolved
-        GRAPE settings, this compiler's warm-start policy, and the active
-        preset name itself — so the job compiles
-        identically in a process that never saw this configuration.
-        ``key`` skips recomputing a dedup identity the caller already
-        paid for (the batch scheduler always has one).
+        The job carries no seed: :func:`compile_jobs` resolves it against
+        the dispatcher's cache, and :func:`~repro.pipeline.jobs
+        .run_block_job` against the venue's own.  ``key`` skips
+        recomputing a dedup identity the caller already paid for (the
+        batch scheduler always has one).
         """
-        from repro.config import get_preset
-        from repro.pipeline.jobs import BlockJob
-
         if subcircuit.is_parameterized():
             raise CompilationError("block must be bound before pulse compilation")
         gate_ns = critical_path_ns(subcircuit)
         if len(subcircuit) == 0 or gate_ns <= 0:
             return None
-        control_set = build_control_set(self.device, device_qubits)
         target = circuit_unitary(subcircuit)
-        dt = self.settings.resolved_dt()
-        fid_target = self.settings.resolved_target()
         if key is None:
-            key = self.cache.key(target, control_set, dt, fid_target)
-        return BlockJob(
-            key=key,
-            target=target,
-            device_qubits=tuple(device_qubits),
-            gate_based_ns=gate_ns,
-            device=self.device,
-            settings=replace(
-                self.settings, dt_ns=dt, target_fidelity=fid_target
-            ),
-            hyperparameters=self.hyperparameters,
-            warm_start=bool(self.warm_start),
-            warm_start_max_dist=float(self.warm_start_max_dist),
-            preset=get_preset().name,
+            key = self.cache.key(
+                target,
+                build_control_set(self.device, device_qubits),
+                self.settings.resolved_dt(),
+                self.settings.resolved_target(),
+            )
+        return self._job(
+            key,
+            target,
+            device_qubits,
+            gate_ns,
+            self.hyperparameters,
             cache_dir=cache_dir,
         )
 
     def compile_job(self, job) -> BlockCompileOutcome:
-        """Compile one :class:`~repro.pipeline.jobs.BlockJob`.
+        """Compile one :class:`~repro.pipeline.jobs.BlockJob` against this
+        compiler's cache.
 
         The job already carries the resolved identity (key, target,
-        gate-based duration); only the control set is rebuilt from the
-        device — channel objects are cheap and keep the job payload small.
-        Bit-identical to :meth:`compile_block` on the job's source block.
+        gate-based duration).  Bit-identical to :meth:`compile_block` on
+        the job's source block.
         """
-        control_set = build_control_set(self.device, job.device_qubits)
-        return self._compile_resolved(
-            control_set,
-            job.target,
-            job.device_qubits,
-            job.gate_based_ns,
-            job.key,
-        )
+        return compile_jobs([job], self.cache, SerialExecutor())[0]
 
     def compile_blocks_batched(
         self,
         blocks: list,
         hyperparameters: GrapeHyperparameters | None = None,
         max_group: int | None = None,
+        executor=None,
     ) -> tuple:
         """Compile many blocks at once, batching same-shape GRAPE searches.
 
         ``blocks`` is a list of ``(subcircuit, device_qubits)`` pairs.  Each
         block runs the exact same path as :meth:`compile_block` — trivial
         blocks, cache hits, and the strictly-not-worse judgment are
-        per-block and unchanged — but cache misses are grouped by control
-        shape ``(dim, n_controls)`` and each group's minimum-time searches
-        run through the cross-block batched kernel
-        (:func:`repro.pulse.grape.batched.minimum_time_pulse_batch`), which
-        is bit-identical to the serial searches.  Singleton groups take the
-        per-block kernel directly, and blocks with a warm-start seed
-        (cached neighbor or analytic KAK — see :meth:`_find_seed`) run the
-        per-block guarded search instead of batching: seeds are per-target,
-        and a good seed saves more iterations than batching saves per
-        iteration.
+        per-block and unchanged.  Cache misses are grouped by control
+        shape ``(dim, n_controls)``.  A block with a warm-start seed
+        (cached neighbor or analytic KAK — see :meth:`_find_seed`) becomes
+        a seed-carrying :class:`~repro.pipeline.jobs.BlockJob`, and so does
+        a seedless block alone in its shape group; ``executor``'s
+        ``run_searches`` runs those pure searches (``None``: inline).  The
+        seedless remainder of a larger group runs through the cross-block
+        batched kernel (:func:`repro.pulse.grape.batched
+        .minimum_time_pulse_batch`), bit-identical to the per-block
+        searches, in this thread.
+
+        Seeds come from the pre-call cache state, and every result is
+        cached and judged here in the same order whichever venue ran it,
+        so pulses, iteration counts and cache contents do not depend on
+        the executor.
 
         Returns ``(outcomes, stats)`` with outcomes in input order and
         ``stats = {"batched_groups": ..., "batched_blocks": ...}``.
@@ -485,69 +426,81 @@ class BlockPulseCompiler:
 
         stats = {"batched_groups": 0, "batched_blocks": 0}
         # Seeds come only from the pre-call cache state, never from pulses
-        # this very call just wrote, so a batched compile produces the same
-        # pulses as the equivalent per-block calls under a parallel
-        # executor (see PulseCache.freeze_neighbors; nesting inside the
-        # scheduler's own freeze is safe — the snapshot is depth-counted).
+        # this very call just wrote (see PulseCache.freeze_neighbors;
+        # nesting inside the scheduler's own freeze is safe — the snapshot
+        # is depth-counted).
         self.cache.freeze_neighbors()
         try:
-            self._compile_cold_groups(
-                by_shape, blocks, outcomes, hyper, stats, max_group
+            results, order = self._search_cold_groups(
+                by_shape, blocks, hyper, stats, max_group, executor
             )
         finally:
             self.cache.thaw_neighbors()
+        # Cache and judge in one fixed order, whichever venue ran each
+        # search: puts feed the neighbor index, whose order later seeds
+        # depend on.
+        entries = {entry[0]: entry for entry in cold}
+        for i in order:
+            _, _, target, gate_ns, key = entries[i]
+            outcomes[i] = self._fresh_outcome(
+                blocks[i][1], gate_ns, key, results[i], target
+            )
         return outcomes, stats
 
-    def _compile_cold_groups(
+    def _search_cold_groups(
         self,
         by_shape: dict,
         blocks: list,
-        outcomes: list,
         hyper,
         stats: dict,
         max_group: int | None,
-    ) -> None:
-        """Dispatch the cache-missing shape groups of a batched compile."""
+        executor,
+    ) -> tuple:
+        """Run the minimum-time searches of a batched compile's cache misses.
+
+        Returns ``({block index: MinimumTimeResult}, order)``, ``order``
+        being the block indices in the order their results are cached:
+        group by group, seeded blocks first, then the seedless ones.
+        """
         from repro.pulse.grape.batched import minimum_time_pulse_batch
 
         dt = self.settings.resolved_dt()
+        jobs: list = []
+        job_index: list = []
+        batches: list = []
+        order: list = []
         for members in by_shape.values():
             # Warm starts are per-block (each seed is specific to one
             # target), so seeded members run the individual guarded search
             # and only the seedless remainder goes through the batched
             # kernel.  The trade is deliberate: a good seed saves far more
             # iterations than cross-block batching saves per iteration.
-            pending = []
+            seeded, seedless = [], []
             for entry in members:
                 i, control_set, target, gate_ns, key = entry
                 seed = self._find_seed(key, target, control_set, gate_ns)
                 if seed is None:
-                    pending.append(entry)
+                    seedless.append(entry)
                     continue
-                result = self._seeded_search(
-                    control_set, target, gate_ns, hyper, seed
+                seeded.append(entry)
+                jobs.append(
+                    self._job(key, target, blocks[i][1], gate_ns, hyper, seed)
                 )
-                outcomes[i] = self._fresh_outcome(
-                    blocks[i][1], gate_ns, key, result, target
-                )
-            if not pending:
-                continue
-            if len(pending) == 1:
-                i, control_set, target, gate_ns, key = pending[0]
-                result = minimum_time_pulse(
-                    control_set,
-                    target,
-                    upper_bound_ns=max(gate_ns, dt),
-                    hyperparameters=hyper,
-                    settings=self.settings,
-                )
-                outcomes[i] = self._fresh_outcome(
-                    blocks[i][1], gate_ns, key, result, target
-                )
-                continue
+                job_index.append(i)
+            if len(seedless) == 1:
+                i, _, target, gate_ns, key = seedless[0]
+                jobs.append(self._job(key, target, blocks[i][1], gate_ns, hyper))
+                job_index.append(i)
+            elif seedless:
+                batches.append(seedless)
+            order.extend(entry[0] for entry in seeded + seedless)
+
+        searched = (executor or SerialExecutor()).run_searches(jobs)
+        results = dict(zip(job_index, searched))
+        for pending in batches:
             stats["batched_groups"] += 1
             stats["batched_blocks"] += len(pending)
-            results = minimum_time_pulse_batch(
+            batch = minimum_time_pulse_batch(
                 [entry[1] for entry in pending],
                 [entry[2] for entry in pending],
                 [max(entry[3], dt) for entry in pending],
@@ -555,10 +508,9 @@ class BlockPulseCompiler:
                 settings=self.settings,
                 max_group=max_group,
             )
-            for (i, _, target, gate_ns, key), result in zip(pending, results):
-                outcomes[i] = self._fresh_outcome(
-                    blocks[i][1], gate_ns, key, result, target
-                )
+            for entry, result in zip(pending, batch):
+                results[entry[0]] = result
+        return results, order
 
     def compile_circuit_blocks(
         self, circuit: QuantumCircuit, max_width: int | None = None, executor=None
@@ -589,6 +541,140 @@ class BlockPulseCompiler:
             name="blocks",
         ).run(circuit)
         return context.block_results, context.blocked[0]
+
+
+def _seeded_search(control_set, target, upper_ns, hyper, settings, seed):
+    """Minimum-time search from ``seed``, guarded best-of against cold.
+
+    A converged seeded search is accepted outright — it met the same
+    fidelity threshold a cold search would have.  Otherwise the cold
+    search runs too and whichever result is better wins (convergence
+    first, then final fidelity), with the loser's iterations merged into
+    the returned result so latency accounting stays honest.
+    """
+    perf = get_perf_registry()
+    seeded = minimum_time_pulse(
+        control_set,
+        target,
+        upper_bound_ns=upper_ns,
+        hyperparameters=hyper,
+        settings=settings,
+        warm_start=seed,
+    )
+    perf.count("grape.warm_start.seeded_iterations", seeded.total_iterations)
+    if seeded.converged:
+        perf.count("grape.warm_start.accepted")
+        return seeded
+    cold = minimum_time_pulse(
+        control_set,
+        target,
+        upper_bound_ns=upper_ns,
+        hyperparameters=hyper,
+        settings=settings,
+    )
+    perf.count("grape.warm_start.cold_rerun_iterations", cold.total_iterations)
+    if cold.converged or cold.fidelity >= seeded.fidelity:
+        perf.count("grape.warm_start.rejected")
+        winner, loser = cold, seeded
+    else:
+        perf.count("grape.warm_start.accepted")
+        winner, loser = seeded, cold
+    return replace(
+        winner,
+        total_iterations=winner.total_iterations + loser.total_iterations,
+        grape_calls=winner.grape_calls + loser.grape_calls,
+        wall_time_s=winner.wall_time_s + loser.wall_time_s,
+        probes=[*seeded.probes, *cold.probes],
+    )
+
+
+def search_job(job):
+    """The pure minimum-time search of one :class:`~repro.pipeline.jobs
+    .BlockJob`: guarded from ``job.seed`` when it has one, cold otherwise.
+
+    Reads nothing but the job and touches no cache, so any process can
+    run it.
+    """
+    control_set = build_control_set(job.device, job.device_qubits)
+    upper = max(job.gate_based_ns, job.settings.resolved_dt())
+    if job.seed is None:
+        return minimum_time_pulse(
+            control_set,
+            job.target,
+            upper_bound_ns=upper,
+            hyperparameters=job.hyperparameters,
+            settings=job.settings,
+        )
+    return _seeded_search(
+        control_set,
+        job.target,
+        upper,
+        job.hyperparameters,
+        job.settings,
+        job.seed,
+    )
+
+
+def compile_jobs(jobs: list, cache, executor) -> list:
+    """Compile block jobs against the caller's ``cache``.
+
+    The one home of the per-block sequence (cache hit, warm-start seed,
+    search, strictly-not-worse judgment) behind :meth:`BlockPulseCompiler
+    .compile_block`, :meth:`~BlockPulseCompiler.compile_job` and the
+    in-process half of the dispatch contract
+    (:meth:`~repro.pipeline.executors.BlockExecutor.dispatch_jobs`): cache
+    hits and warm-start seeds are resolved here, before any result is
+    written, the cold jobs travel as seed-carrying pure searches through
+    ``executor``, and the results are cached and judged here in job order.
+    A job repeating an earlier cold job's key is served from that result,
+    as a cache hit — exactly what compiling the jobs one by one gives.
+    """
+    outcomes: list = [None] * len(jobs)
+    compilers: list = []
+    cold: dict = {}  # key -> index of the job that searches it
+    searches: list = []
+    for i, job in enumerate(jobs):
+        compiler = BlockPulseCompiler(
+            job.device,
+            job.settings,
+            job.hyperparameters,
+            cache,
+            warm_start=job.warm_start,
+            warm_start_max_dist=job.warm_start_max_dist,
+        )
+        compilers.append(compiler)
+        if job.key in cold:
+            continue
+        cached = cache.get(job.key)
+        if cached is not None:
+            cache.annotate_target(job.key, job.target)
+            outcomes[i] = compiler._cache_hit_outcome(
+                job.device_qubits, job.gate_based_ns, cached
+            )
+            continue
+        control_set = build_control_set(job.device, job.device_qubits)
+        seed = compiler._find_seed(
+            job.key, job.target, control_set, job.gate_based_ns
+        )
+        cold[job.key] = i
+        searches.append(replace(job, seed=seed))
+    results = dict(zip(cold.values(), executor.run_searches(searches)))
+
+    for i, job in enumerate(jobs):
+        if outcomes[i] is not None:
+            continue
+        compiler = compilers[i]
+        if i in results:
+            outcomes[i] = compiler._fresh_outcome(
+                job.device_qubits, job.gate_based_ns, job.key, results[i], job.target
+            )
+            continue
+        # A repeat of an earlier cold job's key: its result is cached now.
+        cache.annotate_target(job.key, job.target)
+        outcomes[i] = compiler._cache_hit_outcome(
+            job.device_qubits, job.gate_based_ns, cache.get(job.key)
+        )
+    return outcomes
 
 
 def default_device_for(circuit: QuantumCircuit) -> GmonDevice:

@@ -15,6 +15,7 @@ benchmark harness snapshot or reset it around the region they measure.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -115,6 +116,15 @@ class PerfRegistry:
 
 
 _global_registry = PerfRegistry("global")
+
+
+def _reinit_lock_in_child() -> None:
+    # A forked child (a search worker) has one thread; a lock some other
+    # parent thread held at fork time would otherwise never be released.
+    _global_registry._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_lock_in_child)
 
 
 def get_perf_registry() -> PerfRegistry:

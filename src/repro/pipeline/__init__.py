@@ -9,9 +9,10 @@ transformer framework:
   persistent pool variants that stay warm across every ``map`` of a run;
   all implement the :class:`Dispatcher` contract over serializable jobs.
 * :mod:`repro.pipeline.jobs` — :class:`BlockJob`, the picklable
-  block-compilation descriptor every dispatch venue (in-process pools,
-  the :mod:`repro.fleet` worker processes) executes via
-  :func:`run_block_job`.
+  block-compilation descriptor: a seed-carrying pure search for the
+  executors and the ``auto`` executor's search worker, a whole compile
+  against a pulse cache (:func:`run_block_job`) for the
+  :mod:`repro.fleet` worker processes.
 * :mod:`repro.pipeline.stages` — composable :class:`Stage` objects carrying
   a :class:`PipelineContext` from circuit to pulse program.
 * :mod:`repro.pipeline.pipeline` — :class:`CompilationPipeline`, an ordered

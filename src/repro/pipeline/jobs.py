@@ -1,21 +1,30 @@
 """Serializable block-compilation jobs — dispatch as data, not closures.
 
-The dispatch path historically handed *closures* to
-:meth:`~repro.pipeline.executors.BlockExecutor.map`, which kept every bit
-of work pinned to the service's address space.  :class:`BlockJob` is the
-closure turned inside out: a picklable descriptor carrying everything a
-bare process needs to compile one deduplicated block — the dedup/cache
-key, the phase-canonical target unitary, the device (control context
-source), GRAPE settings with the preset-deferred fields materialized,
-time-search hyperparameters, and the resolved warm-start policy.
+:class:`BlockJob` is a picklable descriptor carrying everything a bare
+process needs to compile one deduplicated block — the dedup/cache key,
+the phase-canonical target unitary, the device (control context source),
+GRAPE settings with the preset-deferred fields materialized, time-search
+hyperparameters, the resolved warm-start policy and, once the dispatching
+process has consulted its cache, the warm-start seed itself.
 
-``run_block_job`` is the single execution function for every venue: the
-in-process executors map it over jobs directly
-(:meth:`~repro.pipeline.executors.BlockExecutor.dispatch_jobs`), process
-pools pickle it once per worker, and the :mod:`repro.fleet` worker loop
-calls it for jobs pulled off the file-backed queue.  GRAPE is
-deterministic for a given (target, context, settings), so the same job
-compiles to the same pulse bit-for-bit no matter which venue ran it.
+A job runs in one of two venues:
+
+* :func:`repro.core.compiler.search_job` — the pure minimum-time search
+  from the job's own seed.  It needs no pulse cache: the dispatching
+  process resolved cache hits and seeds before any search ran, and it
+  writes and judges the results itself, in block order.  The in-process
+  executors, the process pools and the ``auto`` executor's forked search
+  worker all run this; out-of-process venues use
+  :func:`search_block_job_counted`, which also returns the ``repro.perf``
+  counts the search made so the dispatcher can record them.
+* :func:`run_block_job` — the whole compile against a pulse cache (hit,
+  seed, search, judgment), for venues that own a cache: the
+  :mod:`repro.fleet` worker loop, which reads and fills the shared
+  library.
+
+GRAPE is deterministic for a given (target, context, settings, seed), so
+the same job compiles to the same pulse bit-for-bit no matter which venue
+ran it.
 
 This module also owns the JSON encoding of schedules, outcomes, and
 cache entries (moved here from the scheduler): job results must cross
@@ -151,6 +160,12 @@ class BlockJob:
         dispatcher before enqueueing so detached workers persist pulses
         where the service can see them; ``None`` means a private
         in-memory cache.
+    seed:
+        The warm-start seed the dispatching process resolved from its
+        cache (:meth:`~repro.core.compiler.BlockPulseCompiler._find_seed`),
+        or ``None`` for a cold search.  :func:`~repro.core.compiler
+        .search_job` starts from it; :func:`run_block_job` ignores it and
+        resolves a seed from its own cache.
     """
 
     key: tuple
@@ -164,6 +179,7 @@ class BlockJob:
     warm_start_max_dist: float
     preset: str
     cache_dir: str | None = None
+    seed: object = None
 
     @property
     def name(self) -> str:
@@ -176,10 +192,10 @@ class BlockJob:
 def run_block_job(job: BlockJob, cache=None):
     """Compile one :class:`BlockJob` to a ``BlockCompileOutcome``.
 
-    ``cache`` lets in-process dispatch (and long-lived fleet workers)
-    share one pulse cache across jobs; when ``None`` the job's
-    ``cache_dir`` decides between a shared on-disk library and a private
-    in-memory cache.  Runs the exact resolved-block path of
+    ``cache`` lets long-lived venues (fleet workers) share one pulse cache
+    across jobs; when ``None`` the job's ``cache_dir`` decides between a
+    shared on-disk library and a private in-memory cache.  Runs the exact
+    resolved-block path of
     :meth:`~repro.core.compiler.BlockPulseCompiler.compile_block`, so the
     result is bit-identical to compiling the block in-process.
     """
@@ -200,3 +216,42 @@ def run_block_job(job: BlockJob, cache=None):
         warm_start_max_dist=job.warm_start_max_dist,
     )
     return compiler.compile_job(job)
+
+
+def search_block_job_counted(job: BlockJob) -> tuple:
+    """:func:`repro.core.compiler.search_job` for a venue in another
+    process.
+
+    Returns ``(result, counts)``: ``counts`` holds every ``repro.perf``
+    counter the search moved in this process (the ``grape.warm_start.*``
+    accept/reject and iteration counts), which the dispatching process
+    folds into its own registry with :func:`record_counts`.  Applies the
+    job's preset first, so a long-lived worker follows the dispatcher's.
+    Must not run in the dispatching process itself: there the counts
+    already landed in the shared registry.
+    """
+    from repro.config import get_preset, set_preset
+    from repro.core.compiler import search_job
+    from repro.perf import get_perf_registry
+
+    if get_preset().name != job.preset:
+        set_preset(job.preset)
+    perf = get_perf_registry()
+    before = perf.snapshot()["counters"]
+    result = search_job(job)
+    after = perf.snapshot()["counters"]
+    counts = {
+        name: value - before.get(name, 0)
+        for name, value in after.items()
+        if value != before.get(name, 0)
+    }
+    return result, counts
+
+
+def record_counts(counts: dict) -> None:
+    """Fold a worker's ``repro.perf`` counts into this process's registry."""
+    from repro.perf import get_perf_registry
+
+    perf = get_perf_registry()
+    for name, amount in counts.items():
+        perf.count(name, amount)

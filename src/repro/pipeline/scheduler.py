@@ -492,7 +492,9 @@ class BlockScheduler:
         """Run every dispatch task; batch fixed ones when it pays.
 
         Fixed representatives travel one of three routes, preferred in
-        order: the cross-block batched GRAPE kernel (inline executors),
+        order: :meth:`~repro.core.compiler.BlockPulseCompiler
+        .compile_blocks_batched` (executors that prefer batching; its
+        seeded searches go through the executor's ``run_searches``),
         serializable :class:`~repro.pipeline.jobs.BlockJob` descriptors
         through the executor's :meth:`~repro.pipeline.executors
         .Dispatcher.dispatch_jobs` (the fleet-ready data path), or the
@@ -516,6 +518,7 @@ class BlockScheduler:
                     for j in fixed_idx
                 ],
                 max_group=self.grape_batch_size,
+                executor=self.executor,
             )
             for j, outcome in zip(fixed_idx, outcomes):
                 results[j] = outcome

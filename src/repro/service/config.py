@@ -133,9 +133,10 @@ class ServiceConfig:
     ----------
     executor:
         How independent per-block GRAPE searches are dispatched
-        (``REPRO_EXECUTOR``): ``"auto"`` (default) picks per host —
-        inline execution plus cross-block batched GRAPE on 1–2 CPU
-        machines, the shared thread pool for large maps elsewhere — or
+        (``REPRO_EXECUTOR``): ``"auto"`` (default) picks per host — a
+        service forks one search worker once and splits each request's
+        cold searches between it and the calling thread (see
+        :class:`repro.pipeline.executors.AutoExecutor`) — or
         force ``"serial"``, ``"thread"``, ``"process"``, or the
         ``"thread-persistent"`` / ``"process-persistent"`` variants that
         amortize one long-lived pool across every map of a run.

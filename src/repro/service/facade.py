@@ -139,6 +139,11 @@ class CompilationService:
             else None
         )
         self.backpressure_waits = 0
+        # Last, and before this service starts any thread of its own: the
+        # auto executor forks its search worker here, once.
+        start_worker = getattr(self.executor, "start_worker", None)
+        if start_worker is not None:
+            start_worker()
 
     def _make_queue_dispatcher(self):
         """The fleet dispatcher selected by ``dispatcher="queue"``.

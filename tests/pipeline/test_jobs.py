@@ -11,6 +11,7 @@ import json
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +22,18 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.core import PersistentPulseCache, PulseCache
 from repro.core.cache import _key_filename
-from repro.core.compiler import BlockPulseCompiler
+from repro.core.compiler import BlockPulseCompiler, search_job
 from repro.errors import CompilationError
 from repro.pipeline.jobs import (
     BlockJob,
     _decode_outcome,
     _encode_outcome,
     run_block_job,
+    search_block_job_counted,
 )
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+from repro.pulse.hamiltonian import build_control_set
 from repro.transpile.topology import line_topology
 
 SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
@@ -186,3 +189,43 @@ class TestExecutorDispatchJobs:
         executor = resolve_executor(executor_name, max_workers=2)
         outcomes = executor.dispatch_jobs(jobs, cache=PulseCache())
         assert [_encode_outcome(o) for o in outcomes] == expected
+
+    @pytest.mark.parametrize("executor_name", ["serial", "process"])
+    def test_repeated_key_is_served_from_the_first(self, executor_name):
+        """Compiling jobs one by one against one cache: the second job with
+        a key is a cache hit on the first one's pulse."""
+        from repro.pipeline import resolve_executor
+
+        job = _compiler().make_job(_block(0.35), (0, 1))
+        cache = PulseCache()
+        expected = [
+            _encode_outcome(run_block_job(job, cache=cache)) for _ in range(2)
+        ]
+        executor = resolve_executor(executor_name, max_workers=2)
+        outcomes = executor.dispatch_jobs([job, job], cache=PulseCache())
+        assert [_encode_outcome(o) for o in outcomes] == expected
+        assert outcomes[1].cache_hit is True
+
+
+class TestSearchJob:
+    def test_counted_search_returns_its_counts(self):
+        compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache()
+        )
+        job = compiler.make_job(_block(0.5), (0, 1))
+        control_set = build_control_set(job.device, job.device_qubits)
+        seed = compiler._find_seed(
+            job.key, job.target, control_set, job.gate_based_ns
+        )
+        assert seed is not None  # two-qubit blocks get a KAK seed
+        seeded = replace(job, seed=seed)
+        plain = search_job(seeded)
+        result, counts = search_block_job_counted(seeded)
+        assert np.array_equal(result.schedule.controls, plain.schedule.controls)
+        assert result.total_iterations == plain.total_iterations
+        assert counts["grape.warm_start.seeded_iterations"] > 0
+        assert (
+            counts.get("grape.warm_start.accepted", 0)
+            + counts.get("grape.warm_start.rejected", 0)
+            == 1
+        )
