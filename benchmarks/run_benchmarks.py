@@ -51,12 +51,6 @@ itself* are machine-checkable and accumulate over time:
   The CI gate: neighbor seeding never costs iterations and never
   lengthens the pulses; the committed full run must show the ≥30%
   iteration-reduction headline.
-* ``time_search`` — the minimum-time binary search on a block whose
-  initial feasibility bound (and its half) fail, so the doubling phase
-  triggers: lazy sequential doublings vs ``probe_executor="auto"`` (which
-  declines speculation on small hosts) vs forced ``"thread"`` speculation,
-  wall time and total-iteration cost side by side.  The CI gate: ``auto``
-  is never slower than sequential beyond a noise margin.
 
 The compile-level benches (``pipeline``, ``cache``) run through
 :class:`repro.service.CompilationService` — the supported front door — so
@@ -238,10 +232,9 @@ def bench_pipeline(quick: bool) -> dict:
     """Multi-block compile wall time: serial vs the ``auto`` executor.
 
     ``auto`` is the service default, so this bench gates what every caller
-    gets out of the box.  The gate is host-independent by design: whatever
-    mode ``auto`` picked for this machine (inline + batched GRAPE on small
-    hosts, the persistent thread pool on large ones), it must never be
-    slower than forcing ``serial`` beyond a noise margin.
+    gets out of the box.  The gate is host-independent by design: whether
+    or not ``auto`` forked a search worker on this machine, it must never
+    be slower than forcing ``serial`` beyond a noise margin.
     """
     num_qubits = 6 if quick else 8
     settings = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
@@ -284,13 +277,12 @@ def bench_pipeline(quick: bool) -> dict:
         entries.append(entry)
         print(
             f"  pipeline {name}: {wall:.2f} s over {result.blocks_compiled} "
-            f"blocks (mode {entry.get('mode', name)})"
+            f"blocks ({entry.get('search_workers', 0)} search workers)"
         )
     serial_wall = entries[0]["wall_s"]
     auto = entries[1]
     derived = {
         "speedup_auto": round(serial_wall / auto["wall_s"], 3),
-        "auto_mode": auto.get("mode"),
         "auto_batched_blocks": auto["batched_blocks"],
         "durations_match": bool(
             np.isclose(
@@ -1189,111 +1181,6 @@ def bench_grape_batch(quick: bool) -> dict:
     return {"entries": entries, "derived": derived}
 
 
-def bench_time_search(quick: bool) -> dict:
-    """Minimum-time search: sequential vs auto vs forced speculation.
-
-    The upper bound is chosen so the initial feasibility probes (the bound
-    and its half) fail, forcing the doubling phase — the part
-    ``probe_executor`` parallelizes.  Forced ``"thread"`` speculation
-    trades extra GRAPE iterations (every doubling candidate runs) for
-    wall-clock latency, so it is recorded but never gated (few-core
-    machines invert the trade).  ``"auto"`` is gated: it declines
-    speculation exactly when cores are scarce, so it must never be slower
-    than the lazy sequential path beyond a noise margin on any host.
-    """
-    from repro.linalg.random import haar_random_unitary
-    from repro.pulse.grape.time_search import minimum_time_pulse
-    from repro.pulse.hamiltonian import build_control_set
-
-    device = GmonDevice(line_topology(2))
-    control_set = build_control_set(device, (0, 1))
-    target = haar_random_unitary(4, seed=7)
-    settings = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
-    hyper = GrapeHyperparameters(
-        learning_rate=0.05,
-        decay_rate=0.002,
-        max_iterations=120 if quick else 300,
-    )
-    # A Haar-random SU(4) needs ~4 ns at these settings; bounding the first
-    # probe at 2 ns makes it (and the 1 ns half-probe) fail, so the search
-    # must double its way to feasibility.
-    upper_bound_ns = 2.0
-    repeats = 3 if quick else 5
-    entries = []
-    outcomes = {}
-    modes = (
-        ("sequential", None),
-        ("auto", "auto"),
-        ("speculative-thread", "thread"),
-    )
-    for name, probe_executor in modes:
-        walls = []
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = minimum_time_pulse(
-                control_set,
-                target,
-                upper_bound_ns=upper_bound_ns,
-                hyperparameters=hyper,
-                settings=settings,
-                probe_executor=probe_executor,
-            )
-            walls.append(time.perf_counter() - start)
-        outcomes[name] = (min(walls), result)
-        entries.append(
-            {
-                "name": name,
-                "wall_s": round(min(walls), 4),
-                "duration_ns": round(result.duration_ns, 3),
-                "converged": result.converged,
-                "total_iterations": result.total_iterations,
-                "grape_calls": result.grape_calls,
-            }
-        )
-        print(
-            f"  time_search {name}: {min(walls):.3f} s, "
-            f"{result.total_iterations} iterations over {result.grape_calls} "
-            f"probes, minimum time {result.duration_ns:.1f} ns"
-        )
-    seq_wall, seq = outcomes["sequential"]
-    auto_wall, auto = outcomes["auto"]
-    spec_wall, spec = outcomes["speculative-thread"]
-    derived = {
-        "speedup_auto": round(seq_wall / auto_wall, 3),
-        "speedup_speculative": round(seq_wall / spec_wall, 3),
-        "sequential_duration_ns": round(seq.duration_ns, 3),
-        "auto_duration_ns": round(auto.duration_ns, 3),
-        "speculative_duration_ns": round(spec.duration_ns, 3),
-        "auto_extra_iterations": auto.total_iterations - seq.total_iterations,
-        "extra_probe_iterations": spec.total_iterations - seq.total_iterations,
-        # Both initial feasibility probes (bound + half-bound) must fail
-        # for the doubling phase — the part probe_executor parallelizes —
-        # to run at all.
-        "doubling_phase_triggered": (
-            len(seq.probes) >= 2
-            and not seq.probes[0][2]
-            and not seq.probes[1][2]
-        ),
-    }
-    if not (seq.converged and auto.converged and spec.converged):
-        raise AssertionError("every time-search mode must converge on this block")
-    if not derived["doubling_phase_triggered"]:
-        raise AssertionError(
-            "the bench workload must force the feasibility-doubling phase "
-            "(the part probe_executor parallelizes)"
-        )
-    # The CI "never slower" gate: auto declines speculation when cores are
-    # scarce and enables it when they are free, so it must track the
-    # better choice within scheduler noise on any host.
-    if auto_wall > seq_wall * 1.15:
-        raise AssertionError(
-            f"auto probe executor was slower than sequential beyond the "
-            f"noise margin: {auto_wall:.3f} s vs {seq_wall:.3f} s"
-        )
-    return {"entries": entries, "derived": derived}
-
-
 def bench_warm_start(quick: bool) -> dict:
     """Warm-started GRAPE: cold vs neighbor-seeded vs KAK-seeded compiles.
 
@@ -1439,7 +1326,6 @@ BENCHES = {
     "service_concurrency": bench_service_concurrency,
     "service_load": bench_service_load,
     "session": bench_session,
-    "time_search": bench_time_search,
     "warm_start": bench_warm_start,
 }
 

@@ -9,8 +9,8 @@ Small utilities for poking at the reproduction without writing a script:
 * ``compile`` — run one benchmark through a chosen compilation strategy
   (each ``--method`` maps to a ``repro.service`` registry key) at a random
   parametrization and report pulse duration + runtime latency.
-  ``--executor``/``--jobs`` parallelize the independent per-block GRAPE
-  searches; ``--cache-dir`` persists GRAPE results on disk so a second
+  ``--executor`` picks how the independent per-block GRAPE searches are
+  dispatched; ``--cache-dir`` persists GRAPE results on disk so a second
   invocation starts warm (pulse-cache telemetry is printed either way).
 * ``compile-batch`` — batch-compile one benchmark at several random
   parametrizations through the cross-circuit block scheduler, reporting
@@ -37,9 +37,8 @@ Small utilities for poking at the reproduction without writing a script:
   over HTTP; ``--verify-local`` recompiles in-process and checks the
   returned pulses are bit-identical.
 * ``cache-stats`` — inspect a persistent pulse-cache directory: shard
-  occupancy, index size, evictions, prefetch counters, plus persistent
-  worker-pool telemetry.  A directory that does not exist yet reports an
-  empty cache (and is not created).
+  occupancy, index size, evictions and prefetch counters.  A directory
+  that does not exist yet reports an empty cache (and is not created).
 * ``library stats`` / ``library gc`` — operate directly on the sharded
   pulse library (occupancy report; LRU eviction down to a size budget).
 
@@ -149,8 +148,6 @@ def _service_config_from_args(args):
     overrides = {}
     if getattr(args, "executor", None):
         overrides["executor"] = args.executor
-    if getattr(args, "jobs", None):
-        overrides["max_workers"] = args.jobs
     if getattr(args, "cache_dir", None):
         overrides["cache_dir"] = args.cache_dir
     if getattr(args, "dispatcher", None):
@@ -186,12 +183,6 @@ def _cmd_compile(args) -> int:
     rng = np.random.default_rng(args.seed)
     values = list(rng.uniform(-np.pi / 2, np.pi / 2, size=len(circuit.parameters)))
     config = _service_config_from_args(args)
-    if args.jobs and config.executor == "serial":
-        print(
-            "note: --jobs has no effect with the serial executor; "
-            "pass --executor thread|process",
-            file=sys.stderr,
-        )
 
     strategy = METHOD_STRATEGIES[args.method]
     options = {"tuning_samples": 1} if args.method == "flexible" else {}
@@ -231,9 +222,6 @@ def _cmd_compile(args) -> int:
         ("precompute", precompute),
         ("executor", executor_name),
         ("cache backend", stats["backend"]),
-        # Block-level hits travel back from executor workers with the
-        # outcomes, so they stay accurate even under the process pool
-        # (whose workers mutate forked cache copies, not this one).
         ("block cache hits", compiled.cache_hits),
         ("cache hits / misses", f"{stats['hits']} / {stats['misses']}"),
     ]
@@ -351,7 +339,6 @@ def _cmd_config_show(args) -> int:
     overrides = {}
     for field_name, arg_name in (
         ("executor", "executor"),
-        ("max_workers", "jobs"),
         ("submit_workers", "submit_workers"),
         ("cache_dir", "cache_dir"),
         ("cache_shards", "cache_shards"),
@@ -408,22 +395,6 @@ def _cmd_config_show(args) -> int:
     return 0
 
 
-def _pool_rows() -> list:
-    from repro.pipeline import persistent_executor_stats
-
-    rows = []
-    for stats in persistent_executor_stats():
-        label = f"pool {stats['executor']}×{stats['max_workers']}"
-        rows.append(
-            (
-                label,
-                f"pools_created={stats['pools_created']} "
-                f"map_calls={stats['map_calls']}",
-            )
-        )
-    return rows
-
-
 def _cache_stats_rows(directory, stats) -> list:
     """One row set for both the live and the never-created cache paths,
     so the two reports cannot drift apart.  ``stats`` is a swept report
@@ -473,7 +444,6 @@ def _cmd_cache_stats(args) -> int:
         cache = PersistentPulseCache(args.dir, **options)
         rows = _cache_stats_rows(cache.directory, cache.stats(sweep=True))
         title = "persistent pulse cache"
-    rows.extend(_pool_rows())
     print(format_table(("property", "value"), rows, title=title))
     return 0
 
@@ -796,12 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTOR_CHOICES,
         default=None,
-        help="dispatch of independent per-block GRAPE searches; the "
-        "*-persistent variants keep one worker pool warm across every "
-        "map of the run (default: REPRO_EXECUTOR or auto)",
-    )
-    compile_.add_argument(
-        "--jobs", type=int, default=None, help="worker count for parallel executors"
+        help="dispatch of independent per-block GRAPE searches "
+        "(default: REPRO_EXECUTOR or auto)",
     )
     compile_.add_argument(
         "--cache-dir",
@@ -837,7 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--block-width", type=int, default=2)
     batch.add_argument("--seed", type=int, default=0)
     batch.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None)
-    batch.add_argument("--jobs", type=int, default=None)
     batch.add_argument("--cache-dir", default=None)
     from repro.service.config import DISPATCHER_CHOICES
 
@@ -989,9 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None)
     serve.add_argument(
-        "--jobs", type=int, default=None, help="max_workers override"
-    )
-    serve.add_argument(
         "--cache-dir",
         default=None,
         dest="cache_dir",
@@ -1114,7 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
         "provenance (default / env / CLI)",
     )
     show.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None)
-    show.add_argument("--jobs", type=int, default=None, help="max_workers override")
     show.add_argument(
         "--submit-workers",
         type=int,

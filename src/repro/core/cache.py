@@ -15,9 +15,9 @@ Two backends are provided:
   sharded on-disk :class:`repro.library.PulseLibrary`, fingerprint-keyed,
   so a *second process* (or a later session) starts warm.  Writes are
   atomic (temp file + ``os.replace``), which makes the directory safe
-  under concurrent writers — including the process-pool block executor of
-  :mod:`repro.pipeline` and other hosts sharing the directory over a
-  network filesystem.  The library also carries the index, the LRU/budget
+  under concurrent writers — including :mod:`repro.fleet` worker
+  processes and other hosts sharing the directory over a network
+  filesystem.  The library also carries the index, the LRU/budget
   ``gc()``, and the one-time migration of legacy flat directories.
 
 The service picks the backend from its ``ServiceConfig.cache_dir``; every
@@ -144,8 +144,8 @@ class PulseCache:
         self.key_memo_hits = 0
         self.key_memo_misses = 0
 
-    # The lock cannot cross process boundaries (the process-pool executor
-    # pickles the block compiler, cache included); recreate it on unpickle.
+    # The lock cannot cross process boundaries (a pickled block compiler
+    # carries its cache); recreate it on unpickle.
     # The fingerprint memo stays behind too: job venues never re-key blocks.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -507,9 +507,9 @@ class PersistentPulseCache(PulseCache):
 
     def __getstate__(self) -> dict:
         # The disk tier is the durable source of truth, so the memory tier
-        # need not travel with the pickle — process-pool workers re-read
+        # need not travel with the pickle — an unpickled copy re-reads
         # entries from disk on demand.  Shipping it would cost
-        # O(tasks × cache size) serialization per parallel map.
+        # O(cache size) serialization per pickle.
         state = super().__getstate__()
         state["_entries"] = {}
         state["_targets"] = {}

@@ -86,7 +86,6 @@ def _tune_parametrized_block(
     decay_grid: tuple,
     seed: int,
     tuning_strategy: str,
-    probe_executor,
     memo,
     task: BlockTask,
 ) -> _ParametrizedEntry:
@@ -94,10 +93,7 @@ def _tune_parametrized_block(
 
     Establishes the working pulse duration with a minimum-time probe on the
     first sample target, then tunes the optimizer hyperparameters over the
-    sample angles (paper section 7.2).  ``probe_executor`` (an executor
-    *name*, so the handler stays picklable) parallelizes the probe's
-    feasibility doublings for blocks whose initial bound is infeasible.
-    Every probe and tuning run goes through ``memo`` (a
+    sample angles (paper section 7.2).  Every probe and tuning run goes through ``memo`` (a
     :class:`~repro.pulse.grape.memo.GrapeRunMemo`, or ``None``).
     """
     sub = task.subcircuit
@@ -113,7 +109,6 @@ def _tune_parametrized_block(
         upper_bound_ns=max(gate_ns, dt),
         hyperparameters=hyperparameters,
         settings=settings,
-        probe_executor=probe_executor,
         memo=memo,
     )
     if probe.converged and probe.duration_ns <= gate_ns:
@@ -180,7 +175,6 @@ def _block_tuner(
     decay_rates,
     seed,
     tuning_strategy,
-    probe_executor,
     memo,
 ):
     """The picklable per-θ-block precompile handler, its options checked."""
@@ -195,7 +189,6 @@ def _block_tuner(
         decay_rates or DEFAULT_DECAY_RATES,
         seed,
         tuning_strategy,
-        probe_executor,
         memo,
     )
 
@@ -298,7 +291,6 @@ class _FlexiblePartialCompiler:
         seed: int = 11,
         tuning_strategy: str = "grid",
         executor=None,
-        probe_executor: str | None = None,
     ) -> "FlexiblePartialCompiler":
         """Slice, precompile fixed blocks, and tune parametrized blocks.
 
@@ -307,11 +299,6 @@ class _FlexiblePartialCompiler:
         :mod:`repro.core.search` ("random", "halving", "rbf").
         ``executor`` parallelizes the per-block work — both the Fixed-block
         GRAPE searches and the per-θ tuning runs are independent.
-        ``probe_executor`` (an executor *name*, e.g. ``"thread"``)
-        additionally parallelizes the feasibility-doubling probes *within*
-        each parametrized block's minimum-time search — useful when a few
-        hard blocks dominate precompute latency; the binary-search probes
-        stay sequential by design.
         """
         device = device or default_device_for(circuit)
         settings = settings or GrapeSettings()
@@ -330,7 +317,6 @@ class _FlexiblePartialCompiler:
             decay_rates,
             seed,
             tuning_strategy,
-            probe_executor,
             None,
         )
         pipeline = flexible_precompile_pipeline(
@@ -363,7 +349,6 @@ class _FlexiblePartialCompiler:
         seed: int = 11,
         tuning_strategy: str = "grid",
         executor=None,
-        probe_executor: str | None = None,
         state=None,
         grape_memo=None,
         config: ServiceConfig | None = None,
@@ -409,7 +394,6 @@ class _FlexiblePartialCompiler:
             decay_rates,
             seed,
             tuning_strategy,
-            probe_executor,
             grape_memo,
         )
         pipeline = flexible_precompile_pipeline(

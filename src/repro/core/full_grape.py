@@ -10,7 +10,7 @@ Structurally the compiler is a configuration of the shared
 ``bind → block → pulse → assemble+fallback``, with the per-block GRAPE
 searches dispatched through a pluggable
 :class:`~repro.pipeline.executors.BlockExecutor` — they are independent, so
-``executor="thread"`` / ``"process"`` compiles blocks concurrently.
+the ``auto`` executor runs a share of them on its forked search worker.
 """
 
 from __future__ import annotations

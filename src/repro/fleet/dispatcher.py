@@ -50,9 +50,8 @@ class QueueDispatcher(BlockExecutor):
     name = "queue"
     #: ``map`` runs inline in the service process (parametrized handlers,
     #: plan entries), so the scheduler should not stack batched GRAPE work
-    #: onto it, and service-side speculative probes buy nothing.
+    #: onto it.
     prefers_batched = False
-    speculation_helps = False
 
     def __init__(
         self,

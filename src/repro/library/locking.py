@@ -8,8 +8,8 @@ every garbage-collection pass runs under an advisory ``flock`` on a
 dedicated lock file.
 
 :class:`FileLock` stores only the lock file *path*; the file descriptor is
-opened per acquisition, which keeps the object picklable (block compilers —
-library included — travel into process-pool workers).  The lock is
+opened per acquisition, which keeps the object picklable (a pickled
+library carries its locks along).  The lock is
 re-entrant within a thread-free scope but not across threads, so callers
 additionally hold their own in-process mutex where needed.
 

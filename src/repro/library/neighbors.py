@@ -205,9 +205,9 @@ class NeighborIndex:
         self.shard_reads = 0
         library.observe(self._replace)
 
-    # The lock stays behind at pickle boundaries (the process-pool block
-    # executor ships compilers, cache and index included); workers rebuild
-    # their own scan lazily.
+    # The lock stays behind at pickle boundaries (a pickled cache carries
+    # its index along); the receiving process rebuilds its own scan
+    # lazily.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
@@ -287,8 +287,8 @@ class NeighborIndex:
 
         The outermost freeze syncs first, so it sees other writers' entries
         too.  The frozen-name snapshot — not the bucket dicts — is what
-        pickles across to process-pool workers, so a worker that builds its
-        own scan mid-pass still resolves exactly the pre-pass candidate set.
+        pickles across to another process, so a copy that builds its own
+        scan mid-pass still resolves exactly the pre-pass candidate set.
         """
         with self._lock:
             outermost = self._frozen_names is None

@@ -672,8 +672,8 @@ class PulseLibrary:
         return removed
 
     # The locks, observer and prefetch buffer stay behind at pickle
-    # boundaries (process-pool workers re-prefetch on demand against their
-    # own copy); everything else — paths, layout, counters — travels.
+    # boundaries (an unpickled copy re-prefetches on demand against its
+    # own state); everything else — paths, layout, counters — travels.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_prefetch_lock"]

@@ -5,9 +5,9 @@ package makes that flow explicit and declarative, in the spirit of Cirq's
 transformer framework:
 
 * :mod:`repro.pipeline.executors` — pluggable dispatch of independent
-  per-block GRAPE searches: serial, thread pool, process pool, or the
-  persistent pool variants that stay warm across every ``map`` of a run;
-  all implement the :class:`Dispatcher` contract over serializable jobs.
+  per-block GRAPE searches: ``serial``, or ``auto``, which adds one forked
+  search worker; both implement the :class:`Dispatcher` contract over
+  serializable jobs.
 * :mod:`repro.pipeline.jobs` — :class:`BlockJob`, the picklable
   block-compilation descriptor: a seed-carrying pure search for the
   executors and the ``auto`` executor's search worker, a whole compile
@@ -37,14 +37,8 @@ transformer framework:
 from repro.pipeline.executors import (
     BlockExecutor,
     Dispatcher,
-    PersistentProcessPoolBlockExecutor,
-    PersistentThreadPoolBlockExecutor,
-    ProcessPoolBlockExecutor,
     SerialExecutor,
-    ThreadPoolBlockExecutor,
-    persistent_executor_stats,
     resolve_executor,
-    shutdown_persistent_executors,
 )
 from repro.pipeline.jobs import BlockJob, run_block_job
 from repro.pipeline.pipeline import CompilationPipeline
@@ -85,21 +79,15 @@ __all__ = [
     "SchedulerState",
     "VariationalSession",
     "GateScheduleStage",
-    "PersistentProcessPoolBlockExecutor",
-    "PersistentThreadPoolBlockExecutor",
     "PipelineContext",
-    "ProcessPoolBlockExecutor",
     "PulseStage",
     "SerialExecutor",
     "Stage",
-    "ThreadPoolBlockExecutor",
     "TranspileStage",
     "flexible_precompile_pipeline",
     "full_grape_pipeline",
     "gate_based_pipeline",
-    "persistent_executor_stats",
     "resolve_executor",
     "run_block_job",
-    "shutdown_persistent_executors",
     "strict_precompile_pipeline",
 ]

@@ -13,8 +13,8 @@ A job runs in one of two venues:
   from the job's own seed.  It needs no pulse cache: the dispatching
   process resolved cache hits and seeds before any search ran, and it
   writes and judges the results itself, in block order.  The in-process
-  executors, the process pools and the ``auto`` executor's forked search
-  worker all run this; out-of-process venues use
+  executors and the ``auto`` executor's forked search worker both run
+  this; out-of-process venues use
   :func:`search_block_job_counted`, which also returns the ``repro.perf``
   counts the search made so the dispatcher can record them.
 * :func:`run_block_job` — the whole compile against a pulse cache (hit,

@@ -362,8 +362,8 @@ def _retarget_outcome(outcome, task: BlockTask, cache_entry=None):
     cache entry is available (``cache_entry``), that judgment is exact:
     a GRAPE pulse the representative discarded as a fallback (its own
     gate time was shorter) can still win for a duplicate whose
-    decomposition is slower.  Without the entry (a process-pool worker's
-    cache write never reached this process), the representative's
+    decomposition is slower.  Without the entry (another process's
+    cache write never reached this one), the representative's
     outcome is the only evidence, so an unusable representative means the
     duplicate takes its lookup fallback.  Either way the duplicate costs
     zero GRAPE iterations and is never worse than gate-based compilation.
@@ -440,13 +440,13 @@ class BlockScheduler:
     def _batched_dispatch_allowed(self, fixed_count: int) -> bool:
         """Whether this pass should stack fixed tasks into the batched kernel.
 
-        Requires an executor that *prefers* batching (serial, or auto in
-        inline mode — a pool executor genuinely overlaps per-block maps, so
-        stacking would serialize it), at least two fixed representatives,
-        and a compiler whose dispatch path batching cannot change: a
-        subclass that overrides ``compile_block`` (failure injection,
-        custom judgment) without overriding ``compile_blocks_batched``
-        must keep its override on the dispatch path.
+        Requires an executor that *prefers* batching (serial and auto; the
+        fleet's queue dispatcher ships jobs instead), at least two fixed
+        representatives, and a compiler whose dispatch path batching
+        cannot change: a subclass that overrides ``compile_block``
+        (failure injection, custom judgment) without overriding
+        ``compile_blocks_batched`` must keep its override on the dispatch
+        path.
         """
         if not self.grape_batch or fixed_count < 2:
             return False

@@ -236,7 +236,7 @@ class BlockingStage(Stage):
 
 
 def _dispatch_task(fixed_handler, parametrized_handler, task: BlockTask):
-    """Route one task to its handler (module-level so pools can pickle it)."""
+    """Route one task to its handler (module-level, so it pickles)."""
     if task.kind == "parametrized":
         if parametrized_handler is None:
             raise PipelineError(

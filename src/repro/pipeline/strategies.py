@@ -38,7 +38,7 @@ from repro.pipeline.stages import (
 
 
 def compile_fixed_block(block_compiler, task: BlockTask):
-    """Compile one bound block task (module-level so pools can pickle it)."""
+    """Compile one bound block task (module-level, so it pickles)."""
     return block_compiler.compile_block(task.subcircuit, task.device_qubits)
 
 

@@ -330,10 +330,10 @@ def optimize_pulse_batch(
 class _SearchState:
     """One block's minimum-time search, re-expressed as a state machine.
 
-    Replays the decision sequence of the *sequential*
-    :func:`~repro.pulse.grape.time_search.minimum_time_pulse` path
-    (``probe_executor=None``) exactly: trial probes at the bound and its
-    half, lazy feasibility doublings, then the binary search, each probe
+    Replays the decision sequence of
+    :func:`~repro.pulse.grape.time_search.minimum_time_pulse` exactly:
+    trial probes at the bound and its half, lazy feasibility doublings,
+    then the binary search, each probe
     warm-started from the same schedule the sequential code would use.
     ``next_probe``/``feed`` split the loop so a driver can interleave many
     blocks' probes and batch the ones that share a step count.

@@ -100,9 +100,9 @@ class GrapeRunMemo:
 
     Thread-safe: one lock guards the entries and counters, and the GRAPE
     run of a miss happens outside it, so two threads that miss on one key
-    both run it and store equal results.  Pickling (a process-pool
-    executor pickles the precompile handler that holds the memo) drops the
-    entries: a worker process starts with an empty, working memo.
+    both run it and store equal results.  Pickling (of the precompile
+    handler that holds the memo) drops the entries: the receiving process
+    starts with an empty, working memo.
     """
 
     #: Bound on stored runs.  One request of an ansatz stores every probe

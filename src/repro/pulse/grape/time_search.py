@@ -7,21 +7,12 @@ precision of 0.3 ns.  Each probe warm-starts from the best feasible pulse
 found so far (resampled to the new step count), which substantially reduces
 the iterations per probe.
 
-The search has two phases with different parallelism structure.  The
-*binary search* is sequential by design: each probe's outcome decides the
-next interval.  The *feasibility-doubling* probes are not — once the
-initial bound (and its half) fail, the candidate doubled durations are
-independent GRAPE runs, so passing ``probe_executor`` dispatches them
-speculatively in parallel and keeps the shortest converged one.  The
-speculative path costs extra GRAPE iterations (every doubling runs instead
-of stopping at the first success) in exchange for wall-clock latency — the
-right trade inside flexible partial compilation's precompute phase, where
-hard blocks otherwise serialize three doublings back to back.
+The search is sequential by design: each probe's outcome decides the next
+interval, and the feasibility-doubling probes stop at the first success.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -63,45 +54,6 @@ class MinimumTimeResult:
         return self.duration_ns
 
 
-def _resolve_probe_executor(spec):
-    """Turn the ``probe_executor`` argument into an executor, or ``None``.
-
-    Unlike :func:`repro.pipeline.executors.resolve_executor`, a ``None``
-    spec stays ``None`` — speculative probing is opt-in per call site, not
-    inherited from the block-level executor (which would otherwise
-    silently multiply GRAPE work inside every block).
-    """
-    if spec is None:
-        return None
-    from repro.pipeline.executors import resolve_executor
-
-    executor = resolve_executor(spec)
-    # An executor that declares speculation unhelpful (auto on a 1–2 CPU
-    # host: no spare cores to hide the extra probes behind) degrades to the
-    # lazy sequential doubling path, which does strictly less GRAPE work.
-    if not getattr(executor, "speculation_helps", True):
-        return None
-    return executor
-
-
-def _feasibility_probe(
-    control_set: ControlSet,
-    target: np.ndarray,
-    hyper: GrapeHyperparameters,
-    settings: GrapeSettings,
-    dt: float,
-    warm: PulseSchedule | None,
-    memo,
-    duration_ns: float,
-) -> GrapeResult:
-    """One independent feasibility probe (module-level so pools can pickle)."""
-    steps = max(1, int(round(duration_ns / dt)))
-    initial = warm.resampled(steps).controls if warm is not None else None
-    return optimize_pulse(
-        control_set, target, steps, hyper, settings, initial=initial, memo=memo
-    )
-
-
 def minimum_time_pulse(
     control_set: ControlSet,
     target: np.ndarray,
@@ -111,7 +63,6 @@ def minimum_time_pulse(
     precision_ns: float | None = None,
     lower_bound_ns: float = 0.0,
     max_doublings: int = 3,
-    probe_executor=None,
     warm_start: PulseSchedule | None = None,
     memo=None,
 ) -> MinimumTimeResult:
@@ -125,19 +76,6 @@ def minimum_time_pulse(
         times if infeasible.
     precision_ns:
         Binary-search stopping width (preset default: paper uses 0.3 ns).
-    probe_executor:
-        Optional :class:`~repro.pipeline.executors.BlockExecutor` (or
-        executor name) for the feasibility-doubling probes.  ``None`` (the
-        default) keeps the lazy sequential behavior: doublings run one at a
-        time, stopping at the first success.  With an executor, all
-        doubling candidates run speculatively — in parallel for the pool
-        executors — and the shortest converged one wins; total iteration
-        counts include every speculative probe.  Because every speculative
-        probe warm-starts from the same pre-doubling best (instead of the
-        sequential path's chained warm starts), the feasible duration found
-        can differ slightly between the two modes; a first-probe success is
-        identical either way.  The binary search itself always stays
-        sequential (each probe decides the next interval).
     warm_start:
         Optional seed schedule (a cached neighbor's pulse or an analytic
         KAK seed).  Probes that have no in-search best yet start from it
@@ -208,44 +146,14 @@ def minimum_time_pulse(
         if best is None or result.fidelity > best.fidelity:
             best = result
 
-    executor = _resolve_probe_executor(probe_executor)
-    if not best.converged and doubling_times:
-        if executor is not None and len(doubling_times) > 1:
-            # Speculative phase: every doubling candidate probes at once
-            # from the same warm start; keep the shortest converged one.
-            from functools import partial
-
-            worker = partial(
-                _feasibility_probe,
-                control_set,
-                target,
-                hyper,
-                settings,
-                dt,
-                best.schedule,
-                memo,
-            )
-            results = executor.map(worker, doubling_times)
-            for duration, result in zip(doubling_times, results):
-                total_iterations += result.iterations
-                grape_calls += 1
-                memo_hits += result.memo_hit
-                steps = max(1, int(round(duration / dt)))
-                probes.append((steps * dt, result.fidelity, result.converged))
-            converged = [r for r in results if r.converged]
-            if converged:
-                # Ascending durations: the first converged is the shortest.
-                best = converged[0]
-            else:
-                best = max([best, *results], key=lambda r: r.fidelity)
-        else:
-            for trial in doubling_times:
-                result = run(trial, best.schedule)
-                if result.converged:
-                    best = result
-                    break
-                if result.fidelity > best.fidelity:
-                    best = result
+    if not best.converged:
+        for trial in doubling_times:
+            result = run(trial, best.schedule)
+            if result.converged:
+                best = result
+                break
+            if result.fidelity > best.fidelity:
+                best = result
 
     if best is None or not best.converged:
         # Infeasible even after doubling; report the best attempt.

@@ -257,9 +257,9 @@ def encode_request(request) -> dict:
     }
 
 
-#: Options that carry live objects (executors, pass managers) stay
+#: Options that carry live objects (pass managers, lookup tables) stay
 #: server-side; a request trying to send one gets a clear 400.
-_UNWIRABLE_OPTIONS = ("probe_executor", "pass_manager", "table")
+_UNWIRABLE_OPTIONS = ("pass_manager", "table")
 
 
 def decode_request(data: dict):

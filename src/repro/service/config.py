@@ -1,7 +1,7 @@
 """Typed, immutable configuration for the compilation service.
 
 :class:`ServiceConfig` consolidates every ``REPRO_*`` environment knob —
-executor, worker count, cache directory/sharding/budget, prefetch, preset,
+executor, cache directory/sharding/budget, prefetch, preset,
 scheduler-state spill path, GRAPE batching, warm-start seeding, fleet and
 server settings — into one frozen dataclass.
 :meth:`ServiceConfig.from_env` is the **only** code path in the whole
@@ -27,17 +27,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ReproError
 
-#: Executor names understood by the compilation pipeline.  The
-#: ``*-persistent`` variants keep one worker pool alive across every
-#: ``map`` call of a pipeline run instead of re-creating it per call.
-EXECUTOR_CHOICES = (
-    "serial",
-    "auto",
-    "thread",
-    "process",
-    "thread-persistent",
-    "process-persistent",
-)
+#: Executor names understood by the compilation pipeline.
+EXECUTOR_CHOICES = ("serial", "auto")
 
 #: Valid shard fan-outs for the on-disk pulse library: entries shard by a
 #: whole-hex-character prefix of their unitary fingerprint, so the count
@@ -133,16 +124,13 @@ class ServiceConfig:
     ----------
     executor:
         How independent per-block GRAPE searches are dispatched
-        (``REPRO_EXECUTOR``): ``"auto"`` (default) picks per host — a
-        service forks one search worker once and splits each request's
-        cold searches between it and the calling thread (see
-        :class:`repro.pipeline.executors.AutoExecutor`) — or
-        force ``"serial"``, ``"thread"``, ``"process"``, or the
-        ``"thread-persistent"`` / ``"process-persistent"`` variants that
-        amortize one long-lived pool across every map of a run.
-    max_workers:
-        Worker count for the parallel executors (``REPRO_MAX_WORKERS``);
-        ``None`` means ``os.cpu_count()``.
+        (``REPRO_EXECUTOR``): ``"auto"`` (default) runs in the calling
+        thread, and where the process may use two or more CPUs a service
+        forks one search worker once and splits each request's cold
+        searches between it and the calling thread (see
+        :class:`repro.pipeline.executors.AutoExecutor`); ``"serial"``
+        runs everything in the calling thread.  For multi-process
+        dispatch of large batches use ``dispatcher="queue"``.
     submit_workers:
         Size of the request-level thread pool behind
         :meth:`repro.service.CompilationService.submit`
@@ -249,7 +237,6 @@ class ServiceConfig:
     """
 
     executor: str = "auto"
-    max_workers: int | None = None
     submit_workers: int = field(
         default_factory=lambda: min(8, os.cpu_count() or 1)
     )
@@ -282,8 +269,6 @@ class ServiceConfig:
             raise ReproError(
                 f"unknown executor {self.executor!r}; available: {EXECUTOR_CHOICES}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ReproError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.submit_workers < 1:
             raise ReproError(
                 f"submit_workers must be >= 1, got {self.submit_workers}"
@@ -399,10 +384,6 @@ class ServiceConfig:
                     stacklevel=3,
                 )
 
-        _env_number(
-            "REPRO_MAX_WORKERS", "max_workers", int,
-            lambda v: v >= 1, "must be >= 1", values, sources,
-        )
         _env_number(
             "REPRO_SUBMIT_WORKERS", "submit_workers", int,
             lambda v: v >= 1, "must be >= 1", values, sources,

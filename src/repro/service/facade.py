@@ -4,8 +4,8 @@ One service instance owns the machinery every request shares:
 
 * one typed, immutable :class:`~repro.service.config.ServiceConfig`
   (the only consumer of the ``REPRO_*`` environment),
-* one resolved block executor (persistent pools stay warm across every
-  request),
+* one resolved block executor (the ``auto`` executor's search worker
+  stays warm across every request),
 * one open pulse cache (in-memory, or the sharded on-disk
   :class:`~repro.library.PulseLibrary` when ``cache_dir`` is set),
 * one cross-call :class:`~repro.pipeline.scheduler.SchedulerState`
@@ -102,9 +102,7 @@ class CompilationService:
         if self.config.dispatcher == "queue":
             self.executor = self._make_queue_dispatcher()
         else:
-            self.executor = resolve_executor(
-                self.config.executor, self.config.max_workers
-            )
+            self.executor = resolve_executor(self.config.executor)
         self.scheduler_state = self._load_scheduler_state(SchedulerState)
         # Blocking plans keyed by ansatz content: repeated requests for one
         # symbolic circuit replay blocking instead of recomputing it.
@@ -353,8 +351,7 @@ class CompilationService:
 
     # -- telemetry -----------------------------------------------------------
     def stats(self) -> dict:
-        """One report folding scheduler, cache, executor, and pool counters."""
-        from repro.pipeline.executors import persistent_executor_stats
+        """One report folding scheduler, cache and executor counters."""
         from repro.pulse.grape.batched import batch_telemetry
         from repro.pulse.grape.seeding import warm_start_telemetry
 
@@ -381,7 +378,6 @@ class CompilationService:
                 if isinstance(executor_info, dict)
                 else None
             ),
-            "pools": persistent_executor_stats(),
             "grape_batch": batch_telemetry(),
             "warm_start": warm_start_telemetry(),
         }

@@ -313,7 +313,6 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             "decay_rates",
             "seed",
             "tuning_strategy",
-            "probe_executor",
         }
     )
 

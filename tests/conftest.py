@@ -7,9 +7,12 @@ the physics is identical, only the resolution differs.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.pipeline import BlockExecutor
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
@@ -39,3 +42,29 @@ def fast_settings():
 @pytest.fixture
 def fast_hyper():
     return GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iterations=200)
+
+
+class ThreadedExecutor(BlockExecutor):
+    """A block executor whose ``map`` runs tasks on concurrent threads.
+
+    Neither shipped executor overlaps tasks inside one process, so this
+    fake is how tests check that shared state (pulse cache, scheduler
+    dedup, warm-start seeds) stays exact when block tasks overlap.  Like
+    any overlapping executor it does not prefer batching, so the
+    scheduler sends its fixed blocks down the job route.
+    """
+
+    name = "threaded"
+
+    def __init__(self, workers: int = 2):
+        self.workers = workers
+
+    def map(self, fn, items):
+        items = list(items)
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            return list(pool.map(fn, items))
+
+
+@pytest.fixture
+def threaded_executor():
+    return ThreadedExecutor()

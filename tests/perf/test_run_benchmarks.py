@@ -195,8 +195,8 @@ class TestGrapeBatchBench:
 @pytest.mark.slow
 class TestPipelineBench:
     def test_auto_never_slower_than_serial(self, harness, tmp_path):
-        """The CI satellite gate: whatever mode ``auto`` picked for this
-        host, the bench raises (writing nothing) if it lost to serial
+        """The CI satellite gate: whether or not ``auto`` forked a search
+        worker on this host, the bench raises (writing nothing) if it lost to serial
         beyond the noise margin."""
         harness.main(["--quick", "--only", "pipeline", "--output-dir", str(tmp_path)])
         payload = json.loads((tmp_path / "BENCH_pipeline.json").read_text())
@@ -205,7 +205,6 @@ class TestPipelineBench:
         assert names == ["serial", "auto"]
         by_name = {entry["name"]: entry for entry in payload["entries"]}
         assert by_name["auto"]["wall_s"] <= by_name["serial"]["wall_s"] * 1.15
-        assert payload["derived"]["auto_mode"] in ("inline", "thread-persistent")
 
 
 class TestWarmStartBench:

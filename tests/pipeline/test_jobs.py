@@ -175,9 +175,7 @@ class TestOutcomeCodec:
 
 
 class TestExecutorDispatchJobs:
-    @pytest.mark.parametrize(
-        "executor_name", ["serial", "auto", "thread", "process"]
-    )
+    @pytest.mark.parametrize("executor_name", ["serial", "auto"])
     def test_dispatch_jobs_matches_serial(self, executor_name):
         from repro.pipeline import resolve_executor
 
@@ -186,11 +184,11 @@ class TestExecutorDispatchJobs:
             _encode_outcome(run_block_job(job, cache=PulseCache()))
             for job in jobs
         ]
-        executor = resolve_executor(executor_name, max_workers=2)
+        executor = resolve_executor(executor_name)
         outcomes = executor.dispatch_jobs(jobs, cache=PulseCache())
         assert [_encode_outcome(o) for o in outcomes] == expected
 
-    @pytest.mark.parametrize("executor_name", ["serial", "process"])
+    @pytest.mark.parametrize("executor_name", ["serial", "auto"])
     def test_repeated_key_is_served_from_the_first(self, executor_name):
         """Compiling jobs one by one against one cache: the second job with
         a key is a cache hit on the first one's pulse."""
@@ -201,7 +199,7 @@ class TestExecutorDispatchJobs:
         expected = [
             _encode_outcome(run_block_job(job, cache=cache)) for _ in range(2)
         ]
-        executor = resolve_executor(executor_name, max_workers=2)
+        executor = resolve_executor(executor_name)
         outcomes = executor.dispatch_jobs([job, job], cache=PulseCache())
         assert [_encode_outcome(o) for o in outcomes] == expected
         assert outcomes[1].cache_hit is True

@@ -128,7 +128,7 @@ class TestCompileMany:
         assert scheduler["total_blocks"] == 3
         assert len(results) == 3
 
-    def test_thread_executor_still_exact_once(self):
+    def test_thread_executor_still_exact_once(self, threaded_executor):
         cache = CountingCache()
         compiler = FullGrapeCompiler(
             device=GmonDevice(line_topology(4)),
@@ -136,7 +136,7 @@ class TestCompileMany:
             hyperparameters=HYPER,
             max_block_width=2,
             cache=cache,
-            executor="thread",
+            executor=threaded_executor,
         )
         results = compiler.compile_many([_shared_block_circuit()] * 3)
         assert results[0].metadata["scheduler"]["unique_blocks"] == 1
@@ -271,7 +271,7 @@ class TestRetargetOutcome:
         assert dup.schedule.qubits == (3,)
         assert dup.iterations == 0 and dup.cache_hit
 
-        # Without the entry (process-pool worker kept the write), the
+        # Without the entry (another process kept the write), the
         # representative's outcome is the only evidence: fall back.
         conservative = _retarget_outcome(outcome, task, None)
         assert not conservative.used_grape
@@ -367,18 +367,18 @@ class TestBatchedDispatch:
             assert ours.qubits == theirs.qubits
             assert np.array_equal(ours.controls, theirs.controls)
 
-    def test_pool_executor_keeps_mapped_dispatch(self):
-        """A pool executor genuinely overlaps per-block maps, so stacking
-        would serialize it — batched dispatch must stand down."""
-        from repro.pipeline import ThreadPoolBlockExecutor
-
+    def test_pool_executor_keeps_mapped_dispatch(self, threaded_executor):
+        """An executor that genuinely overlaps per-block maps
+        (``prefers_batched = False``) would be serialized by stacking —
+        batched dispatch must stand down."""
+        assert threaded_executor.prefers_batched is False
         block_compiler = BlockPulseCompiler(
             GmonDevice(line_topology(4)), SETTINGS, HYPER, PulseCache()
         )
         pipeline = full_grape_pipeline(block_compiler, 2)
         scheduler = BlockScheduler(
             block_compiler,
-            ThreadPoolBlockExecutor(max_workers=2),
+            threaded_executor,
             grape_batch=True,
         )
         contexts, report = pipeline.run_many(

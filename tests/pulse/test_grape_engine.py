@@ -177,6 +177,12 @@ class TestMinimumTime:
         )
         assert result.converged
         assert result.duration_ns >= 2.0
+        # 1.0 and 0.5 ns fail, then the doublings run one at a time and
+        # stop at the first success: every later probe is shorter.
+        durations = [round(d, 2) for d, _, _ in result.probes]
+        assert durations[:3] == [1.0, 0.5, 2.0]
+        first = next(i for i, (_, _, ok) in enumerate(result.probes) if ok)
+        assert all(d < durations[first] for d in durations[first + 1 :])
 
     def test_iterations_accumulated(self, single_qubit_cs, fast_settings):
         result = minimum_time_pulse(
@@ -197,73 +203,3 @@ class TestMinimumTime:
             precision_ns=0.25,
         )
         assert result.fidelity >= fast_settings.target_fidelity
-
-
-class TestParallelFeasibilityProbes:
-    """The feasibility doublings parallelize; the binary search stays serial."""
-
-    def test_feasible_first_probe_identical_to_sequential(
-        self, single_qubit_cs, fast_settings
-    ):
-        """When the initial bound converges no doubling happens at all, so
-        the speculative path must be bit-identical to the sequential one."""
-        sequential = minimum_time_pulse(
-            single_qubit_cs, X, upper_bound_ns=5.0, settings=fast_settings,
-            precision_ns=0.25,
-        )
-        speculative = minimum_time_pulse(
-            single_qubit_cs, X, upper_bound_ns=5.0, settings=fast_settings,
-            precision_ns=0.25, probe_executor="thread",
-        )
-        assert speculative.duration_ns == sequential.duration_ns
-        assert speculative.grape_calls == sequential.grape_calls
-        assert speculative.total_iterations == sequential.total_iterations
-
-    def test_infeasible_bound_converges_through_parallel_doublings(
-        self, single_qubit_cs, fast_settings
-    ):
-        result = minimum_time_pulse(
-            single_qubit_cs, X, upper_bound_ns=1.0, settings=fast_settings,
-            precision_ns=0.25, probe_executor="thread",
-        )
-        assert result.converged
-        assert result.duration_ns >= 2.0
-        # The speculative phase probes every doubling: 1.0 and 0.5 ns fail
-        # sequentially, then 2/4/8 ns all run.
-        probe_durations = [round(d, 2) for d, _, _ in result.probes[:5]]
-        assert probe_durations == [1.0, 0.5, 2.0, 4.0, 8.0]
-        assert result.total_iterations > 0
-
-    def test_serial_executor_spec_also_speculates(
-        self, single_qubit_cs, fast_settings
-    ):
-        """Any executor spec opts into speculation; only None stays lazy."""
-        result = minimum_time_pulse(
-            single_qubit_cs, X, upper_bound_ns=1.0, settings=fast_settings,
-            precision_ns=0.25, probe_executor="serial",
-        )
-        assert result.converged
-        assert [round(d, 2) for d, _, _ in result.probes[:5]] == [
-            1.0, 0.5, 2.0, 4.0, 8.0,
-        ]
-
-    def test_flexible_precompile_accepts_probe_executor(self):
-        """End to end: the probe executor threads through the tuning handler."""
-        from repro.circuits.circuit import QuantumCircuit
-        from repro.circuits.parameters import Parameter
-        from repro.core import FlexiblePartialCompiler
-
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.rz(Parameter("t0"), 0)
-        circuit.cx(0, 1)
-        compiler = FlexiblePartialCompiler.precompile(
-            circuit,
-            settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.9),
-            hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=60),
-            max_block_width=2,
-            tuning_samples=1,
-            probe_executor="thread",
-        )
-        pulse = compiler.compile([0.4])
-        assert pulse.program is not None

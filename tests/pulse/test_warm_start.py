@@ -225,11 +225,13 @@ class TestTelemetry:
 
 
 class TestExecutorInvariance:
-    def test_warm_start_results_do_not_depend_on_executor(self):
+    def test_warm_start_results_do_not_depend_on_executor(
+        self, threaded_executor
+    ):
         """Two near-miss blocks in one circuit: a serial map would let the
         second seed from the first without the freeze.  Pulses must be
         identical under serial and threaded executors."""
-        from repro.pipeline import SerialExecutor, ThreadPoolBlockExecutor
+        from repro.pipeline import SerialExecutor
         from repro.pipeline.strategies import full_grape_pipeline
 
         def compile_with(executor):
@@ -246,7 +248,7 @@ class TestExecutorInvariance:
             return pipeline.run(circuit).program
 
         serial = compile_with(SerialExecutor())
-        threaded = compile_with(ThreadPoolBlockExecutor(max_workers=2))
+        threaded = compile_with(threaded_executor)
         assert serial.duration_ns == threaded.duration_ns
         for ours, theirs in zip(serial.schedules, threaded.schedules):
             assert np.array_equal(ours.controls, theirs.controls)

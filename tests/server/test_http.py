@@ -105,7 +105,13 @@ class TestErrorPaths:
         assert "quantum-vibes" in str(exc_info.value)
 
     @pytest.mark.parametrize(
-        "options", [{"tuning_samples": 0}, {"tuning_samples": -1}, {"turbo": True}]
+        "options",
+        [
+            {"tuning_samples": 0},
+            {"tuning_samples": -1},
+            {"turbo": True},
+            {"probe_executor": "serial"},
+        ],
     )
     def test_rejected_options_are_400(self, client, make_request, options):
         payload = encode_request(make_request("flexible-partial", options=options))

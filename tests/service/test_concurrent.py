@@ -183,24 +183,3 @@ def test_stress_submit_bit_identical_and_deadlock_free(
     assert stats["scheduler"]["batches"] == len(requests)
     assert stats["scheduler"]["cross_call_hits"] > 0
     service.close()
-
-
-def test_shared_persistent_pool_created_once(
-    workload, thetas, coarse_settings, coarse_hyper
-):
-    """Under a persistent executor, the whole concurrent run amortizes one
-    worker pool (the "one pool" half of the satellite)."""
-    circuit, _ = workload
-    service = CompilationService(
-        config=ServiceConfig(executor="thread-persistent", max_workers=2),
-        settings=coarse_settings,
-        hyperparameters=coarse_hyper,
-    )
-    pools_before = service.executor.pools_created
-    futures = [service.submit(request) for request in _requests(circuit, thetas)]
-    results = [future.result(timeout=300) for future in futures]
-    assert len(results) == THREADS
-    assert service.executor.pools_created - pools_before <= 1
-    executors = {id(service.executor)}
-    assert len(executors) == 1
-    service.close()

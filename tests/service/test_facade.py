@@ -203,6 +203,20 @@ class TestRequestSurface:
             assert service.stats()["grape_memo"]["misses"] == 0
             assert service.stats()["cache"]["misses"] == 0
 
+    def test_probe_executor_option_rejected_by_validate(self, workload):
+        """The speculative time-search option is gone with its executor."""
+        from repro.service import get_strategy
+
+        circuit, theta = workload
+        request = CompileRequest(
+            circuit,
+            theta,
+            strategy="flexible-partial",
+            options={"probe_executor": "serial"},
+        )
+        with pytest.raises(ReproError, match="probe_executor"):
+            get_strategy("flexible-partial").validate(request)
+
     def test_compile_batch_compares_settings_by_value(
         self, workload, coarse_settings, coarse_hyper, programs_identical
     ):

@@ -2,9 +2,9 @@
 
 A request's cold block searches travel as seed-carrying
 :class:`~repro.pipeline.jobs.BlockJob` descriptors: the service resolves
-cache hits and warm-start seeds, a worker (or a process pool) runs only
-the pure search, and the service caches and judges the results in block
-order.  So every venue must give exactly what ``executor="serial"``
+cache hits and warm-start seeds, the worker runs only the pure search,
+and the service caches and judges the results in block order.  So the
+worker must give exactly what ``executor="serial"``
 gives — pulses, iteration counts and warm-start telemetry — with warm
 start on.  The ``one_usable_pair`` fixture lets the ``auto`` executor fork
 its one search worker even on a single-CPU host.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import faulthandler
 import gc
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -82,19 +81,13 @@ def _run(config, workload, settings, hyper, thetas=THETAS) -> tuple:
     return results, moved, executor
 
 
-def _assert_same_work(ours, theirs, programs_identical, unbatched=False) -> None:
-    """Same pulses, iterations and block accounting; ``unbatched`` skips
-    the batched-kernel counts, which only inline executors move."""
+def _assert_same_work(ours, theirs, programs_identical) -> None:
+    """Same pulses, iterations and block accounting."""
     for a, b in zip(ours, theirs, strict=True):
         assert programs_identical(a.program, b.program)
         assert a.runtime_iterations == b.runtime_iterations
         for key in _WORK_KEYS:
-            mine, want = a.metadata[key], b.metadata[key]
-            if unbatched and key == "scheduler":
-                skip = ("batched_groups", "batched_blocks")
-                mine = {k: v for k, v in mine.items() if k not in skip}
-                want = {k: v for k, v in want.items() if k not in skip}
-            assert mine == want, key
+            assert a.metadata[key] == b.metadata[key], key
 
 
 def _context_switches(pid: int) -> tuple:
@@ -110,60 +103,62 @@ def _context_switches(pid: int) -> tuple:
 
 
 class TestWorkerRoute:
-    @pytest.mark.parametrize("cpus", [2, 4])
     def test_matches_serial_with_worker_counts(
+        self, workload, coarse_settings, coarse_hyper, programs_identical
+    ):
+        serial, serial_moved, _ = _run(
+            ServiceConfig(executor="serial"),
+            workload,
+            coarse_settings,
+            coarse_hyper,
+        )
+        routed, routed_moved, executor = _run(
+            WORKERS, workload, coarse_settings, coarse_hyper
+        )
+        assert executor["search_workers"] == 1
+        assert executor["worker_searches"] > 0
+        assert executor["worker_fallbacks"] == 0
+        _assert_same_work(routed, serial, programs_identical)
+        # The worker's accept/reject and iteration counts reach the parent.
+        assert serial_moved["accepted"] > 0
+        assert routed_moved == serial_moved
+
+    def test_many_core_host_takes_the_batched_route(
         self,
-        cpus,
         monkeypatch,
         workload,
         coarse_settings,
         coarse_hyper,
         programs_identical,
     ):
-        """Both of auto's routes: ``compile_blocks_batched`` on a 2-CPU
-        host, ``dispatch_jobs`` on a larger one, which never batches."""
-        serial, serial_moved, _ = _run(
-            ServiceConfig(executor="serial"),
-            workload,
-            coarse_settings,
-            coarse_hyper,
-        )
-        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: cpus)
-        routed, routed_moved, executor = _run(
-            WORKERS, workload, coarse_settings, coarse_hyper
-        )
-        assert executor["mode"] == ("inline" if cpus <= 2 else "thread-persistent")
-        assert executor["search_workers"] == 1
-        assert executor["worker_searches"] > 0
-        assert executor["worker_fallbacks"] == 0
-        _assert_same_work(routed, serial, programs_identical, unbatched=cpus > 2)
-        # The worker's accept/reject and iteration counts reach the parent.
-        assert serial_moved["accepted"] > 0
-        assert routed_moved == serial_moved
+        """The route does not depend on the host's CPU count: with four
+        CPUs, cold blocks still go through ``compile_blocks_batched``."""
+        from repro.core.compiler import BlockPulseCompiler
 
-    @pytest.mark.parametrize("executor", ["process", "process-persistent"])
-    def test_process_pools_match_serial(
-        self,
-        executor,
-        workload,
-        coarse_settings,
-        coarse_hyper,
-        programs_identical,
-    ):
-        serial, serial_moved, _ = _run(
+        serial, _, _ = _run(
             ServiceConfig(executor="serial"),
             workload,
             coarse_settings,
             coarse_hyper,
+            thetas=THETAS[:1],
         )
-        pooled, pooled_moved, _ = _run(
-            ServiceConfig(executor=executor, max_workers=2),
-            workload,
-            coarse_settings,
-            coarse_hyper,
+        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: 4)
+        batched_calls = []
+        original = BlockPulseCompiler.compile_blocks_batched
+
+        def spy(self, blocks, *args, **kwargs):
+            blocks = list(blocks)
+            batched_calls.append(len(blocks))
+            return original(self, blocks, *args, **kwargs)
+
+        monkeypatch.setattr(BlockPulseCompiler, "compile_blocks_batched", spy)
+        routed, _, executor = _run(
+            WORKERS, workload, coarse_settings, coarse_hyper, thetas=THETAS[:1]
         )
-        _assert_same_work(pooled, serial, programs_identical, unbatched=True)
-        assert pooled_moved == serial_moved
+        assert serial[0].metadata["scheduler"]["dispatched_tasks"] >= 2
+        assert batched_calls and max(batched_calls) >= 2
+        assert executor["worker_searches"] > 0
+        _assert_same_work(routed, serial, programs_identical)
 
 
 class TestWorkerLifecycle:
@@ -339,20 +334,9 @@ class TestRunSearches:
 
 
 class TestWorkerSizing:
-    def test_one_worker_whatever_max_workers(self):
-        """``max_workers`` sizes only the closure-map thread pool."""
-        executor = AutoExecutor(max_workers=8)
-        try:
-            assert executor.start_worker()
-            assert executor.describe()["search_workers"] == 1
-            assert len(multiprocessing.active_children()) >= 1
-        finally:
-            executor.close()
-        assert executor.describe()["search_workers"] == 0
-
     def test_no_worker_on_one_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 1)
-        executor = AutoExecutor(max_workers=8)
+        executor = AutoExecutor()
         assert not executor.start_worker()
         jobs = TestRunSearches()._jobs([0.2, 0.6])
         executor.run_searches(jobs)

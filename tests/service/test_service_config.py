@@ -34,7 +34,6 @@ class TestEnvConsolidation:
         source = ENV_READER.read_text()
         for name in (
             "REPRO_EXECUTOR",
-            "REPRO_MAX_WORKERS",
             "REPRO_SUBMIT_WORKERS",
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
@@ -67,7 +66,6 @@ class TestFromEnv:
     def test_defaults_without_env(self, monkeypatch):
         for name in (
             "REPRO_EXECUTOR",
-            "REPRO_MAX_WORKERS",
             "REPRO_SUBMIT_WORKERS",
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
@@ -99,8 +97,7 @@ class TestFromEnv:
         assert set(sources.values()) == {"default"}
 
     def test_env_values_and_sources(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread-persistent")
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
         monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "6")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pulses")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
@@ -126,8 +123,7 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_SERVER_MAX_BODY_MB", "8.0")
         monkeypatch.setenv("REPRO_SERVER_TICKET_TTL", "120")
         config, sources = ServiceConfig.from_env_with_sources()
-        assert config.executor == "thread-persistent"
-        assert config.max_workers == 3
+        assert config.executor == "serial"
         assert config.submit_workers == 6
         assert config.cache_dir == "/tmp/pulses"
         assert config.cache_shards == 256
@@ -156,7 +152,6 @@ class TestFromEnv:
 
     def test_garbage_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "quantum-annealer")
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "-2")
         monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "zero")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "lots")
@@ -182,15 +177,30 @@ class TestFromEnv:
         assert config == ServiceConfig()
         assert set(sources.values()) == {"default"}
 
+    @pytest.mark.parametrize("name", ["thread-persistent", "process"])
+    def test_removed_executor_warns_and_resolves_to_auto(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_EXECUTOR", name)
+        with pytest.warns(UserWarning, match=f"REPRO_EXECUTOR={name!r}"):
+            config, sources = ServiceConfig.from_env_with_sources()
+        assert config.executor == "auto"
+        assert sources["executor"] == "default"
+
 
 class TestValidation:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ReproError):
             ServiceConfig(executor="fpga")
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(max_workers=0)
+    @pytest.mark.parametrize(
+        "name", ["thread", "process", "thread-persistent", "process-persistent"]
+    )
+    def test_pool_executor_names_rejected(self, name):
+        with pytest.raises(ReproError, match=r"\('serial', 'auto'\)"):
+            ServiceConfig(executor=name)
+
+    def test_worker_count_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(max_workers=2)
 
     def test_bad_submit_worker_count_rejected(self):
         with pytest.raises(ReproError):
@@ -300,7 +310,7 @@ class TestEnvCrossFieldFixups:
 class TestUtilities:
     def test_replace_revalidates(self):
         config = ServiceConfig()
-        assert config.replace(executor="thread").executor == "thread"
+        assert config.replace(executor="serial").executor == "serial"
         with pytest.raises(ReproError):
             config.replace(executor="fpga")
 
@@ -311,7 +321,7 @@ class TestUtilities:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            ServiceConfig().executor = "thread"
+            ServiceConfig().executor = "serial"
 
 
 class TestCodeConfigUnderConflictingEnv:
@@ -333,7 +343,7 @@ class TestCodeConfigUnderConflictingEnv:
             "REPRO_CACHE_SHARDS": "4096",
             "REPRO_CACHE_BUDGET_MB": "99",
             "REPRO_PREFETCH": "0",
-            "REPRO_EXECUTOR": "thread",
+            "REPRO_EXECUTOR": "auto",
             "REPRO_WARM_START": "1",
             "REPRO_WARM_START_MAX_DIST": "0.9",
             "REPRO_GRAPE_BATCH_SIZE": "7",

@@ -147,6 +147,8 @@ class TestCommands:
         assert "shards" in out
         assert "evictions" in out
         assert "migrated legacy entries" in out
+        # Process-wide pool counters are gone from the report.
+        assert "pool" not in out
 
     def test_compile_step_method(self, capsys):
         assert main(["compile", "--benchmark", "vqe:H2", "--method", "step"]) == 0
@@ -156,7 +158,6 @@ class TestCommands:
     def test_config_show_defaults(self, capsys, monkeypatch):
         for name in (
             "REPRO_EXECUTOR",
-            "REPRO_MAX_WORKERS",
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_CACHE_BUDGET_MB",
@@ -173,7 +174,9 @@ class TestCommands:
 
     def test_config_show_reports_env_and_cli_sources(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
-        assert main(["config", "show", "--executor", "thread", "--jobs", "2"]) == 0
+        monkeypatch.delenv("REPRO_SUBMIT_WORKERS", raising=False)
+        argv = ["config", "show", "--executor", "serial", "--submit-workers", "2"]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         lines = {
             line.split("|")[0].strip(): line
@@ -182,7 +185,8 @@ class TestCommands:
         }
         assert "env" in lines["cache_shards"]
         assert "CLI" in lines["executor"]
-        assert "CLI" in lines["max_workers"]
+        assert "CLI" in lines["submit_workers"]
+        assert "max_workers" not in lines
         assert "default" in lines["cache_dir"]
 
     def test_config_show_requires_subcommand(self):
