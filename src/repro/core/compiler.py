@@ -376,7 +376,7 @@ class BlockPulseCompiler:
         (cached neighbor or analytic KAK — see :meth:`_find_seed`) becomes
         a seed-carrying :class:`~repro.pipeline.jobs.BlockJob`, and so does
         a seedless block alone in its shape group; ``executor``'s
-        ``run_searches`` runs those pure searches (``None``: inline).  The
+        ``run_tasks`` runs those pure searches (``None``: inline).  The
         seedless remainder of a larger group runs through the cross-block
         batched kernel (:func:`repro.pulse.grape.batched
         .minimum_time_pulse_batch`), bit-identical to the per-block
@@ -495,7 +495,7 @@ class BlockPulseCompiler:
                 batches.append(seedless)
             order.extend(entry[0] for entry in seeded + seedless)
 
-        searched = (executor or SerialExecutor()).run_searches(jobs)
+        searched = (executor or SerialExecutor()).run_tasks(search_job, jobs)
         results = dict(zip(job_index, searched))
         for pending in batches:
             stats["batched_groups"] += 1
@@ -658,7 +658,7 @@ def compile_jobs(jobs: list, cache, executor) -> list:
         )
         cold[job.key] = i
         searches.append(replace(job, seed=seed))
-    results = dict(zip(cold.values(), executor.run_searches(searches)))
+    results = dict(zip(cold.values(), executor.run_tasks(search_job, searches)))
 
     for i, job in enumerate(jobs):
         if outcomes[i] is not None:

@@ -11,9 +11,13 @@ GRAPE's pulse duration at a small fraction of its latency.
 
 Both phases route through the :mod:`repro.pipeline` machinery: the
 precompute phase is the ``block(θ-slices) → pulse`` pipeline with a tuning
-handler for parametrized tasks, and the runtime phase maps the per-θ GRAPE
-refinements over the plan through the same pluggable block executor, so
-independent θ-blocks compile concurrently.
+handler for parametrized tasks, and the runtime phase hands the per-θ
+GRAPE refinements, which are independent pure tasks, to the block
+executor's :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`.
+Under the service's ``auto`` executor the calling thread and the forked
+search worker share them, each taking the next unclaimed plan entry;
+``serial`` runs them one after another.  Either way the pulses are the
+same.
 """
 
 from __future__ import annotations
@@ -196,7 +200,8 @@ def _block_tuner(
 def _compile_runtime_entry(
     settings: GrapeSettings, values: dict, entry
 ) -> tuple:
-    """Runtime work for one plan entry (picklable executor task).
+    """Runtime work for one plan entry (a pure, picklable task for
+    :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`).
 
     Returns ``(schedule, iterations, used_block_fallback)``.  Fixed entries
     pass through; parametrized entries run one tuned warm-started GRAPE,
@@ -482,9 +487,10 @@ class _FlexiblePartialCompiler:
     def compile(self, values: Sequence[float] | dict) -> CompiledPulse:
         """One variational iteration: short tuned GRAPE per θ-block.
 
-        The per-θ refinements are independent, so they run through the
-        compiler's block executor — the runtime analogue of parallel block
-        precompilation.
+        The per-θ refinements are independent pure tasks, so they go
+        through the block executor's ``run_tasks``: on ``auto`` with a
+        search worker, the worker runs the entries the calling thread has
+        not claimed yet; on ``serial`` they run in order here.
         """
         if not isinstance(values, dict):
             values = dict(zip(self.parameters, values))
@@ -494,7 +500,7 @@ class _FlexiblePartialCompiler:
 
         start = time.perf_counter()
         worker = partial(_compile_runtime_entry, self.settings, values)
-        results = resolve_executor(self.executor).map(worker, self._plan)
+        results = resolve_executor(self.executor).run_tasks(worker, self._plan)
         schedules = [schedule for schedule, _, _ in results]
         iterations = sum(iters for _, iters, _ in results)
         fallbacks = sum(1 for _, _, fell_back in results if fell_back)

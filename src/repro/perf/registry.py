@@ -76,6 +76,29 @@ class PerfRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
+    @contextmanager
+    def counts_moved(self):
+        """Yield a dict that, when the body ends, holds every counter the
+        body moved and by how much — how a forked worker ships its counts
+        to the process that records them with :meth:`add_counts`."""
+        with self._lock:
+            before = dict(self._counters)
+        moved: dict = {}
+        try:
+            yield moved
+        finally:
+            with self._lock:
+                moved.update(
+                    (name, value - before.get(name, 0))
+                    for name, value in self._counters.items()
+                    if value != before.get(name, 0)
+                )
+
+    def add_counts(self, counts: dict) -> None:
+        """Add every ``{name: amount}`` of ``counts`` to its counter."""
+        for name, amount in counts.items():
+            self.count(name, amount)
+
     # -- timers ------------------------------------------------------------
     def record_seconds(self, name: str, seconds: float) -> None:
         """Fold one measured duration into timer ``name``."""

@@ -3,13 +3,17 @@
 Blocking partitions a circuit into subcircuits whose GRAPE searches share
 nothing but the pulse cache, so they parallelize embarrassingly.  Every
 executor offers an order-preserving ``map`` for closures, which keeps the
-pipeline deterministic, and :meth:`BlockExecutor.run_searches` for the
-pure minimum-time searches of seed-carrying
-:class:`~repro.pipeline.jobs.BlockJob` descriptors.  The dispatching
-process resolves cache hits and warm-start seeds before any search runs
-and caches and judges the results itself, in block order
-(:func:`repro.core.compiler.compile_jobs`), so no executor ever ships or
-consults a pulse cache, and every executor gives the same pulses.
+pipeline deterministic, and :meth:`BlockExecutor.run_tasks` for pure
+tasks: a picklable function over picklable items that reads nothing but
+its item.  Two callers use it: the minimum-time searches of
+seed-carrying :class:`~repro.pipeline.jobs.BlockJob` descriptors
+(:func:`repro.core.compiler.search_job`), and the flexible runtime's
+per-θ GRAPE runs (:meth:`repro.core.flexible._FlexiblePartialCompiler
+.compile`).  The dispatching process resolves cache hits and warm-start
+seeds before any search runs and caches and judges the results itself,
+in block order (:func:`repro.core.compiler.compile_jobs`), so no
+executor ever ships or consults a pulse cache, and every executor gives
+the same pulses.
 
 Choosing an executor
 --------------------
@@ -23,8 +27,8 @@ lock: only processes overlap it.
     The service default.  It runs in the calling thread too, except that a
     service's ``auto`` executor forks one search worker, once, at service
     construction, when the process may use two or more CPUs, and a
-    request with two or more cold searches runs a share of them on it.
-    See :class:`AutoExecutor`.
+    request with two or more pure tasks (cold block searches, flexible
+    runtime entries) shares them with it.  See :class:`AutoExecutor`.
 
 Both prefer the scheduler's cross-block batched route
 (:meth:`~repro.core.compiler.BlockPulseCompiler.compile_blocks_batched`).
@@ -52,7 +56,7 @@ class Dispatcher:
     of closures, so implementations are free to run them in the calling
     thread, a forked search worker, or a different process entirely
     (:class:`repro.fleet.QueueDispatcher`).  Every in-process executor
-    implements it through :meth:`BlockExecutor.run_searches`.
+    implements it through :meth:`BlockExecutor.run_tasks`.
     """
 
     def dispatch_jobs(self, jobs: list, cache=None) -> list:
@@ -84,7 +88,7 @@ class BlockExecutor(Dispatcher):
 
     def dispatch_jobs(self, jobs: list, cache) -> list:
         """Compile block jobs against ``cache``, searching through
-        :meth:`run_searches`.
+        :meth:`run_tasks`.
 
         Cache hits and warm-start seeds are resolved in this process
         (:func:`repro.core.compiler.compile_jobs`), so only seed-carrying
@@ -95,15 +99,15 @@ class BlockExecutor(Dispatcher):
 
         return compile_jobs(list(jobs), cache, self)
 
-    def run_searches(self, jobs: list) -> list:
-        """Run seed-carrying pure searches, results in job order.
+    def run_tasks(self, fn: Callable, items: Iterable) -> list:
+        """Apply the pure, picklable ``fn`` to every picklable item,
+        results in input order.
 
-        The searches share nothing, so they go through ``map``; in-process
-        venues record their ``repro.perf`` counts directly.
+        The tasks share nothing, so they go through ``map`` — inline for
+        ``serial`` and the fleet's ``queue`` dispatcher; in-process venues
+        record their ``repro.perf`` counts directly.
         """
-        from repro.core.compiler import search_job
-
-        return self.map(search_job, jobs)
+        return self.map(fn, items)
 
     def describe(self) -> dict:
         """Telemetry fragment identifying this executor."""
@@ -120,19 +124,39 @@ class SerialExecutor(BlockExecutor):
         return [fn(item) for item in items]
 
 
-def _search_worker_loop(conn, parent_end) -> None:
+def _claim(next_index) -> int:
+    """Take the next unclaimed index from the shared counter; one past
+    the last task or more means every index is taken."""
+    with next_index.get_lock():
+        index = next_index.value
+        next_index.value = index + 1
+    return index
+
+
+def _exhaust(next_index, n: int) -> None:
+    """Leave no index below ``n`` to claim, so the other side stops after
+    the task it is running."""
+    with next_index.get_lock():
+        next_index.value = max(next_index.value, n)
+
+
+def _search_worker_loop(conn, parent_end, next_index) -> None:
     """Body of one forked search worker.
 
     Answers ``"ready"`` once, then blocks on its pipe between requests —
-    it never polls — and runs each share of seed-carrying jobs it
-    receives, answering ``("ok", [(result, counts), ...])`` or
+    it never polls.  Each request is a share ``(fn, items, preset)``: the
+    worker makes ``preset`` active, claims indices from ``next_index``
+    (shared with the caller, who claims from it too) until none is left,
+    and answers ``("ok", [(index, result), ...], counts)`` — ``counts``
+    are the ``repro.perf`` counters its tasks moved — or
     ``("error", exception)``.  ``None`` or a closed pipe ends it.
     """
     import signal
 
     import numpy as np
 
-    from repro.pipeline.jobs import search_block_job_counted
+    from repro.config import get_preset, set_preset
+    from repro.perf import get_perf_registry
 
     # Only the parent's copy of the parent end may keep the pipe open.
     parent_end.close()
@@ -144,16 +168,27 @@ def _search_worker_loop(conn, parent_end) -> None:
     np.linalg.eigh(np.eye(4))
     np.eye(4) @ np.eye(4)
     conn.send("ready")
+    perf = get_perf_registry()
     while True:
         try:
-            jobs = conn.recv()
+            share = conn.recv()
         except (EOFError, OSError):
             return
-        if jobs is None:
+        if share is None:
             return
+        fn, items, preset = share
         try:
-            reply = ("ok", [search_block_job_counted(job) for job in jobs])
+            # Settings that defer to the preset (``dt_ns=None``, …)
+            # resolve as they would in the dispatching process.
+            if get_preset().name != preset:
+                set_preset(preset)
+            done = []
+            with perf.counts_moved() as counts:
+                while (index := _claim(next_index)) < len(items):
+                    done.append((index, fn(items[index])))
+            reply = ("ok", done, counts)
         except Exception as exc:
+            _exhaust(next_index, len(items))
             reply = ("error", exc)
         try:
             conn.send(reply)
@@ -165,18 +200,20 @@ def _search_worker_loop(conn, parent_end) -> None:
 
 
 class _SearchWorker:
-    """One forked process serving pure searches over a private pipe.
+    """One forked process serving pure tasks over a private pipe.
 
-    ``busy`` is held by the one request using the worker; ``alive`` drops
-    for good the first time the pipe fails, and a dead worker is never
-    re-forked.
+    ``next_index`` is the index counter the caller and the worker claim
+    tasks from; it lives in shared memory made before the fork.  ``busy``
+    is held by the one request using the worker; ``alive`` drops for good
+    the first time the pipe fails, and a dead worker is never re-forked.
     """
 
     def __init__(self, context):
         parent_end, child_end = context.Pipe()
+        self.next_index = context.Value("q", 0)
         self.process = context.Process(
             target=_search_worker_loop,
-            args=(child_end, parent_end),
+            args=(child_end, parent_end, self.next_index),
             name="repro-search-worker",
             daemon=True,
         )
@@ -198,26 +235,26 @@ class _SearchWorker:
         self.stop(timeout_s=0)
         return False
 
-    def send(self, jobs: list) -> bool:
+    def send(self, share: tuple) -> bool:
         """Hand over one share; ``False`` if the worker is gone."""
         try:
-            self.conn.send(jobs)
+            self.conn.send(share)
         except (OSError, ValueError):
             self.alive = False
             return False
         return True
 
     def receive(self):
-        """The share's ``(result, counts)`` replies, or ``None`` if the
-        worker died; re-raises an exception the search raised."""
+        """The share's ``(done, counts)`` reply, or ``None`` if the worker
+        died; re-raises an exception a task raised."""
         try:
-            status, payload = self.conn.recv()
+            reply = self.conn.recv()
         except (EOFError, OSError):
             self.alive = False
             return None
-        if status == "error":
-            raise payload
-        return payload
+        if reply[0] == "error":
+            raise reply[1]
+        return reply[1:]
 
     def stop(self, timeout_s: float = 5.0) -> None:
         """Ask the worker to exit, close the pipe and reap the process."""
@@ -242,36 +279,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _search_cost(job) -> int:
-    """Relative cost of one search, for splitting a request's searches:
-    the step count it starts from (the seed's, else the gate-based
-    bound's)."""
-    if job.seed is not None:
-        return job.seed.controls.shape[1]
-    dt = job.settings.resolved_dt()
-    return max(1, int(round(max(job.gate_based_ns, dt) / dt)))
-
-
-def _split_searches(jobs: list) -> tuple:
-    """``(own, worker's)`` job indices: longest-first onto the
-    less-loaded side, ties to the calling thread.  Deterministic, so one
-    request sequence always splits the same way."""
-    sides: tuple = ([], [])
-    loads = [0, 0]
-    for i in sorted(range(len(jobs)), key=lambda i: (-_search_cost(jobs[i]), i)):
-        side = 0 if loads[0] <= loads[1] else 1
-        sides[side].append(i)
-        loads[side] += _search_cost(jobs[i])
-    return sorted(sides[0]), sorted(sides[1])
-
-
 class AutoExecutor(SerialExecutor):
     """Inline dispatch plus, where a second CPU exists, one forked search
     worker.
 
     GRAPE on small blocks holds the interpreter lock (see the module
-    docstring), so ``auto`` overlaps a request's block searches only
-    through a process forked once and kept.  Everything else is
+    docstring), so ``auto`` overlaps a request's pure tasks only through
+    a process forked once and kept.  Everything else is
     :class:`SerialExecutor`: closure maps run inline and the scheduler
     prefers :meth:`~repro.core.compiler.BlockPulseCompiler
     .compile_blocks_batched`, on every host.
@@ -284,15 +298,22 @@ class AutoExecutor(SerialExecutor):
       the child.  :meth:`close` reaps it.  One worker is the measured
       configuration (a 2-CPU host); more would need a measured larger
       host first.
-    * :meth:`run_searches` gets a request's cold searches as seed-carrying
-      :class:`~repro.pipeline.jobs.BlockJob` descriptors.  With at least
-      two, the calling thread claims the idle worker, writes it its share
-      (longest-first by starting step count) down its pipe, runs the rest
-      itself and collects the replies with their ``repro.perf`` counts;
-      no helper thread sits on this path.  A worker busy with a
-      concurrent request is skipped.  A dead one is dropped for good and
-      its share runs inline, counted in ``worker_fallbacks``.  Results
-      are bit-identical to the inline searches.
+    * :meth:`run_tasks` gets a request's pure tasks: cold block searches
+      as seed-carrying :class:`~repro.pipeline.jobs.BlockJob` descriptors,
+      or the flexible runtime's per-θ plan entries.  With at least two,
+      the calling thread claims the idle worker and writes it the task
+      list with this process's preset down its pipe.  Then both sides
+      claim the next unclaimed index from one shared counter until none
+      is left, so whichever side finishes a task first takes the next
+      one.  Index 0 is always the calling thread's.  The caller then
+      collects the worker's results with their ``repro.perf`` counts; no
+      helper thread sits on this path.  A task raising here exhausts the
+      counter, so the worker stops after its current task.  A worker
+      busy with a concurrent request is skipped.  A dead one is dropped
+      for good and its unfinished indices run inline, counted once in
+      ``worker_fallbacks``.  Results are bit-identical to inline runs.
+      ``worker_searches`` and ``inline_searches`` count the tasks each
+      side ran, flexible runtime entries included.
     """
 
     name = "auto"
@@ -322,6 +343,7 @@ class AutoExecutor(SerialExecutor):
         # The child runs these; importing them now keeps it off the
         # import machinery.
         import repro.core.compiler  # noqa: F401
+        import repro.core.flexible  # noqa: F401
         import repro.pipeline.jobs  # noqa: F401
 
         worker = _SearchWorker(multiprocessing.get_context("fork"))
@@ -346,57 +368,64 @@ class AutoExecutor(SerialExecutor):
             self._stop()
         worker.busy.release()
 
-    def run_searches(self, jobs: list) -> list:
-        """Run a request's pure searches on the idle worker and here."""
-        from repro.core.compiler import search_job
-        from repro.pipeline.jobs import record_counts
+    def run_tasks(self, fn: Callable, items: Iterable) -> list:
+        """Run a request's pure tasks on the idle worker and here."""
+        from repro.config import get_preset
+        from repro.perf import get_perf_registry
 
-        jobs = list(jobs)
-        worker = self._claim_worker() if len(jobs) > 1 else None
+        items = list(items)
+        n = len(items)
+        worker = self._claim_worker() if n > 1 else None
         if worker is None:
             with self._stats_lock:
-                self.inline_searches += len(jobs)
-            return [search_job(job) for job in jobs]
-        results: list = [None] * len(jobs)
-        own, share = _split_searches(jobs)
-        replies = None
+                self.inline_searches += n
+            return [fn(item) for item in items]
+        results: list = [None] * n
+        own = []
+        reply = None
         in_flight = False
         try:
-            in_flight = worker.send([jobs[i] for i in share])
-            for i in own:
-                results[i] = search_job(jobs[i])
+            worker.next_index.value = 1  # index 0 is the calling thread's
+            # The worker never runs item 0, so it does not travel.
+            in_flight = worker.send((fn, [None, *items[1:]], get_preset().name))
+            index = 0
+            while index < n:
+                results[index] = fn(items[index])
+                own.append(index)
+                index = _claim(worker.next_index)
             if in_flight:
                 in_flight = False
-                replies = worker.receive()
+                reply = worker.receive()
         finally:
             if in_flight:
-                # A search here raised: drain the worker's reply so the
-                # next request never reads this one's.
+                # A task here raised: stop the worker early and drain its
+                # reply so the next request never reads this one's.
+                _exhaust(worker.next_index, n)
                 try:
                     worker.receive()
                 except Exception:
                     pass
             self._release_worker(worker)
-        if replies is None:
-            # The worker died: its share runs here.
-            for i in share:
-                results[i] = search_job(jobs[i])
+        shared = 0
+        if reply is None:
+            # The worker died: whatever it had not returned runs here.
+            for index in sorted(set(range(n)) - set(own)):
+                results[index] = fn(items[index])
         else:
-            for i, (result, counts) in zip(share, replies):
-                record_counts(counts)
-                results[i] = result
+            done, counts = reply
+            get_perf_registry().add_counts(counts)
+            for index, result in done:
+                results[index] = result
+            shared = len(done)
         with self._stats_lock:
-            if replies is None:
-                self.worker_fallbacks += 1
-                self.inline_searches += len(jobs)
-            else:
-                self.inline_searches += len(own)
-                self.worker_searches += len(share)
+            self.worker_fallbacks += reply is None
+            self.inline_searches += n - shared
+            self.worker_searches += shared
         return results
 
     def close(self) -> None:
-        """Stop and reap the search worker (idempotent); searches then
-        run inline."""
+        """Stop and reap the search worker (idempotent); tasks then run
+        inline."""
         self._worker = None
         if self._stop is not None:
             self._stop()

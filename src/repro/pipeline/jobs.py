@@ -14,9 +14,7 @@ A job runs in one of two venues:
   process resolved cache hits and seeds before any search ran, and it
   writes and judges the results itself, in block order.  The in-process
   executors and the ``auto`` executor's forked search worker both run
-  this; out-of-process venues use
-  :func:`search_block_job_counted`, which also returns the ``repro.perf``
-  counts the search made so the dispatcher can record them.
+  this, through :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`.
 * :func:`run_block_job` — the whole compile against a pulse cache (hit,
   seed, search, judgment), for venues that own a cache: the
   :mod:`repro.fleet` worker loop, which reads and fills the shared
@@ -154,7 +152,8 @@ class BlockJob:
     preset:
         The active preset name at job-build time.  Fleet workers apply it
         before compiling (it still controls ``time_search_precision_ns``);
-        in-process dispatch inherits it from the running interpreter.
+        the ``auto`` executor's search worker applies the dispatching
+        process's active preset to each share instead.
     cache_dir:
         Optional shared pulse-library directory.  Set by the fleet
         dispatcher before enqueueing so detached workers persist pulses
@@ -216,42 +215,3 @@ def run_block_job(job: BlockJob, cache=None):
         warm_start_max_dist=job.warm_start_max_dist,
     )
     return compiler.compile_job(job)
-
-
-def search_block_job_counted(job: BlockJob) -> tuple:
-    """:func:`repro.core.compiler.search_job` for a venue in another
-    process.
-
-    Returns ``(result, counts)``: ``counts`` holds every ``repro.perf``
-    counter the search moved in this process (the ``grape.warm_start.*``
-    accept/reject and iteration counts), which the dispatching process
-    folds into its own registry with :func:`record_counts`.  Applies the
-    job's preset first, so a long-lived worker follows the dispatcher's.
-    Must not run in the dispatching process itself: there the counts
-    already landed in the shared registry.
-    """
-    from repro.config import get_preset, set_preset
-    from repro.core.compiler import search_job
-    from repro.perf import get_perf_registry
-
-    if get_preset().name != job.preset:
-        set_preset(job.preset)
-    perf = get_perf_registry()
-    before = perf.snapshot()["counters"]
-    result = search_job(job)
-    after = perf.snapshot()["counters"]
-    counts = {
-        name: value - before.get(name, 0)
-        for name, value in after.items()
-        if value != before.get(name, 0)
-    }
-    return result, counts
-
-
-def record_counts(counts: dict) -> None:
-    """Fold a worker's ``repro.perf`` counts into this process's registry."""
-    from repro.perf import get_perf_registry
-
-    perf = get_perf_registry()
-    for name, amount in counts.items():
-        perf.count(name, amount)

@@ -494,7 +494,7 @@ class BlockScheduler:
         Fixed representatives travel one of three routes, preferred in
         order: :meth:`~repro.core.compiler.BlockPulseCompiler
         .compile_blocks_batched` (executors that prefer batching; its
-        seeded searches go through the executor's ``run_searches``),
+        seeded searches go through the executor's ``run_tasks``),
         serializable :class:`~repro.pipeline.jobs.BlockJob` descriptors
         through the executor's :meth:`~repro.pipeline.executors
         .Dispatcher.dispatch_jobs` (the fleet-ready data path), or the

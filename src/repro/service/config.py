@@ -123,11 +123,12 @@ class ServiceConfig:
     Attributes
     ----------
     executor:
-        How independent per-block GRAPE searches are dispatched
+        How independent per-block GRAPE work is dispatched
         (``REPRO_EXECUTOR``): ``"auto"`` (default) runs in the calling
         thread, and where the process may use two or more CPUs a service
-        forks one search worker once and splits each request's cold
-        searches between it and the calling thread (see
+        forks one search worker once, and each request's pure tasks (cold
+        block searches, flexible runtime GRAPE runs) go to whichever of
+        it and the calling thread is free next (see
         :class:`repro.pipeline.executors.AutoExecutor`); ``"serial"``
         runs everything in the calling thread.  For multi-process
         dispatch of large batches use ``dispatcher="queue"``.

@@ -1,5 +1,9 @@
 """Block-executor contracts: ordering, equivalence, and configuration."""
 
+import os
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,22 @@ HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iteration
 
 def _square(x):
     return x * x
+
+
+def _mark(directory, delay_s, index):
+    """A pure task that fails if its index ever runs twice; returns the
+    process that ran it."""
+    with open(os.path.join(directory, str(index)), "x"):
+        pass
+    time.sleep(delay_s)
+    return os.getpid(), index
+
+
+def _fail_at(bad, index):
+    if index == bad:
+        raise ValueError(f"task {index} failed")
+    time.sleep(0.02)
+    return index
 
 
 def _tile_circuit(num_qubits: int = 4) -> QuantumCircuit:
@@ -149,6 +169,62 @@ class TestMapContract:
 
     def test_describe_names_the_executor(self):
         assert SerialExecutor().describe() == {"executor": "serial"}
+
+
+class TestClaimLoop:
+    """``auto``'s caller and search worker claim task indices from one
+    shared counter."""
+
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        import repro.pipeline.executors as executors_module
+
+        # Fork the worker even on a 1-CPU host.
+        monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
+        executor = executors_module.AutoExecutor()
+        assert executor.start_worker()
+        yield executor
+        executor.close()
+
+    def test_every_index_runs_once_and_index_0_here(self, executor, tmp_path):
+        for round_ in range(3):
+            directory = tmp_path / str(round_)
+            directory.mkdir()
+            # 20 ms per task: long enough that the worker claims a share.
+            task = partial(_mark, str(directory), 0.02)
+            results = executor.run_tasks(task, range(8))
+            assert [index for _, index in results] == list(range(8))
+            assert sorted(os.listdir(directory)) == sorted(map(str, range(8)))
+            pids = [pid for pid, _ in results]
+            assert pids[0] == os.getpid()
+            assert set(pids) == {os.getpid(), executor._worker.process.pid}
+        info = executor.describe()
+        assert info["worker_searches"] + info["inline_searches"] == 24
+        assert info["worker_fallbacks"] == 0
+
+    def test_many_short_tasks_each_run_once(self, executor, tmp_path):
+        """Stress the shared counter: with tasks far shorter than a claim
+        round trip, a lost update would run an index on both sides."""
+        deadline = time.monotonic() + 60
+        for round_ in range(5):
+            directory = tmp_path / str(round_)
+            directory.mkdir()
+            task = partial(_mark, str(directory), 0.0)
+            results = executor.run_tasks(task, range(300))
+            assert [index for _, index in results] == list(range(300))
+            assert len(os.listdir(directory)) == 300
+            assert time.monotonic() < deadline
+        assert executor.describe()["worker_fallbacks"] == 0
+
+    @pytest.mark.parametrize("bad", [0, 5])
+    def test_raising_task_leaves_the_worker_usable(self, executor, bad):
+        with pytest.raises(ValueError, match=f"task {bad} failed"):
+            executor.run_tasks(partial(_fail_at, bad), range(6))
+        # Neither side's leftovers leak into the next call.
+        items = range(100, 106)
+        assert executor.run_tasks(partial(_fail_at, -1), items) == list(items)
+        assert executor._worker is not None
+        assert executor.describe()["worker_fallbacks"] == 0
 
 
 class TestExecutorEquivalence:

@@ -24,12 +24,12 @@ from repro.core import PersistentPulseCache, PulseCache
 from repro.core.cache import _key_filename
 from repro.core.compiler import BlockPulseCompiler, search_job
 from repro.errors import CompilationError
+from repro.perf import get_perf_registry
 from repro.pipeline.jobs import (
     BlockJob,
     _decode_outcome,
     _encode_outcome,
     run_block_job,
-    search_block_job_counted,
 )
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -218,7 +218,9 @@ class TestSearchJob:
         assert seed is not None  # two-qubit blocks get a KAK seed
         seeded = replace(job, seed=seed)
         plain = search_job(seeded)
-        result, counts = search_block_job_counted(seeded)
+        # How the forked search worker captures what it ships back.
+        with get_perf_registry().counts_moved() as counts:
+            result = search_job(seeded)
         assert np.array_equal(result.schedule.controls, plain.schedule.controls)
         assert result.total_iterations == plain.total_iterations
         assert counts["grape.warm_start.seeded_iterations"] > 0

@@ -3,11 +3,12 @@
 A request's cold block searches travel as seed-carrying
 :class:`~repro.pipeline.jobs.BlockJob` descriptors: the service resolves
 cache hits and warm-start seeds, the worker runs only the pure search,
-and the service caches and judges the results in block order.  So the
-worker must give exactly what ``executor="serial"``
-gives — pulses, iteration counts and warm-start telemetry — with warm
-start on.  The ``one_usable_pair`` fixture lets the ``auto`` executor fork
-its one search worker even on a single-CPU host.
+and the service caches and judges the results in block order.  A
+flexible-partial request's per-θ runtime GRAPE runs travel the same
+route, as plan entries.  So the worker must give exactly what
+``executor="serial"`` gives — pulses, iteration counts and warm-start
+telemetry — with warm start on.  The ``one_usable_pair`` fixture lets the
+``auto`` executor fork its one search worker even on a single-CPU host.
 """
 
 from __future__ import annotations
@@ -36,8 +37,23 @@ SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 #: Near-miss θ steps, so later requests warm-start from earlier pulses.
 THETAS = [[0.4 + 0.03 * k, 0.9 - 0.02 * k] for k in range(4)]
 
-#: CompileResult metadata that depends only on the compiled blocks.
-_WORK_KEYS = ("blocks", "grape_blocks", "fallback_blocks", "scheduler")
+#: CompileResult metadata that depends only on the compiled blocks (the
+#: strategy decides which of them a result carries).
+_WORK_KEYS = {"blocks", "grape_blocks", "fallback_blocks", "scheduler"}
+
+#: Strategies that send pure tasks to the worker: cold block searches
+#: (full-grape) and per-θ runtime GRAPE runs (flexible-partial).
+STRATEGIES = ["full-grape", "flexible-partial"]
+
+#: A one-point tuning grid keeps the flexible precompile cheap.
+_OPTIONS = {
+    "full-grape": {},
+    "flexible-partial": {
+        "tuning_samples": 1,
+        "learning_rates": (0.05,),
+        "decay_rates": (0.002,),
+    },
+}
 
 
 @pytest.fixture(autouse=True)
@@ -54,25 +70,30 @@ def one_usable_pair(monkeypatch):
     monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
 
 
-def _request(circuit, theta, settings, hyper) -> CompileRequest:
+def _request(
+    circuit, theta, settings, hyper, strategy="full-grape"
+) -> CompileRequest:
     return CompileRequest(
         circuit,
         theta,
-        strategy="full-grape",
+        strategy=strategy,
         settings=settings,
         hyperparameters=hyper,
         max_block_width=2,
+        options=dict(_OPTIONS[strategy]),
     )
 
 
-def _run(config, workload, settings, hyper, thetas=THETAS) -> tuple:
+def _run(
+    config, workload, settings, hyper, thetas=THETAS, strategy="full-grape"
+) -> tuple:
     """Compile ``thetas`` in order on a fresh service; returns the results,
     the warm-start telemetry they moved and the executor's stats."""
     circuit, _ = workload
     before = warm_start_telemetry()
     with CompilationService(config) as service:
         results = [
-            service.compile(_request(circuit, theta, settings, hyper))
+            service.compile(_request(circuit, theta, settings, hyper, strategy))
             for theta in thetas
         ]
         executor = service.stats()["executor"]
@@ -81,12 +102,18 @@ def _run(config, workload, settings, hyper, thetas=THETAS) -> tuple:
     return results, moved, executor
 
 
+def _control_bytes(result) -> list:
+    return [schedule.controls.tobytes() for schedule in result.program.schedules]
+
+
 def _assert_same_work(ours, theirs, programs_identical) -> None:
     """Same pulses, iterations and block accounting."""
     for a, b in zip(ours, theirs, strict=True):
         assert programs_identical(a.program, b.program)
+        assert _control_bytes(a) == _control_bytes(b)
         assert a.runtime_iterations == b.runtime_iterations
-        for key in _WORK_KEYS:
+        assert a.metadata.keys() == b.metadata.keys()
+        for key in _WORK_KEYS & a.metadata.keys():
             assert a.metadata[key] == b.metadata[key], key
 
 
@@ -103,25 +130,61 @@ def _context_switches(pid: int) -> tuple:
 
 
 class TestWorkerRoute:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_matches_serial_with_worker_counts(
-        self, workload, coarse_settings, coarse_hyper, programs_identical
+        self, strategy, workload, coarse_settings, coarse_hyper, programs_identical
     ):
         serial, serial_moved, _ = _run(
             ServiceConfig(executor="serial"),
             workload,
             coarse_settings,
             coarse_hyper,
+            strategy=strategy,
         )
         routed, routed_moved, executor = _run(
-            WORKERS, workload, coarse_settings, coarse_hyper
+            WORKERS, workload, coarse_settings, coarse_hyper, strategy=strategy
         )
         assert executor["search_workers"] == 1
         assert executor["worker_searches"] > 0
         assert executor["worker_fallbacks"] == 0
         _assert_same_work(routed, serial, programs_identical)
         # The worker's accept/reject and iteration counts reach the parent.
-        assert serial_moved["accepted"] > 0
+        if strategy == "full-grape":
+            assert serial_moved["accepted"] > 0
         assert routed_moved == serial_moved
+
+    def test_worker_follows_the_dispatching_preset(
+        self, workload, programs_identical
+    ):
+        """Settings that defer to the preset resolve in the worker as in
+        the caller, even after the preset changed since the fork."""
+        from repro.config import get_preset, set_preset
+        from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+
+        circuit, theta = workload
+        # dt and the iteration budget come from the active preset.
+        settings = GrapeSettings(target_fidelity=0.95)
+        hyper = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002)
+        request = _request(circuit, theta, settings, hyper, "flexible-partial")
+        original = get_preset().name
+        try:
+            set_preset("ci")
+            with CompilationService(ServiceConfig(executor="serial")) as service:
+                serial = service.compile(request)
+            set_preset("paper")
+            service = CompilationService(WORKERS)
+            try:
+                assert service.executor._worker is not None
+                # The worker was forked under "paper"; requests run "ci".
+                set_preset("ci")
+                routed = service.compile(request)
+                executor = service.stats()["executor"]
+            finally:
+                service.close()
+        finally:
+            set_preset(original)
+        assert executor["worker_searches"] > 0
+        _assert_same_work([routed], [serial], programs_identical)
 
     def test_many_core_host_takes_the_batched_route(
         self,
@@ -162,8 +225,9 @@ class TestWorkerRoute:
 
 
 class TestWorkerLifecycle:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_killed_worker_falls_back_inline(
-        self, workload, coarse_settings, coarse_hyper, programs_identical
+        self, strategy, workload, coarse_settings, coarse_hyper, programs_identical
     ):
         circuit, _ = workload
         serial, _, _ = _run(
@@ -171,11 +235,14 @@ class TestWorkerLifecycle:
             workload,
             coarse_settings,
             coarse_hyper,
+            strategy=strategy,
         )
         with CompilationService(WORKERS) as service:
             results = [
                 service.compile(
-                    _request(circuit, THETAS[0], coarse_settings, coarse_hyper)
+                    _request(
+                        circuit, THETAS[0], coarse_settings, coarse_hyper, strategy
+                    )
                 )
             ]
             worker = service.executor._worker
@@ -184,7 +251,9 @@ class TestWorkerLifecycle:
             for theta in THETAS[1:]:
                 results.append(
                     service.compile(
-                        _request(circuit, theta, coarse_settings, coarse_hyper)
+                        _request(
+                            circuit, theta, coarse_settings, coarse_hyper, strategy
+                        )
                     )
                 )
             executor = service.stats()["executor"]
@@ -320,10 +389,10 @@ class TestRunSearches:
         try:
             assert executor.start_worker()
             with pytest.raises(Exception):
-                executor.run_searches(broken)
+                executor.run_tasks(search_job, broken)
             # The worker's reply to the failed request was drained: the
             # next request reads its own results.
-            results = executor.run_searches(jobs)
+            results = executor.run_tasks(search_job, jobs)
             assert executor.describe()["worker_searches"] == 1
         finally:
             executor.close()
@@ -335,11 +404,13 @@ class TestRunSearches:
 
 class TestWorkerSizing:
     def test_no_worker_on_one_usable_cpu(self, monkeypatch):
+        from repro.core.compiler import search_job
+
         monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 1)
         executor = AutoExecutor()
         assert not executor.start_worker()
         jobs = TestRunSearches()._jobs([0.2, 0.6])
-        executor.run_searches(jobs)
+        executor.run_tasks(search_job, jobs)
         assert executor.describe()["inline_searches"] == 2
         assert executor.describe()["worker_searches"] == 0
 
