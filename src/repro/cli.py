@@ -21,7 +21,8 @@ Small utilities for poking at the reproduction without writing a script:
   its value and provenance (default / env / CLI), so debugging ``REPRO_*``
   environment variables never requires a source dive.
 * ``worker`` — run one fleet worker against a file-backed work queue:
-  claim leased ``BlockJob``\\ s, compile them, write completion records.
+  claim leased pure tasks (seed-carrying block searches), run them, write
+  completion records.  A worker opens no pulse library.
   SIGTERM drains the in-flight job before exit; ``--max-jobs`` and
   ``--idle-exit`` bound a worker's lifetime for tests and batch runs;
   ``--announce`` publishes a registration record and ``--host-label``
@@ -491,13 +492,10 @@ def _cmd_library_gc(args) -> int:
 def _cmd_worker(args) -> int:
     from repro.errors import ReproError
     from repro.fleet import FleetWorker
-    from repro.service import ServiceConfig
 
     try:
         worker = FleetWorker(
             args.fleet_dir,
-            cache_dir=args.cache_dir,
-            config=ServiceConfig.from_env(),
             lease_ttl_s=args.lease_ttl,
             poll_s=args.poll,
             heartbeat_s=args.heartbeat,
@@ -840,21 +838,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="run one fleet worker: claim queued BlockJobs, compile, "
-        "write completion records (SIGTERM drains the in-flight job)",
+        help="run one fleet worker: claim queued tasks (block searches), "
+        "run them, write completion records (SIGTERM drains the in-flight "
+        "job)",
     )
     worker.add_argument(
         "--fleet-dir",
         required=True,
         dest="fleet_dir",
         help="fleet queue directory shared with the dispatcher",
-    )
-    worker.add_argument(
-        "--cache-dir",
-        default=None,
-        dest="cache_dir",
-        help="persistent pulse cache for compiled blocks (default: the "
-        "per-job cache_dir stamped by the dispatcher, else in-memory)",
     )
     worker.add_argument(
         "--lease-ttl",

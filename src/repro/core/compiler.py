@@ -279,16 +279,14 @@ class BlockPulseCompiler:
         gate_ns: float,
         hyperparameters: GrapeHyperparameters,
         seed: PulseSchedule | None = None,
-        cache_dir: str | None = None,
     ):
         """The :class:`~repro.pipeline.jobs.BlockJob` for one resolved block.
 
         Deferred-to-runtime knobs are materialized here: preset-resolved
-        GRAPE settings, this compiler's warm-start policy, and the active
-        preset name itself — so the job compiles identically in a process
-        that never saw this configuration.
+        GRAPE settings and this compiler's warm-start policy — so the job
+        searches identically in a process that never saw this
+        configuration.
         """
-        from repro.config import get_preset
         from repro.pipeline.jobs import BlockJob
 
         return BlockJob(
@@ -305,8 +303,6 @@ class BlockPulseCompiler:
             hyperparameters=hyperparameters,
             warm_start=bool(self.warm_start),
             warm_start_max_dist=float(self.warm_start_max_dist),
-            preset=get_preset().name,
-            cache_dir=cache_dir,
             seed=seed,
         )
 
@@ -315,15 +311,13 @@ class BlockPulseCompiler:
         subcircuit: QuantumCircuit,
         device_qubits: tuple,
         key: tuple | None = None,
-        cache_dir: str | None = None,
     ):
         """Build the picklable :class:`~repro.pipeline.jobs.BlockJob` for
         one bound block, or ``None`` for a trivial (empty / zero-duration)
         block that needs no GRAPE.
 
         The job carries no seed: :func:`compile_jobs` resolves it against
-        the dispatcher's cache, and :func:`~repro.pipeline.jobs
-        .run_block_job` against the venue's own.  ``key`` skips
+        the dispatching process's cache.  ``key`` skips
         recomputing a dedup identity the caller already paid for (the
         batch scheduler always has one).
         """
@@ -346,7 +340,6 @@ class BlockPulseCompiler:
             device_qubits,
             gate_ns,
             self.hyperparameters,
-            cache_dir=cache_dir,
         )
 
     def compile_job(self, job) -> BlockCompileOutcome:
@@ -523,20 +516,13 @@ class BlockPulseCompiler:
         ``None`` uses the ``auto`` default).  Returns ``(outcomes, blocked)``
         with outcomes in block order regardless of executor.
         """
-        from functools import partial
-
         from repro.pipeline.pipeline import CompilationPipeline
         from repro.pipeline.stages import BlockingStage, PulseStage
-        from repro.pipeline.strategies import compile_fixed_block
 
         context = CompilationPipeline(
             [
                 BlockingStage(max_width),
-                PulseStage(
-                    partial(compile_fixed_block, self),
-                    executor=resolve_executor(executor),
-                    block_compiler=self,
-                ),
+                PulseStage(self, executor=resolve_executor(executor)),
             ],
             name="blocks",
         ).run(circuit)
@@ -620,12 +606,12 @@ def compile_jobs(jobs: list, cache, executor) -> list:
 
     The one home of the per-block sequence (cache hit, warm-start seed,
     search, strictly-not-worse judgment) behind :meth:`BlockPulseCompiler
-    .compile_block`, :meth:`~BlockPulseCompiler.compile_job` and the
-    in-process half of the dispatch contract
-    (:meth:`~repro.pipeline.executors.BlockExecutor.dispatch_jobs`): cache
-    hits and warm-start seeds are resolved here, before any result is
-    written, the cold jobs travel as seed-carrying pure searches through
-    ``executor``, and the results are cached and judged here in job order.
+    .compile_block`, :meth:`~BlockPulseCompiler.compile_job` and every
+    executor's fixed-block route (the pulse stage and the batch scheduler,
+    fleet included): cache hits and warm-start seeds are resolved here,
+    before any result is written, the cold jobs travel as seed-carrying
+    pure searches through ``executor``'s ``run_tasks``, and the results
+    are cached and judged here in job order.
     A job repeating an earlier cold job's key is served from that result,
     as a cache hit — exactly what compiling the jobs one by one gives.
     """
@@ -658,7 +644,8 @@ def compile_jobs(jobs: list, cache, executor) -> list:
         )
         cold[job.key] = i
         searches.append(replace(job, seed=seed))
-    results = dict(zip(cold.values(), executor.run_tasks(search_job, searches)))
+    searched = executor.run_tasks(search_job, searches) if searches else []
+    results = dict(zip(cold.values(), searched))
 
     for i, job in enumerate(jobs):
         if outcomes[i] is not None:

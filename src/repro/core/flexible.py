@@ -198,18 +198,15 @@ def _block_tuner(
 
 
 def _compile_runtime_entry(
-    settings: GrapeSettings, values: dict, entry
+    settings: GrapeSettings, values: dict, entry: _ParametrizedEntry
 ) -> tuple:
-    """Runtime work for one plan entry (a pure, picklable task for
-    :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`).
+    """Runtime work for one parametrized plan entry (a pure, picklable task
+    for :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`).
 
-    Returns ``(schedule, iterations, used_block_fallback)``.  Fixed entries
-    pass through; parametrized entries run one tuned warm-started GRAPE,
-    with a single growth escalation toward the gate-based bound before
-    falling back to lookup pulses.
+    Returns ``(schedule, iterations, used_block_fallback)``: one tuned
+    warm-started GRAPE, with a single growth escalation toward the
+    gate-based bound before falling back to lookup pulses.
     """
-    if isinstance(entry, _FixedEntry):
-        return (entry.schedule, 0, False)
     bound = entry.subcircuit.bind_parameters(values)
     target = circuit_unitary(bound)
     iterations = 0
@@ -490,7 +487,8 @@ class _FlexiblePartialCompiler:
         The per-θ refinements are independent pure tasks, so they go
         through the block executor's ``run_tasks``: on ``auto`` with a
         search worker, the worker runs the entries the calling thread has
-        not claimed yet; on ``serial`` they run in order here.
+        not claimed yet; on ``serial`` they run in order here.  Fixed
+        entries pass straight through, so no venue ships them.
         """
         if not isinstance(values, dict):
             values = dict(zip(self.parameters, values))
@@ -500,7 +498,18 @@ class _FlexiblePartialCompiler:
 
         start = time.perf_counter()
         worker = partial(_compile_runtime_entry, self.settings, values)
-        results = resolve_executor(self.executor).run_tasks(worker, self._plan)
+        runs = iter(
+            resolve_executor(self.executor).run_tasks(
+                worker,
+                [e for e in self._plan if not isinstance(e, _FixedEntry)],
+            )
+        )
+        results = [
+            (entry.schedule, 0, False)
+            if isinstance(entry, _FixedEntry)
+            else next(runs)
+            for entry in self._plan
+        ]
         schedules = [schedule for schedule, _, _ in results]
         iterations = sum(iters for _, iters, _ in results)
         fallbacks = sum(1 for _, _, fell_back in results if fell_back)

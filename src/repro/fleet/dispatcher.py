@@ -1,20 +1,26 @@
-"""QueueDispatcher — the fleet-backed implementation of the dispatch contract.
+"""QueueDispatcher — the fleet-backed venue for pure tasks.
 
-Where the in-process executors run :class:`~repro.pipeline.jobs.BlockJob`
-descriptors through their own ``map``, this dispatcher enqueues them on a
+It speaks the executors' :meth:`~repro.pipeline.executors.BlockExecutor
+.run_tasks` contract: where the in-process executors run a pure task in
+this process or a forked search worker, this dispatcher enqueues one
+``(fn, item, preset)`` task per item on a
 :class:`~repro.fleet.queue.FleetQueue` and lets detached worker processes
-(``python -m repro worker``) compile them.  Workers are spawned lazily on
-the first dispatch and revived if they die; pulses come back through the
-shared pulse library (each job is stamped with the dispatcher's
-``cache_dir`` before enqueueing) and through the completion record's
-encoded outcome, which round-trips bit-identically.
+(``python -m repro worker``) run them.  The fixed-block route is the same
+as on every executor: :func:`~repro.core.compiler.compile_jobs` resolves
+cache hits and warm-start seeds in this process, ships seed-carrying
+searches (:func:`~repro.core.compiler.search_job`), and caches and judges
+the results here in block order, so fleet pulses are bit-identical to
+``serial`` whatever the library holds.  Each result comes back pickled
+in its completion record with the ``repro.perf`` counts the task moved,
+which are added to this process's registry.  Workers are spawned lazily
+on the first dispatch and revived if they die.
 
 Worker processes are launched with an explicit ``sys.path`` bootstrap
 rather than environment surgery — configuration enters this package only
 through constructor arguments, in keeping with the repo's single-reader
 environment rule (:mod:`repro.service.config`).
 
-With ``workers=0`` and nothing else draining the queue directory, jobs
+With ``workers=0`` and nothing else draining the queue directory, tasks
 run inline in the calling process — the dispatcher stays usable in
 one-process tests and as a degraded mode when spawning is undesirable.
 """
@@ -28,10 +34,11 @@ import threading
 import time
 from pathlib import Path
 
+from repro.config import get_preset
 from repro.errors import PipelineError
-from repro.fleet.queue import FleetQueue
+from repro.fleet.queue import FleetQueue, unpack_result
+from repro.perf import get_perf_registry
 from repro.pipeline.executors import BlockExecutor
-from repro.pipeline.jobs import _decode_outcome, run_block_job
 
 #: ``python -c`` shim that puts this checkout's ``src`` on ``sys.path``
 #: (first argv entry) and hands the rest to the repro CLI.
@@ -45,18 +52,17 @@ _MAX_RESPAWNS = 3
 
 
 class QueueDispatcher(BlockExecutor):
-    """Ship block jobs to a fleet of worker processes via the file queue."""
+    """Ship pure tasks to a fleet of worker processes via the file queue."""
 
     name = "queue"
-    #: ``map`` runs inline in the service process (parametrized handlers,
-    #: plan entries), so the scheduler should not stack batched GRAPE work
-    #: onto it.
+    #: Fixed-block searches belong on the workers, so the scheduler ships
+    #: them as jobs rather than stacking them into the batched kernel in
+    #: the service process.
     prefers_batched = False
 
     def __init__(
         self,
         fleet_dir,
-        cache_dir: str | None = None,
         workers: int = 0,
         lease_ttl_s: float = 30.0,
         heartbeat_s: float | None = None,
@@ -68,17 +74,19 @@ class QueueDispatcher(BlockExecutor):
         surge_idle_exit_s: float = 5.0,
     ):
         self.queue = FleetQueue(fleet_dir, lease_ttl_s=lease_ttl_s)
-        self.cache_dir = str(cache_dir) if cache_dir else None
         self.workers = max(0, int(workers))
         self.heartbeat_s = heartbeat_s
         self.poll_s = float(poll_s)
         self.job_timeout_s = float(job_timeout_s)
         self._procs: list = []
-        # Concurrent dispatch_jobs() calls (service submit-pool threads)
+        # Concurrent run_tasks() calls (service submit-pool threads)
         # share the worker pool; the lock keeps them from over-spawning.
         self._procs_lock = threading.Lock()
         self.workers_spawned = 0
         self.respawns = 0
+        # Counters move under their own lock: submit-pool threads call
+        # run_tasks() concurrently.
+        self._stats_lock = threading.Lock()
         self.dispatched_jobs = 0
         self.completed_jobs = 0
         self.inline_jobs = 0
@@ -130,8 +138,6 @@ class QueueDispatcher(BlockExecutor):
             cmd += ["--heartbeat", str(self.heartbeat_s)]
         if idle_exit_s is not None:
             cmd += ["--idle-exit", str(idle_exit_s)]
-        if self.cache_dir:
-            cmd += ["--cache-dir", self.cache_dir]
         proc = subprocess.Popen(cmd)
         self.workers_spawned += 1
         return proc
@@ -183,38 +189,39 @@ class QueueDispatcher(BlockExecutor):
 
     # -- dispatch ----------------------------------------------------------
     def map(self, fn, items) -> list:
-        """Non-job work (parametrized handlers, plan entries) runs inline."""
+        """Closure work (parametrized handlers, trivial blocks) runs inline."""
         return [fn(item) for item in items]
 
-    def dispatch_jobs(self, jobs: list, cache=None) -> list:
-        """Enqueue every job and collect outcomes in input order.
+    def run_tasks(self, fn, items) -> list:
+        """Enqueue one ``(fn, item, preset)`` task per item and collect the
+        results in input order.
 
-        Jobs are stamped with the dispatcher's ``cache_dir`` so workers
-        persist their pulses where the service reads.  ``cache`` (the
-        caller's in-process pulse cache) is only used by the inline
-        degraded mode — fleet workers open the shared library themselves.
+        ``preset`` is this process's active preset, which the worker
+        applies before it runs ``fn(item)``.  The ``repro.perf`` counts
+        each task moved in its worker are added here.
         """
-        jobs = list(jobs)
-        if not jobs:
+        items = list(items)
+        if not items:
             return []
-        for job in jobs:
-            if self.cache_dir and not job.cache_dir:
-                job.cache_dir = self.cache_dir
         if (
             self._autoscaler is None
             and self.workers == 0
             and self._live_workers() == 0
         ):
             # Degraded one-process mode: nothing will drain the queue, so
-            # compile here and skip the round-trip through the directory.
+            # run here and skip the round-trip through the directory.
             # (Never taken with the autoscaler: it spawns on backlog.)
-            self.inline_jobs += len(jobs)
-            return [run_block_job(job, cache=cache) for job in jobs]
+            with self._stats_lock:
+                self.inline_jobs += len(items)
+            return [fn(item) for item in items]
         self._ensure_workers()
-        job_ids = [self.queue.enqueue(job) for job in jobs]
-        self.dispatched_jobs += len(jobs)
+        preset = get_preset().name
+        job_ids = [self.queue.enqueue((fn, item, preset)) for item in items]
+        with self._stats_lock:
+            self.dispatched_jobs += len(items)
+        perf = get_perf_registry()
         pending = dict.fromkeys(job_ids)
-        outcomes: dict = {}
+        results: dict = {}
         respawns_left = _MAX_RESPAWNS
         deadline = time.monotonic() + self.job_timeout_s
         while pending:
@@ -230,12 +237,14 @@ class QueueDispatcher(BlockExecutor):
                         f"fleet worker {record.get('worker')} failed job "
                         f"{job_id}: {record['error']}"
                     )
-                outcomes[job_id] = _decode_outcome(record["outcome"])
-                self.completed_jobs += 1
+                results[job_id] = unpack_result(record["result"])
+                perf.add_counts(record["counts"])
                 worker = record.get("worker") or "?"
-                self.completions_by_worker[worker] = (
-                    self.completions_by_worker.get(worker, 0) + 1
-                )
+                with self._stats_lock:
+                    self.completed_jobs += 1
+                    self.completions_by_worker[worker] = (
+                        self.completions_by_worker.get(worker, 0) + 1
+                    )
             if progressed:
                 deadline = time.monotonic() + self.job_timeout_s
                 continue
@@ -261,7 +270,7 @@ class QueueDispatcher(BlockExecutor):
                     f"queue: {self.queue.status()!r}"
                 )
             time.sleep(self.poll_s)
-        return [outcomes[job_id] for job_id in job_ids]
+        return [results[job_id] for job_id in job_ids]
 
     def describe(self) -> dict:
         with self._procs_lock:
@@ -271,6 +280,13 @@ class QueueDispatcher(BlockExecutor):
                 else None
             )
         status = self.queue.status()
+        with self._stats_lock:
+            counts = {
+                "dispatched_jobs": self.dispatched_jobs,
+                "completed_jobs": self.completed_jobs,
+                "inline_jobs": self.inline_jobs,
+                "completions_by_worker": dict(self.completions_by_worker),
+            }
         return {
             "executor": self.name,
             "fleet_dir": str(self.queue.directory),
@@ -278,10 +294,7 @@ class QueueDispatcher(BlockExecutor):
             "live_workers": self._live_workers(),
             "workers_spawned": self.workers_spawned,
             "respawns": self.respawns,
-            "dispatched_jobs": self.dispatched_jobs,
-            "completed_jobs": self.completed_jobs,
-            "inline_jobs": self.inline_jobs,
-            "completions_by_worker": dict(self.completions_by_worker),
+            **counts,
             # The ``fleet`` section the service lifts into stats()["fleet"]
             # and the HTTP frontend serves under /v1/stats.
             "fleet": {

@@ -1,10 +1,12 @@
 """File-backed work queue with lease/heartbeat crash reclaim.
 
 The fleet's coordination layer is a directory, not a broker: producers
-atomically drop pickled :class:`~repro.pipeline.jobs.BlockJob` files into
-``jobs/``, workers claim them by writing a lease into ``leases/`` under
-the queue's :class:`~repro.library.locking.FileLock`, and finished work
-comes back as JSON completion records in ``results/``.  Everything is
+atomically drop pickled pure tasks — ``(fn, item, preset)``, most often
+:func:`~repro.core.compiler.search_job` over a seed-carrying
+:class:`~repro.pipeline.jobs.BlockJob` — into ``jobs/``, workers claim
+them by writing a lease into ``leases/`` under the queue's
+:class:`~repro.library.locking.FileLock`, and finished work comes back as
+JSON completion records in ``results/``.  Everything is
 plain files with atomic writes (temp + ``os.replace``), so any process —
 or several processes on hosts sharing the directory — can participate
 with no daemon in between.
@@ -16,21 +18,23 @@ lease goes stale after the TTL (or immediately, when the lease's pid is
 provably dead on this host), and the next ``claim`` hands the job to
 someone else with the lease's ``reclaims`` count bumped.  Delivery is
 therefore *at least once* — which is safe here by construction: GRAPE is
-deterministic for a given job, and both the pulse-library write and the
-completion record are atomic and idempotent, so a reclaimed job merely
+deterministic for a given job, a task touches nothing but its item, and
+the completion record is atomic and idempotent, so a reclaimed job merely
 recomputes the same pulse.
 
 Layout under the queue directory::
 
     queue.lock        the claim/complete critical-section lock
-    jobs/<id>.job     pickled {"schema_version": 1, "job": BlockJob}
+    jobs/<id>.job     pickled {"schema_version": 2, "job": (fn, item, preset)}
     leases/<id>.json  worker, pid, host, acquired_at, heartbeat_at, ttl_s
-    results/<id>.json completion record (encoded outcome or error)
+    results/<id>.json completion record: the pickled result (base64) and
+                      the repro.perf counts the task moved, or an error
     workers/<id>.json per-worker liveness heartbeat (for ``fleet status``)
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
@@ -44,7 +48,19 @@ from repro.library.locking import FileLock
 
 #: Bump when the on-disk job payload or record layout changes; workers
 #: refuse (error-complete) jobs whose schema they do not speak.
-FLEET_SCHEMA_VERSION = 1
+FLEET_SCHEMA_VERSION = 2
+
+
+def pack_result(result) -> str:
+    """A task's result as completion-record text: pickled (the job file is
+    a pickle already), then base64 for the JSON record."""
+    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    return base64.b64encode(payload).decode("ascii")
+
+
+def unpack_result(text: str):
+    """The task result :func:`pack_result` wrote."""
+    return pickle.loads(base64.b64decode(text))
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
@@ -218,7 +234,7 @@ class FleetQueue:
                         {
                             "job_id": job_id,
                             "worker": worker_id,
-                            "outcome": None,
+                            "result": None,
                             "error": f"unreadable job payload: {exc!r}",
                             "wall_time_s": 0.0,
                             "reclaims": reclaims,
@@ -343,7 +359,6 @@ class FleetQueue:
                         "started_at",
                         "lease_ttl_s",
                         "heartbeat_s",
-                        "cache_dir",
                         "version",
                     )
                     if key in info

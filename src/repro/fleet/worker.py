@@ -1,20 +1,22 @@
-"""The fleet worker loop: claim → compile → complete, forever.
+"""The fleet worker loop: claim → run → complete, forever.
 
 ``python -m repro worker --fleet-dir DIR`` runs one of these.  The loop
-claims jobs off the :class:`~repro.fleet.queue.FleetQueue`, applies each
-job's recorded preset (so preset-derived knobs like the time-search
-precision resolve exactly as they would have in the producing process),
-compiles it through the one true execution function
-(:func:`repro.pipeline.jobs.run_block_job`), and publishes a completion
-record.  Pulses persist through the shared library when the worker was
-given a cache directory, and travel back inside the record either way.
+claims pure tasks ``(fn, item, preset)`` off the
+:class:`~repro.fleet.queue.FleetQueue` — seed-carrying block searches
+(:func:`repro.core.compiler.search_job`) and flexible runtime entries —
+applies the dispatching process's preset (so preset-derived knobs like
+the time-search precision resolve exactly as they would have there),
+runs ``fn(item)``, and publishes a completion record carrying the pickled
+result and the ``repro.perf`` counts the task moved.  The worker opens no
+pulse library: the dispatching process resolved hits and seeds before it
+enqueued the task, and it caches and judges the result itself.
 
-Robustness contract (the fleet's satellite requirements):
+Robustness contract:
 
 * **SIGTERM / SIGINT drain** — the signal handler only sets a flag; the
-  in-flight job finishes compiling and publishes its record before the
-  loop exits cleanly.  Nothing is left mid-lease.
-* **Crash reclaim** — while compiling, a daemon thread renews the job's
+  in-flight job finishes and publishes its record before the loop exits
+  cleanly.  Nothing is left mid-lease.
+* **Crash reclaim** — while running a job, a daemon thread renews its
   lease every ``ttl/3`` seconds.  A worker that is ``kill -9``'d stops
   renewing, and the queue hands its lease to the next claimant (see
   :meth:`~repro.fleet.queue.FleetQueue._lease_stale`).
@@ -30,9 +32,8 @@ import threading
 import time
 
 from repro.config import set_preset
-from repro.fleet.queue import FleetQueue
-from repro.pipeline.jobs import _encode_outcome, run_block_job
-from repro.service.config import ServiceConfig
+from repro.fleet.queue import FleetQueue, pack_result
+from repro.perf import get_perf_registry
 
 
 class FleetWorker:
@@ -42,13 +43,10 @@ class FleetWorker:
     ----------
     fleet_dir:
         The queue directory shared with the dispatcher and other workers.
-    cache_dir:
-        Optional shared pulse-library directory; jobs may also carry
-        their own ``cache_dir``, which wins when present.
     lease_ttl_s / poll_s:
         Crash-reclaim TTL and the idle claim-poll interval.
     heartbeat_s:
-        Lease-renewal interval while compiling.  ``None`` (default)
+        Lease-renewal interval while running a job.  ``None`` (default)
         derives ``lease_ttl_s / 3`` — three missed beats before the
         lease goes stale.  Must be shorter than ``lease_ttl_s``.
     max_jobs:
@@ -64,17 +62,11 @@ class FleetWorker:
     announce:
         Publish a registration record (start time, knobs, capabilities)
         in the worker heartbeat, surfaced by ``fleet status``.
-    config:
-        The :class:`~repro.service.ServiceConfig` whose pulse-library
-        fields (shards, budget, prefetch) open the worker's caches;
-        ``None`` uses the defaults.  ``python -m repro worker`` passes
-        :meth:`~repro.service.ServiceConfig.from_env`.
     """
 
     def __init__(
         self,
         fleet_dir,
-        cache_dir: str | None = None,
         lease_ttl_s: float = 30.0,
         poll_s: float = 0.2,
         heartbeat_s: float | None = None,
@@ -83,15 +75,12 @@ class FleetWorker:
         worker_id: str | None = None,
         host_label: str | None = None,
         announce: bool = False,
-        config: ServiceConfig | None = None,
     ):
         from repro.errors import ReproError
 
         self.queue = FleetQueue(
             fleet_dir, lease_ttl_s=lease_ttl_s, host_label=host_label
         )
-        self.cache_dir = cache_dir
-        self.config = config if config is not None else ServiceConfig()
         self.poll_s = float(poll_s)
         if heartbeat_s is not None and heartbeat_s >= float(lease_ttl_s):
             raise ReproError(
@@ -109,7 +98,6 @@ class FleetWorker:
         self.worker_id = worker_id or f"{self.queue.host}-{os.getpid()}"
         self.jobs_done = 0
         self._drain = threading.Event()
-        self._caches: dict = {}  # cache_dir (or None) -> shared cache
         self._announce: dict | None = None
         if announce:
             from repro import __version__
@@ -119,7 +107,6 @@ class FleetWorker:
                 "started_at": time.time(),
                 "lease_ttl_s": self.queue.lease_ttl_s,
                 "heartbeat_s": self.heartbeat_s,
-                "cache_dir": cache_dir,
                 "version": __version__,
             }
 
@@ -133,26 +120,8 @@ class FleetWorker:
         # the in-flight compilation always drains to a completion record.
         self._drain.set()
 
-    def _cache_for(self, job):
-        """The per-directory shared cache a job compiles against.
-
-        One cache per distinct directory, kept for the worker's lifetime:
-        repeat jobs against the same library reuse its loaded index
-        instead of re-scanning the directory every claim.
-        """
-        directory = job.cache_dir or self.cache_dir
-        if directory not in self._caches:
-            from repro.core.cache import PersistentPulseCache, PulseCache
-
-            self._caches[directory] = (
-                PersistentPulseCache(directory, **self.config.library_options())
-                if directory
-                else PulseCache()
-            )
-        return self._caches[directory]
-
-    def _run_one(self, job_id: str, job) -> None:
-        """Compile one claimed job and publish its completion record."""
+    def _run_one(self, job_id: str, task) -> None:
+        """Run one claimed task and publish its completion record."""
         stop = threading.Event()
         interval = self.heartbeat_s
 
@@ -166,12 +135,15 @@ class FleetWorker:
         renewer.start()
         start = time.perf_counter()
         try:
-            set_preset(job.preset)
-            outcome = run_block_job(job, cache=self._cache_for(job))
+            fn, item, preset = task
+            set_preset(preset)
+            with get_perf_registry().counts_moved() as counts:
+                result = fn(item)
             record = {
                 "job_id": job_id,
                 "worker": self.worker_id,
-                "outcome": _encode_outcome(outcome),
+                "result": pack_result(result),
+                "counts": counts,
                 "error": None,
                 "wall_time_s": round(time.perf_counter() - start, 6),
             }
@@ -179,7 +151,7 @@ class FleetWorker:
             record = {
                 "job_id": job_id,
                 "worker": self.worker_id,
-                "outcome": None,
+                "result": None,
                 "error": repr(exc),
                 "wall_time_s": round(time.perf_counter() - start, 6),
             }

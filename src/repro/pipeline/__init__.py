@@ -6,13 +6,11 @@ transformer framework:
 
 * :mod:`repro.pipeline.executors` — pluggable dispatch of independent
   per-block GRAPE searches: ``serial``, or ``auto``, which adds one forked
-  search worker; both implement the :class:`Dispatcher` contract over
-  serializable jobs.
+  search worker.  Both run pure tasks through ``run_tasks``, the contract
+  the :mod:`repro.fleet` queue dispatcher speaks too.
 * :mod:`repro.pipeline.jobs` — :class:`BlockJob`, the picklable
-  block-compilation descriptor: a seed-carrying pure search for the
-  executors and the ``auto`` executor's search worker, a whole compile
-  against a pulse cache (:func:`run_block_job`) for the
-  :mod:`repro.fleet` worker processes.
+  seed-carrying block search every venue runs; the dispatching process
+  resolves cache hits and seeds, and caches and judges the results.
 * :mod:`repro.pipeline.stages` — composable :class:`Stage` objects carrying
   a :class:`PipelineContext` from circuit to pulse program.
 * :mod:`repro.pipeline.pipeline` — :class:`CompilationPipeline`, an ordered
@@ -36,11 +34,10 @@ transformer framework:
 
 from repro.pipeline.executors import (
     BlockExecutor,
-    Dispatcher,
     SerialExecutor,
     resolve_executor,
 )
-from repro.pipeline.jobs import BlockJob, run_block_job
+from repro.pipeline.jobs import BlockJob
 from repro.pipeline.pipeline import CompilationPipeline
 from repro.pipeline.plan import CompilationPlan, PlanCache
 from repro.pipeline.scheduler import BlockScheduler, SchedulerReport, SchedulerState
@@ -73,7 +70,6 @@ __all__ = [
     "BlockingStage",
     "CompilationPipeline",
     "CompilationPlan",
-    "Dispatcher",
     "PlanCache",
     "SchedulerReport",
     "SchedulerState",
@@ -88,6 +84,5 @@ __all__ = [
     "full_grape_pipeline",
     "gate_based_pipeline",
     "resolve_executor",
-    "run_block_job",
     "strict_precompile_pipeline",
 ]

@@ -13,7 +13,9 @@ per-θ GRAPE runs (:meth:`repro.core.flexible._FlexiblePartialCompiler
 seeds before any search runs and caches and judges the results itself,
 in block order (:func:`repro.core.compiler.compile_jobs`), so no
 executor ever ships or consults a pulse cache, and every executor gives
-the same pulses.
+the same pulses.  The fleet's ``queue`` dispatcher
+(:class:`repro.fleet.QueueDispatcher`) speaks the same ``run_tasks``
+contract, so a fixed block has one route whichever venue searches it.
 
 Choosing an executor
 --------------------
@@ -32,8 +34,8 @@ lock: only processes overlap it.
 
 Both prefer the scheduler's cross-block batched route
 (:meth:`~repro.core.compiler.BlockPulseCompiler.compile_blocks_batched`).
-Large batches reach more processes through the fleet's ``queue``
-dispatcher (:class:`repro.fleet.QueueDispatcher`), not an executor.
+Large batches reach more processes through the ``queue`` dispatcher, not
+an executor.
 """
 
 from __future__ import annotations
@@ -48,29 +50,7 @@ from repro.errors import PipelineError
 from repro.service.config import EXECUTOR_CHOICES, ServiceConfig
 
 
-class Dispatcher:
-    """Where serializable block jobs go to be compiled.
-
-    The dispatch contract of the fleet refactor: callers hand over
-    picklable :class:`~repro.pipeline.jobs.BlockJob` descriptors instead
-    of closures, so implementations are free to run them in the calling
-    thread, a forked search worker, or a different process entirely
-    (:class:`repro.fleet.QueueDispatcher`).  Every in-process executor
-    implements it through :meth:`BlockExecutor.run_tasks`.
-    """
-
-    def dispatch_jobs(self, jobs: list, cache=None) -> list:
-        """Compile every job, returning outcomes in input order.
-
-        ``cache`` is the caller's pulse cache, shared with in-process
-        runners so their hits and writes land where the caller looks;
-        out-of-process dispatchers ignore it and rely on each job's
-        ``cache_dir``.
-        """
-        raise NotImplementedError
-
-
-class BlockExecutor(Dispatcher):
+class BlockExecutor:
     """Order-preserving map over independent block tasks."""
 
     name = "abstract"
@@ -86,26 +66,13 @@ class BlockExecutor(Dispatcher):
         """Apply ``fn`` to every item, returning results in input order."""
         raise NotImplementedError
 
-    def dispatch_jobs(self, jobs: list, cache) -> list:
-        """Compile block jobs against ``cache``, searching through
-        :meth:`run_tasks`.
-
-        Cache hits and warm-start seeds are resolved in this process
-        (:func:`repro.core.compiler.compile_jobs`), so only seed-carrying
-        pure searches travel — never the cache — and the results are
-        cached and judged here in job order.
-        """
-        from repro.core.compiler import compile_jobs
-
-        return compile_jobs(list(jobs), cache, self)
-
     def run_tasks(self, fn: Callable, items: Iterable) -> list:
         """Apply the pure, picklable ``fn`` to every picklable item,
         results in input order.
 
         The tasks share nothing, so they go through ``map`` — inline for
-        ``serial`` and the fleet's ``queue`` dispatcher; in-process venues
-        record their ``repro.perf`` counts directly.
+        ``serial``, which records their ``repro.perf`` counts directly.
+        Venues in other processes ship the counts back with the results.
         """
         return self.map(fn, items)
 

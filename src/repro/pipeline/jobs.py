@@ -1,32 +1,27 @@
-"""Serializable block-compilation jobs — dispatch as data, not closures.
+"""Serializable block-search jobs — dispatch as data, not closures.
 
 :class:`BlockJob` is a picklable descriptor carrying everything a bare
-process needs to compile one deduplicated block — the dedup/cache key,
+process needs to search one deduplicated block — the dedup/cache key,
 the phase-canonical target unitary, the device (control context source),
 GRAPE settings with the preset-deferred fields materialized, time-search
 hyperparameters, the resolved warm-start policy and, once the dispatching
 process has consulted its cache, the warm-start seed itself.
 
-A job runs in one of two venues:
-
-* :func:`repro.core.compiler.search_job` — the pure minimum-time search
-  from the job's own seed.  It needs no pulse cache: the dispatching
-  process resolved cache hits and seeds before any search ran, and it
-  writes and judges the results itself, in block order.  The in-process
-  executors and the ``auto`` executor's forked search worker both run
-  this, through :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`.
-* :func:`run_block_job` — the whole compile against a pulse cache (hit,
-  seed, search, judgment), for venues that own a cache: the
-  :mod:`repro.fleet` worker loop, which reads and fills the shared
-  library.
+A job runs as :func:`repro.core.compiler.search_job` — the pure
+minimum-time search from the job's own seed.  It needs no pulse cache:
+the dispatching process resolved cache hits and seeds before any search
+ran, and it writes and judges the results itself, in block order
+(:func:`repro.core.compiler.compile_jobs`).  Every venue runs it through
+:meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`: the calling
+thread, the ``auto`` executor's forked search worker, or a
+:mod:`repro.fleet` worker process.
 
 GRAPE is deterministic for a given (target, context, settings, seed), so
-the same job compiles to the same pulse bit-for-bit no matter which venue
+the same job searches to the same pulse bit-for-bit no matter which venue
 ran it.
 
 This module also owns the JSON encoding of schedules, outcomes, and
-cache entries (moved here from the scheduler): job results must cross
-process boundaries through completion records, and JSON's repr-based
+cache entries that the scheduler-state spill writes: JSON's repr-based
 floats round-trip control samples bit-identically.
 """
 
@@ -122,14 +117,14 @@ def _decode_cache_entry(data: dict):
 
 @dataclass(eq=False)
 class BlockJob:
-    """Everything one process needs to compile one deduplicated block.
+    """Everything one process needs to search one deduplicated block.
 
     Attributes
     ----------
     key:
         The dedup/cache identity (phase-canonical unitary fingerprint plus
-        control context) — exactly the pulse-cache key, so whoever runs
-        the job hits and fills the same shared library slot.
+        control context) — exactly the pulse-cache key the dispatching
+        process looks up and fills.
     target:
         The block's target unitary on its local qubits.
     device_qubits:
@@ -144,27 +139,18 @@ class BlockJob:
         GRAPE settings with the preset-deferred fields (``dt_ns``,
         ``target_fidelity``) materialized to concrete values, so a worker
         process cannot resolve them against a *different* active preset.
+        Venues in other processes also apply the dispatching process's
+        active preset, which still controls ``time_search_precision_ns``.
     hyperparameters:
         Time-search hyperparameters (learning rates, iteration budget).
     warm_start / warm_start_max_dist:
         The warm-start policy resolved to concrete values at job-build
         time — jobs never consult the builder's configuration.
-    preset:
-        The active preset name at job-build time.  Fleet workers apply it
-        before compiling (it still controls ``time_search_precision_ns``);
-        the ``auto`` executor's search worker applies the dispatching
-        process's active preset to each share instead.
-    cache_dir:
-        Optional shared pulse-library directory.  Set by the fleet
-        dispatcher before enqueueing so detached workers persist pulses
-        where the service can see them; ``None`` means a private
-        in-memory cache.
     seed:
         The warm-start seed the dispatching process resolved from its
         cache (:meth:`~repro.core.compiler.BlockPulseCompiler._find_seed`),
         or ``None`` for a cold search.  :func:`~repro.core.compiler
-        .search_job` starts from it; :func:`run_block_job` ignores it and
-        resolves a seed from its own cache.
+        .search_job` starts from it.
     """
 
     key: tuple
@@ -176,42 +162,4 @@ class BlockJob:
     hyperparameters: object
     warm_start: bool
     warm_start_max_dist: float
-    preset: str
-    cache_dir: str | None = None
     seed: object = None
-
-    @property
-    def name(self) -> str:
-        """A content-derived label (the cache entry's library file name)."""
-        from repro.core.cache import _key_filename
-
-        return _key_filename(self.key)
-
-
-def run_block_job(job: BlockJob, cache=None):
-    """Compile one :class:`BlockJob` to a ``BlockCompileOutcome``.
-
-    ``cache`` lets long-lived venues (fleet workers) share one pulse cache
-    across jobs; when ``None`` the job's ``cache_dir`` decides between a
-    shared on-disk library and a private in-memory cache.  Runs the exact
-    resolved-block path of
-    :meth:`~repro.core.compiler.BlockPulseCompiler.compile_block`, so the
-    result is bit-identical to compiling the block in-process.
-    """
-    from repro.core.cache import PersistentPulseCache, PulseCache
-    from repro.core.compiler import BlockPulseCompiler
-
-    if cache is None:
-        if job.cache_dir:
-            cache = PersistentPulseCache(job.cache_dir)
-        else:
-            cache = PulseCache()
-    compiler = BlockPulseCompiler(
-        job.device,
-        job.settings,
-        job.hyperparameters,
-        cache,
-        warm_start=job.warm_start,
-        warm_start_max_dist=job.warm_start_max_dist,
-    )
-    return compiler.compile_job(job)

@@ -418,8 +418,6 @@ class BlockScheduler:
         grape_batch: bool = ServiceConfig.grape_batch,
         grape_batch_size: int = ServiceConfig.grape_batch_size,
     ):
-        from repro.pipeline.strategies import compile_fixed_block
-
         self.block_compiler = block_compiler
         self.executor = executor if executor is not None else SerialExecutor()
         self.parametrized_handler = parametrized_handler
@@ -432,83 +430,42 @@ class BlockScheduler:
         self.grape_batch = bool(grape_batch)
         self.grape_batch_size = max(1, int(grape_batch_size))
         self._dispatch = partial(
-            _dispatch_task,
-            partial(compile_fixed_block, block_compiler),
-            parametrized_handler,
+            _dispatch_task, block_compiler, parametrized_handler
         )
 
     def _batched_dispatch_allowed(self, fixed_count: int) -> bool:
         """Whether this pass should stack fixed tasks into the batched kernel.
 
         Requires an executor that *prefers* batching (serial and auto; the
-        fleet's queue dispatcher ships jobs instead), at least two fixed
-        representatives, and a compiler whose dispatch path batching
-        cannot change: a subclass that overrides ``compile_block``
-        (failure injection, custom judgment) without overriding
-        ``compile_blocks_batched`` must keep its override on the dispatch
-        path.
+        fleet's queue dispatcher ships searches instead) and at least two
+        fixed representatives.
         """
-        if not self.grape_batch or fixed_count < 2:
-            return False
-        if not getattr(self.executor, "prefers_batched", False):
-            return False
-        from repro.core.compiler import BlockPulseCompiler
-
-        compiler = self.block_compiler
-        if not isinstance(compiler, BlockPulseCompiler):
-            return False
-        cls = type(compiler)
-        if (
-            cls.compile_block is not BlockPulseCompiler.compile_block
-            and cls.compile_blocks_batched
-            is BlockPulseCompiler.compile_blocks_batched
-        ):
-            return False
-        return True
-
-    def _job_dispatch_allowed(self) -> bool:
-        """Whether fixed representatives may travel as serializable jobs.
-
-        Jobs run the compiler's resolved-block path directly, so they are
-        only equivalent for a plain :class:`BlockPulseCompiler` (or a
-        subclass that overrides none of the involved methods): a subclass
-        overriding ``compile_block`` (failure injection, custom judgment)
-        must keep its override on the dispatch path, so it falls back to
-        the closure map.
-        """
-        from repro.core.compiler import BlockPulseCompiler
-
-        compiler = self.block_compiler
-        if not isinstance(compiler, BlockPulseCompiler):
-            return False
-        cls = type(compiler)
         return (
-            cls.compile_block is BlockPulseCompiler.compile_block
-            and cls.make_job is BlockPulseCompiler.make_job
-            and cls.compile_job is BlockPulseCompiler.compile_job
+            self.grape_batch
+            and fixed_count >= 2
+            and getattr(self.executor, "prefers_batched", False)
         )
 
     def _dispatch_all(self, order: list, dispatch_tasks: list) -> tuple:
         """Run every dispatch task; batch fixed ones when it pays.
 
-        Fixed representatives travel one of three routes, preferred in
-        order: :meth:`~repro.core.compiler.BlockPulseCompiler
-        .compile_blocks_batched` (executors that prefer batching; its
-        seeded searches go through the executor's ``run_tasks``),
-        serializable :class:`~repro.pipeline.jobs.BlockJob` descriptors
-        through the executor's :meth:`~repro.pipeline.executors
-        .Dispatcher.dispatch_jobs` (the fleet-ready data path), or the
-        legacy closure map (custom compilers).  Parametrized tasks always
-        take the closure path — they are not serializable as jobs.
+        Fixed representatives take :meth:`~repro.core.compiler
+        .BlockPulseCompiler.compile_blocks_batched` when the executor
+        prefers batching, else :func:`~repro.core.compiler.compile_jobs`
+        as :class:`~repro.pipeline.jobs.BlockJob` descriptors.  Either way
+        their searches go through the executor's ``run_tasks``, and hits,
+        seeds, caching and judgment stay in this process.  Parametrized
+        tasks take the closure ``map`` — they are not serializable as
+        jobs.
 
         Returns ``(results, stats)`` with results aligned to
         ``dispatch_tasks`` and ``stats`` the compiler's batching summary
-        (empty counts when a non-batched path ran instead).
+        (empty counts when the job route ran instead).
         """
-        no_stats = {"batched_groups": 0, "batched_blocks": 0}
+        from repro.core.compiler import compile_jobs
+
         fixed_idx = [j for j, (kind, _) in enumerate(order) if kind == "group"]
         if self._batched_dispatch_allowed(len(fixed_idx)):
-            results: list = [None] * len(dispatch_tasks)
             outcomes, stats = self.block_compiler.compile_blocks_batched(
                 [
                     (
@@ -520,17 +477,10 @@ class BlockScheduler:
                 max_group=self.grape_batch_size,
                 executor=self.executor,
             )
-            for j, outcome in zip(fixed_idx, outcomes):
-                results[j] = outcome
-            for j, (kind, _) in enumerate(order):
-                if kind != "group":
-                    results[j] = self._dispatch(dispatch_tasks[j])
-            return results, stats
-        if fixed_idx and self._job_dispatch_allowed():
+        else:
             # Grouped representatives always carry a real dedup key (the
             # trivial ones were compiled inline before dispatch), so
-            # make_job never returns None here; the guard keeps a
-            # surprising task on the always-correct closure path anyway.
+            # make_job never returns None here.
             jobs = [
                 self.block_compiler.make_job(
                     dispatch_tasks[j].subcircuit,
@@ -539,18 +489,20 @@ class BlockScheduler:
                 )
                 for j in fixed_idx
             ]
-            if all(job is not None for job in jobs):
-                results = [None] * len(dispatch_tasks)
-                outcomes = self.executor.dispatch_jobs(
-                    jobs, cache=self.block_compiler.cache
-                )
-                for j, outcome in zip(fixed_idx, outcomes):
-                    results[j] = outcome
-                for j, (kind, _) in enumerate(order):
-                    if kind != "group":
-                        results[j] = self._dispatch(dispatch_tasks[j])
-                return results, no_stats
-        return self.executor.map(self._dispatch, dispatch_tasks), no_stats
+            outcomes = compile_jobs(
+                jobs, self.block_compiler.cache, self.executor
+            )
+            stats = {"batched_groups": 0, "batched_blocks": 0}
+        results: list = [None] * len(dispatch_tasks)
+        for j, outcome in zip(fixed_idx, outcomes):
+            results[j] = outcome
+        rest = [j for j, (kind, _) in enumerate(order) if kind != "group"]
+        mapped = self.executor.map(
+            self._dispatch, [dispatch_tasks[j] for j in rest]
+        )
+        for j, result in zip(rest, mapped):
+            results[j] = result
+        return results, stats
 
     def run(self, contexts: list) -> SchedulerReport:
         """Compile every context's tasks, deduplicating across the batch.

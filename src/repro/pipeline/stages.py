@@ -235,8 +235,9 @@ class BlockingStage(Stage):
         context.metadata["blocks"] = len(tasks)
 
 
-def _dispatch_task(fixed_handler, parametrized_handler, task: BlockTask):
-    """Route one task to its handler (module-level, so it pickles)."""
+def _dispatch_task(block_compiler, parametrized_handler, task: BlockTask):
+    """Run one closure-map task: a parametrized task through its handler,
+    a fixed one (a trivial block) through ``block_compiler``."""
     if task.kind == "parametrized":
         if parametrized_handler is None:
             raise PipelineError(
@@ -244,120 +245,78 @@ def _dispatch_task(fixed_handler, parametrized_handler, task: BlockTask):
                 "has no parametrized handler"
             )
         return parametrized_handler(task)
-    return fixed_handler(task)
+    return block_compiler.compile_block(task.subcircuit, task.device_qubits)
 
 
 class PulseStage(Stage):
-    """Map block handlers over the tasks through the configured executor.
+    """Compile the blocked tasks through the configured executor.
 
-    ``fixed_handler`` compiles a bound block to a
-    :class:`~repro.core.compiler.BlockCompileOutcome` (or a strategy plan
-    entry); ``parametrized_handler`` handles parameter-dependent tasks.
-    Both must be picklable (module-level functions, or ``functools.partial``
-    over picklable state) for the process executor to work.
-
-    ``block_compiler`` (optional) is the
-    :class:`~repro.core.compiler.BlockPulseCompiler` behind
-    ``fixed_handler``, exposed so the batch scheduler
-    (:class:`repro.pipeline.scheduler.BlockScheduler`) can compute block
-    identities and fan deduplicated results back out.  Single-circuit
-    ``run`` never consults it.
+    Fixed tasks become :class:`~repro.pipeline.jobs.BlockJob` descriptors
+    of ``block_compiler`` (a
+    :class:`~repro.core.compiler.BlockPulseCompiler`) and go through
+    :func:`~repro.core.compiler.compile_jobs`: hits and warm-start seeds
+    resolve against the compiler's cache, the cold searches run through
+    the executor's ``run_tasks``, and the results are cached and judged
+    here in block order.  The executor's closure ``map`` carries only
+    ``parametrized_handler``'s parameter-dependent tasks and trivial
+    (empty / zero-duration) blocks.  The batch scheduler
+    (:class:`repro.pipeline.scheduler.BlockScheduler`) reads
+    ``block_compiler`` to compute block identities and fan deduplicated
+    results back out.
     """
 
     name = "pulse"
 
     def __init__(
         self,
-        fixed_handler: Callable,
+        block_compiler,
         executor: BlockExecutor | None = None,
         parametrized_handler: Callable | None = None,
-        block_compiler=None,
     ):
-        self.fixed_handler = fixed_handler
-        self.parametrized_handler = parametrized_handler
         self.block_compiler = block_compiler
+        self.parametrized_handler = parametrized_handler
         self.executor = executor if executor is not None else SerialExecutor()
         self._dispatch = partial(
-            _dispatch_task, fixed_handler, parametrized_handler
-        )
-
-    def _job_dispatch_allowed(self) -> bool:
-        """Whether fixed tasks may travel as serializable block jobs.
-
-        Only when ``fixed_handler`` is exactly the standard block compile
-        over ``block_compiler`` — strategies that plug in plan-building or
-        otherwise custom fixed handlers keep their handler on the closure
-        path — and the compiler is a plain
-        :class:`~repro.core.compiler.BlockPulseCompiler` (subclasses that
-        override the compile path keep their overrides in effect).
-        """
-        from repro.core.compiler import BlockPulseCompiler
-        from repro.pipeline.strategies import compile_fixed_block
-
-        compiler = self.block_compiler
-        if not isinstance(compiler, BlockPulseCompiler):
-            return False
-        handler = self.fixed_handler
-        if not (
-            isinstance(handler, partial)
-            and handler.func is compile_fixed_block
-            and len(handler.args) == 1
-            and handler.args[0] is compiler
-            and not handler.keywords
-        ):
-            return False
-        cls = type(compiler)
-        return (
-            cls.compile_block is BlockPulseCompiler.compile_block
-            and cls.make_job is BlockPulseCompiler.make_job
-            and cls.compile_job is BlockPulseCompiler.compile_job
+            _dispatch_task, block_compiler, parametrized_handler
         )
 
     def _run_tasks(self, tasks: list) -> list:
-        """Dispatch the task list: jobs for standard fixed work, closures
-        for everything else (parametrized, trivial, custom handlers)."""
-        if not self._job_dispatch_allowed():
-            return self.executor.map(self._dispatch, tasks)
+        """Fixed blocks as jobs, everything else through the closure map."""
+        from repro.core.compiler import compile_jobs
+
         jobs: list = []
         job_idx: list = []
         for i, task in enumerate(tasks):
-            if task.kind != "fixed" or task.subcircuit is None:
+            if task.kind != "fixed":
                 continue
             job = self.block_compiler.make_job(
                 task.subcircuit, task.device_qubits
             )
-            if job is None:
-                # Trivial (empty / zero-duration) block: the closure path
-                # below compiles it inline for free.
-                continue
-            jobs.append(job)
-            job_idx.append(i)
+            if job is not None:  # None: a trivial block, compiled inline
+                jobs.append(job)
+                job_idx.append(i)
         results: list = [None] * len(tasks)
-        if jobs:
-            outcomes = self.executor.dispatch_jobs(
-                jobs, cache=self.block_compiler.cache
-            )
-            for i, outcome in zip(job_idx, outcomes):
-                results[i] = outcome
-        for i, task in enumerate(tasks):
-            if results[i] is None:
-                results[i] = self._dispatch(task)
+        outcomes = compile_jobs(jobs, self.block_compiler.cache, self.executor)
+        for i, outcome in zip(job_idx, outcomes):
+            results[i] = outcome
+        rest = [i for i, result in enumerate(results) if result is None]
+        mapped = self.executor.map(self._dispatch, [tasks[i] for i in rest])
+        for i, result in zip(rest, mapped):
+            results[i] = result
         return results
 
     def run(self, context: PipelineContext) -> None:
         if context.tasks is None:
             raise PipelineError("a blocking stage must run before the pulse stage")
-        cache = getattr(self.block_compiler, "cache", None)
+        cache = self.block_compiler.cache
         # Pin warm-start candidates to the pre-pass cache state so the
         # compiled pulses do not depend on which executor ran the map
         # (see PulseCache.freeze_neighbors).
-        if cache is not None:
-            cache.freeze_neighbors()
+        cache.freeze_neighbors()
         try:
             context.block_results = self._run_tasks(context.tasks)
         finally:
-            if cache is not None:
-                cache.thaw_neighbors()
+            cache.thaw_neighbors()
         context.executor_info = self.executor.describe()
 
 

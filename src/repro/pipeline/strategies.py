@@ -21,7 +21,6 @@ independent per-block GRAPE searches parallelize.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from repro.pipeline.executors import BlockExecutor, resolve_executor
@@ -30,16 +29,10 @@ from repro.pipeline.stages import (
     AssembleStage,
     BindStage,
     BlockingStage,
-    BlockTask,
     GateScheduleStage,
     PulseStage,
     TranspileStage,
 )
-
-
-def compile_fixed_block(block_compiler, task: BlockTask):
-    """Compile one bound block task (module-level, so it pickles)."""
-    return block_compiler.compile_block(task.subcircuit, task.device_qubits)
 
 
 def _prefix(pass_manager) -> list:
@@ -67,11 +60,7 @@ def full_grape_pipeline(
         + [
             BindStage(),
             BlockingStage(max_width),
-            PulseStage(
-                partial(compile_fixed_block, block_compiler),
-                executor=resolve_executor(executor),
-                block_compiler=block_compiler,
-            ),
+            PulseStage(block_compiler, executor=resolve_executor(executor)),
             AssembleStage(fallback=True),
         ],
         name="grape",
@@ -93,10 +82,9 @@ def strict_precompile_pipeline(
         [
             BlockingStage(max_width, isolate_parametrized=True),
             PulseStage(
-                partial(compile_fixed_block, block_compiler),
+                block_compiler,
                 executor=resolve_executor(executor),
                 parametrized_handler=parametrized_handler,
-                block_compiler=block_compiler,
             ),
         ],
         name="strict-precompile",
@@ -121,10 +109,9 @@ def flexible_precompile_pipeline(
         [
             BlockingStage(max_width, slicer=slicer),
             PulseStage(
-                partial(compile_fixed_block, block_compiler),
+                block_compiler,
                 executor=resolve_executor(executor),
                 parametrized_handler=parametrized_handler,
-                block_compiler=block_compiler,
             ),
         ],
         name="flexible-precompile",

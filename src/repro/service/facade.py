@@ -164,7 +164,6 @@ class CompilationService:
             )
         return QueueDispatcher(
             fleet_dir,
-            cache_dir=self.config.cache_dir,
             workers=self.config.fleet_workers,
             lease_ttl_s=self.config.fleet_lease_ttl_s,
             heartbeat_s=self.config.fleet_heartbeat_s,

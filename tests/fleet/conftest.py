@@ -1,8 +1,9 @@
-"""Shared fixtures for the fleet tests: small real BlockJobs.
+"""Shared fixtures for the fleet tests: small real BlockJobs and the pure
+search tasks the queue carries.
 
 One 2-qubit entangling block with a per-test rotation angle keeps each
-job's GRAPE search short while still exercising the full claim → compile
-→ complete path with genuine pulse work.
+search short while still exercising the full claim → run → complete path
+with genuine pulse work.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.config import get_preset
 from repro.core import PulseCache
-from repro.core.compiler import BlockPulseCompiler
+from repro.core.compiler import BlockPulseCompiler, search_job
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
@@ -30,20 +32,15 @@ def block_circuit(angle: float) -> QuantumCircuit:
 
 @pytest.fixture
 def block_compiler():
-    # Warm start pinned off: neighbor seeding depends on cache contents,
-    # which would break the bit-identity assertions across venues.
     return BlockPulseCompiler(
-        GmonDevice(line_topology(2)),
-        SETTINGS,
-        HYPER,
-        PulseCache(),
-        warm_start=False,
+        GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache()
     )
 
 
 @pytest.fixture
 def job_factory(block_compiler):
-    """Build a picklable BlockJob for one angle of the test block."""
+    """Build a picklable (seedless) BlockJob for one angle of the test
+    block."""
 
     def make(angle: float = 0.3):
         job = block_compiler.make_job(block_circuit(angle), (0, 1))
@@ -51,3 +48,31 @@ def job_factory(block_compiler):
         return job
 
     return make
+
+
+@pytest.fixture
+def task_factory(job_factory):
+    """The queue payload a dispatcher enqueues for one block search:
+    ``(search_job, job, preset)``."""
+
+    def make(angle: float = 0.3):
+        return (search_job, job_factory(angle), get_preset().name)
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def same_search():
+    """Bit-identity of two minimum-time search results (wall time aside)."""
+
+    def check(a, b) -> bool:
+        return (
+            a.duration_ns == b.duration_ns
+            and a.fidelity == b.fidelity
+            and a.converged == b.converged
+            and a.total_iterations == b.total_iterations
+            and a.probes == b.probes
+            and a.schedule.controls.tobytes() == b.schedule.controls.tobytes()
+        )
+
+    return check

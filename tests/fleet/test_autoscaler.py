@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+from repro.core import PulseCache
+from repro.core.compiler import compile_jobs, search_job
 from repro.errors import ReproError
 from repro.fleet import FleetAutoscaler, QueueDispatcher
 
@@ -192,7 +194,7 @@ class TestAutoscaledDispatch:
         )
         try:
             jobs = [job_factory(0.1 * k) for k in range(1, 7)]
-            outcomes = dispatcher.dispatch_jobs(jobs)
+            outcomes = compile_jobs(jobs, PulseCache(), dispatcher)
             assert len(outcomes) == 6
             scaler = dispatcher._autoscaler
             assert scaler.scale_ups >= 1
@@ -225,7 +227,7 @@ class TestAutoscaledDispatch:
             surge_idle_exit_s=0.3,
         )
         try:
-            outcome = dispatcher.dispatch_jobs([job_factory(0.25)])
+            outcome = dispatcher.run_tasks(search_job, [job_factory(0.25)])
             assert len(outcome) == 1
             assert dispatcher.inline_jobs == 0
             assert dispatcher.workers_spawned >= 1

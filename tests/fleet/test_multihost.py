@@ -57,9 +57,9 @@ def _wait_for(predicate, timeout: float = 120.0, interval: float = 0.02) -> bool
 
 
 class TestMultiHostSoak:
-    def test_two_simulated_hosts_drain_one_queue(self, tmp_path, job_factory):
+    def test_two_simulated_hosts_drain_one_queue(self, tmp_path, task_factory):
         queue = FleetQueue(tmp_path)
-        job_ids = [queue.enqueue(job_factory(0.1 * k)) for k in range(1, 7)]
+        job_ids = [queue.enqueue(task_factory(0.1 * k)) for k in range(1, 7)]
 
         workers = [
             _spawn_worker(
@@ -101,11 +101,11 @@ class TestMultiHostSoak:
             assert announced["heartbeat_s"] > 0
             assert worker["host"].startswith("simhost-")
 
-    def test_completions_attributed_to_both_worker_ids(self, tmp_path, job_factory):
+    def test_completions_attributed_to_both_worker_ids(self, tmp_path, task_factory):
         """With one deliberately slow-start host, attribution still lands
         on whichever worker did the job — by worker id, host included."""
         queue = FleetQueue(tmp_path)
-        job_id = queue.enqueue(job_factory(0.35))
+        job_id = queue.enqueue(task_factory(0.35))
         proc = _spawn_worker(
             tmp_path, "--host-label", "lonely", "--max-jobs", "1"
         )
@@ -126,9 +126,9 @@ class TestCrossHostReclaim:
         "time.sleep(600)"
     )
 
-    def test_dead_pid_on_another_host_waits_for_ttl(self, tmp_path, job_factory):
+    def test_dead_pid_on_another_host_waits_for_ttl(self, tmp_path, task_factory):
         queue = FleetQueue(tmp_path, lease_ttl_s=1.5, host_label="simhost-b")
-        queue.enqueue(job_factory(0.55))
+        queue.enqueue(task_factory(0.55))
 
         holder = subprocess.Popen(
             [sys.executable, "-c", self._HOLDER, str(SRC_ROOT), str(tmp_path)],

@@ -163,7 +163,7 @@ class TestPoisonPills:
         (queue.jobs_dir / "0-bad-0001.job").write_bytes(b"not a pickle")
         assert queue.claim("w1") is None
         record = queue.consume_result("0-bad-0001")
-        assert record["outcome"] is None
+        assert record["result"] is None
         assert "unreadable job payload" in record["error"]
         assert not (queue.jobs_dir / "0-bad-0001.job").exists()
 
@@ -179,7 +179,7 @@ class TestPoisonPills:
         )
         assert queue.claim("w1") is None
         record = queue.consume_result(job_id)
-        assert record["outcome"] is None
+        assert record["result"] is None
         assert "schema" in record["error"]
 
     def test_poison_pill_does_not_wedge_later_jobs(self, tmp_path):

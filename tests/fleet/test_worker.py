@@ -2,8 +2,9 @@
 
 The satellite contracts under test:
 
-* a worker completes real BlockJobs and exits cleanly under ``--max-jobs``
-  with results bit-identical to in-process compilation;
+* a worker runs real block searches and exits cleanly under
+  ``--max-jobs`` with results bit-identical to running them in-process,
+  and ships back the ``repro.perf`` counts each one moved;
 * SIGTERM drains the in-flight job to a completion record before exit;
 * a ``kill -9``'d claim holder's lease is reclaimed (with the reclaim
   counted) even though its heartbeat was fresh and its TTL enormous.
@@ -18,10 +19,9 @@ import time
 from pathlib import Path
 
 import repro
-from repro.core import PulseCache
 from repro.fleet.dispatcher import _WORKER_BOOTSTRAP
-from repro.fleet.queue import FleetQueue
-from repro.pipeline.jobs import _encode_outcome, run_block_job
+from repro.fleet.queue import FleetQueue, pack_result, unpack_result
+from repro.perf import get_perf_registry
 
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
@@ -54,10 +54,10 @@ def _wait_for(predicate, timeout: float = 120.0, interval: float = 0.02) -> bool
 
 
 class TestWorkerLoop:
-    def test_compiles_one_job_and_exits(self, tmp_path, job_factory):
+    def test_compiles_one_job_and_exits(self, tmp_path, task_factory, same_search):
         queue = FleetQueue(tmp_path)
-        job = job_factory(0.3)
-        job_id = queue.enqueue(job)
+        task = task_factory(0.3)
+        job_id = queue.enqueue(task)
 
         proc = _spawn_worker(tmp_path, "--max-jobs", 1, "--worker-id", "w1")
         assert proc.wait(timeout=180) == 0
@@ -67,10 +67,14 @@ class TestWorkerLoop:
         assert record["error"] is None
         assert record["worker"] == "w1"
         assert record["wall_time_s"] > 0
-        # Bit-identity across the process boundary: the worker's encoded
-        # outcome equals the in-process compile of the same job.
-        expected = _encode_outcome(run_block_job(job, cache=PulseCache()))
-        assert record["outcome"] == expected
+        # Bit-identity across the process boundary: the worker's result
+        # equals the in-process search of the same job, and the counts it
+        # moved ride along.
+        fn, job, _ = task
+        with get_perf_registry().counts_moved() as counts:
+            inline = fn(job)
+        assert same_search(unpack_result(record["result"]), inline)
+        assert record["counts"] == counts
         # The queue is fully retired and the worker signed off.
         assert list(queue.jobs_dir.glob("*.job")) == []
         assert list(queue.leases_dir.glob("*.json")) == []
@@ -85,9 +89,9 @@ class TestWorkerLoop:
 
 
 class TestSigtermDrain:
-    def test_sigterm_drains_inflight_job(self, tmp_path, job_factory):
+    def test_sigterm_drains_inflight_job(self, tmp_path, task_factory):
         queue = FleetQueue(tmp_path)
-        job_id = queue.enqueue(job_factory(0.7))
+        job_id = queue.enqueue(task_factory(0.7))
 
         proc = _spawn_worker(tmp_path)
         try:
@@ -138,10 +142,10 @@ class TestKillNineReclaim:
     )
 
     def test_killed_holders_lease_is_reclaimed_and_completed(
-        self, tmp_path, job_factory
+        self, tmp_path, task_factory
     ):
         queue = FleetQueue(tmp_path, lease_ttl_s=3600.0)
-        job_id = queue.enqueue(job_factory(0.5))
+        job_id = queue.enqueue(task_factory(0.5))
 
         proc = subprocess.Popen(
             [sys.executable, "-c", self._HOLDER, str(SRC_ROOT), str(tmp_path)],
@@ -163,13 +167,13 @@ class TestKillNineReclaim:
         assert lease["reclaims"] >= 1
 
         # The rescuer finishes the job: at-least-once delivery converges.
-        outcome = run_block_job(claimed[1], cache=PulseCache())
+        fn, job, _ = claimed[1]
         queue.complete(
             job_id,
             {
                 "job_id": job_id,
                 "worker": "rescuer",
-                "outcome": _encode_outcome(outcome),
+                "result": pack_result(fn(job)),
                 "error": None,
                 "wall_time_s": 0.0,
             },
@@ -179,15 +183,17 @@ class TestKillNineReclaim:
 
 
 class TestForeignPreset:
-    def test_worker_under_another_preset_returns_identical_pulses(self, tmp_path):
-        """A job built under ``ci`` and run by a worker whose process came
-        up under ``paper`` (as ``REPRO_PRESET=paper`` would set it) returns
-        the pulses of an inline compile, bit for bit."""
+    def test_worker_under_another_preset_returns_identical_pulses(
+        self, tmp_path, same_search
+    ):
+        """A search enqueued under ``ci`` and run by a worker whose process
+        came up under ``paper`` (as ``REPRO_PRESET=paper`` would set it)
+        returns the pulses of an inline search, bit for bit."""
         from repro.circuits.circuit import QuantumCircuit
         from repro.config import get_preset, set_preset
-        from repro.core.compiler import BlockPulseCompiler
+        from repro.core import PulseCache
+        from repro.core.compiler import BlockPulseCompiler, search_job
         from repro.fleet.worker import FleetWorker
-        from repro.pipeline.jobs import _decode_outcome
         from repro.pulse.device import GmonDevice
         from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
         from repro.transpile.topology import line_topology
@@ -202,23 +208,18 @@ class TestForeignPreset:
                 GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
                 GrapeHyperparameters(0.05, 0.002),
                 PulseCache(),
-                warm_start=False,
             )
             block = QuantumCircuit(2).h(0).cx(0, 1).rz(0.7, 1)
             job = compiler.make_job(block, (0, 1))
-            assert job.preset == "ci"
-            inline = run_block_job(job, cache=PulseCache())
+            inline = search_job(job)
 
             set_preset("paper")
             queue = FleetQueue(tmp_path)
-            job_id = queue.enqueue(job)
+            job_id = queue.enqueue((search_job, job, "ci"))
             worker = FleetWorker(tmp_path, poll_s=0.01, max_jobs=1)
             assert worker.run() == 0
             record = queue.consume_result(job_id)
         finally:
             set_preset(original)
         assert record["error"] is None
-        remote = _decode_outcome(record["outcome"])
-        assert remote.schedule.controls.tobytes() == inline.schedule.controls.tobytes()
-        assert remote.duration_ns == inline.duration_ns
-        assert remote.iterations == inline.iterations
+        assert same_search(unpack_result(record["result"]), inline)

@@ -1,8 +1,9 @@
 """BlockJob round-trips: dispatch-as-data must change nothing observable.
 
 The tentpole contract: a job built by ``make_job`` compiles bit-identically
-to ``compile_block`` on the same block — in this process, through
-``run_block_job``, and in a bare subprocess that unpickles the job cold.
+to ``compile_block`` on the same block through ``compile_jobs`` on every
+executor, and its seed-carrying search (``search_job``) returns the same
+result in a bare subprocess that unpickles the job cold.
 """
 
 from __future__ import annotations
@@ -21,16 +22,12 @@ import repro
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.core import PersistentPulseCache, PulseCache
-from repro.core.cache import _key_filename
-from repro.core.compiler import BlockPulseCompiler, search_job
+from repro.core.compiler import BlockPulseCompiler, compile_jobs, search_job
 from repro.errors import CompilationError
+from repro.fleet.queue import unpack_result
 from repro.perf import get_perf_registry
-from repro.pipeline.jobs import (
-    BlockJob,
-    _decode_outcome,
-    _encode_outcome,
-    run_block_job,
-)
+from repro.pipeline import SerialExecutor
+from repro.pipeline.jobs import BlockJob, _decode_outcome, _encode_outcome
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.pulse.hamiltonian import build_control_set
@@ -40,12 +37,13 @@ SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
 HYPER = GrapeHyperparameters(0.05, 0.002, max_iterations=120)
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
-#: Compile a pickled job in a bare interpreter and emit the encoded outcome.
+#: Search a pickled job in a bare interpreter and emit the packed result.
 _SUBPROCESS_RUNNER = (
-    "import sys, json, pickle; sys.path.insert(0, sys.argv[1]); "
-    "from repro.pipeline.jobs import run_block_job, _encode_outcome; "
+    "import sys, pickle; sys.path.insert(0, sys.argv[1]); "
+    "from repro.core.compiler import search_job; "
+    "from repro.fleet.queue import pack_result; "
     "job = pickle.load(open(sys.argv[2], 'rb')); "
-    "print(json.dumps(_encode_outcome(run_block_job(job))))"
+    "print(pack_result(search_job(job)))"
 )
 
 
@@ -67,6 +65,27 @@ def _compiler(cache=None) -> BlockPulseCompiler:
     )
 
 
+def _seeded(job: BlockJob) -> BlockJob:
+    """``job`` with the warm-start seed a warm-start compiler resolves
+    for it (two-qubit blocks always get a KAK seed)."""
+    compiler = BlockPulseCompiler(
+        GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache()
+    )
+    seed = compiler._find_seed(
+        job.key,
+        job.target,
+        build_control_set(job.device, job.device_qubits),
+        job.gate_based_ns,
+    )
+    assert seed is not None
+    return replace(job, seed=seed)
+
+
+def _serial(jobs: list, cache=None) -> list:
+    cache = cache if cache is not None else PulseCache()
+    return compile_jobs(jobs, cache, SerialExecutor())
+
+
 class TestMakeJob:
     def test_job_carries_resolved_identity(self):
         compiler = _compiler()
@@ -78,8 +97,7 @@ class TestMakeJob:
         assert job.settings.dt_ns == SETTINGS.resolved_dt()
         assert job.settings.target_fidelity == SETTINGS.resolved_target()
         assert job.warm_start is False
-        assert job.preset
-        assert job.name == _key_filename(job.key)
+        assert job.seed is None
 
     def test_trivial_block_yields_no_job(self):
         assert _compiler().make_job(QuantumCircuit(2), (0, 1)) is None
@@ -91,27 +109,28 @@ class TestMakeJob:
             _compiler().make_job(circuit, (0, 1))
 
     def test_pickle_roundtrip_preserves_identity(self):
-        job = _compiler().make_job(_block(), (0, 1))
+        job = _seeded(_compiler().make_job(_block(), (0, 1)))
         clone = pickle.loads(pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
         assert clone.key == job.key
         assert np.array_equal(clone.target, job.target)
         assert clone.device_qubits == job.device_qubits
         assert clone.gate_based_ns == job.gate_based_ns
         assert clone.settings == job.settings
-        assert clone.preset == job.preset
+        assert np.array_equal(clone.seed.controls, job.seed.controls)
 
 
-class TestRunBlockJob:
+class TestCompileJobs:
     def test_matches_compile_block_bit_for_bit(self):
         block = _block(0.8)
         direct = _compiler().compile_block(block, (0, 1))
         job = _compiler().make_job(block, (0, 1))
-        via_job = run_block_job(job, cache=PulseCache())
+        [via_job] = _serial([job])
         assert _encode_outcome(via_job) == _encode_outcome(direct)
 
-    def test_subprocess_compile_is_bit_identical(self, tmp_path):
-        """Pickle → compile in a bare subprocess → identical outcome."""
-        job = _compiler().make_job(_block(0.4), (0, 1))
+    def test_subprocess_search_is_bit_identical(self, tmp_path):
+        """Pickle a seed-carrying job → search it in a bare subprocess →
+        the same result as searching it here."""
+        job = _seeded(_compiler().make_job(_block(0.4), (0, 1)))
         job_path = tmp_path / "job.pkl"
         job_path.write_bytes(pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
         proc = subprocess.run(
@@ -127,32 +146,35 @@ class TestRunBlockJob:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        remote = json.loads(proc.stdout)
-        local = _encode_outcome(run_block_job(job, cache=PulseCache()))
-        assert remote == local
+        remote = unpack_result(proc.stdout.strip())
+        local = search_job(job)
+        assert remote.schedule.controls.tobytes() == local.schedule.controls.tobytes()
+        assert remote.duration_ns == local.duration_ns
+        assert remote.total_iterations == local.total_iterations
+        assert remote.probes == local.probes
 
-    def test_cache_dir_routes_through_the_shared_library(self, tmp_path):
-        job = _compiler().make_job(
-            _block(0.9), (0, 1), cache_dir=str(tmp_path / "lib")
-        )
-        assert job.cache_dir == str(tmp_path / "lib")
-        first = run_block_job(job)
+    def test_results_land_in_the_callers_library(self, tmp_path):
+        """``compile_jobs`` writes to the cache it is given — here a disk
+        library — and a fresh cache object over the same directory hits."""
+        library = tmp_path / "lib"
+        job = _compiler().make_job(_block(0.9), (0, 1))
+        [first] = _serial([job], PersistentPulseCache(library))
         assert first.cache_hit is False
-        # A second run (fresh cache object, same directory) must hit.
-        second = run_block_job(job)
+        [second] = _serial([job], PersistentPulseCache(library))
         assert second.cache_hit is True
         assert second.duration_ns == first.duration_ns
-        assert PersistentPulseCache(job.cache_dir).get(job.key) is not None
+        assert PersistentPulseCache(library).get(job.key) is not None
 
-    def test_shared_cache_wins_over_cache_dir(self, tmp_path):
-        job = _compiler().make_job(
-            _block(0.2), (0, 1), cache_dir=str(tmp_path / "lib")
-        )
+    def test_search_touches_no_cache(self, tmp_path):
+        """The pure search reads nothing but its job: it leaves the
+        caller's cache as it found it."""
         cache = PulseCache()
-        run_block_job(job, cache=cache)
-        # The explicit cache was used: nothing landed in the directory.
+        job = _compiler(cache).make_job(_block(0.2), (0, 1))
+        search_job(job)
+        assert cache.get(job.key) is None
+        [outcome] = _serial([job], cache)
         assert cache.get(job.key) is not None
-        assert not (tmp_path / "lib").exists()
+        assert outcome.cache_hit is False
 
 
 class TestOutcomeCodec:
@@ -174,18 +196,15 @@ class TestOutcomeCodec:
         )
 
 
-class TestExecutorDispatchJobs:
+class TestCompileJobsAcrossExecutors:
     @pytest.mark.parametrize("executor_name", ["serial", "auto"])
-    def test_dispatch_jobs_matches_serial(self, executor_name):
+    def test_compile_jobs_matches_serial(self, executor_name):
         from repro.pipeline import resolve_executor
 
         jobs = [_compiler().make_job(_block(a), (0, 1)) for a in (0.25, 0.75)]
-        expected = [
-            _encode_outcome(run_block_job(job, cache=PulseCache()))
-            for job in jobs
-        ]
+        expected = [_encode_outcome(o) for o in _serial(jobs)]
         executor = resolve_executor(executor_name)
-        outcomes = executor.dispatch_jobs(jobs, cache=PulseCache())
+        outcomes = compile_jobs(jobs, PulseCache(), executor)
         assert [_encode_outcome(o) for o in outcomes] == expected
 
     @pytest.mark.parametrize("executor_name", ["serial", "auto"])
@@ -197,10 +216,12 @@ class TestExecutorDispatchJobs:
         job = _compiler().make_job(_block(0.35), (0, 1))
         cache = PulseCache()
         expected = [
-            _encode_outcome(run_block_job(job, cache=cache)) for _ in range(2)
+            _encode_outcome(outcome)
+            for _ in range(2)
+            for outcome in _serial([job], cache)
         ]
         executor = resolve_executor(executor_name)
-        outcomes = executor.dispatch_jobs([job, job], cache=PulseCache())
+        outcomes = compile_jobs([job, job], PulseCache(), executor)
         assert [_encode_outcome(o) for o in outcomes] == expected
         assert outcomes[1].cache_hit is True
 

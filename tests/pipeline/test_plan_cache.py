@@ -158,18 +158,12 @@ class TestNonPlannablePipelines:
             BlockingStage,
             PulseStage,
         )
-        from repro.pipeline.strategies import compile_fixed_block
-        from functools import partial
 
         bc = _compiler()
         stages = [
             BindStage(),
             BlockingStage(max_width=2, isolate_parametrized=True),
-            PulseStage(
-                partial(compile_fixed_block, bc),
-                parametrized_handler=lambda task: None,
-                block_compiler=bc,
-            ),
+            PulseStage(bc, parametrized_handler=lambda task: None),
             AssembleStage(fallback=False),
         ]
         pipeline = CompilationPipeline(stages)

@@ -388,33 +388,6 @@ class TestBatchedDispatch:
         assert report.batched_blocks == 0
         assert contexts[0].program is not None
 
-    def test_compile_block_override_disables_batching(self):
-        """A subclass that customizes compile_block (failure injection,
-        custom judgment) must keep its override on the dispatch path."""
-        from repro.pipeline import SerialExecutor
-
-        calls = []
-
-        class TracingCompiler(BlockPulseCompiler):
-            def compile_block(self, subcircuit, device_qubits, hyperparameters=None):
-                calls.append(tuple(device_qubits))
-                return super().compile_block(
-                    subcircuit, device_qubits, hyperparameters
-                )
-
-        block_compiler = TracingCompiler(
-            GmonDevice(line_topology(4)), SETTINGS, HYPER, PulseCache()
-        )
-        pipeline = full_grape_pipeline(block_compiler, 2)
-        scheduler = BlockScheduler(
-            block_compiler, SerialExecutor(), grape_batch=True
-        )
-        _, report = pipeline.run_many(
-            [_two_distinct_blocks_circuit()], scheduler=scheduler
-        )
-        assert report.batched_groups == 0
-        assert len(calls) == 2
-
     def test_perf_counters_record_batching(self):
         registry = get_perf_registry()
         before_groups = registry.counter("scheduler.batched_groups")

@@ -223,18 +223,21 @@ class TestLifecycle:
         assert session.device.num_qubits >= 4
 
 
-class FailingCompiler(BlockPulseCompiler):
-    """Fails the first ``fail_times`` compile_block dispatches."""
+@pytest.fixture
+def fail_first_search(monkeypatch):
+    """Make the first block search raise; later searches run normally."""
+    from repro.core import compiler
 
-    def __init__(self, *args, fail_times: int = 1, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fail_times = fail_times
+    search = compiler.search_job
+    left = [1]
 
-    def compile_block(self, subcircuit, device_qubits, hyperparameters=None):
-        if self.fail_times > 0:
-            self.fail_times -= 1
+    def failing_search(job):
+        if left[0] > 0:
+            left[0] -= 1
             raise RuntimeError("representative block compilation failed")
-        return super().compile_block(subcircuit, device_qubits, hyperparameters)
+        return search(job)
+
+    monkeypatch.setattr(compiler, "search_job", failing_search)
 
 
 def _blocked_context(circuit: QuantumCircuit) -> PipelineContext:
@@ -245,13 +248,14 @@ def _blocked_context(circuit: QuantumCircuit) -> PipelineContext:
 
 
 class TestFailedRepresentative:
-    def test_failure_records_no_stale_state_and_no_partial_results(self):
+    def test_failure_records_no_stale_state_and_no_partial_results(
+        self, fail_first_search
+    ):
         """A failed representative must not leave dedup state behind:
         duplicates (and later calls) must never receive a pulse that was
         never actually compiled."""
-        compiler = FailingCompiler(
-            GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache(),
-            fail_times=1,
+        compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache()
         )
         state = SchedulerState()
         scheduler = BlockScheduler(compiler, state=state)

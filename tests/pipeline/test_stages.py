@@ -73,13 +73,7 @@ class TestStageOrdering:
 
     def test_pulse_before_blocking_fails(self, two_qubit_device, fast_settings, fast_hyper):
         compiler = BlockPulseCompiler(two_qubit_device, fast_settings, fast_hyper)
-        from functools import partial
-
-        from repro.pipeline.strategies import compile_fixed_block
-
-        broken = CompilationPipeline(
-            [BindStage(), PulseStage(partial(compile_fixed_block, compiler))]
-        )
+        broken = CompilationPipeline([BindStage(), PulseStage(compiler)])
         with pytest.raises(PipelineError):
             broken.run(_ansatz(), values=[0.1])
 

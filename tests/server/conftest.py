@@ -1,8 +1,10 @@
 """Shared fixtures for the HTTP compilation frontend tests.
 
-Every fixture pins ``warm_start=False``: warm starting is the one
-deliberately order-sensitive knob, and these tests assert bit-identity
-between compilation venues (in-process vs HTTP vs fleet-served HTTP).
+The service fixture pins ``warm_start=False``, so these tests' pulses do
+not depend on the warm-start defaults.  Bit-identity between compilation
+venues (in-process vs HTTP vs fleet-served HTTP) holds with warm start on
+too: the dispatching service resolves every seed itself, and the fleet
+parity test runs both settings.
 """
 
 from __future__ import annotations

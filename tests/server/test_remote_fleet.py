@@ -1,9 +1,9 @@
 """End-to-end: HTTP compile served by fleet workers in other processes.
 
 The issue's acceptance path — ``POST /v1/compile`` lands on a service
-whose queue dispatcher ships the block jobs to a worker *process*, and
-the pulses that come back over the wire are bit-identical to an inline
-``service.compile`` — plus the CLI pair that operators actually run:
+whose queue dispatcher ships the block searches to a worker *process*,
+and the pulses that come back over the wire are bit-identical to an
+inline ``service.compile`` with warm start off or on — plus the CLI pair that operators actually run:
 ``python -m repro serve`` (SIGTERM drains) and
 ``python -m repro remote-compile --verify-local``.
 """
@@ -32,8 +32,9 @@ SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 
 class TestFleetServedCompile:
+    @pytest.mark.parametrize("warm_start", [False, True])
     def test_http_compile_bit_identical_to_inline(
-        self, tmp_path, make_request, programs_identical
+        self, tmp_path, make_request, programs_identical, warm_start
     ):
         """One request through HTTP + queue dispatcher + worker process;
         the same request inline through a serial service; same bits."""
@@ -42,7 +43,7 @@ class TestFleetServedCompile:
             dispatcher="queue",
             fleet_dir=str(tmp_path / "fleet"),
             fleet_workers=1,
-            warm_start=False,
+            warm_start=warm_start,
         )
         with CompilationService(
             config=fleet_cfg, settings=SETTINGS, hyperparameters=HYPER
@@ -52,7 +53,7 @@ class TestFleetServedCompile:
                 remote = client.compile(request)
                 stats = client.stats()
         with CompilationService(
-            config=ServiceConfig(executor="serial", warm_start=False),
+            config=ServiceConfig(executor="serial", warm_start=warm_start),
             settings=SETTINGS,
             hyperparameters=HYPER,
         ) as serial_service:

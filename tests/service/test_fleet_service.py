@@ -3,8 +3,12 @@
 The milestone-1 service-level contracts:
 
 * every strategy compiled through ``dispatcher="queue"`` with real worker
-  processes is bit-identical to the serial in-process executor (warm
-  start pinned off — it is the one deliberately order-sensitive knob);
+  processes is bit-identical to the serial in-process executor, with
+  warm start off and on: the service resolves cache hits and warm-start
+  seeds itself and ships seed-carrying searches, so a request sequence
+  whose later requests seed from earlier pulses matches serial too;
+* the ``repro.perf`` counts a worker's searches move come home to the
+  dispatching process, and the pulses land in the service's library;
 * ``queue_depth`` bounds admission — extra ``submit()`` calls block and
   are counted — without losing or erroring any request;
 * the fleet directory falls back to ``<cache_dir>/fleet``, and a queue
@@ -18,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError, ServiceSaturated
+from repro.library import PulseLibrary
+from repro.perf import get_perf_registry
 from repro.service import CompilationService, CompileRequest, ServiceConfig
 
 #: (strategy, extra request options) — flexible-partial's tuning loop is
@@ -31,40 +37,138 @@ STRATEGIES = [
 ]
 
 
+#: Near-miss θ for one ansatz: each later full-grape request seeds its
+#: cold blocks from the pulses the earlier ones cached.
+NEAR_MISS_THETAS = ([0.4, 0.9], [0.42, 0.9], [0.44, 0.91], [0.46, 0.92])
+
+WARM_START_COUNTERS = (
+    "grape.warm_start.accepted",
+    "grape.warm_start.seeded_iterations",
+)
+
+
+def _serial_and_fleet(tmp_path, settings, hyper, requests, **config) -> dict:
+    """Compile ``requests`` in order on a serial service and on a 2-worker
+    fleet service: ``{label: (results, warm-start counter movement)}``."""
+    configs = {
+        "serial": ServiceConfig(executor="serial", **config),
+        "fleet": ServiceConfig(
+            dispatcher="queue",
+            fleet_dir=str(tmp_path / "fleet"),
+            fleet_workers=2,
+            **config,
+        ),
+    }
+    perf = get_perf_registry()
+    runs: dict = {}
+    for label, cfg in configs.items():
+        before = {name: perf.counter(name) for name in WARM_START_COUNTERS}
+        with CompilationService(
+            config=cfg, settings=settings, hyperparameters=hyper
+        ) as service:
+            results = [service.compile(request) for request in requests]
+            if label == "fleet":
+                assert service.stats()["executor"]["completed_jobs"] > 0
+        moved = {
+            name: perf.counter(name) - before[name]
+            for name in WARM_START_COUNTERS
+        }
+        runs[label] = (results, moved)
+    return runs
+
+
 class TestQueueDispatchParity:
+    @pytest.mark.parametrize("warm_start", [False, True])
     def test_all_strategies_bit_identical_to_serial(
-        self, tmp_path, workload, coarse_settings, coarse_hyper, programs_identical
+        self,
+        tmp_path,
+        workload,
+        coarse_settings,
+        coarse_hyper,
+        programs_identical,
+        warm_start,
     ):
         """One serial service and one 2-worker fleet service compile the
         same five requests; every program must match bit-for-bit."""
         circuit, theta = workload
-        serial_cfg = ServiceConfig(executor="serial", warm_start=False)
-        fleet_cfg = ServiceConfig(
-            dispatcher="queue",
-            fleet_dir=str(tmp_path / "fleet"),
-            fleet_workers=2,
-            warm_start=False,
+        requests = [
+            CompileRequest(circuit, theta, strategy=name, options=dict(options))
+            for name, options in STRATEGIES
+        ]
+        runs = _serial_and_fleet(
+            tmp_path,
+            coarse_settings,
+            coarse_hyper,
+            requests,
+            warm_start=warm_start,
         )
-        results: dict = {}
-        for label, cfg in (("serial", serial_cfg), ("fleet", fleet_cfg)):
-            with CompilationService(
-                config=cfg,
-                settings=coarse_settings,
-                hyperparameters=coarse_hyper,
-            ) as service:
-                results[label] = [
-                    service.compile(
-                        CompileRequest(
-                            circuit, theta, strategy=name, options=dict(options)
-                        )
-                    )
-                    for name, options in STRATEGIES
-                ]
         for (name, _), serial, fleet in zip(
-            STRATEGIES, results["serial"], results["fleet"]
+            STRATEGIES, runs["serial"][0], runs["fleet"][0]
         ):
             assert programs_identical(serial.program, fleet.program), name
             assert fleet.strategy == name
+
+    def test_near_miss_sequence_bit_identical_to_serial(
+        self, tmp_path, workload, coarse_settings, coarse_hyper, programs_identical
+    ):
+        """Warm start on (the default): later requests seed from the
+        pulses earlier ones cached, and the fleet must seed exactly as
+        serial does, whatever its workers have seen."""
+        circuit, _ = workload
+        requests = [
+            CompileRequest(circuit, theta, strategy="full-grape")
+            for theta in NEAR_MISS_THETAS
+        ]
+        runs = _serial_and_fleet(tmp_path, coarse_settings, coarse_hyper, requests)
+        for theta, serial, fleet in zip(
+            NEAR_MISS_THETAS, runs["serial"][0], runs["fleet"][0]
+        ):
+            assert programs_identical(serial.program, fleet.program), theta
+
+    def test_fleet_warm_start_counts_come_home(
+        self, tmp_path, workload, coarse_settings, coarse_hyper
+    ):
+        """The warm-start counters a fleet-served full-grape compile moves
+        in its workers move in the dispatching process, by the same
+        amounts as under ``executor="serial"``."""
+        circuit, theta = workload
+        runs = _serial_and_fleet(
+            tmp_path,
+            coarse_settings,
+            coarse_hyper,
+            [CompileRequest(circuit, theta, strategy="full-grape")],
+        )
+        serial_moved, fleet_moved = runs["serial"][1], runs["fleet"][1]
+        assert serial_moved["grape.warm_start.seeded_iterations"] > 0
+        assert fleet_moved == serial_moved
+
+    def test_fleet_pulses_land_in_the_service_library(
+        self, tmp_path, workload, coarse_settings, coarse_hyper, programs_identical
+    ):
+        """With ``dispatcher="queue"`` and a ``cache_dir`` the service
+        caches the fleet's pulses in its own library: a later serial
+        service over the same directory compiles from hits alone."""
+        circuit, theta = workload
+        cache_dir = str(tmp_path / "cache")
+        request = CompileRequest(circuit, theta, strategy="full-grape")
+        with CompilationService(
+            config=ServiceConfig(
+                dispatcher="queue", cache_dir=cache_dir, fleet_workers=1
+            ),
+            settings=coarse_settings,
+            hyperparameters=coarse_hyper,
+        ) as service:
+            fleet = service.compile(request)
+            assert service.stats()["executor"]["completed_jobs"] > 0
+        assert PulseLibrary(cache_dir).sweep()["entries"] > 0
+        with CompilationService(
+            config=ServiceConfig(executor="serial", cache_dir=cache_dir),
+            settings=coarse_settings,
+            hyperparameters=coarse_hyper,
+        ) as service:
+            warm = service.compile(request)
+        assert warm.compiled.runtime_iterations == 0
+        assert programs_identical(warm.program, fleet.program)
 
     def test_fleet_dir_derived_from_cache_dir(self, tmp_path):
         config = ServiceConfig(

@@ -250,7 +250,14 @@ class TestFleetCli:
         assert args.max_jobs is None
         assert args.idle_exit is None
         assert args.worker_id is None
-        assert args.cache_dir is None
+
+    def test_worker_takes_no_cache_dir(self):
+        """A worker opens no pulse library: the dispatching service caches
+        every result itself."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["worker", "--fleet-dir", "/tmp/q", "--cache-dir", "/tmp/c"]
+            )
 
     def test_fleet_requires_subcommand(self):
         with pytest.raises(SystemExit):
