@@ -535,8 +535,9 @@ def _seeded_search(control_set, target, upper_ns, hyper, settings, seed):
     A converged seeded search is accepted outright — it met the same
     fidelity threshold a cold search would have.  Otherwise the cold
     search runs too and whichever result is better wins (convergence
-    first, then final fidelity), with the loser's iterations merged into
-    the returned result so latency accounting stays honest.
+    first, then final fidelity), with the loser's iterations, memo hits
+    and abandoned probes merged into the returned result so latency
+    accounting stays honest.
     """
     perf = get_perf_registry()
     seeded = minimum_time_pulse(
@@ -571,6 +572,9 @@ def _seeded_search(control_set, target, upper_ns, hyper, settings, seed):
         grape_calls=winner.grape_calls + loser.grape_calls,
         wall_time_s=winner.wall_time_s + loser.wall_time_s,
         probes=[*seeded.probes, *cold.probes],
+        memo_hits=winner.memo_hits + loser.memo_hits,
+        abandoned=winner.abandoned + loser.abandoned,
+        abandoned_iterations=winner.abandoned_iterations + loser.abandoned_iterations,
     )
 
 

@@ -96,6 +96,9 @@ class GrapeResult:
     #: True when a :class:`~repro.pulse.grape.memo.GrapeRunMemo` replayed
     #: this run instead of running it.
     memo_hit: bool = False
+    #: True when ``give_up`` stopped the run because it could no longer
+    #: reach the target in its remaining budget.
+    abandoned: bool = False
 
     @property
     def duration_ns(self) -> float:
@@ -111,6 +114,7 @@ def optimize_pulse(
     settings: GrapeSettings | None = None,
     initial: np.ndarray | None = None,
     memo=None,
+    give_up: bool = False,
 ) -> GrapeResult:
     """Run GRAPE for a fixed pulse length of ``num_steps`` slices.
 
@@ -136,10 +140,31 @@ def optimize_pulse(
         Optional :class:`~repro.pulse.grape.memo.GrapeRunMemo`.  A run with
         exactly these inputs that the memo holds is replayed from it
         (``memo_hit`` set), bit-identical to running it again.
+    give_up:
+        Stop early (``abandoned`` set) once the run's recent progress
+        cannot reach the target in the budget it has left.  With ``w =
+        plateau_patience // 2`` and ``best_k`` the best fidelity of
+        iterations ``2..k``, iteration ``k > w + 1`` gives up when
+        ``best_k + 2 · (best_k − best_{k−w}) / w · (max_iterations − k)``
+        is below the target: even at twice its best-fidelity gain rate of
+        the last ``w`` iterations, held for every iteration left, the run
+        would miss.  Iteration 1 only scores the initial controls: the
+        optimizer's first step moves every sample by a full learning-rate
+        step, and a warm start at 0.97 was seen to fall to 0.01 and climb
+        back to converge at iteration 42, a climb that a best including
+        the seed reads as no progress.  Only for a run whose failing
+        result the caller discards (a minimum-time search's descent
+        probe): the stop then changes nothing but time.
     """
     if memo is not None:
         return memo.run(
-            control_set, target, num_steps, hyperparameters, settings, initial
+            control_set,
+            target,
+            num_steps,
+            hyperparameters,
+            settings,
+            initial,
+            give_up=give_up,
         )
     if num_steps < 1:
         raise GrapeError("num_steps must be >= 1")
@@ -196,7 +221,11 @@ def optimize_pulse(
     start = time.perf_counter()
     iterations_run = 0
     converged = False
+    abandoned = False
     stall = 0
+    window_len = settings.plateau_patience // 2
+    iterate_best = -1.0  # best fidelity of iterations 2..k, for give_up
+    iterate_bests: list[float] = []
 
     for iteration in range(max_iterations):
         _, gradient, fidelity = cost_fn.cost_and_gradient(controls)
@@ -216,6 +245,15 @@ def optimize_pulse(
             break
         if stall >= settings.plateau_patience:
             break
+        if give_up and window_len and iterations_run > 1:
+            iterate_best = max(iterate_best, fidelity)
+            iterate_bests.append(iterate_best)
+            left = max_iterations - iterations_run
+            if len(iterate_bests) > window_len and left > 0:
+                rate = (iterate_best - iterate_bests[-1 - window_len]) / window_len
+                if iterate_best + 2.0 * rate * left < target_fidelity:
+                    abandoned = True
+                    break
         controls = optimizer.step(controls, gradient, scale=upper)
         controls = controls.clip(lower, upper)
         if window is not None:
@@ -237,4 +275,5 @@ def optimize_pulse(
         wall_time_s=elapsed,
         fidelity_history=history,
         target_fidelity=target_fidelity,
+        abandoned=abandoned,
     )

@@ -49,6 +49,7 @@ def run_key(
     hyperparameters: GrapeHyperparameters,
     settings: GrapeSettings,
     initial: np.ndarray | None,
+    give_up: bool = False,
 ) -> bytes:
     """Digest of everything that determines one ``optimize_pulse`` run."""
     resolved = replace(
@@ -66,7 +67,7 @@ def run_key(
     digest.update(
         repr((control_set.qubits, control_set.levels, names, num_steps)).encode()
     )
-    digest.update(repr((hyper, resolved)).encode())
+    digest.update(repr((hyper, resolved, give_up)).encode())
     _add_array(digest, control_set.drift)
     _add_array(digest, control_set.operators)
     _add_array(digest, np.asarray(control_set.max_amplitudes, dtype=float))
@@ -139,11 +140,14 @@ class GrapeRunMemo:
         hyperparameters: GrapeHyperparameters | None = None,
         settings: GrapeSettings | None = None,
         initial: np.ndarray | None = None,
+        give_up: bool = False,
     ) -> GrapeResult:
         """``optimize_pulse(...)``, replayed when this exact run is stored."""
         hyperparameters = hyperparameters or GrapeHyperparameters()
         settings = settings or GrapeSettings()
-        key = run_key(control_set, target, num_steps, hyperparameters, settings, initial)
+        key = run_key(
+            control_set, target, num_steps, hyperparameters, settings, initial, give_up
+        )
         with self._lock:
             stored = self._entries.get(key)
             if stored is not None:
@@ -152,7 +156,13 @@ class GrapeRunMemo:
                 return _copy(stored, memo_hit=True)
             self.misses += 1
         result = optimize_pulse(
-            control_set, target, num_steps, hyperparameters, settings, initial=initial
+            control_set,
+            target,
+            num_steps,
+            hyperparameters,
+            settings,
+            initial=initial,
+            give_up=give_up,
         )
         stored = _copy(result, memo_hit=False)
         with self._lock:

@@ -200,7 +200,8 @@ def kak_seed_schedule(
 
 
 def warm_start_telemetry() -> dict:
-    """JSON-ready snapshot of the ``grape.warm_start.*`` perf counters."""
+    """JSON-ready snapshot of the ``grape.warm_start.*`` perf counters and
+    of ``grape.time_search.abandoned*``."""
     perf = get_perf_registry()
     seeded = perf.counter("grape.warm_start.seeded_iterations")
     cold = perf.counter("grape.warm_start.cold_rerun_iterations")
@@ -214,4 +215,9 @@ def warm_start_telemetry() -> dict:
         "seeded_iterations": seeded,
         "cold_rerun_iterations": cold,
         "healed_entries": perf.counter("grape.warm_start.healed"),
+        # Descent probes (run only from a seed) that gave up early.
+        "abandoned_descents": perf.counter("grape.time_search.abandoned"),
+        "abandoned_iterations": perf.counter(
+            "grape.time_search.abandoned_iterations"
+        ),
     }

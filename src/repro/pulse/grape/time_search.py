@@ -9,6 +9,16 @@ the iterations per probe.
 
 The search is sequential by design: each probe's outcome decides the next
 interval, and the feasibility-doubling probes stop at the first success.
+
+A search that opens at a warm-start seed's duration descends from there
+one ``dt`` at a time, and a failing descent probe's pulse is discarded.
+So each descent probe gives up (``optimize_pulse(..., give_up=True)``)
+once its recent progress, doubled and held for its whole remaining budget,
+would still miss the target; the search's pulses, durations and decisions
+are those of the probe running to its end, in fewer iterations.  No other
+probe gives up: a failing trial or doubling probe's pulse seeds the next
+probe, and binary probes from a cold search can plateau for tens of
+iterations and then escape, which no rate rule foresees.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import GrapeError
+from repro.perf import get_perf_registry
 from repro.pulse.grape.engine import (
     GrapeHyperparameters,
     GrapeResult,
@@ -36,7 +47,10 @@ class MinimumTimeResult:
     ``total_iterations`` counts every ADAM step across every probe — the
     hardware-independent compilation-latency measure used in the Figure 7
     reproduction; ``memo_hits`` counts the probes a
-    :class:`~repro.pulse.grape.memo.GrapeRunMemo` replayed.
+    :class:`~repro.pulse.grape.memo.GrapeRunMemo` replayed;
+    ``abandoned`` counts the descent probes that gave up early and
+    ``abandoned_iterations`` the iterations they ran (included in
+    ``total_iterations``).
     """
 
     schedule: PulseSchedule
@@ -48,6 +62,8 @@ class MinimumTimeResult:
     wall_time_s: float
     probes: list = field(default_factory=list)  # (duration_ns, fidelity, converged)
     memo_hits: int = 0
+    abandoned: int = 0
+    abandoned_iterations: int = 0
 
     @property
     def best_result_duration(self) -> float:
@@ -83,7 +99,12 @@ def minimum_time_pulse(
         the seed's own duration is tried *first* when it undercuts the
         upper bound — a near-miss neighbor's minimum time is an excellent
         guess for this block's, letting the search open already close to
-        the answer.
+        the answer.  When that opening probe converges the search descends
+        one ``dt`` at a time; a descent probe gives up once even twice its
+        recent best-fidelity gain rate, held for its remaining budget,
+        cannot reach the target (see ``give_up`` of
+        :func:`~repro.pulse.grape.engine.optimize_pulse`), since the first
+        failing descent's pulse is discarded and only its failure is used.
     memo:
         Optional :class:`~repro.pulse.grape.memo.GrapeRunMemo` every probe
         goes through (see :func:`~repro.pulse.grape.engine.optimize_pulse`).
@@ -102,18 +123,36 @@ def minimum_time_pulse(
     total_iterations = 0
     grape_calls = 0
     memo_hits = 0
+    abandoned = 0
+    abandoned_iterations = 0
     probes: list[tuple] = []
 
-    def run(duration_ns: float, warm: PulseSchedule | None) -> GrapeResult:
+    def run(
+        duration_ns: float, warm: PulseSchedule | None, give_up: bool = False
+    ) -> GrapeResult:
         nonlocal total_iterations, grape_calls, memo_hits
+        nonlocal abandoned, abandoned_iterations
         steps = max(1, int(round(duration_ns / dt)))
         initial = warm.resampled(steps).controls if warm is not None else None
         result = optimize_pulse(
-            control_set, target, steps, hyper, settings, initial=initial, memo=memo
+            control_set,
+            target,
+            steps,
+            hyper,
+            settings,
+            initial=initial,
+            memo=memo,
+            give_up=give_up,
         )
         total_iterations += result.iterations
         grape_calls += 1
         memo_hits += result.memo_hit
+        if result.abandoned:
+            abandoned += 1
+            abandoned_iterations += result.iterations
+            perf = get_perf_registry()
+            perf.count("grape.time_search.abandoned")
+            perf.count("grape.time_search.abandoned_iterations", result.iterations)
         probes.append((steps * dt, result.fidelity, result.converged))
         return result
 
@@ -129,11 +168,9 @@ def minimum_time_pulse(
             # Try the seed's own duration first — for a near-miss neighbor
             # it is the best minimum-time guess available.  Dedupe trials
             # that snap to the same step count.
-            snapped = {max(1, int(round(t / dt))) for t in (seed_duration,)}
+            seed_steps = max(1, int(round(seed_duration / dt)))
             trial_times = [seed_duration] + [
-                t
-                for t in trial_times
-                if max(1, int(round(t / dt))) not in snapped
+                t for t in trial_times if max(1, int(round(t / dt))) != seed_steps
             ]
             seed_first = True
     doubling_times = [upper_bound_ns * 2.0**k for k in range(1, max_doublings + 1)]
@@ -167,6 +204,8 @@ def minimum_time_pulse(
             wall_time_s=time.perf_counter() - start,
             probes=probes,
             memo_hits=memo_hits,
+            abandoned=abandoned,
+            abandoned_iterations=abandoned_iterations,
         )
 
     feasible = best
@@ -182,7 +221,9 @@ def minimum_time_pulse(
     # cheap (each warm-starts from the last), and the first failure closes
     # the window to one step, ending the search with the same precision
     # guarantee.  A small budget bounds the descent for loose seeds; any
-    # leftover window falls through to the ordinary binary search.
+    # leftover window falls through to the ordinary binary search.  Only
+    # a descent probe's failure is used, never its pulse, so it may give
+    # up as soon as it cannot reach the target.
     descend_budget = 4 if seed_first and best.converged and grape_calls == 1 else 0
     while descend_budget and high - low > min_width:
         steps = max(1, int(round(high / dt))) - 1
@@ -190,7 +231,7 @@ def minimum_time_pulse(
         if steps < 1 or candidate <= low:
             break
         descend_budget -= 1
-        result = run(candidate, feasible.schedule)
+        result = run(candidate, feasible.schedule, give_up=True)
         if result.converged:
             feasible = result
             high = candidate
@@ -220,4 +261,6 @@ def minimum_time_pulse(
         wall_time_s=time.perf_counter() - start,
         probes=probes,
         memo_hits=memo_hits,
+        abandoned=abandoned,
+        abandoned_iterations=abandoned_iterations,
     )

@@ -201,6 +201,8 @@ class TestTelemetry:
             "seeded_iterations",
             "cold_rerun_iterations",
             "healed_entries",
+            "abandoned_descents",
+            "abandoned_iterations",
         }
 
     def test_service_stats_include_warm_start(self):

@@ -148,9 +148,11 @@ class TestWorkerRoute:
         assert executor["worker_searches"] > 0
         assert executor["worker_fallbacks"] == 0
         _assert_same_work(routed, serial, programs_identical)
-        # The worker's accept/reject and iteration counts reach the parent.
+        # The worker's accept/reject, iteration and abandoned-descent
+        # counts reach the parent.
         if strategy == "full-grape":
             assert serial_moved["accepted"] > 0
+            assert serial_moved["abandoned_descents"] > 0
         assert routed_moved == serial_moved
 
     def test_worker_follows_the_dispatching_preset(
