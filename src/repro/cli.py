@@ -860,7 +860,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll",
         type=float,
         default=0.2,
-        help="idle sleep between queue polls (seconds)",
+        help="longest idle sleep between queue polls (seconds); idle "
+        "polls back off from 1 ms up to it",
     )
     worker.add_argument(
         "--max-jobs",

@@ -129,11 +129,14 @@ class PulseCache:
 
     def __init__(self):
         self._entries: dict = {}
-        self._targets: dict = {}  # key -> target unitary (warm-start index)
-        # While frozen, neighbor search sees only the keys present at
-        # freeze time (see freeze_neighbors); depth-counted for nesting.
+        # Warm-start index: (context, target shape) -> TargetStack of the
+        # known target unitaries, keyed by cache key, in insertion order.
+        self._stacks: dict = {}
+        # While frozen, neighbor search sees only the rows each stack had
+        # at freeze time (see freeze_neighbors); depth-counted for nesting.
+        # Rows are never removed, so a row count is the pre-freeze set.
         self._frozen_depth = 0
-        self._frozen_keys: set | None = None
+        self._frozen_rows: dict | None = None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -174,9 +177,17 @@ class PulseCache:
         return (unitary, control_context_key(layout, dt_ns, target_fidelity))
 
     def block_fingerprint(self, block: QuantumCircuit) -> str:
-        """``unitary_fingerprint(circuit_unitary(block))``, memoized.
+        """``unitary_fingerprint(circuit_unitary(block))``, memoized."""
+        return self.block_identity(block)[0]
 
-        The memo key is the block's exact
+    def block_identity(self, block: QuantumCircuit) -> tuple:
+        """``(fingerprint, unitary)`` of a bound block; the fingerprint is
+        :meth:`block_fingerprint`'s.
+
+        ``unitary`` is the block's ``circuit_unitary`` when this call built
+        it (a memo miss) and ``None`` on a memo hit, so a caller that goes
+        on to compile a new block passes the matrix along instead of
+        building it again.  The memo key is the block's exact
         :meth:`~repro.circuits.circuit.QuantumCircuit.content_fingerprint`
         (gate names, qubits, and angles to the last bit), which fixes the
         unitary, so a hit returns exactly what recomputing would.  Bounded
@@ -189,14 +200,15 @@ class PulseCache:
             if fingerprint is not None:
                 self._fingerprints.move_to_end(content)
                 self.key_memo_hits += 1
-                return fingerprint
+                return fingerprint, None
             self.key_memo_misses += 1
-        fingerprint = unitary_fingerprint(circuit_unitary(block))
+        unitary = circuit_unitary(block)
+        fingerprint = unitary_fingerprint(unitary)
         with self._lock:
             self._fingerprints[content] = fingerprint
             while len(self._fingerprints) > self.key_memo_max:
                 self._fingerprints.popitem(last=False)
-        return fingerprint
+        return fingerprint, unitary
 
     def get(self, key: tuple) -> CacheEntry | None:
         """Look up ``key``, counting the hit or miss."""
@@ -232,7 +244,7 @@ class PulseCache:
         with self._lock:
             self._entries[key] = entry
             if target is not None:
-                self._targets[key] = np.asarray(target, dtype=complex)
+                self._index_target(key, target)
         # Durable writes are atomic (temp + replace), so they need no lock.
         self._persist(key, entry, target)
         with self._lock:
@@ -245,9 +257,23 @@ class PulseCache:
         threw away, so the warm-start index learns it for free.  Subclasses
         extend this to heal their durable index too.
         """
+        target = np.asarray(target, dtype=complex)
         with self._lock:
-            if key in self._entries and key not in self._targets:
-                self._targets[key] = np.asarray(target, dtype=complex)
+            if key in self._entries and key not in self._stacks.get(
+                (key[1], target.shape), ()
+            ):
+                self._index_target(key, target)
+
+    def _index_target(self, key: tuple, target: np.ndarray) -> None:
+        """Record ``key``'s target for neighbor search (lock held)."""
+        from repro.library.neighbors import TargetStack
+
+        target = np.asarray(target, dtype=complex)
+        bucket = (key[1], target.shape)
+        stack = self._stacks.get(bucket)
+        if stack is None:
+            stack = self._stacks[bucket] = TargetStack(target.shape[0])
+        stack.add(key, target)
 
     def freeze_neighbors(self) -> None:
         """Pin neighbor search to the current cache contents.
@@ -263,15 +289,17 @@ class PulseCache:
         """
         with self._lock:
             self._frozen_depth += 1
-            if self._frozen_keys is None:
-                self._frozen_keys = set(self._targets)
+            if self._frozen_rows is None:
+                self._frozen_rows = {
+                    bucket: len(stack) for bucket, stack in self._stacks.items()
+                }
 
     def thaw_neighbors(self) -> None:
         """Undo one :meth:`freeze_neighbors` (outermost thaw unpins)."""
         with self._lock:
             self._frozen_depth = max(0, self._frozen_depth - 1)
             if self._frozen_depth == 0:
-                self._frozen_keys = None
+                self._frozen_rows = None
 
     def find_neighbor(
         self, key: tuple, target: np.ndarray, max_dist: float
@@ -282,37 +310,29 @@ class PulseCache:
         target unitary is known — see :meth:`put`'s ``target`` argument and
         :meth:`annotate_target`) are candidates; the exact ``key`` itself
         never matches.  Returns ``None`` when nothing is close enough.
+        Candidates are ranked in one pass over the bucket's
+        :class:`~repro.library.neighbors.TargetStack`; equal distances go
+        to the entry indexed first.
         """
-        from repro.library.neighbors import signature_distance
-
         target = np.asarray(target, dtype=complex)
-        context = key[1]
+        bucket = (key[1], target.shape)
         with self._lock:
-            frozen = self._frozen_keys
-            candidates = [
-                (other, cached_target)
-                for other, cached_target in self._targets.items()
-                if other != key
-                and other[1] == context
-                and cached_target.shape == target.shape
-                and (frozen is None or other in frozen)
-            ]
-        best: NeighborMatch | None = None
-        for other, cached_target in candidates:
-            dist = signature_distance(target, cached_target)
-            if dist > max_dist:
-                continue
-            if best is None or dist < best.distance:
-                with self._lock:
-                    entry = self._entries.get(other)
-                if entry is not None:
-                    best = NeighborMatch(
-                        entry=entry,
-                        distance=dist,
-                        name=_key_filename(other),
-                        source="memory",
-                    )
-        return best
+            stack = self._stacks.get(bucket)
+            if stack is None:
+                return None
+            frozen = self._frozen_rows
+            count = None if frozen is None else frozen.get(bucket, 0)
+            found = stack.nearest(target, max_dist, count=count, exclude=key)
+            if found is None:
+                return None
+            other = stack.names[found[0]]
+            entry = self._entries[other]
+        return NeighborMatch(
+            entry=entry,
+            distance=found[1],
+            name=_key_filename(other),
+            source="memory",
+        )
 
     def _load_fallback(self, key: tuple) -> CacheEntry | None:
         """Second-chance lookup for subclasses with a slower tier.
@@ -512,7 +532,9 @@ class PersistentPulseCache(PulseCache):
         # O(cache size) serialization per pickle.
         state = super().__getstate__()
         state["_entries"] = {}
-        state["_targets"] = {}
+        state["_stacks"] = {}
+        if state["_frozen_rows"] is not None:
+            state["_frozen_rows"] = {}
         return state
 
     def _persist(

@@ -96,16 +96,28 @@ class BlockPulseCompiler:
         memoized channel layout and the cache's memoized block fingerprint,
         so re-keying an already-compiled block builds no operators.
         """
+        return self.task_identity(subcircuit, device_qubits)[0]
+
+    def task_identity(
+        self, subcircuit: QuantumCircuit | None, device_qubits: tuple
+    ) -> tuple:
+        """``(key, target)``: :meth:`task_key` plus the target unitary when
+        keying built it (see :meth:`~repro.core.cache.PulseCache
+        .block_identity`), else ``None``.  Callers hand ``target`` to
+        :meth:`make_job` / :meth:`compile_blocks_batched`, so a cold block
+        builds its unitary once."""
         if subcircuit is None or subcircuit.is_parameterized():
-            return None
+            return None, None
         if len(subcircuit) == 0 or critical_path_ns(subcircuit) <= 0:
-            return None
-        return self.cache.key(
-            self.cache.block_fingerprint(subcircuit),
+            return None, None
+        fingerprint, target = self.cache.block_identity(subcircuit)
+        key = self.cache.key(
+            fingerprint,
             self.device.channel_layout(device_qubits),
             self.settings.resolved_dt(),
             self.settings.resolved_target(),
         )
+        return key, target
 
     # -- outcome construction (one rulebook for serial and batched paths) --
     def _trivial_outcome(
@@ -311,26 +323,29 @@ class BlockPulseCompiler:
         subcircuit: QuantumCircuit,
         device_qubits: tuple,
         key: tuple | None = None,
+        target: np.ndarray | None = None,
     ):
         """Build the picklable :class:`~repro.pipeline.jobs.BlockJob` for
         one bound block, or ``None`` for a trivial (empty / zero-duration)
         block that needs no GRAPE.
 
         The job carries no seed: :func:`compile_jobs` resolves it against
-        the dispatching process's cache.  ``key`` skips
-        recomputing a dedup identity the caller already paid for (the
-        batch scheduler always has one).
+        the dispatching process's cache.  ``key`` and ``target`` skip
+        recomputing a dedup identity or unitary the caller already paid
+        for (the batch scheduler always has the key, and the unitary of
+        every block it keyed itself; see :meth:`task_identity`).
         """
         if subcircuit.is_parameterized():
             raise CompilationError("block must be bound before pulse compilation")
         gate_ns = critical_path_ns(subcircuit)
         if len(subcircuit) == 0 or gate_ns <= 0:
             return None
-        target = circuit_unitary(subcircuit)
+        if target is None:
+            target = circuit_unitary(subcircuit)
         if key is None:
             key = self.cache.key(
                 target,
-                build_control_set(self.device, device_qubits),
+                self.device.channel_layout(device_qubits),
                 self.settings.resolved_dt(),
                 self.settings.resolved_target(),
             )
@@ -358,10 +373,14 @@ class BlockPulseCompiler:
         hyperparameters: GrapeHyperparameters | None = None,
         max_group: int | None = None,
         executor=None,
+        identities: list | None = None,
     ) -> tuple:
         """Compile many blocks at once, batching same-shape GRAPE searches.
 
-        ``blocks`` is a list of ``(subcircuit, device_qubits)`` pairs.  Each
+        ``blocks`` is a list of ``(subcircuit, device_qubits)`` pairs;
+        ``identities``, aligned with it, may carry each block's ``(key,
+        target)`` from :meth:`task_identity` (either may be ``None``), so
+        neither is built a second time.  Each
         block runs the exact same path as :meth:`compile_block` — trivial
         blocks, cache hits, and the strictly-not-worse judgment are
         per-block and unchanged.  Cache misses are grouped by control
@@ -399,8 +418,11 @@ class BlockPulseCompiler:
                 outcomes[i] = self._trivial_outcome(device_qubits, gate_ns)
                 continue
             control_set = build_control_set(self.device, device_qubits)
-            target = circuit_unitary(subcircuit)
-            key = self.cache.key(target, control_set, dt, fid_target)
+            key, target = identities[i] if identities else (None, None)
+            if target is None:
+                target = circuit_unitary(subcircuit)
+            if key is None:
+                key = self.cache.key(target, control_set, dt, fid_target)
             cached = self.cache.get(key)
             if cached is not None:
                 self.cache.annotate_target(key, target)

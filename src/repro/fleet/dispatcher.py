@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro.config import get_preset
 from repro.errors import PipelineError
-from repro.fleet.queue import FleetQueue, unpack_result
+from repro.fleet.queue import FleetQueue, PollBackoff, unpack_result
 from repro.perf import get_perf_registry
 from repro.pipeline.executors import BlockExecutor
 
@@ -222,6 +222,7 @@ class QueueDispatcher(BlockExecutor):
         perf = get_perf_registry()
         pending = dict.fromkeys(job_ids)
         results: dict = {}
+        backoff = PollBackoff(self.poll_s)
         respawns_left = _MAX_RESPAWNS
         deadline = time.monotonic() + self.job_timeout_s
         while pending:
@@ -247,6 +248,7 @@ class QueueDispatcher(BlockExecutor):
                     )
             if progressed:
                 deadline = time.monotonic() + self.job_timeout_s
+                backoff.reset()
                 continue
             if self._autoscaler is not None:
                 # The autoscaler owns the pool: one rate-limited backlog
@@ -269,7 +271,7 @@ class QueueDispatcher(BlockExecutor):
                     f"with {len(pending)} job(s) outstanding; "
                     f"queue: {self.queue.status()!r}"
                 )
-            time.sleep(self.poll_s)
+            time.sleep(backoff.next())
         return [results[job_id] for job_id in job_ids]
 
     def describe(self) -> dict:

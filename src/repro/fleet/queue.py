@@ -63,6 +63,34 @@ def unpack_result(text: str):
     return pickle.loads(base64.b64decode(text))
 
 
+#: The first idle-poll wait after new work; see :class:`PollBackoff`.
+FIRST_POLL_S = 0.001
+
+
+class PollBackoff:
+    """Idle-poll waits that start at :data:`FIRST_POLL_S` and double on
+    every empty poll, up to ``ceiling`` (the caller's ``poll_s``).
+
+    Dispatchers and workers :meth:`reset` it whenever work moves (an
+    enqueue, a finished job), so a task that completes in a few
+    milliseconds is noticed within about that long, while a long idle
+    stretch still polls only once per ``ceiling``.
+    """
+
+    def __init__(self, ceiling: float):
+        self.ceiling = float(ceiling)
+        self.reset()
+
+    def reset(self) -> None:
+        self.delay = min(FIRST_POLL_S, self.ceiling)
+
+    def next(self) -> float:
+        """The wait before the next poll; doubles the one after."""
+        delay = self.delay
+        self.delay = min(2.0 * delay, self.ceiling)
+        return delay
+
+
 def _write_json_atomic(path: Path, payload: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(payload))

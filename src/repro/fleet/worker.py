@@ -32,7 +32,7 @@ import threading
 import time
 
 from repro.config import set_preset
-from repro.fleet.queue import FleetQueue, pack_result
+from repro.fleet.queue import FleetQueue, PollBackoff, pack_result
 from repro.perf import get_perf_registry
 
 
@@ -44,7 +44,9 @@ class FleetWorker:
     fleet_dir:
         The queue directory shared with the dispatcher and other workers.
     lease_ttl_s / poll_s:
-        Crash-reclaim TTL and the idle claim-poll interval.
+        Crash-reclaim TTL and the longest idle claim-poll interval (idle
+        polls back off from 1 ms up to it; see
+        :class:`~repro.fleet.queue.PollBackoff`).
     heartbeat_s:
         Lease-renewal interval while running a job.  ``None`` (default)
         derives ``lease_ttl_s / 3`` — three missed beats before the
@@ -171,6 +173,7 @@ class FleetWorker:
         """The claim loop; returns a process exit code (0 = clean)."""
         self._beat("idle")
         idle_since = time.monotonic()
+        backoff = PollBackoff(self.poll_s)
         while not self._drain.is_set():
             claimed = self.queue.claim(self.worker_id)
             if claimed is None:
@@ -180,12 +183,13 @@ class FleetWorker:
                 ):
                     break
                 self._beat("idle")
-                self._drain.wait(self.poll_s)
+                self._drain.wait(backoff.next())
                 continue
             job_id, job = claimed
             self._beat(f"compiling:{job_id}")
             self._run_one(job_id, job)
             idle_since = time.monotonic()
+            backoff.reset()
             if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
                 break
         self._beat("exited")

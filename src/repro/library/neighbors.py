@@ -45,6 +45,21 @@ Search is bucketed by ``(dim, ctx)`` and threshold-gated
 (``REPRO_WARM_START_MAX_DIST``): a match farther than the threshold is
 worse than no seed at all; equal distances go to the smallest name.
 
+Ranking
+-------
+Both warm-start tiers — this index and the in-memory
+:class:`~repro.core.cache.PulseCache` — rank a bucket through one
+:class:`TargetStack`: the bucket's targets stacked as the rows of one
+matrix, in the tier's tie order.  One matrix–vector product gives every
+candidate's approximate residual ``1 - |tr(U†V)|/dim``.  It only
+shortlists: a batched product is not bit-equal to :func:`numpy.vdot`, so
+every row within :data:`RECHECK_TOL` of the best residual is re-ranked
+with the exact :func:`signature_distance`, in row order, and the
+threshold is applied to the exact value.  The chosen seed and its
+reported distance are therefore exactly those of a scalar scan.  The
+``grape.warm_start.ranked`` / ``.rechecked`` counters show how many rows
+each pass ranked and rechecked.
+
 Keeping the index current
 -------------------------
 The parsed index lives in memory and is maintained incrementally, so a
@@ -80,10 +95,13 @@ from repro.library.manifest import (
     manifest_identity,
     read_manifest,
 )
+from repro.perf import get_perf_registry
 
 __all__ = [
     "NeighborHit",
     "NeighborIndex",
+    "RECHECK_TOL",
+    "TargetStack",
     "context_token",
     "decode_signature",
     "encode_signature",
@@ -149,6 +167,86 @@ def signature_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
 
 
+#: Approximate residuals within this of the best are recomputed exactly.
+#: A batched overlap differs from ``np.vdot`` by at most about
+#: ``dim² · eps`` in the residual (below 1e-12 for 4 qutrits), and the
+#: residual — not the distance, whose square root magnifies errors near
+#: 0 — is where the shortlist is cut.
+RECHECK_TOL = 1e-9
+
+
+class TargetStack:
+    """The targets of one ``(context, dim)`` bucket, stacked for ranking.
+
+    Rows keep the order names were first added, which is the tie order:
+    :meth:`nearest` prefers the earliest of equally distant rows.  Adding
+    a known name replaces its target in place.  The original arrays are
+    kept beside the stacked conjugates (rebuilt on the first lookup after
+    an add), so the exact recheck scores the very arrays a scalar scan
+    would.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = int(dim)
+        self.names: list = []
+        self.targets: list = []
+        self._rows: dict = {}
+        self._conj: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __contains__(self, name) -> bool:
+        return name in self._rows
+
+    def add(self, name, target: np.ndarray) -> None:
+        row = self._rows.setdefault(name, len(self.names))
+        if row == len(self.names):
+            self.names.append(name)
+            self.targets.append(target)
+        else:
+            self.targets[row] = target
+        self._conj = None
+
+    def nearest(
+        self,
+        target: np.ndarray,
+        max_dist: float,
+        count: int | None = None,
+        exclude=None,
+    ) -> tuple | None:
+        """``(row, exact distance)`` of the nearest of the first ``count``
+        rows (all when ``None``) within ``max_dist``, skipping the row named
+        ``exclude``; ``None`` when none is close enough.
+
+        Equal to a scalar scan of those rows in order that keeps the first
+        row of smallest :func:`signature_distance` (see the module
+        docstring, "Ranking").
+        """
+        n = len(self.names) if count is None else min(count, len(self.names))
+        if n == 0:
+            return None
+        if self._conj is None:
+            self._conj = np.stack(self.targets).reshape(len(self.targets), -1).conj()
+        residual = 1.0 - np.abs(self._conj[:n] @ target.ravel()) / self.dim
+        skip = self._rows.get(exclude)
+        if skip is not None and skip < n:
+            residual[skip] = np.inf
+        best = residual.min()
+        perf = get_perf_registry()
+        perf.count("grape.warm_start.ranked", n)
+        if not best <= max(max_dist, 0.0) ** 2 + RECHECK_TOL:
+            return None
+        shortlist = np.flatnonzero(residual <= best + RECHECK_TOL)
+        perf.count("grape.warm_start.rechecked", len(shortlist))
+        winner = None
+        for row in shortlist:
+            dist = signature_distance(target, self.targets[row])
+            if dist <= max_dist and (winner is None or dist < winner[1]):
+                winner = (int(row), dist)
+        return winner
+
+
 def target_metadata(target: np.ndarray, context: tuple) -> dict:
     """The per-entry ``"target"`` manifest record for one cached pulse."""
     target = np.asarray(target, dtype=complex)
@@ -194,6 +292,10 @@ class NeighborIndex:
         self._seen: dict = {}  # shard name -> identity last read or written
         self._versions: dict = {}  # shard name -> updates applied (see sync)
         self._decoded: dict = {}  # name -> (sig string, np.ndarray)
+        # (dim, ctx) -> (freeze token, TargetStack), all dropped whenever
+        # an indexed entry changes; a stack is never added to once built.
+        self._stacks: dict = {}
+        self._freezes = 0  # outermost freezes so far (the freeze token)
         self._synced = False
         # While frozen, search sees only the names captured at freeze
         # time (depth-counted; see PulseCache.freeze_neighbors for why).
@@ -211,7 +313,9 @@ class NeighborIndex:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
-        for name in ("_buckets", "_shards", "_seen", "_versions", "_decoded"):
+        for name in (
+            "_buckets", "_shards", "_seen", "_versions", "_decoded", "_stacks"
+        ):
             state[name] = {}
         state["_synced"] = False
         return state
@@ -245,7 +349,10 @@ class NeighborIndex:
                 return
             self._versions[shard] = current + 1
             self._seen[shard] = identity
-            for name, (key, _sig) in self._shards.pop(shard, {}).items():
+            old = self._shards.pop(shard, {})
+            if old != fresh:
+                self._stacks.clear()
+            for name, (key, _sig) in old.items():
                 bucket = self._buckets[key]
                 del bucket[name]
                 if not bucket:
@@ -297,6 +404,7 @@ class NeighborIndex:
         with self._lock:
             self._frozen_depth += 1
             if self._frozen_names is None:
+                self._freezes += 1
                 self._frozen_names = {
                     name
                     for bucket in self._buckets.values()
@@ -334,30 +442,41 @@ class NeighborIndex:
         bucket_key = (int(target.shape[0]), context_token(context))
         with self._lock:
             self.lookups += 1
-            frozen = self._frozen_names
-            candidates = [
-                (name, sig_text, self._decoded.get(name))
-                for name, sig_text in self._buckets.get(bucket_key, {}).items()
-                if name != exclude and (frozen is None or name in frozen)
-            ]
-        best = None  # (distance, name)
-        for name, sig_text, decoded in candidates:
+            stack = self._stack(bucket_key)
+        found = stack.nearest(target, max_dist, exclude=exclude)
+        if found is None:
+            return None
+        with self._lock:
+            self.hits += 1
+        return NeighborHit(name=stack.names[found[0]], distance=found[1])
+
+    def _stack(self, bucket_key: tuple) -> TargetStack:
+        """The bucket's :class:`TargetStack`, rows sorted by name (the tie
+        rule), frozen names only while frozen.  Call with the lock held."""
+        frozen = self._frozen_names
+        token = None if frozen is None else self._freezes
+        cached = self._stacks.get(bucket_key)
+        if cached is not None and cached[0] == token:
+            return cached[1]
+        dim = bucket_key[0]
+        bucket = self._buckets.get(bucket_key, {})
+        stack = TargetStack(dim)
+        for name in sorted(bucket):
+            if frozen is not None and name not in frozen:
+                continue
+            sig_text = bucket[name]
+            decoded = self._decoded.get(name)
             if decoded is not None and decoded[0] == sig_text:
                 sig = decoded[1]
             else:
                 sig = decode_signature(sig_text)
-                if sig is None or sig.shape[0] != target.shape[0]:
+                if sig is None:
                     continue
-                with self._lock:
-                    self._decoded[name] = (sig_text, sig)
-            candidate = (signature_distance(target, sig), name)
-            if best is None or candidate < best:
-                best = candidate
-        if best is None or best[0] > max_dist:
-            return None
-        with self._lock:
-            self.hits += 1
-        return NeighborHit(name=best[1], distance=best[0])
+                self._decoded[name] = (sig_text, sig)
+            if sig.shape == (dim, dim):
+                stack.add(name, sig)
+        self._stacks[bucket_key] = (token, stack)
+        return stack
 
     # -- lazy healing ----------------------------------------------------------
     def annotate(self, name: str, target: np.ndarray, context: tuple) -> bool:

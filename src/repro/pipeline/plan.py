@@ -155,7 +155,9 @@ def build_plan(
     blocked = context.blocked[0]
     specs = []
     for task, block in zip(context.tasks, blocked.blocks):
-        task.dedup_key = block_compiler.task_key(task.subcircuit, task.device_qubits)
+        task.dedup_key, task.target = block_compiler.task_identity(
+            task.subcircuit, task.device_qubits
+        )
         task.dedup_key_known = True
         parametrized = any(
             circuit[idx].parameters for idx in block.instruction_indices

@@ -476,6 +476,9 @@ class BlockScheduler:
                 ],
                 max_group=self.grape_batch_size,
                 executor=self.executor,
+                identities=[
+                    (order[j][1], dispatch_tasks[j].target) for j in fixed_idx
+                ],
             )
         else:
             # Grouped representatives always carry a real dedup key (the
@@ -486,6 +489,7 @@ class BlockScheduler:
                     dispatch_tasks[j].subcircuit,
                     dispatch_tasks[j].device_qubits,
                     key=order[j][1],
+                    target=dispatch_tasks[j].target,
                 )
                 for j in fixed_idx
             ]
@@ -535,7 +539,9 @@ class BlockScheduler:
                     # for this block's fingerprint; trust it.
                     key = task.dedup_key
                 else:
-                    key = self.block_compiler.task_key(
+                    # The unitary this builds rides along on the task to
+                    # the compile route (one matrix per cold block).
+                    key, task.target = self.block_compiler.task_identity(
                         task.subcircuit, task.device_qubits
                     )
                 if key is None:

@@ -58,6 +58,11 @@ class BlockTask:
         the batch scheduler computes the key itself for tasks that arrive
         without one.  ``None`` with ``dedup_key_known=True`` marks a
         trivial (zero-duration) block.
+    target:
+        The block's target unitary when computing ``dedup_key`` built it
+        (:meth:`~repro.core.compiler.BlockPulseCompiler.task_identity`),
+        else ``None``; the compile route reuses it instead of building
+        the matrix again.
     """
 
     index: int
@@ -68,6 +73,7 @@ class BlockTask:
     local_index: int = 0
     dedup_key: Any = None
     dedup_key_known: bool = False
+    target: Any = None
 
 
 @dataclass

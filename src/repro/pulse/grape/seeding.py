@@ -215,6 +215,10 @@ def warm_start_telemetry() -> dict:
         "seeded_iterations": seeded,
         "cold_rerun_iterations": cold,
         "healed_entries": perf.counter("grape.warm_start.healed"),
+        # Neighbor candidates ranked in the one-pass prefilter, and those
+        # re-ranked exactly (see repro.library.neighbors, "Ranking").
+        "ranked": perf.counter("grape.warm_start.ranked"),
+        "rechecked": perf.counter("grape.warm_start.rechecked"),
         # Descent probes (run only from a seed) that gave up early.
         "abandoned_descents": perf.counter("grape.time_search.abandoned"),
         "abandoned_iterations": perf.counter(

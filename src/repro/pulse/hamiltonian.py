@@ -5,10 +5,16 @@ control operators on the block's (local) Hilbert space.  The block is
 re-indexed to local qubits 0…k-1; GRAPE never sees the full chip, only the
 block (paper section 5.2: circuits are partitioned into blocks of ≤4 qubits
 before GRAPE).
+
+Control sets are built once per process: :func:`build_control_set` keys a
+memo on content (the block's channel layout and the anharmonicity), never
+on the device object, so equal devices — a pickled copy included — share
+one read-only :class:`ControlSet`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,12 +27,20 @@ from repro.linalg.operators import (
     embed_operator,
     number_operator,
 )
-from repro.pulse.device import ControlChannel, GmonDevice
+from repro.pulse.device import ChannelLayout, ControlChannel, GmonDevice
+
+#: Bound of the control-set memo.  A block of at most 4 qubits has at most
+#: a few hundred distinct layouts per device, so this only guards
+#: processes that sweep drive limits or devices.
+CONTROL_SET_MEMO_MAX = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlSet:
     """Drift + control operators for one GRAPE block.
+
+    Instances from :func:`build_control_set` are shared process-wide, so
+    the dataclass is frozen and its arrays are read-only.
 
     Attributes
     ----------
@@ -38,7 +52,7 @@ class ControlSet:
     drift:
         Time-independent Hamiltonian (rad/ns).
     channels:
-        The device control channels, aligned with ``operators``.
+        The device control channels (a tuple), aligned with ``operators``.
     operators:
         Array ``(n_controls, d, d)`` of Hermitian control operators.
     max_amplitudes:
@@ -48,13 +62,17 @@ class ControlSet:
     qubits: tuple
     levels: int
     drift: np.ndarray
-    channels: list
+    channels: tuple
     operators: np.ndarray
     max_amplitudes: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.max_amplitudes is None:
-            self.max_amplitudes = np.array([c.max_amplitude for c in self.channels])
+            object.__setattr__(
+                self,
+                "max_amplitudes",
+                np.array([c.max_amplitude for c in self.channels]),
+            )
 
     @property
     def num_controls(self) -> int:
@@ -66,12 +84,23 @@ class ControlSet:
 
 
 def build_control_set(device: GmonDevice, qubits: Sequence[int]) -> ControlSet:
-    """Construct the :class:`ControlSet` for a block of device qubits."""
+    """The :class:`ControlSet` for a block of device qubits.
+
+    Memoized per process on the block's
+    :meth:`~repro.pulse.device.GmonDevice.channel_layout` (qubits, levels,
+    and every channel with its amplitude bound) plus the anharmonicity, so
+    equal devices share one read-only instance.
+    """
     qubits = tuple(sorted(set(int(q) for q in qubits)))
     if not qubits:
         raise DeviceError("block must contain at least one qubit")
+    return _control_set(device.channel_layout(qubits), float(device.anharmonicity))
+
+
+@functools.lru_cache(maxsize=CONTROL_SET_MEMO_MAX)
+def _control_set(layout: ChannelLayout, anharmonicity: float) -> ControlSet:
+    qubits, levels, channels = layout
     n = len(qubits)
-    levels = device.levels
     local = {q: i for i, q in enumerate(qubits)}
 
     lower = annihilation_operator(levels)
@@ -79,7 +108,6 @@ def build_control_set(device: GmonDevice, qubits: Sequence[int]) -> ControlSet:
     x_like = lower + raise_
     number = number_operator(levels)
 
-    channels = device.channels_for(qubits)
     operators = []
     for channel in channels:
         if channel.kind == "charge":
@@ -99,17 +127,22 @@ def build_control_set(device: GmonDevice, qubits: Sequence[int]) -> ControlSet:
     drift = np.zeros((dim, dim), dtype=complex)
     if levels == 3:
         # Transmon anharmonicity: (α/2) n (n-1) per site keeps |2> detuned.
-        anham = 0.5 * device.anharmonicity * (number @ number - number)
+        anham = 0.5 * anharmonicity * (number @ number - number)
         for q in qubits:
             drift += embed_operator(anham, (local[q],), n, levels)
 
-    return ControlSet(
+    control_set = ControlSet(
         qubits=qubits,
         levels=levels,
         drift=drift,
-        channels=channels,
+        channels=tuple(channels),
         operators=np.array(operators),
     )
+    for array in (
+        control_set.drift, control_set.operators, control_set.max_amplitudes
+    ):
+        array.flags.writeable = False
+    return control_set
 
 
 def computational_indices(num_qubits: int, levels: int) -> np.ndarray:

@@ -99,3 +99,78 @@ class TestTargetEmbedding:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DeviceError):
             embed_target_unitary(np.eye(3), 1, 3)
+
+
+class TestControlSetMemo:
+    """build_control_set is memoized per process on content, never on the
+    device object, and hands out read-only shared instances."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_memo_equals_a_fresh_build_byte_for_byte(self, levels):
+        from repro.pulse.hamiltonian import _control_set
+
+        device = GmonDevice(line_topology(3), levels=levels)
+        cs = build_control_set(device, [0, 1])
+        fresh = _control_set.__wrapped__(
+            device.channel_layout((0, 1)), float(device.anharmonicity)
+        )
+        assert fresh is not cs
+        for name in ("drift", "operators", "max_amplitudes"):
+            a, b = getattr(cs, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert (cs.qubits, cs.levels, cs.channels) == (
+            fresh.qubits,
+            fresh.levels,
+            fresh.channels,
+        )
+
+    def test_shared_instance_is_read_only(self, device):
+        cs = build_control_set(device, [0, 1])
+        assert build_control_set(device, [1, 0]) is cs
+        for array in (cs.drift, cs.operators, cs.max_amplitudes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        with pytest.raises(AttributeError):
+            cs.drift = np.zeros_like(cs.drift)
+
+    def test_pickled_device_copies_share_one_control_set(self, device):
+        import pickle
+
+        first = pickle.loads(pickle.dumps(device))
+        second = pickle.loads(pickle.dumps(device))
+        assert first is not second
+        assert build_control_set(first, [1, 2]) is build_control_set(second, [1, 2])
+        assert build_control_set(first, [1, 2]) is build_control_set(device, [1, 2])
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"max_charge": 0.5},
+            {"max_flux": 5.0},
+            {"max_coupling": 0.2},
+            {"levels": 3},
+            {"anharmonicity": -1.0},
+        ],
+    )
+    def test_devices_that_differ_get_different_control_sets(self, changes):
+        base = GmonDevice(line_topology(2))
+        other = GmonDevice(line_topology(2), **changes)
+        a = build_control_set(base, [0, 1])
+        b = build_control_set(other, [0, 1])
+        assert a is not b
+        differs = [
+            not np.array_equal(x, y) if x.shape == y.shape else True
+            for x, y in (
+                (a.max_amplitudes, b.max_amplitudes),
+                (a.drift, b.drift),
+                (a.operators, b.operators),
+            )
+        ]
+        if "anharmonicity" not in changes:
+            assert any(differs)
+
+    def test_invalid_blocks_still_raise(self, device):
+        with pytest.raises(DeviceError):
+            build_control_set(device, [0, 7])

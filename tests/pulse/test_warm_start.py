@@ -201,6 +201,8 @@ class TestTelemetry:
             "seeded_iterations",
             "cold_rerun_iterations",
             "healed_entries",
+            "ranked",
+            "rechecked",
             "abandoned_descents",
             "abandoned_iterations",
         }
