@@ -17,7 +17,6 @@ import pytest
 
 import common
 from repro.analysis import format_table
-from repro.core import PulseCache, StrictPartialCompiler
 from repro.core.hyperopt import sample_targets, tune_hyperparameters
 from repro.pulse.grape import (
     GrapeHyperparameters,
@@ -27,6 +26,7 @@ from repro.pulse.grape import (
 )
 from repro.pulse.hamiltonian import build_control_set
 from repro.pulse.device import GmonDevice
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.sim import circuit_unitary
 from repro.transpile import line_topology
 
@@ -69,11 +69,18 @@ def _warm_start_ablation():
 def _cache_ablation():
     """Strict LiH precompile with and without the pulse cache."""
     circuit = common.vqe_circuit("LiH")
-    device = common.device_for(circuit)
-    cached = StrictPartialCompiler.precompile(
-        circuit, device=device, settings=SETTINGS, hyperparameters=HYPER,
-        max_block_width=2, cache=PulseCache(),
-    )
+    # A fresh service: its pulse cache and scheduler state start empty.
+    with CompilationService(
+        config=ServiceConfig(),
+        device=common.device_for(circuit),
+        settings=SETTINGS,
+        hyperparameters=HYPER,
+    ) as service:
+        cached = service.compile(
+            CompileRequest(
+                circuit, None, strategy="strict-partial", max_block_width=2
+            )
+        ).compiler
     # The report already counts cache hits; the ablated cost is estimated
     # exactly: every cache hit would have cost its block's GRAPE iterations.
     hits = cached.report.cache_hits

@@ -15,7 +15,6 @@ import pytest
 
 import common
 from repro.analysis import format_table
-from repro.core import GateBasedCompiler, StepFunctionGateCompiler
 
 
 def _workloads():
@@ -32,9 +31,10 @@ def _workloads():
 @pytest.mark.benchmark(group="ext-stepfunction")
 def test_stepfunction_vs_flat_lookup(benchmark):
     """Durations under flat vs step-function lookup at two angle regimes."""
-    flat = GateBasedCompiler()
-    step = StepFunctionGateCompiler()
     workloads = _workloads()
+
+    def duration(circuit, values, strategy):
+        return common.compile_values(circuit, values, strategy).pulse_duration_ns
 
     def run():
         rows = []
@@ -46,9 +46,9 @@ def test_stepfunction_vs_flat_lookup(benchmark):
             rows.append(
                 (
                     name,
-                    flat.compile_parametrized(circuit, generic).pulse_duration_ns,
-                    step.compile_parametrized(circuit, generic).pulse_duration_ns,
-                    step.compile_parametrized(circuit, small).pulse_duration_ns,
+                    duration(circuit, generic, "gate"),
+                    duration(circuit, generic, "step-function"),
+                    duration(circuit, small, "step-function"),
                 )
             )
         return rows

@@ -5,6 +5,8 @@ compilation divided by latency using full GRAPE compilation" — 10-100x in
 the paper, from hours to minutes.  Measured here as both wall time and
 GRAPE gradient-iteration counts (the hardware-independent proxy).  Strict
 partial compilation appears as a reference: its runtime latency is zero.
+In the default scope both iteration counts must equal the ones recorded
+in ``benchmarks/paper_expected.json`` exactly.
 """
 
 import pytest
@@ -38,8 +40,10 @@ def _benchmarks():
 
 def _collect():
     rows = []
+    iterations = {}
     for tag, circuit in _benchmarks():
         record = common.durations_for(tag, circuit)
+        iterations[tag] = (record["grape_iterations"], record["flexible_iterations"])
         comparison = LatencyComparison(
             benchmark=tag,
             full_grape_seconds=record["grape_latency_s"],
@@ -55,11 +59,11 @@ def _collect():
             comparison.iteration_reduction,
             PAPER_REDUCTIONS.get(tag),
         ])
-    return rows
+    return rows, iterations
 
 
 def test_fig7_latency_reduction(benchmark, capsys):
-    rows = benchmark.pedantic(_collect, rounds=1, iterations=1)
+    rows, iterations = benchmark.pedantic(_collect, rounds=1, iterations=1)
     text = format_table(
         ["benchmark", "grape (s)", "flexible (s)", "wall reduction",
          "iteration reduction", "paper reduction"],
@@ -74,3 +78,12 @@ def test_fig7_latency_reduction(benchmark, capsys):
         # iteration proxy is the stable metric; wall time tracks it.
         assert iter_reduction > 2.0, (tag, iter_reduction)
         assert wall_reduction > 1.5, (tag, wall_reduction)
+
+    expected = common.expected_paper_outputs()
+    if expected is not None:
+        for tag, counts in iterations.items():
+            recorded = (
+                expected[tag]["grape_iterations"],
+                expected[tag]["flexible_iterations"],
+            )
+            assert counts == recorded, (tag, counts, recorded)

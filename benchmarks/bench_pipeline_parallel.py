@@ -1,17 +1,17 @@
 """Pipeline extension: parallel block compilation + persistent pulse cache.
 
-The unified :class:`repro.pipeline.CompilationPipeline` dispatches the
-independent per-block GRAPE searches through a pluggable executor and can
-persist every pulse to disk.  This bench quantifies both claims on a
-multi-block circuit:
+A :class:`repro.service.CompilationService` dispatches the independent
+per-block GRAPE searches through its block executor and can persist every
+pulse to disk.  This bench quantifies both claims on a multi-block
+circuit, one fresh service per pass:
 
 * ``serial`` vs ``auto`` executors over the same blocks — where the
   process may use two or more CPUs, ``auto`` runs a share of the block
   searches on its one forked search worker (per-block GRAPE is pure CPU);
   on a single-core CI runner ``auto`` runs inline and the comparison
   documents that honestly.
-* a cold in-memory cache vs a warm :class:`PersistentPulseCache`
-  directory — the warm pass must do *zero* GRAPE iterations, which is the
+* a cold cache directory vs a warm one — the warm pass, a new service on
+  the same directory, must do *zero* GRAPE iterations, which is the
   cross-process reuse the paper's precompilation story rests on.
 """
 
@@ -26,10 +26,9 @@ import pytest
 import common
 from repro.analysis import format_table
 from repro.circuits import QuantumCircuit
-from repro.core import FullGrapeCompiler, PersistentPulseCache, PulseCache
-from repro.pipeline.executors import AutoExecutor
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile import line_topology
 
 SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
@@ -53,33 +52,39 @@ def _multi_block_circuit(num_qubits: int) -> QuantumCircuit:
     return circuit
 
 
-def _compiler(executor, cache):
-    return FullGrapeCompiler(
+def _service(executor: str, cache_dir=None) -> CompilationService:
+    """A fresh service: empty scheduler state, and an empty in-memory
+    cache unless ``cache_dir`` names a pulse library."""
+    return CompilationService(
+        config=ServiceConfig(executor=executor, cache_dir=cache_dir),
         device=GmonDevice(line_topology(NUM_QUBITS)),
         settings=SETTINGS,
         hyperparameters=HYPER,
-        max_block_width=2,
-        cache=cache,
-        executor=executor,
     )
+
+
+def _compile(service, circuit):
+    return service.compile(
+        CompileRequest(circuit, strategy="full-grape", max_block_width=2)
+    ).compiled
 
 
 @pytest.mark.benchmark(group="pipeline-parallel")
 def test_parallel_block_compilation(benchmark, capsys):
     circuit = _multi_block_circuit(NUM_QUBITS)
 
-    # The worker forks once, outside the timed runs, as a service's
-    # constructor does.
-    auto = AutoExecutor()
-    forked = auto.start_worker()
+    # The auto service forks its worker in its constructor, outside the
+    # timed runs.  A fresh in-memory cache per service: every block pays
+    # full GRAPE.
+    services = {name: _service(name) for name in ("serial", "auto")}
+    forked = services["auto"].executor.describe()["search_workers"] > 0
 
     def run():
         rows = []
         results = {}
-        for name, executor in (("serial", "serial"), ("auto", auto)):
+        for name, service in services.items():
             start = time.perf_counter()
-            # Fresh in-memory cache per run: every block pays full GRAPE.
-            result = _compiler(executor, PulseCache()).compile(circuit)
+            result = _compile(service, circuit)
             wall = time.perf_counter() - start
             results[name] = result
             rows.append(
@@ -96,7 +101,8 @@ def test_parallel_block_compilation(benchmark, capsys):
     try:
         rows, results = benchmark.pedantic(run, iterations=1, rounds=1)
     finally:
-        auto.close()
+        for service in services.values():
+            service.close()
     # Executors must be interchangeable: same blocks, same pulse program.
     assert results["serial"].blocks_compiled == results["auto"].blocks_compiled
     assert results["serial"].blocks_compiled >= NUM_QUBITS // 2
@@ -128,13 +134,15 @@ def test_persistent_cache_warm_restart(benchmark, capsys):
         rows = []
         # Cold pass: empty directory, every block is a miss that persists.
         start = time.perf_counter()
-        cold = _compiler("serial", PersistentPulseCache(cache_dir)).compile(circuit)
+        with _service("serial", cache_dir) as service:
+            cold = _compile(service, circuit)
         cold_wall = time.perf_counter() - start
         rows.append(("cold", f"{cold_wall:.2f}", cold.runtime_iterations, cold.cache_hits))
-        # Warm pass: a *new* cache object on the same directory — exactly
-        # what a second process sees — must be pure disk hits.
+        # Warm pass: a *new* service on the same directory — exactly what
+        # a second process sees — must be pure disk hits.
         start = time.perf_counter()
-        warm = _compiler("serial", PersistentPulseCache(cache_dir)).compile(circuit)
+        with _service("serial", cache_dir) as service:
+            warm = _compile(service, circuit)
         warm_wall = time.perf_counter() - start
         rows.append(("warm", f"{warm_wall:.2f}", warm.runtime_iterations, warm.cache_hits))
         return rows, cold, warm

@@ -9,8 +9,10 @@ full GRAPE compilation.  The reproduction targets the *shape*:
 with strict recovering most of the VQE speedup (deep Fixed blocks) and
 flexible ≈ GRAPE on QAOA.
 
-Default scope: H2 + LiH and the N=6 QAOA p ∈ {1, 5} benchmarks.
-``REPRO_BENCH_FULL=1`` runs the paper's full set.
+Default scope: H2 + LiH and the N=6 QAOA p ∈ {1, 5} benchmarks; there
+every duration must also equal the one recorded in
+``benchmarks/paper_expected.json`` to 1e-9 ns.  ``REPRO_BENCH_FULL=1``
+runs the paper's full set.
 """
 
 import pytest
@@ -67,3 +69,12 @@ def test_table4_pulse_durations(benchmark, capsys):
         assert row.ordering_holds(tolerance_ns=1.5), (tag, record)
         # GRAPE delivers a real speedup on every benchmark.
         assert record["grape"] < record["gate"], tag
+
+    expected = common.expected_paper_outputs()
+    if expected is not None:
+        assert set(results) == set(expected)
+        for tag, record in results.items():
+            for method in ("gate", "strict", "flexible", "grape"):
+                assert record[method] == pytest.approx(
+                    expected[tag][method], rel=0, abs=1e-9
+                ), (tag, method, record[method], expected[tag][method])

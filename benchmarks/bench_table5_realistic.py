@@ -15,11 +15,11 @@ import pytest
 import common
 from repro.analysis import format_table
 from repro.circuits.dag import critical_path_ns
-from repro.core import FullGrapeCompiler
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
 from repro.pulse.grape.cost import RegularizationSettings
 from repro.qaoa import maxcut_problem, qaoa_circuit
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile import transpile
 from repro.transpile.topology import nearly_square_grid
 
@@ -54,16 +54,21 @@ def _speedup(circuit, settings, levels):
     topology = getattr(circuit, "bench_topology", None) or nearly_square_grid(
         circuit.num_qubits
     )
-    device = GmonDevice(topology, levels=levels)
-    compiler = FullGrapeCompiler(
-        device=device,
-        settings=settings,
-        hyperparameters=HYPER,
-        max_block_width=2 if levels == 3 else common.MAX_BLOCK_WIDTH,
-    )
     theta = common.random_parameters(circuit)
     bound = circuit.bind_parameters(theta)
-    result = compiler.compile(bound)
+    with CompilationService(
+        config=ServiceConfig(),
+        device=GmonDevice(topology, levels=levels),
+        settings=settings,
+        hyperparameters=HYPER,
+    ) as service:
+        result = service.compile(
+            CompileRequest(
+                bound,
+                strategy="full-grape",
+                max_block_width=2 if levels == 3 else common.MAX_BLOCK_WIDTH,
+            )
+        ).compiled
     gate_ns = critical_path_ns(bound)
     return gate_ns / result.pulse_duration_ns, result.pulse_duration_ns, gate_ns
 

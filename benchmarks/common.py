@@ -2,8 +2,11 @@
 
 Every table and figure bench pulls its workloads and compilers from here so
 that expensive artifacts (transpiled circuits, precompiled partial
-compilers, GRAPE pulse caches) are computed once per pytest session and
-shared across benches.
+compilers, GRAPE pulses) are computed once per pytest session and shared
+across benches.  Everything compiles through one
+:class:`~repro.service.CompilationService`, the library's one front door:
+its pulse cache and scheduler state carry Fixed blocks from one
+benchmark to the next.
 
 Scope control
 -------------
@@ -15,22 +18,18 @@ as in the original study (DESIGN.md substitution 4).
 
 from __future__ import annotations
 
+import atexit
+import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    FlexiblePartialCompiler,
-    FullGrapeCompiler,
-    GateBasedCompiler,
-    PulseCache,
-    StrictPartialCompiler,
-)
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.qaoa import maxcut_problem, qaoa_circuit
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile import transpile
 from repro.transpile.topology import nearly_square_grid
 from repro.vqe import get_molecule
@@ -38,6 +37,10 @@ from repro.vqe import get_molecule
 FULL_MODE = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: The default-scope paper outputs the Table 4 and Figure 7 benches must
+#: reproduce exactly (see that file's ``description``).
+PAPER_EXPECTED_PATH = Path(__file__).parent / "paper_expected.json"
 
 #: GRAPE numerics for the harness: coarse by default, paper-like in full mode.
 SETTINGS = GrapeSettings(
@@ -83,7 +86,21 @@ PAPER_TABLE3_NS = {
 
 _circuit_cache: dict = {}
 _compiler_cache: dict = {}
-_shared_pulse_cache = PulseCache()
+_service = None
+
+
+def service() -> CompilationService:
+    """The session's one service (default config, the harness's GRAPE
+    settings), created on first use and closed at exit.  Its default
+    device for an n-qubit circuit is the nearly-square grid
+    :func:`device_for` builds."""
+    global _service
+    if _service is None:
+        _service = CompilationService(
+            config=ServiceConfig(), settings=SETTINGS, hyperparameters=HYPER
+        )
+        atexit.register(_service.close)
+    return _service
 
 
 def _routed(circuit):
@@ -126,53 +143,51 @@ def random_parameters(circuit, seed: int = 0):
     return list(rng.uniform(-np.pi / 2, np.pi / 2, size=len(circuit.parameters)))
 
 
-def gate_compiler():
-    return GateBasedCompiler()
-
-
-def grape_compiler(circuit):
-    return FullGrapeCompiler(
-        device=device_for(circuit),
-        settings=SETTINGS,
-        hyperparameters=HYPER,
-        max_block_width=MAX_BLOCK_WIDTH,
-        cache=_shared_pulse_cache,
-    )
+def _precompiled(strategy: str, tag: str, circuit, **options):
+    """The plan compiler of a ``values=None`` request (cached per tag)."""
+    key = (strategy, tag)
+    if key not in _compiler_cache:
+        _compiler_cache[key] = service().compile(
+            CompileRequest(
+                circuit,
+                None,
+                strategy=strategy,
+                max_block_width=MAX_BLOCK_WIDTH,
+                options=options,
+            )
+        ).compiler
+    return _compiler_cache[key]
 
 
 def strict_compiler(tag: str, circuit):
     """Precompiled strict compiler for ``circuit`` (cached per tag)."""
-    key = ("strict", tag)
-    if key not in _compiler_cache:
-        _compiler_cache[key] = StrictPartialCompiler.precompile(
-            circuit,
-            device=device_for(circuit),
-            settings=SETTINGS,
-            hyperparameters=HYPER,
-            max_block_width=MAX_BLOCK_WIDTH,
-            cache=_shared_pulse_cache,
-        )
-    return _compiler_cache[key]
+    return _precompiled("strict-partial", tag, circuit)
 
 
 def flexible_compiler(tag: str, circuit, tuning_samples: int = 1):
     """Precompiled flexible compiler for ``circuit`` (cached per tag)."""
-    key = ("flexible", tag)
-    if key not in _compiler_cache:
-        grid_lr = (0.01, 0.03, 0.1) if FULL_MODE else (0.03, 0.1)
-        grid_decay = (0.0, 0.002, 0.01) if FULL_MODE else (0.0, 0.01)
-        _compiler_cache[key] = FlexiblePartialCompiler.precompile(
+    return _precompiled(
+        "flexible-partial",
+        tag,
+        circuit,
+        tuning_samples=2 if FULL_MODE else tuning_samples,
+        learning_rates=(0.01, 0.03, 0.1) if FULL_MODE else (0.03, 0.1),
+        decay_rates=(0.0, 0.002, 0.01) if FULL_MODE else (0.0, 0.01),
+    )
+
+
+def compile_values(circuit, theta, strategy: str, **request_options):
+    """One ``strategy`` request for ``circuit`` at ``theta``; the
+    :class:`~repro.core.results.CompiledPulse` it returns."""
+    return service().compile(
+        CompileRequest(
             circuit,
-            device=device_for(circuit),
-            settings=SETTINGS,
-            hyperparameters=HYPER,
+            theta,
+            strategy=strategy,
             max_block_width=MAX_BLOCK_WIDTH,
-            cache=_shared_pulse_cache,
-            tuning_samples=2 if FULL_MODE else tuning_samples,
-            learning_rates=grid_lr,
-            decay_rates=grid_decay,
+            **request_options,
         )
-    return _compiler_cache[key]
+    ).compiled
 
 
 _durations_cache: dict = {}
@@ -191,7 +206,7 @@ def durations_for(tag: str, circuit, methods=("gate", "strict", "flexible", "gra
     theta = random_parameters(circuit)
     record = _durations_cache.setdefault(tag, {})
     if "gate" in methods and "gate" not in record:
-        result = gate_compiler().compile_parametrized(circuit, theta)
+        result = compile_values(circuit, theta, "gate")
         record["gate"] = result.pulse_duration_ns
         record["gate_latency_s"] = result.runtime_latency_s
     if "strict" in methods and "strict" not in record:
@@ -208,11 +223,21 @@ def durations_for(tag: str, circuit, methods=("gate", "strict", "flexible", "gra
         record["flexible_iterations"] = result.runtime_iterations
         record["flexible_precompute_s"] = compiler.report.wall_time_s
     if "grape" in methods and "grape" not in record:
-        result = grape_compiler(circuit).compile_parametrized(circuit, theta)
+        # Uncached: the paper's full-GRAPE latency is the out-of-the-box
+        # cost of every block.
+        result = compile_values(circuit, theta, "full-grape", use_cache=False)
         record["grape"] = result.pulse_duration_ns
         record["grape_latency_s"] = result.runtime_latency_s
         record["grape_iterations"] = result.runtime_iterations
     return record
+
+
+def expected_paper_outputs() -> dict | None:
+    """Recorded outputs per benchmark tag, or ``None`` in full mode, whose
+    scope and GRAPE settings differ from the recording's."""
+    if FULL_MODE:
+        return None
+    return json.loads(PAPER_EXPECTED_PATH.read_text())["benchmarks"]
 
 
 def report(name: str, text: str, capsys=None) -> None:

@@ -37,11 +37,11 @@ Small utilities for poking at the reproduction without writing a script:
 * ``remote-compile`` — compile one benchmark against a running server
   over HTTP; ``--verify-local`` recompiles in-process and checks the
   returned pulses are bit-identical.
-* ``cache-stats`` — inspect a persistent pulse-cache directory: shard
-  occupancy, index size, evictions and prefetch counters.  A directory
-  that does not exist yet reports an empty cache (and is not created).
-* ``library stats`` / ``library gc`` — operate directly on the sharded
-  pulse library (occupancy report; LRU eviction down to a size budget).
+* ``library stats`` / ``library gc`` — operate on a pulse-cache
+  directory's sharded pulse library: the occupancy report (shards, index
+  size, evictions, cache schema version; a directory that does not exist
+  yet reports an empty library and is not created) and LRU eviction down
+  to a size budget.
 
 Every command prints plain text and returns a process exit code, so the
 module is equally usable from tests (``main([...])``) and the shell.
@@ -396,69 +396,25 @@ def _cmd_config_show(args) -> int:
     return 0
 
 
-def _cache_stats_rows(directory, stats) -> list:
-    """One row set for both the live and the never-created cache paths,
-    so the two reports cannot drift apart.  ``stats`` is a swept report
-    (``PersistentPulseCache.stats(sweep=True)``)."""
-    library = stats["library"]
-    return [
-        ("directory", str(directory)),
-        ("persisted entries", stats["persisted_entries"]),
-        ("size (KiB)", f"{library['total_bytes'] / 1024:.1f}"),
-        ("schema version", stats["schema_version"]),
-        ("hits / misses", f"{stats['hits']} / {stats['misses']}"),
-        ("shards", library["shards"]),
-        ("nonempty shards", library["nonempty_shards"]),
-        ("max entries per shard", library["max_shard_entries"]),
-        ("index size (KiB)", f"{library['index_bytes'] / 1024:.1f}"),
-        ("evictions", library["evictions"]),
-        ("migrated legacy entries", library["migrated_entries"]),
-        (
-            "prefetches / prefetch hits",
-            f"{library['prefetches']} / {library['prefetch_hits']}",
-        ),
-    ]
-
-
-def _cmd_cache_stats(args) -> int:
-    from pathlib import Path
-
-    from repro.core import PersistentPulseCache
-    from repro.core.cache import CACHE_SCHEMA_VERSION
-    from repro.library import PulseLibrary
-    from repro.service import ServiceConfig
-
-    if not Path(args.dir).is_dir():
-        # A cache directory that was never written to is an *empty cache*,
-        # not an error: report zeros without creating the directory.
-        stats = {
-            "persisted_entries": 0,
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "hits": 0,
-            "misses": 0,
-            "library": PulseLibrary.empty_stats(args.dir),
-        }
-        rows = _cache_stats_rows(args.dir, stats)
-        title = "persistent pulse cache (empty — not created yet)"
-    else:
-        options = ServiceConfig.from_env().library_options()
-        cache = PersistentPulseCache(args.dir, **options)
-        rows = _cache_stats_rows(cache.directory, cache.stats(sweep=True))
-        title = "persistent pulse cache"
-    print(format_table(("property", "value"), rows, title=title))
-    return 0
+#: Lookup counters of the library object the report opens.  A fresh CLI
+#: process makes no lookups, so they would read 0 on every run; a live
+#: service reports them in ``stats()["library"]``.
+_FRESH_PROCESS_COUNTERS = frozenset(
+    {"gets", "get_hits", "puts", "prefetches", "prefetch_hits"}
+)
 
 
 def _cmd_library_stats(args) -> int:
     from pathlib import Path
 
+    from repro.core.cache import CACHE_SCHEMA_VERSION
     from repro.library import PulseLibrary
     from repro.service import ServiceConfig
 
     if not Path(args.dir).is_dir():
-        # Same contract as cache-stats: a never-created library is empty,
-        # and inspecting it must not create it.  ``empty_stats`` mirrors
-        # the live ``{**stats(), **sweep()}`` schema exactly.
+        # A never-created library is empty, not an error, and inspecting
+        # it must not create it.  ``empty_stats`` mirrors the live
+        # ``{**stats(), **sweep()}`` schema exactly.
         stats = PulseLibrary.empty_stats(args.dir)
         title = "pulse library (empty — not created yet)"
     else:
@@ -466,7 +422,12 @@ def _cmd_library_stats(args) -> int:
         library = PulseLibrary(args.dir, **options)
         stats = {**library.stats(), **library.sweep()}
         title = "pulse library"
-    rows = [(key, stats[key]) for key in sorted(stats)]
+    stats["schema_version"] = CACHE_SCHEMA_VERSION
+    rows = [
+        (key, stats[key])
+        for key in sorted(stats)
+        if key not in _FRESH_PROCESS_COUNTERS
+    ]
     print(format_table(("property", "value"), rows, title=title))
     return 0
 
@@ -536,7 +497,7 @@ def _cmd_fleet_status(args) -> int:
     from repro.fleet import FleetQueue
 
     if not Path(args.dir).is_dir():
-        # Same contract as cache-stats: a queue directory nobody has
+        # Same contract as library stats: a queue directory nobody has
         # written to is an *empty queue*, and inspecting it must not
         # create it.
         status = _empty_fleet_status(args.dir)
@@ -792,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="feed this many successive batches through ONE long-lived "
-        "VariationalSession: later rounds reuse every block an earlier "
+        "CompilationService: later rounds reuse every block an earlier "
         "round compiled (cross-call dedup)",
     )
     batch.add_argument("--dt", type=float, default=0.5, help="GRAPE slice (ns)")
@@ -1030,12 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are bit-identical",
     )
     remote.set_defaults(func=_cmd_remote_compile)
-
-    cache_ = sub.add_parser(
-        "cache-stats", help="inspect a persistent pulse-cache directory"
-    )
-    cache_.add_argument("--dir", required=True, help="cache directory to inspect")
-    cache_.set_defaults(func=_cmd_cache_stats)
 
     library = sub.add_parser(
         "library", help="operate on a sharded pulse library directory"

@@ -1,20 +1,23 @@
 """Partial compilation — the paper's contribution.
 
-Four compilers share one interface shape:
+The paper's four strategies are compiled here and served by
+:class:`repro.service.CompilationService`, the one public way to compile:
 
-* :class:`GateBasedCompiler` — Table-1 lookup + concatenation (baseline).
-* :class:`FullGrapeCompiler` — blocked minimum-time GRAPE (best pulses,
-  untenable latency).
-* :class:`StrictPartialCompiler` — GRAPE-precompiled Fixed blocks, lookup
-  Rz(θ); zero runtime latency (section 6).
-* :class:`FlexiblePartialCompiler` — single-θ slices, precomputed
-  hyperparameters, short tuned GRAPE at runtime (section 7).
+* ``"gate"`` (:mod:`repro.core.gate_based`) — Table-1 lookup +
+  concatenation (baseline).
+* ``"full-grape"`` (:mod:`repro.core.full_grape`) — blocked minimum-time
+  GRAPE (best pulses, untenable latency).
+* ``"strict-partial"`` (:mod:`repro.core.strict`) — GRAPE-precompiled
+  Fixed blocks, lookup Rz(θ); zero runtime latency (section 6).
+* ``"flexible-partial"`` (:mod:`repro.core.flexible`) — single-θ slices,
+  precomputed hyperparameters, short tuned GRAPE at runtime (section 7).
 
-All four are thin strategy configurations of the shared
-:class:`repro.pipeline.CompilationPipeline`; independent per-block GRAPE
-searches dispatch through its pluggable block executor, and GRAPE results
-land in a :class:`PulseCache` (optionally the on-disk
-:class:`PersistentPulseCache` when a cache directory is configured).
+Each is a thin strategy configuration of the shared
+:class:`repro.pipeline.CompilationPipeline`; fixed blocks compile through
+one :class:`repro.pipeline.BlockScheduler` pass and the service's block
+executor, and GRAPE results land in a :class:`PulseCache` (optionally the
+on-disk :class:`PersistentPulseCache` when a cache directory is
+configured).
 """
 
 from repro.core.cache import (
@@ -24,9 +27,6 @@ from repro.core.cache import (
     unitary_fingerprint,
 )
 from repro.core.compiler import BlockPulseCompiler, default_device_for
-from repro.core.flexible import FlexiblePartialCompiler
-from repro.core.full_grape import FullGrapeCompiler
-from repro.core.gate_based import GateBasedCompiler
 from repro.core.search import (
     SearchSpace,
     random_search,
@@ -56,16 +56,13 @@ from repro.core.slicing import (
 )
 from repro.core.stepfunction import (
     AngleRange,
-    StepFunctionGateCompiler,
     StepFunctionTable,
     default_step_table,
 )
-from repro.core.strict import StrictPartialCompiler
 
 __all__ = [
     "default_step_table",
     "StepFunctionTable",
-    "StepFunctionGateCompiler",
     "AngleRange",
     "tune_with_strategy",
     "successive_halving",
@@ -76,15 +73,11 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CircuitSlice",
     "CompiledPulse",
-    "FlexiblePartialCompiler",
-    "FullGrapeCompiler",
-    "GateBasedCompiler",
     "HyperparameterTrial",
     "LatencyComparison",
     "PersistentPulseCache",
     "PrecompileReport",
     "PulseCache",
-    "StrictPartialCompiler",
     "TuningResult",
     "default_device_for",
     "flexible_slices",

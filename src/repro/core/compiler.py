@@ -29,7 +29,7 @@ from repro.circuits.dag import critical_path_ns
 from repro.core.cache import CacheEntry, PulseCache
 from repro.errors import CompilationError
 from repro.perf import get_perf_registry
-from repro.pipeline.executors import SerialExecutor, resolve_executor
+from repro.pipeline.executors import SerialExecutor
 from repro.pipeline.stages import lookup_program
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -527,29 +527,6 @@ class BlockPulseCompiler:
                 results[entry[0]] = result
         return results, order
 
-    def compile_circuit_blocks(
-        self, circuit: QuantumCircuit, max_width: int | None = None, executor=None
-    ) -> tuple:
-        """Aggregate ``circuit`` into blocks and compile each.
-
-        A convenience wrapper over the pipeline's blocking + pulse stages.
-        ``executor`` dispatches the independent per-block GRAPE searches
-        (an executor name or :class:`~repro.pipeline.executors.BlockExecutor`;
-        ``None`` uses the ``auto`` default).  Returns ``(outcomes, blocked)``
-        with outcomes in block order regardless of executor.
-        """
-        from repro.pipeline.pipeline import CompilationPipeline
-        from repro.pipeline.stages import BlockingStage, PulseStage
-
-        context = CompilationPipeline(
-            [
-                BlockingStage(max_width),
-                PulseStage(self, executor=resolve_executor(executor)),
-            ],
-            name="blocks",
-        ).run(circuit)
-        return context.block_results, context.blocked[0]
-
 
 def _seeded_search(control_set, target, upper_ns, hyper, settings, seed):
     """Minimum-time search from ``seed``, guarded best-of against cold.
@@ -633,8 +610,7 @@ def compile_jobs(jobs: list, cache, executor) -> list:
     The one home of the per-block sequence (cache hit, warm-start seed,
     search, strictly-not-worse judgment) behind :meth:`BlockPulseCompiler
     .compile_block`, :meth:`~BlockPulseCompiler.compile_job` and every
-    executor's fixed-block route (the pulse stage and the batch scheduler,
-    fleet included): cache hits and warm-start seeds are resolved here,
+    executor's fixed-block route (the batch scheduler, fleet included): cache hits and warm-start seeds are resolved here,
     before any result is written, the cold jobs travel as seed-carrying
     pure searches through ``executor``'s ``run_tasks``, and the results
     are cached and judged here in job order.

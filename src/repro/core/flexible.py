@@ -56,7 +56,7 @@ from repro.pulse.grape.engine import (
 from repro.pulse.grape.time_search import minimum_time_pulse
 from repro.pulse.hamiltonian import ControlSet, build_control_set
 from repro.pulse.schedule import PulseProgram, PulseSchedule, lookup_schedule
-from repro.service.config import ServiceConfig, warn_deprecated
+from repro.service.config import ServiceConfig
 from repro.sim.unitary import circuit_unitary
 
 
@@ -279,64 +279,6 @@ class _FlexiblePartialCompiler:
 
     # -- precompute phase ----------------------------------------------------
     @classmethod
-    def precompile(
-        cls,
-        circuit: QuantumCircuit,
-        device: GmonDevice | None = None,
-        settings: GrapeSettings | None = None,
-        hyperparameters: GrapeHyperparameters | None = None,
-        max_block_width: int | None = None,
-        cache: PulseCache | None = None,
-        tuning_samples: int = 2,
-        learning_rates: tuple | None = None,
-        decay_rates: tuple | None = None,
-        seed: int = 11,
-        tuning_strategy: str = "grid",
-        executor=None,
-    ) -> "FlexiblePartialCompiler":
-        """Slice, precompile fixed blocks, and tune parametrized blocks.
-
-        ``tuning_strategy`` selects the hyperparameter tuner: "grid" (the
-        default exhaustive sweep), or one of the budget-aware strategies in
-        :mod:`repro.core.search` ("random", "halving", "rbf").
-        ``executor`` parallelizes the per-block work — both the Fixed-block
-        GRAPE searches and the per-θ tuning runs are independent.
-        """
-        device = device or default_device_for(circuit)
-        settings = settings or GrapeSettings()
-        block_compiler = BlockPulseCompiler(
-            device,
-            settings,
-            hyperparameters,
-            cache if cache is not None else PulseCache(),
-        )
-        tuner = _block_tuner(
-            device,
-            settings,
-            hyperparameters,
-            tuning_samples,
-            learning_rates,
-            decay_rates,
-            seed,
-            tuning_strategy,
-            None,
-        )
-        pipeline = flexible_precompile_pipeline(
-            block_compiler, tuner, flexible_slices, max_block_width, executor
-        )
-        start = time.perf_counter()
-        context = pipeline.run(circuit)
-        return cls._from_context(
-            circuit,
-            device,
-            block_compiler,
-            context,
-            time.perf_counter() - start,
-            settings,
-            executor,
-        )
-
-    @classmethod
     def precompile_many(
         cls,
         circuits: Sequence[QuantumCircuit],
@@ -355,14 +297,19 @@ class _FlexiblePartialCompiler:
         grape_memo=None,
         config: ServiceConfig | None = None,
     ) -> list:
-        """Precompile a batch of ansätze, sharing Fixed blocks across them.
+        """Slice, precompile Fixed blocks, and tune parametrized blocks of a
+        batch of ansätze, sharing Fixed blocks across them.
 
         The Fixed blocks flow through one
         :class:`~repro.pipeline.scheduler.BlockScheduler` pass over the
         whole batch (and, via ``state``, across successive calls — see
-        :meth:`StrictPartialCompiler.precompile_many
-        <repro.core.strict.StrictPartialCompiler.precompile_many>`), while
+        :meth:`_StrictPartialCompiler.precompile_many
+        <repro.core.strict._StrictPartialCompiler.precompile_many>`), while
         each parametrized single-θ block is tuned per circuit as usual.
+        ``tuning_strategy`` selects the hyperparameter tuner: ``"grid"``
+        (the default exhaustive sweep), or one of the budget-aware
+        strategies in :mod:`repro.core.search` (``"random"``,
+        ``"halving"``, ``"rbf"``).
         ``grape_memo`` (a :class:`~repro.pulse.grape.memo.GrapeRunMemo`)
         replays the probe and tuning runs an earlier precompile already
         ran; each report's ``metadata["grape_memo_hits"]`` counts them.
@@ -438,7 +385,7 @@ class _FlexiblePartialCompiler:
         settings: GrapeSettings,
         executor,
         extra_metadata: dict | None = None,
-    ) -> "FlexiblePartialCompiler":
+    ) -> "_FlexiblePartialCompiler":
         """Fold one precompile pipeline context into a compiler instance."""
         iterations = 0
         fixed_blocks = 0
@@ -530,19 +477,3 @@ class _FlexiblePartialCompiler:
             blocks_compiled=len(schedules),
             metadata={"fallback_blocks": fallbacks, "program_fallback": used_fallback},
         )
-
-
-class FlexiblePartialCompiler(_FlexiblePartialCompiler):
-    """Deprecated constructor shim for the ``"flexible-partial"`` strategy.
-
-    The implementation lives in :class:`_FlexiblePartialCompiler`, which
-    the strategy registry serves as ``"flexible-partial"``; this name
-    remains only so pre-service callers keep working.  Each construction —
-    direct or via ``precompile`` / ``precompile_many`` — emits one
-    :class:`~repro.service.config.ReproDeprecationWarning`.  Use
-    ``CompilationService.compile(CompileRequest(strategy="flexible-partial"))``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warn_deprecated("FlexiblePartialCompiler", "flexible-partial")
-        super().__init__(*args, **kwargs)

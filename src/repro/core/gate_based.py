@@ -5,7 +5,8 @@ so that compilation simply amounts to concatenating the pulses corresponding
 to each gate" (paper section 1).  Pulse durations come from Table 1; gates
 are ASAP-parallel-scheduled so the reported duration is the critical path.
 
-The compiler is a thin configuration of the shared
+The compiler behind the service's ``"gate"`` strategy is a thin
+configuration of the shared
 :class:`~repro.pipeline.pipeline.CompilationPipeline`:
 ``bind → gate-schedule → assemble`` with no fallback (it *is* the floor
 every other strategy falls back to).
@@ -19,7 +20,6 @@ from typing import Sequence
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.results import CompiledPulse
 from repro.pipeline.strategies import gate_based_pipeline
-from repro.service.config import warn_deprecated
 
 
 class _GateBasedCompiler:
@@ -59,19 +59,3 @@ class _GateBasedCompiler:
             blocks_compiled=len(context.schedules),
             metadata={"stage_timings": context.stage_timing_dict()},
         )
-
-
-class GateBasedCompiler(_GateBasedCompiler):
-    """Deprecated constructor shim for the ``"gate"`` service strategy.
-
-    The implementation lives in :class:`_GateBasedCompiler`, which the
-    strategy registry serves as ``"gate"``; this name remains only so
-    pre-service callers keep working, and emits one
-    :class:`~repro.service.config.ReproDeprecationWarning` per
-    construction.  Use
-    ``CompilationService.compile(CompileRequest(strategy="gate"))``.
-    """
-
-    def __init__(self, pass_manager=None):
-        warn_deprecated("GateBasedCompiler", "gate")
-        super().__init__(pass_manager)

@@ -17,8 +17,8 @@ this module adds three budget-aware alternatives over the same
   "radial basis functions" method the paper cites).
 
 All three return the same :class:`~repro.core.hyperopt.TuningResult` shape
-as the grid tuner, so :class:`~repro.core.flexible.FlexiblePartialCompiler`
-can swap them in via ``tuning_strategy``, and like it they run every trial
+as the grid tuner, so the ``"flexible-partial"`` strategy
+(:class:`~repro.core.flexible._FlexiblePartialCompiler`) can swap them in via ``tuning_strategy``, and like it they run every trial
 through an optional ``memo`` (a :class:`~repro.pulse.grape.memo.GrapeRunMemo`).
 """
 
@@ -303,7 +303,7 @@ def rbf_search(
     return _finish(objective, trials, budget, start)
 
 
-#: Strategy registry used by ``FlexiblePartialCompiler``.
+#: Tuner registry used by ``_FlexiblePartialCompiler``.
 STRATEGIES = {
     "random": random_search,
     "halving": successive_halving,

@@ -8,9 +8,9 @@ by which range the runtime angle falls in (breakpoints
 ``[-π, -2.25, -0.25, 0.25, 2.25, π]``), and McKay et al.'s "efficient Z
 gates" make small Z rotations virtually free.  This module implements that
 middle ground: a :class:`StepFunctionTable` maps (gate, bound angle) to a
-calibrated pulse duration, and :class:`StepFunctionGateCompiler` is the
-corresponding drop-in alternative to
-:class:`~repro.core.gate_based.GateBasedCompiler`.
+calibrated pulse duration, and the service's ``"step-function"``
+strategy is the corresponding drop-in alternative to the ``"gate"``
+strategy.
 
 It remains a lookup table — zero compilation latency — but its pulse
 durations depend on the runtime parametrization, which narrows (without
@@ -29,12 +29,10 @@ from repro.config import GATE_DURATIONS_NS
 from repro.core.results import CompiledPulse
 from repro.errors import CompilationError
 from repro.pulse.schedule import PulseProgram, lookup_schedule
-from repro.service.config import warn_deprecated
 
 __all__ = [
     "AngleRange",
     "BARENDS_BREAKPOINTS",
-    "StepFunctionGateCompiler",
     "StepFunctionTable",
     "default_step_table",
 ]
@@ -163,7 +161,7 @@ def default_step_table() -> StepFunctionTable:
 class _StepFunctionGateCompiler:
     """Lookup-table compilation with angle-dependent pulse durations.
 
-    Same zero runtime latency as :class:`GateBasedCompiler`; the only
+    Same zero runtime latency as the gate-based compiler; the only
     difference is that the pulse concatenated for a parametrized gate
     depends on which calibration range the bound angle falls in.
     """
@@ -208,19 +206,3 @@ class _StepFunctionGateCompiler:
             blocks_compiled=len(schedules),
             metadata={"refined_gates": self.table.refined_gates},
         )
-
-
-class StepFunctionGateCompiler(_StepFunctionGateCompiler):
-    """Deprecated constructor shim for the ``"step-function"`` strategy.
-
-    The implementation lives in :class:`_StepFunctionGateCompiler`, which
-    the strategy registry serves as ``"step-function"``; this name remains
-    only so pre-service callers keep working, and emits one
-    :class:`~repro.service.config.ReproDeprecationWarning` per
-    construction.  Use
-    ``CompilationService.compile(CompileRequest(strategy="step-function"))``.
-    """
-
-    def __init__(self, table=None):
-        warn_deprecated("StepFunctionGateCompiler", "step-function")
-        super().__init__(table)

@@ -30,7 +30,7 @@ from repro.pipeline.strategies import strict_precompile_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.pulse.schedule import PulseProgram, lookup_schedule
-from repro.service.config import ServiceConfig, warn_deprecated
+from repro.service.config import ServiceConfig
 
 
 def _lookup_plan_entry(task: BlockTask) -> tuple:
@@ -59,45 +59,6 @@ class _StrictPartialCompiler:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def precompile(
-        cls,
-        circuit: QuantumCircuit,
-        device: GmonDevice | None = None,
-        settings: GrapeSettings | None = None,
-        hyperparameters: GrapeHyperparameters | None = None,
-        max_block_width: int | None = None,
-        cache: PulseCache | None = None,
-        executor=None,
-    ) -> "StrictPartialCompiler":
-        """Slice ``circuit`` and GRAPE-precompile every Fixed block.
-
-        This is the pre-computation phase; its cost is recorded in
-        :attr:`report` and is *not* charged to runtime compilation.
-        ``executor`` parallelizes the independent Fixed-block GRAPE
-        searches (name or executor instance; ``None`` = the ``auto`` default).
-        """
-        device = device or default_device_for(circuit)
-        block_compiler = BlockPulseCompiler(
-            device,
-            settings,
-            hyperparameters,
-            cache if cache is not None else PulseCache(),
-        )
-        # Parametrized gates become isolated singleton blocks; the Fixed
-        # gates between them aggregate into maximal parametrization-
-        # independent subcircuits with per-qubit barriers (the DAG-aware
-        # reading of the paper's Figure 3b, which avoids serializing
-        # unrelated qubits across an Rz(θ)).
-        pipeline = strict_precompile_pipeline(
-            block_compiler, _lookup_plan_entry, max_block_width, executor
-        )
-        start = time.perf_counter()
-        context = pipeline.run(circuit)
-        return cls._from_context(
-            circuit, device, block_compiler, context, time.perf_counter() - start
-        )
-
-    @classmethod
     def precompile_many(
         cls,
         circuits: Sequence[QuantumCircuit],
@@ -112,15 +73,17 @@ class _StrictPartialCompiler:
     ) -> list:
         """Precompile a *batch* of ansätze, sharing Fixed blocks across them.
 
-        All circuits flow through one pipeline whose pulse stage is a single
+        This is the pre-computation phase; its cost is recorded in each
+        compiler's :attr:`report` and is *not* charged to runtime
+        compilation.  All circuits flow through one pipeline whose pulse stage is a single
         :class:`~repro.pipeline.scheduler.BlockScheduler` pass: Fixed blocks
         with the same unitary fingerprint and control context — within one
         ansatz or across ansätze — run GRAPE exactly once.  ``state`` (a
         :class:`~repro.pipeline.scheduler.SchedulerState`) extends the dedup
         across *calls*: pass the same state object to successive
-        ``precompile_many`` invocations (or share it with a
-        :class:`~repro.pipeline.session.VariationalSession`) and later
-        batches pay only for blocks never seen before.
+        ``precompile_many`` invocations (the service passes its own) and
+        later batches pay only for blocks never seen before.  One ansatz
+        is the batch ``[circuit]``.
 
         ``config`` (a :class:`~repro.service.ServiceConfig`) supplies the
         warm-start and batched-GRAPE settings; ``None`` uses the defaults.
@@ -144,6 +107,11 @@ class _StrictPartialCompiler:
             warm_start=config.warm_start,
             warm_start_max_dist=config.warm_start_max_dist,
         )
+        # Parametrized gates become isolated singleton blocks; the Fixed
+        # gates between them aggregate into maximal parametrization-
+        # independent subcircuits with per-qubit barriers (the DAG-aware
+        # reading of the paper's Figure 3b, which avoids serializing
+        # unrelated qubits across an Rz(θ)).
         pipeline = strict_precompile_pipeline(
             block_compiler, _lookup_plan_entry, max_block_width, executor
         )
@@ -175,7 +143,7 @@ class _StrictPartialCompiler:
         context,
         wall_time_s: float,
         extra_metadata: dict | None = None,
-    ) -> "StrictPartialCompiler":
+    ) -> "_StrictPartialCompiler":
         """Fold one precompile pipeline context into a compiler instance."""
         iterations = 0
         blocks_done = 0
@@ -252,20 +220,3 @@ class _StrictPartialCompiler:
                 "program_fallback": used_fallback,
             },
         )
-
-
-class StrictPartialCompiler(_StrictPartialCompiler):
-    """Deprecated constructor shim for the ``"strict-partial"`` strategy.
-
-    The implementation lives in :class:`_StrictPartialCompiler`, which the
-    strategy registry serves as ``"strict-partial"``; this name remains
-    only so pre-service callers keep working.  Each construction — direct
-    or via ``precompile`` / ``precompile_many`` (classmethods construct
-    through ``cls``) — emits one
-    :class:`~repro.service.config.ReproDeprecationWarning`.  Use
-    ``CompilationService.compile(CompileRequest(strategy="strict-partial"))``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warn_deprecated("StrictPartialCompiler", "strict-partial")
-        super().__init__(*args, **kwargs)

@@ -695,7 +695,7 @@ class PulseLibrary:
     def empty_stats(directory: str | os.PathLike) -> dict:
         """The ``{**stats(), **sweep()}`` report of a never-created library.
 
-        Lets inspection surfaces (``cache-stats`` / ``library stats``)
+        Lets inspection surfaces (``library stats``)
         report a zeroed snapshot with the exact same schema as a live
         library, without creating the directory as instantiation would.
         """

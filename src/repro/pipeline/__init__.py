@@ -15,7 +15,8 @@ transformer framework:
   a :class:`PipelineContext` from circuit to pulse program.
 * :mod:`repro.pipeline.pipeline` — :class:`CompilationPipeline`, an ordered
   stage list with per-stage wall-time telemetry, plus the batch entry
-  point ``run_many``.
+  point ``run_many``: the pulse stage always runs as one
+  :class:`BlockScheduler` pass, and ``run`` is the batch of one.
 * :mod:`repro.pipeline.plan` — :class:`CompilationPlan` /
   :class:`PlanCache`, content-addressed reuse of the blocking output: the
   aggregation pass and the per-block dedup-key hashing run once per ansatz
@@ -24,12 +25,11 @@ transformer framework:
   deduplicates block compilations across a batch of circuits before
   dispatch (N variational circuits sharing blocks compile each block once),
   optionally carrying a persistent :class:`SchedulerState` across calls.
-* :mod:`repro.pipeline.session` — :class:`VariationalSession`, the
-  long-lived streaming mode: one scheduler + executor + open pulse cache
-  shared by every ``compile`` of a variational run, so iteration N+1 pays
-  only for blocks the whole session has never seen.
+  A :class:`repro.service.CompilationService` keeps one state for its
+  lifetime, so iteration N+1 of a variational run pays only for blocks
+  the service has never seen.
 * :mod:`repro.pipeline.strategies` — the four declarative pipeline
-  configurations behind ``repro.core``'s compiler classes.
+  configurations behind ``repro.core``'s compilers.
 """
 
 from repro.pipeline.executors import (
@@ -41,7 +41,6 @@ from repro.pipeline.jobs import BlockJob
 from repro.pipeline.pipeline import CompilationPipeline
 from repro.pipeline.plan import CompilationPlan, PlanCache
 from repro.pipeline.scheduler import BlockScheduler, SchedulerReport, SchedulerState
-from repro.pipeline.session import VariationalSession
 from repro.pipeline.stages import (
     AssembleStage,
     BindStage,
@@ -73,7 +72,6 @@ __all__ = [
     "PlanCache",
     "SchedulerReport",
     "SchedulerState",
-    "VariationalSession",
     "GateScheduleStage",
     "PipelineContext",
     "PulseStage",

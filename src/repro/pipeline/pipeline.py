@@ -17,7 +17,13 @@ from typing import Iterable
 
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
-from repro.pipeline.stages import PipelineContext, Stage
+from repro.pipeline.stages import (
+    BindStage,
+    BlockingStage,
+    PipelineContext,
+    PulseStage,
+    Stage,
+)
 from repro.service.config import ServiceConfig
 
 
@@ -47,13 +53,29 @@ class CompilationPipeline:
         """Flow ``circuit`` (with optional parameter ``values``) through all
         stages, returning the accumulated context.
 
+        A pipeline with a pulse stage compiles through :meth:`run_many` as
+        a batch of one, so every fixed block takes the one scheduler route.
         Per-stage wall time lands in ``context.stage_timings`` in execution
         order, so callers can report exactly where compilation latency went.
         """
+        if self._pulse_index() is not None:
+            contexts, _ = self.run_many([circuit], [values])
+            return contexts[0]
         context = PipelineContext(circuit=circuit, values=values)
         for stage in self.stages:
             self._run_stage(stage, context)
         return context
+
+    def _pulse_index(self) -> int | None:
+        """Position of the scheduler-run pulse stage, ``None`` without one."""
+        return next(
+            (
+                i
+                for i, stage in enumerate(self.stages)
+                if isinstance(stage, PulseStage) and stage.block_compiler is not None
+            ),
+            None,
+        )
 
     @staticmethod
     def _run_stage(stage: Stage, context: PipelineContext) -> None:
@@ -124,8 +146,7 @@ class CompilationPipeline:
         makes the batch *streaming*: the per-batch scheduler is built
         around the caller's state object, so dedup memory persists across
         successive ``run_many`` calls sharing that state — this is how
-        :class:`repro.pipeline.session.VariationalSession` and the
-        strategies' ``precompile_many`` reuse blocks across calls.
+        the service's strategies reuse blocks across requests.
         ``scheduler`` goes further and supplies the whole caller-owned
         :class:`~repro.pipeline.scheduler.BlockScheduler` (``state`` is
         then ignored).
@@ -143,7 +164,6 @@ class CompilationPipeline:
         when a caller-owned ``scheduler`` is supplied).
         """
         from repro.pipeline.scheduler import BlockScheduler
-        from repro.pipeline.stages import BindStage, BlockingStage, PulseStage
 
         circuits = list(circuits)
         values = list(values) if values is not None else [None] * len(circuits)
@@ -151,14 +171,7 @@ class CompilationPipeline:
             raise PipelineError(
                 f"got {len(circuits)} circuits but {len(values)} value sets"
             )
-        pulse_index = next(
-            (
-                i
-                for i, stage in enumerate(self.stages)
-                if isinstance(stage, PulseStage) and stage.block_compiler is not None
-            ),
-            None,
-        )
+        pulse_index = self._pulse_index()
         if pulse_index is None:
             return [
                 self.run(circuit, vals) for circuit, vals in zip(circuits, values)

@@ -28,8 +28,8 @@ Replaying a plan rebuilds each block's bound subcircuit directly from the
 stored indices and hands the scheduler pre-keyed tasks — the hot
 variational loop skips straight to dispatch.
 
-Shared by :class:`repro.service.facade.CompilationService` (full-GRAPE
-strategy) and :class:`repro.pipeline.session.VariationalSession`.
+Used by :class:`repro.service.facade.CompilationService`'s full-GRAPE
+strategy, which keeps one plan cache for the service's lifetime.
 """
 
 from __future__ import annotations

@@ -21,17 +21,17 @@ that fell back to lookup pulses falls back for the duplicate too, against
 the *duplicate's* own gate-based duration — preserving the paper's
 strictly-not-worse guarantee blockwise.
 
-Entry points: :meth:`repro.pipeline.pipeline.CompilationPipeline.run_many`
-(stage-level) and :meth:`repro.core.FullGrapeCompiler.compile_many`
-(compiler-level).
+Entry point: :meth:`repro.pipeline.pipeline.CompilationPipeline.run_many`,
+which every pipeline with a pulse stage goes through (``run`` is the batch
+of one).
 
 A scheduler constructed with a :class:`SchedulerState` additionally
 remembers every representative it has compiled *across* ``run`` calls:
 the next batch fed through the same scheduler pays only for blocks it has
 never seen in the whole run.  This is the streaming/variational mode —
-:class:`repro.pipeline.session.VariationalSession` feeds one long-lived
-scheduler a stream of iterations, so iteration N+1's shared fixed blocks
-cost zero GRAPE dispatches.
+:class:`repro.service.CompilationService` keeps one state for its
+lifetime and feeds it a stream of requests, so iteration N+1's shared
+fixed blocks cost zero GRAPE dispatches.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 A stage is a named unit of work over a mutable :class:`PipelineContext`:
 transpile rewrites the circuit, bind produces the bound working circuit,
-blocking partitions it into :class:`BlockTask`\\ s, the pulse stage maps a
-block handler over those tasks through a :class:`BlockExecutor`, and
-assemble sequences the resulting schedules into a
-:class:`~repro.pulse.schedule.PulseProgram` with the paper's
+blocking partitions it into :class:`BlockTask`\\ s, the pulse stage (run as
+one batch-scheduler pass) compiles those tasks through a
+:class:`BlockExecutor`, and assemble sequences the resulting schedules
+into a :class:`~repro.pulse.schedule.PulseProgram` with the paper's
 strictly-not-worse fallback.  Strategies differ only in which stages they
 stack and which handlers they plug in — the flow itself is shared.
 """
@@ -13,7 +13,6 @@ stack and which handlers they plug in — the flow itself is shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 from repro.blocking.aggregate import aggregate_blocks
@@ -255,20 +254,18 @@ def _dispatch_task(block_compiler, parametrized_handler, task: BlockTask):
 
 
 class PulseStage(Stage):
-    """Compile the blocked tasks through the configured executor.
+    """Marks where a pipeline compiles its blocked tasks to pulses.
 
-    Fixed tasks become :class:`~repro.pipeline.jobs.BlockJob` descriptors
-    of ``block_compiler`` (a
-    :class:`~repro.core.compiler.BlockPulseCompiler`) and go through
-    :func:`~repro.core.compiler.compile_jobs`: hits and warm-start seeds
-    resolve against the compiler's cache, the cold searches run through
-    the executor's ``run_tasks``, and the results are cached and judged
-    here in block order.  The executor's closure ``map`` carries only
-    ``parametrized_handler``'s parameter-dependent tasks and trivial
-    (empty / zero-duration) blocks.  The batch scheduler
-    (:class:`repro.pipeline.scheduler.BlockScheduler`) reads
-    ``block_compiler`` to compute block identities and fan deduplicated
-    results back out.
+    The stage holds what the batch scheduler
+    (:class:`repro.pipeline.scheduler.BlockScheduler`) reads:
+    ``block_compiler`` (a :class:`~repro.core.compiler.BlockPulseCompiler`)
+    to compute block identities and compile fixed blocks, ``executor`` to
+    run their cold searches, and ``parametrized_handler`` for the
+    strategy's parameter-dependent tasks.
+    :meth:`~repro.pipeline.pipeline.CompilationPipeline.run_many` replaces
+    the stage by one scheduler pass over the whole batch, and
+    :meth:`~repro.pipeline.pipeline.CompilationPipeline.run` is the batch
+    of one, so the stage never runs on its own.
     """
 
     name = "pulse"
@@ -282,48 +279,12 @@ class PulseStage(Stage):
         self.block_compiler = block_compiler
         self.parametrized_handler = parametrized_handler
         self.executor = executor if executor is not None else SerialExecutor()
-        self._dispatch = partial(
-            _dispatch_task, block_compiler, parametrized_handler
-        )
-
-    def _run_tasks(self, tasks: list) -> list:
-        """Fixed blocks as jobs, everything else through the closure map."""
-        from repro.core.compiler import compile_jobs
-
-        jobs: list = []
-        job_idx: list = []
-        for i, task in enumerate(tasks):
-            if task.kind != "fixed":
-                continue
-            job = self.block_compiler.make_job(
-                task.subcircuit, task.device_qubits
-            )
-            if job is not None:  # None: a trivial block, compiled inline
-                jobs.append(job)
-                job_idx.append(i)
-        results: list = [None] * len(tasks)
-        outcomes = compile_jobs(jobs, self.block_compiler.cache, self.executor)
-        for i, outcome in zip(job_idx, outcomes):
-            results[i] = outcome
-        rest = [i for i, result in enumerate(results) if result is None]
-        mapped = self.executor.map(self._dispatch, [tasks[i] for i in rest])
-        for i, result in zip(rest, mapped):
-            results[i] = result
-        return results
 
     def run(self, context: PipelineContext) -> None:
-        if context.tasks is None:
-            raise PipelineError("a blocking stage must run before the pulse stage")
-        cache = self.block_compiler.cache
-        # Pin warm-start candidates to the pre-pass cache state so the
-        # compiled pulses do not depend on which executor ran the map
-        # (see PulseCache.freeze_neighbors).
-        cache.freeze_neighbors()
-        try:
-            context.block_results = self._run_tasks(context.tasks)
-        finally:
-            cache.thaw_neighbors()
-        context.executor_info = self.executor.describe()
+        raise PipelineError(
+            "the pulse stage runs as a BlockScheduler pass; compile through "
+            "CompilationPipeline.run or run_many"
+        )
 
 
 def lookup_schedules(circuit: QuantumCircuit) -> list:

@@ -288,7 +288,9 @@ def _schedule_from_dict(entry: dict) -> PulseSchedule:
 
 
 def assembly_from_strict_plan(compiler) -> PulseAssembly:
-    """Export a :class:`~repro.core.strict.StrictPartialCompiler` plan.
+    """Export a strict-partial plan (``CompileResult.compiler`` of a
+    ``"strict-partial"`` request, a
+    :class:`~repro.core.strict._StrictPartialCompiler`).
 
     The strict compiler's plan is exactly an assembly program: Fixed-block
     schedules become (deduplicated) microinstructions, parameter-dependent

@@ -26,7 +26,6 @@ imports :mod:`repro.core`) in eagerly would create an import cycle.
 from repro.service.config import (
     CACHE_SHARD_CHOICES,
     EXECUTOR_CHOICES,
-    ReproDeprecationWarning,
     ServiceConfig,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "CompileRequest",
     "CompileResult",
     "EXECUTOR_CHOICES",
-    "ReproDeprecationWarning",
     "ServiceConfig",
     "available_strategies",
     "get_strategy",

@@ -41,18 +41,6 @@ CACHE_SHARD_CHOICES = (16, 256, 4096)
 DISPATCHER_CHOICES = ("executor", "queue")
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation category for repro's legacy entry-point shims.
-
-    A dedicated subclass so CI can run the suite with
-    ``-W error::DeprecationWarning`` while downgrading exactly the shims'
-    warnings back to non-fatal
-    (``-W default::repro.service.config.ReproDeprecationWarning``), proving
-    the old constructors still work and warn without masking third-party
-    deprecations.
-    """
-
-
 def _env_number(
     env_name: str,
     field_name: str,
@@ -102,17 +90,6 @@ def _env_bool(
         warnings.warn(
             f"ignoring {env_name}={raw!r} (expected a boolean)", stacklevel=4
         )
-
-
-def warn_deprecated(old: str, strategy: str) -> None:
-    """Emit the one-per-call shim warning pointing at the service facade."""
-    warnings.warn(
-        f"{old} is deprecated; use repro.service.CompilationService."
-        f"compile(CompileRequest(strategy={strategy!r})) — the legacy class "
-        "delegates to the same registered strategy implementation",
-        ReproDeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)

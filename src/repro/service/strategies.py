@@ -5,9 +5,11 @@ request/response surface while sharing the service's machinery — one pulse
 cache, one block executor, one cross-call scheduler state — so repeated
 requests reuse each other's work regardless of which thread submitted
 them.  The heavy lifting stays in :mod:`repro.core`: the strategy classes
-here wrap the same implementation classes the deprecated compiler
-constructors delegate to, which is what makes service results bit-identical
-to the legacy API.
+here wrap its compilers (``_GateBasedCompiler``,
+``_StepFunctionGateCompiler``, ``_StrictPartialCompiler``,
+``_FlexiblePartialCompiler``) and the full-GRAPE pipeline, and every
+pipeline with a pulse stage compiles its fixed blocks through one
+:class:`~repro.pipeline.scheduler.BlockScheduler` pass.
 """
 
 from __future__ import annotations
@@ -109,73 +111,24 @@ class FullGrapeStrategy(_StrategyBase):
     Runs through the service's shared scheduler state (when the request
     allows caching), so a stream of requests — from one thread or many —
     dispatches GRAPE only for blocks the whole service lifetime has never
-    seen: the :class:`~repro.pipeline.session.VariationalSession` behavior,
-    now a service internal.
+    seen.  A single request is the batch of one.
     """
 
     name = "full-grape"
     allowed_options = frozenset()
 
     def _run(self, service, request):
-        from repro.core.cache import PulseCache
-        from repro.core.compiler import BlockPulseCompiler
-        from repro.core.full_grape import result_from_context
-        from repro.pipeline.strategies import full_grape_pipeline
-
-        # The *symbolic* circuit goes into the pipeline (the bind stage
-        # applies the values): the plan cache keys blocking output on the
-        # ansatz's content fingerprint, so every binding of one ansatz
-        # replays one plan.
-        circuit = request.circuit
-        values = (
-            request.normalized_values() if request.values is not None else None
-        )
-        cache = service.cache if request.use_cache else PulseCache()
-        block_compiler = BlockPulseCompiler(
-            service.device_for(circuit),
-            request.settings or service.settings,
-            request.hyperparameters or service.hyperparameters,
-            cache,
-            warm_start=service.config.warm_start,
-            warm_start_max_dist=service.config.warm_start_max_dist,
-        )
-        pipeline = full_grape_pipeline(
-            block_compiler, request.max_block_width, service.executor
-        )
-        # An uncached request must pay the honest out-of-the-box latency,
-        # so it also skips the cross-call dedup memory and the plan cache.
-        state = service.scheduler_state if request.use_cache else None
-        plan_cache = service.plan_cache if request.use_cache else None
-        start = time.perf_counter()
-        contexts, report = pipeline.run_many(
-            [circuit],
-            [values],
-            state=state,
-            plan_cache=plan_cache,
-            plan_scope=self.name,
-            grape_batch=service.config.grape_batch,
-            grape_batch_size=service.config.grape_batch_size,
-        )
-        elapsed = time.perf_counter() - start
-        extra = {
-            "scheduler": report.as_dict() if report is not None else None,
-            "service": True,
-        }
-        compiled = result_from_context("grape", contexts[0], elapsed, cache, extra)
-        return compiled, None, None
+        compiled, _ = self._compile_many(service, [request], batch=False)
+        return compiled[0], None, None
 
     def compile_batch(self, service, requests) -> list:
         """Serve a uniform batch through one scheduler pass.
 
         Blocks shared between the batch's circuits compile once even on a
         cold cache; every result's ``runtime_latency_s`` is the shared
-        batch wall time, exactly like the legacy ``compile_many``.
+        batch wall time (also in ``metadata["batch_wall_time_s"]``) — do
+        not sum it across the batch.
         """
-        from repro.core.cache import PulseCache
-        from repro.core.compiler import BlockPulseCompiler
-        from repro.core.full_grape import result_from_context
-        from repro.pipeline.strategies import full_grape_pipeline
-
         first = requests[0]
         for request in requests:
             self.validate(request)
@@ -190,6 +143,30 @@ class FullGrapeStrategy(_StrategyBase):
                     "max_block_width/use_cache across the batch; mix "
                     "strategies or options via individual compile() calls"
                 )
+        compiled, elapsed = self._compile_many(service, requests, batch=True)
+        return [
+            CompileResult(
+                request=request,
+                strategy=self.name,
+                compiled=pulse,
+                wall_time_s=elapsed,
+            )
+            for request, pulse in zip(requests, compiled)
+        ]
+
+    def _compile_many(self, service, requests, batch: bool) -> tuple:
+        """Compile uniform ``requests`` in one scheduler pass; returns
+        ``(compiled_pulses, wall_time_s)``."""
+        from repro.core.cache import PulseCache
+        from repro.core.compiler import BlockPulseCompiler
+        from repro.core.full_grape import result_from_context
+        from repro.pipeline.strategies import full_grape_pipeline
+
+        first = requests[0]
+        # The *symbolic* circuits go into the pipeline (the bind stage
+        # applies the values): the plan cache keys blocking output on the
+        # ansatz's content fingerprint, so every binding of one ansatz
+        # replays one plan.
         circuits = [request.circuit for request in requests]
         values = [
             request.normalized_values() if request.values is not None else None
@@ -208,6 +185,8 @@ class FullGrapeStrategy(_StrategyBase):
         pipeline = full_grape_pipeline(
             block_compiler, first.max_block_width, service.executor
         )
+        # An uncached request must pay the honest out-of-the-box latency,
+        # so it also skips the cross-call dedup memory and the plan cache.
         state = service.scheduler_state if first.use_cache else None
         plan_cache = service.plan_cache if first.use_cache else None
         start = time.perf_counter()
@@ -221,24 +200,17 @@ class FullGrapeStrategy(_StrategyBase):
             grape_batch_size=service.config.grape_batch_size,
         )
         elapsed = time.perf_counter() - start
-        extra = {
-            "scheduler": report.as_dict() if report is not None else None,
-            "batch_wall_time_s": elapsed,
-            "service": True,
-        }
+        extra = {"scheduler": report.as_dict() if report is not None else None}
+        if batch:
+            extra["batch_wall_time_s"] = elapsed
+        extra["service"] = True
         # One counters snapshot shared by every result of the batch.
         cache_stats = cache.stats()
-        return [
-            CompileResult(
-                request=request,
-                strategy=self.name,
-                compiled=result_from_context(
-                    "grape", context, elapsed, cache, extra, cache_stats
-                ),
-                wall_time_s=elapsed,
-            )
-            for request, context in zip(requests, contexts)
+        compiled = [
+            result_from_context("grape", context, elapsed, cache, extra, cache_stats)
+            for context in contexts
         ]
+        return compiled, elapsed
 
 
 class _PartialStrategyBase(_StrategyBase):

@@ -12,10 +12,9 @@ routes every iteration's compilation through the service's
 ``compile_parametrized`` hook, so the whole optimizer loop shares one
 executor, one pulse cache, and one block-dedup scheduler state (iteration
 N+1 dispatches GRAPE only for blocks the whole run has never seen).  Any
-object exposing ``compile_parametrized(circuit, values)`` (the legacy
-strategy compilers, a :class:`repro.pipeline.session.VariationalSession`)
-still works.  When the hook exposes ``stats()`` (services and sessions
-do), its end-of-run snapshot lands in :attr:`VQEResult.compile_stats`.
+object exposing ``compile_parametrized(circuit, values)`` works.  When
+the hook exposes ``stats()`` (a service does), its end-of-run snapshot
+lands in :attr:`VQEResult.compile_stats`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class VQEResult:
     compile_latency_s: float = 0.0
     compile_pulse_ns: list = field(default_factory=list)
     #: End-of-run telemetry from the compiler hook's ``stats()`` (e.g. a
-    #: ``VariationalSession``'s reuse counters); ``None`` otherwise.
+    #: service's scheduler reuse counters); ``None`` otherwise.
     compile_stats: dict | None = None
 
     @property

@@ -1,4 +1,5 @@
-"""Tests for the four compilation strategies on a small variational circuit.
+"""Tests for the four compilation strategies on a small variational circuit,
+each compiled through a fresh :class:`~repro.service.CompilationService`.
 
 These are the behavioural contracts of the paper:
 
@@ -15,19 +16,34 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.core.compiler import BlockPulseCompiler
-from repro.core.flexible import FlexiblePartialCompiler
-from repro.core.full_grape import FullGrapeCompiler
-from repro.core.gate_based import GateBasedCompiler
-from repro.core.strict import StrictPartialCompiler
 from repro.errors import CompilationError
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile.schedule import asap_schedule
 from repro.transpile.topology import line_topology
 
 SETTINGS = GrapeSettings(dt_ns=0.25, target_fidelity=0.99)
 HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iterations=150)
 THETA = [0.7, -1.3]
+
+
+def _service(device):
+    """A fresh service: empty pulse cache and scheduler state."""
+    return CompilationService(
+        config=ServiceConfig(executor="serial"),
+        device=device,
+        settings=SETTINGS,
+        hyperparameters=HYPER,
+    )
+
+
+def _compile(device, circuit, values, strategy, **request_fields):
+    """One request on a fresh service; its :class:`CompileResult`."""
+    with _service(device) as service:
+        return service.compile(
+            CompileRequest(circuit, values, strategy=strategy, **request_fields)
+        )
 
 
 @pytest.fixture(scope="module")
@@ -48,24 +64,23 @@ def device():
 
 
 @pytest.fixture(scope="module")
-def gate_result(ansatz):
-    return GateBasedCompiler().compile_parametrized(ansatz, THETA)
+def gate_result(ansatz, device):
+    return _compile(device, ansatz, THETA, "gate").compiled
 
 
 @pytest.fixture(scope="module")
 def grape_result(ansatz, device):
-    compiler = FullGrapeCompiler(
-        device=device, settings=SETTINGS, hyperparameters=HYPER, max_block_width=2
-    )
-    return compiler.compile_parametrized(ansatz, THETA)
+    # Uncached: the honest per-iteration full-GRAPE cost.
+    return _compile(
+        device, ansatz, THETA, "full-grape", max_block_width=2, use_cache=False
+    ).compiled
 
 
 @pytest.fixture(scope="module")
 def strict_compiler(ansatz, device):
-    return StrictPartialCompiler.precompile(
-        ansatz, device=device, settings=SETTINGS, hyperparameters=HYPER,
-        max_block_width=2,
-    )
+    return _compile(
+        device, ansatz, None, "strict-partial", max_block_width=2
+    ).compiler
 
 
 class TestGateBased:
@@ -76,9 +91,9 @@ class TestGateBased:
     def test_zero_grape_iterations(self, gate_result):
         assert gate_result.runtime_iterations == 0
 
-    def test_rejects_unbound(self, ansatz):
+    def test_rejects_unbound(self, ansatz, device):
         with pytest.raises(CompilationError):
-            GateBasedCompiler().compile(ansatz)
+            _compile(device, ansatz, None, "gate")
 
     def test_method_tag(self, gate_result):
         assert gate_result.method == "gate"
@@ -92,16 +107,15 @@ class TestFullGrape:
         assert grape_result.runtime_iterations > 0
 
     def test_rejects_unbound(self, ansatz, device):
-        compiler = FullGrapeCompiler(device=device, settings=SETTINGS)
         with pytest.raises(CompilationError):
-            compiler.compile(ansatz)
+            _compile(device, ansatz, None, "full-grape")
 
     def test_cache_accelerates_second_compile(self, ansatz, device):
-        compiler = FullGrapeCompiler(
-            device=device, settings=SETTINGS, hyperparameters=HYPER, max_block_width=2
-        )
-        first = compiler.compile(ansatz.bind_parameters(THETA), use_cache=True)
-        second = compiler.compile(ansatz.bind_parameters(THETA), use_cache=True)
+        bound = ansatz.bind_parameters(THETA)
+        request = CompileRequest(bound, strategy="full-grape", max_block_width=2)
+        with _service(device) as service:
+            first = service.compile(request).compiled
+            second = service.compile(request).compiled
         assert second.cache_hits == second.blocks_compiled
         assert second.runtime_iterations == 0
         assert np.isclose(second.pulse_duration_ns, first.pulse_duration_ns)
@@ -145,16 +159,18 @@ class TestStrict:
 class TestFlexible:
     @pytest.fixture(scope="class")
     def flexible_compiler(self, ansatz, device):
-        return FlexiblePartialCompiler.precompile(
+        return _compile(
+            device,
             ansatz,
-            device=device,
-            settings=SETTINGS,
-            hyperparameters=HYPER,
+            None,
+            "flexible-partial",
             max_block_width=2,
-            tuning_samples=2,
-            learning_rates=(0.03, 0.1),
-            decay_rates=(0.0, 0.01),
-        )
+            options={
+                "tuning_samples": 2,
+                "learning_rates": (0.03, 0.1),
+                "decay_rates": (0.0, 0.01),
+            },
+        ).compiler
 
     def test_not_worse_than_strict(self, flexible_compiler, strict_compiler):
         flex = flexible_compiler.compile(THETA)

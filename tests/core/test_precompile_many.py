@@ -4,7 +4,9 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
-from repro.core import FlexiblePartialCompiler, PulseCache, StrictPartialCompiler
+from repro.core import PulseCache
+from repro.core.flexible import _FlexiblePartialCompiler
+from repro.core.strict import _StrictPartialCompiler
 from repro.errors import CompilationError
 from repro.pipeline import SchedulerState
 from repro.pulse.device import GmonDevice
@@ -38,7 +40,7 @@ def _ansatz(parameter_name: str) -> QuantumCircuit:
 class TestStrictPrecompileMany:
     def test_fixed_blocks_shared_across_ansatze(self):
         cache = CountingCache()
-        compilers = StrictPartialCompiler.precompile_many(
+        compilers = _StrictPartialCompiler.precompile_many(
             [_ansatz("a"), _ansatz("b"), _ansatz("c")],
             device=GmonDevice(line_topology(2)),
             settings=SETTINGS,
@@ -57,15 +59,15 @@ class TestStrictPrecompileMany:
         assert len(cache.put_keys) == scheduler["unique_blocks"]
 
     def test_batch_compilers_compile_like_solo_precompiles(self):
-        batch = StrictPartialCompiler.precompile_many(
+        batch = _StrictPartialCompiler.precompile_many(
             [_ansatz("a"), _ansatz("b")],
             device=GmonDevice(line_topology(2)),
             settings=SETTINGS,
             hyperparameters=HYPER,
             max_block_width=2,
         )
-        solo = StrictPartialCompiler.precompile(
-            _ansatz("a"),
+        (solo,) = _StrictPartialCompiler.precompile_many(
+            [_ansatz("a")],
             device=GmonDevice(line_topology(2)),
             settings=SETTINGS,
             hyperparameters=HYPER,
@@ -78,7 +80,7 @@ class TestStrictPrecompileMany:
     def test_shared_state_extends_dedup_across_calls(self):
         state = SchedulerState()
         device = GmonDevice(line_topology(2))
-        first = StrictPartialCompiler.precompile_many(
+        first = _StrictPartialCompiler.precompile_many(
             [_ansatz("a")],
             device=device,
             settings=SETTINGS,
@@ -87,7 +89,7 @@ class TestStrictPrecompileMany:
             state=state,
         )
         assert first[0].report.metadata["scheduler"]["reused_blocks"] == 0
-        second = StrictPartialCompiler.precompile_many(
+        second = _StrictPartialCompiler.precompile_many(
             [_ansatz("b")],
             device=device,
             settings=SETTINGS,
@@ -100,12 +102,12 @@ class TestStrictPrecompileMany:
         assert scheduler["unique_blocks"] == 0
 
     def test_empty_batch(self):
-        assert StrictPartialCompiler.precompile_many([]) == []
+        assert _StrictPartialCompiler.precompile_many([]) == []
 
 
 class TestFlexiblePrecompileMany:
     def test_batch_returns_working_compilers(self):
-        compilers = FlexiblePartialCompiler.precompile_many(
+        compilers = _FlexiblePartialCompiler.precompile_many(
             [_ansatz("a"), _ansatz("b")],
             device=GmonDevice(line_topology(2)),
             settings=SETTINGS,
@@ -122,7 +124,7 @@ class TestFlexiblePrecompileMany:
         assert result.pulse_duration_ns > 0
 
     def test_empty_batch(self):
-        assert FlexiblePartialCompiler.precompile_many([]) == []
+        assert _FlexiblePartialCompiler.precompile_many([]) == []
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_nonpositive_tuning_samples_rejected_before_work(self, samples):
@@ -135,7 +137,5 @@ class TestFlexiblePrecompileMany:
             tuning_samples=samples,
         )
         with pytest.raises(CompilationError, match="tuning_samples"):
-            FlexiblePartialCompiler.precompile_many([_ansatz("a")], **kwargs)
-        with pytest.raises(CompilationError, match="tuning_samples"):
-            FlexiblePartialCompiler.precompile(_ansatz("a"), **kwargs)
+            _FlexiblePartialCompiler.precompile_many([_ansatz("a")], **kwargs)
         assert cache.put_keys == []

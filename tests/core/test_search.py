@@ -197,8 +197,8 @@ class TestDispatch:
 
 class TestFlexibleIntegration:
     def test_flexible_precompile_with_random_strategy(self):
-        """End-to-end: flexible compiler accepts a search strategy."""
-        from repro.core import FlexiblePartialCompiler
+        """End-to-end: the flexible strategy accepts a search strategy."""
+        from repro.service import CompilationService, CompileRequest, ServiceConfig
 
         theta = Parameter("t0")
         circuit = QuantumCircuit(2)
@@ -206,12 +206,16 @@ class TestFlexibleIntegration:
         circuit.cx(0, 1)
         circuit.rz(theta, 1)
         circuit.cx(0, 1)
-        compiler = FlexiblePartialCompiler.precompile(
-            circuit,
-            settings=SETTINGS,
-            tuning_samples=1,
-            tuning_strategy="random",
-            max_block_width=2,
-        )
-        compiled = compiler.compile([0.4])
+        with CompilationService(
+            config=ServiceConfig(executor="serial"), settings=SETTINGS
+        ) as service:
+            compiled = service.compile(
+                CompileRequest(
+                    circuit,
+                    [0.4],
+                    strategy="flexible-partial",
+                    max_block_width=2,
+                    options={"tuning_samples": 1, "tuning_strategy": "random"},
+                )
+            ).compiled
         assert compiled.pulse_duration_ns > 0

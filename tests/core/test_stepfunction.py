@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 from repro.circuits import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.config import GATE_DURATIONS_NS
-from repro.core.gate_based import GateBasedCompiler
 from repro.core.stepfunction import (
     AngleRange,
-    StepFunctionGateCompiler,
     StepFunctionTable,
     default_step_table,
 )
 from repro.errors import CompilationError
+from repro.service import CompilationService, CompileRequest, ServiceConfig
+
+
+def _compile(circuit, values=None, strategy="step-function"):
+    """One lookup-table request through a service; its compiled pulse."""
+    with CompilationService(config=ServiceConfig(executor="serial")) as service:
+        return service.compile(
+            CompileRequest(circuit, values, strategy=strategy)
+        ).compiled
 
 
 class TestAngleRange:
@@ -91,52 +98,44 @@ class TestStepFunctionCompiler:
         return circuit
 
     def test_zero_runtime_iterations(self):
-        compiled = StepFunctionGateCompiler().compile_parametrized(
-            self._circuit(), [0.9]
-        )
+        compiled = _compile(self._circuit(), [0.9])
         assert compiled.runtime_iterations == 0
         assert compiled.method == "step-function"
 
     def test_small_angles_compile_shorter(self):
         """The defining behavior: near-zero angles skip their pulses."""
-        compiler = StepFunctionGateCompiler()
-        small = compiler.compile_parametrized(self._circuit(), [0.01])
-        large = compiler.compile_parametrized(self._circuit(), [2.0])
+        small = _compile(self._circuit(), [0.01])
+        large = _compile(self._circuit(), [2.0])
         assert small.pulse_duration_ns < large.pulse_duration_ns
 
     def test_never_worse_than_flat_gate_based(self):
         """Each range duration ≤ Table 1, so the program can only shrink."""
         circuit = self._circuit()
-        flat = GateBasedCompiler()
-        step = StepFunctionGateCompiler()
         for angle in (-3.0, -1.0, -0.1, 0.0, 0.2, 1.4, 3.1):
-            a = step.compile_parametrized(circuit, [angle]).pulse_duration_ns
-            b = flat.compile_parametrized(circuit, [angle]).pulse_duration_ns
+            a = _compile(circuit, [angle]).pulse_duration_ns
+            b = _compile(circuit, [angle], strategy="gate").pulse_duration_ns
             assert a <= b + 1e-9
 
     def test_angle_wrapping_in_compile(self):
-        compiler = StepFunctionGateCompiler()
-        a = compiler.compile_parametrized(self._circuit(), [0.1])
-        b = compiler.compile_parametrized(self._circuit(), [0.1 + 2 * math.pi])
+        a = _compile(self._circuit(), [0.1])
+        b = _compile(self._circuit(), [0.1 + 2 * math.pi])
         assert a.pulse_duration_ns == pytest.approx(b.pulse_duration_ns)
 
     def test_unbound_circuit_rejected(self):
         with pytest.raises(CompilationError):
-            StepFunctionGateCompiler().compile_bound(self._circuit())
+            _compile(self._circuit())
 
     def test_dict_values_accepted(self):
         circuit = self._circuit()
         (theta,) = circuit.parameters
-        compiled = StepFunctionGateCompiler().compile_parametrized(
-            circuit, {theta: 0.5}
-        )
+        compiled = _compile(circuit, {theta: 0.5})
         assert compiled.pulse_duration_ns > 0
 
     def test_all_virtual_circuit_has_zero_duration(self):
         circuit = QuantumCircuit(1)
         circuit.rz(0.1, 0)
         circuit.rz(-0.2, 0)
-        compiled = StepFunctionGateCompiler().compile_bound(circuit)
+        compiled = _compile(circuit)
         assert compiled.pulse_duration_ns == 0.0
 
 
@@ -165,6 +164,6 @@ def test_step_function_dominates_flat_lookup(angles):
         circuit.rz(p, i % 2)
         if i % 2 == 0:
             circuit.cx(0, 1)
-    step = StepFunctionGateCompiler().compile_parametrized(circuit, angles)
-    flat = GateBasedCompiler().compile_parametrized(circuit, angles)
+    step = _compile(circuit, angles)
+    flat = _compile(circuit, angles, strategy="gate")
     assert step.pulse_duration_ns <= flat.pulse_duration_ns + 1e-9

@@ -4,21 +4,35 @@ import numpy as np
 import pytest
 
 from repro.analysis.speedup import SpeedupRow
-from repro.core import (
-    FlexiblePartialCompiler,
-    FullGrapeCompiler,
-    GateBasedCompiler,
-    StrictPartialCompiler,
-)
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.qaoa import QAOADriver, maxcut_problem, qaoa_circuit
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile.passes import transpile
 from repro.transpile.topology import line_topology
 from repro.vqe import VQEDriver, get_molecule, h2_hamiltonian
 
 SETTINGS = GrapeSettings(dt_ns=0.25, target_fidelity=0.99)
 HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iterations=150)
+
+
+def _service(device=None, **kwargs):
+    """A fresh service: empty pulse cache and scheduler state."""
+    return CompilationService(
+        config=ServiceConfig(executor="serial"),
+        device=device,
+        settings=SETTINGS,
+        hyperparameters=HYPER,
+        **kwargs,
+    )
+
+
+def _compile(device, circuit, values, strategy, **request_fields):
+    """One request on a fresh service; its :class:`CompileResult`."""
+    with _service(device) as service:
+        return service.compile(
+            CompileRequest(circuit, values, strategy=strategy, **request_fields)
+        )
 
 
 @pytest.fixture(scope="module")
@@ -44,25 +58,27 @@ class TestCompilationOrdering:
 
     @pytest.fixture(scope="class")
     def durations(self, qaoa_k4, device, theta):
-        gate = GateBasedCompiler().compile_parametrized(qaoa_k4, theta)
-        grape = FullGrapeCompiler(
-            device=device, settings=SETTINGS, hyperparameters=HYPER, max_block_width=3
-        ).compile_parametrized(qaoa_k4, theta)
-        strict = StrictPartialCompiler.precompile(
-            qaoa_k4, device=device, settings=SETTINGS, hyperparameters=HYPER,
-            max_block_width=3,
-        )
-        flexible = FlexiblePartialCompiler.precompile(
-            qaoa_k4, device=device, settings=SETTINGS, hyperparameters=HYPER,
-            max_block_width=3, tuning_samples=1,
-            learning_rates=(0.05,), decay_rates=(0.002,),
-        )
+        gate = _compile(device, qaoa_k4, theta, "gate").compiled
+        grape = _compile(
+            device, qaoa_k4, theta, "full-grape", max_block_width=3,
+            use_cache=False,
+        ).compiled
+        strict = _compile(
+            device, qaoa_k4, theta, "strict-partial", max_block_width=3
+        ).compiled
+        flexible = _compile(
+            device, qaoa_k4, theta, "flexible-partial", max_block_width=3,
+            options={
+                "tuning_samples": 1,
+                "learning_rates": (0.05,),
+                "decay_rates": (0.002,),
+            },
+        ).compiled
         return {
             "gate": gate,
             "grape": grape,
-            "strict": strict.compile(theta),
-            "flexible": flexible.compile(theta),
-            "grape_obj": grape,
+            "strict": strict,
+            "flexible": flexible,
         }
 
     def test_speedup_ordering(self, durations):
@@ -95,10 +111,11 @@ class TestVariationalLoops:
     def test_vqe_with_strict_compiler_in_loop(self):
         molecule = get_molecule("H2")
         ansatz = transpile(molecule.ansatz())
-        strict = StrictPartialCompiler.precompile(
-            ansatz, device=GmonDevice(line_topology(2)), settings=SETTINGS,
-            hyperparameters=HYPER, max_block_width=2,
-        )
+        # Precompile once; the plan compiler replays at every iteration.
+        strict = _compile(
+            GmonDevice(line_topology(2)), ansatz, None, "strict-partial",
+            max_block_width=2,
+        ).compiler
         driver = VQEDriver(
             h2_hamiltonian(), ansatz, max_iterations=60, seed=3, compiler=strict
         )
@@ -110,9 +127,10 @@ class TestVariationalLoops:
 
     def test_qaoa_with_gate_compiler_in_loop(self):
         problem = maxcut_problem("clique", 4, seed=0)
-        driver = QAOADriver(problem, p=1, max_iterations=60, seed=0,
-                            compiler=GateBasedCompiler())
-        result = driver.run()
+        with _service(default_strategy="gate") as service:
+            driver = QAOADriver(problem, p=1, max_iterations=60, seed=0,
+                                compiler=service)
+            result = driver.run()
         assert result.approximation_ratio > 0.5
 
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core import FullGrapeCompiler, PulseCache
 from repro.errors import PipelineError
 from repro.pipeline import SerialExecutor, resolve_executor
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile.topology import line_topology
 
 SETTINGS = GrapeSettings(dt_ns=0.25, target_fidelity=0.99)
@@ -49,16 +49,26 @@ def _tile_circuit(num_qubits: int = 4) -> QuantumCircuit:
     return circuit
 
 
-def _compile(executor, num_qubits=4):
-    compiler = FullGrapeCompiler(
-        device=GmonDevice(line_topology(num_qubits)),
+def _request(circuit, values=None, strategy="full-grape", executor="serial"):
+    """One request on a fresh service (empty cache and scheduler state)
+    whose block executor is ``executor``: a name, or an executor instance
+    swapped in before the first request."""
+    named = isinstance(executor, str)
+    with CompilationService(
+        config=ServiceConfig(executor=executor if named else "serial"),
+        device=GmonDevice(line_topology(circuit.num_qubits)),
         settings=SETTINGS,
         hyperparameters=HYPER,
-        max_block_width=2,
-        cache=PulseCache(),
-        executor=executor,
-    )
-    return compiler.compile(_tile_circuit(num_qubits))
+    ) as service:
+        if not named:
+            service.executor = executor
+        return service.compile(
+            CompileRequest(circuit, values, strategy=strategy, max_block_width=2)
+        )
+
+
+def _compile(executor, num_qubits=4):
+    return _request(_tile_circuit(num_qubits), executor=executor).compiled
 
 
 class TestResolveExecutor:
@@ -271,51 +281,21 @@ class TestExecutorEquivalence:
         assert result.metadata["executor"] == {"executor": "threaded"}
 
 
-class TestBlockCompilerConvenience:
-    def test_compile_circuit_blocks_routes_through_pipeline(
-        self, threaded_executor
-    ):
-        from repro.core.compiler import BlockPulseCompiler
-
-        compiler = BlockPulseCompiler(
-            GmonDevice(line_topology(4)), SETTINGS, HYPER, PulseCache()
-        )
-        circuit = _tile_circuit(4)
-        outcomes, blocked = compiler.compile_circuit_blocks(
-            circuit, max_width=2, executor=threaded_executor
-        )
-        assert len(outcomes) == len(blocked.blocks) == 2
-        assert all(o.schedule is not None for o in outcomes)
-        serial_outcomes, _ = BlockPulseCompiler(
-            GmonDevice(line_topology(4)), SETTINGS, HYPER, PulseCache()
-        ).compile_circuit_blocks(circuit, max_width=2)
-        for ours, theirs in zip(outcomes, serial_outcomes):
-            assert np.isclose(ours.duration_ns, theirs.duration_ns)
-
-
 class TestPartialCompilerExecutors:
     """The partial-compilation precompute phases parallelize identically."""
 
     def test_strict_precompile_thread_matches_serial(self, threaded_executor):
         from repro.circuits.parameters import Parameter
-        from repro.core import StrictPartialCompiler
 
         theta = Parameter("theta_0")
         qc = QuantumCircuit(2).h(0).h(1).cx(0, 1)
         qc.rz(theta, 1)
         qc.cx(0, 1)
-        device = GmonDevice(line_topology(2))
 
         def build(executor):
-            return StrictPartialCompiler.precompile(
-                qc,
-                device=device,
-                settings=SETTINGS,
-                hyperparameters=HYPER,
-                max_block_width=2,
-                cache=PulseCache(),
-                executor=executor,
-            )
+            return _request(
+                qc, strategy="strict-partial", executor=executor
+            ).compiler
 
         serial = build("serial")
         threaded = build(threaded_executor)

@@ -222,20 +222,21 @@ class TestColdProcess:
 import sys
 sys.path.insert(0, {str(REPO_SRC)!r})
 from repro.circuits.circuit import QuantumCircuit
-from repro.core import FullGrapeCompiler, PersistentPulseCache
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile.topology import line_topology
 
 circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.4, 1)
-compiler = FullGrapeCompiler(
+with CompilationService(
+    config=ServiceConfig(executor="serial", cache_dir={str(tmp_path)!r}),
     device=GmonDevice(line_topology(2)),
     settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
     hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=150),
-    max_block_width=2,
-    cache=PersistentPulseCache({str(tmp_path)!r}),
-)
-result = compiler.compile(circuit)
+) as service:
+    result = service.compile(
+        CompileRequest(circuit, strategy="full-grape", max_block_width=2)
+    ).compiled
 print("ITER", result.runtime_iterations, "HITS", result.cache_hits)
 """
         first = subprocess.run(

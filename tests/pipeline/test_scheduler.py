@@ -4,14 +4,16 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
-from repro.core import FullGrapeCompiler, PulseCache
+from repro.core import PulseCache
 from repro.core.compiler import BlockPulseCompiler
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
-from repro.pipeline import BlockScheduler
+from repro.pipeline import BlockScheduler, SchedulerState
+from repro.pipeline.stages import BindStage, BlockingStage, PipelineContext
 from repro.pipeline.strategies import full_grape_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile.topology import line_topology
 
 SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
@@ -42,14 +44,26 @@ def _shared_block_circuit(theta: float = 0.0) -> QuantumCircuit:
     return circuit
 
 
-def _compiler(cache=None) -> FullGrapeCompiler:
-    return FullGrapeCompiler(
+def _compile_many(circuits, values=None, cache=None) -> list:
+    """Full-GRAPE batch through one ``compile_batch`` call of a fresh
+    service; ``cache`` replaces the service's empty pulse cache."""
+    circuits = list(circuits)
+    values = values if values is not None else [None] * len(circuits)
+    with CompilationService(
+        config=ServiceConfig(executor="serial"),
         device=GmonDevice(line_topology(4)),
         settings=SETTINGS,
         hyperparameters=HYPER,
-        max_block_width=2,
-        cache=cache if cache is not None else PulseCache(),
-    )
+    ) as service:
+        if cache is not None:
+            service.cache = cache
+        results = service.compile_batch(
+            [
+                CompileRequest(c, v, strategy="full-grape", max_block_width=2)
+                for c, v in zip(circuits, values)
+            ]
+        )
+    return [result.compiled for result in results]
 
 
 class TestCompileMany:
@@ -62,7 +76,7 @@ class TestCompileMany:
             _shared_block_circuit(),
             _shared_block_circuit(0.3),
         ]
-        results = _compiler(cache).compile_many(circuits)
+        results = _compile_many(circuits, cache=cache)
         assert len(results) == 3
         scheduler = results[0].metadata["scheduler"]
         # 2 blocks per circuit; the h+cx block is shared by all three
@@ -79,8 +93,8 @@ class TestCompileMany:
 
     def test_batch_matches_single_circuit_compiles(self):
         circuits = [_shared_block_circuit(), _shared_block_circuit(0.4)]
-        batch = _compiler().compile_many(circuits)
-        singles = [_compiler().compile(c) for c in circuits]
+        batch = _compile_many(circuits)
+        singles = [_compile_many([c])[0] for c in circuits]
         for batched, single in zip(batch, singles):
             assert batched.pulse_duration_ns == pytest.approx(
                 single.pulse_duration_ns
@@ -88,15 +102,13 @@ class TestCompileMany:
             assert batched.blocks_compiled == single.blocks_compiled
 
     def test_duplicates_cost_zero_iterations(self):
-        results = _compiler().compile_many(
-            [_shared_block_circuit(), _shared_block_circuit()]
-        )
+        results = _compile_many([_shared_block_circuit(), _shared_block_circuit()])
         assert results[0].runtime_iterations > 0
         assert results[1].runtime_iterations == 0
         assert results[1].cache_hits == results[1].blocks_compiled
 
     def test_translated_duplicate_lands_on_its_own_qubits(self):
-        results = _compiler().compile_many([_shared_block_circuit()])
+        results = _compile_many([_shared_block_circuit()])
         schedules = results[0].program.schedules
         qubit_sets = {tuple(s.qubits) for s in schedules}
         assert (0, 1) in qubit_sets and (2, 3) in qubit_sets
@@ -105,22 +117,20 @@ class TestCompileMany:
         registry = get_perf_registry()
         before_unique = registry.counter("scheduler.unique_blocks")
         before_deduped = registry.counter("scheduler.deduped_blocks")
-        _compiler().compile_many([_shared_block_circuit()] * 2)
+        _compile_many([_shared_block_circuit()] * 2)
         assert registry.counter("scheduler.unique_blocks") == before_unique + 1
         assert registry.counter("scheduler.deduped_blocks") == before_deduped + 3
 
     def test_empty_batch(self):
-        assert _compiler().compile_many([]) == []
+        assert _compile_many([]) == []
 
-    def test_compile_parametrized_many_dedups_theta_free_blocks(self):
+    def test_parametrized_batch_dedups_theta_free_blocks(self):
         circuit = QuantumCircuit(2)
         circuit.h(0)
         circuit.cx(0, 1)
         circuit.rz(Parameter("theta"), 1)
         circuit.cx(0, 1)
-        results = _compiler().compile_parametrized_many(
-            circuit, [[0.1], [0.2], [0.3]]
-        )
+        results = _compile_many([circuit] * 3, values=[[0.1], [0.2], [0.3]])
         scheduler = results[0].metadata["scheduler"]
         assert scheduler["circuits"] == 3
         # The bound circuits differ only in the Rz angle; with width-2
@@ -130,16 +140,12 @@ class TestCompileMany:
 
     def test_thread_executor_still_exact_once(self, threaded_executor):
         cache = CountingCache()
-        compiler = FullGrapeCompiler(
-            device=GmonDevice(line_topology(4)),
-            settings=SETTINGS,
-            hyperparameters=HYPER,
-            max_block_width=2,
-            cache=cache,
-            executor=threaded_executor,
+        block_compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(4)), SETTINGS, HYPER, cache
         )
-        results = compiler.compile_many([_shared_block_circuit()] * 3)
-        assert results[0].metadata["scheduler"]["unique_blocks"] == 1
+        pipeline = full_grape_pipeline(block_compiler, 2, threaded_executor)
+        _contexts, report = pipeline.run_many([_shared_block_circuit()] * 3)
+        assert report.unique_blocks == 1
         assert len(cache.put_keys) == 1
 
 
@@ -155,7 +161,7 @@ class TestRunMany:
         assert report.total_blocks == 0
         assert report.dispatched_tasks == 0
 
-    def test_single_circuit_batch_equals_plain_run(self):
+    def test_plain_run_is_the_batch_of_one(self):
         block_compiler = BlockPulseCompiler(
             GmonDevice(line_topology(4)), SETTINGS, HYPER, PulseCache()
         )
@@ -173,6 +179,8 @@ class TestRunMany:
             single.program.duration_ns
         )
         assert len(contexts[0].block_results) == len(single.block_results)
+        # ``run`` went through the scheduler too.
+        assert single.metadata["scheduler"]["circuits"] == 1
 
     def test_values_length_mismatch_raises(self):
         block_compiler = BlockPulseCompiler(
@@ -395,3 +403,74 @@ class TestBatchedDispatch:
         self._run(grape_batch=True)
         assert registry.counter("scheduler.batched_groups") == before_groups + 1
         assert registry.counter("scheduler.batched_blocks") == before_blocks + 2
+
+
+class TestSchedulerStateBound:
+    def test_lru_bound_evicts_one_shot_keys_and_keeps_hot_ones(self):
+        """A variational run records a never-again-seen key per θ binding;
+        the LRU bound must shed those while the re-touched fixed blocks
+        survive."""
+        state = SchedulerState(max_entries=3)
+        state.record(("hot",), object())
+        for i in range(3):
+            state.record((f"cold-{i}",), object())
+            assert state.lookup(("hot",)) is not None  # re-touch the hot key
+        state.record(("cold-final",), object())
+        assert len(state) == 3
+        assert ("hot",) in state.seen
+        assert state.evictions > 0
+        assert state.lookup(("cold-0",)) is None
+
+
+@pytest.fixture
+def fail_first_search(monkeypatch):
+    """Make the first block search raise; later searches run normally."""
+    from repro.core import compiler
+
+    search = compiler.search_job
+    left = [1]
+
+    def failing_search(job):
+        if left[0] > 0:
+            left[0] -= 1
+            raise RuntimeError("representative block compilation failed")
+        return search(job)
+
+    monkeypatch.setattr(compiler, "search_job", failing_search)
+
+
+def _blocked_context(circuit: QuantumCircuit) -> PipelineContext:
+    context = PipelineContext(circuit=circuit)
+    BindStage().run(context)
+    BlockingStage(2).run(context)
+    return context
+
+
+class TestFailedRepresentative:
+    def test_failure_records_no_stale_state_and_no_partial_results(
+        self, fail_first_search
+    ):
+        """A failed representative must not leave dedup state behind:
+        duplicates (and later calls) must never receive a pulse that was
+        never actually compiled."""
+        compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache()
+        )
+        state = SchedulerState()
+        scheduler = BlockScheduler(compiler, state=state)
+        circuit = QuantumCircuit(2).h(0).cx(0, 1)
+        contexts = [_blocked_context(circuit), _blocked_context(circuit)]
+        with pytest.raises(RuntimeError):
+            scheduler.run(contexts)
+        # No context got results, and the state remembers nothing.
+        assert all(context.block_results is None for context in contexts)
+        assert len(state) == 0
+
+        # A retry on the same scheduler recompiles from scratch and only
+        # then records the block.
+        contexts = [_blocked_context(circuit), _blocked_context(circuit)]
+        report = scheduler.run(contexts)
+        assert report.dispatched_tasks == 1
+        assert report.reused_blocks == 0
+        assert len(state) == 1
+        assert all(context.block_results for context in contexts)

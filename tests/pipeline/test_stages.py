@@ -77,6 +77,23 @@ class TestStageOrdering:
         with pytest.raises(PipelineError):
             broken.run(_ansatz(), values=[0.1])
 
+    def test_pulse_stage_runs_only_as_a_scheduler_pass(
+        self, two_qubit_device, fast_settings, fast_hyper
+    ):
+        """``run`` on a pipeline with a pulse stage is ``run_many`` of one
+        circuit; the stage has no compile path of its own."""
+        compiler = BlockPulseCompiler(two_qubit_device, fast_settings, fast_hyper)
+        context = full_grape_pipeline(compiler, 2).run(_ansatz(), values=[0.1])
+        assert context.metadata["scheduler"]["circuits"] == 1
+        assert [name for name, _ in context.stage_timings] == [
+            "bind",
+            "block",
+            "pulse",
+            "assemble",
+        ]
+        with pytest.raises(PipelineError, match="BlockScheduler"):
+            PulseStage(compiler).run(context)
+
     def test_assemble_before_pulse_fails(self):
         broken = CompilationPipeline([BindStage(), AssembleStage()])
         with pytest.raises(PipelineError):

@@ -180,11 +180,28 @@ class TestSerialization:
         assert len(rebuilt.table) == len(assembly.table)
 
 
+def _strict_plan(circuit, max_block_width):
+    """The plan compiler of a precompile-only strict-partial request."""
+    from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
+    from repro.service import CompilationService, CompileRequest, ServiceConfig
+
+    with CompilationService(
+        config=ServiceConfig(executor="serial"),
+        settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
+        hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=150),
+    ) as service:
+        return service.compile(
+            CompileRequest(
+                circuit,
+                strategy="strict-partial",
+                max_block_width=max_block_width,
+            )
+        ).compiler
+
+
 class TestStrictPlanExport:
     def test_export_matches_strict_compile(self):
         """assembly.link must reproduce the strict compiler's program."""
-        from repro.core import StrictPartialCompiler
-        from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
 
         theta = Parameter("t0")
         circuit = QuantumCircuit(2)
@@ -192,12 +209,7 @@ class TestStrictPlanExport:
         circuit.cx(0, 1)
         circuit.rz(theta, 1)
         circuit.cx(0, 1)
-        compiler = StrictPartialCompiler.precompile(
-            circuit,
-            settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
-            hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=150),
-            max_block_width=2,
-        )
+        compiler = _strict_plan(circuit, max_block_width=2)
         assembly = assembly_from_strict_plan(compiler)
         assert assembly.parameter_names == ("t0",)
         linked = assembly.link({"t0": 0.9})
@@ -209,20 +221,12 @@ class TestStrictPlanExport:
         assert "rz" in text
 
     def test_export_roundtrips_through_json(self):
-        from repro.core import StrictPartialCompiler
-        from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
-
         theta = Parameter("a")
         circuit = QuantumCircuit(1)
         circuit.h(0)
         circuit.rz(theta * 0.5, 0)
         circuit.h(0)
-        compiler = StrictPartialCompiler.precompile(
-            circuit,
-            settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
-            hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=150),
-            max_block_width=1,
-        )
+        compiler = _strict_plan(circuit, max_block_width=1)
         assembly = assembly_from_strict_plan(compiler)
         rebuilt = PulseAssembly.from_json(assembly.to_json())
         assert rebuilt.link({"a": 1.0}).duration_ns == pytest.approx(

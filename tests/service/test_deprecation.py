@@ -1,84 +1,14 @@
-"""The legacy compiler constructors: working shims, one warning each."""
+"""The service path raises no deprecation warning of any kind."""
 
 import warnings
 
 import pytest
 
 from repro.service import CompilationService, CompileRequest
-from repro.service.config import ReproDeprecationWarning
-
-
-def _caught(fn):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = fn()
-    return value, [
-        w for w in caught if issubclass(w.category, ReproDeprecationWarning)
-    ]
-
-
-class TestShimsWarnOnce:
-    def test_gate_based(self):
-        from repro.core import GateBasedCompiler
-
-        compiler, warned = _caught(GateBasedCompiler)
-        assert len(warned) == 1
-        assert "CompilationService" in str(warned[0].message)
-        assert compiler.method == "gate"
-
-    def test_step_function(self):
-        from repro.core import StepFunctionGateCompiler
-
-        compiler, warned = _caught(StepFunctionGateCompiler)
-        assert len(warned) == 1
-        assert compiler.method == "step-function"
-
-    def test_full_grape(self):
-        from repro.core import FullGrapeCompiler
-
-        compiler, warned = _caught(FullGrapeCompiler)
-        assert len(warned) == 1
-        assert compiler.method == "grape"
-
-    def test_strict_precompile_warns_once(
-        self, workload, coarse_settings, coarse_hyper
-    ):
-        from repro.core import StrictPartialCompiler
-
-        circuit, theta = workload
-        compiler, warned = _caught(
-            lambda: StrictPartialCompiler.precompile(
-                circuit,
-                settings=coarse_settings,
-                hyperparameters=coarse_hyper,
-                max_block_width=2,
-            )
-        )
-        assert len(warned) == 1
-        # The shim still works end-to-end.
-        assert compiler.compile(theta).runtime_iterations == 0
-
-    def test_flexible_precompile_warns_once(
-        self, workload, coarse_settings, coarse_hyper
-    ):
-        from repro.core import FlexiblePartialCompiler
-
-        circuit, _theta = workload
-        compiler, warned = _caught(
-            lambda: FlexiblePartialCompiler.precompile(
-                circuit,
-                settings=coarse_settings,
-                hyperparameters=coarse_hyper,
-                max_block_width=2,
-                tuning_samples=1,
-            )
-        )
-        assert len(warned) == 1
-        assert compiler.report.parametrized_blocks > 0
 
 
 class TestServicePathIsWarningFree:
-    """The facade must never route through the deprecated shims."""
+    """Compiling through the facade must not rely on deprecated behavior."""
 
     @pytest.mark.parametrize(
         "strategy", ["gate", "step-function", "strict-partial"]
@@ -88,7 +18,7 @@ class TestServicePathIsWarningFree:
     ):
         circuit, theta = workload
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             with CompilationService(
                 settings=coarse_settings, hyperparameters=coarse_hyper
             ) as service:

@@ -1,7 +1,5 @@
 """CompilationService facade: strategy parity, registry, lifecycle."""
 
-import warnings
-
 import pytest
 
 from repro.core import PulseCache
@@ -20,19 +18,9 @@ from repro.service import (
 )
 
 
-
-def _legacy(cls_name):
-    """A legacy compiler class with its deprecation warning silenced."""
-    import repro.core as core
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return getattr(core, cls_name)
-
-
 class TestStrategyParity:
-    """Acceptance criterion: all five strategies are reachable through
-    ``service.compile`` with results bit-identical to the legacy classes."""
+    """All five strategies are reachable through ``service.compile``, with
+    results bit-identical to the core compilers run directly."""
 
     def test_all_five_registered(self):
         assert set(available_strategies()) >= {
@@ -46,93 +34,90 @@ class TestStrategyParity:
     def _service(self, settings, hyper):
         return CompilationService(settings=settings, hyperparameters=hyper)
 
-    def test_gate_matches_legacy(self, workload, programs_identical):
+    def test_gate_matches_core(self, workload, programs_identical):
+        from repro.core.gate_based import _GateBasedCompiler
+
         circuit, theta = workload
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = _legacy("GateBasedCompiler")().compile_parametrized(
-                circuit, theta
-            )
+        direct = _GateBasedCompiler().compile_parametrized(circuit, theta)
         with CompilationService() as service:
             result = service.compile(
                 CompileRequest(circuit, theta, strategy="gate")
             )
-        assert programs_identical(legacy.program, result.program)
+        assert programs_identical(direct.program, result.program)
 
-    def test_step_function_matches_legacy(self, workload, programs_identical):
+    def test_step_function_matches_core(self, workload, programs_identical):
+        from repro.core.stepfunction import _StepFunctionGateCompiler
+
         circuit, theta = workload
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = _legacy("StepFunctionGateCompiler")().compile_parametrized(
-                circuit, theta
-            )
+        direct = _StepFunctionGateCompiler().compile_parametrized(circuit, theta)
         with CompilationService() as service:
             result = service.compile(
                 CompileRequest(circuit, theta, strategy="step-function")
             )
-        assert programs_identical(legacy.program, result.program)
+        assert programs_identical(direct.program, result.program)
 
-    def test_full_grape_matches_legacy(
+    def test_full_grape_single_request_matches_batch_of_one(
         self, workload, coarse_settings, coarse_hyper, programs_identical
     ):
+        """``compile`` is the one-request case of ``compile_batch``: same
+        pulses, and the same metadata keys except the batch wall time."""
         circuit, theta = workload
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = _legacy("FullGrapeCompiler")(
-                settings=coarse_settings,
-                hyperparameters=coarse_hyper,
-                max_block_width=2,
-                cache=PulseCache(),
-            ).compile_parametrized(circuit, theta, use_cache=True)
+        request = CompileRequest(
+            circuit, theta, strategy="full-grape", max_block_width=2
+        )
         with self._service(coarse_settings, coarse_hyper) as service:
-            result = service.compile(
-                CompileRequest(
-                    circuit, theta, strategy="full-grape", max_block_width=2
-                )
-            )
-        assert programs_identical(legacy.program, result.program)
-        assert result.compiled.method == legacy.method == "grape"
+            single = service.compile(request)
+        with self._service(coarse_settings, coarse_hyper) as service:
+            (batched,) = service.compile_batch([request])
+        assert programs_identical(single.program, batched.program)
+        assert single.compiled.method == batched.compiled.method == "grape"
+        assert single.compiled.runtime_iterations == (
+            batched.compiled.runtime_iterations
+        )
+        assert set(batched.metadata) - set(single.metadata) == {
+            "batch_wall_time_s"
+        }
+        assert single.metadata["service"] is True
 
-    def test_strict_partial_matches_legacy(
+    def test_strict_partial_matches_core(
         self, workload, coarse_settings, coarse_hyper, programs_identical
     ):
+        from repro.core.strict import _StrictPartialCompiler
+
         circuit, theta = workload
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            compiler = _legacy("StrictPartialCompiler").precompile(
-                circuit,
-                settings=coarse_settings,
-                hyperparameters=coarse_hyper,
-                max_block_width=2,
-                cache=PulseCache(),
-            )
-        legacy = compiler.compile(theta)
+        (compiler,) = _StrictPartialCompiler.precompile_many(
+            [circuit],
+            settings=coarse_settings,
+            hyperparameters=coarse_hyper,
+            max_block_width=2,
+            cache=PulseCache(),
+        )
+        direct = compiler.compile(theta)
         with self._service(coarse_settings, coarse_hyper) as service:
             result = service.compile(
                 CompileRequest(
                     circuit, theta, strategy="strict-partial", max_block_width=2
                 )
             )
-        assert programs_identical(legacy.program, result.program)
+        assert programs_identical(direct.program, result.program)
         assert result.precompile_report is not None
         assert result.compiler is not None
 
-    def test_flexible_partial_matches_legacy(
+    def test_flexible_partial_matches_core(
         self, workload, coarse_settings, coarse_hyper, programs_identical
     ):
+        from repro.core.flexible import _FlexiblePartialCompiler
+
         circuit, theta = workload
-        kwargs = dict(
+        (compiler,) = _FlexiblePartialCompiler.precompile_many(
+            [circuit],
             settings=coarse_settings,
             hyperparameters=coarse_hyper,
             max_block_width=2,
+            cache=PulseCache(),
             tuning_samples=1,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            compiler = _legacy("FlexiblePartialCompiler").precompile(
-                circuit, cache=PulseCache(), **kwargs
-            )
-        legacy = compiler.compile(theta)
+        direct = compiler.compile(theta)
         with self._service(coarse_settings, coarse_hyper) as service:
             result = service.compile(
                 CompileRequest(
@@ -143,7 +128,7 @@ class TestStrategyParity:
                     options={"tuning_samples": 1},
                 )
             )
-        assert programs_identical(legacy.program, result.program)
+        assert programs_identical(direct.program, result.program)
 
 
 class TestRequestSurface:

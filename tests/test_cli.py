@@ -5,6 +5,16 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _table_rows(out: str) -> dict:
+    """A two-column ``property | value`` report as ``{property: value}``."""
+    rows = {}
+    for line in out.splitlines():
+        if "|" in line:
+            name, value = line.split("|", 1)
+            rows[name.strip()] = value.strip()
+    return rows
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -107,13 +117,18 @@ class TestCommands:
         assert "empty" in out and "entries" in out
         assert not missing.exists()
 
-    def test_cache_stats_missing_dir_reports_empty(self, capsys, tmp_path):
+    def test_library_stats_missing_dir_reports_cache_schema(
+        self, capsys, tmp_path
+    ):
+        from repro.core.cache import CACHE_SCHEMA_VERSION
+
         missing = tmp_path / "never-created"
-        assert main(["cache-stats", "--dir", str(missing)]) == 0
+        assert main(["library", "stats", "--dir", str(missing)]) == 0
         out = capsys.readouterr().out
         assert "empty" in out
-        assert "persisted entries" in out
-        assert "prefetches / prefetch hits" in out
+        rows = _table_rows(out)
+        assert rows["schema_version"] == str(CACHE_SCHEMA_VERSION)
+        assert rows["entries"] == "0"
         assert not missing.exists()
 
     def test_library_stats_and_gc(self, capsys, tmp_path):
@@ -138,17 +153,19 @@ class TestCommands:
         assert "evicted" in out
         assert library.count() == 1
 
-    def test_cache_stats_reports_shards(self, capsys, tmp_path):
+    def test_library_stats_reports_a_cache_directory(self, capsys, tmp_path):
         from repro.core import PersistentPulseCache
 
         PersistentPulseCache(tmp_path)  # creates the library layout
-        assert main(["cache-stats", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "shards" in out
-        assert "evictions" in out
-        assert "migrated legacy entries" in out
-        # Process-wide pool counters are gone from the report.
-        assert "pool" not in out
+        assert main(["library", "stats", "--dir", str(tmp_path)]) == 0
+        rows = _table_rows(capsys.readouterr().out)
+        for name in ("shards", "evictions", "migrated_entries", "schema_version"):
+            assert name in rows
+        # Lookup counters a fresh process never moves are not reported,
+        # and neither are process-wide pool counters.
+        for name in ("gets", "get_hits", "puts", "prefetches", "prefetch_hits"):
+            assert name not in rows
+        assert not any("pool" in name for name in rows)
 
     def test_compile_step_method(self, capsys):
         assert main(["compile", "--benchmark", "vqe:H2", "--method", "step"]) == 0
@@ -194,7 +211,7 @@ class TestCommands:
             build_parser().parse_args(["config"])
 
     @pytest.mark.slow
-    def test_compile_batch_rounds_stream_through_one_session(self, capsys):
+    def test_compile_batch_rounds_stream_through_one_service(self, capsys):
         code = main(
             [
                 "compile-batch", "--benchmark", "qaoa:3regular:4:1",

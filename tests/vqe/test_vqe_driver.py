@@ -94,14 +94,13 @@ class TestVQEDriver:
         driver.run(callback=lambda i, x, e: calls.append(i))
         assert len(calls) > 0
 
-    def test_optimizer_loop_through_a_variational_session(self):
-        """The driver's compiler hook accepts a long-lived session: every
+    def test_optimizer_loop_through_a_service(self):
+        """The driver's compiler hook accepts a long-lived service: every
         iteration recompiles through shared dedup state, so only the first
         iteration dispatches the θ-independent blocks."""
-        from repro.core import PulseCache
-        from repro.pipeline import VariationalSession
         from repro.pulse.device import GmonDevice
         from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+        from repro.service import CompilationService, ServiceConfig
         from repro.transpile.topology import line_topology
         from repro.circuits.circuit import QuantumCircuit
         from repro.circuits.parameters import Parameter
@@ -114,24 +113,24 @@ class TestVQEDriver:
         ansatz.rz(Parameter("t0"), 2)
         ansatz.cx(2, 3)
         hamiltonian = synthetic_molecular_hamiltonian(4, seed=1)
-        with VariationalSession(
+        with CompilationService(
+            config=ServiceConfig(executor="serial"),
             device=GmonDevice(line_topology(4)),
             settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.9),
             hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=60),
             max_block_width=2,
-            cache=PulseCache(),
-        ) as session:
+        ) as service:
             driver = VQEDriver(
-                hamiltonian, ansatz, max_iterations=4, seed=0, compiler=session
+                hamiltonian, ansatz, max_iterations=4, seed=0, compiler=service
             )
             result = driver.run()
         assert result.iterations >= 2
         assert len(result.compile_pulse_ns) == result.iterations
         stats = result.compile_stats
-        assert stats is not None and stats["method"] == "session"
-        assert stats["compile_calls"] == result.iterations
+        assert stats is not None
+        assert stats["requests"]["by_strategy"] == {"full-grape": result.iterations}
         # Iterations beyond the first reused blocks instead of redispatching.
-        assert stats["reused_blocks"] > 0
+        assert stats["scheduler"]["cross_call_hits"] > 0
 
     def test_wrong_initial_length(self):
         driver = VQEDriver(h2_hamiltonian(), get_molecule("H2").ansatz())
