@@ -5,8 +5,10 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.core import PulseCache
+from repro.core.compiler import BlockPulseCompiler
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
+from repro.pipeline.strategies import full_grape_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.service import CompilationService, CompileRequest, ServiceConfig
@@ -107,6 +109,23 @@ class TestCrossCallReuse:
             second = service.compile_parametrized(ansatz, [0.2])
         assert second.pulse_duration_ns == pytest.approx(first.pulse_duration_ns)
 
+    def test_single_request_matches_a_plain_pipeline_run(self):
+        """A fresh service adds nothing to a single circuit's pulses: its
+        full-GRAPE request equals the pulse pipeline run on its own."""
+        circuit = QuantumCircuit(4).h(0).cx(0, 1).h(2).cx(2, 3)
+        with _service() as service:
+            via_service = _compile(service, circuit)
+        plain = full_grape_pipeline(
+            BlockPulseCompiler(
+                GmonDevice(line_topology(6)), SETTINGS, HYPER, PulseCache()
+            ),
+            2,
+        ).run(circuit)
+        assert via_service.pulse_duration_ns == pytest.approx(
+            plain.program.duration_ns
+        )
+        assert via_service.blocks_compiled == len(plain.block_results)
+
     def test_perf_counter_records_cross_call_reuse(self):
         registry = get_perf_registry()
         before = registry.counter("scheduler.reused_blocks")
@@ -131,6 +150,29 @@ class TestBatchAndStats:
         assert results[0].metadata["scheduler"]["reused_blocks"] == 2
         assert stats["scheduler"]["known_blocks"] == 1
         assert stats["requests"]["by_strategy"]["full-grape"] == 4
+
+    def test_empty_batch(self):
+        with _service() as service:
+            assert service.compile_batch([]) == []
+            assert service.stats()["requests"]["total"] == 0
+
+    def test_results_carry_scheduler_metadata(self):
+        circuit = QuantumCircuit(2).h(0).cx(0, 1)
+        request = CompileRequest(circuit, strategy="full-grape", max_block_width=2)
+        with _service() as service:
+            single = service.compile(request).compiled
+            (batched,) = service.compile_batch([request])
+        assert single.method == "grape"
+        assert single.metadata["service"] is True
+        assert single.metadata["scheduler"]["total_blocks"] == 1
+        assert batched.compiled.metadata["scheduler"]["reused_blocks"] == 1
+        # Only a batch result carries the shared batch wall time; otherwise
+        # a request and a batch of one report the same metadata keys.
+        assert "batch_wall_time_s" not in single.metadata
+        assert "batch_wall_time_s" in batched.compiled.metadata
+        assert set(batched.compiled.metadata) - set(single.metadata) == {
+            "batch_wall_time_s"
+        }
 
     def test_clearing_state_forgets_dedup_but_keeps_cache(self):
         cache = CountingCache()
@@ -172,6 +214,24 @@ class TestLifecycle:
             _compile(service, QuantumCircuit(2).h(0).cx(0, 1))
         with pytest.raises(PipelineError):
             _compile(service, QuantumCircuit(2).h(0).cx(0, 1))
+
+    def test_default_device_grows_with_wider_circuits(self):
+        """Without a configured device each circuit gets the default grid
+        for its width, built once per qubit count."""
+        narrow = QuantumCircuit(2).h(0).cx(0, 1)
+        wide = QuantumCircuit(4).h(0).cx(0, 1).h(2).cx(2, 3)
+        with CompilationService(
+            config=ServiceConfig(executor="serial"),
+            settings=SETTINGS,
+            hyperparameters=HYPER,
+            max_block_width=2,
+        ) as service:
+            assert _compile(service, narrow).pulse_duration_ns > 0
+            narrow_device = service.device_for(narrow)
+            assert narrow_device.num_qubits >= 2
+            assert _compile(service, wide).pulse_duration_ns > 0
+            assert service.device_for(wide).num_qubits >= 4
+            assert service.device_for(narrow) is narrow_device
 
     def test_cache_dir_opens_a_disk_library(self, tmp_path):
         with _service(cache_dir=str(tmp_path)) as service:

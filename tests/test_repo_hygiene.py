@@ -6,6 +6,7 @@ packaging metadata stays consistent with the code.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -13,6 +14,34 @@ import pytest
 
 REPO = Path(__file__).parent.parent
 SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
+
+#: Names of the removed second compile route (the legacy compiler classes,
+#: the session, their deprecation machinery and the old CLI command);
+#: ``CompilationService`` is the one front door.
+REMOVED_NAMES = (
+    "GateBasedCompiler",
+    "StepFunctionGateCompiler",
+    "FullGrapeCompiler",
+    "_FullGrapeCompiler",
+    "StrictPartialCompiler",
+    "FlexiblePartialCompiler",
+    "VariationalSession",
+    "warn_deprecated",
+    "ReproDeprecationWarning",
+    "compile_circuit_blocks",
+)
+# A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
+# must not match their removed public names.
+REMOVED_PATTERN = re.compile(
+    r"(?<!\w)(?:" + "|".join(map(re.escape, REMOVED_NAMES)) + r")\b"
+    r"|\bcache-stats\b"
+)
+CODE_TREES = {
+    "src": "**/*.py",
+    "tests": "**/*.py",
+    "benchmarks": "*.py",
+    "examples": "**/*.py",
+}
 
 
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(REPO)))
@@ -66,3 +95,21 @@ def test_bench_files_use_benchmark_fixture():
         source = path.read_text()
         assert "benchmark" in source, path
         assert "def test" in source, path
+
+
+@pytest.mark.parametrize("tree", sorted(CODE_TREES))
+def test_removed_compile_routes_stay_gone(tree):
+    for path in sorted((REPO / tree).glob(CODE_TREES[tree])):
+        if path == Path(__file__).resolve():
+            continue
+        match = REMOVED_PATTERN.search(path.read_text())
+        assert match is None, f"{path} names removed {match.group(0)!r}"
+
+
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.core", "repro.pipeline", "repro.service"]
+)
+def test_removed_compile_routes_not_exported(package):
+    module = importlib.import_module(package)
+    leftover = set(REMOVED_NAMES) & (set(module.__all__) | set(vars(module)))
+    assert not leftover, sorted(leftover)
