@@ -115,20 +115,32 @@ def _cmd_qaoa_info(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A bad command line: :func:`main` prints ``error: …`` and exits 2."""
+
+
 def _benchmark_circuit(spec: str):
+    """The transpiled circuit ``spec`` names; a bad spec is a usage error."""
+    from repro.errors import ReproError
     from repro.qaoa import maxcut_problem, qaoa_circuit
     from repro.transpile import transpile
     from repro.vqe import get_molecule
 
     parts = spec.split(":")
-    if parts[0] == "vqe" and len(parts) == 2:
-        return transpile(get_molecule(parts[1]).ansatz())
-    if parts[0] == "qaoa" and len(parts) == 4:
-        kind, nodes, p = parts[1], int(parts[2]), int(parts[3])
-        return transpile(qaoa_circuit(maxcut_problem(kind, nodes), p))
-    raise ValueError(
-        f"bad benchmark spec {spec!r}; use vqe:<molecule> or qaoa:<kind>:<nodes>:<p>"
-    )
+    try:
+        if parts[0] == "vqe" and len(parts) == 2:
+            circuit = get_molecule(parts[1]).ansatz()
+        elif parts[0] == "qaoa" and len(parts) == 4:
+            kind, nodes, p = parts[1], int(parts[2]), int(parts[3])
+            circuit = qaoa_circuit(maxcut_problem(kind, nodes), p)
+        else:
+            raise ValueError(
+                f"bad benchmark spec {spec!r}; "
+                "use vqe:<molecule> or qaoa:<kind>:<nodes>:<p>"
+            )
+    except (ValueError, ReproError) as exc:
+        raise _UsageError(exc) from None
+    return transpile(circuit)
 
 
 #: CLI ``--method`` name → service strategy registry key.
@@ -141,31 +153,28 @@ METHOD_STRATEGIES = {
 }
 
 
-def _service_config_from_args(args):
-    """The resolved ServiceConfig: environment first, CLI flags override."""
+def _resolve_config(args) -> tuple:
+    """The resolved ``(ServiceConfig, sources)``: the environment first,
+    then every parsed flag whose ``dest`` names a config field.
+
+    ``sources`` maps each field to ``"default"``, ``"env"`` or ``"CLI"``.
+    An override the config rejects raises :class:`_UsageError`.
+    """
+    from repro.errors import ReproError
     from repro.service import ServiceConfig
 
-    config = ServiceConfig.from_env()
-    overrides = {}
-    if getattr(args, "executor", None):
-        overrides["executor"] = args.executor
-    if getattr(args, "cache_dir", None):
-        overrides["cache_dir"] = args.cache_dir
-    if getattr(args, "dispatcher", None):
-        overrides["dispatcher"] = args.dispatcher
-    if getattr(args, "fleet_dir", None):
-        overrides["fleet_dir"] = args.fleet_dir
-    if getattr(args, "fleet_workers", None) is not None:
-        overrides["fleet_workers"] = args.fleet_workers
-    if getattr(args, "queue_depth", None) is not None:
-        overrides["queue_depth"] = args.queue_depth
-    if getattr(args, "fleet_autoscale", None) is not None:
-        overrides["fleet_autoscale"] = args.fleet_autoscale
-    if getattr(args, "fleet_min_workers", None) is not None:
-        overrides["fleet_min_workers"] = args.fleet_min_workers
-    if getattr(args, "fleet_max_workers", None) is not None:
-        overrides["fleet_max_workers"] = args.fleet_max_workers
-    return config.replace(**overrides) if overrides else config
+    config, sources = ServiceConfig.from_env_with_sources()
+    overrides = {
+        name: getattr(args, name)
+        for name in sources
+        if getattr(args, name, None) is not None
+    }
+    try:
+        config = config.replace(**overrides)
+    except ReproError as exc:
+        raise _UsageError(exc) from None
+    sources.update(dict.fromkeys(overrides, "CLI"))
+    return config, sources
 
 
 def _cmd_compile(args) -> int:
@@ -173,17 +182,13 @@ def _cmd_compile(args) -> int:
     from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
     from repro.service import CompilationService, CompileRequest
 
-    try:
-        circuit = _benchmark_circuit(args.benchmark)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    circuit = _benchmark_circuit(args.benchmark)
 
     settings = GrapeSettings(dt_ns=args.dt, target_fidelity=args.fidelity)
     hyper = GrapeHyperparameters(0.05, 0.002, max_iterations=args.iterations)
     rng = np.random.default_rng(args.seed)
     values = list(rng.uniform(-np.pi / 2, np.pi / 2, size=len(circuit.parameters)))
-    config = _service_config_from_args(args)
+    config, _ = _resolve_config(args)
 
     strategy = METHOD_STRATEGIES[args.method]
     options = {"tuning_samples": 1} if args.method == "flexible" else {}
@@ -239,16 +244,10 @@ def _cmd_compile_batch(args) -> int:
     from repro.service import CompilationService, CompileRequest
 
     if args.batch < 1:
-        print(f"error: --batch must be >= 1, got {args.batch}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--batch must be >= 1, got {args.batch}")
     if args.rounds < 1:
-        print(f"error: --rounds must be >= 1, got {args.rounds}", file=sys.stderr)
-        return 2
-    try:
-        circuit = _benchmark_circuit(args.benchmark)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"--rounds must be >= 1, got {args.rounds}")
+    circuit = _benchmark_circuit(args.benchmark)
 
     settings = GrapeSettings(dt_ns=args.dt, target_fidelity=args.fidelity)
     hyper = GrapeHyperparameters(0.05, 0.002, max_iterations=args.iterations)
@@ -257,8 +256,9 @@ def _cmd_compile_batch(args) -> int:
     # only for blocks (θ-dependent ones, typically) it has never seen.
     totals = {"total": 0, "dispatched": 0, "deduped": 0, "reused": 0}
     round_rows = []
+    config, _ = _resolve_config(args)
     with CompilationService(
-        config=_service_config_from_args(args),
+        config=config,
         device=default_device_for(circuit),
         settings=settings,
         hyperparameters=hyper,
@@ -333,55 +333,7 @@ def _cmd_compile_batch(args) -> int:
 
 def _cmd_config_show(args) -> int:
     """Print the fully resolved ServiceConfig with per-field provenance."""
-    from repro.errors import ReproError
-    from repro.service import ServiceConfig
-
-    config, sources = ServiceConfig.from_env_with_sources()
-    overrides = {}
-    for field_name, arg_name in (
-        ("executor", "executor"),
-        ("submit_workers", "submit_workers"),
-        ("cache_dir", "cache_dir"),
-        ("cache_shards", "cache_shards"),
-        ("cache_budget_mb", "cache_budget_mb"),
-        ("preset", "preset"),
-        ("scheduler_state_path", "scheduler_state"),
-        ("grape_batch_size", "grape_batch_size"),
-        ("warm_start_max_dist", "warm_start_max_dist"),
-        ("dispatcher", "dispatcher"),
-        ("fleet_dir", "fleet_dir"),
-        ("fleet_workers", "fleet_workers"),
-        ("queue_depth", "queue_depth"),
-        ("fleet_lease_ttl_s", "fleet_lease_ttl"),
-        ("fleet_heartbeat_s", "fleet_heartbeat"),
-        ("fleet_min_workers", "fleet_min_workers"),
-        ("fleet_max_workers", "fleet_max_workers"),
-        ("server_host", "server_host"),
-        ("server_port", "server_port"),
-        ("server_max_body_mb", "server_max_body_mb"),
-        ("server_ticket_ttl_s", "server_ticket_ttl"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
-            sources[field_name] = "CLI"
-    if getattr(args, "prefetch", None) is not None:
-        overrides["prefetch"] = args.prefetch
-        sources["prefetch"] = "CLI"
-    if getattr(args, "fleet_autoscale", None) is not None:
-        overrides["fleet_autoscale"] = args.fleet_autoscale
-        sources["fleet_autoscale"] = "CLI"
-    if getattr(args, "grape_batch", None) is not None:
-        overrides["grape_batch"] = args.grape_batch
-        sources["grape_batch"] = "CLI"
-    if getattr(args, "warm_start", None) is not None:
-        overrides["warm_start"] = args.warm_start
-        sources["warm_start"] = "CLI"
-    try:
-        config = config.replace(**overrides) if overrides else config
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config, sources = _resolve_config(args)
     rows = [
         (name, "(unset)" if value is None else value, sources[name])
         for name, value in config.as_dict().items()
@@ -399,9 +351,7 @@ def _cmd_config_show(args) -> int:
 #: Lookup counters of the library object the report opens.  A fresh CLI
 #: process makes no lookups, so they would read 0 on every run; a live
 #: service reports them in ``stats()["library"]``.
-_FRESH_PROCESS_COUNTERS = frozenset(
-    {"gets", "get_hits", "puts", "prefetches", "prefetch_hits"}
-)
+_FRESH_PROCESS_COUNTERS = frozenset({"gets", "get_hits", "puts"})
 
 
 def _cmd_library_stats(args) -> int:
@@ -451,24 +401,18 @@ def _cmd_library_gc(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.errors import ReproError
     from repro.fleet import FleetWorker
 
-    try:
-        worker = FleetWorker(
-            args.fleet_dir,
-            lease_ttl_s=args.lease_ttl,
-            poll_s=args.poll,
-            heartbeat_s=args.heartbeat,
-            max_jobs=args.max_jobs,
-            idle_exit_s=args.idle_exit,
-            worker_id=args.worker_id,
-            host_label=args.host_label,
-            announce=args.announce,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    worker = FleetWorker(
+        args.fleet_dir,
+        lease_ttl_s=args.lease_ttl,
+        poll_s=args.poll,
+        max_jobs=args.max_jobs,
+        idle_exit_s=args.idle_exit,
+        worker_id=args.worker_id,
+        host_label=args.host_label,
+        announce=args.announce,
+    )
     worker.install_signal_handlers()
     print(
         f"worker {worker.worker_id} pulling from {args.fleet_dir}",
@@ -506,8 +450,7 @@ def _cmd_fleet_status(args) -> int:
         status = FleetQueue(args.dir).status()
         title = "fleet queue"
     if args.json:
-        # The machine-readable snapshot the autoscaler tests and the
-        # /v1/stats handler consume — one JSON object, nothing else.
+        # The machine-readable snapshot — one JSON object, nothing else.
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
     rows = [
@@ -557,7 +500,7 @@ def _cmd_serve(args) -> int:
     from repro.server.http import CompilationServer
     from repro.service import CompilationService
 
-    config = _service_config_from_args(args)
+    config, _ = _resolve_config(args)
     host = args.host if args.host is not None else config.server_host
     port = args.port if args.port is not None else config.server_port
     service = CompilationService(config=config)
@@ -619,11 +562,7 @@ def _cmd_remote_compile(args) -> int:
     from repro.server.client import ServerClient
     from repro.service import CompileRequest
 
-    try:
-        circuit = _benchmark_circuit(args.benchmark)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    circuit = _benchmark_circuit(args.benchmark)
     rng = np.random.default_rng(args.seed)
     values = list(
         rng.uniform(-np.pi / 2, np.pi / 2, size=len(circuit.parameters))
@@ -666,7 +605,7 @@ def _cmd_remote_compile(args) -> int:
         # Recompile in-process with the local environment's config, minus
         # anything non-local: the in-process run must not route through a
         # fleet or read a warm on-disk cache the server also writes.
-        config = _service_config_from_args(args).replace(
+        config = _resolve_config(args)[0].replace(
             dispatcher="executor", fleet_dir=None, cache_dir=None
         )
         with CompilationService(config=config) as service:
@@ -846,13 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="identity used in leases and heartbeats (default: host-pid)",
     )
     worker.add_argument(
-        "--heartbeat",
-        type=float,
-        default=None,
-        help="lease-renewal interval in seconds while compiling "
-        "(default: lease-ttl / 3; must be shorter than --lease-ttl)",
-    )
-    worker.add_argument(
         "--host-label",
         default=None,
         dest="host_label",
@@ -926,28 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="queue_depth",
         help="bounded admission; a full queue answers 429",
-    )
-    serve.add_argument(
-        "--autoscale",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="fleet_autoscale",
-        help="scale fleet workers from queue depth instead of a fixed "
-        "count (default: REPRO_FLEET_AUTOSCALE)",
-    )
-    serve.add_argument(
-        "--min-workers",
-        type=int,
-        default=None,
-        dest="fleet_min_workers",
-        help="autoscaler floor (default: REPRO_FLEET_MIN_WORKERS)",
-    )
-    serve.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        dest="fleet_max_workers",
-        help="autoscaler ceiling (default: REPRO_FLEET_MAX_WORKERS)",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -1038,16 +948,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-shards", type=int, choices=CACHE_SHARD_CHOICES, default=None
     )
     show.add_argument("--cache-budget-mb", type=float, default=None)
-    show.add_argument(
-        "--prefetch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="--prefetch / --no-prefetch override",
-    )
     show.add_argument("--preset", default=None)
     show.add_argument(
         "--scheduler-state",
         default=None,
+        dest="scheduler_state_path",
         help="scheduler_state_path override",
     )
     show.add_argument(
@@ -1072,14 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="warm_start",
         help="--warm-start / --no-warm-start override (seed GRAPE from "
         "the nearest cached pulse or the analytic KAK decomposition)",
-    )
-    show.add_argument(
-        "--warm-start-max-dist",
-        type=float,
-        default=None,
-        dest="warm_start_max_dist",
-        help="warm_start_max_dist override (neighbor acceptance "
-        "threshold, phase-invariant trace distance in (0, 1])",
     )
     show.add_argument(
         "--dispatcher",
@@ -1112,39 +1009,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fleet-lease-ttl",
         type=float,
         default=None,
-        dest="fleet_lease_ttl",
+        dest="fleet_lease_ttl_s",
         help="fleet_lease_ttl_s override (seconds before a silent lease "
         "is reclaimed)",
-    )
-    show.add_argument(
-        "--fleet-heartbeat",
-        type=float,
-        default=None,
-        dest="fleet_heartbeat",
-        help="fleet_heartbeat_s override (lease-renewal interval; must "
-        "be shorter than the lease TTL)",
-    )
-    show.add_argument(
-        "--fleet-autoscale",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="fleet_autoscale",
-        help="--fleet-autoscale / --no-fleet-autoscale override "
-        "(queue-depth worker scaling)",
-    )
-    show.add_argument(
-        "--fleet-min-workers",
-        type=int,
-        default=None,
-        dest="fleet_min_workers",
-        help="fleet_min_workers override (autoscaler floor)",
-    )
-    show.add_argument(
-        "--fleet-max-workers",
-        type=int,
-        default=None,
-        dest="fleet_max_workers",
-        help="fleet_max_workers override (autoscaler ceiling)",
     )
     show.add_argument(
         "--server-host",
@@ -1170,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--server-ticket-ttl",
         type=float,
         default=None,
-        dest="server_ticket_ttl",
+        dest="server_ticket_ttl_s",
         help="server_ticket_ttl_s override (async ticket retention)",
     )
     show.set_defaults(func=_cmd_config_show)
@@ -1180,7 +1047,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``) and run the command."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,7 @@ from repro.errors import ReproError
 from repro.service.config import (  # re-exported for backwards compatibility
     CACHE_SHARD_CHOICES,
     EXECUTOR_CHOICES,
-    ServiceConfig,
+    preset_from_env,
 )
 
 #: Basis-gate pulse durations in nanoseconds (paper Table 1).  Gate-based
@@ -109,10 +109,10 @@ _PRESETS = {
     ),
 }
 
-# All REPRO_* environment reading routes through ServiceConfig.from_env().
-# The preset is the one process-wide setting: every other field reaches the
-# layers below the service by value.
-_active_preset_name = ServiceConfig.from_env().preset
+# The preset is the one process-wide setting: every other ServiceConfig
+# field reaches the layers below the service by value.  Only REPRO_PRESET is
+# read here, so importing the package never warns about another variable.
+_active_preset_name = preset_from_env()
 
 
 def available_presets() -> tuple:

@@ -424,14 +424,11 @@ class PersistentPulseCache(PulseCache):
         directory: str | os.PathLike,
         shards: int = ServiceConfig.cache_shards,
         budget_mb: float | None = ServiceConfig.cache_budget_mb,
-        prefetch: bool = ServiceConfig.prefetch,
     ):
         super().__init__()
         from repro.library import NeighborIndex, PulseLibrary
 
-        self.library = PulseLibrary(
-            directory, shards=shards, budget_mb=budget_mb, prefetch=prefetch
-        )
+        self.library = PulseLibrary(directory, shards=shards, budget_mb=budget_mb)
         self.neighbors = NeighborIndex(self.library)
         self.directory = self.library.directory
         self.disk_hits = 0

@@ -39,6 +39,12 @@ from repro.pulse.schedule import PulseSchedule, lookup_schedule
 from repro.service.config import ServiceConfig
 from repro.sim.unitary import circuit_unitary
 
+#: Acceptance threshold for approximate-match warm-start seeds: a cached
+#: pulse seeds a new block only when the phase-invariant trace distance
+#: ``sqrt(1 - |tr(U†V)|/d)`` between the targets is at most this, so seeds
+#: stay with genuinely nearby unitaries.
+WARM_START_MAX_DIST = 0.25
+
 
 @dataclass
 class BlockCompileOutcome:
@@ -63,14 +69,12 @@ class BlockPulseCompiler:
         hyperparameters: GrapeHyperparameters | None = None,
         cache: PulseCache | None = None,
         warm_start: bool = ServiceConfig.warm_start,
-        warm_start_max_dist: float = ServiceConfig.warm_start_max_dist,
     ):
         self.device = device
         self.settings = settings or GrapeSettings()
         self.hyperparameters = hyperparameters or GrapeHyperparameters()
         self.cache = cache if cache is not None else PulseCache()
         self.warm_start = warm_start
-        self.warm_start_max_dist = warm_start_max_dist
 
     def gate_based_schedules(self, circuit: QuantumCircuit) -> list:
         """Per-gate lookup pulses for ``circuit`` (the gate-based model)."""
@@ -215,7 +219,7 @@ class BlockPulseCompiler:
         """A warm-start seed for one cache-missing block, or ``None``.
 
         Preference order per the warm-start design: the nearest cached
-        pulse within the configured distance threshold, then (two-qubit
+        pulse within :data:`WARM_START_MAX_DIST`, then (two-qubit
         blocks only) the analytic KAK seed, then nothing — the caller runs
         a cold search.  Every branch is counted under ``grape.warm_start``.
         """
@@ -223,7 +227,7 @@ class BlockPulseCompiler:
             return None
         perf = get_perf_registry()
         perf.count("grape.warm_start.lookups")
-        match = self.cache.find_neighbor(key, target, self.warm_start_max_dist)
+        match = self.cache.find_neighbor(key, target, WARM_START_MAX_DIST)
         if match is not None:
             perf.count("grape.warm_start.neighbor_seeds")
             donor = match.entry.schedule
@@ -314,7 +318,6 @@ class BlockPulseCompiler:
             ),
             hyperparameters=hyperparameters,
             warm_start=bool(self.warm_start),
-            warm_start_max_dist=float(self.warm_start_max_dist),
             seed=seed,
         )
 
@@ -628,7 +631,6 @@ def compile_jobs(jobs: list, cache, executor) -> list:
             job.hyperparameters,
             cache,
             warm_start=job.warm_start,
-            warm_start_max_dist=job.warm_start_max_dist,
         )
         compilers.append(compiler)
         if job.key in cold:

@@ -332,7 +332,6 @@ class _FlexiblePartialCompiler:
             hyperparameters,
             cache if cache is not None else PulseCache(),
             warm_start=config.warm_start,
-            warm_start_max_dist=config.warm_start_max_dist,
         )
         tuner = _block_tuner(
             device,

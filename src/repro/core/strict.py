@@ -105,7 +105,6 @@ class _StrictPartialCompiler:
             hyperparameters,
             cache if cache is not None else PulseCache(),
             warm_start=config.warm_start,
-            warm_start_max_dist=config.warm_start_max_dist,
         )
         # Parametrized gates become isolated singleton blocks; the Fixed
         # gates between them aggregate into maximal parametrization-

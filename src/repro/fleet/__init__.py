@@ -19,26 +19,23 @@ address space entirely.  This package is the venue for that:
   ``run_tasks`` venue the service selects with
   ``REPRO_DISPATCHER=queue``: it spawns and revives
   ``REPRO_FLEET_WORKERS`` local workers and sends every cold fixed-block
-  search and flexible runtime entry through the queue.
-* :mod:`repro.fleet.autoscaler` — :class:`FleetAutoscaler`, queue-depth
-  worker scaling between ``REPRO_FLEET_MIN_WORKERS`` and
-  ``REPRO_FLEET_MAX_WORKERS``: sustained backlog grows the pool, surge
-  workers drain away on idle exit.
+  search and flexible runtime entry through the queue.  The pool is a
+  fixed count: a worker that dies is respawned, and external workers
+  (``python -m repro worker`` on other hosts) may drain the same
+  directory.
 
 Milestone 1 was N workers on one machine splitting one batch's unique
-blocks.  Milestone 2 added the network frontend
-(:mod:`repro.server`), host-aware status over a shared directory (real
-NFS, or ``host_label`` simulation in CI), and backlog-driven autoscaling.
+blocks.  Milestone 2 added the network frontend (:mod:`repro.server`) and
+host-aware status over a shared directory (real NFS, or ``host_label``
+simulation in CI).
 """
 
-from repro.fleet.autoscaler import FleetAutoscaler
 from repro.fleet.dispatcher import QueueDispatcher
 from repro.fleet.queue import FLEET_SCHEMA_VERSION, FleetQueue
 from repro.fleet.worker import FleetWorker
 
 __all__ = [
     "FLEET_SCHEMA_VERSION",
-    "FleetAutoscaler",
     "FleetQueue",
     "FleetWorker",
     "QueueDispatcher",

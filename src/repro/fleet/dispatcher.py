@@ -65,17 +65,11 @@ class QueueDispatcher(BlockExecutor):
         fleet_dir,
         workers: int = 0,
         lease_ttl_s: float = 30.0,
-        heartbeat_s: float | None = None,
         poll_s: float = 0.05,
         job_timeout_s: float = 600.0,
-        autoscale: bool = False,
-        min_workers: int = 0,
-        max_workers: int = 4,
-        surge_idle_exit_s: float = 5.0,
     ):
         self.queue = FleetQueue(fleet_dir, lease_ttl_s=lease_ttl_s)
         self.workers = max(0, int(workers))
-        self.heartbeat_s = heartbeat_s
         self.poll_s = float(poll_s)
         self.job_timeout_s = float(job_timeout_s)
         self._procs: list = []
@@ -91,33 +85,10 @@ class QueueDispatcher(BlockExecutor):
         self.completed_jobs = 0
         self.inline_jobs = 0
         self.completions_by_worker: dict = {}
-        # Autoscale mode replaces the fixed-count respawn loop: the
-        # autoscaler owns the pool, sampling backlog once per interval
-        # from inside the dispatch poll loop.
-        self._autoscaler = None
-        if autoscale:
-            from repro.fleet.autoscaler import FleetAutoscaler
-
-            self._autoscaler = FleetAutoscaler(
-                queue_depth=self._backlog,
-                spawn_worker=self._spawn_worker_process,
-                min_workers=min_workers,
-                max_workers=max_workers,
-                surge_idle_exit_s=surge_idle_exit_s,
-            )
 
     # -- worker lifecycle --------------------------------------------------
-    def _backlog(self) -> int:
-        """Incomplete jobs (pending + leased) — the autoscaler's signal.
-
-        A job file persists until its completion record retires it, so
-        counting ``jobs/`` covers both queued and in-flight work without
-        the full ``status()`` scan.
-        """
-        return len(list(self.queue.jobs_dir.glob("*.job")))
-
-    def _spawn_worker_process(self, idle_exit_s: float | None = None):
-        """Start one detached worker; returns its process handle."""
+    def _spawn_worker(self) -> None:
+        """Start one detached worker and add it to the pool."""
         import repro
 
         src_root = Path(repro.__file__).resolve().parent.parent
@@ -134,30 +105,17 @@ class QueueDispatcher(BlockExecutor):
             "--poll",
             str(self.poll_s),
         ]
-        if self.heartbeat_s is not None:
-            cmd += ["--heartbeat", str(self.heartbeat_s)]
-        if idle_exit_s is not None:
-            cmd += ["--idle-exit", str(idle_exit_s)]
-        proc = subprocess.Popen(cmd)
+        self._procs.append(subprocess.Popen(cmd))
         self.workers_spawned += 1
-        return proc
-
-    def _spawn_worker(self) -> None:
-        self._procs.append(self._spawn_worker_process())
 
     def _live_workers(self) -> int:
         with self._procs_lock:
-            if self._autoscaler is not None:
-                return self._autoscaler.live_workers()
             self._procs = [p for p in self._procs if p.poll() is None]
             return len(self._procs)
 
     def _ensure_workers(self) -> None:
         """Top the fleet back up to the configured worker count."""
         with self._procs_lock:
-            if self._autoscaler is not None:
-                self._autoscaler.ensure_floor()
-                return
             self._procs = [p for p in self._procs if p.poll() is None]
             while len(self._procs) < self.workers:
                 self._spawn_worker()
@@ -166,8 +124,6 @@ class QueueDispatcher(BlockExecutor):
         """Drain the fleet: SIGTERM each worker, then escalate to kill."""
         with self._procs_lock:
             procs, self._procs = self._procs, []
-            if self._autoscaler is not None:
-                procs += self._autoscaler.processes()
         for proc in procs:
             if proc.poll() is None:
                 try:
@@ -203,14 +159,9 @@ class QueueDispatcher(BlockExecutor):
         items = list(items)
         if not items:
             return []
-        if (
-            self._autoscaler is None
-            and self.workers == 0
-            and self._live_workers() == 0
-        ):
+        if self.workers == 0 and self._live_workers() == 0:
             # Degraded one-process mode: nothing will drain the queue, so
             # run here and skip the round-trip through the directory.
-            # (Never taken with the autoscaler: it spawns on backlog.)
             with self._stats_lock:
                 self.inline_jobs += len(items)
             return [fn(item) for item in items]
@@ -250,12 +201,7 @@ class QueueDispatcher(BlockExecutor):
                 deadline = time.monotonic() + self.job_timeout_s
                 backoff.reset()
                 continue
-            if self._autoscaler is not None:
-                # The autoscaler owns the pool: one rate-limited backlog
-                # sample per poll instead of fixed-count respawning.
-                with self._procs_lock:
-                    self._autoscaler.maybe_sample()
-            elif self.workers > 0 and self._live_workers() < self.workers:
+            if self.workers > 0 and self._live_workers() < self.workers:
                 if respawns_left <= 0:
                     raise PipelineError(
                         "fleet workers keep dying with "
@@ -275,12 +221,6 @@ class QueueDispatcher(BlockExecutor):
         return [results[job_id] for job_id in job_ids]
 
     def describe(self) -> dict:
-        with self._procs_lock:
-            autoscaler = (
-                self._autoscaler.describe()
-                if self._autoscaler is not None
-                else None
-            )
         status = self.queue.status()
         with self._stats_lock:
             counts = {
@@ -300,13 +240,11 @@ class QueueDispatcher(BlockExecutor):
             # The ``fleet`` section the service lifts into stats()["fleet"]
             # and the HTTP frontend serves under /v1/stats.
             "fleet": {
-                "mode": "autoscale" if self._autoscaler is not None else "fixed",
                 "directory": str(self.queue.directory),
                 "pending_jobs": status["pending_jobs"],
                 "leased_jobs": status["leased_jobs"],
                 "hosts": status["hosts"],
                 "live_workers": self._live_workers(),
                 "workers_spawned": self.workers_spawned,
-                "autoscaler": autoscaler,
             },
         }

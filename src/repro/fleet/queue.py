@@ -48,7 +48,7 @@ from repro.library.locking import FileLock
 
 #: Bump when the on-disk job payload or record layout changes; workers
 #: refuse (error-complete) jobs whose schema they do not speak.
-FLEET_SCHEMA_VERSION = 2
+FLEET_SCHEMA_VERSION = 3
 
 
 def pack_result(result) -> str:
@@ -344,7 +344,7 @@ class FleetQueue:
 
         Host-aware: every lease and worker entry carries its ``host``,
         and ``hosts`` aggregates them per machine sharing the directory —
-        the view ``fleet status`` renders and the autoscaler samples.
+        the view ``fleet status`` renders.
         """
         now = time.time()
         pending = sorted(p.stem for p in self.jobs_dir.glob("*.job"))

@@ -46,11 +46,9 @@ class FleetWorker:
     lease_ttl_s / poll_s:
         Crash-reclaim TTL and the longest idle claim-poll interval (idle
         polls back off from 1 ms up to it; see
-        :class:`~repro.fleet.queue.PollBackoff`).
-    heartbeat_s:
-        Lease-renewal interval while running a job.  ``None`` (default)
-        derives ``lease_ttl_s / 3`` — three missed beats before the
-        lease goes stale.  Must be shorter than ``lease_ttl_s``.
+        :class:`~repro.fleet.queue.PollBackoff`).  While a job runs its
+        lease is renewed every ``lease_ttl_s / 3`` seconds, so three missed
+        beats make it stale.
     max_jobs:
         Exit after completing this many jobs (``None`` = unbounded).
     idle_exit_s:
@@ -71,30 +69,17 @@ class FleetWorker:
         fleet_dir,
         lease_ttl_s: float = 30.0,
         poll_s: float = 0.2,
-        heartbeat_s: float | None = None,
         max_jobs: int | None = None,
         idle_exit_s: float | None = None,
         worker_id: str | None = None,
         host_label: str | None = None,
         announce: bool = False,
     ):
-        from repro.errors import ReproError
-
         self.queue = FleetQueue(
             fleet_dir, lease_ttl_s=lease_ttl_s, host_label=host_label
         )
         self.poll_s = float(poll_s)
-        if heartbeat_s is not None and heartbeat_s >= float(lease_ttl_s):
-            raise ReproError(
-                f"heartbeat_s ({heartbeat_s}) must be shorter than "
-                f"lease_ttl_s ({lease_ttl_s}) or every lease goes stale "
-                "between beats"
-            )
-        self.heartbeat_s = (
-            float(heartbeat_s)
-            if heartbeat_s is not None
-            else max(self.queue.lease_ttl_s / 3.0, 0.05)
-        )
+        self.heartbeat_s = max(self.queue.lease_ttl_s / 3.0, 0.05)
         self.max_jobs = max_jobs
         self.idle_exit_s = idle_exit_s
         self.worker_id = worker_id or f"{self.queue.host}-{os.getpid()}"

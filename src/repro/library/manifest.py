@@ -139,9 +139,9 @@ def rebuild_entries(shard_dir: Path, manifest: dict, suffix: str) -> dict:
     hand-edited entry whose ``created``/``last_used`` stamp is missing or
     not a number — are healed from the file mtime so LRU decisions (and the
     gc inventory sort) never trip over them.  A file mtime *newer* than the
-    recorded ``last_used`` also wins: readers that stamp uses cheaply via
-    ``os.utime`` alone (the prefetch hit path) stay LRU-honest because
-    every gc reconciles before evicting.  Returns the reconciled entries
+    recorded ``last_used`` also wins: a use stamped by ``os.utime`` whose
+    manifest update failed stays LRU-honest because every gc reconciles
+    before evicting.  Returns the reconciled entries
     dict (the manifest is modified in place).
     """
     entries: dict = manifest["entries"]

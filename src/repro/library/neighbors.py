@@ -42,8 +42,9 @@ It is monotone in the GRAPE overlap infidelity, so "nearest cached pulse"
 means "pulse whose replay comes closest to the new target".
 
 Search is bucketed by ``(dim, ctx)`` and threshold-gated
-(``REPRO_WARM_START_MAX_DIST``): a match farther than the threshold is
-worse than no seed at all; equal distances go to the smallest name.
+(:data:`repro.core.compiler.WARM_START_MAX_DIST`): a match farther than
+the threshold is worse than no seed at all; equal distances go to the
+smallest name.
 
 Ranking
 -------

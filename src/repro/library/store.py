@@ -36,14 +36,6 @@ Legacy flat directories (the pre-library ``PersistentPulseCache`` layout:
 first open: each file moves bit-identically into its shard and gains an
 index entry.
 
-With prefetch enabled (``REPRO_PREFETCH`` / ``prefetch=True``), the first
-:meth:`get` touching a shard bulk-loads every entry its manifest lists
-into an in-memory layer; later reads in that shard are served from memory
-(``prefetches`` / ``prefetch_hits`` telemetry) while LRU stamps keep being
-recorded, so a long-lived variational session streaming over a warm
-library pays one sequential sweep per shard instead of one file open per
-lookup.
-
 Telemetry comes in two costs.  :meth:`PulseLibrary.stats` reads in-memory
 counters only, so per-request callers may use it freely;
 :meth:`PulseLibrary.sweep` walks every shard (data files and manifests)
@@ -83,12 +75,6 @@ VALID_SHARD_COUNTS = CACHE_SHARD_CHOICES
 
 #: Temp files older than this are considered crash debris and collectable.
 _STALE_TMP_SECONDS = 60.0
-
-#: Ceiling on the in-memory prefetch buffer.  A library byte budget
-#: (``REPRO_CACHE_BUDGET_MB``) lower than this wins; without one the
-#: buffer still cannot grow past this cap — oldest-loaded payloads are
-#: dropped first (they re-read from disk transparently).
-_PREFETCH_BUDGET_MB = 256.0
 
 
 @dataclass
@@ -142,7 +128,6 @@ class PulseLibrary:
         directory: str | os.PathLike,
         shards: int = ServiceConfig.cache_shards,
         budget_mb: float | None = ServiceConfig.cache_budget_mb,
-        prefetch: bool = ServiceConfig.prefetch,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -159,26 +144,6 @@ class PulseLibrary:
         self.gets = 0
         self.get_hits = 0
         self.index_errors = 0
-        # Manifest-aware shard prefetch: on first touch of a shard, every
-        # entry its manifest lists is bulk-read into this in-memory layer,
-        # so a variational run streaming over one warm library pays one
-        # sequential sweep per shard instead of one file open per lookup.
-        # The buffer is byte-bounded (oldest-loaded dropped first) and
-        # guarded by two lock tiers: one short-held lock for the dict
-        # itself, plus one lock per shard held across that shard's bulk
-        # read, so a slow first-touch sweep never stalls other shards.
-        self.prefetch_enabled = bool(prefetch)
-        self.prefetches = 0
-        self.prefetch_hits = 0
-        self._prefetched: dict = {}  # name -> payload bytes, insertion order
-        self._prefetched_bytes = 0
-        self._prefetched_shards: set = set()
-        self._prefetch_lock = threading.Lock()
-        self._prefetch_shard_locks: dict = {}  # shard name -> Lock
-        budget_cap = _PREFETCH_BUDGET_MB
-        if budget_mb is not None:
-            budget_cap = min(budget_cap, budget_mb)
-        self._prefetch_budget_bytes = int(budget_cap * 1024 * 1024)
         descriptor = self._load_descriptor()
         if descriptor is not None:
             # An existing library's layout is immutable: the descriptor wins
@@ -367,17 +332,6 @@ class PulseLibrary:
             shard.mkdir(exist_ok=True)
             replace_file(path, payload)
         self._bump(puts=1)
-        if self.prefetch_enabled:
-            shard_name = self.shard_name(name)
-            # Keep an already-prefetched shard coherent with the write.
-            # Check-and-insert runs under the shard's load lock, and only
-            # while the data file still exists: a delete racing this put
-            # (unlink, then pop under the same lock) then either removes
-            # what we insert or makes the existence check fail — the
-            # buffer can never outlive the file.
-            with self._prefetch_shard_lock(shard_name):
-                if shard_name in self._prefetched_shards and path.is_file():
-                    self._buffer_insert(name, payload, overwrite=True)
         now = time.time()
         try:
             with self._shard_lock(shard):
@@ -408,29 +362,9 @@ class PulseLibrary:
 
         A missing entry is ``None``; any other read failure (permissions,
         I/O error) propagates as :class:`OSError` so callers can tell a
-        cold miss from a broken store.  With prefetch enabled
-        (``REPRO_PREFETCH``), the first touch of a shard bulk-loads every
-        entry its manifest lists, and later reads in that shard are served
-        from memory (``prefetch_hits``); LRU stamps are still recorded so
-        eviction decisions stay honest.
+        cold miss from a broken store.
         """
         self._bump(gets=1)
-        if self.prefetch_enabled:
-            self._ensure_prefetched(self.shard_name(name))
-            with self._prefetch_lock:
-                payload = self._prefetched.get(name)
-            if payload is not None:
-                self._bump(get_hits=1, prefetch_hits=1)
-                # LRU stamp without manifest I/O: bump the file mtime only
-                # (cheap), and let gc's reconcile pass fold newer mtimes
-                # into ``last_used`` — paying a lock + manifest rewrite per
-                # memory-served get would cost more than the read it saved.
-                now = time.time()
-                try:
-                    os.utime(self.path_for(name), (now, now))
-                except OSError:
-                    pass
-                return payload
         path = self.path_for(name)
         try:
             payload = path.read_bytes()
@@ -444,68 +378,7 @@ class PulseLibrary:
             path = self.directory / name
         self._bump(get_hits=1)
         self._touch(name, path)
-        # Orphans the manifest missed stay on the disk path (no buffer
-        # insert here: adopting a just-read payload could race a concurrent
-        # delete and resurrect it); the next gc indexes them for prefetch.
         return payload
-
-    def _prefetch_shard_lock(self, shard_name: str) -> threading.Lock:
-        with self._prefetch_lock:
-            lock = self._prefetch_shard_locks.get(shard_name)
-            if lock is None:
-                lock = self._prefetch_shard_locks[shard_name] = threading.Lock()
-        return lock
-
-    def _buffer_insert(self, name: str, payload: bytes, overwrite: bool) -> None:
-        """Insert into the buffer, enforcing the byte budget (FIFO drop)."""
-        with self._prefetch_lock:
-            existing = self._prefetched.get(name)
-            if existing is not None:
-                if not overwrite:
-                    return
-                self._prefetched_bytes -= len(self._prefetched.pop(name))
-            self._prefetched[name] = payload
-            self._prefetched_bytes += len(payload)
-            while (
-                self._prefetched_bytes > self._prefetch_budget_bytes
-                and self._prefetched
-            ):
-                oldest = next(iter(self._prefetched))
-                self._prefetched_bytes -= len(self._prefetched.pop(oldest))
-
-    def _buffer_pop(self, name: str) -> None:
-        with self._prefetch_lock:
-            payload = self._prefetched.pop(name, None)
-            if payload is not None:
-                self._prefetched_bytes -= len(payload)
-
-    def _ensure_prefetched(self, shard_name: str) -> None:
-        """Bulk-load ``shard_name``'s manifest-listed entries, once.
-
-        The read-and-insert runs under *this shard's* prefetch lock.  That
-        keeps the layer coherent against concurrent ``delete``/``gc``: both
-        unlink the data file before taking the same shard lock to pop the
-        buffer entry, so a bulk load either observes the unlink (the read
-        fails, nothing inserted) or completes first (the subsequent pop
-        removes what it inserted).  Per-shard granularity means a slow
-        first-touch sweep never blocks lookups in other shards.
-        """
-        if shard_name in self._prefetched_shards:
-            return  # racy fast path; the lock below re-checks
-        with self._prefetch_shard_lock(shard_name):
-            if shard_name in self._prefetched_shards:
-                return
-            shard = self.directory / shard_name
-            if shard.is_dir():
-                for entry_name in load_manifest(shard)["entries"]:
-                    try:
-                        payload = (shard / entry_name).read_bytes()
-                    except OSError:
-                        continue  # ghost entry; the next gc reconciles
-                    # Writes that raced the bulk read are newer: keep them.
-                    self._buffer_insert(entry_name, payload, overwrite=False)
-                self._bump(prefetches=1)
-            self._prefetched_shards.add(shard_name)
 
     def _touch(self, name: str, path: Path) -> None:
         """Record a use of ``name``: file mtime plus the manifest stamp."""
@@ -543,12 +416,6 @@ class PulseLibrary:
             removed = True
         except OSError:
             pass
-        if self.prefetch_enabled:
-            # Pop strictly after the unlink, under the shard's load lock: a
-            # racing bulk load then either saw the unlink (read failed) or
-            # completed its inserts before this pop removes the entry.
-            with self._prefetch_shard_lock(self.shard_name(name)):
-                self._buffer_pop(name)
         if shard.is_dir():
             try:
                 with self._shard_lock(shard):
@@ -651,10 +518,6 @@ class PulseLibrary:
                         self._write_manifest(shard, live)
             report.entries_after = report.entries_before - report.evicted
             report.bytes_after = report.bytes_before - report.bytes_freed
-        if self.prefetch_enabled and report.evicted_names:
-            for name in report.evicted_names:
-                with self._prefetch_shard_lock(self.shard_name(name)):
-                    self._buffer_pop(name)
         report.wall_time_s = time.perf_counter() - start
         return report
 
@@ -671,23 +534,16 @@ class PulseLibrary:
                 pass
         return removed
 
-    # The locks, observer and prefetch buffer stay behind at pickle
-    # boundaries (an unpickled copy re-prefetches on demand against its
-    # own state); everything else — paths, layout, counters — travels.
+    # The counter lock and the observer stay behind at pickle boundaries;
+    # everything else — paths, layout, counters — travels.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_prefetch_lock"]
         del state["_counter_lock"]
         state["_observer"] = None
-        state["_prefetched"] = {}
-        state["_prefetched_bytes"] = 0
-        state["_prefetched_shards"] = set()
-        state["_prefetch_shard_locks"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._prefetch_lock = threading.Lock()
         self._counter_lock = threading.Lock()
 
     # -- telemetry -------------------------------------------------------------
@@ -717,11 +573,6 @@ class PulseLibrary:
             "gets": 0,
             "get_hits": 0,
             "index_errors": 0,
-            "prefetch_enabled": False,
-            "prefetches": 0,
-            "prefetch_hits": 0,
-            "prefetched_entries": 0,
-            "prefetched_bytes": 0,
         }
 
     def stats(self) -> dict:
@@ -733,11 +584,7 @@ class PulseLibrary:
                 "gets": self.gets,
                 "get_hits": self.get_hits,
                 "index_errors": self.index_errors,
-                "prefetches": self.prefetches,
-                "prefetch_hits": self.prefetch_hits,
             }
-        with self._prefetch_lock:
-            prefetched = len(self._prefetched), self._prefetched_bytes
         return {
             "directory": str(self.directory),
             "layout_version": LIBRARY_LAYOUT_VERSION,
@@ -745,9 +592,6 @@ class PulseLibrary:
             "prefix_len": self.prefix_len,
             "budget_mb": self.budget_mb,
             **counters,
-            "prefetch_enabled": self.prefetch_enabled,
-            "prefetched_entries": prefetched[0],
-            "prefetched_bytes": prefetched[1],
         }
 
     def sweep(self) -> dict:

@@ -143,8 +143,8 @@ class BlockJob:
         active preset, which still controls ``time_search_precision_ns``.
     hyperparameters:
         Time-search hyperparameters (learning rates, iteration budget).
-    warm_start / warm_start_max_dist:
-        The warm-start policy resolved to concrete values at job-build
+    warm_start:
+        The warm-start policy resolved to a concrete value at job-build
         time — jobs never consult the builder's configuration.
     seed:
         The warm-start seed the dispatching process resolved from its
@@ -161,5 +161,4 @@ class BlockJob:
     settings: object
     hyperparameters: object
     warm_start: bool
-    warm_start_max_dist: float
     seed: object = None

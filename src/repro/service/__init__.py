@@ -4,9 +4,8 @@ The paper frames partial compilation as a *service* a variational outer
 loop calls thousands of times.  This package is that service:
 
 * :mod:`repro.service.config` — :class:`ServiceConfig`, the typed,
-  immutable consolidation of every ``REPRO_*`` environment knob, with
-  :meth:`ServiceConfig.from_env` as the only env-reading path in the
-  package.
+  immutable consolidation of every ``REPRO_*`` environment knob; its
+  module is the only env reader in the package.
 * :mod:`repro.service.requests` — :class:`CompileRequest` /
   :class:`CompileResult`, the typed request/response objects.
 * :mod:`repro.service.registry` — the string-keyed strategy registry

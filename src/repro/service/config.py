@@ -1,17 +1,20 @@
 """Typed, immutable configuration for the compilation service.
 
 :class:`ServiceConfig` consolidates every ``REPRO_*`` environment knob —
-executor, cache directory/sharding/budget, prefetch, preset,
-scheduler-state spill path, GRAPE batching, warm-start seeding, fleet and
-server settings — into one frozen dataclass.
-:meth:`ServiceConfig.from_env` is the **only** code path in the whole
+executor, cache directory/sharding/budget, preset, scheduler-state spill
+path, GRAPE batching, warm-start seeding, fleet and server settings —
+into one frozen dataclass.  This module is the **only** place in the whole
 package that reads ``REPRO_*`` environment variables (a repo test greps
 for strays), so "what configuration am I actually running with?" always
 has one answer: ``python -m repro config show``.
 
-Parsing is tolerant by design: this runs at import time (via
-:mod:`repro.config`), so malformed values fall back to defaults with a
-warning instead of making ``import repro`` crash.
+Two readers live here.  :meth:`ServiceConfig.from_env` parses every
+variable; the front doors (a service built without a config, the CLI)
+call it.  :func:`preset_from_env` reads ``REPRO_PRESET`` alone; it runs at
+import time (via :mod:`repro.config`), so a malformed value of any other
+variable warns once, when a front door parses it, and never makes
+``import repro`` warn or crash.  Parsing is tolerant: malformed values
+fall back to defaults with a warning.
 
 This module sits *below* :mod:`repro.config` in the import graph (it
 depends only on :mod:`repro.errors`), which is why the executor and shard
@@ -75,7 +78,7 @@ def _env_number(
 def _env_bool(
     env_name: str, field_name: str, values: dict, sources: dict
 ) -> None:
-    """Parse one boolean env var (same spellings as REPRO_PREFETCH)."""
+    """Parse one boolean env var (1/true/yes/on or 0/false/no/off)."""
     raw = os.environ.get(env_name, "")
     if not raw:
         return
@@ -124,9 +127,6 @@ class ServiceConfig:
     cache_budget_mb:
         Default size budget for :meth:`repro.library.PulseLibrary.gc`
         (``REPRO_CACHE_BUDGET_MB``).  ``None`` means unbounded.
-    prefetch:
-        Manifest-aware shard prefetch for the on-disk pulse library
-        (``REPRO_PREFETCH``).
     preset:
         The workload preset named by ``REPRO_PRESET``, read once at
         import to seed the process-wide active preset; validated lazily by
@@ -156,13 +156,6 @@ class ServiceConfig:
         (``REPRO_WARM_START``).  A best-of guard makes seeding strictly
         safe (never a worse pulse than a cold start), so this knob exists
         for debugging and A/B iteration counts.
-    warm_start_max_dist:
-        Acceptance threshold for approximate-match retrieval
-        (``REPRO_WARM_START_MAX_DIST``): a cached pulse seeds a new block
-        only when the phase-invariant trace distance
-        ``sqrt(1 - |tr(U†V)|/d)`` between the targets is at most this, in
-        ``(0, 1]``.  ``1.0`` accepts any same-context pulse; the default
-        0.25 keeps seeds to genuinely nearby unitaries.
     dispatcher:
         Where fixed-block jobs are compiled (``REPRO_DISPATCHER``):
         ``"executor"`` (default) keeps them on the in-process block
@@ -187,21 +180,6 @@ class ServiceConfig:
         Lease time-to-live for fleet jobs (``REPRO_FLEET_LEASE_TTL``,
         seconds).  A claimed job whose lease heartbeat goes silent for
         this long is reclaimed by another worker.
-    fleet_heartbeat_s:
-        Worker heartbeat interval (``REPRO_FLEET_HEARTBEAT``, seconds).
-        ``None`` (default) derives ``lease_ttl / 3`` — three missed beats
-        before a lease goes stale.  Must be shorter than the lease TTL.
-    fleet_autoscale:
-        Let the queue dispatcher scale its local worker pool from queue
-        depth (``REPRO_FLEET_AUTOSCALE``) between ``fleet_min_workers``
-        and ``fleet_max_workers``, instead of keeping a fixed
-        ``fleet_workers`` count alive.
-    fleet_min_workers:
-        Autoscaler floor (``REPRO_FLEET_MIN_WORKERS``): core workers kept
-        alive even when the queue is empty.
-    fleet_max_workers:
-        Autoscaler ceiling (``REPRO_FLEET_MAX_WORKERS``): surge workers
-        stop being added once the pool reaches this size.
     server_host / server_port:
         Bind address for ``python -m repro serve``
         (``REPRO_SERVER_HOST`` / ``REPRO_SERVER_PORT``).  Port ``0``
@@ -221,22 +199,16 @@ class ServiceConfig:
     cache_dir: str | None = None
     cache_shards: int = 16
     cache_budget_mb: float | None = None
-    prefetch: bool = False
     preset: str = "ci"
     scheduler_state_path: str | None = None
     grape_batch: bool = True
     grape_batch_size: int = 16
     warm_start: bool = True
-    warm_start_max_dist: float = 0.25
     dispatcher: str = "executor"
     fleet_dir: str | None = None
     fleet_workers: int = 0
     queue_depth: int | None = None
     fleet_lease_ttl_s: float = 30.0
-    fleet_heartbeat_s: float | None = None
-    fleet_autoscale: bool = False
-    fleet_min_workers: int = 0
-    fleet_max_workers: int = 4
     server_host: str = "127.0.0.1"
     server_port: int = 8642
     server_max_body_mb: float = 32.0
@@ -264,11 +236,6 @@ class ServiceConfig:
             raise ReproError(
                 f"grape_batch_size must be >= 1, got {self.grape_batch_size}"
             )
-        if not 0.0 < self.warm_start_max_dist <= 1.0:
-            raise ReproError(
-                "warm_start_max_dist must be in (0, 1], "
-                f"got {self.warm_start_max_dist}"
-            )
         if self.dispatcher not in DISPATCHER_CHOICES:
             raise ReproError(
                 f"unknown dispatcher {self.dispatcher!r}; "
@@ -285,32 +252,6 @@ class ServiceConfig:
         if self.fleet_lease_ttl_s <= 0:
             raise ReproError(
                 f"fleet_lease_ttl_s must be positive, got {self.fleet_lease_ttl_s}"
-            )
-        if self.fleet_heartbeat_s is not None:
-            if self.fleet_heartbeat_s <= 0:
-                raise ReproError(
-                    f"fleet_heartbeat_s must be positive, "
-                    f"got {self.fleet_heartbeat_s}"
-                )
-            if self.fleet_heartbeat_s >= self.fleet_lease_ttl_s:
-                raise ReproError(
-                    f"fleet_heartbeat_s ({self.fleet_heartbeat_s}) must be "
-                    f"shorter than fleet_lease_ttl_s "
-                    f"({self.fleet_lease_ttl_s}) or every lease goes stale "
-                    "between beats"
-                )
-        if self.fleet_min_workers < 0:
-            raise ReproError(
-                f"fleet_min_workers must be >= 0, got {self.fleet_min_workers}"
-            )
-        if self.fleet_max_workers < 1:
-            raise ReproError(
-                f"fleet_max_workers must be >= 1, got {self.fleet_max_workers}"
-            )
-        if self.fleet_min_workers > self.fleet_max_workers:
-            raise ReproError(
-                f"fleet_min_workers ({self.fleet_min_workers}) must not "
-                f"exceed fleet_max_workers ({self.fleet_max_workers})"
             )
         if not 0 <= self.server_port <= 65535:
             raise ReproError(
@@ -332,10 +273,11 @@ class ServiceConfig:
     def from_env(cls) -> "ServiceConfig":
         """The configuration selected by the ``REPRO_*`` environment.
 
-        The single supported env-reading path.  Only the front doors call
-        it — :class:`~repro.service.CompilationService` built without a
-        config, the CLI and ``repro worker`` — and every layer below them
-        takes its values from its caller.
+        The one full env read.  Only the front doors call it —
+        :class:`~repro.service.CompilationService` built without a config
+        and the CLI — and every layer below them takes its values from its
+        caller.  (Import reads ``REPRO_PRESET`` alone; see
+        :func:`preset_from_env`.)
         """
         config, _sources = cls.from_env_with_sources()
         return config
@@ -392,7 +334,6 @@ class ServiceConfig:
             "REPRO_CACHE_BUDGET_MB", "cache_budget_mb", float,
             lambda v: v > 0, "must be positive", values, sources,
         )
-        _env_bool("REPRO_PREFETCH", "prefetch", values, sources)
 
         preset = os.environ.get("REPRO_PRESET")
         if preset:
@@ -410,10 +351,6 @@ class ServiceConfig:
             lambda v: v >= 1, "must be >= 1", values, sources,
         )
         _env_bool("REPRO_WARM_START", "warm_start", values, sources)
-        _env_number(
-            "REPRO_WARM_START_MAX_DIST", "warm_start_max_dist", float,
-            lambda v: 0.0 < v <= 1.0, "must be in (0, 1]", values, sources,
-        )
 
         dispatcher = os.environ.get("REPRO_DISPATCHER")
         if dispatcher is not None:
@@ -444,19 +381,6 @@ class ServiceConfig:
             "REPRO_FLEET_LEASE_TTL", "fleet_lease_ttl_s", float,
             lambda v: v > 0, "must be positive", values, sources,
         )
-        _env_number(
-            "REPRO_FLEET_HEARTBEAT", "fleet_heartbeat_s", float,
-            lambda v: v > 0, "must be positive", values, sources,
-        )
-        _env_bool("REPRO_FLEET_AUTOSCALE", "fleet_autoscale", values, sources)
-        _env_number(
-            "REPRO_FLEET_MIN_WORKERS", "fleet_min_workers", int,
-            lambda v: v >= 0, "must be >= 0", values, sources,
-        )
-        _env_number(
-            "REPRO_FLEET_MAX_WORKERS", "fleet_max_workers", int,
-            lambda v: v >= 1, "must be >= 1", values, sources,
-        )
         server_host = os.environ.get("REPRO_SERVER_HOST")
         if server_host:
             values["server_host"] = server_host
@@ -475,32 +399,6 @@ class ServiceConfig:
             lambda v: v > 0, "must be positive", values, sources,
         )
 
-        # Cross-field constraints stay tolerant here (this runs at import
-        # time): a combination the constructor would reject falls back to
-        # defaults with a warning instead of crashing ``import repro``.
-        ttl = values.get("fleet_lease_ttl_s", 30.0)
-        heartbeat = values.get("fleet_heartbeat_s")
-        if heartbeat is not None and heartbeat >= ttl:
-            warnings.warn(
-                f"ignoring REPRO_FLEET_HEARTBEAT={heartbeat} (must be "
-                f"shorter than the lease TTL of {ttl})",
-                stacklevel=3,
-            )
-            del values["fleet_heartbeat_s"]
-            sources["fleet_heartbeat_s"] = "default"
-        min_workers = values.get("fleet_min_workers", 0)
-        max_workers = values.get("fleet_max_workers", 4)
-        if min_workers > max_workers:
-            warnings.warn(
-                f"ignoring REPRO_FLEET_MIN_WORKERS={min_workers} / "
-                f"REPRO_FLEET_MAX_WORKERS={max_workers} (min exceeds max)",
-                stacklevel=3,
-            )
-            values.pop("fleet_min_workers", None)
-            values.pop("fleet_max_workers", None)
-            sources["fleet_min_workers"] = "default"
-            sources["fleet_max_workers"] = "default"
-
         return cls(**values), sources
 
     # -- utilities -----------------------------------------------------------
@@ -514,9 +412,18 @@ class ServiceConfig:
         return {
             "shards": self.cache_shards,
             "budget_mb": self.cache_budget_mb,
-            "prefetch": self.prefetch,
         }
 
     def as_dict(self) -> dict:
         """Field → value, in declaration order (for stats and the CLI)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def preset_from_env() -> str:
+    """The preset ``REPRO_PRESET`` names, else the default ``"ci"``.
+
+    The import-time read behind :mod:`repro.config`'s active preset.  It
+    looks at this one variable only, so it never warns; the name is
+    validated when :func:`repro.config.get_preset` first uses it.
+    """
+    return os.environ.get("REPRO_PRESET") or ServiceConfig.preset

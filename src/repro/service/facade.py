@@ -38,7 +38,6 @@ table.
 from __future__ import annotations
 
 import threading
-import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -166,10 +165,6 @@ class CompilationService:
             fleet_dir,
             workers=self.config.fleet_workers,
             lease_ttl_s=self.config.fleet_lease_ttl_s,
-            heartbeat_s=self.config.fleet_heartbeat_s,
-            autoscale=self.config.fleet_autoscale,
-            min_workers=self.config.fleet_min_workers,
-            max_workers=self.config.fleet_max_workers,
         )
 
     def _load_scheduler_state(self, state_cls):
@@ -370,8 +365,8 @@ class CompilationService:
             # The one per-service call that sweeps the disk library.
             "cache": self.cache.stats(sweep=True),
             "executor": executor_info,
-            # Fleet telemetry (queue depth, worker hosts, autoscaler
-            # counters) when the executor is a QueueDispatcher, else None.
+            # Fleet telemetry (queue depth, worker hosts, pool size) when
+            # the executor is a QueueDispatcher, else None.
             "fleet": (
                 executor_info.get("fleet")
                 if isinstance(executor_info, dict)

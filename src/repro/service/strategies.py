@@ -180,7 +180,6 @@ class FullGrapeStrategy(_StrategyBase):
             first.hyperparameters or service.hyperparameters,
             cache,
             warm_start=service.config.warm_start,
-            warm_start_max_dist=service.config.warm_start_max_dist,
         )
         pipeline = full_grape_pipeline(
             block_compiler, first.max_block_width, service.executor

@@ -18,7 +18,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.fleet import FleetWorker
 from repro.fleet.dispatcher import _WORKER_BOOTSTRAP
 from repro.fleet.queue import FleetQueue, pack_result, unpack_result
 from repro.perf import get_perf_registry
@@ -51,6 +54,23 @@ def _wait_for(predicate, timeout: float = 120.0, interval: float = 0.02) -> bool
             return True
         time.sleep(interval)
     return False
+
+
+class TestHeartbeat:
+    @pytest.mark.parametrize(
+        "lease_ttl_s,heartbeat_s",
+        [(30.0, 10.0), (9.0, 3.0), (0.06, 0.05)],
+        ids=["default-ttl", "short-ttl", "floor"],
+    )
+    def test_lease_is_renewed_three_times_per_ttl(
+        self, tmp_path, lease_ttl_s, heartbeat_s
+    ):
+        """Three missed beats make a lease stale; the interval never drops
+        under 50 ms however short the TTL."""
+        worker = FleetWorker(tmp_path, lease_ttl_s=lease_ttl_s, announce=True)
+        assert worker.heartbeat_s == pytest.approx(heartbeat_s)
+        assert worker._announce["heartbeat_s"] == worker.heartbeat_s
+        assert worker._announce["lease_ttl_s"] == lease_ttl_s
 
 
 class TestWorkerLoop:

@@ -166,6 +166,84 @@ class TestStats:
         assert swept["nonempty_shards"] >= 1
         assert swept["evictions"] == 0
 
+    def test_empty_stats_mirrors_live_stats_schema(self, tmp_path):
+        """The zeroed snapshot for never-created directories must keep the
+        exact key set of a live library's stats(), or the CLI's empty and
+        populated reports drift apart."""
+        library = PulseLibrary(tmp_path, shards=16)
+        live = {**library.stats(), **library.sweep()}
+        empty = PulseLibrary.empty_stats(tmp_path / "elsewhere")
+        assert set(empty) == set(live)
+        assert empty["entries"] == 0
+        assert not (tmp_path / "elsewhere").exists()
+
+
+class TestSharedDirectory:
+    """Every read goes to disk, so two library objects over one directory
+    (two submit threads' processes, a fleet worker and its dispatcher)
+    see each other's writes at once, with no refresh step."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        return PulseLibrary(tmp_path, shards=16), PulseLibrary(tmp_path)
+
+    def test_put_is_visible_to_the_other_instance(self, pair):
+        writer, reader = pair
+        assert reader.get(_name(1)) is None
+        writer.put(_name(1), b"fresh")
+        assert reader.get(_name(1)) == b"fresh"
+
+    def test_overwrite_is_visible_to_the_other_instance(self, pair):
+        writer, reader = pair
+        writer.put(_name(2), b"old")
+        assert reader.get(_name(2)) == b"old"
+        writer.put(_name(2), b"new")
+        assert reader.get(_name(2)) == b"new"
+
+    def test_delete_is_visible_to_the_other_instance(self, pair):
+        writer, reader = pair
+        writer.put(_name(3), b"doomed")
+        assert reader.get(_name(3)) == b"doomed"
+        assert writer.delete(_name(3))
+        assert reader.get(_name(3)) is None
+        assert _name(3) not in reader
+
+    def test_gc_evictions_miss_in_every_instance(self, pair):
+        writer, reader = pair
+        for i in range(4):
+            writer.put(_name(i), b"x" * 1024)
+        report = writer.gc(budget_mb=1024 / (1024 * 1024))
+        assert report.evicted == 3
+        for name in report.evicted_names:
+            assert reader.get(name) is None
+        [survivor] = set(map(_name, range(4))) - set(report.evicted_names)
+        assert reader.get(survivor) == b"x" * 1024
+
+    def test_a_read_through_one_instance_guards_against_the_others_gc(
+        self, pair
+    ):
+        import time
+
+        writer, reader = pair
+        for i in range(3):
+            writer.put(_name(i), b"x" * 1024)
+            time.sleep(0.005)
+        reader.get(_name(0))  # the oldest entry becomes the newest
+        report = writer.gc(budget_mb=1024 / (1024 * 1024))
+        assert report.evicted == 2
+        assert writer.get(_name(0)) == b"x" * 1024
+
+
+class TestPersistentCacheStats:
+    def test_library_section_is_the_library_stats(self, tmp_path):
+        from repro.core import PersistentPulseCache
+
+        cache = PersistentPulseCache(tmp_path, shards=16)
+        stats = cache.stats()
+        assert stats["library"] == cache.library.stats()
+        swept = cache.stats(sweep=True)["library"]
+        assert set(swept) == set(PulseLibrary.empty_stats(tmp_path))
+
 
 class TestCounters:
     def test_concurrent_bumps_are_not_lost(self, tmp_path):

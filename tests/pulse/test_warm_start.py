@@ -119,8 +119,9 @@ class TestNeighborSeeding:
         assert seeded.iterations <= unseeded.iterations
         assert seeded.fidelity >= SETTINGS.target_fidelity
 
-    def test_distance_threshold_respected(self):
-        compiler = _compiler(warm_start_max_dist=1e-6)
+    def test_distance_threshold_respected(self, monkeypatch):
+        monkeypatch.setattr("repro.core.compiler.WARM_START_MAX_DIST", 1e-6)
+        compiler = _compiler()
         perf = get_perf_registry()
         compiler.compile_block(_block(0.3), (0, 1))
         before = perf.counter("grape.warm_start.neighbor_seeds")

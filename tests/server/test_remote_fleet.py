@@ -68,7 +68,7 @@ class TestFleetServedCompile:
         assert executor_stats["completions_by_worker"]
         # And the host-aware fleet section rode along on /v1/stats.
         fleet_stats = stats["service"]["fleet"]
-        assert fleet_stats["mode"] == "fixed"
+        assert fleet_stats["live_workers"] == 1
         assert fleet_stats["pending_jobs"] == 0
 
 

@@ -1,5 +1,9 @@
 """Tests for the typed service configuration and its env consolidation."""
 
+import os
+import re
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,30 @@ from repro.service.config import CACHE_SHARD_CHOICES, EXECUTOR_CHOICES
 REPO = Path(__file__).parent.parent.parent
 SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 ENV_READER = REPO / "src" / "repro" / "service" / "config.py"
+#: The documents that name ``REPRO_*`` variables for readers.
+ENV_DOCS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
+ENV_NAME = re.compile(r"\bREPRO_[A-Z0-9_]*[A-Z0-9]")
+#: Read by the benchmark harness only, never by the package.
+BENCHMARK_ONLY_VARIABLES = {"REPRO_BENCH_FULL"}
+
+
+class _RecordingEnviron(dict):
+    """An empty environment that records every name looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _variables_from_env_reads(monkeypatch) -> set:
+    environ = _RecordingEnviron()
+    monkeypatch.setattr(os, "environ", environ)
+    ServiceConfig.from_env()
+    return environ.read
 
 
 class TestEnvConsolidation:
@@ -30,36 +58,69 @@ class TestEnvConsolidation:
                 "route REPRO_* lookups through ServiceConfig.from_env()"
             )
 
-    def test_the_one_reader_covers_every_documented_variable(self):
-        source = ENV_READER.read_text()
-        for name in (
-            "REPRO_EXECUTOR",
-            "REPRO_SUBMIT_WORKERS",
-            "REPRO_CACHE_DIR",
-            "REPRO_CACHE_SHARDS",
-            "REPRO_CACHE_BUDGET_MB",
-            "REPRO_PREFETCH",
-            "REPRO_PRESET",
-            "REPRO_SCHEDULER_STATE",
-            "REPRO_GRAPE_BATCH",
-            "REPRO_GRAPE_BATCH_SIZE",
-            "REPRO_WARM_START",
-            "REPRO_WARM_START_MAX_DIST",
-            "REPRO_DISPATCHER",
-            "REPRO_FLEET_DIR",
-            "REPRO_FLEET_WORKERS",
-            "REPRO_QUEUE_DEPTH",
-            "REPRO_FLEET_LEASE_TTL",
-            "REPRO_FLEET_HEARTBEAT",
-            "REPRO_FLEET_AUTOSCALE",
-            "REPRO_FLEET_MIN_WORKERS",
-            "REPRO_FLEET_MAX_WORKERS",
-            "REPRO_SERVER_HOST",
-            "REPRO_SERVER_PORT",
-            "REPRO_SERVER_MAX_BODY_MB",
-            "REPRO_SERVER_TICKET_TTL",
-        ):
-            assert name in source
+    def test_the_one_reader_covers_every_documented_variable(
+        self, monkeypatch
+    ):
+        read = _variables_from_env_reads(monkeypatch)
+        assert len(read) == len(fields(ServiceConfig)) == 19
+        named_in: dict = {}
+        for doc in ENV_DOCS:
+            for name in ENV_NAME.findall((REPO / doc).read_text()):
+                named_in.setdefault(name, set()).add(doc)
+        unknown = {
+            name: sorted(docs)
+            for name, docs in named_in.items()
+            if name not in read and name not in BENCHMARK_ONLY_VARIABLES
+        }
+        assert not unknown, f"docs name variables nothing reads: {unknown}"
+        documented = {
+            name
+            for name, docs in named_in.items()
+            if docs & {"README.md", "DESIGN.md"}
+        }
+        assert read <= documented, sorted(read - documented)
+
+
+class TestImportTimePresetRead:
+    """Importing the package reads ``REPRO_PRESET`` alone, so a malformed
+    value of another variable warns once, from ``from_env()``."""
+
+    def test_preset_read_ignores_other_variables(self, monkeypatch):
+        from repro.service.config import preset_from_env
+
+        monkeypatch.setenv("REPRO_QUEUE_DEPTH", "0")
+        monkeypatch.setenv("REPRO_PRESET", "paper")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert preset_from_env() == "paper"
+        monkeypatch.delenv("REPRO_PRESET")
+        assert preset_from_env() == "ci"
+
+    def test_from_env_warns_exactly_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_QUEUE_DEPTH", "0")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ServiceConfig.from_env()
+        assert [str(w.message) for w in caught] == [
+            "ignoring REPRO_QUEUE_DEPTH=0 (must be >= 1)"
+        ]
+
+    def test_import_does_not_warn(self):
+        import subprocess
+        import sys
+
+        env = dict(
+            os.environ, REPRO_QUEUE_DEPTH="0", PYTHONPATH=str(REPO / "src")
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-c", "import repro.config"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
 
 
 class TestFromEnv:
@@ -70,22 +131,16 @@ class TestFromEnv:
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_CACHE_BUDGET_MB",
-            "REPRO_PREFETCH",
             "REPRO_PRESET",
             "REPRO_SCHEDULER_STATE",
             "REPRO_GRAPE_BATCH",
             "REPRO_GRAPE_BATCH_SIZE",
             "REPRO_WARM_START",
-            "REPRO_WARM_START_MAX_DIST",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
             "REPRO_FLEET_WORKERS",
             "REPRO_QUEUE_DEPTH",
             "REPRO_FLEET_LEASE_TTL",
-            "REPRO_FLEET_HEARTBEAT",
-            "REPRO_FLEET_AUTOSCALE",
-            "REPRO_FLEET_MIN_WORKERS",
-            "REPRO_FLEET_MAX_WORKERS",
             "REPRO_SERVER_HOST",
             "REPRO_SERVER_PORT",
             "REPRO_SERVER_MAX_BODY_MB",
@@ -102,22 +157,16 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pulses")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
-        monkeypatch.setenv("REPRO_PREFETCH", "yes")
         monkeypatch.setenv("REPRO_PRESET", "paper")
         monkeypatch.setenv("REPRO_SCHEDULER_STATE", "/tmp/state.json")
         monkeypatch.setenv("REPRO_GRAPE_BATCH", "off")
         monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "8")
         monkeypatch.setenv("REPRO_WARM_START", "no")
-        monkeypatch.setenv("REPRO_WARM_START_MAX_DIST", "0.4")
         monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
         monkeypatch.setenv("REPRO_FLEET_WORKERS", "2")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "16")
         monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "12.5")
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "2.5")
-        monkeypatch.setenv("REPRO_FLEET_AUTOSCALE", "yes")
-        monkeypatch.setenv("REPRO_FLEET_MIN_WORKERS", "1")
-        monkeypatch.setenv("REPRO_FLEET_MAX_WORKERS", "6")
         monkeypatch.setenv("REPRO_SERVER_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_SERVER_PORT", "9001")
         monkeypatch.setenv("REPRO_SERVER_MAX_BODY_MB", "8.0")
@@ -128,22 +177,16 @@ class TestFromEnv:
         assert config.cache_dir == "/tmp/pulses"
         assert config.cache_shards == 256
         assert config.cache_budget_mb == 32.5
-        assert config.prefetch is True
         assert config.preset == "paper"
         assert config.scheduler_state_path == "/tmp/state.json"
         assert config.grape_batch is False
         assert config.grape_batch_size == 8
         assert config.warm_start is False
-        assert config.warm_start_max_dist == 0.4
         assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
         assert config.fleet_workers == 2
         assert config.queue_depth == 16
         assert config.fleet_lease_ttl_s == 12.5
-        assert config.fleet_heartbeat_s == 2.5
-        assert config.fleet_autoscale is True
-        assert config.fleet_min_workers == 1
-        assert config.fleet_max_workers == 6
         assert config.server_host == "0.0.0.0"
         assert config.server_port == 9001
         assert config.server_max_body_mb == 8.0
@@ -155,20 +198,14 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "zero")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "lots")
-        monkeypatch.setenv("REPRO_PREFETCH", "maybe")
         monkeypatch.setenv("REPRO_GRAPE_BATCH", "sometimes")
         monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "0")
         monkeypatch.setenv("REPRO_WARM_START", "perhaps")
-        monkeypatch.setenv("REPRO_WARM_START_MAX_DIST", "2.0")
         monkeypatch.setenv("REPRO_SCAN_BLOCK", "none")
         monkeypatch.setenv("REPRO_DISPATCHER", "carrier-pigeon")
         monkeypatch.setenv("REPRO_FLEET_WORKERS", "-1")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "0")
         monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "-3")
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "soon")
-        monkeypatch.setenv("REPRO_FLEET_AUTOSCALE", "sometimes")
-        monkeypatch.setenv("REPRO_FLEET_MIN_WORKERS", "-1")
-        monkeypatch.setenv("REPRO_FLEET_MAX_WORKERS", "0")
         monkeypatch.setenv("REPRO_SERVER_PORT", "70000")
         monkeypatch.setenv("REPRO_SERVER_MAX_BODY_MB", "huge")
         monkeypatch.setenv("REPRO_SERVER_TICKET_TTL", "0")
@@ -223,12 +260,6 @@ class TestValidation:
         with pytest.raises(ReproError):
             ServiceConfig(grape_batch_size=0)
 
-    def test_bad_warm_start_max_dist_rejected(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(warm_start_max_dist=0.0)
-        with pytest.raises(ReproError):
-            ServiceConfig(warm_start_max_dist=1.5)
-
     def test_choices_match_config_module(self):
         from repro import config as legacy
 
@@ -245,22 +276,17 @@ class TestFleetServerValidation:
         [
             {"fleet_lease_ttl_s": 0},
             {"fleet_lease_ttl_s": -1.0},
-            {"fleet_heartbeat_s": 0.0},
-            {"fleet_heartbeat_s": 30.0},  # == lease TTL: every beat stale
-            {"fleet_heartbeat_s": 45.0, "fleet_lease_ttl_s": 30.0},
-            {"fleet_min_workers": -1},
-            {"fleet_max_workers": 0},
-            {"fleet_min_workers": 5, "fleet_max_workers": 2},
             {"server_port": -1},
             {"server_port": 65536},
             {"server_max_body_mb": 0},
             {"server_ticket_ttl_s": 0},
+            {"fleet_workers": -1},
+            {"queue_depth": 0},
         ],
         ids=[
-            "zero-ttl", "negative-ttl", "zero-heartbeat",
-            "heartbeat-equals-ttl", "heartbeat-exceeds-ttl",
-            "negative-min", "zero-max", "min-exceeds-max",
-            "negative-port", "port-too-high", "zero-body", "zero-ticket-ttl",
+            "zero-ttl", "negative-ttl", "negative-port", "port-too-high",
+            "zero-body", "zero-ticket-ttl", "negative-workers",
+            "zero-queue-depth",
         ],
     )
     def test_bad_values_rejected(self, overrides):
@@ -270,41 +296,12 @@ class TestFleetServerValidation:
     def test_good_values_accepted(self):
         config = ServiceConfig(
             fleet_lease_ttl_s=10.0,
-            fleet_heartbeat_s=2.0,
-            fleet_autoscale=True,
-            fleet_min_workers=1,
-            fleet_max_workers=3,
             server_port=0,
             server_max_body_mb=1.0,
             server_ticket_ttl_s=60.0,
         )
-        assert config.fleet_heartbeat_s == 2.0
-        assert config.fleet_autoscale is True
-
-
-class TestEnvCrossFieldFixups:
-    """Cross-field constraints must not crash ``import repro``: the env
-    reader falls back to defaults with a warning instead."""
-
-    def test_heartbeat_not_shorter_than_ttl_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "10")
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "60")
-        with pytest.warns(UserWarning, match="REPRO_FLEET_HEARTBEAT"):
-            config, sources = ServiceConfig.from_env_with_sources()
         assert config.fleet_lease_ttl_s == 10.0
-        assert config.fleet_heartbeat_s is None
-        assert sources["fleet_lease_ttl_s"] == "env"
-        assert sources["fleet_heartbeat_s"] == "default"
-
-    def test_min_exceeding_max_drops_both(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_MIN_WORKERS", "8")
-        monkeypatch.setenv("REPRO_FLEET_MAX_WORKERS", "2")
-        with pytest.warns(UserWarning, match="min exceeds max"):
-            config, sources = ServiceConfig.from_env_with_sources()
-        assert config.fleet_min_workers == 0
-        assert config.fleet_max_workers == 4
-        assert sources["fleet_min_workers"] == "default"
-        assert sources["fleet_max_workers"] == "default"
+        assert config.server_port == 0
 
 
 class TestUtilities:
@@ -342,10 +339,8 @@ class TestCodeConfigUnderConflictingEnv:
             "REPRO_CACHE_DIR": str(env_dir),
             "REPRO_CACHE_SHARDS": "4096",
             "REPRO_CACHE_BUDGET_MB": "99",
-            "REPRO_PREFETCH": "0",
             "REPRO_EXECUTOR": "auto",
             "REPRO_WARM_START": "1",
-            "REPRO_WARM_START_MAX_DIST": "0.9",
             "REPRO_GRAPE_BATCH_SIZE": "7",
         }.items():
             monkeypatch.setenv(name, value)
@@ -363,10 +358,8 @@ class TestCodeConfigUnderConflictingEnv:
             cache_dir=str(cache_dir),
             cache_shards=256,
             cache_budget_mb=5.0,
-            prefetch=True,
             executor="serial",
             warm_start=False,
-            warm_start_max_dist=0.5,
             grape_batch_size=3,
         )
         circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
@@ -376,7 +369,6 @@ class TestCodeConfigUnderConflictingEnv:
             descriptor = json.loads((cache_dir / "library.json").read_text())
             assert descriptor["shards"] == 256
             assert library.budget_mb == 5.0
-            assert library.prefetch_enabled is True
             assert service.executor.name == "serial"
             lookups = perf.counter("grape.warm_start.lookups")
             result = service.compile(

@@ -101,6 +101,16 @@ class TestCommands:
         assert main(["compile", "--benchmark", "nonsense"]) == 2
         assert "bad benchmark spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("vqe:Foo", "unknown molecule"), ("qaoa:cube:4:1", "unknown graph")],
+    )
+    def test_compile_unknown_benchmark_is_a_usage_error(
+        self, capsys, spec, message
+    ):
+        assert main(["compile", "--benchmark", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_compile_qaoa_spec(self, capsys):
         code = main(
             ["compile", "--benchmark", "qaoa:erdosrenyi:6:1", "--method", "gate"]
@@ -163,7 +173,7 @@ class TestCommands:
             assert name in rows
         # Lookup counters a fresh process never moves are not reported,
         # and neither are process-wide pool counters.
-        for name in ("gets", "get_hits", "puts", "prefetches", "prefetch_hits"):
+        for name in ("gets", "get_hits", "puts"):
             assert name not in rows
         assert not any("pool" in name for name in rows)
 
@@ -178,7 +188,6 @@ class TestCommands:
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_CACHE_BUDGET_MB",
-            "REPRO_PREFETCH",
             "REPRO_PRESET",
             "REPRO_SCHEDULER_STATE",
         ):
@@ -402,27 +411,37 @@ class TestServerCli:
         args = build_parser().parse_args(["serve"])
         assert args.host is None and args.port is None  # config decides
         assert args.grace == 30.0
-        assert args.fleet_autoscale is None
-        assert args.fleet_min_workers is None
-        assert args.fleet_max_workers is None
+        assert args.fleet_workers is None and args.queue_depth is None
 
-    def test_serve_autoscale_flags(self):
-        args = build_parser().parse_args(
-            [
-                "serve", "--autoscale", "--min-workers", "1",
-                "--max-workers", "3", "--queue-depth", "8",
-            ]
-        )
-        assert args.fleet_autoscale is True
-        assert args.fleet_min_workers == 1
-        assert args.fleet_max_workers == 3
-        assert args.queue_depth == 8
-        assert (
-            build_parser()
-            .parse_args(["serve", "--no-autoscale"])
-            .fleet_autoscale
-            is False
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [["--autoscale"], ["--min-workers", "1"], ["--max-workers", "3"]],
+        ids=["autoscale", "min-workers", "max-workers"],
+    )
+    def test_serve_has_one_pool_manager(self, flags):
+        """The fleet pool is a fixed ``--fleet-workers`` count."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", *flags])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--queue-depth", "0"],
+            ["serve", "--fleet-workers", "-1"],
+            ["compile-batch", "--benchmark", "vqe:H2", "--queue-depth", "0"],
+            ["config", "show", "--submit-workers", "0"],
+        ],
+        ids=["serve-queue-depth", "serve-fleet-workers", "compile-batch",
+             "config-show"],
+    )
+    def test_bad_override_is_a_usage_error(self, capsys, argv):
+        """A value the config rejects prints ``error: …`` and exits 2,
+        before any service or server starts."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "must be >= " in captured.err
+        assert captured.out == ""
 
     def test_remote_compile_requires_url_and_benchmark(self):
         with pytest.raises(SystemExit):
@@ -444,22 +463,22 @@ class TestServerCli:
     def test_worker_announce_and_host_label_flags(self):
         args = build_parser().parse_args(
             [
-                "worker", "--fleet-dir", "/tmp/q", "--heartbeat", "2.5",
+                "worker", "--fleet-dir", "/tmp/q",
                 "--host-label", "simhost-a", "--announce",
             ]
         )
-        assert args.heartbeat == 2.5
         assert args.host_label == "simhost-a"
         assert args.announce is True
 
-    def test_worker_heartbeat_must_undercut_lease_ttl(self, tmp_path):
-        code = main(
-            [
-                "worker", "--fleet-dir", str(tmp_path),
-                "--lease-ttl", "1.0", "--heartbeat", "5.0",
-            ]
-        )
-        assert code == 2
+    def test_worker_heartbeat_follows_the_lease_ttl(self, tmp_path):
+        """The renewal interval is always ``lease_ttl / 3``."""
+        from repro.fleet import FleetWorker
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["worker", "--fleet-dir", "/tmp/q", "--heartbeat", "2.5"]
+            )
+        assert FleetWorker(tmp_path, lease_ttl_s=9.0).heartbeat_s == 3.0
 
     def test_fleet_status_json_flag(self):
         args = build_parser().parse_args(
@@ -469,9 +488,7 @@ class TestServerCli:
 
     def test_config_show_reports_server_knobs(self, capsys, monkeypatch):
         for name in (
-            "REPRO_FLEET_LEASE_TTL", "REPRO_FLEET_HEARTBEAT",
-            "REPRO_FLEET_AUTOSCALE", "REPRO_FLEET_MIN_WORKERS",
-            "REPRO_FLEET_MAX_WORKERS", "REPRO_SERVER_HOST",
+            "REPRO_FLEET_LEASE_TTL", "REPRO_SERVER_HOST",
             "REPRO_SERVER_PORT", "REPRO_SERVER_MAX_BODY_MB",
             "REPRO_SERVER_TICKET_TTL",
         ):
@@ -480,9 +497,7 @@ class TestServerCli:
             main(
                 [
                     "config", "show",
-                    "--fleet-lease-ttl", "20", "--fleet-heartbeat", "4",
-                    "--fleet-autoscale", "--fleet-min-workers", "1",
-                    "--fleet-max-workers", "3",
+                    "--fleet-lease-ttl", "20",
                     "--server-host", "0.0.0.0", "--server-port", "9001",
                     "--server-max-body-mb", "8",
                     "--server-ticket-ttl", "300",
@@ -497,23 +512,32 @@ class TestServerCli:
             if "|" in line
         }
         for field in (
-            "fleet_lease_ttl_s", "fleet_heartbeat_s", "fleet_autoscale",
-            "fleet_min_workers", "fleet_max_workers", "server_host",
+            "fleet_lease_ttl_s", "server_host",
             "server_port", "server_max_body_mb", "server_ticket_ttl_s",
         ):
             assert "CLI" in lines[field], field
 
-    def test_config_show_rejects_inconsistent_cli_combo(self, capsys):
+    def test_config_show_rejects_a_bad_cli_value(self, capsys):
         """CLI overrides go through constructor validation, not the
-        tolerant env path: heartbeat >= TTL is a hard error."""
-        code = main(
-            [
-                "config", "show",
-                "--fleet-lease-ttl", "5", "--fleet-heartbeat", "30",
-            ]
-        )
+        tolerant env path: a non-positive lease TTL is a hard error."""
+        code = main(["config", "show", "--fleet-lease-ttl", "0"])
         assert code == 2
-        assert "shorter than" in capsys.readouterr().err
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_config_show_lists_every_field(self, capsys):
+        from dataclasses import fields
+
+        from repro.service import ServiceConfig
+
+        assert main(["config", "show"]) == 0
+        rows = [
+            line.split("|")[0].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        ]
+        names = [f.name for f in fields(ServiceConfig)]
+        assert len(names) == 19
+        assert rows[1:] == names  # the header row, then one row per field
 
 
 class TestEnvFrontDoors:

@@ -43,15 +43,10 @@ class TestCacheConfig:
         config = ServiceConfig()
         assert config.cache_shards == 16
         assert config.cache_budget_mb is None
-        assert config.prefetch is False
 
     def test_library_options(self):
-        config = ServiceConfig(cache_shards=256, cache_budget_mb=64.0, prefetch=True)
-        assert config.library_options() == {
-            "shards": 256,
-            "budget_mb": 64.0,
-            "prefetch": True,
-        }
+        config = ServiceConfig(cache_shards=256, cache_budget_mb=64.0)
+        assert config.library_options() == {"shards": 256, "budget_mb": 64.0}
 
     def test_env_parsing_tolerates_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
@@ -72,15 +67,15 @@ class TestCacheConfig:
         "raw,expected",
         [("1", True), ("true", True), ("ON", True), ("0", False), ("off", False)],
     )
-    def test_prefetch_env_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_PREFETCH", raw)
-        assert ServiceConfig.from_env().prefetch is expected
+    def test_bool_env_parsing(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_GRAPE_BATCH", raw)
+        assert ServiceConfig.from_env().grape_batch is expected
 
-    def test_prefetch_env_garbage_warns_and_defaults_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREFETCH", "maybe")
+    def test_bool_env_garbage_warns_and_keeps_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRAPE_BATCH", "maybe")
         with pytest.warns(UserWarning):
             config = ServiceConfig.from_env()
-        assert config.prefetch is False
+        assert config.grape_batch is True
 
 
 class TestGateDurations:

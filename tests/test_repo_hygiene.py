@@ -7,7 +7,10 @@ packaging metadata stays consistent with the code.
 
 import ast
 import importlib
+import os
 import re
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,11 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 
 #: Names of the removed second compile route (the legacy compiler classes,
 #: the session, their deprecation machinery and the old CLI command);
-#: ``CompilationService`` is the one front door.
+#: ``CompilationService`` is the one front door.  Then the fleet
+#: autoscaler, the pulse library's shard prefetch and the config fields
+#: that only ever held one value: a fixed worker count is the one pool
+#: manager, the warm-start threshold is a constant, and the heartbeat is
+#: always a third of the lease TTL.
 REMOVED_NAMES = (
     "GateBasedCompiler",
     "StepFunctionGateCompiler",
@@ -29,6 +36,12 @@ REMOVED_NAMES = (
     "warn_deprecated",
     "ReproDeprecationWarning",
     "compile_circuit_blocks",
+    "FleetAutoscaler",
+    "prefetch_enabled",
+    "_ensure_prefetched",
+    "fleet_autoscale",
+    "fleet_heartbeat_s",
+    "warm_start_max_dist",
 )
 # A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
 # must not match their removed public names.
@@ -107,9 +120,58 @@ def test_removed_compile_routes_stay_gone(tree):
 
 
 @pytest.mark.parametrize(
-    "package", ["repro", "repro.core", "repro.pipeline", "repro.service"]
+    "package",
+    ["repro", "repro.core", "repro.fleet", "repro.pipeline", "repro.service"],
 )
 def test_removed_compile_routes_not_exported(package):
     module = importlib.import_module(package)
     leftover = set(REMOVED_NAMES) & (set(module.__all__) | set(vars(module)))
     assert not leftover, sorted(leftover)
+
+
+#: The removed single-value config knobs: field name, its old environment
+#: variable, and a value it once took.
+REMOVED_KNOBS = [
+    ("prefetch", "REPRO_PREFETCH", "1"),
+    ("warm_start_max_dist", "REPRO_WARM_START_MAX_DIST", "0.4"),
+    ("fleet_heartbeat_s", "REPRO_FLEET_HEARTBEAT", "2.5"),
+    ("fleet_autoscale", "REPRO_FLEET_AUTOSCALE", "1"),
+    ("fleet_min_workers", "REPRO_FLEET_MIN_WORKERS", "1"),
+    ("fleet_max_workers", "REPRO_FLEET_MAX_WORKERS", "6"),
+]
+
+
+@pytest.mark.parametrize(
+    "field_name,variable,value",
+    REMOVED_KNOBS,
+    ids=[knob[0] for knob in REMOVED_KNOBS],
+)
+def test_removed_knob_is_not_a_field(field_name, variable, value):
+    from repro.service import ServiceConfig
+
+    assert field_name not in {f.name for f in fields(ServiceConfig)}
+    with pytest.raises(TypeError):
+        ServiceConfig(**{field_name: value})
+
+
+@pytest.mark.parametrize(
+    "field_name,variable,value",
+    REMOVED_KNOBS,
+    ids=[knob[1] for knob in REMOVED_KNOBS],
+)
+def test_removed_knob_variable_is_ignored(
+    monkeypatch, field_name, variable, value
+):
+    """An old deployment's setting changes nothing and warns about
+    nothing."""
+    from repro.service import ServiceConfig
+
+    for name in list(os.environ):
+        if name.startswith("REPRO_"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv(variable, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config, sources = ServiceConfig.from_env_with_sources()
+    assert config == ServiceConfig()
+    assert set(sources.values()) == {"default"}
