@@ -158,19 +158,21 @@ def _resolve_config(args) -> tuple:
     then every parsed flag whose ``dest`` names a config field.
 
     ``sources`` maps each field to ``"default"``, ``"env"`` or ``"CLI"``.
-    An override the config rejects raises :class:`_UsageError`.
+    A combination the config rejects raises :class:`_UsageError`.
     """
+    from dataclasses import fields
+
     from repro.errors import ReproError
     from repro.service import ServiceConfig
 
-    config, sources = ServiceConfig.from_env_with_sources()
+    names = [f.name for f in fields(ServiceConfig)]
     overrides = {
         name: getattr(args, name)
-        for name in sources
+        for name in names
         if getattr(args, name, None) is not None
     }
     try:
-        config = config.replace(**overrides)
+        config, sources = ServiceConfig.from_env_with_sources(**overrides)
     except ReproError as exc:
         raise _UsageError(exc) from None
     sources.update(dict.fromkeys(overrides, "CLI"))
@@ -332,12 +334,24 @@ def _cmd_compile_batch(args) -> int:
 
 
 def _cmd_config_show(args) -> int:
-    """Print the fully resolved ServiceConfig with per-field provenance."""
+    """Print the fully resolved ServiceConfig with per-field provenance,
+    then the process's active preset (``REPRO_PRESET``; not a field)."""
+    from repro.config import get_preset
+    from repro.errors import ReproError
+    from repro.service.config import DEFAULT_PRESET
+
     config, sources = _resolve_config(args)
     rows = [
         (name, "(unset)" if value is None else value, sources[name])
         for name, value in config.as_dict().items()
     ]
+    try:
+        preset = get_preset().name
+    except ReproError as exc:  # an unknown REPRO_PRESET
+        raise _UsageError(exc) from None
+    rows.append(
+        ("preset", preset, "default" if preset == DEFAULT_PRESET else "env")
+    )
     print(
         format_table(
             ("field", "value", "source"),
@@ -948,13 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-shards", type=int, choices=CACHE_SHARD_CHOICES, default=None
     )
     show.add_argument("--cache-budget-mb", type=float, default=None)
-    show.add_argument("--preset", default=None)
-    show.add_argument(
-        "--scheduler-state",
-        default=None,
-        dest="scheduler_state_path",
-        help="scheduler_state_path override",
-    )
     show.add_argument(
         "--grape-batch",
         action=argparse.BooleanOptionalAction,
@@ -962,13 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="grape_batch",
         help="--grape-batch / --no-grape-batch override (cross-block "
         "batched GRAPE kernel)",
-    )
-    show.add_argument(
-        "--grape-batch-size",
-        type=int,
-        default=None,
-        dest="grape_batch_size",
-        help="grape_batch_size override (blocks per batched group)",
     )
     show.add_argument(
         "--warm-start",

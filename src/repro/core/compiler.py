@@ -374,7 +374,6 @@ class BlockPulseCompiler:
         self,
         blocks: list,
         hyperparameters: GrapeHyperparameters | None = None,
-        max_group: int | None = None,
         executor=None,
         identities: list | None = None,
     ) -> tuple:
@@ -450,7 +449,7 @@ class BlockPulseCompiler:
         self.cache.freeze_neighbors()
         try:
             results, order = self._search_cold_groups(
-                by_shape, blocks, hyper, stats, max_group, executor
+                by_shape, blocks, hyper, stats, executor
             )
         finally:
             self.cache.thaw_neighbors()
@@ -471,7 +470,6 @@ class BlockPulseCompiler:
         blocks: list,
         hyper,
         stats: dict,
-        max_group: int | None,
         executor,
     ) -> tuple:
         """Run the minimum-time searches of a batched compile's cache misses.
@@ -524,7 +522,6 @@ class BlockPulseCompiler:
                 [max(entry[3], dt) for entry in pending],
                 hyperparameters=hyper,
                 settings=self.settings,
-                max_group=max_group,
             )
             for entry, result in zip(pending, batch):
                 results[entry[0]] = result

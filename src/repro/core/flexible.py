@@ -352,7 +352,6 @@ class _FlexiblePartialCompiler:
             circuits,
             state=state,
             grape_batch=config.grape_batch,
-            grape_batch_size=config.grape_batch_size,
         )
         elapsed = time.perf_counter() - start
         batch_metadata = {

@@ -119,7 +119,6 @@ class _StrictPartialCompiler:
             circuits,
             state=state,
             grape_batch=config.grape_batch,
-            grape_batch_size=config.grape_batch_size,
         )
         elapsed = time.perf_counter() - start
         batch_metadata = {

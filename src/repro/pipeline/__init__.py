@@ -24,7 +24,7 @@ transformer framework:
 * :mod:`repro.pipeline.scheduler` — :class:`BlockScheduler`, which
   deduplicates block compilations across a batch of circuits before
   dispatch (N variational circuits sharing blocks compile each block once),
-  optionally carrying a persistent :class:`SchedulerState` across calls.
+  optionally carrying a long-lived :class:`SchedulerState` across calls.
   A :class:`repro.service.CompilationService` keeps one state for its
   lifetime, so iteration N+1 of a variational run pays only for blocks
   the service has never seen.

@@ -19,10 +19,6 @@ thread, the ``auto`` executor's forked search worker, or a
 GRAPE is deterministic for a given (target, context, settings, seed), so
 the same job searches to the same pulse bit-for-bit no matter which venue
 ran it.
-
-This module also owns the JSON encoding of schedules, outcomes, and
-cache entries that the scheduler-state spill writes: JSON's repr-based
-floats round-trip control samples bit-identically.
 """
 
 from __future__ import annotations
@@ -30,89 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _tuplify(obj):
-    """Recursively turn JSON lists back into the tuples dedup keys use."""
-    if isinstance(obj, list):
-        return tuple(_tuplify(item) for item in obj)
-    return obj
-
-
-def _encode_schedule(schedule) -> dict:
-    return {
-        "qubits": list(schedule.qubits),
-        "dt_ns": schedule.dt_ns,
-        "controls_shape": list(schedule.controls.shape),
-        # float(x) keeps each sample a Python float; json round-trips those
-        # via repr, so reloaded controls are bit-identical.
-        "controls": [float(x) for x in schedule.controls.ravel()],
-        "channel_names": list(schedule.channel_names),
-        "source": schedule.source,
-    }
-
-
-def _decode_schedule(data: dict):
-    from repro.pulse.schedule import PulseSchedule as Schedule
-
-    controls = np.array(data["controls"], dtype=float).reshape(
-        tuple(data["controls_shape"])
-    )
-    return Schedule(
-        qubits=tuple(data["qubits"]),
-        dt_ns=data["dt_ns"],
-        controls=controls,
-        channel_names=tuple(data["channel_names"]),
-        source=data["source"],
-    )
-
-
-def _encode_outcome(outcome) -> dict:
-    return {
-        "schedule": _encode_schedule(outcome.schedule),
-        "duration_ns": outcome.duration_ns,
-        "gate_based_ns": outcome.gate_based_ns,
-        "iterations": outcome.iterations,
-        "cache_hit": outcome.cache_hit,
-        "used_grape": outcome.used_grape,
-        "fidelity": outcome.fidelity,
-    }
-
-
-def _decode_outcome(data: dict):
-    from repro.core.compiler import BlockCompileOutcome
-
-    return BlockCompileOutcome(
-        schedule=_decode_schedule(data["schedule"]),
-        duration_ns=data["duration_ns"],
-        gate_based_ns=data["gate_based_ns"],
-        iterations=data["iterations"],
-        cache_hit=data["cache_hit"],
-        used_grape=data["used_grape"],
-        fidelity=data["fidelity"],
-    )
-
-
-def _encode_cache_entry(entry) -> dict:
-    return {
-        "schedule": _encode_schedule(entry.schedule),
-        "duration_ns": entry.duration_ns,
-        "fidelity": entry.fidelity,
-        "converged": entry.converged,
-        "iterations": entry.iterations,
-    }
-
-
-def _decode_cache_entry(data: dict):
-    from repro.core.cache import CacheEntry
-
-    return CacheEntry(
-        schedule=_decode_schedule(data["schedule"]),
-        duration_ns=data["duration_ns"],
-        fidelity=data["fidelity"],
-        converged=data["converged"],
-        iterations=data["iterations"],
-    )
 
 
 @dataclass(eq=False)

@@ -126,7 +126,6 @@ class CompilationPipeline:
         plan_cache=None,
         plan_scope: str = "",
         grape_batch: bool = ServiceConfig.grape_batch,
-        grape_batch_size: int = ServiceConfig.grape_batch_size,
     ) -> tuple:
         """Flow a *batch* of circuits through the pipeline, deduplicating
         block compilations across the whole batch.
@@ -159,9 +158,9 @@ class CompilationPipeline:
         not once per call.  Misses build and insert the plan.
         ``plan_scope`` namespaces the cache keys per caller.
 
-        ``grape_batch`` / ``grape_batch_size`` set the cross-block
-        batched-GRAPE dispatch for this pass's scheduler (both are ignored
-        when a caller-owned ``scheduler`` is supplied).
+        ``grape_batch`` switches the cross-block batched-GRAPE dispatch
+        of this pass's scheduler (ignored when a caller-owned
+        ``scheduler`` is supplied).
         """
         from repro.pipeline.scheduler import BlockScheduler
 
@@ -207,7 +206,6 @@ class CompilationPipeline:
                 pulse.parametrized_handler,
                 state=state,
                 grape_batch=grape_batch,
-                grape_batch_size=grape_batch_size,
             )
         start = time.perf_counter()
         report = scheduler.run(contexts)

@@ -36,24 +36,14 @@ fixed blocks cost zero GRAPE dispatches.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 from repro.circuits.dag import critical_path_ns
-from repro.errors import PipelineError, ReproError
+from repro.errors import PipelineError
 from repro.perf import get_perf_registry
 from repro.pipeline.executors import BlockExecutor, SerialExecutor
-from repro.pipeline.jobs import (
-    _decode_cache_entry,
-    _decode_outcome,
-    _encode_cache_entry,
-    _encode_outcome,
-    _tuplify,
-)
 from repro.pipeline.stages import BlockTask, PipelineContext, _dispatch_task
 from repro.pulse.schedule import PulseSchedule, lookup_schedule
 from repro.service.config import ServiceConfig
@@ -111,11 +101,6 @@ class _SeenBlock:
 
     outcome: object  # the representative's BlockCompileOutcome
     cache_entry: object = None  # its CacheEntry when visible to this process
-
-
-#: Bump when the on-disk scheduler-state layout (or the meaning of a
-#: serialized field) changes; ``SchedulerState.load`` rejects mismatches.
-SCHEDULER_STATE_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -267,92 +252,6 @@ class SchedulerState:
                 "evictions": self.evictions,
             }
 
-    # -- persistence ---------------------------------------------------------
-    def save(self, path) -> int:
-        """Spill the dedup memory to ``path`` as schema-versioned JSON.
-
-        Every remembered representative — dedup key (fingerprint + control
-        context), compiled outcome, and its cache entry when visible — is
-        serialized in LRU order, so :meth:`load` reconstructs not just the
-        mapping but its eviction order.  Control samples round-trip through
-        JSON's repr-based floats bit-identically.  The write is atomic
-        (temp file + rename): a crash mid-save never corrupts an existing
-        state file.  Returns the number of entries written.
-        """
-        with self._lock:
-            payload = {
-                "schema_version": SCHEDULER_STATE_SCHEMA_VERSION,
-                "max_entries": self.max_entries,
-                "cross_call_hits": self.cross_call_hits,
-                "batches": self.batches,
-                "evictions": self.evictions,
-                "entries": [
-                    {
-                        "key": list(key),
-                        "outcome": _encode_outcome(block.outcome),
-                        "cache_entry": (
-                            _encode_cache_entry(block.cache_entry)
-                            if block.cache_entry is not None
-                            else None
-                        ),
-                    }
-                    for key, block in self.seen.items()
-                ],
-            }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
-        return len(payload["entries"])
-
-    @classmethod
-    def load(cls, path) -> "SchedulerState":
-        """Rebuild a state from a :meth:`save` file.
-
-        Raises :class:`~repro.errors.PipelineError` when the file is not a
-        scheduler-state file or its schema version does not match — callers
-        that want to tolerate stale files (the service facade does) catch
-        it and start fresh.
-        """
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise PipelineError(f"cannot read scheduler state {path}: {exc}") from exc
-        if not isinstance(payload, dict) or "entries" not in payload:
-            raise PipelineError(f"{path} is not a scheduler-state file")
-        version = payload.get("schema_version")
-        if version != SCHEDULER_STATE_SCHEMA_VERSION:
-            raise PipelineError(
-                f"scheduler state {path} has schema version {version!r}; "
-                f"this build reads {SCHEDULER_STATE_SCHEMA_VERSION}"
-            )
-        state = cls(max_entries=payload.get("max_entries", 4096))
-        state.cross_call_hits = payload.get("cross_call_hits", 0)
-        state.batches = payload.get("batches", 0)
-        state.evictions = payload.get("evictions", 0)
-        try:
-            for entry in payload["entries"]:
-                cache_entry = entry.get("cache_entry")
-                state.seen[_tuplify(entry["key"])] = _SeenBlock(
-                    outcome=_decode_outcome(entry["outcome"]),
-                    cache_entry=(
-                        _decode_cache_entry(cache_entry)
-                        if cache_entry is not None
-                        else None
-                    ),
-                )
-        except (KeyError, TypeError, ValueError, AttributeError, ReproError) as exc:
-            # Valid JSON + matching schema version but malformed entries
-            # (hand-edited, truncated, or from a buggy writer): the same
-            # "not a usable state file" contract as the checks above, so
-            # tolerant callers (the service facade) can start fresh.
-            raise PipelineError(
-                f"scheduler state {path} has malformed entries: {exc!r}"
-            ) from exc
-        return state
-
 
 def _retarget_outcome(outcome, task: BlockTask, cache_entry=None):
     """Build a duplicate's outcome from its group representative's.
@@ -416,7 +315,6 @@ class BlockScheduler:
         parametrized_handler=None,
         state: SchedulerState | None = None,
         grape_batch: bool = ServiceConfig.grape_batch,
-        grape_batch_size: int = ServiceConfig.grape_batch_size,
     ):
         self.block_compiler = block_compiler
         self.executor = executor if executor is not None else SerialExecutor()
@@ -428,7 +326,6 @@ class BlockScheduler:
         # inline, same-shape representatives are stacked through the
         # batched kernel instead of mapped.
         self.grape_batch = bool(grape_batch)
-        self.grape_batch_size = max(1, int(grape_batch_size))
         self._dispatch = partial(
             _dispatch_task, block_compiler, parametrized_handler
         )
@@ -474,7 +371,6 @@ class BlockScheduler:
                     )
                     for j in fixed_idx
                 ],
-                max_group=self.grape_batch_size,
                 executor=self.executor,
                 identities=[
                     (order[j][1], dispatch_tasks[j].target) for j in fixed_idx

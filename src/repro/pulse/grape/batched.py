@@ -60,8 +60,9 @@ from repro.pulse.grape.engine import (
 from repro.pulse.grape.time_search import MinimumTimeResult, minimum_time_pulse
 from repro.pulse.schedule import PulseSchedule
 
-#: Default cap on how many blocks one batched group stacks (bounds the
-#: working-set of the stacked scans: ~3·B·S·d² complex temporaries).
+#: Cap on how many blocks one batched group stacks (bounds the working-set
+#: of the stacked scans: ~3·B·S·d² complex temporaries).  The compile
+#: route always uses it; ``max_group`` overrides it only in direct calls.
 DEFAULT_MAX_GROUP = 16
 
 

@@ -13,10 +13,10 @@ are load-bearing:
   same plan-cache, scheduler-state, and pulse-library slots an in-process
   caller would — which is also what makes client retries safe: a
   re-delivered request is idempotent by fingerprint.
-* **Bit-identical results** — pulse programs are encoded with the same
-  repr-float schedule encoding the fleet's completion records use
-  (:mod:`repro.pipeline.jobs`), so the controls a client decodes are
-  bit-for-bit the controls the service compiled.
+* **Bit-identical results** — pulse schedules encode every control
+  sample as a Python float, which JSON round-trips through ``repr``, so
+  the controls a client decodes are bit-for-bit the controls the service
+  compiled.
 
 The format is versioned (:data:`WIRE_VERSION`); a server refuses requests
 from a client speaking a different version with a clear 400 rather than
@@ -350,16 +350,44 @@ def _json_encodable(value) -> bool:
     )
 
 
+def _encode_schedule(schedule) -> dict:
+    return {
+        "qubits": list(schedule.qubits),
+        "dt_ns": schedule.dt_ns,
+        "controls_shape": list(schedule.controls.shape),
+        # float(x) keeps each sample a Python float; json round-trips those
+        # via repr, so decoded controls are bit-identical.
+        "controls": [float(x) for x in schedule.controls.ravel()],
+        "channel_names": list(schedule.channel_names),
+        "source": schedule.source,
+    }
+
+
+def _decode_schedule(data: dict):
+    import numpy as np
+
+    from repro.pulse.schedule import PulseSchedule
+
+    controls = np.array(data["controls"], dtype=float).reshape(
+        tuple(data["controls_shape"])
+    )
+    return PulseSchedule(
+        qubits=tuple(data["qubits"]),
+        dt_ns=data["dt_ns"],
+        controls=controls,
+        channel_names=tuple(data["channel_names"]),
+        source=data["source"],
+    )
+
+
 def encode_compiled(compiled) -> dict | None:
     """A :class:`~repro.core.results.CompiledPulse`, program included.
 
-    Schedules use the repr-float encoding of :mod:`repro.pipeline.jobs`,
-    so decoded controls are bit-identical; the program is re-sequenced
-    ASAP from the same schedule order, which reproduces the original
-    placement exactly (sequencing is deterministic in that order).
+    Schedules use a repr-float encoding, so decoded controls are
+    bit-identical; the program is re-sequenced ASAP from the same
+    schedule order, which reproduces the original placement exactly
+    (sequencing is deterministic in that order).
     """
-    from repro.pipeline.jobs import _encode_schedule
-
     if compiled is None:
         return None
     return {
@@ -378,7 +406,6 @@ def encode_compiled(compiled) -> dict | None:
 
 def decode_compiled(data: dict | None):
     from repro.core.results import CompiledPulse
-    from repro.pipeline.jobs import _decode_schedule
     from repro.pulse.schedule import PulseProgram
 
     if data is None:

@@ -1,20 +1,22 @@
 """Typed, immutable configuration for the compilation service.
 
-:class:`ServiceConfig` consolidates every ``REPRO_*`` environment knob —
-executor, cache directory/sharding/budget, preset, scheduler-state spill
-path, GRAPE batching, warm-start seeding, fleet and server settings —
-into one frozen dataclass.  This module is the **only** place in the whole
-package that reads ``REPRO_*`` environment variables (a repo test greps
-for strays), so "what configuration am I actually running with?" always
-has one answer: ``python -m repro config show``.
+:class:`ServiceConfig` consolidates the ``REPRO_*`` environment knobs —
+executor, cache directory/sharding/budget, GRAPE batching, warm-start
+seeding, fleet and server settings — into one frozen dataclass.  This
+module is the **only** place in the whole package that reads ``REPRO_*``
+environment variables (a repo test greps for strays), so "what
+configuration am I actually running with?" always has one answer:
+``python -m repro config show``.
 
 Two readers live here.  :meth:`ServiceConfig.from_env` parses every
-variable; the front doors (a service built without a config, the CLI)
-call it.  :func:`preset_from_env` reads ``REPRO_PRESET`` alone; it runs at
-import time (via :mod:`repro.config`), so a malformed value of any other
-variable warns once, when a front door parses it, and never makes
+field's variable; the front doors (a service built without a config, the
+CLI) call it.  :func:`preset_from_env` reads ``REPRO_PRESET`` alone; it
+runs at import time (via :mod:`repro.config`) to seed the process-wide
+active preset, which is not a config field.  So a malformed value of any
+other variable warns once, when a front door parses it, and never makes
 ``import repro`` warn or crash.  Parsing is tolerant: malformed values
-fall back to defaults with a warning.
+fall back to defaults with a warning.  Work that outlives a process
+lives in one place, the pulse library under ``cache_dir``.
 
 This module sits *below* :mod:`repro.config` in the import graph (it
 depends only on :mod:`repro.errors`), which is why the executor and shard
@@ -42,6 +44,9 @@ CACHE_SHARD_CHOICES = (16, 256, 4096)
 #: the in-process block executor; ``"queue"`` routes them through the
 #: file-backed fleet queue to detached worker processes.
 DISPATCHER_CHOICES = ("executor", "queue")
+
+#: The preset a process starts with when ``REPRO_PRESET`` is unset.
+DEFAULT_PRESET = "ci"
 
 
 def _env_number(
@@ -120,35 +125,24 @@ class ServiceConfig:
         requests without oversubscribing block-level workers.
     cache_dir:
         Directory for the persistent pulse cache (``REPRO_CACHE_DIR``).
-        ``None`` keeps the cache purely in memory.
+        ``None`` keeps the cache purely in memory.  It is the one way a
+        new process picks up earlier work: a service over a warm
+        directory serves every block compiled there before from the
+        library, with zero GRAPE iterations.
     cache_shards:
         Shard fan-out of the on-disk pulse library
         (``REPRO_CACHE_SHARDS``); one of :data:`CACHE_SHARD_CHOICES`.
     cache_budget_mb:
         Default size budget for :meth:`repro.library.PulseLibrary.gc`
         (``REPRO_CACHE_BUDGET_MB``).  ``None`` means unbounded.
-    preset:
-        The workload preset named by ``REPRO_PRESET``, read once at
-        import to seed the process-wide active preset; validated lazily by
-        :func:`repro.config.get_preset` so an unknown name only errors
-        when actually used.  Setting this field in code does *not* switch
-        the active preset — call :func:`repro.config.set_preset` for that.
-    scheduler_state_path:
-        Where the service spills its cross-call block-dedup memory
-        (``REPRO_SCHEDULER_STATE``).  When set, a new
-        :class:`~repro.service.CompilationService` resumes the dedup
-        memory a previous process saved there, and saves its own on
-        ``close()``.  ``None`` keeps scheduler state process-local.
     grape_batch:
         Whether the batch scheduler may stack same-shape cold blocks into
         the cross-block batched GRAPE kernel
         (:mod:`repro.pulse.grape.batched`) when the executor runs tasks
         inline (``REPRO_GRAPE_BATCH``).  Results are bit-identical to the
         per-block kernel; this knob exists for debugging and A/B timing.
-    grape_batch_size:
-        Cap on how many blocks one batched GRAPE group stacks
-        (``REPRO_GRAPE_BATCH_SIZE``); bounds the stacked kernel's
-        working-set memory.
+        A group stacks at most :data:`repro.pulse.grape.batched
+        .DEFAULT_MAX_GROUP` blocks.
     warm_start:
         Whether cache-missing blocks warm-start GRAPE from the nearest
         cached pulse — or, for seedless two-qubit blocks, from the
@@ -165,7 +159,7 @@ class ServiceConfig:
     fleet_dir:
         The fleet queue directory (``REPRO_FLEET_DIR``).  ``None`` with
         ``dispatcher="queue"`` derives ``<cache_dir>/fleet``; with no
-        cache directory either, service construction fails.
+        cache directory either, the config is rejected.
     fleet_workers:
         How many local worker processes the queue dispatcher spawns and
         keeps alive (``REPRO_FLEET_WORKERS``).  ``0`` (default) spawns
@@ -199,10 +193,7 @@ class ServiceConfig:
     cache_dir: str | None = None
     cache_shards: int = 16
     cache_budget_mb: float | None = None
-    preset: str = "ci"
-    scheduler_state_path: str | None = None
     grape_batch: bool = True
-    grape_batch_size: int = 16
     warm_start: bool = True
     dispatcher: str = "executor"
     fleet_dir: str | None = None
@@ -232,14 +223,15 @@ class ServiceConfig:
             raise ReproError(
                 f"cache_budget_mb must be positive, got {self.cache_budget_mb}"
             )
-        if self.grape_batch_size < 1:
-            raise ReproError(
-                f"grape_batch_size must be >= 1, got {self.grape_batch_size}"
-            )
         if self.dispatcher not in DISPATCHER_CHOICES:
             raise ReproError(
                 f"unknown dispatcher {self.dispatcher!r}; "
                 f"available: {DISPATCHER_CHOICES}"
+            )
+        if self.dispatcher == "queue" and not (self.fleet_dir or self.cache_dir):
+            raise ReproError(
+                "dispatcher='queue' needs fleet_dir (REPRO_FLEET_DIR) or "
+                "cache_dir (REPRO_CACHE_DIR) to derive <cache_dir>/fleet from"
             )
         if self.fleet_workers < 0:
             raise ReproError(
@@ -283,11 +275,15 @@ class ServiceConfig:
         return config
 
     @classmethod
-    def from_env_with_sources(cls) -> tuple:
+    def from_env_with_sources(cls, **overrides) -> tuple:
         """Like :meth:`from_env`, plus a ``{field: "env" | "default"}`` map.
 
         The source map is what ``python -m repro config show`` prints, so
         debugging a mis-set environment never requires a source dive.
+        ``overrides`` (the CLI's flags) win over the environment and are
+        validated together with it, so a flag can complete a combination
+        the environment left invalid; their sources are the caller's to
+        label.
         """
         values: dict = {}
         sources = {f.name: "default" for f in fields(cls)}
@@ -335,21 +331,7 @@ class ServiceConfig:
             lambda v: v > 0, "must be positive", values, sources,
         )
 
-        preset = os.environ.get("REPRO_PRESET")
-        if preset:
-            values["preset"] = preset
-            sources["preset"] = "env"
-
-        state_path = os.environ.get("REPRO_SCHEDULER_STATE")
-        if state_path:
-            values["scheduler_state_path"] = state_path
-            sources["scheduler_state_path"] = "env"
-
         _env_bool("REPRO_GRAPE_BATCH", "grape_batch", values, sources)
-        _env_number(
-            "REPRO_GRAPE_BATCH_SIZE", "grape_batch_size", int,
-            lambda v: v >= 1, "must be >= 1", values, sources,
-        )
         _env_bool("REPRO_WARM_START", "warm_start", values, sources)
 
         dispatcher = os.environ.get("REPRO_DISPATCHER")
@@ -399,7 +381,7 @@ class ServiceConfig:
             lambda v: v > 0, "must be positive", values, sources,
         )
 
-        return cls(**values), sources
+        return cls(**{**values, **overrides}), sources
 
     # -- utilities -----------------------------------------------------------
     def replace(self, **overrides) -> "ServiceConfig":
@@ -420,10 +402,11 @@ class ServiceConfig:
 
 
 def preset_from_env() -> str:
-    """The preset ``REPRO_PRESET`` names, else the default ``"ci"``.
+    """The preset ``REPRO_PRESET`` names, else :data:`DEFAULT_PRESET`.
 
     The import-time read behind :mod:`repro.config`'s active preset.  It
     looks at this one variable only, so it never warns; the name is
-    validated when :func:`repro.config.get_preset` first uses it.
+    validated when :func:`repro.config.get_preset` first uses it.  To
+    switch presets in code, call :func:`repro.config.set_preset`.
     """
-    return os.environ.get("REPRO_PRESET") or ServiceConfig.preset
+    return os.environ.get("REPRO_PRESET") or DEFAULT_PRESET

@@ -7,11 +7,13 @@ One service instance owns the machinery every request shares:
 * one resolved block executor (the ``auto`` executor's search worker
   stays warm across every request),
 * one open pulse cache (in-memory, or the sharded on-disk
-  :class:`~repro.library.PulseLibrary` when ``cache_dir`` is set),
-* one cross-call :class:`~repro.pipeline.scheduler.SchedulerState`
-  (optionally resumed from — and spilled back to —
-  ``scheduler_state_path``, so a *new process* inherits a previous
-  session's dedup memory),
+  :class:`~repro.library.PulseLibrary` when ``cache_dir`` is set — the
+  one store that outlives a process: a new service over the same
+  directory serves every pulse compiled there before with zero GRAPE
+  iterations),
+* one in-memory cross-call
+  :class:`~repro.pipeline.scheduler.SchedulerState` (block dedup across
+  this service's requests),
 * one :class:`~repro.pulse.grape.memo.GrapeRunMemo` of the flexible
   precompile's θ-independent GRAPE runs (DESIGN.md "GRAPE-run memo").
 
@@ -38,7 +40,6 @@ table.
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.errors import PipelineError, ReproError, ServiceSaturated
@@ -102,7 +103,7 @@ class CompilationService:
             self.executor = self._make_queue_dispatcher()
         else:
             self.executor = resolve_executor(self.config.executor)
-        self.scheduler_state = self._load_scheduler_state(SchedulerState)
+        self.scheduler_state = SchedulerState()
         # Blocking plans keyed by ansatz content: repeated requests for one
         # symbolic circuit replay blocking instead of recomputing it.
         self.plan_cache = PlanCache()
@@ -147,45 +148,20 @@ class CompilationService:
 
         The queue directory comes from ``fleet_dir``, falling back to
         ``<cache_dir>/fleet`` so a cache-configured service needs no
-        extra knob for a local fleet.
+        extra knob for a local fleet (the config guarantees one is set).
         """
         from pathlib import Path
 
         from repro.fleet import QueueDispatcher
 
-        fleet_dir = self.config.fleet_dir
-        if not fleet_dir and self.config.cache_dir:
-            fleet_dir = str(Path(self.config.cache_dir) / "fleet")
-        if not fleet_dir:
-            raise ReproError(
-                "dispatcher='queue' needs REPRO_FLEET_DIR (or REPRO_CACHE_DIR "
-                "to derive <cache_dir>/fleet from)"
-            )
+        fleet_dir = self.config.fleet_dir or str(
+            Path(self.config.cache_dir) / "fleet"
+        )
         return QueueDispatcher(
             fleet_dir,
             workers=self.config.fleet_workers,
             lease_ttl_s=self.config.fleet_lease_ttl_s,
         )
-
-    def _load_scheduler_state(self, state_cls):
-        """Resume spilled dedup memory when configured, else start fresh.
-
-        A missing file is a fresh start; an unreadable or schema-mismatched
-        file is *also* a fresh start (with a warning) — stale state must
-        never prevent the service from coming up.
-        """
-        path = self.config.scheduler_state_path
-        if path:
-            from pathlib import Path
-
-            if Path(path).exists():
-                try:
-                    return state_cls.load(path)
-                except PipelineError as exc:
-                    warnings.warn(
-                        f"ignoring scheduler state at {path}: {exc}", stacklevel=2
-                    )
-        return state_cls()
 
     # -- core API ------------------------------------------------------------
     def _begin_request(self) -> None:
@@ -377,28 +353,15 @@ class CompilationService:
         }
 
     # -- lifecycle -----------------------------------------------------------
-    def save_scheduler_state(self, path=None) -> int:
-        """Spill the dedup memory to ``path`` (default: the configured
-        ``scheduler_state_path``).  Returns the entry count written."""
-        target = path or self.config.scheduler_state_path
-        if not target:
-            raise ReproError(
-                "no path given and ServiceConfig.scheduler_state_path is unset"
-            )
-        # SchedulerState.save snapshots under the state's own lock.
-        return self.scheduler_state.save(target)
-
     def close(self) -> None:
         """Shut the service down (idempotent).
 
         New submissions are rejected immediately, but
         already-accepted submissions drain to completion first — a future
         returned before ``close()`` never fails just because the service
-        is shutting down.  Then the scheduler state spills (when
-        ``scheduler_state_path`` is configured, so it includes the drained
-        work) and the block executor's workers are released.  The pulse
-        cache (and its on-disk library) stays valid — a later service
-        pointed at the same directory starts warm.
+        is shutting down.  Then the block executor's workers are
+        released.  The pulse cache (and its on-disk library) stays valid —
+        a later service pointed at the same directory starts warm.
         """
         with self._submit_pool_lock:
             if self._draining or self._closed:
@@ -409,21 +372,15 @@ class CompilationService:
         # yet, only new submissions are being refused.
         if pool is not None:
             pool.shutdown(wait=True)
-        try:
-            with self._lock:
-                self._closed = True
-                # Direct compile() callers on other threads run outside
-                # the lock; wait until the last one leaves before spilling
-                # state and releasing the executor under their feet.
-                while self._inflight:
-                    self._idle.wait()
-                if self.config.scheduler_state_path:
-                    self.scheduler_state.save(self.config.scheduler_state_path)
-        finally:
-            # A failed state spill (unwritable path) must not leak the
-            # executor's live workers.
-            if hasattr(self.executor, "close"):
-                self.executor.close()
+        with self._lock:
+            self._closed = True
+            # Direct compile() callers on other threads run outside the
+            # lock; wait until the last one leaves before releasing the
+            # executor under their feet.
+            while self._inflight:
+                self._idle.wait()
+        if hasattr(self.executor, "close"):
+            self.executor.close()
 
     def __enter__(self) -> "CompilationService":
         return self

@@ -196,7 +196,6 @@ class FullGrapeStrategy(_StrategyBase):
             plan_cache=plan_cache,
             plan_scope=self.name,
             grape_batch=service.config.grape_batch,
-            grape_batch_size=service.config.grape_batch_size,
         )
         elapsed = time.perf_counter() - start
         extra = {"scheduler": report.as_dict() if report is not None else None}

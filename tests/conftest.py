@@ -8,10 +8,12 @@ the physics is identical, only the resolution differs.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.core.compiler import BlockCompileOutcome
 from repro.pipeline import BlockExecutor
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -68,3 +70,58 @@ class ThreadedExecutor(BlockExecutor):
 @pytest.fixture
 def threaded_executor():
     return ThreadedExecutor()
+
+
+def _schedules_identical(a, b) -> bool:
+    """Two pulse schedules agree in every field, controls byte for byte."""
+    return (
+        tuple(a.qubits) == tuple(b.qubits)
+        and a.dt_ns == b.dt_ns
+        and tuple(a.channel_names) == tuple(b.channel_names)
+        and a.source == b.source
+        and a.controls.dtype == b.controls.dtype
+        and a.controls.shape == b.controls.shape
+        and a.controls.tobytes() == b.controls.tobytes()
+    )
+
+
+@pytest.fixture(scope="session")
+def programs_identical():
+    """Bit-identity check for pulse programs: durations + control samples
+    as raw bytes."""
+
+    def check(a, b) -> bool:
+        if a.duration_ns != b.duration_ns:
+            return False
+        schedules_a, schedules_b = list(a.schedules), list(b.schedules)
+        if len(schedules_a) != len(schedules_b):
+            return False
+        return all(
+            x.controls.dtype == y.controls.dtype
+            and x.controls.shape == y.controls.shape
+            and x.controls.tobytes() == y.controls.tobytes()
+            for x, y in zip(schedules_a, schedules_b)
+        )
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def outcomes_identical():
+    """Bit-identity check for two lists of ``BlockCompileOutcome``: every
+    field equal, every schedule field equal, control samples compared as
+    raw bytes."""
+
+    def same(a, b) -> bool:
+        return all(
+            _schedules_identical(a.schedule, b.schedule)
+            if f.name == "schedule"
+            else getattr(a, f.name) == getattr(b, f.name)
+            for f in fields(BlockCompileOutcome)
+        )
+
+    def check(a, b) -> bool:
+        a, b = list(a), list(b)
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+
+    return check

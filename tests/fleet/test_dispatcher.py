@@ -13,25 +13,23 @@ from repro.errors import PipelineError
 from repro.fleet import QueueDispatcher
 from repro.perf import get_perf_registry
 from repro.pipeline import SerialExecutor
-from repro.pipeline.jobs import _encode_outcome
 from repro.pulse.hamiltonian import build_control_set
 
 
 def _serial(jobs) -> list:
-    return [
-        _encode_outcome(outcome)
-        for outcome in compile_jobs(jobs, PulseCache(), SerialExecutor())
-    ]
+    return compile_jobs(jobs, PulseCache(), SerialExecutor())
 
 
 class TestInlineMode:
-    def test_zero_workers_compiles_inline(self, tmp_path, job_factory):
+    def test_zero_workers_compiles_inline(
+        self, tmp_path, job_factory, outcomes_identical
+    ):
         jobs = [job_factory(0.2), job_factory(0.9)]
         expected = _serial(jobs)
         with QueueDispatcher(tmp_path / "q", workers=0) as dispatcher:
             outcomes = compile_jobs(jobs, PulseCache(), dispatcher)
             info = dispatcher.describe()
-        assert [_encode_outcome(o) for o in outcomes] == expected
+        assert outcomes_identical(outcomes, expected)
         assert info["inline_jobs"] == 2
         assert info["dispatched_jobs"] == 0
         assert info["workers_spawned"] == 0
@@ -49,7 +47,7 @@ class TestInlineMode:
 
 class TestFleetDispatch:
     def test_two_workers_bit_identical_and_exactly_once(
-        self, tmp_path, job_factory
+        self, tmp_path, job_factory, outcomes_identical
     ):
         """The milestone-1 acceptance shape: one batch's unique blocks split
         across 2 workers, outcomes bit-identical to serial in-process, each
@@ -62,7 +60,7 @@ class TestFleetDispatch:
         ) as dispatcher:
             outcomes = compile_jobs(jobs, PulseCache(), dispatcher)
             info = dispatcher.describe()
-        assert [_encode_outcome(o) for o in outcomes] == expected
+        assert outcomes_identical(outcomes, expected)
         assert info["workers_spawned"] == 2
         assert info["dispatched_jobs"] == len(jobs)
         assert info["completed_jobs"] == len(jobs)

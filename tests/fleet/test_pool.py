@@ -16,7 +16,6 @@ from repro.errors import PipelineError
 from repro.fleet import QueueDispatcher
 from repro.fleet.dispatcher import _MAX_RESPAWNS
 from repro.pipeline import SerialExecutor
-from repro.pipeline.jobs import _encode_outcome
 
 
 class FakeProc:
@@ -119,13 +118,10 @@ class TestFixedPool:
 
 class TestRealWorkerRevival:
     def test_killed_worker_is_replaced_on_the_next_dispatch(
-        self, tmp_path, job_factory
+        self, tmp_path, job_factory, outcomes_identical
     ):
         jobs = [job_factory(0.2), job_factory(0.7)]
-        expected = [
-            _encode_outcome(outcome)
-            for outcome in compile_jobs(jobs, PulseCache(), SerialExecutor())
-        ]
+        expected = compile_jobs(jobs, PulseCache(), SerialExecutor())
         with QueueDispatcher(
             tmp_path / "q", workers=1, poll_s=0.02
         ) as dispatcher:
@@ -135,7 +131,7 @@ class TestRealWorkerRevival:
             proc.wait()
             second = compile_jobs(jobs[1:], PulseCache(), dispatcher)
             info = dispatcher.describe()
-        assert [_encode_outcome(o) for o in first + second] == expected
+        assert outcomes_identical(first + second, expected)
         assert info["workers_spawned"] == 2
         assert info["completed_jobs"] == 2
         assert info["inline_jobs"] == 0

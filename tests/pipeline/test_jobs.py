@@ -8,7 +8,6 @@ result in a bare subprocess that unpickles the job cold.
 
 from __future__ import annotations
 
-import json
 import pickle
 import subprocess
 import sys
@@ -27,7 +26,7 @@ from repro.errors import CompilationError
 from repro.fleet.queue import unpack_result
 from repro.perf import get_perf_registry
 from repro.pipeline import SerialExecutor
-from repro.pipeline.jobs import BlockJob, _decode_outcome, _encode_outcome
+from repro.pipeline.jobs import BlockJob
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.pulse.hamiltonian import build_control_set
@@ -120,12 +119,11 @@ class TestMakeJob:
 
 
 class TestCompileJobs:
-    def test_matches_compile_block_bit_for_bit(self):
+    def test_matches_compile_block_bit_for_bit(self, outcomes_identical):
         block = _block(0.8)
         direct = _compiler().compile_block(block, (0, 1))
         job = _compiler().make_job(block, (0, 1))
-        [via_job] = _serial([job])
-        assert _encode_outcome(via_job) == _encode_outcome(direct)
+        assert outcomes_identical(_serial([job]), [direct])
 
     def test_subprocess_search_is_bit_identical(self, tmp_path):
         """Pickle a seed-carrying job → search it in a bare subprocess →
@@ -177,38 +175,23 @@ class TestCompileJobs:
         assert outcome.cache_hit is False
 
 
-class TestOutcomeCodec:
-    def test_outcome_roundtrips_bit_identically(self):
-        outcome = _compiler().compile_block(_block(0.6), (0, 1))
-        decoded = _decode_outcome(_encode_outcome(outcome))
-        assert decoded.duration_ns == outcome.duration_ns
-        assert decoded.gate_based_ns == outcome.gate_based_ns
-        assert decoded.iterations == outcome.iterations
-        assert decoded.fidelity == outcome.fidelity
-        assert decoded.schedule.qubits == outcome.schedule.qubits
-        assert np.array_equal(
-            decoded.schedule.controls, outcome.schedule.controls
-        )
-        # And through an actual JSON wire format, repr-float exact.
-        wired = _decode_outcome(json.loads(json.dumps(_encode_outcome(outcome))))
-        assert np.array_equal(
-            wired.schedule.controls, outcome.schedule.controls
-        )
-
-
 class TestCompileJobsAcrossExecutors:
     @pytest.mark.parametrize("executor_name", ["serial", "auto"])
-    def test_compile_jobs_matches_serial(self, executor_name):
+    def test_compile_jobs_matches_serial(
+        self, executor_name, outcomes_identical
+    ):
         from repro.pipeline import resolve_executor
 
         jobs = [_compiler().make_job(_block(a), (0, 1)) for a in (0.25, 0.75)]
-        expected = [_encode_outcome(o) for o in _serial(jobs)]
+        expected = _serial(jobs)
         executor = resolve_executor(executor_name)
         outcomes = compile_jobs(jobs, PulseCache(), executor)
-        assert [_encode_outcome(o) for o in outcomes] == expected
+        assert outcomes_identical(outcomes, expected)
 
     @pytest.mark.parametrize("executor_name", ["serial", "auto"])
-    def test_repeated_key_is_served_from_the_first(self, executor_name):
+    def test_repeated_key_is_served_from_the_first(
+        self, executor_name, outcomes_identical
+    ):
         """Compiling jobs one by one against one cache: the second job with
         a key is a cache hit on the first one's pulse."""
         from repro.pipeline import resolve_executor
@@ -216,13 +199,11 @@ class TestCompileJobsAcrossExecutors:
         job = _compiler().make_job(_block(0.35), (0, 1))
         cache = PulseCache()
         expected = [
-            _encode_outcome(outcome)
-            for _ in range(2)
-            for outcome in _serial([job], cache)
+            outcome for _ in range(2) for outcome in _serial([job], cache)
         ]
         executor = resolve_executor(executor_name)
         outcomes = compile_jobs([job, job], PulseCache(), executor)
-        assert [_encode_outcome(o) for o in outcomes] == expected
+        assert outcomes_identical(outcomes, expected)
         assert outcomes[1].cache_hit is True
 
 

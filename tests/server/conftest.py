@@ -13,7 +13,6 @@ import json
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -70,25 +69,6 @@ def server(service):
 @pytest.fixture
 def client(server):
     return ServerClient(server.url, timeout_s=300.0, retries=1, backoff_s=0.05)
-
-
-@pytest.fixture(scope="session")
-def programs_identical():
-    """Bit-identity check for pulse programs: durations + control samples."""
-
-    def check(a, b) -> bool:
-        if a.duration_ns != b.duration_ns:
-            return False
-        schedules_a, schedules_b = list(a.schedules), list(b.schedules)
-        if len(schedules_a) != len(schedules_b):
-            return False
-        return all(
-            x.controls.shape == y.controls.shape
-            and np.array_equal(x.controls, y.controls)
-            for x, y in zip(schedules_a, schedules_b)
-        )
-
-    return check
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,8 @@ from repro.circuits import Parameter, QuantumCircuit
 from repro.server import WireError, decode_request, encode_request
 from repro.server.wire import (
     WIRE_VERSION,
+    _decode_schedule,
+    _encode_schedule,
     decode_circuit,
     decode_result,
     encode_circuit,
@@ -163,6 +165,33 @@ class TestRequestCodec:
     def test_non_object_body_rejected(self):
         with pytest.raises(WireError):
             decode_request([1, 2, 3])
+
+
+class TestScheduleCodec:
+    def test_controls_round_trip_bit_identically(self):
+        """Every float64 sample survives JSON exactly, signed zeros and
+        subnormals included."""
+        import numpy as np
+
+        from repro.pulse.schedule import PulseSchedule
+
+        controls = np.array(
+            [[0.1, -0.0, 5e-324], [1 / 3, -2.5e-17, 123456.789]]
+        )
+        schedule = PulseSchedule(
+            qubits=(2, 3),
+            dt_ns=0.5,
+            controls=controls,
+            channel_names=("x2", "x3"),
+            source="grape",
+        )
+        decoded = _decode_schedule(_roundtrip(_encode_schedule(schedule)))
+        assert decoded.controls.tobytes() == controls.tobytes()
+        assert decoded.controls.shape == controls.shape
+        assert decoded.qubits == (2, 3)
+        assert decoded.dt_ns == 0.5
+        assert decoded.channel_names == ("x2", "x3")
+        assert decoded.source == "grape"
 
 
 class TestResultCodec:

@@ -7,7 +7,6 @@ tests fast; the physics is identical, only the resolution differs.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -33,26 +32,3 @@ def coarse_hyper():
     return GrapeHyperparameters(
         learning_rate=0.05, decay_rate=0.002, max_iterations=80
     )
-
-
-def _program_controls(program) -> list:
-    """Every schedule's control array, in program order."""
-    return [np.asarray(schedule.controls) for schedule in program.schedules]
-
-
-@pytest.fixture(scope="session")
-def programs_identical():
-    """Bit-identity check for pulse programs: durations + control samples."""
-
-    def check(a, b) -> bool:
-        if a.duration_ns != b.duration_ns:
-            return False
-        controls_a, controls_b = _program_controls(a), _program_controls(b)
-        if len(controls_a) != len(controls_b):
-            return False
-        return all(
-            x.shape == y.shape and np.array_equal(x, y)
-            for x, y in zip(controls_a, controls_b)
-        )
-
-    return check

@@ -34,10 +34,10 @@ class _RecordingEnviron(dict):
         return super().get(key, default)
 
 
-def _variables_from_env_reads(monkeypatch) -> set:
+def _variables_read_by(monkeypatch, reader) -> set:
     environ = _RecordingEnviron()
     monkeypatch.setattr(os, "environ", environ)
-    ServiceConfig.from_env()
+    reader()
     return environ.read
 
 
@@ -61,8 +61,13 @@ class TestEnvConsolidation:
     def test_the_one_reader_covers_every_documented_variable(
         self, monkeypatch
     ):
-        read = _variables_from_env_reads(monkeypatch)
-        assert len(read) == len(fields(ServiceConfig)) == 19
+        from repro.service.config import preset_from_env
+
+        field_reads = _variables_read_by(monkeypatch, ServiceConfig.from_env)
+        assert len(field_reads) == len(fields(ServiceConfig)) == 16
+        preset_reads = _variables_read_by(monkeypatch, preset_from_env)
+        assert preset_reads == {"REPRO_PRESET"}
+        read = field_reads | preset_reads
         named_in: dict = {}
         for doc in ENV_DOCS:
             for name in ENV_NAME.findall((REPO / doc).read_text()):
@@ -131,10 +136,7 @@ class TestFromEnv:
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_CACHE_BUDGET_MB",
-            "REPRO_PRESET",
-            "REPRO_SCHEDULER_STATE",
             "REPRO_GRAPE_BATCH",
-            "REPRO_GRAPE_BATCH_SIZE",
             "REPRO_WARM_START",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
@@ -157,10 +159,7 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pulses")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
-        monkeypatch.setenv("REPRO_PRESET", "paper")
-        monkeypatch.setenv("REPRO_SCHEDULER_STATE", "/tmp/state.json")
         monkeypatch.setenv("REPRO_GRAPE_BATCH", "off")
-        monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "8")
         monkeypatch.setenv("REPRO_WARM_START", "no")
         monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
@@ -177,10 +176,7 @@ class TestFromEnv:
         assert config.cache_dir == "/tmp/pulses"
         assert config.cache_shards == 256
         assert config.cache_budget_mb == 32.5
-        assert config.preset == "paper"
-        assert config.scheduler_state_path == "/tmp/state.json"
         assert config.grape_batch is False
-        assert config.grape_batch_size == 8
         assert config.warm_start is False
         assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
@@ -199,7 +195,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "lots")
         monkeypatch.setenv("REPRO_GRAPE_BATCH", "sometimes")
-        monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "0")
         monkeypatch.setenv("REPRO_WARM_START", "perhaps")
         monkeypatch.setenv("REPRO_SCAN_BLOCK", "none")
         monkeypatch.setenv("REPRO_DISPATCHER", "carrier-pigeon")
@@ -256,10 +251,6 @@ class TestValidation:
         with pytest.raises(ReproError):
             ServiceConfig(cache_budget_mb=0)
 
-    def test_bad_grape_batch_size_rejected(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(grape_batch_size=0)
-
     def test_choices_match_config_module(self):
         from repro import config as legacy
 
@@ -293,6 +284,24 @@ class TestFleetServerValidation:
         with pytest.raises(ReproError):
             ServiceConfig(**overrides)
 
+    def test_queue_dispatcher_needs_a_directory(self):
+        with pytest.raises(ReproError, match="needs fleet_dir"):
+            ServiceConfig(dispatcher="queue")
+        assert ServiceConfig(dispatcher="queue", fleet_dir="/q").fleet_dir
+        assert ServiceConfig(dispatcher="queue", cache_dir="/c").cache_dir
+
+    def test_env_dispatcher_completed_by_an_override(self, monkeypatch):
+        """An override is validated together with the environment, so a
+        flag can supply the directory ``REPRO_DISPATCHER=queue`` lacks."""
+        monkeypatch.setenv("REPRO_DISPATCHER", "queue")
+        monkeypatch.delenv("REPRO_FLEET_DIR", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with pytest.raises(ReproError, match="needs fleet_dir"):
+            ServiceConfig.from_env()
+        config, sources = ServiceConfig.from_env_with_sources(fleet_dir="/q")
+        assert (config.dispatcher, config.fleet_dir) == ("queue", "/q")
+        assert sources["dispatcher"] == "env"
+
     def test_good_values_accepted(self):
         config = ServiceConfig(
             fleet_lease_ttl_s=10.0,
@@ -313,8 +322,8 @@ class TestUtilities:
 
     def test_as_dict_field_order(self):
         keys = list(ServiceConfig().as_dict())
+        assert keys == [f.name for f in fields(ServiceConfig)]
         assert keys[0] == "executor"
-        assert "scheduler_state_path" in keys
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -341,15 +350,15 @@ class TestCodeConfigUnderConflictingEnv:
             "REPRO_CACHE_BUDGET_MB": "99",
             "REPRO_EXECUTOR": "auto",
             "REPRO_WARM_START": "1",
-            "REPRO_GRAPE_BATCH_SIZE": "7",
+            "REPRO_GRAPE_BATCH": "1",
         }.items():
             monkeypatch.setenv(name, value)
-        batch_sizes = []
+        batching = []
         original_init = BlockScheduler.__init__
 
         def spy_init(self, *args, **kwargs):
             original_init(self, *args, **kwargs)
-            batch_sizes.append(self.grape_batch_size)
+            batching.append(self.grape_batch)
 
         monkeypatch.setattr(BlockScheduler, "__init__", spy_init)
 
@@ -360,7 +369,7 @@ class TestCodeConfigUnderConflictingEnv:
             cache_budget_mb=5.0,
             executor="serial",
             warm_start=False,
-            grape_batch_size=3,
+            grape_batch=False,
         )
         circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
         perf = get_perf_registry()
@@ -383,5 +392,5 @@ class TestCodeConfigUnderConflictingEnv:
             )
             assert result.compiled.runtime_iterations > 0  # a cold compile
             assert perf.counter("grape.warm_start.lookups") == lookups
-        assert batch_sizes == [3]
+        assert batching == [False]
         assert not env_dir.exists()

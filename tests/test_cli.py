@@ -188,13 +188,11 @@ class TestCommands:
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_CACHE_BUDGET_MB",
-            "REPRO_PRESET",
-            "REPRO_SCHEDULER_STATE",
         ):
             monkeypatch.delenv(name, raising=False)
         assert main(["config", "show"]) == 0
         out = capsys.readouterr().out
-        assert "executor" in out and "scheduler_state_path" in out
+        assert "executor" in out and "preset" in out
         assert "default" in out
         assert "env" not in out.replace("env < CLI", "")
 
@@ -389,6 +387,28 @@ class TestFleetCli:
         for field in ("dispatcher", "fleet_dir", "fleet_workers", "queue_depth"):
             assert "CLI" in lines[field], field
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compile-batch", "--benchmark", "qaoa:3regular:4:1"],
+            ["serve"],
+            ["config", "show"],
+        ],
+        ids=["compile-batch", "serve", "config-show"],
+    )
+    def test_queue_dispatcher_without_a_directory_is_a_usage_error(
+        self, capsys, monkeypatch, command
+    ):
+        """The config rejects ``--dispatcher queue`` with neither a fleet
+        nor a cache directory, so the CLI prints ``error: …`` and exits 2
+        before any service or server starts."""
+        for name in ("REPRO_DISPATCHER", "REPRO_FLEET_DIR", "REPRO_CACHE_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        assert main([*command, "--dispatcher", "queue"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: dispatcher='queue' needs")
+        assert captured.out == ""
+
     @pytest.mark.slow
     def test_compile_batch_through_fleet_dispatcher(self, capsys, tmp_path):
         code = main(
@@ -536,8 +556,32 @@ class TestServerCli:
             if "|" in line
         ]
         names = [f.name for f in fields(ServiceConfig)]
-        assert len(names) == 19
-        assert rows[1:] == names  # the header row, then one row per field
+        assert len(names) == 16
+        # The header row, one row per field, then the active preset.
+        assert rows[1:] == [*names, "preset"]
+
+    def test_config_show_reports_the_active_preset(self):
+        """``REPRO_PRESET`` is read at import, so it takes a fresh
+        process to change it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, REPRO_PRESET="paper", PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "config", "show"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        [row] = [
+            line for line in completed.stdout.splitlines()
+            if line.split("|")[0].strip() == "preset"
+        ]
+        assert [cell.strip() for cell in row.split("|")] == [
+            "preset", "paper", "env"
+        ]
 
 
 class TestEnvFrontDoors:

@@ -24,7 +24,9 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 #: autoscaler, the pulse library's shard prefetch and the config fields
 #: that only ever held one value: a fixed worker count is the one pool
 #: manager, the warm-start threshold is a constant, and the heartbeat is
-#: always a third of the lease TTL.
+#: always a third of the lease TTL.  Then the scheduler-state spill and
+#: its JSON outcome codec: the pulse library under ``cache_dir`` is the
+#: one store that outlives a process.
 REMOVED_NAMES = (
     "GateBasedCompiler",
     "StepFunctionGateCompiler",
@@ -42,6 +44,9 @@ REMOVED_NAMES = (
     "fleet_autoscale",
     "fleet_heartbeat_s",
     "warm_start_max_dist",
+    "save_scheduler_state",
+    "SCHEDULER_STATE_SCHEMA_VERSION",
+    "_encode_outcome",
 )
 # A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
 # must not match their removed public names.
@@ -138,15 +143,22 @@ REMOVED_KNOBS = [
     ("fleet_autoscale", "REPRO_FLEET_AUTOSCALE", "1"),
     ("fleet_min_workers", "REPRO_FLEET_MIN_WORKERS", "1"),
     ("fleet_max_workers", "REPRO_FLEET_MAX_WORKERS", "6"),
+    ("scheduler_state_path", "REPRO_SCHEDULER_STATE", "/tmp/state.json"),
+    ("grape_batch_size", "REPRO_GRAPE_BATCH_SIZE", "8"),
+]
+#: Removed fields whose variable still means something elsewhere:
+#: ``REPRO_PRESET`` sets the process-wide preset at import.
+REMOVED_FIELDS = [knob[:1] + knob[2:] for knob in REMOVED_KNOBS] + [
+    ("preset", "paper"),
 ]
 
 
 @pytest.mark.parametrize(
-    "field_name,variable,value",
-    REMOVED_KNOBS,
-    ids=[knob[0] for knob in REMOVED_KNOBS],
+    "field_name,value",
+    REMOVED_FIELDS,
+    ids=[knob[0] for knob in REMOVED_FIELDS],
 )
-def test_removed_knob_is_not_a_field(field_name, variable, value):
+def test_removed_knob_is_not_a_field(field_name, value):
     from repro.service import ServiceConfig
 
     assert field_name not in {f.name for f in fields(ServiceConfig)}
