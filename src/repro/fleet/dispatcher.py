@@ -20,9 +20,11 @@ rather than environment surgery — configuration enters this package only
 through constructor arguments, in keeping with the repo's single-reader
 environment rule (:mod:`repro.service.config`).
 
-With ``workers=0`` and nothing else draining the queue directory, tasks
-run inline in the calling process — the dispatcher stays usable in
-one-process tests and as a degraded mode when spawning is undesirable.
+With ``workers=0`` tasks run inline in the calling process, whatever
+else watches the queue directory: external workers (``python -m repro
+worker`` here or on another host) only add capacity beside at least one
+local worker.  The dispatcher stays usable in one-process tests and as a
+degraded mode when spawning is undesirable.
 """
 
 from __future__ import annotations

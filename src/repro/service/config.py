@@ -163,7 +163,9 @@ class ServiceConfig:
     fleet_workers:
         How many local worker processes the queue dispatcher spawns and
         keeps alive (``REPRO_FLEET_WORKERS``).  ``0`` (default) spawns
-        none — jobs run inline unless external workers drain the queue.
+        none, and then every job runs inline even if external workers
+        watch the queue: external workers only add capacity beside at
+        least one local worker.
     queue_depth:
         Bounded admission for :meth:`repro.service.CompilationService
         .submit` (``REPRO_QUEUE_DEPTH``): at most this many requests may

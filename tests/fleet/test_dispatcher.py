@@ -3,6 +3,7 @@ modes of the ``run_tasks`` route."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from repro.core import PulseCache
 from repro.core.compiler import compile_jobs, search_job
 from repro.errors import PipelineError
-from repro.fleet import QueueDispatcher
+from repro.fleet import FleetWorker, QueueDispatcher
 from repro.perf import get_perf_registry
 from repro.pipeline import SerialExecutor
 from repro.pulse.hamiltonian import build_control_set
@@ -33,6 +34,25 @@ class TestInlineMode:
         assert info["inline_jobs"] == 2
         assert info["dispatched_jobs"] == 0
         assert info["workers_spawned"] == 0
+
+    def test_external_worker_does_not_replace_a_local_one(self, tmp_path):
+        """With ``workers=0`` every task runs inline, even while an
+        external worker drains the same directory: external workers only
+        add capacity beside at least one local worker."""
+        with QueueDispatcher(tmp_path / "q", workers=0) as dispatcher:
+            worker = FleetWorker(tmp_path / "q", poll_s=0.01)
+            thread = threading.Thread(target=worker.run)
+            thread.start()
+            try:
+                assert dispatcher.run_tasks(abs, [-1, -2, -3]) == [1, 2, 3]
+            finally:
+                worker._drain.set()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+            info = dispatcher.describe()
+        assert info["inline_jobs"] == 3
+        assert info["dispatched_jobs"] == 0
+        assert worker.jobs_done == 0
 
     def test_empty_dispatch_is_a_noop(self, tmp_path):
         with QueueDispatcher(tmp_path / "q", workers=2) as dispatcher:

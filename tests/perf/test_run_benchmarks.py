@@ -23,10 +23,14 @@ def harness():
 
 class TestGrapeKernelBench:
     @pytest.fixture(scope="class")
-    def payload(self, harness, tmp_path_factory):
+    def outputs(self, harness, tmp_path_factory):
         out = tmp_path_factory.mktemp("bench")
         harness.main(["--quick", "--only", "grape_kernel", "--output-dir", str(out)])
-        return json.loads((out / "BENCH_grape_kernel.json").read_text())
+        return out
+
+    @pytest.fixture(scope="class")
+    def payload(self, outputs):
+        return json.loads((outputs / "BENCH_grape_kernel.json").read_text())
 
     def test_schema(self, payload):
         assert payload["benchmark"] == "grape_kernel"
@@ -46,6 +50,17 @@ class TestGrapeKernelBench:
         dim27 = [e for e in payload["entries"] if e["case"] == "3q-qutrit-dim27"]
         assert all(e["dim"] == 27 for e in dim27)
 
+    def test_trend_row_appended(self, harness, outputs):
+        trend = outputs / "BENCH_trend.jsonl"
+        rows = [json.loads(line) for line in trend.read_text().splitlines()]
+        assert len(rows) == 1
+        assert rows[0]["quick"] is True
+        assert "grape_kernel" in rows[0]["benches"]
+        # A second run appends instead of overwriting.
+        harness.main(["--quick", "--only", "grape_kernel", "--output-dir", str(outputs)])
+        rows = [json.loads(line) for line in trend.read_text().splitlines()]
+        assert len(rows) == 2
+
     @pytest.mark.slow
     def test_headline_speedup_floor(self, payload):
         """The dim-27 rewrite speedup holds a conservative floor.
@@ -57,72 +72,6 @@ class TestGrapeKernelBench:
         gets caught by the full suite / perf-smoke job.
         """
         assert payload["derived"]["headline_speedup"] >= 1.4
-
-
-class TestSessionBench:
-    @pytest.fixture(scope="class")
-    def outputs(self, harness, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench_session")
-        harness.main(["--quick", "--only", "session", "--output-dir", str(out)])
-        return out
-
-    def test_steady_state_beats_cold_iteration(self, outputs):
-        payload = json.loads((outputs / "BENCH_session.json").read_text())
-        derived = payload["derived"]
-        assert derived["steady_wall_s"] < derived["cold_wall_s"]
-        assert derived["steady_state_speedup"] > 1.0
-        assert derived["reused_blocks_total"] > 0
-
-    def test_iteration_entries_show_reuse(self, outputs):
-        payload = json.loads((outputs / "BENCH_session.json").read_text())
-        entries = {entry["name"]: entry for entry in payload["entries"]}
-        assert entries["iteration_0"]["reused_blocks"] == 0
-        later = [e for name, e in entries.items() if name != "iteration_0"]
-        assert all(e["reused_blocks"] > 0 for e in later)
-        assert all(
-            e["dispatched_tasks"] < entries["iteration_0"]["dispatched_tasks"]
-            for e in later
-        )
-
-    def test_trend_row_appended(self, harness, outputs):
-        trend = outputs / "BENCH_trend.jsonl"
-        assert trend.exists()
-        rows = [json.loads(line) for line in trend.read_text().splitlines()]
-        assert len(rows) == 1
-        assert rows[0]["quick"] is True
-        assert "session" in rows[0]["benches"]
-        # A second run appends instead of overwriting.
-        harness.main(["--quick", "--only", "session", "--output-dir", str(outputs)])
-        rows = [json.loads(line) for line in trend.read_text().splitlines()]
-        assert len(rows) == 2
-
-
-class TestServiceConcurrencyBench:
-    @pytest.fixture(scope="class")
-    def payload(self, harness, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench_service_concurrency")
-        harness.main(
-            ["--quick", "--only", "service_concurrency", "--output-dir", str(out)]
-        )
-        return json.loads((out / "BENCH_service_concurrency.json").read_text())
-
-    def test_hot_loop_skips_blocking(self, payload):
-        """The bench's own gates already enforce this (it raises when an
-        iteration ≥ 1 misses the plan); the smoke re-checks the artifact."""
-        derived = payload["derived"]
-        assert derived["plan_misses"] == 1
-        hot = [e for e in payload["entries"] if e["name"].startswith("hot_")]
-        assert derived["blocking_passes_skipped"] == len(hot) - 1
-        assert hot[0]["plan_cache"] == "miss"
-        assert all(e["plan_cache"] == "hit" for e in hot[1:])
-
-    def test_concurrent_never_slower_within_margin(self, payload):
-        """The CI satellite gate, re-checked from the artifact: 1-CPU safe
-        (the bench asserts ≤1.25× serial before writing the file)."""
-        derived = payload["derived"]
-        assert derived["concurrent_wall_s"] <= derived["serial_wall_s"] * 1.25
-        assert derived["durations_match"] is True
-        assert derived["submit_workers"] >= 1
 
 
 class TestServiceLoadBench:
@@ -195,16 +144,21 @@ class TestGrapeBatchBench:
 @pytest.mark.slow
 class TestPipelineBench:
     def test_auto_never_slower_than_serial(self, harness, tmp_path):
-        """The CI satellite gate: whether or not ``auto`` forked a search
-        worker on this host, the bench raises (writing nothing) if it lost to serial
-        beyond the noise margin."""
+        """The CI gates: the bench raises (writing nothing) if ``auto``
+        lost to serial beyond the noise margin, or, having forked a search
+        worker on this host, did not beat serial outright; the smoke
+        re-checks the artifact."""
         harness.main(["--quick", "--only", "pipeline", "--output-dir", str(tmp_path)])
         payload = json.loads((tmp_path / "BENCH_pipeline.json").read_text())
         assert payload["derived"]["durations_match"] is True
+        assert payload["derived"]["blocks_match"] is True
         names = [entry["name"] for entry in payload["entries"]]
         assert names == ["serial", "auto"]
         by_name = {entry["name"]: entry for entry in payload["entries"]}
-        assert by_name["auto"]["wall_s"] <= by_name["serial"]["wall_s"] * 1.15
+        serial_wall, auto = by_name["serial"]["wall_s"], by_name["auto"]
+        assert auto["wall_s"] <= serial_wall * 1.15
+        if auto["search_workers"] > 0:
+            assert auto["wall_s"] < serial_wall * 0.9
 
 
 class TestWarmStartBench:

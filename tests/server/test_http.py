@@ -10,6 +10,8 @@ return pulses bit-identical to an in-process ``service.compile``.
 from __future__ import annotations
 
 import json
+import statistics
+import time
 
 import pytest
 
@@ -71,6 +73,24 @@ class TestCompileModes:
         assert programs_identical(
             remote.compiled.program, inline.compiled.program
         )
+
+    def test_http_overhead_is_a_localhost_round_trip(
+        self, service, client, make_request
+    ):
+        """Pathology gate: the same cached request through both venues, so
+        the difference is transport; HTTP p50 minus in-process p50 must
+        stay within 250 ms (localhost costs single-digit ms, the margin
+        absorbs loaded hosts)."""
+        request = make_request("gate")
+        service.compile(request)  # untimed warmup
+        inline_ms, http_ms = [], []
+        for _ in range(30):
+            for venue, samples in ((service, inline_ms), (client, http_ms)):
+                start = time.perf_counter()
+                venue.compile(request)
+                samples.append((time.perf_counter() - start) * 1e3)
+        overhead = statistics.median(http_ms) - statistics.median(inline_ms)
+        assert overhead <= 250, f"HTTP overhead p50 {overhead:.0f} ms"
 
     def test_ticket_flow(self, client, make_request, programs_identical):
         request = make_request("gate")

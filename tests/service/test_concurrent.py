@@ -11,12 +11,18 @@ timeout.
 
 import faulthandler
 import threading
+import time
 
+import numpy as np
 import pytest
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.core.cache import PulseCache
 from repro.pipeline.scheduler import SchedulerState
+from repro.pulse.device import GmonDevice
+from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.service import CompilationService, CompileRequest, ServiceConfig
+from repro.transpile.topology import line_topology
 
 
 THREADS = 4
@@ -183,3 +189,57 @@ def test_stress_submit_bit_identical_and_deadlock_free(
     assert stats["scheduler"]["batches"] == len(requests)
     assert stats["scheduler"]["cross_call_hits"] > 0
     service.close()
+
+
+def _near_miss_circuit(offset: float) -> QuantumCircuit:
+    """Three 2-qubit entangler tiles whose rotations sit ``offset`` rad
+    from the other requests' — near misses for warm start, no shared
+    blocks for the scheduler."""
+    circuit = QuantumCircuit(6, name=f"disjoint_{offset}")
+    for q in range(0, 5, 2):
+        circuit.h(q).cx(q, q + 1).rz(0.3 + 0.2 * q + offset, q + 1).cx(q, q + 1)
+    return circuit
+
+
+def test_concurrent_submit_matches_serial_and_never_loses_on_defaults():
+    """Four near-miss requests through the default config (warm start
+    on): concurrent ``submit()`` must return the pulse durations of
+    serial ``compile()``, and must not be slower beyond a noise margin —
+    safe on one CPU, where overlap degenerates to interleaving.  The
+    duration check fails today: serial order seeds requests 2–4 from
+    request 1's pulses, while overlapped requests seed from KAK."""
+    requests = [
+        CompileRequest(
+            _near_miss_circuit(0.05 * (i + 1)),
+            strategy="full-grape",
+            max_block_width=2,
+        )
+        for i in range(4)
+    ]
+
+    def service():
+        return CompilationService(
+            config=ServiceConfig(),
+            device=GmonDevice(line_topology(6)),
+            settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
+            hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=100),
+        )
+
+    with service() as serial_service:
+        start = time.perf_counter()
+        serial = [serial_service.compile(request) for request in requests]
+        serial_wall = time.perf_counter() - start
+    with service() as concurrent_service:
+        start = time.perf_counter()
+        futures = [concurrent_service.submit(request) for request in requests]
+        concurrent = [future.result(timeout=600) for future in futures]
+        concurrent_wall = time.perf_counter() - start
+
+    assert all(
+        np.isclose(s.program.duration_ns, c.program.duration_ns)
+        for s, c in zip(serial, concurrent)
+    ), "concurrent submit() disagreed with serial compile()"
+    assert concurrent_wall <= serial_wall * 1.25, (
+        f"concurrent submit() was slower than serial compile() beyond the "
+        f"noise margin: {concurrent_wall:.2f} s vs {serial_wall:.2f} s"
+    )

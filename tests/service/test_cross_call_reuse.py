@@ -1,5 +1,8 @@
 """A long-lived CompilationService: cross-call block dedup and lifecycle."""
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
@@ -91,6 +94,29 @@ class TestCrossCallReuse:
         # the shared tile once, plus one θ tile per call.
         assert len(cache.put_keys) == 3
         assert len(set(cache.put_keys)) == 3
+
+    def test_steady_state_iterations_reuse_blocks_and_beat_the_cold_one(self):
+        """A θ stream through the driver hook: every iteration after the
+        first reuses the two fixed tiles and dispatches fewer tasks than
+        iteration 0, and the best later iteration beats the cold one."""
+        ansatz = QuantumCircuit(6)
+        for q, angle in ((0, 0.3), (2, 1.1)):
+            ansatz.h(q).cx(q, q + 1).rz(angle, q + 1).cx(q, q + 1)
+        ansatz.rz(Parameter("theta"), 4).cx(4, 5)
+        rng = np.random.default_rng(3)
+        walls, schedulers = [], []
+        with _service() as service:
+            for _ in range(4):
+                theta = float(rng.uniform(-np.pi / 2, np.pi / 2))
+                start = time.perf_counter()
+                result = service.compile_parametrized(ansatz, [theta])
+                walls.append(time.perf_counter() - start)
+                schedulers.append(result.metadata["scheduler"])
+        cold, *steady = schedulers
+        assert cold["reused_blocks"] == 0
+        assert all(s["reused_blocks"] > 0 for s in steady)
+        assert all(s["dispatched_tasks"] < cold["dispatched_tasks"] for s in steady)
+        assert min(walls[1:]) < walls[0], walls
 
     def test_identical_repeat_call_dispatches_nothing(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1)

@@ -18,13 +18,14 @@ def _grape_iterations(result) -> int:
     return precompile + result.compiled.runtime_iterations
 
 
-def _compile_all(cache_dir, workload, settings, hyper) -> dict:
+def _compile_all(cache_dir, workload, settings, hyper) -> tuple:
+    """Each strategy's result, and how many lookups the library served."""
     circuit, theta = workload
     config = ServiceConfig(executor="serial", cache_dir=str(cache_dir))
     with CompilationService(
         config=config, settings=settings, hyperparameters=hyper
     ) as service:
-        return {
+        results = {
             strategy: service.compile(
                 CompileRequest(
                     circuit, theta, strategy=strategy, max_block_width=2
@@ -32,6 +33,7 @@ def _compile_all(cache_dir, workload, settings, hyper) -> dict:
             )
             for strategy in STRATEGIES
         }
+        return results, service.stats()["cache"]["disk_hits"]
 
 
 class TestRestartOverCacheDir:
@@ -40,13 +42,16 @@ class TestRestartOverCacheDir:
         programs_identical,
     ):
         cache_dir = tmp_path / "library"
-        first = _compile_all(cache_dir, workload, coarse_settings, coarse_hyper)
+        first, _ = _compile_all(
+            cache_dir, workload, coarse_settings, coarse_hyper
+        )
         assert all(_grape_iterations(first[s]) > 0 for s in STRATEGIES)
 
         with get_perf_registry().counts_moved() as moved:
-            second = _compile_all(
+            second, disk_hits = _compile_all(
                 cache_dir, workload, coarse_settings, coarse_hyper
             )
+        assert disk_hits >= 1
         for strategy in STRATEGIES:
             assert _grape_iterations(second[strategy]) == 0, strategy
             assert programs_identical(

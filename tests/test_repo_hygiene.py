@@ -26,7 +26,10 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 #: manager, the warm-start threshold is a constant, and the heartbeat is
 #: always a third of the lease TTL.  Then the scheduler-state spill and
 #: its JSON outcome codec: the pulse library under ``cache_dir`` is the
-#: one store that outlives a process.
+#: one store that outlives a process.  Then the perf-harness benches that
+#: timed what ``benchmarks/e2e`` already measures (their checks are plain
+#: tests now) and the second serial-vs-``auto`` bench: ``pipeline`` is
+#: the one.
 REMOVED_NAMES = (
     "GateBasedCompiler",
     "StepFunctionGateCompiler",
@@ -47,6 +50,11 @@ REMOVED_NAMES = (
     "save_scheduler_state",
     "SCHEDULER_STATE_SCHEMA_VERSION",
     "_encode_outcome",
+    "bench_session",
+    "bench_cache",
+    "bench_http",
+    "bench_service_concurrency",
+    "bench_pipeline_parallel",
 )
 # A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
 # must not match their removed public names.
