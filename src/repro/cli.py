@@ -733,14 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_FLEET_DIR, else <cache-dir>/fleet)",
     )
     batch.add_argument(
-        "--fleet-workers",
-        type=int,
-        default=None,
-        dest="fleet_workers",
-        help="local worker processes the queue dispatcher spawns "
-        "(default: REPRO_FLEET_WORKERS; 0 compiles inline)",
-    )
-    batch.add_argument(
         "--queue-depth",
         type=int,
         default=None,
@@ -864,9 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--fleet-dir", default=None, dest="fleet_dir")
     serve.add_argument(
-        "--fleet-workers", type=int, default=None, dest="fleet_workers"
-    )
-    serve.add_argument(
         "--queue-depth",
         type=int,
         default=None,
@@ -989,14 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="fleet_dir",
         help="fleet_dir override (fleet work-queue directory)",
-    )
-    show.add_argument(
-        "--fleet-workers",
-        type=int,
-        default=None,
-        dest="fleet_workers",
-        help="fleet_workers override (local workers the queue "
-        "dispatcher spawns)",
     )
     show.add_argument(
         "--queue-depth",

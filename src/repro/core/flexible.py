@@ -14,8 +14,9 @@ precompute phase is the ``block(θ-slices) → pulse`` pipeline with a tuning
 handler for parametrized tasks, and the runtime phase hands the per-θ
 GRAPE refinements, which are independent pure tasks, to the block
 executor's :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`.
-Under the service's ``auto`` executor the calling thread and the forked
-search worker share them, each taking the next unclaimed plan entry;
+Under the service's ``auto`` executor the calling thread and a forked
+search worker share them, each taking the next unclaimed plan entry (a
+request that overlaps another hands them all to a worker);
 ``serial`` runs them one after another.  Either way the pulses are the
 same.
 """
@@ -430,9 +431,9 @@ class _FlexiblePartialCompiler:
         """One variational iteration: short tuned GRAPE per θ-block.
 
         The per-θ refinements are independent pure tasks, so they go
-        through the block executor's ``run_tasks``: on ``auto`` with a
-        search worker, the worker runs the entries the calling thread has
-        not claimed yet; on ``serial`` they run in order here.  Fixed
+        through the block executor's ``run_tasks``: on ``auto`` with an
+        idle search worker, the worker runs the entries the calling thread
+        has not claimed yet; on ``serial`` they run in order here.  Fixed
         entries pass straight through, so no venue ships them.
         """
         if not isinstance(values, dict):

@@ -17,17 +17,16 @@ address space entirely.  This package is the venue for that:
   library.
 * :mod:`repro.fleet.dispatcher` — :class:`QueueDispatcher`, the
   ``run_tasks`` venue the service selects with
-  ``REPRO_DISPATCHER=queue``: it spawns and revives
-  ``REPRO_FLEET_WORKERS`` local workers and sends every cold fixed-block
-  search and flexible runtime entry through the queue.  The pool is a
-  fixed count: a worker that dies is respawned, and external workers
-  (``python -m repro worker`` on other hosts) may drain the same
-  directory.
+  ``REPRO_DISPATCHER=queue``: it sends every cold fixed-block search and
+  flexible runtime entry through the queue to the workers registered in
+  its directory, and runs them inline when none is.  It starts no
+  workers: operators run ``python -m repro worker`` on the hosts that
+  share the directory.  On one host the ``auto`` executor's forked pool
+  is the faster venue.
 
-Milestone 1 was N workers on one machine splitting one batch's unique
-blocks.  Milestone 2 added the network frontend (:mod:`repro.server`) and
-host-aware status over a shared directory (real NFS, or ``host_label``
-simulation in CI).
+The network frontend (:mod:`repro.server`) and host-aware status over a
+shared directory (real NFS, or ``host_label`` simulation in CI) complete
+the multi-host path.
 """
 
 from repro.fleet.dispatcher import QueueDispatcher

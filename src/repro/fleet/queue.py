@@ -209,15 +209,21 @@ class FleetQueue:
         ``host_label`` override pids are not comparable, so staleness
         falls back to pure TTL (the cross-host rule).
         """
+        heartbeat = lease.get("heartbeat_at") or lease.get("acquired_at") or 0.0
+        return self._presumed_dead(
+            lease, heartbeat, lease.get("ttl_s") or self.lease_ttl_s
+        )
+
+    def _presumed_dead(self, record: dict, heartbeat: float, ttl: float) -> bool:
+        """Whether the process behind a lease or worker record is gone:
+        its pid is dead on this host, or it has not beaten for ``ttl``."""
         if (
             self._host_is_real
-            and lease.get("host") == self.host
-            and isinstance(lease.get("pid"), int)
-            and not _pid_alive(lease["pid"])
+            and record.get("host") == self.host
+            and isinstance(record.get("pid"), int)
+            and not _pid_alive(record["pid"])
         ):
             return True
-        heartbeat = lease.get("heartbeat_at") or lease.get("acquired_at") or 0.0
-        ttl = lease.get("ttl_s") or self.lease_ttl_s
         return (time.time() - heartbeat) > ttl
 
     def claim(self, worker_id: str):
@@ -337,6 +343,19 @@ class FleetQueue:
         if extra:
             record.update(extra)
         _write_json_atomic(self.workers_dir / f"{worker_id}.json", record)
+
+    def live_workers(self) -> int:
+        """How many workers drain this directory now: their heartbeat is
+        not ``exited`` and their process is not presumed dead (a worker
+        beats while idle and while it holds a lease)."""
+        live = 0
+        for path in self.workers_dir.glob("*.json"):
+            info = _read_json(path)
+            if info is None or info.get("state") == "exited":
+                continue
+            heartbeat = info.get("updated_at") or 0.0
+            live += not self._presumed_dead(info, heartbeat, self.lease_ttl_s)
+        return live
 
     # -- observability -----------------------------------------------------
     def status(self) -> dict:

@@ -17,8 +17,9 @@ Robustness contract:
   in-flight job finishes and publishes its record before the loop exits
   cleanly.  Nothing is left mid-lease.
 * **Crash reclaim** — while running a job, a daemon thread renews its
-  lease every ``ttl/3`` seconds.  A worker that is ``kill -9``'d stops
-  renewing, and the queue hands its lease to the next claimant (see
+  lease and its worker heartbeat every ``ttl/3`` seconds.  A worker
+  that is ``kill -9``'d stops renewing, and the queue hands its lease
+  to the next claimant (see
   :meth:`~repro.fleet.queue.FleetQueue._lease_stale`).
 * **Poison pills** — a job that raises completes with an ``error``
   record instead of wedging the queue; the worker moves on.
@@ -28,12 +29,43 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 from repro.config import set_preset
 from repro.fleet.queue import FleetQueue, PollBackoff, pack_result
 from repro.perf import get_perf_registry
+
+#: ``python -c`` shim that puts this checkout's ``src`` on ``sys.path``
+#: (first argv entry) and hands the rest to the repro CLI.
+_WORKER_BOOTSTRAP = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+def spawn_worker(fleet_dir, *args, **popen_kwargs) -> subprocess.Popen:
+    """Start ``python -m repro worker --fleet-dir DIR *args`` from this
+    checkout in a child process, the way tests and benchmarks stand in
+    for workers started on other hosts.  The caller stops it: SIGTERM
+    drains the in-flight job."""
+    import repro
+
+    src_root = Path(repro.__file__).resolve().parent.parent
+    cmd = [
+        sys.executable,
+        "-c",
+        _WORKER_BOOTSTRAP,
+        str(src_root),
+        "worker",
+        "--fleet-dir",
+        str(fleet_dir),
+        *map(str, args),
+    ]
+    return subprocess.Popen(cmd, **popen_kwargs)
 
 
 class FleetWorker:
@@ -115,6 +147,7 @@ class FleetWorker:
         def _renew():
             while not stop.wait(interval):
                 self.queue.heartbeat(job_id)
+                self._beat(f"compiling:{job_id}")
 
         renewer = threading.Thread(
             target=_renew, name=f"lease-{job_id[:12]}", daemon=True

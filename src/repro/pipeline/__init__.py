@@ -5,9 +5,10 @@ package makes that flow explicit and declarative, in the spirit of Cirq's
 transformer framework:
 
 * :mod:`repro.pipeline.executors` — pluggable dispatch of independent
-  per-block GRAPE searches: ``serial``, or ``auto``, which adds one forked
-  search worker.  Both run pure tasks through ``run_tasks``, the contract
-  the :mod:`repro.fleet` queue dispatcher speaks too.
+  per-block GRAPE searches: ``serial``, or ``auto``, which adds a pool of
+  two forked search workers where a second CPU exists.  Both run pure tasks through
+  ``run_tasks``, the contract the :mod:`repro.fleet` queue dispatcher
+  speaks too.
 * :mod:`repro.pipeline.jobs` — :class:`BlockJob`, the picklable
   seed-carrying block search every venue runs; the dispatching process
   resolves cache hits and seeds, and caches and judges the results.

@@ -27,10 +27,13 @@ lock: only processes overlap it.
     Everything runs in the calling thread.
 ``auto``
     The service default.  It runs in the calling thread too, except that a
-    service's ``auto`` executor forks one search worker, once, at service
-    construction, when the process may use two or more CPUs, and a
-    request with two or more pure tasks (cold block searches, flexible
-    runtime entries) shares them with it.  See :class:`AutoExecutor`.
+    service's ``auto`` executor forks a pool of :data:`SEARCH_WORKERS`
+    search workers, once, at service construction, when the process may
+    use two or more CPUs.  A request alone in :meth:`~AutoExecutor.run_tasks` with two or
+    more pure tasks (cold block searches, flexible runtime entries)
+    shares them with one idle worker; a request that overlaps another
+    hands its whole task list to an idle worker.  See
+    :class:`AutoExecutor`.
 
 Both prefer the scheduler's cross-block batched route
 (:meth:`~repro.core.compiler.BlockPulseCompiler.compile_blocks_batched`).
@@ -107,15 +110,15 @@ def _exhaust(next_index, n: int) -> None:
         next_index.value = max(next_index.value, n)
 
 
-def _search_worker_loop(conn, parent_end, next_index) -> None:
+def _search_worker_loop(conn, parent_ends, next_index) -> None:
     """Body of one forked search worker.
 
     Answers ``"ready"`` once, then blocks on its pipe between requests —
     it never polls.  Each request is a share ``(fn, items, preset)``: the
     worker makes ``preset`` active, claims indices from ``next_index``
-    (shared with the caller, who claims from it too) until none is left,
-    and answers ``("ok", [(index, result), ...], counts)`` — ``counts``
-    are the ``repro.perf`` counters its tasks moved — or
+    (shared with the caller, who may claim from it too) until none is
+    left, and answers ``("ok", [(index, result), ...], counts)`` —
+    ``counts`` are the ``repro.perf`` counters its tasks moved — or
     ``("error", exception)``.  ``None`` or a closed pipe ends it.
     """
     import signal
@@ -125,8 +128,10 @@ def _search_worker_loop(conn, parent_end, next_index) -> None:
     from repro.config import get_preset, set_preset
     from repro.perf import get_perf_registry
 
-    # Only the parent's copy of the parent end may keep the pipe open.
-    parent_end.close()
+    # Only the parent's copies of the parent ends (its own pipe's and
+    # those of workers forked before it) may keep those pipes open.
+    for parent_end in parent_ends:
+        parent_end.close()
     # Ctrl-C belongs to the parent, which stops its worker on close().
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Touch the linear algebra GRAPE uses before reporting ready: a lock
@@ -173,14 +178,20 @@ class _SearchWorker:
     tasks from; it lives in shared memory made before the fork.  ``busy``
     is held by the one request using the worker; ``alive`` drops for good
     the first time the pipe fails, and a dead worker is never re-forked.
+    ``siblings`` are the workers forked before this one: the child closes
+    its inherited copies of their pipes.
     """
 
-    def __init__(self, context):
+    def __init__(self, context, siblings=()):
         parent_end, child_end = context.Pipe()
         self.next_index = context.Value("q", 0)
         self.process = context.Process(
             target=_search_worker_loop,
-            args=(child_end, parent_end, self.next_index),
+            args=(
+                child_end,
+                [parent_end, *(sibling.conn for sibling in siblings)],
+                self.next_index,
+            ),
             name="repro-search-worker",
             daemon=True,
         )
@@ -246,120 +257,169 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: The search-worker pool's size where the process may use two or more
+#: CPUs.  Only 2-CPU hosts are measured; a larger pool waits for a
+#: measured run on a host with 4 or more.
+SEARCH_WORKERS = 2
+
+
+def _stop_workers(workers) -> None:
+    """Stop and reap every worker in ``workers``; a stopped one is a no-op."""
+    for worker in workers:
+        worker.stop()
+
+
 class AutoExecutor(SerialExecutor):
-    """Inline dispatch plus, where a second CPU exists, one forked search
-    worker.
+    """Inline dispatch plus, where a second CPU exists, a pool of
+    :data:`SEARCH_WORKERS` forked search workers.
 
     GRAPE on small blocks holds the interpreter lock (see the module
-    docstring), so ``auto`` overlaps a request's pure tasks only through
-    a process forked once and kept.  Everything else is
-    :class:`SerialExecutor`: closure maps run inline and the scheduler
-    prefers :meth:`~repro.core.compiler.BlockPulseCompiler
-    .compile_blocks_batched`, on every host.
+    docstring), so ``auto`` overlaps pure tasks only through processes
+    forked once and kept.  Everything else is :class:`SerialExecutor`:
+    closure maps run inline and the scheduler prefers
+    :meth:`~repro.core.compiler.BlockPulseCompiler.compile_blocks_batched`,
+    on every host.
 
-    * :meth:`start_worker` forks ONE search worker when this process may
-      run on at least two CPUs (its affinity mask, not the host's count)
-      and ``fork`` exists.  :class:`~repro.service.CompilationService`
-      calls it in its constructor, before it starts any thread of its
-      own: a fork from a request thread while another runs GRAPE can hang
-      the child.  :meth:`close` reaps it.  One worker is the measured
-      configuration (a 2-CPU host); more would need a measured larger
-      host first.
+    * :meth:`start_workers` forks :data:`SEARCH_WORKERS` search workers
+      when this process may run on at least two CPUs (its affinity mask,
+      not the host's count) and ``fork`` exists: every fork first, then
+      every start-up handshake, so start-up waits about one fork, not one
+      per worker.  :class:`~repro.service.CompilationService` calls it in its
+      constructor, before it starts any thread of its own: a fork from a
+      request thread while another runs GRAPE can hang the child.
+      :meth:`close` reaps them.
     * :meth:`run_tasks` gets a request's pure tasks: cold block searches
       as seed-carrying :class:`~repro.pipeline.jobs.BlockJob` descriptors,
-      or the flexible runtime's per-θ plan entries.  With at least two,
-      the calling thread claims the idle worker and writes it the task
-      list with this process's preset down its pipe.  Then both sides
-      claim the next unclaimed index from one shared counter until none
-      is left, so whichever side finishes a task first takes the next
-      one.  Index 0 is always the calling thread's.  The caller then
+      or the flexible runtime's per-θ plan entries.  A request alone in
+      ``run_tasks`` with at least two claims one idle worker and writes
+      it the task list with this process's preset down its pipe.  Then
+      both sides claim the next unclaimed index from that worker's shared
+      counter until none is left, so whichever side finishes a task first
+      takes the next one.  Index 0 is the calling thread's, so the
+      calling thread's traced entry points always record calls.  A
+      request that enters while another is in ``run_tasks`` instead
+      hands its whole task list, even one task, to an idle worker and
+      blocks on that worker's pipe, so two requests never run GRAPE
+      under one interpreter lock; ``handoffs`` counts these.  The caller
       collects the worker's results with their ``repro.perf`` counts; no
       helper thread sits on this path.  A task raising here exhausts the
-      counter, so the worker stops after its current task.  A worker
-      busy with a concurrent request is skipped.  A dead one is dropped
-      for good and its unfinished indices run inline, counted once in
-      ``worker_fallbacks``.  Results are bit-identical to inline runs.
-      ``worker_searches`` and ``inline_searches`` count the tasks each
-      side ran, flexible runtime entries included.
+      counter, so the worker stops after its current task.  With no idle
+      worker every task runs inline.  A dead worker is dropped alone for
+      good and its unfinished indices run inline, counted once in
+      ``worker_fallbacks``; the other workers keep serving.  Results are
+      bit-identical to inline runs.  ``worker_searches`` and
+      ``inline_searches`` count the tasks each side ran, flexible runtime
+      entries included.
     """
 
     name = "auto"
 
     def __init__(self):
-        self._worker = None
-        self._worker_started = False
+        self._workers: list = []
+        self._workers_started = False
         self._stop = None
         self._stats_lock = threading.Lock()
+        # Requests inside run_tasks now: a request that finds another
+        # there hands its tasks off whole.
+        self._running = 0
         self.worker_searches = 0
         self.inline_searches = 0
         self.worker_fallbacks = 0
+        self.handoffs = 0
 
-    # -- search worker -----------------------------------------------------
-    def start_worker(self) -> bool:
-        """Fork the search worker, once per executor; whether one runs.
+    # -- search workers ----------------------------------------------------
+    def start_workers(self) -> int:
+        """Fork the search workers, once per executor; how many run.
 
         Call before the process starts threads that could hold locks the
-        child needs.  A closed executor, or one whose worker died, forks
-        nothing again.
+        children need.  A closed executor forks nothing again, and a dead
+        worker is never re-forked.
         """
-        if self._worker_started:
-            return self._worker is not None
-        self._worker_started = True
-        if _usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return False
-        # The child runs these; importing them now keeps it off the
+        if self._workers_started:
+            return len(self._workers)
+        self._workers_started = True
+        if _usable_cpus() < 2 or (
+            "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            return 0
+        # The children run these; importing them now keeps them off the
         # import machinery.
         import repro.core.compiler  # noqa: F401
         import repro.core.flexible  # noqa: F401
         import repro.pipeline.jobs  # noqa: F401
 
-        worker = _SearchWorker(multiprocessing.get_context("fork"))
-        if not worker.ready():
-            return False
-        self._worker = worker
-        # A service dropped without close() still reaps its worker.
-        self._stop = weakref.finalize(self, worker.stop)
-        return True
+        context = multiprocessing.get_context("fork")
+        forked: list = []
+        # A service dropped without close() still reaps its workers, and
+        # a fork that fails part-way reaps those forked before it.
+        self._stop = weakref.finalize(self, _stop_workers, forked)
+        for _ in range(SEARCH_WORKERS):
+            forked.append(_SearchWorker(context, siblings=forked))
+        self._workers = [worker for worker in forked if worker.ready()]
+        return len(self._workers)
 
     def _claim_worker(self):
-        """The idle live worker, now held by the caller, or ``None``."""
-        worker = self._worker
-        if worker is not None and worker.alive and worker.busy.acquire(blocking=False):
-            return worker
+        """An idle live worker, now held by the caller, or ``None``."""
+        for worker in self._workers:
+            if worker.alive and worker.busy.acquire(blocking=False):
+                if worker.alive:
+                    return worker
+                worker.busy.release()
         return None
 
     def _release_worker(self, worker) -> None:
         if not worker.alive:
             # Dropped before ``busy`` frees, so no other request claims it.
-            self._worker = None
-            self._stop()
+            with self._stats_lock:
+                self._workers = [w for w in self._workers if w is not worker]
+            worker.stop()
         worker.busy.release()
 
     def run_tasks(self, fn: Callable, items: Iterable) -> list:
-        """Run a request's pure tasks on the idle worker and here."""
+        """Run a request's pure tasks here and on idle workers."""
+        items = list(items)
+        with self._stats_lock:
+            handoff = self._running > 0
+            self._running += 1
+        try:
+            # Alone, a single task runs inline; overlapping, even one
+            # task travels.
+            worker = None
+            if len(items) > 1 or (handoff and items):
+                worker = self._claim_worker()
+            if worker is None:
+                with self._stats_lock:
+                    self.inline_searches += len(items)
+                return [fn(item) for item in items]
+            return self._share(worker, fn, items, handoff)
+        finally:
+            with self._stats_lock:
+                self._running -= 1
+
+    def _share(self, worker, fn: Callable, items: list, handoff: bool) -> list:
+        """Run ``items`` with the claimed ``worker``: all of them there when
+        ``handoff``, else index 0 here and each later index on whichever
+        side claims it first."""
         from repro.config import get_preset
         from repro.perf import get_perf_registry
 
-        items = list(items)
         n = len(items)
-        worker = self._claim_worker() if n > 1 else None
-        if worker is None:
-            with self._stats_lock:
-                self.inline_searches += n
-            return [fn(item) for item in items]
+        first = 0 if handoff else 1  # the worker's first claimable index
         results: list = [None] * n
         own = []
         reply = None
         in_flight = False
         try:
-            worker.next_index.value = 1  # index 0 is the calling thread's
-            # The worker never runs item 0, so it does not travel.
-            in_flight = worker.send((fn, [None, *items[1:]], get_preset().name))
-            index = 0
-            while index < n:
-                results[index] = fn(items[index])
-                own.append(index)
-                index = _claim(worker.next_index)
+            worker.next_index.value = first
+            # Indices the worker never runs do not travel.
+            shipped = [None] * first + items[first:]
+            in_flight = worker.send((fn, shipped, get_preset().name))
+            if not handoff:
+                index = 0
+                while index < n:
+                    results[index] = fn(items[index])
+                    own.append(index)
+                    index = _claim(worker.next_index)
             if in_flight:
                 in_flight = False
                 reply = worker.receive()
@@ -385,22 +445,23 @@ class AutoExecutor(SerialExecutor):
                 results[index] = result
             shared = len(done)
         with self._stats_lock:
+            self.handoffs += handoff
             self.worker_fallbacks += reply is None
             self.inline_searches += n - shared
             self.worker_searches += shared
         return results
 
     def close(self) -> None:
-        """Stop and reap the search worker (idempotent); tasks then run
+        """Stop and reap the search workers (idempotent); tasks then run
         inline."""
-        self._worker = None
+        self._workers = []
         if self._stop is not None:
             self._stop()
 
     def __getstate__(self) -> dict:
-        # The worker and the locks stay with the process that forked it.
+        # The workers and the locks stay with the process that forked them.
         state = self.__dict__.copy()
-        state.update(_worker=None, _stop=None, _worker_started=True)
+        state.update(_workers=[], _stop=None, _workers_started=True, _running=0)
         del state["_stats_lock"]
         return state
 
@@ -411,10 +472,11 @@ class AutoExecutor(SerialExecutor):
     def describe(self) -> dict:
         return {
             "executor": self.name,
-            "search_workers": int(self._worker is not None),
+            "search_workers": len(self._workers),
             "worker_searches": self.worker_searches,
             "inline_searches": self.inline_searches,
             "worker_fallbacks": self.worker_fallbacks,
+            "handoffs": self.handoffs,
         }
 
 

@@ -13,7 +13,7 @@ the dispatching process resolved cache hits and seeds before any search
 ran, and it writes and judges the results itself, in block order
 (:func:`repro.core.compiler.compile_jobs`).  Every venue runs it through
 :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`: the calling
-thread, the ``auto`` executor's forked search worker, or a
+thread, one of the ``auto`` executor's forked search workers, or a
 :mod:`repro.fleet` worker process.
 
 GRAPE is deterministic for a given (target, context, settings, seed), so

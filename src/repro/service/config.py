@@ -111,9 +111,10 @@ class ServiceConfig:
         How independent per-block GRAPE work is dispatched
         (``REPRO_EXECUTOR``): ``"auto"`` (default) runs in the calling
         thread, and where the process may use two or more CPUs a service
-        forks one search worker once, and each request's pure tasks (cold
-        block searches, flexible runtime GRAPE runs) go to whichever of
-        it and the calling thread is free next (see
+        forks a pool of two search workers once.  A request's pure
+        tasks (cold block searches, flexible runtime GRAPE runs) go to
+        whichever of one idle worker and the calling thread is free next,
+        or all to an idle worker while another request runs tasks (see
         :class:`repro.pipeline.executors.AutoExecutor`); ``"serial"``
         runs everything in the calling thread.  For multi-process
         dispatch of large batches use ``dispatcher="queue"``.
@@ -154,18 +155,13 @@ class ServiceConfig:
         Where fixed-block jobs are compiled (``REPRO_DISPATCHER``):
         ``"executor"`` (default) keeps them on the in-process block
         executor; ``"queue"`` sends them through the
-        :class:`repro.fleet.QueueDispatcher` to detached worker
-        processes sharing the fleet queue directory.
+        :class:`repro.fleet.QueueDispatcher` to the worker processes
+        (``python -m repro worker``) that drain the fleet queue
+        directory, and runs them inline while none is registered.
     fleet_dir:
         The fleet queue directory (``REPRO_FLEET_DIR``).  ``None`` with
         ``dispatcher="queue"`` derives ``<cache_dir>/fleet``; with no
         cache directory either, the config is rejected.
-    fleet_workers:
-        How many local worker processes the queue dispatcher spawns and
-        keeps alive (``REPRO_FLEET_WORKERS``).  ``0`` (default) spawns
-        none, and then every job runs inline even if external workers
-        watch the queue: external workers only add capacity beside at
-        least one local worker.
     queue_depth:
         Bounded admission for :meth:`repro.service.CompilationService
         .submit` (``REPRO_QUEUE_DEPTH``): at most this many requests may
@@ -199,7 +195,6 @@ class ServiceConfig:
     warm_start: bool = True
     dispatcher: str = "executor"
     fleet_dir: str | None = None
-    fleet_workers: int = 0
     queue_depth: int | None = None
     fleet_lease_ttl_s: float = 30.0
     server_host: str = "127.0.0.1"
@@ -234,10 +229,6 @@ class ServiceConfig:
             raise ReproError(
                 "dispatcher='queue' needs fleet_dir (REPRO_FLEET_DIR) or "
                 "cache_dir (REPRO_CACHE_DIR) to derive <cache_dir>/fleet from"
-            )
-        if self.fleet_workers < 0:
-            raise ReproError(
-                f"fleet_workers must be >= 0, got {self.fleet_workers}"
             )
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ReproError(
@@ -353,10 +344,6 @@ class ServiceConfig:
             values["fleet_dir"] = fleet_dir
             sources["fleet_dir"] = "env"
 
-        _env_number(
-            "REPRO_FLEET_WORKERS", "fleet_workers", int,
-            lambda v: v >= 0, "must be >= 0", values, sources,
-        )
         _env_number(
             "REPRO_QUEUE_DEPTH", "queue_depth", int,
             lambda v: v >= 1, "must be >= 1", values, sources,

@@ -4,8 +4,8 @@ One service instance owns the machinery every request shares:
 
 * one typed, immutable :class:`~repro.service.config.ServiceConfig`
   (the only consumer of the ``REPRO_*`` environment),
-* one resolved block executor (the ``auto`` executor's search worker
-  stays warm across every request),
+* one resolved block executor (the ``auto`` executor's search workers
+  stay warm across every request),
 * one open pulse cache (in-memory, or the sharded on-disk
   :class:`~repro.library.PulseLibrary` when ``cache_dir`` is set — the
   one store that outlives a process: a new service over the same
@@ -138,10 +138,10 @@ class CompilationService:
         )
         self.backpressure_waits = 0
         # Last, and before this service starts any thread of its own: the
-        # auto executor forks its search worker here, once.
-        start_worker = getattr(self.executor, "start_worker", None)
-        if start_worker is not None:
-            start_worker()
+        # auto executor forks its search workers here, once.
+        start_workers = getattr(self.executor, "start_workers", None)
+        if start_workers is not None:
+            start_workers()
 
     def _make_queue_dispatcher(self):
         """The fleet dispatcher selected by ``dispatcher="queue"``.
@@ -158,9 +158,7 @@ class CompilationService:
             Path(self.config.cache_dir) / "fleet"
         )
         return QueueDispatcher(
-            fleet_dir,
-            workers=self.config.fleet_workers,
-            lease_ttl_s=self.config.fleet_lease_ttl_s,
+            fleet_dir, lease_ttl_s=self.config.fleet_lease_ttl_s
         )
 
     # -- core API ------------------------------------------------------------

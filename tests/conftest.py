@@ -7,6 +7,9 @@ the physics is identical, only the resolution differs.
 
 from __future__ import annotations
 
+import signal
+import subprocess
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -14,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import BlockCompileOutcome
+from repro.fleet.queue import FleetQueue
+from repro.fleet.worker import spawn_worker
 from repro.pipeline import BlockExecutor
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -125,3 +130,44 @@ def outcomes_identical():
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
 
     return check
+
+
+@pytest.fixture
+def fleet_workers():
+    """``start(fleet_dir, count)`` runs ``count`` ``python -m repro worker``
+    processes on a queue directory, as an operator does on each host, and
+    returns once the queue counts them live.  Teardown SIGTERMs (drains)
+    and reaps them."""
+    procs: list = []
+
+    def start(fleet_dir, count: int = 1) -> list:
+        queue = FleetQueue(fleet_dir)
+        expected = queue.live_workers() + count
+        started = [
+            spawn_worker(
+                fleet_dir,
+                "--poll",
+                "0.02",
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            for _ in range(count)
+        ]
+        procs.extend(started)
+        deadline = time.monotonic() + 120
+        while queue.live_workers() < expected:
+            assert all(proc.poll() is None for proc in started)
+            assert time.monotonic() < deadline, "fleet workers never registered"
+            time.sleep(0.02)
+        return started
+
+    yield start
+    for proc in procs:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+    for proc in procs:
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()

@@ -23,27 +23,20 @@ from pathlib import Path
 
 import repro
 from repro.cli import main
-from repro.fleet.dispatcher import _WORKER_BOOTSTRAP
 from repro.fleet.queue import FleetQueue
+from repro.fleet.worker import spawn_worker
 
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 
 def _spawn_worker(fleet_dir, *extra_args) -> subprocess.Popen:
-    cmd = [
-        sys.executable,
-        "-c",
-        _WORKER_BOOTSTRAP,
-        str(SRC_ROOT),
-        "worker",
-        "--fleet-dir",
-        str(fleet_dir),
+    return spawn_worker(
+        fleet_dir,
         "--poll",
         "0.05",
-        *map(str, extra_args),
-    ]
-    return subprocess.Popen(
-        cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        *extra_args,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
 
 

@@ -54,6 +54,9 @@ class _ScriptedQueue:
         fn, item, _preset = self.tasks[job_id]
         return {"result": pack_result(fn(item)), "counts": {}, "worker": "w"}
 
+    def live_workers(self) -> int:
+        return 1
+
 
 def _square(x):
     return x * x
@@ -65,12 +68,10 @@ class TestDispatcherBackoff:
     ):
         sleeps: list = []
         monkeypatch.setattr(dispatcher_module.time, "sleep", sleeps.append)
-        dispatcher = QueueDispatcher(tmp_path / "q", workers=1, poll_s=0.05)
+        dispatcher = QueueDispatcher(tmp_path / "q", poll_s=0.05)
         # job0 answers on the 8th scan; job1, polled in every scan, on the
         # 12th.
         dispatcher.queue = _ScriptedQueue([7, 11])
-        monkeypatch.setattr(dispatcher, "_ensure_workers", lambda: None)
-        monkeypatch.setattr(dispatcher, "_live_workers", lambda: 1)
         assert dispatcher.run_tasks(_square, [3, 4]) == [9, 16]
         # Seven empty scans, a result (reset), three more empty scans.
         assert sleeps == _doubling(7, 0.05) + _doubling(3, 0.05)
@@ -79,9 +80,7 @@ class TestDispatcherBackoff:
         """A new enqueue starts the backoff afresh."""
         sleeps: list = []
         monkeypatch.setattr(dispatcher_module.time, "sleep", sleeps.append)
-        dispatcher = QueueDispatcher(tmp_path / "q", workers=1, poll_s=0.05)
-        monkeypatch.setattr(dispatcher, "_ensure_workers", lambda: None)
-        monkeypatch.setattr(dispatcher, "_live_workers", lambda: 1)
+        dispatcher = QueueDispatcher(tmp_path / "q", poll_s=0.05)
         for _ in range(2):
             dispatcher.queue = _ScriptedQueue([9])
             assert dispatcher.run_tasks(_square, [2]) == [4]

@@ -22,28 +22,21 @@ import pytest
 
 import repro
 from repro.fleet import FleetWorker
-from repro.fleet.dispatcher import _WORKER_BOOTSTRAP
 from repro.fleet.queue import FleetQueue, pack_result, unpack_result
+from repro.fleet.worker import spawn_worker
 from repro.perf import get_perf_registry
 
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 
 def _spawn_worker(fleet_dir, *extra_args) -> subprocess.Popen:
-    cmd = [
-        sys.executable,
-        "-c",
-        _WORKER_BOOTSTRAP,
-        str(SRC_ROOT),
-        "worker",
-        "--fleet-dir",
-        str(fleet_dir),
+    return spawn_worker(
+        fleet_dir,
         "--poll",
         "0.05",
-        *map(str, extra_args),
-    ]
-    return subprocess.Popen(
-        cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        *extra_args,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
     )
 
 

@@ -95,11 +95,11 @@ class TestServiceLoadBench:
     def test_dispatchers_bit_identical(self, payload):
         assert payload["derived"]["durations_match"] is True
 
-    def test_fleet_never_slower_within_margin(self, payload):
+    def test_in_process_never_slower_within_margin(self, payload):
         """The CI gate, re-checked from the artifact (the bench raises
         before writing the file when the ratio breaches the margin)."""
         ratio = payload["derived"]["fleet_2w_vs_inline"]
-        assert ratio >= 1.0 / 1.35
+        assert ratio <= 1.35
 
     def test_fleet_workers_split_the_jobs(self, payload):
         by_worker = payload["derived"]["fleet_2w_completions_by_worker"]

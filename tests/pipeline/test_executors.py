@@ -149,6 +149,7 @@ class TestAutoExecutor:
             "worker_searches": 0,
             "inline_searches": 0,
             "worker_fallbacks": 0,
+            "handoffs": 0,
         }
 
     def test_serial_prefers_batched_pools_do_not(self, threaded_executor):
@@ -181,20 +182,22 @@ class TestMapContract:
         assert SerialExecutor().describe() == {"executor": "serial"}
 
 
+@pytest.fixture
+def executor(monkeypatch):
+    """An ``auto`` executor with a pool of two search workers, even on a
+    1-CPU host."""
+    import repro.pipeline.executors as executors_module
+
+    monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
+    executor = executors_module.AutoExecutor()
+    assert executor.start_workers() == 2
+    yield executor
+    executor.close()
+
+
 class TestClaimLoop:
-    """``auto``'s caller and search worker claim task indices from one
-    shared counter."""
-
-    @pytest.fixture
-    def executor(self, monkeypatch):
-        import repro.pipeline.executors as executors_module
-
-        # Fork the worker even on a 1-CPU host.
-        monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
-        executor = executors_module.AutoExecutor()
-        assert executor.start_worker()
-        yield executor
-        executor.close()
+    """A request alone in ``run_tasks`` and one search worker claim task
+    indices from one shared counter."""
 
     def test_every_index_runs_once_and_index_0_here(self, executor, tmp_path):
         for round_ in range(3):
@@ -207,7 +210,8 @@ class TestClaimLoop:
             assert sorted(os.listdir(directory)) == sorted(map(str, range(8)))
             pids = [pid for pid, _ in results]
             assert pids[0] == os.getpid()
-            assert set(pids) == {os.getpid(), executor._worker.process.pid}
+            # Alone, a request shares with the first idle worker only.
+            assert set(pids) == {os.getpid(), executor._workers[0].process.pid}
         info = executor.describe()
         assert info["worker_searches"] + info["inline_searches"] == 24
         assert info["worker_fallbacks"] == 0
@@ -233,8 +237,115 @@ class TestClaimLoop:
         # Neither side's leftovers leak into the next call.
         items = range(100, 106)
         assert executor.run_tasks(partial(_fail_at, -1), items) == list(items)
-        assert executor._worker is not None
+        assert executor.describe()["search_workers"] == 2
         assert executor.describe()["worker_fallbacks"] == 0
+
+
+class TestOverlappingRequests:
+    """A request that enters ``run_tasks`` while another is in it hands
+    its whole task list to an idle worker."""
+
+    def _overlap(self, executor, tmp_path, first_n, second_n):
+        """Run ``second_n`` tasks while a ``first_n``-task request is in
+        ``run_tasks``; both requests' results."""
+        import threading
+
+        results = {}
+        first = threading.Thread(
+            target=lambda: results.update(
+                first=executor.run_tasks(
+                    partial(_mark, str(tmp_path / "first"), 0.3), range(first_n)
+                )
+            )
+        )
+        (tmp_path / "first").mkdir()
+        (tmp_path / "second").mkdir()
+        first.start()
+        # The first request, alone, holds the first worker from here on.
+        deadline = time.monotonic() + 30
+        while not executor._workers[0].busy.locked():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        results["second"] = executor.run_tasks(
+            partial(_mark, str(tmp_path / "second"), 0.02), range(second_n)
+        )
+        first.join(60)
+        assert not first.is_alive()
+        return results["first"], results["second"]
+
+    def test_one_task_runs_on_a_worker(self, executor, tmp_path):
+        first, second = self._overlap(executor, tmp_path, 3, 1)
+        workers = [worker.process.pid for worker in executor._workers]
+        assert [index for _, index in first] == [0, 1, 2]
+        assert first[0][0] == os.getpid()
+        assert workers[0] in {pid for pid, _ in first}
+        # The second request runs nothing under this interpreter's lock.
+        assert second == [(workers[1], 0)]
+        info = executor.describe()
+        assert info["handoffs"] == 1
+        assert info["worker_searches"] + info["inline_searches"] == 4
+
+    def test_whole_list_runs_on_the_other_worker(self, executor, tmp_path):
+        first, second = self._overlap(executor, tmp_path, 2, 6)
+        workers = [worker.process.pid for worker in executor._workers]
+        assert [index for _, index in second] == list(range(6))
+        assert {pid for pid, _ in second} == {workers[1]}
+        assert sorted(os.listdir(tmp_path / "second")) == sorted(map(str, range(6)))
+        assert executor.describe()["handoffs"] == 1
+
+    def test_many_overlapping_requests_run_each_task_once(self, executor, tmp_path):
+        """More request threads than workers and CPUs, with a short switch
+        interval: a lost update to the request count or a worker claimed
+        twice would run an index twice or lose a result."""
+        import sys
+        import threading
+
+        rounds, tasks = 10, 5
+        outcomes = {}
+
+        def client(name):
+            try:
+                for round_ in range(rounds):
+                    directory = tmp_path / f"{name}-{round_}"
+                    directory.mkdir()
+                    task = partial(_mark, str(directory), 0.001)
+                    results = executor.run_tasks(task, range(tasks))
+                    assert [index for _, index in results] == list(range(tasks))
+                    assert len(os.listdir(directory)) == tasks
+                outcomes[name] = "ok"
+            except Exception as exc:  # noqa: BLE001 — reported below
+                outcomes[name] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(name,)) for name in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == {name: "ok" for name in range(6)}
+        info = executor.describe()
+        assert info["worker_searches"] + info["inline_searches"] == 6 * rounds * tasks
+        assert info["worker_fallbacks"] == 0
+        assert info["search_workers"] == 2
+        assert executor._running == 0
+
+    def test_no_idle_worker_runs_inline(self, executor, tmp_path):
+        for worker in executor._workers[1:]:
+            worker.busy.acquire()
+        try:
+            _, second = self._overlap(executor, tmp_path, 2, 2)
+        finally:
+            for worker in executor._workers[1:]:
+                worker.busy.release()
+        assert {pid for pid, _ in second} == {os.getpid()}
+        assert executor.describe()["handoffs"] == 0
 
 
 class TestExecutorEquivalence:
@@ -264,7 +375,7 @@ class TestExecutorEquivalence:
         # Fork the worker even on a 1-CPU host.
         monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
         executor = executors_module.AutoExecutor()
-        executor.start_worker()
+        executor.start_workers()
         try:
             forked = _compile(executor)
         finally:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.fleet.dispatcher import _WORKER_BOOTSTRAP
+from repro.fleet.worker import _WORKER_BOOTSTRAP
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.server import CompilationServer, ServerClient
 from repro.service import CompilationService, ServiceConfig
@@ -34,15 +34,15 @@ SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 class TestFleetServedCompile:
     @pytest.mark.parametrize("warm_start", [False, True])
     def test_http_compile_bit_identical_to_inline(
-        self, tmp_path, make_request, programs_identical, warm_start
+        self, tmp_path, make_request, programs_identical, fleet_workers, warm_start
     ):
         """One request through HTTP + queue dispatcher + worker process;
         the same request inline through a serial service; same bits."""
         request = make_request("strict-partial", max_block_width=2)
+        fleet_workers(tmp_path / "fleet", 1)
         fleet_cfg = ServiceConfig(
             dispatcher="queue",
             fleet_dir=str(tmp_path / "fleet"),
-            fleet_workers=1,
             warm_start=warm_start,
         )
         with CompilationService(

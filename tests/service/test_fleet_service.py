@@ -3,7 +3,7 @@
 The milestone-1 service-level contracts:
 
 * every strategy compiled through ``dispatcher="queue"`` with real worker
-  processes is bit-identical to the serial in-process executor, with
+  processes (``python -m repro worker``) is bit-identical to the serial in-process executor, with
   warm start off and on: the service resolves cache hits and warm-start
   seeds itself and ships seed-carrying searches, so a request sequence
   whose later requests seed from earlier pulses matches serial too;
@@ -47,16 +47,17 @@ WARM_START_COUNTERS = (
 )
 
 
-def _serial_and_fleet(tmp_path, settings, hyper, requests, **config) -> dict:
-    """Compile ``requests`` in order on a serial service and on a 2-worker
-    fleet service: ``{label: (results, warm-start counter movement)}``."""
+def _serial_and_fleet(
+    tmp_path, fleet_workers, settings, hyper, requests, **config
+) -> dict:
+    """Compile ``requests`` in order on a serial service and on a service
+    over a 2-worker fleet: ``{label: (results, warm-start counter
+    movement)}``."""
+    fleet_workers(tmp_path / "fleet", 2)
     configs = {
         "serial": ServiceConfig(executor="serial", **config),
         "fleet": ServiceConfig(
-            dispatcher="queue",
-            fleet_dir=str(tmp_path / "fleet"),
-            fleet_workers=2,
-            **config,
+            dispatcher="queue", fleet_dir=str(tmp_path / "fleet"), **config
         ),
     }
     perf = get_perf_registry()
@@ -86,6 +87,7 @@ class TestQueueDispatchParity:
         coarse_settings,
         coarse_hyper,
         programs_identical,
+        fleet_workers,
         warm_start,
     ):
         """One serial service and one 2-worker fleet service compile the
@@ -97,6 +99,7 @@ class TestQueueDispatchParity:
         ]
         runs = _serial_and_fleet(
             tmp_path,
+            fleet_workers,
             coarse_settings,
             coarse_hyper,
             requests,
@@ -109,7 +112,13 @@ class TestQueueDispatchParity:
             assert fleet.strategy == name
 
     def test_near_miss_sequence_bit_identical_to_serial(
-        self, tmp_path, workload, coarse_settings, coarse_hyper, programs_identical
+        self,
+        tmp_path,
+        workload,
+        coarse_settings,
+        coarse_hyper,
+        programs_identical,
+        fleet_workers,
     ):
         """Warm start on (the default): later requests seed from the
         pulses earlier ones cached, and the fleet must seed exactly as
@@ -119,14 +128,16 @@ class TestQueueDispatchParity:
             CompileRequest(circuit, theta, strategy="full-grape")
             for theta in NEAR_MISS_THETAS
         ]
-        runs = _serial_and_fleet(tmp_path, coarse_settings, coarse_hyper, requests)
+        runs = _serial_and_fleet(
+            tmp_path, fleet_workers, coarse_settings, coarse_hyper, requests
+        )
         for theta, serial, fleet in zip(
             NEAR_MISS_THETAS, runs["serial"][0], runs["fleet"][0]
         ):
             assert programs_identical(serial.program, fleet.program), theta
 
     def test_fleet_warm_start_counts_come_home(
-        self, tmp_path, workload, coarse_settings, coarse_hyper
+        self, tmp_path, workload, coarse_settings, coarse_hyper, fleet_workers
     ):
         """The warm-start counters a fleet-served full-grape compile moves
         in its workers move in the dispatching process, by the same
@@ -134,6 +145,7 @@ class TestQueueDispatchParity:
         circuit, theta = workload
         runs = _serial_and_fleet(
             tmp_path,
+            fleet_workers,
             coarse_settings,
             coarse_hyper,
             [CompileRequest(circuit, theta, strategy="full-grape")],
@@ -143,7 +155,13 @@ class TestQueueDispatchParity:
         assert fleet_moved == serial_moved
 
     def test_fleet_pulses_land_in_the_service_library(
-        self, tmp_path, workload, coarse_settings, coarse_hyper, programs_identical
+        self,
+        tmp_path,
+        workload,
+        coarse_settings,
+        coarse_hyper,
+        programs_identical,
+        fleet_workers,
     ):
         """With ``dispatcher="queue"`` and a ``cache_dir`` the service
         caches the fleet's pulses in its own library: a later serial
@@ -151,10 +169,9 @@ class TestQueueDispatchParity:
         circuit, theta = workload
         cache_dir = str(tmp_path / "cache")
         request = CompileRequest(circuit, theta, strategy="full-grape")
+        fleet_workers(tmp_path / "cache" / "fleet", 1)
         with CompilationService(
-            config=ServiceConfig(
-                dispatcher="queue", cache_dir=cache_dir, fleet_workers=1
-            ),
+            config=ServiceConfig(dispatcher="queue", cache_dir=cache_dir),
             settings=coarse_settings,
             hyperparameters=coarse_hyper,
         ) as service:

@@ -8,13 +8,15 @@ flexible-partial request's per-θ runtime GRAPE runs travel the same
 route, as plan entries.  So the worker must give exactly what
 ``executor="serial"`` gives — pulses, iteration counts and warm-start
 telemetry — with warm start on.  The ``one_usable_pair`` fixture lets the
-``auto`` executor fork its one search worker even on a single-CPU host.
+``auto`` executor fork a pool of two search workers even on a single-CPU
+host.
 """
 
 from __future__ import annotations
 
 import faulthandler
 import gc
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -66,7 +68,7 @@ def deadlock_guard():
 
 @pytest.fixture(autouse=True)
 def one_usable_pair(monkeypatch):
-    """This process may use two CPUs, so ``auto`` forks its worker."""
+    """This process may use two CPUs, so ``auto`` forks two workers."""
     monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
 
 
@@ -117,6 +119,13 @@ def _assert_same_work(ours, theirs, programs_identical) -> None:
             assert a.metadata[key] == b.metadata[key], key
 
 
+def _pid(_item) -> int:
+    """A pure task that takes 20 ms, long enough for a worker to claim a
+    share, and reports the process that ran it."""
+    time.sleep(0.02)
+    return os.getpid()
+
+
 def _context_switches(pid: int) -> tuple:
     fields = {}
     with open(f"/proc/{pid}/status") as status:
@@ -144,7 +153,7 @@ class TestWorkerRoute:
         routed, routed_moved, executor = _run(
             WORKERS, workload, coarse_settings, coarse_hyper, strategy=strategy
         )
-        assert executor["search_workers"] == 1
+        assert executor["search_workers"] == 2
         assert executor["worker_searches"] > 0
         assert executor["worker_fallbacks"] == 0
         _assert_same_work(routed, serial, programs_identical)
@@ -154,6 +163,66 @@ class TestWorkerRoute:
             assert serial_moved["accepted"] > 0
             assert serial_moved["abandoned_descents"] > 0
         assert routed_moved == serial_moved
+
+    def test_overlapping_requests_use_different_workers(
+        self, monkeypatch, workload, coarse_settings, coarse_hyper, programs_identical
+    ):
+        """Two requests in ``run_tasks`` at once each get a worker of their
+        own, the later one handing its whole task list off, and their
+        pulses match ``serial`` (warm start off, so order cannot matter)."""
+        circuit, _ = workload
+
+        def request(theta):
+            return _request(
+                circuit, theta, coarse_settings, coarse_hyper, "flexible-partial"
+            )
+
+        with CompilationService(
+            ServiceConfig(executor="serial", warm_start=False)
+        ) as service:
+            serial = [service.compile(request(theta)) for theta in THETAS[:3]]
+        served = []
+        share = AutoExecutor._share
+        run_tasks = AutoExecutor.run_tasks
+        barrier = threading.Barrier(2, timeout=120)
+        gated = set()
+
+        def spy_share(self, worker, fn, items, handoff):
+            served.append((worker.process.pid, handoff))
+            return share(self, worker, fn, items, handoff)
+
+        def gate(self, fn, items):
+            # Each request's runtime entries enter run_tasks together.
+            items = list(items)
+            if len(items) > 1 and threading.get_ident() not in gated:
+                gated.add(threading.get_ident())
+                barrier.wait()
+            return run_tasks(self, fn, items)
+
+        results = [None] * 3
+        with CompilationService(
+            ServiceConfig(executor="auto", warm_start=False)
+        ) as service:
+            # The first request precompiles; the overlapping two replay it.
+            results[0] = service.compile(request(THETAS[0]))
+            monkeypatch.setattr(AutoExecutor, "_share", spy_share)
+            monkeypatch.setattr(AutoExecutor, "run_tasks", gate)
+
+            def client(index):
+                results[index] = service.compile(request(THETAS[index]))
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in (1, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=240)
+            assert not any(thread.is_alive() for thread in threads)
+            executor = service.stats()["executor"]
+        assert sorted(handoff for _, handoff in served) == [False, True]
+        assert len({pid for pid, _ in served}) == 2
+        assert executor["handoffs"] == 1
+        assert executor["worker_fallbacks"] == 0
+        _assert_same_work(results, serial, programs_identical)
 
     def test_worker_follows_the_dispatching_preset(
         self, workload, programs_identical
@@ -176,7 +245,7 @@ class TestWorkerRoute:
             set_preset("paper")
             service = CompilationService(WORKERS)
             try:
-                assert service.executor._worker is not None
+                assert service.executor._workers
                 # The worker was forked under "paper"; requests run "ci".
                 set_preset("ci")
                 routed = service.compile(request)
@@ -228,7 +297,7 @@ class TestWorkerRoute:
 
 class TestWorkerLifecycle:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_killed_worker_falls_back_inline(
+    def test_killed_worker_is_dropped_alone(
         self, strategy, workload, coarse_settings, coarse_hyper, programs_identical
     ):
         circuit, _ = workload
@@ -247,9 +316,10 @@ class TestWorkerLifecycle:
                     )
                 )
             ]
-            worker = service.executor._worker
-            worker.process.kill()
-            worker.process.join()
+            # A request alone claims the first idle worker: kill that one.
+            killed, survivor = service.executor._workers
+            killed.process.kill()
+            killed.process.join()
             for theta in THETAS[1:]:
                 results.append(
                     service.compile(
@@ -261,8 +331,12 @@ class TestWorkerLifecycle:
             executor = service.stats()["executor"]
             # The dead worker's share ran inline once; nothing re-forked.
             assert executor["worker_fallbacks"] == 1
-            assert executor["search_workers"] == 0
-            assert service.executor._worker is None
+            assert executor["search_workers"] == 1
+            assert service.executor._workers == [survivor]
+            # The other worker keeps serving.
+            pids = service.executor.run_tasks(_pid, range(4))
+            assert survivor.process.pid in pids
+            assert service.stats()["executor"]["worker_fallbacks"] == 1
         _assert_same_work(results, serial, programs_identical)
 
     def test_idle_worker_blocks_on_its_pipe(
@@ -275,11 +349,11 @@ class TestWorkerLifecycle:
             service.compile(
                 _request(circuit, THETAS[0], coarse_settings, coarse_hyper)
             )
-            worker = service.executor._worker
-            before = _context_switches(worker.process.pid)
+            pids = [worker.process.pid for worker in service.executor._workers]
+            before = [_context_switches(pid) for pid in pids]
             time.sleep(0.5)
             # A polling loop would wake (and switch) several times here.
-            assert _context_switches(worker.process.pid) == before
+            assert [_context_switches(pid) for pid in pids] == before
 
     def test_close_leaves_no_children(self):
         """In a fresh interpreter: after ``close()`` no child survives."""
@@ -295,7 +369,7 @@ class TestWorkerLifecycle:
             "ServiceConfig\n"
             "circuit = qaoa_circuit(maxcut_problem('clique', 4, seed=0), p=1)\n"
             "service = CompilationService(ServiceConfig(executor='auto'))\n"
-            "assert len(multiprocessing.active_children()) == 1\n"
+            "assert len(multiprocessing.active_children()) == 2\n"
             "service.compile(CompileRequest(circuit, [0.4, 0.9], "
             "strategy='full-grape', max_block_width=2, "
             "settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95), "
@@ -312,14 +386,15 @@ class TestWorkerLifecycle:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
 
-    def test_dropped_service_reaps_its_worker(self):
+    def test_dropped_service_reaps_its_workers(self):
         service = CompilationService(WORKERS)
-        worker = service.executor._worker
-        process = worker.process
-        del service, worker
+        processes = [worker.process for worker in service.executor._workers]
+        assert len(processes) == 2
+        del service
         gc.collect()
-        process.join(10)
-        assert process.exitcode is not None
+        for process in processes:
+            process.join(10)
+            assert process.exitcode is not None
 
     def test_two_http_clients_complete(self, workload, coarse_settings, coarse_hyper):
         circuit, _ = workload
@@ -389,7 +464,7 @@ class TestRunSearches:
         broken = [replace(job, target=np.eye(3)) for job in jobs]
         executor = AutoExecutor()
         try:
-            assert executor.start_worker()
+            assert executor.start_workers() == 2
             with pytest.raises(Exception):
                 executor.run_tasks(search_job, broken)
             # The worker's reply to the failed request was drained: the
@@ -410,11 +485,23 @@ class TestWorkerSizing:
 
         monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 1)
         executor = AutoExecutor()
-        assert not executor.start_worker()
+        assert executor.start_workers() == 0
         jobs = TestRunSearches()._jobs([0.2, 0.6])
         executor.run_tasks(search_job, jobs)
         assert executor.describe()["inline_searches"] == 2
         assert executor.describe()["worker_searches"] == 0
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 2), (3, 2), (64, 2)])
+    def test_pool_follows_the_affinity_mask(self, monkeypatch, cpus, workers):
+        monkeypatch.undo()  # the real helper, not the fixture's
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with CompilationService(WORKERS) as service:
+            pids = {worker.process.pid for worker in service.executor._workers}
+            assert len(pids) == workers
+            assert service.stats()["executor"]["search_workers"] == workers
+            assert pids <= {child.pid for child in multiprocessing.active_children()}
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.undo()  # the real helper, not the fixture's

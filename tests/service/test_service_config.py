@@ -64,7 +64,7 @@ class TestEnvConsolidation:
         from repro.service.config import preset_from_env
 
         field_reads = _variables_read_by(monkeypatch, ServiceConfig.from_env)
-        assert len(field_reads) == len(fields(ServiceConfig)) == 16
+        assert len(field_reads) == len(fields(ServiceConfig)) == 15
         preset_reads = _variables_read_by(monkeypatch, preset_from_env)
         assert preset_reads == {"REPRO_PRESET"}
         read = field_reads | preset_reads
@@ -140,7 +140,6 @@ class TestFromEnv:
             "REPRO_WARM_START",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
-            "REPRO_FLEET_WORKERS",
             "REPRO_QUEUE_DEPTH",
             "REPRO_FLEET_LEASE_TTL",
             "REPRO_SERVER_HOST",
@@ -163,7 +162,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_WARM_START", "no")
         monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "2")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "16")
         monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "12.5")
         monkeypatch.setenv("REPRO_SERVER_HOST", "0.0.0.0")
@@ -180,7 +178,6 @@ class TestFromEnv:
         assert config.warm_start is False
         assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
-        assert config.fleet_workers == 2
         assert config.queue_depth == 16
         assert config.fleet_lease_ttl_s == 12.5
         assert config.server_host == "0.0.0.0"
@@ -198,7 +195,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_WARM_START", "perhaps")
         monkeypatch.setenv("REPRO_SCAN_BLOCK", "none")
         monkeypatch.setenv("REPRO_DISPATCHER", "carrier-pigeon")
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "-1")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "0")
         monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "-3")
         monkeypatch.setenv("REPRO_SERVER_PORT", "70000")
@@ -233,6 +229,11 @@ class TestValidation:
     def test_worker_count_is_not_a_field(self):
         with pytest.raises(TypeError):
             ServiceConfig(max_workers=2)
+
+    def test_fleet_worker_count_is_not_a_field(self):
+        """The service spawns no fleet workers; operators start them."""
+        with pytest.raises(TypeError):
+            ServiceConfig(fleet_workers=2)
 
     def test_bad_submit_worker_count_rejected(self):
         with pytest.raises(ReproError):
@@ -271,13 +272,11 @@ class TestFleetServerValidation:
             {"server_port": 65536},
             {"server_max_body_mb": 0},
             {"server_ticket_ttl_s": 0},
-            {"fleet_workers": -1},
             {"queue_depth": 0},
         ],
         ids=[
             "zero-ttl", "negative-ttl", "negative-port", "port-too-high",
-            "zero-body", "zero-ticket-ttl", "negative-workers",
-            "zero-queue-depth",
+            "zero-body", "zero-ticket-ttl", "zero-queue-depth",
         ],
     )
     def test_bad_values_rejected(self, overrides):

@@ -292,12 +292,11 @@ class TestFleetCli:
             [
                 "compile-batch", "--benchmark", "vqe:H2",
                 "--dispatcher", "queue", "--fleet-dir", "/tmp/q",
-                "--fleet-workers", "2", "--queue-depth", "8",
+                "--queue-depth", "8",
             ]
         )
         assert args.dispatcher == "queue"
         assert args.fleet_dir == "/tmp/q"
-        assert args.fleet_workers == 2
         assert args.queue_depth == 8
 
     def test_compile_batch_rejects_unknown_dispatcher(self):
@@ -364,7 +363,6 @@ class TestFleetCli:
         for name in (
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
-            "REPRO_FLEET_WORKERS",
             "REPRO_QUEUE_DEPTH",
         ):
             monkeypatch.delenv(name, raising=False)
@@ -372,8 +370,7 @@ class TestFleetCli:
             main(
                 [
                     "config", "show", "--dispatcher", "queue",
-                    "--fleet-dir", "/tmp/q", "--fleet-workers", "3",
-                    "--queue-depth", "4",
+                    "--fleet-dir", "/tmp/q", "--queue-depth", "4",
                 ]
             )
             == 0
@@ -384,7 +381,7 @@ class TestFleetCli:
             for line in out.splitlines()
             if "|" in line
         }
-        for field in ("dispatcher", "fleet_dir", "fleet_workers", "queue_depth"):
+        for field in ("dispatcher", "fleet_dir", "queue_depth"):
             assert "CLI" in lines[field], field
 
     @pytest.mark.parametrize(
@@ -410,13 +407,15 @@ class TestFleetCli:
         assert captured.out == ""
 
     @pytest.mark.slow
-    def test_compile_batch_through_fleet_dispatcher(self, capsys, tmp_path):
+    def test_compile_batch_through_fleet_dispatcher(
+        self, capsys, tmp_path, fleet_workers
+    ):
+        fleet_workers(tmp_path / "q", 2)
         code = main(
             [
                 "compile-batch", "--benchmark", "qaoa:3regular:4:1",
                 "--batch", "2", "--iterations", "50", "--fidelity", "0.9",
                 "--dispatcher", "queue", "--fleet-dir", str(tmp_path / "q"),
-                "--fleet-workers", "2",
             ]
         )
         assert code == 0
@@ -431,15 +430,21 @@ class TestServerCli:
         args = build_parser().parse_args(["serve"])
         assert args.host is None and args.port is None  # config decides
         assert args.grace == 30.0
-        assert args.fleet_workers is None and args.queue_depth is None
+        assert args.queue_depth is None
 
     @pytest.mark.parametrize(
         "flags",
-        [["--autoscale"], ["--min-workers", "1"], ["--max-workers", "3"]],
-        ids=["autoscale", "min-workers", "max-workers"],
+        [
+            ["--autoscale"],
+            ["--min-workers", "1"],
+            ["--max-workers", "3"],
+            ["--fleet-workers", "1"],
+        ],
+        ids=["autoscale", "min-workers", "max-workers", "fleet-workers"],
     )
-    def test_serve_has_one_pool_manager(self, flags):
-        """The fleet pool is a fixed ``--fleet-workers`` count."""
+    def test_serve_has_no_pool_manager(self, flags):
+        """The server starts no fleet workers: operators run ``python -m
+        repro worker`` on the hosts sharing the queue directory."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", *flags])
 
@@ -447,12 +452,10 @@ class TestServerCli:
         "argv",
         [
             ["serve", "--queue-depth", "0"],
-            ["serve", "--fleet-workers", "-1"],
             ["compile-batch", "--benchmark", "vqe:H2", "--queue-depth", "0"],
             ["config", "show", "--submit-workers", "0"],
         ],
-        ids=["serve-queue-depth", "serve-fleet-workers", "compile-batch",
-             "config-show"],
+        ids=["serve-queue-depth", "compile-batch", "config-show"],
     )
     def test_bad_override_is_a_usage_error(self, capsys, argv):
         """A value the config rejects prints ``error: …`` and exits 2,
@@ -556,7 +559,7 @@ class TestServerCli:
             if "|" in line
         ]
         names = [f.name for f in fields(ServiceConfig)]
-        assert len(names) == 16
+        assert len(names) == 15
         # The header row, one row per field, then the active preset.
         assert rows[1:] == [*names, "preset"]
 
