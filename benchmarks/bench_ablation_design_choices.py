@@ -69,7 +69,7 @@ def _warm_start_ablation():
 def _cache_ablation():
     """Strict LiH precompile with and without the pulse cache."""
     circuit = common.vqe_circuit("LiH")
-    # A fresh service: its pulse cache and scheduler state start empty.
+    # A fresh service: its pulse cache starts empty.
     with CompilationService(
         config=ServiceConfig(),
         device=common.device_for(circuit),

@@ -5,8 +5,7 @@ that expensive artifacts (transpiled circuits, precompiled partial
 compilers, GRAPE pulses) are computed once per pytest session and shared
 across benches.  Everything compiles through one
 :class:`~repro.service.CompilationService`, the library's one front door:
-its pulse cache and scheduler state carry Fixed blocks from one
-benchmark to the next.
+its pulse cache carries Fixed blocks from one benchmark to the next.
 
 Scope control
 -------------

@@ -6,8 +6,7 @@ workload), then compiles one parametrization through each registered
 strategy of the ``repro.service`` facade and prints the paper's two
 headline metrics side by side: pulse duration and runtime compilation
 latency.  One service instance serves every request, so the strategies
-share one block executor, one pulse cache, and one block-dedup scheduler
-state.
+share one block executor and one pulse cache.
 
 Run:  python examples/quickstart.py
 """

@@ -4,7 +4,7 @@
 Runs the full hybrid loop of Figure 1 — UCCSD ansatz, exact-statevector
 energy, Nelder-Mead — with one long-lived ``CompilationService`` as the
 driver's compiler hook: every iteration recompiles the ansatz with strict
-partial compilation, and the service's cross-call scheduler state makes
+partial compilation, and the service's pulse cache makes
 the GRAPE work for the θ-independent Fixed blocks happen exactly once for
 the whole run.  The point of the exercise: the per-iteration compilation
 latency is essentially zero, where full GRAPE would cost minutes per
@@ -32,7 +32,7 @@ def main():
     print(f"Exact ground-state energy: {hamiltonian.ground_state_energy():+.6f} Ha\n")
 
     # One service for the whole run: strict partial compilation by default,
-    # one executor, one pulse cache, one block-dedup scheduler state.
+    # one executor and one pulse cache.
     service = CompilationService(
         device=GmonDevice(line_topology(molecule.num_qubits)),
         settings=GrapeSettings(dt_ns=0.25, target_fidelity=0.99),
@@ -56,12 +56,12 @@ def main():
               f"{report.cache_hits} cache hits)\n")
 
         # The hybrid loop: the driver calls service.compile_parametrized at
-        # every iteration; Fixed blocks are served from the scheduler state.
+        # every iteration; Fixed blocks are served from the pulse cache.
         driver = VQEDriver(hamiltonian, ansatz, max_iterations=300, seed=2,
                            compiler=service)
         result = driver.run()
 
-    reused = result.compile_stats["scheduler"]["cross_call_hits"]
+    reused = result.compile_stats["cache"]["hits"]
     print(format_table(
         ["quantity", "value"],
         [
@@ -71,7 +71,7 @@ def main():
             ["optimizer iterations", result.iterations],
             ["total in-loop compile latency (s)", f"{result.compile_latency_s:.4f}"],
             ["pulse duration per iteration (ns)", f"{result.compile_pulse_ns[-1]:.1f}"],
-            ["blocks served from scheduler state", reused],
+            ["blocks served from the pulse cache", reused],
         ],
         title="VQE-H2 with the compilation service in the loop",
     ))

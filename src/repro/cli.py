@@ -952,14 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     show.add_argument("--cache-budget-mb", type=float, default=None)
     show.add_argument(
-        "--grape-batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="grape_batch",
-        help="--grape-batch / --no-grape-batch override (cross-block "
-        "batched GRAPE kernel)",
-    )
-    show.add_argument(
         "--warm-start",
         action=argparse.BooleanOptionalAction,
         default=None,

@@ -10,7 +10,11 @@ rest on this cache.
 Two backends are provided:
 
 * :class:`PulseCache` — in-memory, thread-safe, with hit/miss/timing
-  telemetry.  This is the seed behavior and remains the default.
+  telemetry.  This is the seed behavior and remains the default.  Its
+  memory tier is also the service's one memory of compiled blocks: the
+  batch scheduler serves a block it holds without dispatching anything,
+  and single-flights the compilation of a block it lacks
+  (:meth:`PulseCache.claim`).
 * :class:`PersistentPulseCache` — additionally mirrors every entry into a
   sharded on-disk :class:`repro.library.PulseLibrary`, fingerprint-keyed,
   so a *second process* (or a later session) starts warm.  Writes are
@@ -111,11 +115,20 @@ class NeighborMatch:
 class PulseCache:
     """In-memory cache of minimum-time GRAPE results.
 
-    Thread-safe: the pipeline's thread executor compiles independent blocks
-    concurrently, and every block consults this cache.  Counters and the
-    entry dict are guarded by one lock; lookup/store wall time is accumulated
-    so cache overhead shows up in pipeline telemetry rather than hiding in
-    GRAPE time.
+    Thread-safe: a service's overlapping ``submit()`` requests share one
+    cache, and every block consults it.  Counters, the entry dict and the
+    single-flight claims are guarded by one lock; lookup/store wall time is
+    accumulated so cache overhead shows up in pipeline telemetry rather
+    than hiding in GRAPE time.
+
+    Single-flight (:meth:`claim` / :meth:`release` / :meth:`wait`): the
+    first scheduling pass to claim a key the memory tier lacks compiles it,
+    and concurrent passes that want the same key wait for the owner's
+    entry instead of racing a duplicate GRAPE run.  A pass waits only
+    after dispatching the keys it owns, so two passes never deadlock on
+    each other's claims.  GRAPE is deterministic for a given (target,
+    context, settings), so serving an owner's pulse to a waiter is
+    bit-identical to the waiter compiling it itself.
 
     The cache also memoizes block fingerprints (:meth:`block_fingerprint`):
     an LRU of at most :attr:`key_memo_max` bound blocks, keyed on their
@@ -138,6 +151,9 @@ class PulseCache:
         self._frozen_depth = 0
         self._frozen_rows: dict | None = None
         self._lock = threading.Lock()
+        # Single-flight: key -> Event for the keys some scheduling pass is
+        # compiling right now (see claim).
+        self._claims: dict = {}
         self.hits = 0
         self.misses = 0
         self.lookup_time_s = 0.0
@@ -148,11 +164,13 @@ class PulseCache:
         self.key_memo_misses = 0
 
     # The lock cannot cross process boundaries (a pickled block compiler
-    # carries its cache); recreate it on unpickle.
+    # carries its cache); recreate it on unpickle.  Claims stay behind: they
+    # belong to this process's scheduling passes.
     # The fingerprint memo stays behind too: job venues never re-key blocks.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
+        state["_claims"] = {}
         state["_fingerprints"] = OrderedDict()
         return state
 
@@ -230,6 +248,50 @@ class PulseCache:
                     self._entries[key] = entry
             self.lookup_time_s += time.perf_counter() - start
         return entry
+
+    def claim(self, key: tuple) -> tuple:
+        """Serve ``key`` from the memory tier, or claim its compilation.
+
+        Returns ``("hit", entry)`` when memory holds ``key`` (counted as a
+        hit), ``("owned", None)`` when the caller now compiles it and must
+        :meth:`release` it afterwards, success or not, and ``("pending",
+        None)`` when another pass owns it: the caller calls :meth:`wait`
+        after dispatching its own work.  Never reads a slower tier: a
+        claimed key's compile route does that.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                return "hit", entry
+            if key in self._claims:
+                return "pending", None
+            self._claims[key] = threading.Event()
+            return "owned", None
+
+    def release(self, key: tuple) -> None:
+        """End a :meth:`claim`: waiters wake and find the owner's entry,
+        or, when the owner's dispatch raised, compile the key
+        themselves."""
+        with self._lock:
+            event = self._claims.pop(key, None)
+        if event is not None:
+            event.set()
+
+    def wait(self, key: tuple) -> CacheEntry | None:
+        """Block until ``key``'s owner releases it; return the memory
+        entry (counted as a hit), or ``None`` when the owner produced
+        none."""
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self.hits += 1
+                    return entry
+                event = self._claims.get(key)
+                if event is None:
+                    return None
+            event.wait()
 
     def put(
         self, key: tuple, entry: CacheEntry, target: np.ndarray | None = None

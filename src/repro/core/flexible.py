@@ -294,7 +294,6 @@ class _FlexiblePartialCompiler:
         seed: int = 11,
         tuning_strategy: str = "grid",
         executor=None,
-        state=None,
         grape_memo=None,
         config: ServiceConfig | None = None,
     ) -> list:
@@ -303,7 +302,7 @@ class _FlexiblePartialCompiler:
 
         The Fixed blocks flow through one
         :class:`~repro.pipeline.scheduler.BlockScheduler` pass over the
-        whole batch (and, via ``state``, across successive calls — see
+        whole batch (and, via ``cache``, across successive calls — see
         :meth:`_StrictPartialCompiler.precompile_many
         <repro.core.strict._StrictPartialCompiler.precompile_many>`), while
         each parametrized single-θ block is tuned per circuit as usual.
@@ -315,7 +314,7 @@ class _FlexiblePartialCompiler:
         replays the probe and tuning runs an earlier precompile already
         ran; each report's ``metadata["grape_memo_hits"]`` counts them.
         ``config`` (a :class:`~repro.service.ServiceConfig`) supplies the
-        warm-start and batched-GRAPE settings; ``None`` uses the defaults.
+        warm-start setting; ``None`` uses the default.
         Returns one compiler per circuit, in order, with the shared batch
         wall time and dedup accounting on every report.
         """
@@ -349,11 +348,7 @@ class _FlexiblePartialCompiler:
             block_compiler, tuner, flexible_slices, max_block_width, executor
         )
         start = time.perf_counter()
-        contexts, report = pipeline.run_many(
-            circuits,
-            state=state,
-            grape_batch=config.grape_batch,
-        )
+        contexts, report = pipeline.run_many(circuits)
         elapsed = time.perf_counter() - start
         batch_metadata = {
             "scheduler": report.as_dict() if report is not None else None,

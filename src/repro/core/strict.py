@@ -68,7 +68,6 @@ class _StrictPartialCompiler:
         max_block_width: int | None = None,
         cache: PulseCache | None = None,
         executor=None,
-        state=None,
         config: ServiceConfig | None = None,
     ) -> list:
         """Precompile a *batch* of ansätze, sharing Fixed blocks across them.
@@ -78,15 +77,14 @@ class _StrictPartialCompiler:
         compilation.  All circuits flow through one pipeline whose pulse stage is a single
         :class:`~repro.pipeline.scheduler.BlockScheduler` pass: Fixed blocks
         with the same unitary fingerprint and control context — within one
-        ansatz or across ansätze — run GRAPE exactly once.  ``state`` (a
-        :class:`~repro.pipeline.scheduler.SchedulerState`) extends the dedup
-        across *calls*: pass the same state object to successive
+        ansatz or across ansätze — run GRAPE exactly once.  ``cache``
+        extends the dedup across *calls*: pass the same cache to successive
         ``precompile_many`` invocations (the service passes its own) and
         later batches pay only for blocks never seen before.  One ansatz
         is the batch ``[circuit]``.
 
         ``config`` (a :class:`~repro.service.ServiceConfig`) supplies the
-        warm-start and batched-GRAPE settings; ``None`` uses the defaults.
+        warm-start setting; ``None`` uses the default.
 
         Returns one compiler per circuit, in order; each report's
         ``wall_time_s`` is the shared batch wall time and its
@@ -115,11 +113,7 @@ class _StrictPartialCompiler:
             block_compiler, _lookup_plan_entry, max_block_width, executor
         )
         start = time.perf_counter()
-        contexts, report = pipeline.run_many(
-            circuits,
-            state=state,
-            grape_batch=config.grape_batch,
-        )
+        contexts, report = pipeline.run_many(circuits)
         elapsed = time.perf_counter() - start
         batch_metadata = {
             "scheduler": report.as_dict() if report is not None else None,

@@ -344,18 +344,39 @@ class FleetQueue:
             record.update(extra)
         _write_json_atomic(self.workers_dir / f"{worker_id}.json", record)
 
+    def _worker_records(self) -> list:
+        """Every readable worker record as ``(path, record, gone)``,
+        ``gone`` meaning ``exited`` or presumed dead.
+
+        A gone record whose last beat is more than one lease TTL old is
+        deleted instead of returned, so a long-lived directory does not
+        make every scan read each worker that ever ran.  A worker wrongly
+        presumed dead rewrites its record on its next beat.
+        """
+        now = time.time()
+        records = []
+        for path in sorted(self.workers_dir.glob("*.json")):
+            info = _read_json(path)
+            if info is None:
+                continue
+            heartbeat = info.get("updated_at") or 0.0
+            gone = info.get("state") == "exited" or self._presumed_dead(
+                info, heartbeat, self.lease_ttl_s
+            )
+            if gone and now - heartbeat > self.lease_ttl_s:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                continue
+            records.append((path, info, gone))
+        return records
+
     def live_workers(self) -> int:
         """How many workers drain this directory now: their heartbeat is
         not ``exited`` and their process is not presumed dead (a worker
         beats while idle and while it holds a lease)."""
-        live = 0
-        for path in self.workers_dir.glob("*.json"):
-            info = _read_json(path)
-            if info is None or info.get("state") == "exited":
-                continue
-            heartbeat = info.get("updated_at") or 0.0
-            live += not self._presumed_dead(info, heartbeat, self.lease_ttl_s)
-        return live
+        return sum(not gone for _, _, gone in self._worker_records())
 
     # -- observability -----------------------------------------------------
     def status(self) -> dict:
@@ -363,7 +384,8 @@ class FleetQueue:
 
         Host-aware: every lease and worker entry carries its ``host``,
         and ``hosts`` aggregates them per machine sharing the directory —
-        the view ``fleet status`` renders.
+        the view ``fleet status`` renders.  Workers gone for more than one
+        lease TTL are pruned, as in :meth:`live_workers`.
         """
         now = time.time()
         pending = sorted(p.stem for p in self.jobs_dir.glob("*.job"))
@@ -385,10 +407,7 @@ class FleetQueue:
                 }
             )
         workers = []
-        for path in sorted(self.workers_dir.glob("*.json")):
-            info = _read_json(path)
-            if info is None:
-                continue
+        for path, info, _ in self._worker_records():
             entry = {
                 "worker": info.get("worker", path.stem),
                 "pid": info.get("pid"),

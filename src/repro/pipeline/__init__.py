@@ -25,8 +25,8 @@ transformer framework:
 * :mod:`repro.pipeline.scheduler` — :class:`BlockScheduler`, which
   deduplicates block compilations across a batch of circuits before
   dispatch (N variational circuits sharing blocks compile each block once),
-  optionally carrying a long-lived :class:`SchedulerState` across calls.
-  A :class:`repro.service.CompilationService` keeps one state for its
+  and serves blocks the pulse cache already holds without dispatch.  A
+  :class:`repro.service.CompilationService` keeps one cache for its
   lifetime, so iteration N+1 of a variational run pays only for blocks
   the service has never seen.
 * :mod:`repro.pipeline.strategies` — the four declarative pipeline
@@ -41,7 +41,7 @@ from repro.pipeline.executors import (
 from repro.pipeline.jobs import BlockJob
 from repro.pipeline.pipeline import CompilationPipeline
 from repro.pipeline.plan import CompilationPlan, PlanCache
-from repro.pipeline.scheduler import BlockScheduler, SchedulerReport, SchedulerState
+from repro.pipeline.scheduler import BlockScheduler, SchedulerReport
 from repro.pipeline.stages import (
     AssembleStage,
     BindStage,
@@ -72,7 +72,6 @@ __all__ = [
     "CompilationPlan",
     "PlanCache",
     "SchedulerReport",
-    "SchedulerState",
     "GateScheduleStage",
     "PipelineContext",
     "PulseStage",

@@ -24,7 +24,6 @@ from repro.pipeline.stages import (
     PulseStage,
     Stage,
 )
-from repro.service.config import ServiceConfig
 
 
 class CompilationPipeline:
@@ -121,11 +120,8 @@ class CompilationPipeline:
         self,
         circuits,
         values=None,
-        scheduler=None,
-        state=None,
         plan_cache=None,
         plan_scope: str = "",
-        grape_batch: bool = ServiceConfig.grape_batch,
     ) -> tuple:
         """Flow a *batch* of circuits through the pipeline, deduplicating
         block compilations across the whole batch.
@@ -141,14 +137,10 @@ class CompilationPipeline:
         the gate-based strategy) fall back to independent ``run`` calls and
         a ``None`` report.
 
-        ``state`` (a :class:`~repro.pipeline.scheduler.SchedulerState`)
-        makes the batch *streaming*: the per-batch scheduler is built
-        around the caller's state object, so dedup memory persists across
-        successive ``run_many`` calls sharing that state — this is how
-        the service's strategies reuse blocks across requests.
-        ``scheduler`` goes further and supplies the whole caller-owned
-        :class:`~repro.pipeline.scheduler.BlockScheduler` (``state`` is
-        then ignored).
+        Dedup reaches *across* calls through the pulse stage's cache: a
+        block its memory tier already holds is served without dispatch and
+        counted in ``reused_blocks`` (see :mod:`repro.pipeline.scheduler`),
+        which is how the service's strategies reuse blocks across requests.
 
         ``plan_cache`` (a :class:`~repro.pipeline.plan.PlanCache`) makes
         the blocking pass content-addressed: when the pipeline's pre-pulse
@@ -157,10 +149,6 @@ class CompilationPipeline:
         aggregation and per-block dedup-key hashing run once per ansatz,
         not once per call.  Misses build and insert the plan.
         ``plan_scope`` namespaces the cache keys per caller.
-
-        ``grape_batch`` switches the cross-block batched-GRAPE dispatch
-        of this pass's scheduler (ignored when a caller-owned
-        ``scheduler`` is supplied).
         """
         from repro.pipeline.scheduler import BlockScheduler
 
@@ -199,14 +187,9 @@ class CompilationPipeline:
                     self._run_stage(stage, context)
             contexts.append(context)
 
-        if scheduler is None:
-            scheduler = BlockScheduler(
-                pulse.block_compiler,
-                pulse.executor,
-                pulse.parametrized_handler,
-                state=state,
-                grape_batch=grape_batch,
-            )
+        scheduler = BlockScheduler(
+            pulse.block_compiler, pulse.executor, pulse.parametrized_handler
+        )
         start = time.perf_counter()
         report = scheduler.run(contexts)
         elapsed = time.perf_counter() - start

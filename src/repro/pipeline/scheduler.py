@@ -13,30 +13,32 @@ pulse back out to every duplicate.  N circuits sharing a block pay for it
 once, even when the cache is cold, even under a parallel executor (where
 per-circuit maps would race identical blocks into redundant GRAPE runs).
 
-Fan-out mirrors the cache-hit path of
-:meth:`~repro.core.compiler.BlockPulseCompiler.compile_block`: a usable
-representative pulse is retargeted to the duplicate's device qubits
-(contexts are translation-invariant by construction); a representative
-that fell back to lookup pulses falls back for the duplicate too, against
-the *duplicate's* own gate-based duration — preserving the paper's
-strictly-not-worse guarantee blockwise.
+Fan-out is the cache-hit rule of
+:meth:`~repro.core.compiler.BlockPulseCompiler.compile_block`, applied to
+the representative's cache entry: the pulse is retargeted to the
+duplicate's device qubits (contexts are translation-invariant by
+construction) when it beats the *duplicate's* own gate-based duration,
+and the duplicate falls back to lookup pulses otherwise — preserving the
+paper's strictly-not-worse guarantee blockwise.  So a GRAPE pulse the
+representative discarded (its own decomposition was faster) still wins for
+a duplicate whose decomposition is slower.
+
+The pulse cache's memory tier is the scheduler's memory *across* calls:
+a block it already holds is served by the same rule at keying time, with
+no dispatch, and a block it lacks is claimed through the cache's
+single-flight (:meth:`~repro.core.cache.PulseCache.claim`), so concurrent
+passes never race one key into two GRAPE runs.  A service keeps one cache
+for its lifetime and feeds it a stream of requests, so iteration N+1's
+shared fixed blocks cost zero GRAPE dispatches.  The disk tier is read
+only on a claimed key's compile route, never at keying time.
 
 Entry point: :meth:`repro.pipeline.pipeline.CompilationPipeline.run_many`,
 which every pipeline with a pulse stage goes through (``run`` is the batch
 of one).
-
-A scheduler constructed with a :class:`SchedulerState` additionally
-remembers every representative it has compiled *across* ``run`` calls:
-the next batch fed through the same scheduler pays only for blocks it has
-never seen in the whole run.  This is the streaming/variational mode —
-:class:`repro.service.CompilationService` keeps one state for its
-lifetime and feeds it a stream of requests, so iteration N+1's shared
-fixed blocks cost zero GRAPE dispatches.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -44,9 +46,7 @@ from repro.circuits.dag import critical_path_ns
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
 from repro.pipeline.executors import BlockExecutor, SerialExecutor
-from repro.pipeline.stages import BlockTask, PipelineContext, _dispatch_task
-from repro.pulse.schedule import PulseSchedule, lookup_schedule
-from repro.service.config import ServiceConfig
+from repro.pipeline.stages import _dispatch_task
 
 
 @dataclass
@@ -55,8 +55,8 @@ class SchedulerReport:
 
     ``deduped_blocks`` counts duplicates folded onto a representative
     *within* this batch; ``reused_blocks`` counts blocks served from the
-    scheduler's cross-call :class:`SchedulerState` — work some *earlier*
-    batch already paid for.
+    pulse cache's memory tier — work some *earlier* or concurrent batch
+    already paid for.
     """
 
     circuits: int = 0
@@ -95,216 +95,6 @@ class SchedulerReport:
         }
 
 
-@dataclass
-class _SeenBlock:
-    """What a long-lived scheduler remembers about one compiled key."""
-
-    outcome: object  # the representative's BlockCompileOutcome
-    cache_entry: object = None  # its CacheEntry when visible to this process
-
-
-@dataclass
-class SchedulerState:
-    """Cross-call dedup memory for a long-lived scheduler.
-
-    Maps dedup keys (fingerprint + control context) to their compiled
-    representative.  State is only recorded after a batch completes
-    successfully — a representative whose dispatch *raised* leaves no
-    entry behind, so later calls recompile instead of fanning out a pulse
-    that was never produced.
-
-    The map is LRU-bounded (``max_entries``): a variational run binds a
-    fresh θ every iteration, so its θ-dependent blocks record keys that
-    will never hit again — without a bound those one-shot entries (each
-    pinning full pulse schedules) would grow with the iteration count.
-    The θ-independent blocks the bound exists to protect are re-touched
-    every iteration, so LRU keeps exactly them.
-
-    Every mutation is serialized on an internal lock: a
-    :class:`~repro.service.facade.CompilationService` runs overlapping
-    ``submit()`` requests through one shared state, so lookup/record must
-    be safe under concurrent schedulers.  Cold misses on the same key are
-    *single-flighted*: the first scheduler to :meth:`claim` a key owns its
-    compilation, and concurrent schedulers that want the same key
-    :meth:`wait_for` the owner's record instead of racing a duplicate
-    GRAPE run.  Waiting always happens after a pass has dispatched its own
-    owned work (see :meth:`BlockScheduler.run`), so two passes can never
-    deadlock on each other's claims.  GRAPE is deterministic for a given
-    (target, context, settings), so serving an owner's pulse to a waiter
-    is bit-identical to the waiter compiling it itself.
-    """
-
-    seen: dict = field(default_factory=dict)  # key -> _SeenBlock, LRU order
-    max_entries: int = 4096
-    cross_call_hits: int = 0
-    batches: int = 0
-    evictions: int = 0
-
-    def __post_init__(self):
-        self._lock = threading.RLock()
-        # Single-flight coordination: key -> threading.Event for keys some
-        # scheduler is compiling *right now*.  Concurrent schedulers that
-        # want the same key wait for the owner's record instead of racing
-        # a duplicate GRAPE run.
-        self._pending: dict = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.seen)
-
-    def lookup(self, key) -> "_SeenBlock | None":
-        """The remembered block for ``key``, refreshing its LRU position."""
-        with self._lock:
-            block = self.seen.get(key)
-            if block is not None:
-                # dicts preserve insertion order: re-insert to mark as fresh.
-                del self.seen[key]
-                self.seen[key] = block
-                self.cross_call_hits += 1
-            return block
-
-    def record(self, key, block: "_SeenBlock") -> None:
-        """Remember ``key``'s compiled representative, evicting LRU entries.
-
-        Also resolves any in-flight :meth:`claim` on ``key``: waiters
-        blocked in :meth:`wait_for` wake up and find the entry.
-        """
-        with self._lock:
-            self.seen.pop(key, None)
-            self.seen[key] = block
-            while len(self.seen) > self.max_entries:
-                self.seen.pop(next(iter(self.seen)))
-                self.evictions += 1
-            pending = self._pending.pop(key, None)
-            if pending is not None:
-                pending.set()
-
-    def claim(self, key) -> tuple:
-        """Atomically look up ``key`` or claim the right to compile it.
-
-        Returns ``("hit", block)`` when the key is already remembered
-        (LRU-refreshed, counted as a cross-call hit), ``("owned", None)``
-        when the caller is now responsible for compiling it — it *must*
-        eventually :meth:`record` or :meth:`release` the key — and
-        ``("pending", None)`` when another scheduler owns it right now,
-        in which case the caller should :meth:`wait_for` the result
-        after dispatching its own work.
-        """
-        with self._lock:
-            block = self.seen.get(key)
-            if block is not None:
-                del self.seen[key]
-                self.seen[key] = block
-                self.cross_call_hits += 1
-                return "hit", block
-            if key in self._pending:
-                return "pending", None
-            self._pending[key] = threading.Event()
-            return "owned", None
-
-    def release(self, key) -> None:
-        """Abandon a :meth:`claim` without recording (the dispatch raised).
-
-        Waiters wake up, find no entry and no pending owner, and compile
-        the key themselves instead of blocking forever.
-        """
-        with self._lock:
-            pending = self._pending.pop(key, None)
-            if pending is not None:
-                pending.set()
-
-    def wait_for(self, key) -> "_SeenBlock | None":
-        """Block until ``key``'s owner records or releases it.
-
-        Returns the remembered block (counted as a cross-call hit) when
-        the owner succeeded, ``None`` when the owner released the claim
-        without recording — the caller compiles the key itself.
-        """
-        while True:
-            with self._lock:
-                block = self.seen.get(key)
-                if block is not None:
-                    del self.seen[key]
-                    self.seen[key] = block
-                    self.cross_call_hits += 1
-                    return block
-                pending = self._pending.get(key)
-                if pending is None:
-                    return None
-            pending.wait()
-
-    def count_batch(self) -> None:
-        """Count one completed scheduling pass."""
-        with self._lock:
-            self.batches += 1
-
-    def clear(self) -> None:
-        """Forget every remembered block (counters are kept)."""
-        with self._lock:
-            self.seen.clear()
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "known_blocks": len(self.seen),
-                "cross_call_hits": self.cross_call_hits,
-                "batches": self.batches,
-                "evictions": self.evictions,
-            }
-
-
-def _retarget_outcome(outcome, task: BlockTask, cache_entry=None):
-    """Build a duplicate's outcome from its group representative's.
-
-    The logic is the cache-hit path of ``compile_block``, judged against
-    the *duplicate's* own gate-based duration.  When the representative's
-    cache entry is available (``cache_entry``), that judgment is exact:
-    a GRAPE pulse the representative discarded as a fallback (its own
-    gate time was shorter) can still win for a duplicate whose
-    decomposition is slower.  Without the entry (another process's
-    cache write never reached this one), the representative's
-    outcome is the only evidence, so an unusable representative means the
-    duplicate takes its lookup fallback.  Either way the duplicate costs
-    zero GRAPE iterations and is never worse than gate-based compilation.
-    """
-    from repro.core.compiler import BlockCompileOutcome
-
-    gate_ns = critical_path_ns(task.subcircuit)
-    device_qubits = tuple(task.device_qubits)
-    if cache_entry is not None:
-        shared = cache_entry.schedule
-        usable = (
-            cache_entry.converged and cache_entry.duration_ns <= gate_ns + 1e-9
-        )
-        duration = cache_entry.duration_ns
-        fidelity = cache_entry.fidelity
-    else:
-        shared = outcome.schedule
-        usable = outcome.used_grape and outcome.duration_ns <= gate_ns + 1e-9
-        duration = outcome.duration_ns
-        fidelity = outcome.fidelity
-    if usable:
-        schedule = PulseSchedule(
-            qubits=device_qubits,
-            dt_ns=shared.dt_ns,
-            controls=shared.controls,
-            channel_names=shared.channel_names,
-            source="dedup",
-        )
-    else:
-        schedule = lookup_schedule(device_qubits, gate_ns, source="fallback")
-        duration = gate_ns
-    return BlockCompileOutcome(
-        schedule=schedule,
-        duration_ns=duration,
-        gate_based_ns=gate_ns,
-        iterations=0,
-        cache_hit=True,
-        used_grape=usable,
-        fidelity=fidelity,
-    )
-
-
 class BlockScheduler:
     """Deduplicating dispatcher for a batch of blocked pipeline contexts."""
 
@@ -313,34 +103,19 @@ class BlockScheduler:
         block_compiler,
         executor: BlockExecutor | None = None,
         parametrized_handler=None,
-        state: SchedulerState | None = None,
-        grape_batch: bool = ServiceConfig.grape_batch,
     ):
         self.block_compiler = block_compiler
         self.executor = executor if executor is not None else SerialExecutor()
         self.parametrized_handler = parametrized_handler
-        # ``state`` makes the scheduler long-lived: representatives compiled
-        # in one ``run`` are remembered and served for free in the next.
-        self.state = state
-        # Cross-block batched GRAPE dispatch: when the executor runs tasks
-        # inline, same-shape representatives are stacked through the
-        # batched kernel instead of mapped.
-        self.grape_batch = bool(grape_batch)
         self._dispatch = partial(
             _dispatch_task, block_compiler, parametrized_handler
         )
 
-    def _batched_dispatch_allowed(self, fixed_count: int) -> bool:
-        """Whether this pass should stack fixed tasks into the batched kernel.
-
-        Requires an executor that *prefers* batching (serial and auto; the
-        fleet's queue dispatcher ships searches instead) and at least two
-        fixed representatives.
-        """
-        return (
-            self.grape_batch
-            and fixed_count >= 2
-            and getattr(self.executor, "prefers_batched", False)
+    def _served(self, task, entry):
+        """A block's outcome from a cache entry compiled for its key: the
+        cache-hit rule, judged against this task's own gate time."""
+        return self.block_compiler._cache_hit_outcome(
+            task.device_qubits, critical_path_ns(task.subcircuit), entry
         )
 
     def _dispatch_all(self, order: list, dispatch_tasks: list) -> tuple:
@@ -362,7 +137,10 @@ class BlockScheduler:
         from repro.core.compiler import compile_jobs
 
         fixed_idx = [j for j, (kind, _) in enumerate(order) if kind == "group"]
-        if self._batched_dispatch_allowed(len(fixed_idx)):
+        # Stacking needs an executor that *prefers* batching (serial and
+        # auto; the fleet's queue dispatcher ships searches instead) and at
+        # least two fixed representatives.
+        if len(fixed_idx) >= 2 and getattr(self.executor, "prefers_batched", False):
             outcomes, stats = self.block_compiler.compile_blocks_batched(
                 [
                     (
@@ -410,69 +188,68 @@ class BlockScheduler:
         Each context must have been through a blocking stage
         (``context.tasks`` populated); on return every context has
         ``block_results`` aligned with its tasks, exactly as if its pulse
-        stage had run alone — except that duplicate blocks carry retargeted
-        copies of one shared compilation.
+        stage had run alone — except that duplicate and reused blocks carry
+        retargeted copies of one shared compilation.
         """
         report = SchedulerReport(circuits=len(contexts))
+        cache = self.block_compiler.cache
         groups: dict = {}  # key -> list[(context_index, task_index, task)]
         order: list = []  # (kind, payload) in dispatch order
         slots: dict = {}  # (context_index, task_index) -> result
         waits: list = []  # (ci, ti, task, key) owned by a concurrent pass
-        owned: set = set()  # state keys this pass claimed and must resolve
-        for ci, context in enumerate(contexts):
-            if context.tasks is None:
-                raise PipelineError(
-                    "a blocking stage must run before batch scheduling"
-                )
-            for ti, task in enumerate(context.tasks):
-                report.total_blocks += 1
-                if task.kind == "parametrized":
-                    report.parametrized_blocks += 1
-                    order.append(("task", (ci, ti, task)))
-                    continue
-                if task.dedup_key_known:
-                    # Plan replay (or a prior build_plan pass) already paid
-                    # for this block's fingerprint; trust it.
-                    key = task.dedup_key
-                else:
-                    # The unitary this builds rides along on the task to
-                    # the compile route (one matrix per cold block).
-                    key, task.target = self.block_compiler.task_identity(
-                        task.subcircuit, task.device_qubits
+        try:
+            for ci, context in enumerate(contexts):
+                if context.tasks is None:
+                    raise PipelineError(
+                        "a blocking stage must run before batch scheduling"
                     )
-                if key is None:
-                    # Empty / zero-duration blocks: no GRAPE, compile inline.
-                    report.trivial_blocks += 1
-                    slots[(ci, ti)] = self.block_compiler.compile_block(
-                        task.subcircuit, task.device_qubits
-                    )
-                    continue
-                members = groups.get(key)
-                if members is not None:
-                    # In-batch duplicate of a group this pass already owns.
-                    members.append((ci, ti, task))
-                    continue
-                if self.state is not None:
-                    status, seen = self.state.claim(key)
-                    if status == "hit":
-                        # An earlier batch through this scheduler already
-                        # compiled this block: serve it like a duplicate,
-                        # judged against this task's own gate time.
-                        report.reused_blocks += 1
-                        slots[(ci, ti)] = _retarget_outcome(
-                            seen.outcome, task, seen.cache_entry
+                for ti, task in enumerate(context.tasks):
+                    report.total_blocks += 1
+                    if task.kind == "parametrized":
+                        report.parametrized_blocks += 1
+                        order.append(("task", (ci, ti, task)))
+                        continue
+                    if task.dedup_key_known:
+                        # Plan replay (or a prior build_plan pass) already paid
+                        # for this block's fingerprint; trust it.
+                        key = task.dedup_key
+                    else:
+                        # The unitary this builds rides along on the task to
+                        # the compile route (one matrix per cold block).
+                        key, task.target = self.block_compiler.task_identity(
+                            task.subcircuit, task.device_qubits
+                        )
+                    if key is None:
+                        # Empty / zero-duration blocks: no GRAPE, compile inline.
+                        report.trivial_blocks += 1
+                        slots[(ci, ti)] = self.block_compiler.compile_block(
+                            task.subcircuit, task.device_qubits
                         )
                         continue
+                    members = groups.get(key)
+                    if members is not None:
+                        # In-batch duplicate of a group this pass already owns.
+                        members.append((ci, ti, task))
+                        continue
+                    status, entry = cache.claim(key)
+                    if status == "hit":
+                        # An earlier pass already compiled this block.
+                        report.reused_blocks += 1
+                        slots[(ci, ti)] = self._served(task, entry)
+                        continue
                     if status == "pending":
-                        # A concurrent pass is compiling this key right
-                        # now.  Don't duplicate its GRAPE run — dispatch
-                        # our own work first, then wait for its record.
+                        # A concurrent pass is compiling this key right now.
+                        # Don't duplicate its GRAPE run — dispatch our own work
+                        # first, then wait for its entry.
                         waits.append((ci, ti, task, key))
                         continue
-                    owned.add(key)
-                groups[key] = members = []
-                order.append(("group", key))
-                members.append((ci, ti, task))
+                    groups[key] = [(ci, ti, task)]
+                    order.append(("group", key))
+        except BaseException:
+            # Keys claimed before the failure must not strand their waiters.
+            for key in groups:
+                cache.release(key)
+            raise
 
         dispatch_tasks = []
         for kind, payload in order:
@@ -494,77 +271,47 @@ class BlockScheduler:
         # Pin warm-start candidates to the pre-pass cache state for the
         # whole dispatch window so results cannot depend on executor
         # scheduling order (see PulseCache.freeze_neighbors).
-        cache = getattr(self.block_compiler, "cache", None)
-        if cache is not None:
-            cache.freeze_neighbors()
+        cache.freeze_neighbors()
         try:
             try:
                 results, batch_stats = self._dispatch_all(order, dispatch_tasks)
-                report.batched_groups = batch_stats["batched_groups"]
-                report.batched_blocks = batch_stats["batched_blocks"]
+            finally:
+                # Every representative's entry is cached by now, or its
+                # dispatch raised: either way waiters may go on.
+                for key in groups:
+                    cache.release(key)
+            report.batched_groups = batch_stats["batched_groups"]
+            report.batched_blocks = batch_stats["batched_blocks"]
 
-                for (kind, payload), result in zip(order, results):
-                    if kind == "task":
-                        ci, ti, _task = payload
-                        slots[(ci, ti)] = result
-                        continue
-                    members = groups[payload]
-                    rep_ci, rep_ti, _rep_task = members[0]
-                    slots[(rep_ci, rep_ti)] = result
-                    # The representative's cache entry (when its write is
-                    # visible to this process) lets fan-out judge duplicates
-                    # exactly as a per-circuit cache hit would; see
-                    # _retarget_outcome.  A stateful scheduler fetches it even
-                    # for singleton groups so future cross-call reuse gets the
-                    # same exact judgment.
-                    cache_entry = (
-                        self.block_compiler.cache.get(payload)
-                        if len(members) > 1 or self.state is not None
-                        else None
-                    )
+            for (kind, payload), result in zip(order, results):
+                if kind == "task":
+                    ci, ti, _task = payload
+                    slots[(ci, ti)] = result
+                    continue
+                members = groups[payload]
+                rep_ci, rep_ti, _rep_task = members[0]
+                slots[(rep_ci, rep_ti)] = result
+                if len(members) > 1:
+                    entry = cache.get(payload)
                     for ci, ti, task in members[1:]:
                         report.deduped_blocks += 1
-                        slots[(ci, ti)] = _retarget_outcome(
-                            result, task, cache_entry
-                        )
-                    if self.state is not None:
-                        # Recorded only on this (post-``map``) success path: a
-                        # representative whose dispatch raised never reaches
-                        # here, so no later call can fan out a pulse that does
-                        # not exist.
-                        self.state.record(payload, _SeenBlock(result, cache_entry))
-                        owned.discard(payload)
-            finally:
-                if self.state is not None and owned:
-                    # A dispatch raised before every owned key was recorded:
-                    # release the leftover claims so concurrent waiters (and
-                    # future passes) compile those keys themselves instead of
-                    # blocking on a result that will never arrive.
-                    for key in owned:
-                        self.state.release(key)
+                        slots[(ci, ti)] = self._served(task, entry)
 
             # Blocks owned by concurrent passes: our own dispatch is done, so
             # waiting here can never deadlock — every pass resolves its owned
             # keys without waiting on anyone else's.
             for ci, ti, task, key in waits:
-                seen = self.state.wait_for(key)
-                if seen is not None:
+                entry = cache.wait(key)
+                if entry is not None:
                     report.reused_blocks += 1
-                    slots[(ci, ti)] = _retarget_outcome(
-                        seen.outcome, task, seen.cache_entry
-                    )
+                    slots[(ci, ti)] = self._served(task, entry)
                     continue
-                # The owner released without recording (its dispatch raised,
-                # or the entry was evicted already): compile it ourselves.
-                outcome = self._dispatch(task)
-                cache_entry = self.block_compiler.cache.get(key)
-                self.state.record(key, _SeenBlock(outcome, cache_entry))
+                # The owner's dispatch raised: compile it ourselves.
+                slots[(ci, ti)] = self._dispatch(task)
                 report.unique_blocks += 1
                 report.dispatched_tasks += 1
-                slots[(ci, ti)] = outcome
         finally:
-            if cache is not None:
-                cache.thaw_neighbors()
+            cache.thaw_neighbors()
 
         for ci, context in enumerate(contexts):
             context.block_results = [
@@ -572,8 +319,6 @@ class BlockScheduler:
             ]
             context.executor_info = self.executor.describe()
 
-        if self.state is not None:
-            self.state.count_batch()
         report.warm_started_blocks = (
             perf.counter("grape.warm_start.neighbor_seeds")
             + perf.counter("grape.warm_start.kak_seeds")

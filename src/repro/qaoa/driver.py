@@ -2,8 +2,8 @@
 
 Like :class:`repro.vqe.VQEDriver`, the ``compiler`` hook's supported form
 is a :class:`repro.service.CompilationService` (``compiler=service``
-compiles every iteration through the service's shared executor, cache, and
-scheduler state); any object with ``compile_parametrized(circuit, values)``
+compiles every iteration through the service's shared executor and pulse
+cache); any object with ``compile_parametrized(circuit, values)``
 or ``compile(values)`` also works.
 """
 

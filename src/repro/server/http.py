@@ -5,7 +5,7 @@ A thin, dependency-free network layer (stdlib ``http.server``) over one
 :class:`~http.server.ThreadingHTTPServer` gives every connection its own
 thread, which parses/validates the payload and then rides the service's
 ordinary ``submit()`` path — so HTTP clients share the bounded admission,
-executor, pulse library, and scheduler state with in-process callers, and
+executor and pulse cache with in-process callers, and
 a mixed population of local and remote clients behaves as one load.
 
 Routes::

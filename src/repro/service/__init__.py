@@ -13,9 +13,9 @@ loop calls thousands of times.  This package is that service:
   ``"flexible-partial"``, ``"step-function"``) plus
   :func:`register_strategy` for third-party strategies.
 * :mod:`repro.service.facade` — :class:`CompilationService`, the single
-  supported way to compile: one persistent block executor, one open pulse
-  library, one cross-call scheduler state, shared by every ``compile`` /
-  ``submit`` from any number of threads.
+  supported way to compile: one persistent block executor and one open
+  pulse cache (the memory of compiled blocks), shared by every
+  ``compile`` / ``submit`` from any number of threads.
 
 This ``__init__`` imports lazily (PEP 562): :mod:`repro.config` depends on
 :mod:`repro.service.config` at import time, so pulling the facade (which

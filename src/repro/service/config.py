@@ -1,8 +1,8 @@
 """Typed, immutable configuration for the compilation service.
 
 :class:`ServiceConfig` consolidates the ``REPRO_*`` environment knobs —
-executor, cache directory/sharding/budget, GRAPE batching, warm-start
-seeding, fleet and server settings — into one frozen dataclass.  This
+executor, cache directory/sharding/budget, warm-start seeding, fleet and
+server settings — into one frozen dataclass.  This
 module is the **only** place in the whole package that reads ``REPRO_*``
 environment variables (a repo test greps for strays), so "what
 configuration am I actually running with?" always has one answer:
@@ -116,8 +116,8 @@ class ServiceConfig:
         whichever of one idle worker and the calling thread is free next,
         or all to an idle worker while another request runs tasks (see
         :class:`repro.pipeline.executors.AutoExecutor`); ``"serial"``
-        runs everything in the calling thread.  For multi-process
-        dispatch of large batches use ``dispatcher="queue"``.
+        runs everything in the calling thread.  Searches on worker
+        processes of other hosts go through ``dispatcher="queue"``.
     submit_workers:
         Size of the request-level thread pool behind
         :meth:`repro.service.CompilationService.submit`
@@ -136,14 +136,6 @@ class ServiceConfig:
     cache_budget_mb:
         Default size budget for :meth:`repro.library.PulseLibrary.gc`
         (``REPRO_CACHE_BUDGET_MB``).  ``None`` means unbounded.
-    grape_batch:
-        Whether the batch scheduler may stack same-shape cold blocks into
-        the cross-block batched GRAPE kernel
-        (:mod:`repro.pulse.grape.batched`) when the executor runs tasks
-        inline (``REPRO_GRAPE_BATCH``).  Results are bit-identical to the
-        per-block kernel; this knob exists for debugging and A/B timing.
-        A group stacks at most :data:`repro.pulse.grape.batched
-        .DEFAULT_MAX_GROUP` blocks.
     warm_start:
         Whether cache-missing blocks warm-start GRAPE from the nearest
         cached pulse — or, for seedless two-qubit blocks, from the
@@ -191,7 +183,6 @@ class ServiceConfig:
     cache_dir: str | None = None
     cache_shards: int = 16
     cache_budget_mb: float | None = None
-    grape_batch: bool = True
     warm_start: bool = True
     dispatcher: str = "executor"
     fleet_dir: str | None = None
@@ -324,7 +315,6 @@ class ServiceConfig:
             lambda v: v > 0, "must be positive", values, sources,
         )
 
-        _env_bool("REPRO_GRAPE_BATCH", "grape_batch", values, sources)
         _env_bool("REPRO_WARM_START", "warm_start", values, sources)
 
         dispatcher = os.environ.get("REPRO_DISPATCHER")

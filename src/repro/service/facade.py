@@ -10,10 +10,8 @@ One service instance owns the machinery every request shares:
   :class:`~repro.library.PulseLibrary` when ``cache_dir`` is set — the
   one store that outlives a process: a new service over the same
   directory serves every pulse compiled there before with zero GRAPE
-  iterations),
-* one in-memory cross-call
-  :class:`~repro.pipeline.scheduler.SchedulerState` (block dedup across
-  this service's requests),
+  iterations; its memory tier is the block dedup across this service's
+  requests, single-flighted while a block compiles),
 * one :class:`~repro.pulse.grape.memo.GrapeRunMemo` of the flexible
   precompile's θ-independent GRAPE runs (DESIGN.md "GRAPE-run memo").
 
@@ -26,8 +24,8 @@ Concurrency model: ``submit()`` accepts requests from any number of
 threads and strategy execution (blocking + GRAPE) runs *outside* the
 service lock, so non-conflicting requests genuinely overlap.  The shared
 mutable pieces each carry their own short-lived lock: the
-:class:`~repro.pipeline.scheduler.SchedulerState` serializes its
-lookup/record operations internally, the
+:class:`~repro.core.cache.PulseCache` serializes its lookups, stores and
+single-flight claims internally, the
 :class:`~repro.pipeline.plan.PlanCache` its lookups/inserts, and
 ``self._lock`` shrinks to the request counters and lifecycle flags.
 GRAPE is deterministic for a given (target, control context, settings),
@@ -83,7 +81,6 @@ class CompilationService:
         from repro.core.cache import PersistentPulseCache, PulseCache
         from repro.pipeline.executors import resolve_executor
         from repro.pipeline.plan import PlanCache
-        from repro.pipeline.scheduler import SchedulerState
         from repro.pulse.grape.memo import GrapeRunMemo
 
         self.config = config if config is not None else ServiceConfig.from_env()
@@ -103,7 +100,6 @@ class CompilationService:
             self.executor = self._make_queue_dispatcher()
         else:
             self.executor = resolve_executor(self.config.executor)
-        self.scheduler_state = SchedulerState()
         # Blocking plans keyed by ansatz content: repeated requests for one
         # symbolic circuit replay blocking instead of recomputing it.
         self.plan_cache = PlanCache()
@@ -112,7 +108,7 @@ class CompilationService:
         # Default device per circuit width (see device_for).
         self._default_devices: dict = {}
         # ``_lock`` guards only the counters and lifecycle flags; strategy
-        # execution runs outside it (the scheduler state and plan cache
+        # execution runs outside it (the pulse cache and plan cache
         # serialize themselves).  ``_idle`` lets close() wait for in-flight
         # direct compile() calls before releasing the block executor.
         self._lock = threading.RLock()
@@ -205,7 +201,7 @@ class CompilationService:
         """Enqueue one request; returns a ``concurrent.futures.Future``.
 
         Callable from any number of threads: all submissions share this
-        service's executor, cache, and scheduler state, so concurrent
+        service's executor and pulse cache, so concurrent
         requests reuse each other's blocks exactly as serial ones do.
 
         With ``queue_depth`` configured, admission is bounded: when that
@@ -319,7 +315,7 @@ class CompilationService:
 
     # -- telemetry -----------------------------------------------------------
     def stats(self) -> dict:
-        """One report folding scheduler, cache and executor counters."""
+        """One report folding request, cache and executor counters."""
         from repro.pulse.grape.batched import batch_telemetry
         from repro.pulse.grape.seeding import warm_start_telemetry
 
@@ -333,7 +329,6 @@ class CompilationService:
                 "queue_depth": self.config.queue_depth,
                 "backpressure_waits": self.backpressure_waits,
             },
-            "scheduler": self.scheduler_state.as_dict(),
             "plan_cache": self.plan_cache.as_dict(),
             "grape_memo": self.grape_memo.stats(),
             # The one per-service call that sweeps the disk library.
@@ -390,5 +385,5 @@ class CompilationService:
         return (
             f"CompilationService(requests={self.requests_total}, "
             f"executor={self.executor.name!r}, "
-            f"known_blocks={len(self.scheduler_state)})"
+            f"cached_blocks={len(self.cache)})"
         )

@@ -2,8 +2,8 @@
 
 Each strategy adapts one of the paper's compilation modes to the service's
 request/response surface while sharing the service's machinery — one pulse
-cache, one block executor, one cross-call scheduler state — so repeated
-requests reuse each other's work regardless of which thread submitted
+cache and one block executor — so repeated requests reuse each other's
+work regardless of which thread submitted
 them.  The heavy lifting stays in :mod:`repro.core`: the strategy classes
 here wrap its compilers (``_GateBasedCompiler``,
 ``_StepFunctionGateCompiler``, ``_StrictPartialCompiler``,
@@ -108,7 +108,7 @@ class StepFunctionStrategy(_StrategyBase):
 class FullGrapeStrategy(_StrategyBase):
     """Blocked minimum-time GRAPE over the whole bound circuit.
 
-    Runs through the service's shared scheduler state (when the request
+    Runs through the service's shared pulse cache (when the request
     allows caching), so a stream of requests — from one thread or many —
     dispatches GRAPE only for blocks the whole service lifetime has never
     seen.  A single request is the batch of one.
@@ -185,17 +185,12 @@ class FullGrapeStrategy(_StrategyBase):
             block_compiler, first.max_block_width, service.executor
         )
         # An uncached request must pay the honest out-of-the-box latency,
-        # so it also skips the cross-call dedup memory and the plan cache.
-        state = service.scheduler_state if first.use_cache else None
+        # so it also skips the plan cache (its fresh pulse cache already
+        # holds no earlier block).
         plan_cache = service.plan_cache if first.use_cache else None
         start = time.perf_counter()
         contexts, report = pipeline.run_many(
-            circuits,
-            values,
-            state=state,
-            plan_cache=plan_cache,
-            plan_scope=self.name,
-            grape_batch=service.config.grape_batch,
+            circuits, values, plan_cache=plan_cache, plan_scope=self.name
         )
         elapsed = time.perf_counter() - start
         extra = {"scheduler": report.as_dict() if report is not None else None}
@@ -229,10 +224,10 @@ class _PartialStrategyBase(_StrategyBase):
 class StrictPartialStrategy(_PartialStrategyBase):
     """GRAPE-precompiled Fixed blocks + lookup ``Rz(θ)`` at runtime.
 
-    Precompilation flows through the service's scheduler state, so the
+    Precompilation flows through the service's pulse cache, so the
     Fixed blocks of an ansatz the service has seen before cost zero GRAPE
     dispatches.  Each request still runs the (GRAPE-free) blocking pass
-    and a scheduler lookup per Fixed block; re-keying a block the service
+    and a cache claim per Fixed block; re-keying a block the service
     has already fingerprinted is a memo hit on the service cache (see
     DESIGN.md "Block identity").  Callers replaying one ansatz thousands
     of times can precompile once (``values=None``) and reuse
@@ -254,7 +249,6 @@ class StrictPartialStrategy(_PartialStrategyBase):
             max_block_width=request.max_block_width,
             cache=service.cache if request.use_cache else PulseCache(),
             executor=service.executor,
-            state=service.scheduler_state if request.use_cache else None,
             config=service.config,
         )[0]
 
@@ -263,7 +257,7 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
     """Single-θ slices with tuned warm-started GRAPE at runtime.
 
     Each request precompiles its ansatz: Fixed blocks through the
-    service's scheduler state (as in strict-partial), and for every
+    service's pulse cache (as in strict-partial), and for every
     single-θ block a minimum-time probe plus hyperparameter tuning.  Those
     probe and tuning runs depend on the ansatz and the options but not on
     θ, so a cached request runs them through the service's
@@ -328,7 +322,6 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             max_block_width=request.max_block_width,
             cache=service.cache if request.use_cache else PulseCache(),
             executor=service.executor,
-            state=service.scheduler_state if request.use_cache else None,
             grape_memo=service.grape_memo if request.use_cache else None,
             config=service.config,
             **request.options,

@@ -10,8 +10,8 @@ The supported compiler hook is a
 :class:`repro.service.CompilationService` — ``VQEDriver(compiler=service)``
 routes every iteration's compilation through the service's
 ``compile_parametrized`` hook, so the whole optimizer loop shares one
-executor, one pulse cache, and one block-dedup scheduler state (iteration
-N+1 dispatches GRAPE only for blocks the whole run has never seen).  Any
+executor and one pulse cache (iteration N+1 dispatches GRAPE only for
+blocks the whole run has never seen).  Any
 object exposing ``compile_parametrized(circuit, values)`` works.  When
 the hook exposes ``stats()`` (a service does), its end-of-run snapshot
 lands in :attr:`VQEResult.compile_stats`.

@@ -147,8 +147,8 @@ def _benchmark_blocks(workload: str) -> tuple:
 
 
 def _reference_key(cache, device, subcircuit, device_qubits):
-    """The key formula compile_block stores under (and on-disk entries and
-    saved scheduler states were written with)."""
+    """The key formula compile_block stores under (and on-disk entries
+    were written with)."""
     if subcircuit.is_parameterized():
         return None
     if len(subcircuit) == 0 or critical_path_ns(subcircuit) <= 0:
@@ -357,7 +357,7 @@ class TestServiceMemoScope:
                 serial.compile(_strict_request(circuit, values)).pulse_duration_ns
                 for values in thetas
             ]
-            serial_keys = set(serial.scheduler_state.seen)
+            serial_keys = set(serial.cache._entries)
             serial_memo = dict(serial.cache._fingerprints)
 
         with CompilationService(ServiceConfig(warm_start=False, submit_workers=2)) as service:
@@ -373,6 +373,6 @@ class TestServiceMemoScope:
                 thread.start()
             for thread in threads:
                 thread.join()
-            assert set(service.scheduler_state.seen) == serial_keys
+            assert set(service.cache._entries) == serial_keys
             assert dict(service.cache._fingerprints) == serial_memo
             assert durations == serial_durations

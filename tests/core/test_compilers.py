@@ -29,7 +29,7 @@ THETA = [0.7, -1.3]
 
 
 def _service(device):
-    """A fresh service: empty pulse cache and scheduler state."""
+    """A fresh service: empty pulse cache."""
     return CompilationService(
         config=ServiceConfig(executor="serial"),
         device=device,

@@ -8,7 +8,6 @@ from repro.core import PulseCache
 from repro.core.flexible import _FlexiblePartialCompiler
 from repro.core.strict import _StrictPartialCompiler
 from repro.errors import CompilationError
-from repro.pipeline import SchedulerState
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
@@ -77,8 +76,8 @@ class TestStrictPrecompileMany:
             solo.compile([0.4]).pulse_duration_ns
         )
 
-    def test_shared_state_extends_dedup_across_calls(self):
-        state = SchedulerState()
+    def test_shared_cache_extends_dedup_across_calls(self):
+        cache = CountingCache()
         device = GmonDevice(line_topology(2))
         first = _StrictPartialCompiler.precompile_many(
             [_ansatz("a")],
@@ -86,20 +85,22 @@ class TestStrictPrecompileMany:
             settings=SETTINGS,
             hyperparameters=HYPER,
             max_block_width=2,
-            state=state,
+            cache=cache,
         )
         assert first[0].report.metadata["scheduler"]["reused_blocks"] == 0
+        searched = len(cache.put_keys)
         second = _StrictPartialCompiler.precompile_many(
             [_ansatz("b")],
             device=device,
             settings=SETTINGS,
             hyperparameters=HYPER,
             max_block_width=2,
-            state=state,
+            cache=cache,
         )
         scheduler = second[0].report.metadata["scheduler"]
         assert scheduler["reused_blocks"] > 0
         assert scheduler["unique_blocks"] == 0
+        assert len(cache.put_keys) == searched
 
     def test_empty_batch(self):
         assert _StrictPartialCompiler.precompile_many([]) == []

@@ -115,6 +115,27 @@ class TestLiveWorkers:
         self._beat(queue, "silent", host="elsewhere", updated_at=time.time() - 6)
         assert queue.live_workers() == 0
 
+    def test_gone_records_older_than_the_ttl_are_pruned(self, tmp_path):
+        """Exited or dead workers silent for more than one lease TTL leave
+        the directory; a just-exited worker is still listed as exited."""
+        queue = FleetQueue(tmp_path, lease_ttl_s=5.0)
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        old = time.time() - 6
+        self._beat(queue, "idle")
+        self._beat(queue, "just-exited", state="exited")
+        self._beat(queue, "old-exited", state="exited", updated_at=old)
+        self._beat(queue, "old-killed", pid=dead.pid, updated_at=old)
+        self._beat(queue, "old-silent", host="elsewhere", updated_at=old)
+        assert queue.live_workers() == 1
+        remaining = sorted(path.stem for path in queue.workers_dir.glob("*.json"))
+        assert remaining == ["idle", "just-exited"]
+
+        self._beat(queue, "old-exited", state="exited", updated_at=old)
+        workers = {entry["worker"]: entry for entry in queue.status()["workers"]}
+        assert sorted(workers) == ["idle", "just-exited"]
+        assert workers["just-exited"]["state"] == "exited"
+
     def test_a_busy_worker_keeps_beating(self, tmp_path):
         """A job longer than the lease TTL does not make its worker look
         gone: the lease renewer refreshes the worker heartbeat too."""

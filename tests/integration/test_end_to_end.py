@@ -17,7 +17,7 @@ HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iteration
 
 
 def _service(device=None, **kwargs):
-    """A fresh service: empty pulse cache and scheduler state."""
+    """A fresh service: empty pulse cache."""
     return CompilationService(
         config=ServiceConfig(executor="serial"),
         device=device,

@@ -50,7 +50,7 @@ def _tile_circuit(num_qubits: int = 4) -> QuantumCircuit:
 
 
 def _request(circuit, values=None, strategy="full-grape", executor="serial"):
-    """One request on a fresh service (empty cache and scheduler state)
+    """One request on a fresh service (empty pulse cache)
     whose block executor is ``executor``: a name, or an executor instance
     swapped in before the first request."""
     named = isinstance(executor, str)

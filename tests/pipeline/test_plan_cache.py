@@ -7,7 +7,6 @@ from repro.circuits import Parameter, QuantumCircuit
 from repro.core.cache import PulseCache
 from repro.core.compiler import BlockPulseCompiler
 from repro.pipeline.plan import CompilationPlan, PlanCache, plan_key
-from repro.pipeline.scheduler import SchedulerState
 from repro.pipeline.strategies import full_grape_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
@@ -87,8 +86,8 @@ class TestReplayEquivalence:
             pipeline = full_grape_pipeline(bc, 2, None)
             contexts, _ = pipeline.run_many([ansatz], [theta])
             cold.append(contexts[0].program)
-        # Hot path: shared plan cache (fresh scheduler state per iteration,
-        # to isolate the plan cache's contribution).
+        # Hot path: shared plan cache (fresh pulse cache per iteration, to
+        # isolate the plan cache's contribution).
         plans = PlanCache()
         hot = []
         for theta in thetas:
@@ -132,17 +131,15 @@ class TestReplayEquivalence:
                 assert task.dedup_key_known
                 assert task.dedup_key == spec.dedup_key
 
-    def test_replay_interoperates_with_scheduler_state(self):
-        """Plan replay + cross-call dedup state: iteration 2 skips blocking
-        *and* serves θ-independent blocks from state."""
+    def test_replay_interoperates_with_cross_call_reuse(self):
+        """Plan replay + cross-call reuse: iteration 2 skips blocking
+        *and* serves θ-independent blocks from the pulse cache."""
         ansatz = _ansatz()
         bc = _compiler()
         pipeline = full_grape_pipeline(bc, 2, None)
-        plans, state = PlanCache(), SchedulerState()
-        pipeline.run_many([ansatz], [[0.4]], state=state, plan_cache=plans)
-        contexts, report = pipeline.run_many(
-            [ansatz], [[1.1]], state=state, plan_cache=plans
-        )
+        plans = PlanCache()
+        pipeline.run_many([ansatz], [[0.4]], plan_cache=plans)
+        contexts, report = pipeline.run_many([ansatz], [[1.1]], plan_cache=plans)
         assert contexts[0].metadata["plan_cache"] == "hit"
         assert report.reused_blocks > 0
 

@@ -1,5 +1,7 @@
 """Cross-circuit block dedup: each unique block compiles exactly once."""
 
+import threading
+
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
@@ -8,7 +10,7 @@ from repro.core import PulseCache
 from repro.core.compiler import BlockPulseCompiler
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
-from repro.pipeline import BlockScheduler, SchedulerState
+from repro.pipeline import BlockScheduler, SerialExecutor
 from repro.pipeline.stages import BindStage, BlockingStage, PipelineContext
 from repro.pipeline.strategies import full_grape_pipeline
 from repro.pulse.device import GmonDevice
@@ -239,51 +241,81 @@ class TestBlockScheduler:
         assert contexts[0].program is not None
 
 
-class TestRetargetOutcome:
-    def test_cache_entry_revives_discarded_pulse_for_slower_duplicate(self):
-        """A GRAPE pulse the representative discarded (its own gate time was
-        shorter) must still win for a duplicate whose decomposition is
-        slower — exactly what the per-circuit cache-hit path would do."""
-        import numpy as np
+@pytest.fixture
+def fake_search(monkeypatch):
+    """Replace every block search by one converged 0.5 ns pulse (so one
+    block's keeping or discarding it depends only on its gate time) and
+    count the searches."""
+    import numpy as np
 
-        from repro.core.cache import CacheEntry
-        from repro.core.compiler import BlockCompileOutcome
-        from repro.pipeline.scheduler import _retarget_outcome
-        from repro.pipeline.stages import BlockTask
-        from repro.pulse.schedule import PulseSchedule, lookup_schedule
+    from repro.core import compiler
+    from repro.pulse.grape.time_search import MinimumTimeResult
+    from repro.pulse.schedule import PulseSchedule
 
-        # Representative: gate-based 0.4 ns beat the 0.5 ns GRAPE pulse.
-        outcome = BlockCompileOutcome(
-            schedule=lookup_schedule((0,), 0.4, source="fallback"),
-            duration_ns=0.4,
-            gate_based_ns=0.4,
-            iterations=12,
-            cache_hit=False,
-            used_grape=False,
-            fidelity=0.97,
-        )
-        entry = CacheEntry(
-            schedule=PulseSchedule(qubits=(0,), dt_ns=0.5, controls=np.ones((2, 1))),
+    searches = []
+
+    def search(job):
+        searches.append(job.key)
+        return MinimumTimeResult(
+            schedule=PulseSchedule(
+                qubits=job.device_qubits, dt_ns=0.5, controls=np.ones((2, 1))
+            ),
             duration_ns=0.5,
             fidelity=0.97,
             converged=True,
-            iterations=12,
+            total_iterations=12,
+            grape_calls=1,
+            wall_time_s=0.0,
         )
-        # Duplicate: same unitary (T·T = S) but a 0.8 ns decomposition.
-        task = BlockTask(
-            index=1, subcircuit=QuantumCircuit(1).t(0).t(0), device_qubits=(3,)
-        )
-        dup = _retarget_outcome(outcome, task, entry)
-        assert dup.used_grape
-        assert dup.duration_ns == 0.5
-        assert dup.schedule.qubits == (3,)
-        assert dup.iterations == 0 and dup.cache_hit
 
-        # Without the entry (another process kept the write), the
-        # representative's outcome is the only evidence: fall back.
-        conservative = _retarget_outcome(outcome, task, None)
-        assert not conservative.used_grape
-        assert conservative.duration_ns == pytest.approx(0.8)
+    monkeypatch.setattr(compiler, "search_job", search)
+    return searches
+
+
+def _single_qubit_context(*gates: str) -> PipelineContext:
+    circuit = QuantumCircuit(1)
+    for gate in gates:
+        getattr(circuit, gate)(0)
+    return _blocked_context(circuit)
+
+
+class TestFanOutRule:
+    """A duplicate or reused block is judged like a cache hit against its
+    *own* gate time: a GRAPE pulse its representative discarded (the
+    representative's decomposition was faster) still wins for a block
+    whose decomposition is slower.  S (0.4 ns) and T·T (0.8 ns) are one
+    unitary; the search returns a 0.5 ns pulse."""
+
+    def _scheduler(self):
+        compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(1)), SETTINGS, HYPER, PulseCache()
+        )
+        return BlockScheduler(compiler)
+
+    def _check(self, representative, slower):
+        assert not representative.used_grape
+        assert representative.duration_ns == pytest.approx(0.4)
+        assert slower.used_grape and slower.cache_hit
+        assert slower.duration_ns == 0.5
+        assert slower.iterations == 0
+
+    def test_in_batch_duplicate_keeps_the_discarded_pulse(self, fake_search):
+        scheduler = self._scheduler()
+        contexts = [_single_qubit_context("s"), _single_qubit_context("t", "t")]
+        report = scheduler.run(contexts)
+        assert len(fake_search) == 1
+        assert report.deduped_blocks == 1
+        self._check(contexts[0].block_results[0], contexts[1].block_results[0])
+
+    def test_reused_block_keeps_the_discarded_pulse(self, fake_search):
+        scheduler = self._scheduler()
+        first = [_single_qubit_context("s")]
+        scheduler.run(first)
+        second = [_single_qubit_context("t", "t")]
+        report = scheduler.run(second)
+        assert len(fake_search) == 1
+        assert report.reused_blocks == 1 and report.dispatched_tasks == 0
+        self._check(first[0].block_results[0], second[0].block_results[0])
 
 
 class TestTaskKey:
@@ -330,9 +362,7 @@ def _two_distinct_blocks_circuit() -> QuantumCircuit:
 
 
 class TestBatchedDispatch:
-    def _run(self, grape_batch: bool):
-        from repro.pipeline import SerialExecutor
-
+    def _run(self, executor=None):
         # Warm start off: seeded blocks deliberately leave the batch (each
         # seed is per-target), and these fresh 2-qubit blocks would all get
         # KAK seeds — the batching path under test would never run.
@@ -343,27 +373,26 @@ class TestBatchedDispatch:
             PulseCache(),
             warm_start=False,
         )
-        pipeline = full_grape_pipeline(block_compiler, 2)
-        scheduler = BlockScheduler(
-            block_compiler, SerialExecutor(), grape_batch=grape_batch
+        pipeline = full_grape_pipeline(
+            block_compiler, 2, executor or SerialExecutor()
         )
-        return pipeline.run_many(
-            [_two_distinct_blocks_circuit()], scheduler=scheduler
-        )
+        return pipeline.run_many([_two_distinct_blocks_circuit()])
 
     def test_same_shape_representatives_batch(self):
-        contexts, report = self._run(grape_batch=True)
+        contexts, report = self._run()
         assert report.batched_groups == 1
         assert report.batched_blocks == 2
         assert report.dispatched_tasks == 2
         assert contexts[0].program is not None
         assert report.as_dict()["batched_blocks"] == 2
 
-    def test_batched_run_matches_unbatched(self):
+    def test_batched_run_matches_unbatched(self, threaded_executor):
+        """The job route (an executor that does not prefer batching)
+        compiles the same pulses."""
         import numpy as np
 
-        batched, batched_report = self._run(grape_batch=True)
-        serial, serial_report = self._run(grape_batch=False)
+        batched, batched_report = self._run()
+        serial, serial_report = self._run(threaded_executor)
         assert serial_report.batched_groups == 0
         assert serial_report.batched_blocks == 0
         assert batched[0].program.duration_ns == pytest.approx(
@@ -383,15 +412,8 @@ class TestBatchedDispatch:
         block_compiler = BlockPulseCompiler(
             GmonDevice(line_topology(4)), SETTINGS, HYPER, PulseCache()
         )
-        pipeline = full_grape_pipeline(block_compiler, 2)
-        scheduler = BlockScheduler(
-            block_compiler,
-            threaded_executor,
-            grape_batch=True,
-        )
-        contexts, report = pipeline.run_many(
-            [_two_distinct_blocks_circuit()], scheduler=scheduler
-        )
+        pipeline = full_grape_pipeline(block_compiler, 2, threaded_executor)
+        contexts, report = pipeline.run_many([_two_distinct_blocks_circuit()])
         assert report.batched_groups == 0
         assert report.batched_blocks == 0
         assert contexts[0].program is not None
@@ -400,26 +422,9 @@ class TestBatchedDispatch:
         registry = get_perf_registry()
         before_groups = registry.counter("scheduler.batched_groups")
         before_blocks = registry.counter("scheduler.batched_blocks")
-        self._run(grape_batch=True)
+        self._run()
         assert registry.counter("scheduler.batched_groups") == before_groups + 1
         assert registry.counter("scheduler.batched_blocks") == before_blocks + 2
-
-
-class TestSchedulerStateBound:
-    def test_lru_bound_evicts_one_shot_keys_and_keeps_hot_ones(self):
-        """A variational run records a never-again-seen key per θ binding;
-        the LRU bound must shed those while the re-touched fixed blocks
-        survive."""
-        state = SchedulerState(max_entries=3)
-        state.record(("hot",), object())
-        for i in range(3):
-            state.record((f"cold-{i}",), object())
-            assert state.lookup(("hot",)) is not None  # re-touch the hot key
-        state.record(("cold-final",), object())
-        assert len(state) == 3
-        assert ("hot",) in state.seen
-        assert state.evictions > 0
-        assert state.lookup(("cold-0",)) is None
 
 
 @pytest.fixture
@@ -447,30 +452,148 @@ def _blocked_context(circuit: QuantumCircuit) -> PipelineContext:
 
 
 class TestFailedRepresentative:
-    def test_failure_records_no_stale_state_and_no_partial_results(
+    def test_failure_caches_nothing_and_leaves_no_partial_results(
         self, fail_first_search
     ):
-        """A failed representative must not leave dedup state behind:
-        duplicates (and later calls) must never receive a pulse that was
-        never actually compiled."""
+        """A failed representative must leave neither an entry nor a
+        claim behind: duplicates (and later calls) must never receive a
+        pulse that was never actually compiled, nor wait for one."""
         compiler = BlockPulseCompiler(
             GmonDevice(line_topology(2)), SETTINGS, HYPER, PulseCache()
         )
-        state = SchedulerState()
-        scheduler = BlockScheduler(compiler, state=state)
+        scheduler = BlockScheduler(compiler)
         circuit = QuantumCircuit(2).h(0).cx(0, 1)
         contexts = [_blocked_context(circuit), _blocked_context(circuit)]
         with pytest.raises(RuntimeError):
             scheduler.run(contexts)
-        # No context got results, and the state remembers nothing.
+        # No context got results, and the cache holds nothing.
         assert all(context.block_results is None for context in contexts)
-        assert len(state) == 0
+        assert len(compiler.cache) == 0
 
-        # A retry on the same scheduler recompiles from scratch and only
-        # then records the block.
+        # A retry on the same scheduler recompiles from scratch; a third
+        # pass reuses what the retry cached.
         contexts = [_blocked_context(circuit), _blocked_context(circuit)]
         report = scheduler.run(contexts)
         assert report.dispatched_tasks == 1
         assert report.reused_blocks == 0
-        assert len(state) == 1
+        assert len(compiler.cache) == 1
         assert all(context.block_results for context in contexts)
+        assert scheduler.run([_blocked_context(circuit)]).reused_blocks == 1
+
+
+class _WaitSignallingCache(PulseCache):
+    """Sets ``waiting`` when a pass starts waiting for another's key."""
+
+    def __init__(self):
+        super().__init__()
+        self.waiting = threading.Event()
+
+    def wait(self, key):
+        self.waiting.set()
+        return super().wait(key)
+
+
+class TestSingleFlight:
+    """Two overlapping passes want one cold key: the first claims it, the
+    second waits for the first's entry instead of searching again."""
+
+    def _overlap(self, monkeypatch, fail_owner: bool):
+        from repro.core import compiler as compiler_module
+
+        cache = _WaitSignallingCache()
+        compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(2)), SETTINGS, HYPER, cache
+        )
+        searching = threading.Event()
+        searches = []
+        search = compiler_module.search_job
+
+        def gated_search(job):
+            searches.append(job.key)
+            if len(searches) == 1:
+                # The owner's search: hold it until the other pass waits.
+                searching.set()
+                assert cache.waiting.wait(timeout=60)
+                if fail_owner:
+                    raise RuntimeError("owner's search failed")
+            return search(job)
+
+        monkeypatch.setattr(compiler_module, "search_job", gated_search)
+        circuit = QuantumCircuit(2).h(0).cx(0, 1)
+        owner_contexts = [_blocked_context(circuit)]
+        errors = []
+
+        def run_owner():
+            try:
+                BlockScheduler(compiler).run(owner_contexts)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        owner = threading.Thread(target=run_owner)
+        owner.start()
+        assert searching.wait(timeout=60)
+        contexts = [_blocked_context(circuit)]
+        report = BlockScheduler(compiler).run(contexts)
+        owner.join(timeout=60)
+        assert not owner.is_alive()
+        return owner_contexts, contexts, report, searches, errors
+
+    def test_overlapping_passes_search_once(self, monkeypatch):
+        owner, waiter, report, searches, errors = self._overlap(
+            monkeypatch, fail_owner=False
+        )
+        assert not errors
+        assert len(searches) == 1
+        assert report.reused_blocks == 1 and report.dispatched_tasks == 0
+        ours, theirs = owner[0].block_results[0], waiter[0].block_results[0]
+        assert theirs.iterations == 0 and theirs.cache_hit
+        assert theirs.duration_ns == ours.duration_ns
+        assert theirs.schedule.controls.tobytes() == ours.schedule.controls.tobytes()
+
+    def test_waiter_compiles_the_key_when_the_owner_fails(self, monkeypatch):
+        owner, waiter, report, searches, errors = self._overlap(
+            monkeypatch, fail_owner=True
+        )
+        assert len(errors) == 1 and owner[0].block_results is None
+        assert len(searches) == 2
+        assert report.reused_blocks == 0
+        assert report.unique_blocks == 1 and report.dispatched_tasks == 1
+        assert waiter[0].block_results[0].iterations > 0
+        assert len(waiter[0].block_results) == 1
+
+    def test_many_overlapping_passes_compile_each_key_once(self):
+        """More passes than cores over one set of cold keys, with a short
+        switch interval: a lost claim would compile some key twice."""
+        import sys
+
+        cache = CountingCache()
+        compiler = BlockPulseCompiler(
+            GmonDevice(line_topology(1)), SETTINGS, HYPER, cache
+        )
+        gates = [("s",), ("h",), ("x",), ("t",), ("h", "t"), ("x", "s")]
+        reports = []
+        barrier = threading.Barrier(8)
+
+        def run():
+            barrier.wait(timeout=60)
+            contexts = [_single_qubit_context(*names) for names in gates]
+            reports.append(BlockScheduler(compiler).run(contexts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reports) == 8
+        assert len(cache.put_keys) == len(set(cache.put_keys)) == len(gates)
+        assert sum(report.dispatched_tasks for report in reports) == len(gates)
+        assert all(
+            report.reused_blocks + report.unique_blocks == len(gates)
+            for report in reports
+        )

@@ -216,14 +216,12 @@ class TestTelemetry:
 
     def test_scheduler_report_counts_warm_starts(self):
         from repro.pipeline import SerialExecutor
-        from repro.pipeline.scheduler import BlockScheduler
         from repro.pipeline.strategies import full_grape_pipeline
 
         device = GmonDevice(line_topology(2))
         compiler = BlockPulseCompiler(device, SETTINGS, HYPER, PulseCache())
-        pipeline = full_grape_pipeline(compiler, 2)
-        scheduler = BlockScheduler(compiler, SerialExecutor())
-        _, report = pipeline.run_many([_block(0.3)], scheduler=scheduler)
+        pipeline = full_grape_pipeline(compiler, 2, SerialExecutor())
+        _, report = pipeline.run_many([_block(0.3)])
         # A fresh 2-qubit block always warm-starts (KAK seed at minimum).
         assert report.warm_started_blocks == 1
         assert report.as_dict()["warm_started_blocks"] == 1

@@ -1,7 +1,7 @@
 """Satellite: concurrent ``service.submit()`` from ≥4 threads.
 
 Results must be bit-identical to a serial ``compile()`` of the same
-requests, exactly one pool/library/scheduler may be instantiated, and the
+requests, exactly one pool/library may be instantiated, and the
 stats counters must stay consistent.  Strategy execution runs *outside*
 the facade lock, so these tests exercise genuine overlap — the module
 fixture arms a faulthandler guard that dumps every thread's stack and
@@ -18,7 +18,6 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.cache import PulseCache
-from repro.pipeline.scheduler import SchedulerState
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.service import CompilationService, CompileRequest, ServiceConfig
@@ -86,14 +85,12 @@ def test_concurrent_submit_matches_serial(
         ]
 
     # Concurrent run on a fresh service, instrumented: constructing the
-    # service builds exactly one scheduler state and one cache, and the
-    # concurrent phase must not build any more.
-    schedulers = _InstanceCounter(monkeypatch, SchedulerState)
+    # service builds exactly one cache, and the concurrent phase must not
+    # build any more.
     caches = _InstanceCounter(monkeypatch, PulseCache)
     service = CompilationService(
         config=_EXACT_CONFIG, settings=coarse_settings, hyperparameters=coarse_hyper
     )
-    assert schedulers.count == 1
     assert caches.count == 1
 
     futures = [None] * THREADS
@@ -119,9 +116,8 @@ def test_concurrent_submit_matches_serial(
             serial_result.program, concurrent_result.program
         )
 
-    # Exactly one scheduler/cache for the whole concurrent phase, and the
-    # shared instances are the ones every request went through.
-    assert schedulers.count == 1
+    # Exactly one cache for the whole concurrent phase, and the shared
+    # instance is the one every request went through.
     assert caches.count == 1
     assert all(result.metadata["scheduler"] is not None for result in concurrent)
 
@@ -130,9 +126,13 @@ def test_concurrent_submit_matches_serial(
     assert stats["requests"]["total"] == THREADS
     assert stats["requests"]["submitted"] == THREADS
     assert stats["requests"]["by_strategy"] == {"full-grape": THREADS}
-    assert stats["scheduler"]["batches"] == THREADS
+    assert all(
+        result.metadata["scheduler"]["circuits"] == 1 for result in concurrent
+    )
     # The later requests reuse the first request's θ-independent blocks.
-    assert stats["scheduler"]["cross_call_hits"] > 0
+    assert sum(
+        result.metadata["scheduler"]["reused_blocks"] for result in concurrent
+    ) > 0
     service.close()
 
 
@@ -142,9 +142,9 @@ def test_stress_submit_bit_identical_and_deadlock_free(
     """2×THREADS barrier-synced submits, duplicate requests included.
 
     Threads ``i`` and ``i + THREADS`` submit the *same* request, so the
-    single-flight scheduler-state path runs under maximum contention:
+    pulse cache's single-flight path runs under maximum contention:
     identical keys claimed by one pass while concurrent passes wait for
-    its record.  Every result must still be bit-identical to the serial
+    its entry.  Every result must still be bit-identical to the serial
     reference; the module's ``deadlock_guard`` turns any hang into a
     stack dump instead of a silent timeout.
     """
@@ -186,8 +186,9 @@ def test_stress_submit_bit_identical_and_deadlock_free(
 
     stats = service.stats()
     assert stats["requests"]["total"] == len(requests)
-    assert stats["scheduler"]["batches"] == len(requests)
-    assert stats["scheduler"]["cross_call_hits"] > 0
+    assert sum(
+        result.metadata["scheduler"]["reused_blocks"] for result in concurrent
+    ) > 0
     service.close()
 
 

@@ -174,7 +174,7 @@ class TestBatchAndStats:
             stats = service.stats()
         assert first[0].metadata["scheduler"]["dispatched_tasks"] == 1
         assert results[0].metadata["scheduler"]["reused_blocks"] == 2
-        assert stats["scheduler"]["known_blocks"] == 1
+        assert stats["cache"]["entries"] == 1
         assert stats["requests"]["by_strategy"]["full-grape"] == 4
 
     def test_empty_batch(self):
@@ -200,30 +200,24 @@ class TestBatchAndStats:
             "batch_wall_time_s"
         }
 
-    def test_clearing_state_forgets_dedup_but_keeps_cache(self):
-        cache = CountingCache()
-        circuit = QuantumCircuit(2).h(0).cx(0, 1)
-        with _service(cache) as service:
-            _compile(service, circuit)
-            service.scheduler_state.clear()
-            assert len(service.scheduler_state) == 0
-            result = _compile(service, circuit)
-        # The scheduler dispatches again, but the pulse cache still hits:
-        # no second GRAPE run.
-        assert result.metadata["scheduler"]["reused_blocks"] == 0
-        assert len(cache.put_keys) == 1
+    def test_reuse_never_reads_the_disk_library(self, tmp_path):
+        """Blocks a service has compiled, or served from its library once,
+        are served from the cache's memory tier: a repeat request reads no
+        library file."""
 
-    def test_state_respects_bound_across_compiles(self):
-        circuit_a = QuantumCircuit(2).h(0).cx(0, 1)
-        circuit_b = QuantumCircuit(2).h(0).cx(0, 1).h(0)
-        with _service() as service:
-            service.scheduler_state.max_entries = 1
-            _compile(service, circuit_a)
-            _compile(service, circuit_b)
-            assert len(service.scheduler_state) == 1
-            # The evicted block recompiles through the cache, not the state.
-            result = _compile(service, circuit_a)
-        assert result.metadata["scheduler"]["reused_blocks"] == 0
+        def library_gets(service):
+            return service.stats()["cache"]["library"]["gets"]
+
+        circuit = QuantumCircuit(4).h(0).cx(0, 1).h(2).cx(2, 3).rz(0.3, 3)
+        for _ in range(2):  # a cold directory, then a warm one
+            with _service(cache_dir=str(tmp_path)) as service:
+                first = _compile(service, circuit)
+                before = library_gets(service)
+                repeat = _compile(service, circuit)
+                assert library_gets(service) == before
+            assert repeat.metadata["scheduler"]["reused_blocks"] == 2
+            assert repeat.metadata["scheduler"]["dispatched_tasks"] == 0
+            assert repeat.pulse_duration_ns == first.pulse_duration_ns
 
 
 class TestLifecycle:

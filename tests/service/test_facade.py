@@ -292,7 +292,6 @@ class TestLifecycle:
             stats = service.stats()
         assert stats["requests"]["total"] == 1
         assert stats["requests"]["by_strategy"] == {"gate": 1}
-        assert "scheduler" in stats and "known_blocks" in stats["scheduler"]
         assert "cache" in stats and "hits" in stats["cache"]
         assert stats["grape_memo"] == {
             "hits": 0,

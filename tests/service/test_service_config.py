@@ -64,7 +64,7 @@ class TestEnvConsolidation:
         from repro.service.config import preset_from_env
 
         field_reads = _variables_read_by(monkeypatch, ServiceConfig.from_env)
-        assert len(field_reads) == len(fields(ServiceConfig)) == 15
+        assert len(field_reads) == len(fields(ServiceConfig)) == 14
         preset_reads = _variables_read_by(monkeypatch, preset_from_env)
         assert preset_reads == {"REPRO_PRESET"}
         read = field_reads | preset_reads
@@ -136,7 +136,6 @@ class TestFromEnv:
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_CACHE_BUDGET_MB",
-            "REPRO_GRAPE_BATCH",
             "REPRO_WARM_START",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
@@ -158,7 +157,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pulses")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", "off")
         monkeypatch.setenv("REPRO_WARM_START", "no")
         monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
@@ -174,7 +172,6 @@ class TestFromEnv:
         assert config.cache_dir == "/tmp/pulses"
         assert config.cache_shards == 256
         assert config.cache_budget_mb == 32.5
-        assert config.grape_batch is False
         assert config.warm_start is False
         assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
@@ -191,7 +188,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "zero")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "lots")
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", "sometimes")
         monkeypatch.setenv("REPRO_WARM_START", "perhaps")
         monkeypatch.setenv("REPRO_SCAN_BLOCK", "none")
         monkeypatch.setenv("REPRO_DISPATCHER", "carrier-pigeon")
@@ -338,7 +334,6 @@ class TestCodeConfigUnderConflictingEnv:
 
         from repro.circuits.circuit import QuantumCircuit
         from repro.perf import get_perf_registry
-        from repro.pipeline.scheduler import BlockScheduler
         from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
         from repro.service import CompilationService, CompileRequest
 
@@ -349,17 +344,8 @@ class TestCodeConfigUnderConflictingEnv:
             "REPRO_CACHE_BUDGET_MB": "99",
             "REPRO_EXECUTOR": "auto",
             "REPRO_WARM_START": "1",
-            "REPRO_GRAPE_BATCH": "1",
         }.items():
             monkeypatch.setenv(name, value)
-        batching = []
-        original_init = BlockScheduler.__init__
-
-        def spy_init(self, *args, **kwargs):
-            original_init(self, *args, **kwargs)
-            batching.append(self.grape_batch)
-
-        monkeypatch.setattr(BlockScheduler, "__init__", spy_init)
 
         cache_dir = tmp_path / "cache"
         config = ServiceConfig(
@@ -368,7 +354,6 @@ class TestCodeConfigUnderConflictingEnv:
             cache_budget_mb=5.0,
             executor="serial",
             warm_start=False,
-            grape_batch=False,
         )
         circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
         perf = get_perf_registry()
@@ -391,5 +376,4 @@ class TestCodeConfigUnderConflictingEnv:
             )
             assert result.compiled.runtime_iterations > 0  # a cold compile
             assert perf.counter("grape.warm_start.lookups") == lookups
-        assert batching == [False]
         assert not env_dir.exists()

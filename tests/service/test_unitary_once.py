@@ -33,14 +33,18 @@ def unitary_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("grape_batch", [True, False])
+@pytest.mark.parametrize("dispatcher", ["executor", "queue"])
 def test_one_unitary_per_cold_block(
-    workload, coarse_settings, coarse_hyper, unitary_calls, grape_batch
+    workload, coarse_settings, coarse_hyper, unitary_calls, dispatcher, tmp_path
 ):
-    """``grape_batch=False`` sends fixed blocks down the job route."""
+    """The fleet's ``queue`` dispatcher does not prefer batching, so it
+    sends fixed blocks down the job route (inline, with no worker
+    registered)."""
     circuit, _ = workload
     perf = get_perf_registry()
-    config = ServiceConfig(executor="serial", grape_batch=grape_batch)
+    config = ServiceConfig(
+        executor="serial", dispatcher=dispatcher, fleet_dir=str(tmp_path)
+    )
     with CompilationService(config) as service:
         for theta in THETAS:
             before = len(unitary_calls)

@@ -559,7 +559,7 @@ class TestServerCli:
             if "|" in line
         ]
         names = [f.name for f in fields(ServiceConfig)]
-        assert len(names) == 15
+        assert len(names) == 14
         # The header row, one row per field, then the active preset.
         assert rows[1:] == [*names, "preset"]
 

@@ -68,14 +68,14 @@ class TestCacheConfig:
         [("1", True), ("true", True), ("ON", True), ("0", False), ("off", False)],
     )
     def test_bool_env_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", raw)
-        assert ServiceConfig.from_env().grape_batch is expected
+        monkeypatch.setenv("REPRO_WARM_START", raw)
+        assert ServiceConfig.from_env().warm_start is expected
 
     def test_bool_env_garbage_warns_and_keeps_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", "maybe")
+        monkeypatch.setenv("REPRO_WARM_START", "maybe")
         with pytest.warns(UserWarning):
             config = ServiceConfig.from_env()
-        assert config.grape_batch is True
+        assert config.warm_start is True
 
 
 class TestGateDurations:

@@ -29,7 +29,8 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 #: one store that outlives a process.  Then the perf-harness benches that
 #: timed what ``benchmarks/e2e`` already measures (their checks are plain
 #: tests now) and the second serial-vs-``auto`` bench: ``pipeline`` is
-#: the one.
+#: the one.  Then the scheduler's cross-call memory: the pulse cache's
+#: memory tier is the one memory of compiled blocks.
 REMOVED_NAMES = (
     "GateBasedCompiler",
     "StepFunctionGateCompiler",
@@ -55,6 +56,10 @@ REMOVED_NAMES = (
     "bench_http",
     "bench_service_concurrency",
     "bench_pipeline_parallel",
+    "SchedulerState",
+    "scheduler_state",
+    "_SeenBlock",
+    "_retarget_outcome",
 )
 # A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
 # must not match their removed public names.
@@ -153,6 +158,7 @@ REMOVED_KNOBS = [
     ("fleet_max_workers", "REPRO_FLEET_MAX_WORKERS", "6"),
     ("scheduler_state_path", "REPRO_SCHEDULER_STATE", "/tmp/state.json"),
     ("grape_batch_size", "REPRO_GRAPE_BATCH_SIZE", "8"),
+    ("grape_batch", "REPRO_GRAPE_BATCH", "0"),
 ]
 #: Removed fields whose variable still means something elsewhere:
 #: ``REPRO_PRESET`` sets the process-wide preset at import.
@@ -172,6 +178,14 @@ def test_removed_knob_is_not_a_field(field_name, value):
     assert field_name not in {f.name for f in fields(ServiceConfig)}
     with pytest.raises(TypeError):
         ServiceConfig(**{field_name: value})
+
+
+def test_service_config_field_count_is_pinned():
+    """A ratchet: adding a knob means editing this number, so every new
+    field shows up in review as a test change."""
+    from repro.service import ServiceConfig
+
+    assert len(fields(ServiceConfig)) == 14
 
 
 @pytest.mark.parametrize(

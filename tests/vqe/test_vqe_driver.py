@@ -130,7 +130,7 @@ class TestVQEDriver:
         assert stats is not None
         assert stats["requests"]["by_strategy"] == {"full-grape": result.iterations}
         # Iterations beyond the first reused blocks instead of redispatching.
-        assert stats["scheduler"]["cross_call_hits"] > 0
+        assert stats["cache"]["hits"] > 0
 
     def test_wrong_initial_length(self):
         driver = VQEDriver(h2_hamiltonian(), get_molecule("H2").ansatz())
