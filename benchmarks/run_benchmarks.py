@@ -338,7 +338,7 @@ def bench_service_load(quick: bool) -> dict:
     * ``inline`` — the default in-process dispatcher: the ``auto``
       executor, whose overlapping requests hand their tasks to its forked
       worker pool.
-    * ``fleet_1w`` / ``fleet_2w`` — ``dispatcher="queue"`` drained by 1
+    * ``fleet_1w`` / ``fleet_2w`` — a ``fleet_dir`` drained by 1
       and 2 ``python -m repro worker`` processes started beside the
       service, pulling :class:`~repro.pipeline.jobs.BlockJob`\\ s from the
       file-backed queue (quick mode runs only ``fleet_2w``).
@@ -440,7 +440,6 @@ def bench_service_load(quick: bool) -> dict:
                     submit_workers=clients,
                     warm_start=False,
                     queue_depth=n_requests,
-                    dispatcher="queue",
                     fleet_dir=str(root / f"fleet_{count}w"),
                 ),
             )

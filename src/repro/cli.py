@@ -25,11 +25,12 @@ Small utilities for poking at the reproduction without writing a script:
   completion records.  A worker opens no pulse library.
   SIGTERM drains the in-flight job before exit; ``--max-jobs`` and
   ``--idle-exit`` bound a worker's lifetime for tests and batch runs;
-  ``--announce`` publishes a registration record and ``--host-label``
-  simulates a distinct host on one box.
+  ``--lease-ttl`` is the TTL its leases and heartbeat record carry, and
+  ``--host-label`` simulates a distinct host on one box.
 * ``fleet status`` — inspect a fleet queue directory: pending/leased job
-  counts, per-lease age and staleness, worker heartbeats grouped by
-  host; ``--json`` emits the machine-readable snapshot.
+  counts, per-lease age and staleness, worker heartbeats and
+  registrations grouped by host, live workers counted by the rule the
+  service dispatches by; ``--json`` emits the machine-readable snapshot.
 * ``serve`` — run the HTTP compilation frontend
   (:mod:`repro.server`): ``POST /v1/compile`` over one
   ``CompilationService``, with SIGTERM draining in-flight requests
@@ -43,8 +44,11 @@ Small utilities for poking at the reproduction without writing a script:
   yet reports an empty library and is not created) and LRU eviction down
   to a size budget.
 
-Every command prints plain text and returns a process exit code, so the
-module is equally usable from tests (``main([...])``) and the shell.
+Every ``ServiceConfig`` field has one flag, declared once in
+:data:`CONFIG_FLAGS`; ``config show`` takes them all, and ``compile``,
+``compile-batch`` and ``serve`` the ones they use.  Every command prints
+plain text and returns a process exit code, so the module is equally
+usable from tests (``main([...])``) and the shell.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import sys
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.config import GATE_DURATIONS_NS
+from repro.config import CACHE_SHARD_CHOICES, EXECUTOR_CHOICES, GATE_DURATIONS_NS
 
 __all__ = ["build_parser", "main"]
 
@@ -151,6 +155,74 @@ METHOD_STRATEGIES = {
     "flexible": "flexible-partial",
     "grape": "full-grape",
 }
+
+
+#: Each ``ServiceConfig`` field's flag: field → ``(flag, argparse
+#: keywords)``.  A flag stores into its field's name (``dest``), so
+#: :func:`_resolve_config` finds it; unset, the environment decides.
+CONFIG_FLAGS = {
+    "executor": ("--executor", {
+        "choices": EXECUTOR_CHOICES,
+        "help": "how per-block GRAPE searches run (REPRO_EXECUTOR, else auto)",
+    }),
+    "submit_workers": ("--submit-workers", {
+        "type": int,
+        "help": "size of the service's submit() thread pool "
+        "(REPRO_SUBMIT_WORKERS, else min(8, CPUs))",
+    }),
+    "cache_dir": ("--cache-dir", {
+        "help": "pulse library directory; a later run over it starts warm "
+        "(REPRO_CACHE_DIR, else in memory only)",
+    }),
+    "cache_shards": ("--cache-shards", {
+        "type": int,
+        "choices": CACHE_SHARD_CHOICES,
+        "help": "shard fan-out of a new pulse library (REPRO_CACHE_SHARDS)",
+    }),
+    "warm_start": ("--warm-start", {
+        "action": argparse.BooleanOptionalAction,
+        "help": "seed GRAPE from the nearest cached pulse or the analytic "
+        "KAK decomposition (REPRO_WARM_START, else on)",
+    }),
+    "fleet_dir": ("--fleet-dir", {
+        "help": "send block searches to the `repro worker` processes "
+        "draining this queue directory (REPRO_FLEET_DIR, else in-process)",
+    }),
+    "queue_depth": ("--queue-depth", {
+        "type": int,
+        "help": "bound queued-or-running submit() requests; further calls "
+        "block, and the HTTP frontend answers 429 (REPRO_QUEUE_DEPTH)",
+    }),
+    "server_host": ("--server-host", {
+        "help": "HTTP frontend bind address (REPRO_SERVER_HOST, else "
+        "127.0.0.1)",
+    }),
+    "server_port": ("--server-port", {
+        "type": int,
+        "help": "HTTP frontend bind port; 0 picks an ephemeral one "
+        "(REPRO_SERVER_PORT, else 8642)",
+    }),
+    "server_max_body_mb": ("--server-max-body-mb", {
+        "type": float,
+        "help": "largest accepted request body in MiB "
+        "(REPRO_SERVER_MAX_BODY_MB, else 32)",
+    }),
+    "server_ticket_ttl_s": ("--server-ticket-ttl", {
+        "type": float,
+        "help": "seconds an unfetched async ticket is kept "
+        "(REPRO_SERVER_TICKET_TTL, else 3600)",
+    }),
+}
+
+
+def _add_config_flags(parser, names, **renamed) -> None:
+    """Give ``parser`` the :data:`CONFIG_FLAGS` of the fields ``names``;
+    ``renamed`` maps a field to the flag this command spells it with."""
+    for name in names:
+        flag, options = CONFIG_FLAGS[name]
+        parser.add_argument(
+            renamed.get(name, flag), dest=name, default=None, **options
+        )
 
 
 def _resolve_config(args) -> tuple:
@@ -382,8 +454,8 @@ def _cmd_library_stats(args) -> int:
         stats = PulseLibrary.empty_stats(args.dir)
         title = "pulse library (empty — not created yet)"
     else:
-        options = ServiceConfig.from_env().library_options()
-        library = PulseLibrary(args.dir, **options)
+        shards = ServiceConfig.from_env().cache_shards
+        library = PulseLibrary(args.dir, shards=shards)
         stats = {**library.stats(), **library.sweep()}
         title = "pulse library"
     stats["schema_version"] = CACHE_SCHEMA_VERSION
@@ -405,10 +477,9 @@ def _cmd_library_gc(args) -> int:
     if not Path(args.dir).is_dir():
         print(f"error: no library directory at {args.dir}", file=sys.stderr)
         return 2
-    # Without --budget-mb, gc falls back to the library's budget, which
-    # comes from REPRO_CACHE_BUDGET_MB here.
-    options = ServiceConfig.from_env().library_options()
-    report = PulseLibrary(args.dir, **options).gc(args.budget_mb)
+    # Without --budget-mb, gc only reconciles the index.
+    shards = ServiceConfig.from_env().cache_shards
+    report = PulseLibrary(args.dir, shards=shards).gc(args.budget_mb)
     rows = [(key, value) for key, value in sorted(report.as_dict().items())]
     print(format_table(("property", "value"), rows, title="pulse library gc"))
     return 0
@@ -425,7 +496,6 @@ def _cmd_worker(args) -> int:
         idle_exit_s=args.idle_exit,
         worker_id=args.worker_id,
         host_label=args.host_label,
-        announce=args.announce,
     )
     worker.install_signal_handlers()
     print(
@@ -444,6 +514,7 @@ def _empty_fleet_status(directory: str) -> dict:
         "completed_results": 0,
         "leases": [],
         "workers": [],
+        "live_workers": 0,
         "hosts": {},
     }
 
@@ -472,6 +543,7 @@ def _cmd_fleet_status(args) -> int:
         ("pending jobs", status["pending_jobs"]),
         ("leased jobs", status["leased_jobs"]),
         ("completed results", status["completed_results"]),
+        ("live workers", status["live_workers"]),
     ]
     for host, group in sorted(status["hosts"].items()):
         rows.append(
@@ -493,14 +565,16 @@ def _cmd_fleet_status(args) -> int:
             )
         )
     for worker in status["workers"]:
-        announced = " announced" if worker.get("announced") else ""
         rows.append(
             (
                 f"worker {worker['worker']}",
                 f"pid={worker['pid']} host={worker.get('host')} "
                 f"state={worker['state']} "
                 f"jobs_done={worker['jobs_done']} "
-                f"heartbeat={worker['heartbeat_age_s']:.1f}s{announced}",
+                f"heartbeat={worker['heartbeat_age_s']:.1f}s "
+                f"ttl={worker.get('lease_ttl_s')}s "
+                f"version={worker.get('version')} "
+                f"{'live' if worker['live'] else 'gone'}",
             )
         )
     print(format_table(("property", "value"), rows, title=title))
@@ -515,13 +589,11 @@ def _cmd_serve(args) -> int:
     from repro.service import CompilationService
 
     config, _ = _resolve_config(args)
-    host = args.host if args.host is not None else config.server_host
-    port = args.port if args.port is not None else config.server_port
     service = CompilationService(config=config)
     server = CompilationServer(
         service,
-        host=host,
-        port=port,
+        host=config.server_host,
+        port=config.server_port,
         max_body_bytes=int(config.server_max_body_mb * 1024 * 1024),
         ticket_ttl_s=config.server_ticket_ttl_s,
     )
@@ -620,7 +692,7 @@ def _cmd_remote_compile(args) -> int:
         # anything non-local: the in-process run must not route through a
         # fleet or read a warm on-disk cache the server also writes.
         config = _resolve_config(args)[0].replace(
-            dispatcher="executor", fleet_dir=None, cache_dir=None
+            fleet_dir=None, cache_dir=None
         )
         with CompilationService(config=config) as service:
             local = service.compile(request)
@@ -672,20 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--iterations", type=int, default=150)
     compile_.add_argument("--block-width", type=int, default=2)
     compile_.add_argument("--seed", type=int, default=0)
-    from repro.config import EXECUTOR_CHOICES
-
-    compile_.add_argument(
-        "--executor",
-        choices=EXECUTOR_CHOICES,
-        default=None,
-        help="dispatch of independent per-block GRAPE searches "
-        "(default: REPRO_EXECUTOR or auto)",
-    )
-    compile_.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist GRAPE pulses here; a second run starts warm",
-    )
+    _add_config_flags(compile_, ("executor", "cache_dir"))
     compile_.set_defaults(func=_cmd_compile)
 
     batch = sub.add_parser(
@@ -714,31 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--iterations", type=int, default=150)
     batch.add_argument("--block-width", type=int, default=2)
     batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None)
-    batch.add_argument("--cache-dir", default=None)
-    from repro.service.config import DISPATCHER_CHOICES
-
-    batch.add_argument(
-        "--dispatcher",
-        choices=DISPATCHER_CHOICES,
-        default=None,
-        help="'queue' routes fixed blocks through a multi-process fleet "
-        "(default: REPRO_DISPATCHER or executor)",
-    )
-    batch.add_argument(
-        "--fleet-dir",
-        default=None,
-        dest="fleet_dir",
-        help="fleet queue directory for --dispatcher queue "
-        "(default: REPRO_FLEET_DIR, else <cache-dir>/fleet)",
-    )
-    batch.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        dest="queue_depth",
-        help="bound concurrent service submissions; further submit() "
-        "calls block (default: REPRO_QUEUE_DEPTH, else unbounded)",
+    _add_config_flags(
+        batch, ("executor", "cache_dir", "fleet_dir", "queue_depth")
     )
     batch.set_defaults(func=_cmd_compile_batch)
 
@@ -759,8 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         dest="lease_ttl",
-        help="seconds without a heartbeat before another worker may "
-        "reclaim this worker's lease",
+        help="seconds without a heartbeat before this worker's lease may "
+        "be reclaimed and its record counted gone; written into both, so "
+        "every reader judges the worker by it",
     )
     worker.add_argument(
         "--poll",
@@ -797,12 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hostname written into leases/heartbeats instead of the real "
         "one (simulated multi-host testing; disables same-host pid probes)",
     )
-    worker.add_argument(
-        "--announce",
-        action="store_true",
-        help="publish a registration record (start time, knobs, version) "
-        "in this worker's heartbeat, shown by fleet status",
-    )
     worker.set_defaults(func=_cmd_worker)
 
     fleet = sub.add_parser(
@@ -826,41 +857,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the HTTP compilation frontend over one "
         "CompilationService (SIGTERM drains in-flight requests)",
     )
-    serve.add_argument(
-        "--host",
-        default=None,
-        help="bind address (default: REPRO_SERVER_HOST, else 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="bind port; 0 picks an ephemeral one "
-        "(default: REPRO_SERVER_PORT, else 8642)",
+    _add_config_flags(
+        serve,
+        (
+            "server_host",
+            "server_port",
+            "executor",
+            "cache_dir",
+            "fleet_dir",
+            "queue_depth",
+        ),
+        server_host="--host",
+        server_port="--port",
     )
     serve.add_argument(
         "--grace",
         type=float,
         default=30.0,
         help="seconds to wait for in-flight requests on shutdown",
-    )
-    serve.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None)
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        dest="cache_dir",
-        help="persistent pulse cache shared with fleet workers",
-    )
-    serve.add_argument(
-        "--dispatcher", choices=DISPATCHER_CHOICES, default=None
-    )
-    serve.add_argument("--fleet-dir", default=None, dest="fleet_dir")
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        dest="queue_depth",
-        help="bounded admission; a full queue answers 429",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -923,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="evict least-recently-used entries until under this many MiB "
-        "(default: REPRO_CACHE_BUDGET_MB, else reconcile only)",
+        "(default: reconcile the index only)",
     )
     lib_gc.set_defaults(func=_cmd_library_gc)
 
@@ -936,83 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the fully resolved ServiceConfig with per-field "
         "provenance (default / env / CLI)",
     )
-    show.add_argument("--executor", choices=EXECUTOR_CHOICES, default=None)
-    show.add_argument(
-        "--submit-workers",
-        type=int,
-        default=None,
-        dest="submit_workers",
-        help="submit_workers override (service submit() thread pool size)",
-    )
-    show.add_argument("--cache-dir", default=None)
-    from repro.config import CACHE_SHARD_CHOICES
-
-    show.add_argument(
-        "--cache-shards", type=int, choices=CACHE_SHARD_CHOICES, default=None
-    )
-    show.add_argument("--cache-budget-mb", type=float, default=None)
-    show.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        dest="warm_start",
-        help="--warm-start / --no-warm-start override (seed GRAPE from "
-        "the nearest cached pulse or the analytic KAK decomposition)",
-    )
-    show.add_argument(
-        "--dispatcher",
-        choices=DISPATCHER_CHOICES,
-        default=None,
-        help="dispatcher override ('executor' in-process, 'queue' fleet)",
-    )
-    show.add_argument(
-        "--fleet-dir",
-        default=None,
-        dest="fleet_dir",
-        help="fleet_dir override (fleet work-queue directory)",
-    )
-    show.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        dest="queue_depth",
-        help="queue_depth override (bounded submit() admission)",
-    )
-    show.add_argument(
-        "--fleet-lease-ttl",
-        type=float,
-        default=None,
-        dest="fleet_lease_ttl_s",
-        help="fleet_lease_ttl_s override (seconds before a silent lease "
-        "is reclaimed)",
-    )
-    show.add_argument(
-        "--server-host",
-        default=None,
-        dest="server_host",
-        help="server_host override (HTTP frontend bind address)",
-    )
-    show.add_argument(
-        "--server-port",
-        type=int,
-        default=None,
-        dest="server_port",
-        help="server_port override (HTTP frontend bind port)",
-    )
-    show.add_argument(
-        "--server-max-body-mb",
-        type=float,
-        default=None,
-        dest="server_max_body_mb",
-        help="server_max_body_mb override (largest accepted request body)",
-    )
-    show.add_argument(
-        "--server-ticket-ttl",
-        type=float,
-        default=None,
-        dest="server_ticket_ttl_s",
-        help="server_ticket_ttl_s override (async ticket retention)",
-    )
+    _add_config_flags(show, CONFIG_FLAGS)
     show.set_defaults(func=_cmd_config_show)
     return parser
 

@@ -485,12 +485,11 @@ class PersistentPulseCache(PulseCache):
         self,
         directory: str | os.PathLike,
         shards: int = ServiceConfig.cache_shards,
-        budget_mb: float | None = ServiceConfig.cache_budget_mb,
     ):
         super().__init__()
         from repro.library import NeighborIndex, PulseLibrary
 
-        self.library = PulseLibrary(directory, shards=shards, budget_mb=budget_mb)
+        self.library = PulseLibrary(directory, shards=shards)
         self.neighbors = NeighborIndex(self.library)
         self.directory = self.library.directory
         self.disk_hits = 0
@@ -615,7 +614,8 @@ class PersistentPulseCache(PulseCache):
                 self.disk_errors += 1
 
     def gc(self, budget_mb: float | None = None):
-        """Evict least-recently-used persisted pulses down to the budget.
+        """Evict least-recently-used persisted pulses down to ``budget_mb``
+        (with none, only reconcile the index).
 
         Delegates to :meth:`repro.library.PulseLibrary.gc`; the in-memory
         tier is untouched (evicted entries a live process already holds in

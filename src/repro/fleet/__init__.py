@@ -16,13 +16,14 @@ address space entirely.  This package is the venue for that:
   SIGTERM draining the in-flight job before exit.  It opens no pulse
   library.
 * :mod:`repro.fleet.dispatcher` — :class:`QueueDispatcher`, the
-  ``run_tasks`` venue the service selects with
-  ``REPRO_DISPATCHER=queue``: it sends every cold fixed-block search and
+  ``run_tasks`` venue a service uses whenever ``fleet_dir``
+  (``REPRO_FLEET_DIR``) is set: it sends every cold fixed-block search and
   flexible runtime entry through the queue to the workers registered in
-  its directory, and runs them inline when none is.  It starts no
-  workers: operators run ``python -m repro worker`` on the hosts that
-  share the directory.  On one host the ``auto`` executor's forked pool
-  is the faster venue.
+  its directory, and runs them inline when none is live.  It starts no
+  workers and sets no lease TTL: operators run ``python -m repro worker
+  [--lease-ttl S]`` on the hosts that share the directory, and each
+  worker's heartbeat record carries the TTL it is judged by.  On one
+  host the ``auto`` executor's forked pool is the faster venue.
 
 The network frontend (:mod:`repro.server`) and host-aware status over a
 shared directory (real NFS, or ``host_label`` simulation in CI) complete

@@ -15,11 +15,15 @@ results here in block order, so fleet pulses are bit-identical to
 in its completion record with the ``repro.perf`` counts the task moved,
 which are added to this process's registry.
 
-The dispatcher starts no workers: on one host the ``auto`` executor's
-forked pool is the faster venue.  With no live worker registered in the
-directory (see :meth:`~repro.fleet.queue.FleetQueue.live_workers`) tasks
-run inline in the calling process; a dispatch whose every worker leaves
-before its results arrive raises :class:`~repro.errors.PipelineError`.
+A service uses it exactly when its config sets ``fleet_dir``.  The
+dispatcher starts no workers and sets no lease TTL: each worker judges
+its own (``repro worker --lease-ttl``) and writes it into its heartbeat
+record, which is how this process tells it apart from a dead one (see
+:meth:`~repro.fleet.queue.FleetQueue.live_workers`).  On one host the
+``auto`` executor's forked pool is the faster venue.  With no live
+worker in the directory tasks run inline in the calling process; a
+dispatch whose every worker leaves before its results arrive raises
+:class:`~repro.errors.PipelineError`.
 """
 
 from __future__ import annotations
@@ -46,11 +50,10 @@ class QueueDispatcher(BlockExecutor):
     def __init__(
         self,
         fleet_dir,
-        lease_ttl_s: float = 30.0,
         poll_s: float = 0.05,
         job_timeout_s: float = 600.0,
     ):
-        self.queue = FleetQueue(fleet_dir, lease_ttl_s=lease_ttl_s)
+        self.queue = FleetQueue(fleet_dir)
         self.poll_s = float(poll_s)
         self.job_timeout_s = float(job_timeout_s)
         # Counters move under their own lock: submit-pool threads call
@@ -136,7 +139,7 @@ class QueueDispatcher(BlockExecutor):
 
     def describe(self) -> dict:
         status = self.queue.status()
-        live = self.queue.live_workers()
+        live = status["live_workers"]
         with self._stats_lock:
             counts = {
                 "dispatched_jobs": self.dispatched_jobs,

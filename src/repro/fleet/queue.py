@@ -29,7 +29,9 @@ Layout under the queue directory::
     leases/<id>.json  worker, pid, host, acquired_at, heartbeat_at, ttl_s
     results/<id>.json completion record: the pickled result (base64) and
                       the repro.perf counts the task moved, or an error
-    workers/<id>.json per-worker liveness heartbeat (for ``fleet status``)
+    workers/<id>.json per-worker liveness heartbeat: host, pid, state and
+                      the worker's registration (started_at, lease_ttl_s,
+                      heartbeat_s, version)
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ def unpack_result(text: str):
     """The task result :func:`pack_result` wrote."""
     return pickle.loads(base64.b64decode(text))
 
+
+#: The registration fields every worker beat carries and ``status()``
+#: lists for every worker.
+WORKER_REGISTRATION = ("started_at", "lease_ttl_s", "heartbeat_s", "version")
 
 #: The first idle-poll wait after new work; see :class:`PollBackoff`.
 FIRST_POLL_S = 0.001
@@ -326,11 +332,12 @@ class FleetQueue:
     def write_worker_heartbeat(
         self, worker_id: str, state: str, jobs_done: int, extra: dict | None = None
     ) -> None:
-        """Publish one worker's liveness for ``fleet status``.
+        """Publish one worker's liveness for dispatchers and ``fleet status``.
 
-        ``extra`` carries the worker's ``--announce`` registration fields
-        (start time, knobs, capabilities); it rides along on every beat
-        so the record survives the atomic rewrite.
+        Every beat carries this queue's ``lease_ttl_s``, the TTL that
+        readers judge the record by (see :meth:`_worker_records`), and
+        ``extra``, the worker's other registration fields (start time,
+        heartbeat interval, version), so the atomic rewrite keeps them.
         """
         record = {
             "worker": worker_id,
@@ -339,6 +346,7 @@ class FleetQueue:
             "updated_at": time.time(),
             "state": state,
             "jobs_done": jobs_done,
+            "lease_ttl_s": self.lease_ttl_s,
         }
         if extra:
             record.update(extra)
@@ -348,10 +356,13 @@ class FleetQueue:
         """Every readable worker record as ``(path, record, gone)``,
         ``gone`` meaning ``exited`` or presumed dead.
 
-        A gone record whose last beat is more than one lease TTL old is
-        deleted instead of returned, so a long-lived directory does not
-        make every scan read each worker that ever ran.  A worker wrongly
-        presumed dead rewrites its record on its next beat.
+        Each record is judged by the ``lease_ttl_s`` its worker wrote (a
+        worker beats every third of it while it runs a job); only a
+        record without one falls back to this queue's TTL.  A gone record
+        whose last beat is more than one TTL old is deleted instead of
+        returned, so a long-lived directory does not make every scan read
+        each worker that ever ran.  A worker wrongly presumed dead
+        rewrites its record on its next beat.
         """
         now = time.time()
         records = []
@@ -360,10 +371,11 @@ class FleetQueue:
             if info is None:
                 continue
             heartbeat = info.get("updated_at") or 0.0
+            ttl = info.get("lease_ttl_s") or self.lease_ttl_s
             gone = info.get("state") == "exited" or self._presumed_dead(
-                info, heartbeat, self.lease_ttl_s
+                info, heartbeat, ttl
             )
-            if gone and now - heartbeat > self.lease_ttl_s:
+            if gone and now - heartbeat > ttl:
                 try:
                     path.unlink()
                 except OSError:
@@ -384,8 +396,10 @@ class FleetQueue:
 
         Host-aware: every lease and worker entry carries its ``host``,
         and ``hosts`` aggregates them per machine sharing the directory —
-        the view ``fleet status`` renders.  Workers gone for more than one
-        lease TTL are pruned, as in :meth:`live_workers`.
+        the view ``fleet status`` renders.  A worker is ``live`` (and
+        counts in its host's ``active`` and in ``live_workers``) by the
+        rule :meth:`live_workers` applies, and workers gone for more than
+        one TTL are pruned as there.
         """
         now = time.time()
         pending = sorted(p.stem for p in self.jobs_dir.glob("*.job"))
@@ -407,29 +421,21 @@ class FleetQueue:
                 }
             )
         workers = []
-        for path, info, _ in self._worker_records():
-            entry = {
-                "worker": info.get("worker", path.stem),
-                "pid": info.get("pid"),
-                "host": info.get("host"),
-                "state": info.get("state"),
-                "jobs_done": info.get("jobs_done", 0),
-                "heartbeat_age_s": round(
-                    now - (info.get("updated_at") or now), 3
-                ),
-            }
-            if info.get("announced"):
-                entry["announced"] = {
-                    key: info[key]
-                    for key in (
-                        "started_at",
-                        "lease_ttl_s",
-                        "heartbeat_s",
-                        "version",
-                    )
-                    if key in info
+        for path, info, gone in self._worker_records():
+            workers.append(
+                {
+                    "worker": info.get("worker", path.stem),
+                    "pid": info.get("pid"),
+                    "host": info.get("host"),
+                    "state": info.get("state"),
+                    "live": not gone,
+                    "jobs_done": info.get("jobs_done", 0),
+                    "heartbeat_age_s": round(
+                        now - (info.get("updated_at") or now), 3
+                    ),
+                    **{key: info.get(key) for key in WORKER_REGISTRATION},
                 }
-            workers.append(entry)
+            )
         hosts: dict = {}
         for entry in workers:
             host = entry.get("host") or "?"
@@ -438,8 +444,7 @@ class FleetQueue:
                 {"workers": 0, "active": 0, "jobs_done": 0, "leases": 0},
             )
             group["workers"] += 1
-            if entry.get("state") != "exited":
-                group["active"] += 1
+            group["active"] += entry["live"]
             group["jobs_done"] += entry.get("jobs_done") or 0
         for entry in leases:
             host = entry.get("host") or "?"
@@ -455,5 +460,6 @@ class FleetQueue:
             "completed_results": len(list(self.results_dir.glob("*.json"))),
             "leases": leases,
             "workers": workers,
+            "live_workers": sum(entry["live"] for entry in workers),
             "hosts": hosts,
         }

@@ -79,8 +79,9 @@ class FleetWorker:
         Crash-reclaim TTL and the longest idle claim-poll interval (idle
         polls back off from 1 ms up to it; see
         :class:`~repro.fleet.queue.PollBackoff`).  While a job runs its
-        lease is renewed every ``lease_ttl_s / 3`` seconds, so three missed
-        beats make it stale.
+        lease and worker record are renewed every ``lease_ttl_s / 3``
+        seconds, so three missed beats make them stale.  The TTL is
+        written into both, so every reader judges this worker by it.
     max_jobs:
         Exit after completing this many jobs (``None`` = unbounded).
     idle_exit_s:
@@ -91,9 +92,9 @@ class FleetWorker:
     host_label:
         Override the hostname written into leases/heartbeats (simulated
         multi-host testing; see :class:`~repro.fleet.queue.FleetQueue`).
-    announce:
-        Publish a registration record (start time, knobs, capabilities)
-        in the worker heartbeat, surfaced by ``fleet status``.
+
+    Every heartbeat carries the worker's registration (start time, lease
+    TTL, heartbeat interval, version), listed by ``fleet status``.
     """
 
     def __init__(
@@ -105,7 +106,6 @@ class FleetWorker:
         idle_exit_s: float | None = None,
         worker_id: str | None = None,
         host_label: str | None = None,
-        announce: bool = False,
     ):
         self.queue = FleetQueue(
             fleet_dir, lease_ttl_s=lease_ttl_s, host_label=host_label
@@ -117,17 +117,14 @@ class FleetWorker:
         self.worker_id = worker_id or f"{self.queue.host}-{os.getpid()}"
         self.jobs_done = 0
         self._drain = threading.Event()
-        self._announce: dict | None = None
-        if announce:
-            from repro import __version__
+        from repro import __version__
 
-            self._announce = {
-                "announced": True,
-                "started_at": time.time(),
-                "lease_ttl_s": self.queue.lease_ttl_s,
-                "heartbeat_s": self.heartbeat_s,
-                "version": __version__,
-            }
+        # The queue adds ``lease_ttl_s`` to every beat itself.
+        self._registration = {
+            "started_at": time.time(),
+            "heartbeat_s": self.heartbeat_s,
+            "version": __version__,
+        }
 
     def install_signal_handlers(self) -> None:
         """Route SIGTERM/SIGINT to the drain flag (main thread only)."""
@@ -182,9 +179,9 @@ class FleetWorker:
         self.jobs_done += 1
 
     def _beat(self, state: str) -> None:
-        """One liveness heartbeat, carrying the announce record if any."""
+        """One liveness heartbeat, carrying the registration."""
         self.queue.write_worker_heartbeat(
-            self.worker_id, state, self.jobs_done, extra=self._announce
+            self.worker_id, state, self.jobs_done, extra=self._registration
         )
 
     def run(self) -> int:

@@ -27,9 +27,9 @@ concurrent writers race benignly.  Manifests are an advisory index updated
 under a cross-process :class:`~repro.library.locking.FileLock`; a crash
 between data write and index update leaves an *orphan* that is still
 served by :meth:`get` and adopted by the next :meth:`gc`.  Eviction is
-LRU by the manifest's ``last_used`` stamp against a size budget
-(``REPRO_CACHE_BUDGET_MB``), and only ever happens inside an explicit
-:meth:`gc` call — normal puts never block on collection.
+LRU by the manifest's ``last_used`` stamp against the size budget a
+:meth:`gc` call is given (``library gc --budget-mb``), and only ever
+happens inside that call — normal puts never block on collection.
 
 Legacy flat directories (the pre-library ``PersistentPulseCache`` layout:
 ``*.pulse`` files directly in the root) are migrated in place, once, on
@@ -127,11 +127,9 @@ class PulseLibrary:
         self,
         directory: str | os.PathLike,
         shards: int = ServiceConfig.cache_shards,
-        budget_mb: float | None = ServiceConfig.cache_budget_mb,
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.budget_mb = budget_mb
         self._global_lock = FileLock(self.directory / ".lock")
         # Submit threads share one library, so every lifetime counter is
         # bumped under this lock (see _bump).
@@ -444,16 +442,13 @@ class PulseLibrary:
     def gc(self, budget_mb: float | None = None) -> GCReport:
         """Reconcile the index and evict LRU entries down to the budget.
 
-        ``budget_mb`` falls back to the library's configured budget
-        (``REPRO_CACHE_BUDGET_MB``); with no budget at all the pass only
-        reconciles manifests and sweeps crash debris.  The whole pass runs
+        Without ``budget_mb`` the pass only reconciles manifests and
+        sweeps crash debris.  The whole pass runs
         under the global cross-process lock, so concurrent ``gc`` calls
         serialize; concurrent ``put``/``get`` traffic stays safe because
         data writes are atomic and manifest updates take shard locks.
         """
         start = time.perf_counter()
-        if budget_mb is None:
-            budget_mb = self.budget_mb
         report = GCReport(
             budget_bytes=None if budget_mb is None else int(budget_mb * 1024 * 1024)
         )
@@ -567,7 +562,6 @@ class PulseLibrary:
             "nonempty_shards": 0,
             "max_shard_entries": 0,
             "evictions": 0,
-            "budget_mb": None,
             "migrated_entries": 0,
             "puts": 0,
             "gets": 0,
@@ -590,7 +584,6 @@ class PulseLibrary:
             "layout_version": LIBRARY_LAYOUT_VERSION,
             "shards": self.shards,
             "prefix_len": self.prefix_len,
-            "budget_mb": self.budget_mb,
             **counters,
         }
 

@@ -1,8 +1,8 @@
 """Typed, immutable configuration for the compilation service.
 
 :class:`ServiceConfig` consolidates the ``REPRO_*`` environment knobs —
-executor, cache directory/sharding/budget, warm-start seeding, fleet and
-server settings — into one frozen dataclass.  This
+executor, cache directory and sharding, warm-start seeding, the fleet
+queue directory and server settings — into one frozen dataclass.  This
 module is the **only** place in the whole package that reads ``REPRO_*``
 environment variables (a repo test greps for strays), so "what
 configuration am I actually running with?" always has one answer:
@@ -39,11 +39,6 @@ EXECUTOR_CHOICES = ("serial", "auto")
 #: whole-hex-character prefix of their unitary fingerprint, so the count
 #: must be a power of 16.
 CACHE_SHARD_CHOICES = (16, 256, 4096)
-
-#: How fixed-block jobs leave the service: ``"executor"`` keeps them on
-#: the in-process block executor; ``"queue"`` routes them through the
-#: file-backed fleet queue to detached worker processes.
-DISPATCHER_CHOICES = ("executor", "queue")
 
 #: The preset a process starts with when ``REPRO_PRESET`` is unset.
 DEFAULT_PRESET = "ci"
@@ -117,7 +112,7 @@ class ServiceConfig:
         or all to an idle worker while another request runs tasks (see
         :class:`repro.pipeline.executors.AutoExecutor`); ``"serial"``
         runs everything in the calling thread.  Searches on worker
-        processes of other hosts go through ``dispatcher="queue"``.
+        processes of other hosts go through ``fleet_dir``.
     submit_workers:
         Size of the request-level thread pool behind
         :meth:`repro.service.CompilationService.submit`
@@ -133,9 +128,6 @@ class ServiceConfig:
     cache_shards:
         Shard fan-out of the on-disk pulse library
         (``REPRO_CACHE_SHARDS``); one of :data:`CACHE_SHARD_CHOICES`.
-    cache_budget_mb:
-        Default size budget for :meth:`repro.library.PulseLibrary.gc`
-        (``REPRO_CACHE_BUDGET_MB``).  ``None`` means unbounded.
     warm_start:
         Whether cache-missing blocks warm-start GRAPE from the nearest
         cached pulse — or, for seedless two-qubit blocks, from the
@@ -143,27 +135,19 @@ class ServiceConfig:
         (``REPRO_WARM_START``).  A best-of guard makes seeding strictly
         safe (never a worse pulse than a cold start), so this knob exists
         for debugging and A/B iteration counts.
-    dispatcher:
-        Where fixed-block jobs are compiled (``REPRO_DISPATCHER``):
-        ``"executor"`` (default) keeps them on the in-process block
-        executor; ``"queue"`` sends them through the
-        :class:`repro.fleet.QueueDispatcher` to the worker processes
-        (``python -m repro worker``) that drain the fleet queue
-        directory, and runs them inline while none is registered.
     fleet_dir:
-        The fleet queue directory (``REPRO_FLEET_DIR``).  ``None`` with
-        ``dispatcher="queue"`` derives ``<cache_dir>/fleet``; with no
-        cache directory either, the config is rejected.
+        The fleet queue directory (``REPRO_FLEET_DIR``).  Set, the
+        service sends its pure tasks (cold fixed-block searches, flexible
+        runtime entries) through a :class:`repro.fleet.QueueDispatcher`
+        to the worker processes (``python -m repro worker``) that drain
+        this directory, and runs them inline while none is live.
+        ``None`` (default) keeps them on ``executor``.
     queue_depth:
         Bounded admission for :meth:`repro.service.CompilationService
         .submit` (``REPRO_QUEUE_DEPTH``): at most this many requests may
         be queued or running at once; further ``submit`` calls block
         until a slot frees (backpressure).  ``None`` (default) admits
         without bound.
-    fleet_lease_ttl_s:
-        Lease time-to-live for fleet jobs (``REPRO_FLEET_LEASE_TTL``,
-        seconds).  A claimed job whose lease heartbeat goes silent for
-        this long is reclaimed by another worker.
     server_host / server_port:
         Bind address for ``python -m repro serve``
         (``REPRO_SERVER_HOST`` / ``REPRO_SERVER_PORT``).  Port ``0``
@@ -182,12 +166,9 @@ class ServiceConfig:
     )
     cache_dir: str | None = None
     cache_shards: int = 16
-    cache_budget_mb: float | None = None
     warm_start: bool = True
-    dispatcher: str = "executor"
     fleet_dir: str | None = None
     queue_depth: int | None = None
-    fleet_lease_ttl_s: float = 30.0
     server_host: str = "127.0.0.1"
     server_port: int = 8642
     server_max_body_mb: float = 32.0
@@ -207,27 +188,9 @@ class ServiceConfig:
                 f"cache_shards must be one of {CACHE_SHARD_CHOICES}, "
                 f"got {self.cache_shards}"
             )
-        if self.cache_budget_mb is not None and self.cache_budget_mb <= 0:
-            raise ReproError(
-                f"cache_budget_mb must be positive, got {self.cache_budget_mb}"
-            )
-        if self.dispatcher not in DISPATCHER_CHOICES:
-            raise ReproError(
-                f"unknown dispatcher {self.dispatcher!r}; "
-                f"available: {DISPATCHER_CHOICES}"
-            )
-        if self.dispatcher == "queue" and not (self.fleet_dir or self.cache_dir):
-            raise ReproError(
-                "dispatcher='queue' needs fleet_dir (REPRO_FLEET_DIR) or "
-                "cache_dir (REPRO_CACHE_DIR) to derive <cache_dir>/fleet from"
-            )
         if self.queue_depth is not None and self.queue_depth < 1:
             raise ReproError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.fleet_lease_ttl_s <= 0:
-            raise ReproError(
-                f"fleet_lease_ttl_s must be positive, got {self.fleet_lease_ttl_s}"
             )
         if not 0 <= self.server_port <= 65535:
             raise ReproError(
@@ -265,8 +228,7 @@ class ServiceConfig:
         The source map is what ``python -m repro config show`` prints, so
         debugging a mis-set environment never requires a source dive.
         ``overrides`` (the CLI's flags) win over the environment and are
-        validated together with it, so a flag can complete a combination
-        the environment left invalid; their sources are the caller's to
+        validated together with it; their sources are the caller's to
         label.
         """
         values: dict = {}
@@ -310,24 +272,7 @@ class ServiceConfig:
                     stacklevel=3,
                 )
 
-        _env_number(
-            "REPRO_CACHE_BUDGET_MB", "cache_budget_mb", float,
-            lambda v: v > 0, "must be positive", values, sources,
-        )
-
         _env_bool("REPRO_WARM_START", "warm_start", values, sources)
-
-        dispatcher = os.environ.get("REPRO_DISPATCHER")
-        if dispatcher is not None:
-            if dispatcher in DISPATCHER_CHOICES:
-                values["dispatcher"] = dispatcher
-                sources["dispatcher"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_DISPATCHER={dispatcher!r}; "
-                    f"available: {DISPATCHER_CHOICES}",
-                    stacklevel=3,
-                )
 
         fleet_dir = os.environ.get("REPRO_FLEET_DIR")
         if fleet_dir:
@@ -337,10 +282,6 @@ class ServiceConfig:
         _env_number(
             "REPRO_QUEUE_DEPTH", "queue_depth", int,
             lambda v: v >= 1, "must be >= 1", values, sources,
-        )
-        _env_number(
-            "REPRO_FLEET_LEASE_TTL", "fleet_lease_ttl_s", float,
-            lambda v: v > 0, "must be positive", values, sources,
         )
         server_host = os.environ.get("REPRO_SERVER_HOST")
         if server_host:
@@ -366,14 +307,6 @@ class ServiceConfig:
     def replace(self, **overrides) -> "ServiceConfig":
         """A copy with ``overrides`` applied (validation re-runs)."""
         return replace(self, **overrides)
-
-    def library_options(self) -> dict:
-        """The pulse-library fields as ``PulseLibrary`` /
-        ``PersistentPulseCache`` keyword arguments."""
-        return {
-            "shards": self.cache_shards,
-            "budget_mb": self.cache_budget_mb,
-        }
 
     def as_dict(self) -> dict:
         """Field → value, in declaration order (for stats and the CLI)."""

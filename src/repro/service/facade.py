@@ -91,13 +91,15 @@ class CompilationService:
         self.max_block_width = max_block_width
         self.cache = (
             PersistentPulseCache(
-                self.config.cache_dir, **self.config.library_options()
+                self.config.cache_dir, shards=self.config.cache_shards
             )
             if self.config.cache_dir
             else PulseCache()
         )
-        if self.config.dispatcher == "queue":
-            self.executor = self._make_queue_dispatcher()
+        if self.config.fleet_dir:
+            from repro.fleet import QueueDispatcher
+
+            self.executor = QueueDispatcher(self.config.fleet_dir)
         else:
             self.executor = resolve_executor(self.config.executor)
         # Blocking plans keyed by ansatz content: repeated requests for one
@@ -138,24 +140,6 @@ class CompilationService:
         start_workers = getattr(self.executor, "start_workers", None)
         if start_workers is not None:
             start_workers()
-
-    def _make_queue_dispatcher(self):
-        """The fleet dispatcher selected by ``dispatcher="queue"``.
-
-        The queue directory comes from ``fleet_dir``, falling back to
-        ``<cache_dir>/fleet`` so a cache-configured service needs no
-        extra knob for a local fleet (the config guarantees one is set).
-        """
-        from pathlib import Path
-
-        from repro.fleet import QueueDispatcher
-
-        fleet_dir = self.config.fleet_dir or str(
-            Path(self.config.cache_dir) / "fleet"
-        )
-        return QueueDispatcher(
-            fleet_dir, lease_ttl_s=self.config.fleet_lease_ttl_s
-        )
 
     # -- core API ------------------------------------------------------------
     def _begin_request(self) -> None:

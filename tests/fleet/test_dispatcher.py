@@ -136,6 +136,48 @@ class TestLiveWorkers:
         assert sorted(workers) == ["idle", "just-exited"]
         assert workers["just-exited"]["state"] == "exited"
 
+    def test_a_worker_is_judged_by_its_own_ttl(self, tmp_path):
+        """A worker whose TTL is longer than the dispatcher's queue default
+        beats every third of it while it runs a job; 35 s after its last
+        beat it is still live to a dispatcher, and its record is kept."""
+        worker = FleetWorker(tmp_path, lease_ttl_s=120.0, host_label="simhost")
+        worker._beat("compiling:job")
+        path = tmp_path / "workers" / f"{worker.worker_id}.json"
+        record = json.loads(path.read_text())
+        record["updated_at"] = time.time() - 35
+        path.write_text(json.dumps(record))
+        dispatcher = QueueDispatcher(tmp_path)
+        assert dispatcher.queue.lease_ttl_s == 30.0
+        assert dispatcher.queue.live_workers() == 1
+        assert dispatcher.describe()["live_workers"] == 1
+        assert path.exists()
+        # A record without a TTL falls back to the queue's default.
+        self._beat(
+            dispatcher.queue, "no-ttl", host="simhost", updated_at=time.time() - 35
+        )
+        assert dispatcher.queue.live_workers() == 1
+        assert not (tmp_path / "workers" / "no-ttl.json").exists()
+
+    def test_status_counts_workers_by_the_live_rule(self, tmp_path):
+        """``status()`` agrees with ``live_workers()``: a fresh beat from a
+        dead pid on this host is neither live nor ``active``."""
+        queue = FleetQueue(tmp_path, lease_ttl_s=5.0)
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        self._beat(queue, "killed", pid=dead.pid)
+        assert queue.live_workers() == 0
+        status = queue.status()
+        assert status["hosts"][queue.host]["active"] == 0
+        assert status["hosts"][queue.host]["workers"] == 1
+        assert status["live_workers"] == 0
+        [entry] = status["workers"]
+        assert entry["live"] is False and entry["state"] == "idle"
+
+        self._beat(queue, "idle")
+        status = queue.status()
+        assert status["live_workers"] == queue.live_workers() == 1
+        assert status["hosts"][queue.host]["active"] == 1
+
     def test_a_busy_worker_keeps_beating(self, tmp_path):
         """A job longer than the lease TTL does not make its worker look
         gone: the lease renewer refreshes the worker heartbeat too."""

@@ -7,7 +7,7 @@ failure semantics (pure lease-TTL reclaim).  Covered here:
 
 * a two-"host" soak: workers on simulated hosts drain one queue, every
   job completes exactly once, and ``status()["hosts"]`` groups the
-  leases/workers per host with their ``--announce`` registration data;
+  leases/workers per host with the registration every beat carries;
 * cross-host crash handling: a kill -9'd claim holder on another host is
   *not* reclaimed by pid probing, only by lease-TTL expiry;
 * the ``fleet status --json`` CLI view of the same snapshot.
@@ -59,7 +59,6 @@ class TestMultiHostSoak:
                 tmp_path,
                 "--host-label", f"simhost-{tag}",
                 "--worker-id", f"w-{tag}",
-                "--announce",
                 "--idle-exit", "0.5",
             )
             for tag in ("a", "b")
@@ -86,12 +85,13 @@ class TestMultiHostSoak:
         for host, entry in hosts.items():
             assert entry["workers"] == 1
             assert entry["active"] == 0  # both signed off as exited
-        # --announce registration rode along on the heartbeats.
+        assert status["live_workers"] == 0
+        # The registration rode along on every heartbeat.
         for worker in status["workers"]:
-            announced = worker["announced"]
-            assert announced["version"] == repro.__version__
-            assert announced["lease_ttl_s"] == 30.0
-            assert announced["heartbeat_s"] > 0
+            assert worker["version"] == repro.__version__
+            assert worker["lease_ttl_s"] == 30.0
+            assert worker["heartbeat_s"] > 0
+            assert worker["started_at"] > 0
             assert worker["host"].startswith("simhost-")
 
     def test_completions_attributed_to_both_worker_ids(self, tmp_path, task_factory):
@@ -162,7 +162,7 @@ class TestFleetStatusCli:
         queue_a.enqueue("job-two")
         assert queue_a.claim("w-a") is not None
         queue_a.write_worker_heartbeat(
-            "w-a", "busy", 3, extra={"announced": True, "version": "x"}
+            "w-a", "busy", 3, extra={"version": "x"}
         )
         queue_b.write_worker_heartbeat("w-b", "idle", 2)
 
@@ -177,8 +177,9 @@ class TestFleetStatusCli:
         assert hosts["simhost-a"]["leases"] == 1
         assert hosts["simhost-b"]["workers"] == 1
         assert hosts["simhost-b"]["active"] == 1
+        assert snapshot["live_workers"] == 2
 
-    def test_text_mode_shows_host_rows_and_announce_marker(
+    def test_text_mode_shows_host_rows_and_registration(
         self, capsys, tmp_path
     ):
         self._populate(tmp_path)
@@ -186,7 +187,7 @@ class TestFleetStatusCli:
         out = capsys.readouterr().out
         assert "host simhost-a" in out
         assert "host simhost-b" in out
-        assert "announced" in out
+        assert "version=x" in out and "ttl=30.0s" in out
         assert "host=simhost-a" in out
 
     def test_json_on_missing_dir_is_an_empty_snapshot(self, capsys, tmp_path):

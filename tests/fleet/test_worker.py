@@ -60,10 +60,15 @@ class TestHeartbeat:
     ):
         """Three missed beats make a lease stale; the interval never drops
         under 50 ms however short the TTL."""
-        worker = FleetWorker(tmp_path, lease_ttl_s=lease_ttl_s, announce=True)
+        worker = FleetWorker(tmp_path, lease_ttl_s=lease_ttl_s)
         assert worker.heartbeat_s == pytest.approx(heartbeat_s)
-        assert worker._announce["heartbeat_s"] == worker.heartbeat_s
-        assert worker._announce["lease_ttl_s"] == lease_ttl_s
+        # Every beat carries both, so readers judge the worker by its TTL.
+        worker._beat("idle")
+        record = json.loads(
+            (tmp_path / "workers" / f"{worker.worker_id}.json").read_text()
+        )
+        assert record["heartbeat_s"] == worker.heartbeat_s
+        assert record["lease_ttl_s"] == lease_ttl_s
 
 
 class TestWorkerLoop:

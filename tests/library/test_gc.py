@@ -56,15 +56,6 @@ class TestEviction:
         library.gc(budget_mb=1 * KIB / (1024 * 1024))
         assert library.sweep()["evictions"] == 5
 
-    def test_instance_default_budget_used(self, tmp_path):
-        library = PulseLibrary(
-            tmp_path, shards=16, budget_mb=2 * KIB / (1024 * 1024)
-        )
-        for i in range(5):
-            library.put(_name(i), b"x" * KIB)
-        report = library.gc()
-        assert report.evicted == 3
-
 
 class TestReconciliation:
     def test_gc_adopts_orphans_and_drops_ghosts(self, tmp_path):
@@ -184,9 +175,7 @@ class TestConcurrency:
         The invariants: no exceptions escape, manifests always parse, and
         after a final reconcile the index exactly matches the data files.
         """
-        library = PulseLibrary(
-            tmp_path, shards=16, budget_mb=8 * KIB / (1024 * 1024)
-        )
+        library = PulseLibrary(tmp_path, shards=16)
         errors = []
         stop = threading.Event()
 
@@ -223,7 +212,8 @@ class TestConcurrency:
         gc_thread.join()
         assert not errors
 
-        final = library.gc()  # one clean reconcile pass
+        # One clean reconcile-and-evict pass.
+        final = library.gc(budget_mb=8 * KIB / (1024 * 1024))
         assert final.entries_after == library.count()
         indexed = set()
         for shard in library.shard_dirs():
@@ -233,7 +223,7 @@ class TestConcurrency:
     def test_concurrent_eviction_pressure_respects_budget(self, tmp_path):
         """gc under a tight budget while puts keep landing never corrupts."""
         budget_mb = 4 * KIB / (1024 * 1024)
-        library = PulseLibrary(tmp_path, shards=16, budget_mb=budget_mb)
+        library = PulseLibrary(tmp_path, shards=16)
         errors = []
 
         def writer():
@@ -247,10 +237,10 @@ class TestConcurrency:
         writer_thread = threading.Thread(target=writer)
         writer_thread.start()
         for _ in range(10):
-            library.gc()
+            library.gc(budget_mb)
         writer_thread.join()
         assert not errors
-        report = library.gc()
+        report = library.gc(budget_mb)
         assert report.bytes_after <= budget_mb * 1024 * 1024
         # Every surviving file is readable.
         for name in library.names():

@@ -149,13 +149,12 @@ class TestManifest:
 
 class TestStats:
     def test_stats_shape(self, tmp_path):
-        library = PulseLibrary(tmp_path, shards=16, budget_mb=5.0)
+        library = PulseLibrary(tmp_path, shards=16)
         for i in range(4):
             library.put(_name(i), b"x" * 100)
         library.get(_name(0))
         stats = library.stats()
         assert stats["shards"] == 16
-        assert stats["budget_mb"] == 5.0
         assert stats["puts"] == 4
         assert stats["gets"] == 1 and stats["get_hits"] == 1
         swept = library.sweep()

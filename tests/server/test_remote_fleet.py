@@ -41,7 +41,6 @@ class TestFleetServedCompile:
         request = make_request("strict-partial", max_block_width=2)
         fleet_workers(tmp_path / "fleet", 1)
         fleet_cfg = ServiceConfig(
-            dispatcher="queue",
             fleet_dir=str(tmp_path / "fleet"),
             warm_start=warm_start,
         )

@@ -2,7 +2,7 @@
 
 The milestone-1 service-level contracts:
 
-* every strategy compiled through ``dispatcher="queue"`` with real worker
+* every strategy compiled through a ``fleet_dir`` with real worker
   processes (``python -m repro worker``) is bit-identical to the serial in-process executor, with
   warm start off and on: the service resolves cache hits and warm-start
   seeds itself and ships seed-carrying searches, so a request sequence
@@ -11,8 +11,7 @@ The milestone-1 service-level contracts:
   dispatching process, and the pulses land in the service's library;
 * ``queue_depth`` bounds admission — extra ``submit()`` calls block and
   are counted — without losing or erroring any request;
-* the fleet directory falls back to ``<cache_dir>/fleet``, and a queue
-  dispatcher without either knob is a configuration error.
+* a set ``fleet_dir`` is what selects the queue dispatcher.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ReproError, ServiceSaturated
+from repro.errors import ServiceSaturated
 from repro.library import PulseLibrary
 from repro.perf import get_perf_registry
 from repro.service import CompilationService, CompileRequest, ServiceConfig
@@ -57,7 +56,7 @@ def _serial_and_fleet(
     configs = {
         "serial": ServiceConfig(executor="serial", **config),
         "fleet": ServiceConfig(
-            dispatcher="queue", fleet_dir=str(tmp_path / "fleet"), **config
+            fleet_dir=str(tmp_path / "fleet"), **config
         ),
     }
     perf = get_perf_registry()
@@ -163,15 +162,17 @@ class TestQueueDispatchParity:
         programs_identical,
         fleet_workers,
     ):
-        """With ``dispatcher="queue"`` and a ``cache_dir`` the service
+        """With a ``fleet_dir`` and a ``cache_dir`` the service
         caches the fleet's pulses in its own library: a later serial
         service over the same directory compiles from hits alone."""
         circuit, theta = workload
         cache_dir = str(tmp_path / "cache")
         request = CompileRequest(circuit, theta, strategy="full-grape")
-        fleet_workers(tmp_path / "cache" / "fleet", 1)
+        fleet_workers(tmp_path / "fleet", 1)
         with CompilationService(
-            config=ServiceConfig(dispatcher="queue", cache_dir=cache_dir),
+            config=ServiceConfig(
+                fleet_dir=str(tmp_path / "fleet"), cache_dir=cache_dir
+            ),
             settings=coarse_settings,
             hyperparameters=coarse_hyper,
         ) as service:
@@ -187,19 +188,20 @@ class TestQueueDispatchParity:
         assert warm.compiled.runtime_iterations == 0
         assert programs_identical(warm.program, fleet.program)
 
-    def test_fleet_dir_derived_from_cache_dir(self, tmp_path):
+    def test_fleet_dir_selects_the_queue_dispatcher(self, tmp_path):
+        """A set ``fleet_dir`` is the queue dispatcher over that directory;
+        a ``cache_dir`` alone keeps the in-process executor."""
         config = ServiceConfig(
-            dispatcher="queue", cache_dir=str(tmp_path / "cache")
+            executor="serial",
+            cache_dir=str(tmp_path / "cache"),
+            fleet_dir=str(tmp_path / "fleet"),
         )
         with CompilationService(config=config) as service:
-            assert service.executor.queue.directory == (
-                Path(tmp_path) / "cache" / "fleet"
-            )
+            assert service.executor.queue.directory == Path(tmp_path) / "fleet"
             assert service.stats()["executor"]["executor"] == "queue"
-
-    def test_queue_dispatcher_without_directory_is_an_error(self):
-        with pytest.raises(ReproError, match="REPRO_FLEET_DIR"):
-            CompilationService(config=ServiceConfig(dispatcher="queue"))
+        with CompilationService(config=config.replace(fleet_dir=None)) as service:
+            assert service.executor.name == "serial"
+            assert service.stats()["fleet"] is None
 
 
 class TestBoundedAdmission:

@@ -64,7 +64,7 @@ class TestEnvConsolidation:
         from repro.service.config import preset_from_env
 
         field_reads = _variables_read_by(monkeypatch, ServiceConfig.from_env)
-        assert len(field_reads) == len(fields(ServiceConfig)) == 14
+        assert len(field_reads) == len(fields(ServiceConfig)) == 11
         preset_reads = _variables_read_by(monkeypatch, preset_from_env)
         assert preset_reads == {"REPRO_PRESET"}
         read = field_reads | preset_reads
@@ -135,12 +135,9 @@ class TestFromEnv:
             "REPRO_SUBMIT_WORKERS",
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
-            "REPRO_CACHE_BUDGET_MB",
             "REPRO_WARM_START",
-            "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
             "REPRO_QUEUE_DEPTH",
-            "REPRO_FLEET_LEASE_TTL",
             "REPRO_SERVER_HOST",
             "REPRO_SERVER_PORT",
             "REPRO_SERVER_MAX_BODY_MB",
@@ -156,12 +153,9 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "6")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pulses")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
         monkeypatch.setenv("REPRO_WARM_START", "no")
-        monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "16")
-        monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "12.5")
         monkeypatch.setenv("REPRO_SERVER_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_SERVER_PORT", "9001")
         monkeypatch.setenv("REPRO_SERVER_MAX_BODY_MB", "8.0")
@@ -171,12 +165,9 @@ class TestFromEnv:
         assert config.submit_workers == 6
         assert config.cache_dir == "/tmp/pulses"
         assert config.cache_shards == 256
-        assert config.cache_budget_mb == 32.5
         assert config.warm_start is False
-        assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
         assert config.queue_depth == 16
-        assert config.fleet_lease_ttl_s == 12.5
         assert config.server_host == "0.0.0.0"
         assert config.server_port == 9001
         assert config.server_max_body_mb == 8.0
@@ -187,12 +178,9 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_EXECUTOR", "quantum-annealer")
         monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "zero")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "lots")
         monkeypatch.setenv("REPRO_WARM_START", "perhaps")
         monkeypatch.setenv("REPRO_SCAN_BLOCK", "none")
-        monkeypatch.setenv("REPRO_DISPATCHER", "carrier-pigeon")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "0")
-        monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "-3")
         monkeypatch.setenv("REPRO_SERVER_PORT", "70000")
         monkeypatch.setenv("REPRO_SERVER_MAX_BODY_MB", "huge")
         monkeypatch.setenv("REPRO_SERVER_TICKET_TTL", "0")
@@ -244,10 +232,6 @@ class TestValidation:
         with pytest.raises(ReproError):
             ServiceConfig(cache_shards=100)
 
-    def test_nonpositive_budget_rejected(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(cache_budget_mb=0)
-
     def test_choices_match_config_module(self):
         from repro import config as legacy
 
@@ -262,8 +246,6 @@ class TestFleetServerValidation:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"fleet_lease_ttl_s": 0},
-            {"fleet_lease_ttl_s": -1.0},
             {"server_port": -1},
             {"server_port": 65536},
             {"server_max_body_mb": 0},
@@ -271,7 +253,7 @@ class TestFleetServerValidation:
             {"queue_depth": 0},
         ],
         ids=[
-            "zero-ttl", "negative-ttl", "negative-port", "port-too-high",
+            "negative-port", "port-too-high",
             "zero-body", "zero-ticket-ttl", "zero-queue-depth",
         ],
     )
@@ -279,32 +261,12 @@ class TestFleetServerValidation:
         with pytest.raises(ReproError):
             ServiceConfig(**overrides)
 
-    def test_queue_dispatcher_needs_a_directory(self):
-        with pytest.raises(ReproError, match="needs fleet_dir"):
-            ServiceConfig(dispatcher="queue")
-        assert ServiceConfig(dispatcher="queue", fleet_dir="/q").fleet_dir
-        assert ServiceConfig(dispatcher="queue", cache_dir="/c").cache_dir
-
-    def test_env_dispatcher_completed_by_an_override(self, monkeypatch):
-        """An override is validated together with the environment, so a
-        flag can supply the directory ``REPRO_DISPATCHER=queue`` lacks."""
-        monkeypatch.setenv("REPRO_DISPATCHER", "queue")
-        monkeypatch.delenv("REPRO_FLEET_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.raises(ReproError, match="needs fleet_dir"):
-            ServiceConfig.from_env()
-        config, sources = ServiceConfig.from_env_with_sources(fleet_dir="/q")
-        assert (config.dispatcher, config.fleet_dir) == ("queue", "/q")
-        assert sources["dispatcher"] == "env"
-
     def test_good_values_accepted(self):
         config = ServiceConfig(
-            fleet_lease_ttl_s=10.0,
             server_port=0,
             server_max_body_mb=1.0,
             server_ticket_ttl_s=60.0,
         )
-        assert config.fleet_lease_ttl_s == 10.0
         assert config.server_port == 0
 
 
@@ -341,7 +303,6 @@ class TestCodeConfigUnderConflictingEnv:
         for name, value in {
             "REPRO_CACHE_DIR": str(env_dir),
             "REPRO_CACHE_SHARDS": "4096",
-            "REPRO_CACHE_BUDGET_MB": "99",
             "REPRO_EXECUTOR": "auto",
             "REPRO_WARM_START": "1",
         }.items():
@@ -351,17 +312,14 @@ class TestCodeConfigUnderConflictingEnv:
         config = ServiceConfig(
             cache_dir=str(cache_dir),
             cache_shards=256,
-            cache_budget_mb=5.0,
             executor="serial",
             warm_start=False,
         )
         circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1)
         perf = get_perf_registry()
         with CompilationService(config) as service:
-            library = service.cache.library
             descriptor = json.loads((cache_dir / "library.json").read_text())
             assert descriptor["shards"] == 256
-            assert library.budget_mb == 5.0
             assert service.executor.name == "serial"
             lookups = perf.counter("grape.warm_start.lookups")
             result = service.compile(

@@ -43,7 +43,8 @@ def test_one_unitary_per_cold_block(
     circuit, _ = workload
     perf = get_perf_registry()
     config = ServiceConfig(
-        executor="serial", dispatcher=dispatcher, fleet_dir=str(tmp_path)
+        executor="serial",
+        fleet_dir=str(tmp_path) if dispatcher == "queue" else None,
     )
     with CompilationService(config) as service:
         for theta in THETAS:

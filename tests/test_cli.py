@@ -187,7 +187,6 @@ class TestCommands:
             "REPRO_EXECUTOR",
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
-            "REPRO_CACHE_BUDGET_MB",
         ):
             monkeypatch.delenv(name, raising=False)
         assert main(["config", "show"]) == 0
@@ -261,7 +260,7 @@ class TestCommands:
 
 
 class TestFleetCli:
-    """The worker entrypoint, ``fleet status``, and the dispatcher knobs."""
+    """The worker entrypoint, ``fleet status``, and the fleet flags."""
 
     def test_worker_requires_fleet_dir(self):
         with pytest.raises(SystemExit):
@@ -287,26 +286,40 @@ class TestFleetCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet"])
 
-    def test_compile_batch_accepts_dispatcher_knobs(self):
+    def test_compile_batch_accepts_fleet_flags(self):
         args = build_parser().parse_args(
             [
                 "compile-batch", "--benchmark", "vqe:H2",
-                "--dispatcher", "queue", "--fleet-dir", "/tmp/q",
-                "--queue-depth", "8",
+                "--fleet-dir", "/tmp/q", "--queue-depth", "8",
             ]
         )
-        assert args.dispatcher == "queue"
         assert args.fleet_dir == "/tmp/q"
         assert args.queue_depth == 8
 
-    def test_compile_batch_rejects_unknown_dispatcher(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [
-                    "compile-batch", "--benchmark", "vqe:H2",
-                    "--dispatcher", "carrier-pigeon",
-                ]
-            )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile-batch", "--benchmark", "vqe:H2", "--dispatcher", "queue"],
+            ["serve", "--dispatcher", "queue"],
+            ["config", "show", "--dispatcher", "queue"],
+            ["config", "show", "--fleet-lease-ttl", "5"],
+            ["config", "show", "--cache-budget-mb", "10"],
+            ["worker", "--fleet-dir", "/tmp/q", "--announce"],
+        ],
+        ids=[
+            "compile-batch-dispatcher", "serve-dispatcher",
+            "config-show-dispatcher", "fleet-lease-ttl", "cache-budget-mb",
+            "worker-announce",
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        """A set ``fleet_dir`` is the fleet, each worker sets its own lease
+        TTL, every beat carries the registration, and a gc budget is an
+        argument of ``library gc``: these flags are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fleet_status_missing_dir_reports_empty(self, capsys, tmp_path):
         """A queue directory nobody has written to is an empty queue, and
@@ -360,16 +373,12 @@ class TestFleetCli:
         assert code == 0
 
     def test_config_show_reports_fleet_knobs(self, capsys, monkeypatch):
-        for name in (
-            "REPRO_DISPATCHER",
-            "REPRO_FLEET_DIR",
-            "REPRO_QUEUE_DEPTH",
-        ):
+        for name in ("REPRO_FLEET_DIR", "REPRO_QUEUE_DEPTH"):
             monkeypatch.delenv(name, raising=False)
         assert (
             main(
                 [
-                    "config", "show", "--dispatcher", "queue",
+                    "config", "show",
                     "--fleet-dir", "/tmp/q", "--queue-depth", "4",
                 ]
             )
@@ -381,30 +390,8 @@ class TestFleetCli:
             for line in out.splitlines()
             if "|" in line
         }
-        for field in ("dispatcher", "fleet_dir", "queue_depth"):
+        for field in ("fleet_dir", "queue_depth"):
             assert "CLI" in lines[field], field
-
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["compile-batch", "--benchmark", "qaoa:3regular:4:1"],
-            ["serve"],
-            ["config", "show"],
-        ],
-        ids=["compile-batch", "serve", "config-show"],
-    )
-    def test_queue_dispatcher_without_a_directory_is_a_usage_error(
-        self, capsys, monkeypatch, command
-    ):
-        """The config rejects ``--dispatcher queue`` with neither a fleet
-        nor a cache directory, so the CLI prints ``error: …`` and exits 2
-        before any service or server starts."""
-        for name in ("REPRO_DISPATCHER", "REPRO_FLEET_DIR", "REPRO_CACHE_DIR"):
-            monkeypatch.delenv(name, raising=False)
-        assert main([*command, "--dispatcher", "queue"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: dispatcher='queue' needs")
-        assert captured.out == ""
 
     @pytest.mark.slow
     def test_compile_batch_through_fleet_dispatcher(
@@ -415,7 +402,7 @@ class TestFleetCli:
             [
                 "compile-batch", "--benchmark", "qaoa:3regular:4:1",
                 "--batch", "2", "--iterations", "50", "--fidelity", "0.9",
-                "--dispatcher", "queue", "--fleet-dir", str(tmp_path / "q"),
+                "--fleet-dir", str(tmp_path / "q"),
             ]
         )
         assert code == 0
@@ -428,7 +415,8 @@ class TestServerCli:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.host is None and args.port is None  # config decides
+        # Unset, the config decides.
+        assert args.server_host is None and args.server_port is None
         assert args.grace == 30.0
         assert args.queue_depth is None
 
@@ -483,15 +471,32 @@ class TestServerCli:
         assert args.verify_local is False
         assert args.timeout == 600.0
 
-    def test_worker_announce_and_host_label_flags(self):
+    def test_serve_host_and_port_set_the_config(self, monkeypatch):
+        """``serve --host/--port`` are the ``server_host``/``server_port``
+        flags, so the resolved config is all the command reads."""
+        from repro.cli import _resolve_config
+
+        monkeypatch.setenv("REPRO_SERVER_HOST", "10.0.0.1")
+        args = build_parser().parse_args(["serve", "--port", "9001"])
+        config, sources = _resolve_config(args)
+        assert (config.server_host, sources["server_host"]) == ("10.0.0.1", "env")
+        assert (config.server_port, sources["server_port"]) == (9001, "CLI")
+        args = build_parser().parse_args(["serve", "--host", "0.0.0.0"])
+        assert _resolve_config(args)[0].server_host == "0.0.0.0"
+
+    def test_every_config_field_has_one_flag(self):
+        from dataclasses import fields
+
+        from repro.cli import CONFIG_FLAGS
+        from repro.service import ServiceConfig
+
+        assert list(CONFIG_FLAGS) == [f.name for f in fields(ServiceConfig)]
+
+    def test_worker_host_label_flag(self):
         args = build_parser().parse_args(
-            [
-                "worker", "--fleet-dir", "/tmp/q",
-                "--host-label", "simhost-a", "--announce",
-            ]
+            ["worker", "--fleet-dir", "/tmp/q", "--host-label", "simhost-a"]
         )
         assert args.host_label == "simhost-a"
-        assert args.announce is True
 
     def test_worker_heartbeat_follows_the_lease_ttl(self, tmp_path):
         """The renewal interval is always ``lease_ttl / 3``."""
@@ -511,16 +516,14 @@ class TestServerCli:
 
     def test_config_show_reports_server_knobs(self, capsys, monkeypatch):
         for name in (
-            "REPRO_FLEET_LEASE_TTL", "REPRO_SERVER_HOST",
-            "REPRO_SERVER_PORT", "REPRO_SERVER_MAX_BODY_MB",
-            "REPRO_SERVER_TICKET_TTL",
+            "REPRO_SERVER_HOST", "REPRO_SERVER_PORT",
+            "REPRO_SERVER_MAX_BODY_MB", "REPRO_SERVER_TICKET_TTL",
         ):
             monkeypatch.delenv(name, raising=False)
         assert (
             main(
                 [
                     "config", "show",
-                    "--fleet-lease-ttl", "20",
                     "--server-host", "0.0.0.0", "--server-port", "9001",
                     "--server-max-body-mb", "8",
                     "--server-ticket-ttl", "300",
@@ -535,15 +538,15 @@ class TestServerCli:
             if "|" in line
         }
         for field in (
-            "fleet_lease_ttl_s", "server_host",
-            "server_port", "server_max_body_mb", "server_ticket_ttl_s",
+            "server_host", "server_port", "server_max_body_mb",
+            "server_ticket_ttl_s",
         ):
             assert "CLI" in lines[field], field
 
     def test_config_show_rejects_a_bad_cli_value(self, capsys):
         """CLI overrides go through constructor validation, not the
-        tolerant env path: a non-positive lease TTL is a hard error."""
-        code = main(["config", "show", "--fleet-lease-ttl", "0"])
+        tolerant env path: a non-positive ticket TTL is a hard error."""
+        code = main(["config", "show", "--server-ticket-ttl", "0"])
         assert code == 2
         assert "must be positive" in capsys.readouterr().err
 
@@ -559,7 +562,7 @@ class TestServerCli:
             if "|" in line
         ]
         names = [f.name for f in fields(ServiceConfig)]
-        assert len(names) == 14
+        assert len(names) == 11
         # The header row, one row per field, then the active preset.
         assert rows[1:] == [*names, "preset"]
 
@@ -591,19 +594,31 @@ class TestEnvFrontDoors:
     """The CLI is a front door: it reads ``REPRO_*`` through
     ``ServiceConfig.from_env()`` and passes the values down."""
 
-    def test_library_gc_defaults_to_env_budget(self, capsys, tmp_path, monkeypatch):
+    def test_library_gc_budget_comes_from_the_flag_alone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Without ``--budget-mb`` gc only reconciles the index, whatever
+        an old ``REPRO_CACHE_BUDGET_MB`` says."""
         from repro.library import PulseLibrary
 
         library = PulseLibrary(tmp_path)
         for i in range(3):
             library.put(f"{i:040x}-0.pulse", b"x" * 1024)
         monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", str(1024 / (1024 * 1024)))
-        assert main(["library", "gc", "--dir", str(tmp_path)]) == 0
-        lines = {
-            line.split("|")[0].strip(): line.split("|")[1].strip()
-            for line in capsys.readouterr().out.splitlines()
-            if "|" in line
-        }
+
+        def gc(*flags) -> dict:
+            assert main(["library", "gc", "--dir", str(tmp_path), *flags]) == 0
+            return {
+                line.split("|")[0].strip(): line.split("|")[1].strip()
+                for line in capsys.readouterr().out.splitlines()
+                if "|" in line
+            }
+
+        lines = gc()
+        assert lines["budget_bytes"] == "-"
+        assert lines["evicted"] == "0"
+        assert library.count() == 3
+        lines = gc("--budget-mb", str(1024 / (1024 * 1024)))
         assert lines["budget_bytes"] == "1024"
         assert lines["evicted"] == "2"
         assert library.count() == 1

@@ -42,26 +42,17 @@ class TestCacheConfig:
     def test_defaults(self):
         config = ServiceConfig()
         assert config.cache_shards == 16
-        assert config.cache_budget_mb is None
-
-    def test_library_options(self):
-        config = ServiceConfig(cache_shards=256, cache_budget_mb=64.0)
-        assert config.library_options() == {"shards": 256, "budget_mb": 64.0}
 
     def test_env_parsing_tolerates_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "not-a-number")
         with pytest.warns(UserWarning):
             config = ServiceConfig.from_env()
         assert config.cache_shards == 16
-        assert config.cache_budget_mb is None
 
     def test_env_parsing_accepts_valid_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
         config = ServiceConfig.from_env()
         assert config.cache_shards == 256
-        assert config.cache_budget_mb == 32.5
 
     @pytest.mark.parametrize(
         "raw,expected",

@@ -159,6 +159,9 @@ REMOVED_KNOBS = [
     ("scheduler_state_path", "REPRO_SCHEDULER_STATE", "/tmp/state.json"),
     ("grape_batch_size", "REPRO_GRAPE_BATCH_SIZE", "8"),
     ("grape_batch", "REPRO_GRAPE_BATCH", "0"),
+    ("dispatcher", "REPRO_DISPATCHER", "queue"),
+    ("fleet_lease_ttl_s", "REPRO_FLEET_LEASE_TTL", "5"),
+    ("cache_budget_mb", "REPRO_CACHE_BUDGET_MB", "10"),
 ]
 #: Removed fields whose variable still means something elsewhere:
 #: ``REPRO_PRESET`` sets the process-wide preset at import.
@@ -185,7 +188,7 @@ def test_service_config_field_count_is_pinned():
     field shows up in review as a test change."""
     from repro.service import ServiceConfig
 
-    assert len(fields(ServiceConfig)) == 14
+    assert len(fields(ServiceConfig)) == 11
 
 
 @pytest.mark.parametrize(
