@@ -41,8 +41,10 @@ Small utilities for poking at the reproduction without writing a script:
 * ``library stats`` / ``library gc`` — operate on a pulse-cache
   directory's sharded pulse library: the occupancy report (shards, index
   size, evictions, cache schema version; a directory that does not exist
-  yet reports an empty library and is not created) and LRU eviction down
-  to a size budget.
+  yet reports an empty library and is not created; ``index_bytes``
+  counts manifests and journals together) and a gc that folds every
+  shard's journal into its manifest, reconciles the index with the data
+  files and evicts LRU entries down to a size budget.
 
 Every ``ServiceConfig`` field has one flag, declared once in
 :data:`CONFIG_FLAGS`; ``config show`` takes them all, and ``compile``,
@@ -477,7 +479,7 @@ def _cmd_library_gc(args) -> int:
     if not Path(args.dir).is_dir():
         print(f"error: no library directory at {args.dir}", file=sys.stderr)
         return 2
-    # Without --budget-mb, gc only reconciles the index.
+    # Without --budget-mb, gc only folds and reconciles the index.
     shards = ServiceConfig.from_env().cache_shards
     report = PulseLibrary(args.dir, shards=shards).gc(args.budget_mb)
     rows = [(key, value) for key, value in sorted(report.as_dict().items())]
@@ -929,7 +931,9 @@ def build_parser() -> argparse.ArgumentParser:
     lib_stats.add_argument("--dir", required=True, help="library directory")
     lib_stats.set_defaults(func=_cmd_library_stats)
     lib_gc = library_sub.add_parser(
-        "gc", help="reconcile the index and evict LRU entries to a size budget"
+        "gc",
+        help="fold the journals, reconcile the index and evict LRU entries "
+        "to a size budget",
     )
     lib_gc.add_argument("--dir", required=True, help="library directory")
     lib_gc.add_argument(

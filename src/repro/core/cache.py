@@ -467,8 +467,9 @@ class PersistentPulseCache(PulseCache):
     it in memory; a miss in memory falls through to the library (counted in
     ``disk_hits``), so a cold process pointed at a warm directory resumes
     with zero GRAPE work for previously seen blocks.  The library fans
-    entries out across fingerprint-prefix shards, maintains per-shard JSON
-    manifests (size/created/last-used), supports LRU eviction via
+    entries out across fingerprint-prefix shards, indexes each shard
+    (size/created/last-used) in a JSON manifest plus an append-only
+    journal, supports LRU eviction via
     :meth:`gc`, and transparently migrates legacy flat cache directories on
     first open — this class only handles the pickling and the schema tag.
 

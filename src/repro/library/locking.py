@@ -2,10 +2,11 @@
 
 The pulse library is designed to be shared by several processes — and, over
 a network filesystem, several hosts — compiling against one directory.  Data
-files are written atomically (temp + ``os.replace``) and need no locking,
-but the JSON manifests are read-modify-write, so every manifest update and
-every garbage-collection pass runs under an advisory ``flock`` on a
-dedicated lock file.
+files are written atomically (temp + ``os.replace``) and need no locking.
+Each shard's journal is its own lock (:func:`flock`): appends and reads
+share it, a fold takes it alone (see :mod:`repro.library.manifest`).
+Garbage collection and flat-layout migration serialize on a
+:class:`FileLock` over a dedicated lock file.
 
 :class:`FileLock` stores only the lock file *path*; the file descriptor is
 opened per acquisition, which keeps the object picklable (a pickled
@@ -13,7 +14,7 @@ library carries its locks along).  The lock is
 re-entrant within a thread-free scope but not across threads, so callers
 additionally hold their own in-process mutex where needed.
 
-On platforms without :mod:`fcntl` the lock degrades to a no-op: atomic data
+On platforms without :mod:`fcntl` locking degrades to a no-op: atomic data
 writes keep single-host usage safe, and the manifests self-heal from the
 data files during :meth:`PulseLibrary.gc`.
 """
@@ -29,13 +30,20 @@ except ImportError:  # pragma: no cover - platform-dependent
     fcntl = None
 
 
+def flock(fd: int, shared: bool) -> None:
+    """Block until ``fd`` holds a shared or exclusive ``flock`` (a no-op
+    where flock is unavailable); closing ``fd`` releases it."""
+    if fcntl is not None:
+        fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+
+
 class FileLock:
     """An advisory, cross-process exclusive lock on ``path``.
 
     Usage::
 
         with FileLock(directory / ".lock"):
-            ...  # read-modify-write a manifest
+            ...  # collect garbage
 
     The lock file itself is never deleted (deleting a locked file is racy
     on NFS); it is a zero-byte marker living next to the data it guards.
@@ -59,12 +67,11 @@ class FileLock:
         except FileNotFoundError:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
-        if fcntl is not None:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            except OSError:
-                os.close(fd)
-                raise
+        try:
+            flock(fd, shared=False)
+        except OSError:
+            os.close(fd)
+            raise
         self._fd = fd
 
     def release(self) -> None:

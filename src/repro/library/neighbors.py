@@ -3,12 +3,12 @@
 The sharded :class:`~repro.library.store.PulseLibrary` is an *exact*
 fingerprint store: a block whose unitary differs in the tenth decimal from
 a cached one misses and pays the full GRAPE bill.  This module turns the
-same manifests into an approximate-match index so near-miss blocks can
-*seed* GRAPE from the closest cached pulse instead of starting cold.
+same shard indexes into an approximate-match index so near-miss blocks
+can *seed* GRAPE from the closest cached pulse instead of starting cold.
 
 Per-entry target metadata
 -------------------------
-Writers attach a ``"target"`` record to each manifest entry at ``put``
+Writers attach a ``"target"`` record to each index entry at ``put``
 time (see :func:`target_metadata`):
 
 .. code-block:: json
@@ -50,14 +50,15 @@ Ranking
 -------
 Both warm-start tiers — this index and the in-memory
 :class:`~repro.core.cache.PulseCache` — rank a bucket through one
-:class:`TargetStack`: the bucket's targets stacked as the rows of one
-matrix, in the tier's tie order.  One matrix–vector product gives every
+:class:`TargetStack`: the bucket's targets as the rows of one growing
+matrix, in arrival order.  One matrix–vector product gives every
 candidate's approximate residual ``1 - |tr(U†V)|/dim``.  It only
 shortlists: a batched product is not bit-equal to :func:`numpy.vdot`, so
 every row within :data:`RECHECK_TOL` of the best residual is re-ranked
 with the exact :func:`signature_distance`, in row order, and the
-threshold is applied to the exact value.  The chosen seed and its
-reported distance are therefore exactly those of a scalar scan.  The
+threshold is applied to the exact value; equal distances go to the
+first row in memory and to the smallest name here.  The chosen seed and
+its reported distance are therefore exactly those of a scalar scan.  The
 ``grape.warm_start.ranked`` / ``.rechecked`` counters show how many rows
 each pass ranked and rechecked.
 
@@ -66,16 +67,19 @@ Keeping the index current
 The parsed index lives in memory and is maintained incrementally, so a
 lookup costs the same whatever the library's size:
 
-* writes made through the owning library object (puts, overwrites, LRU
-  stamps, annotations, deletes, ``gc``) are applied as they happen: the
-  written shard is re-indexed from the manifest just written, with no
-  re-read (:meth:`~repro.library.store.PulseLibrary.observe`);
+* writes made through the owning library object (puts, overwrites,
+  annotations, deletes, ``gc``) are applied as they happen
+  (:meth:`~repro.library.store.PulseLibrary.observe`): an append's one
+  record adds, moves or removes one row, and touches no other bucket;
+  a fold hands over the shard's whole index;
 * writes by other processes or library objects are found by
-  :meth:`NeighborIndex.sync`, which calls ``stat`` on every shard manifest
-  and re-reads only those whose identity ``(st_ino, st_mtime_ns, st_size)``
-  moved since the index last read or wrote them.  It runs at the
-  outermost :meth:`~NeighborIndex.freeze` and on every unfrozen lookup; a
-  frozen lookup never touches the disk.
+  :meth:`NeighborIndex.sync`, which calls ``stat`` on every shard's
+  journal, and for those whose identity ``(st_ino, st_mtime_ns,
+  st_size)`` moved since the index last read or wrote them, reads the
+  bytes appended since — or the whole shard, once a fold has started a
+  new journal generation.  It runs at the outermost
+  :meth:`~NeighborIndex.freeze` and on every unfrozen lookup; a frozen
+  lookup never touches the disk.
 
 Staleness only costs a missed seed, never a wrong pulse, because seeds
 are re-optimized and best-of guarded.
@@ -92,8 +96,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.library.manifest import (
+    apply_record,
+    journal_identity,
     load_manifest,
-    manifest_identity,
     read_manifest,
 )
 from repro.perf import get_perf_registry
@@ -179,35 +184,69 @@ RECHECK_TOL = 1e-9
 class TargetStack:
     """The targets of one ``(context, dim)`` bucket, stacked for ranking.
 
-    Rows keep the order names were first added, which is the tie order:
-    :meth:`nearest` prefers the earliest of equally distant rows.  Adding
-    a known name replaces its target in place.  The original arrays are
-    kept beside the stacked conjugates (rebuilt on the first lookup after
-    an add), so the exact recheck scores the very arrays a scalar scan
-    would.
+    Rows keep the order names were first added.  Ties go to the earliest
+    of equally distant rows, or, with ``by_name``, to the smallest name.
+    Adding a known name replaces its target in place.  Removing a name
+    leaves a dead row, which re-adding the name revives, so row numbers
+    never move and a frozen row count stays valid until :meth:`compact`.
+    Each add writes its row of a growing conjugate buffer, so a lookup
+    never re-stacks the bucket; the original arrays are kept beside it, so
+    the exact recheck scores the very arrays a scalar scan would.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, by_name: bool = False):
         self.dim = int(dim)
+        self.by_name = by_name
         self.names: list = []
         self.targets: list = []
         self._rows: dict = {}
-        self._conj: np.ndarray | None = None
+        self._dead: set = set()
+        self._conj = np.empty((0, self.dim * self.dim), dtype=complex)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def __contains__(self, name) -> bool:
-        return name in self._rows
+        row = self._rows.get(name)
+        return row is not None and row not in self._dead
+
+    @property
+    def live(self) -> int:
+        """Rows that are not dead."""
+        return len(self.names) - len(self._dead)
+
+    @property
+    def dead(self) -> int:
+        return len(self._dead)
 
     def add(self, name, target: np.ndarray) -> None:
-        row = self._rows.setdefault(name, len(self.names))
-        if row == len(self.names):
+        row = self._rows.get(name)
+        if row is None:
+            row = self._rows[name] = len(self.names)
             self.names.append(name)
             self.targets.append(target)
+            if row == len(self._conj):
+                grown = np.empty((max(8, 2 * row), self._conj.shape[1]), dtype=complex)
+                grown[:row] = self._conj
+                self._conj = grown
         else:
             self.targets[row] = target
-        self._conj = None
+            self._dead.discard(row)
+        np.conjugate(target.reshape(-1), out=self._conj[row])
+
+    def remove(self, name) -> None:
+        row = self._rows.get(name)
+        if row is not None:
+            self._dead.add(row)
+
+    def compact(self) -> None:
+        """Drop the dead rows; the live ones keep their order."""
+        keep = [row for row in range(len(self.names)) if row not in self._dead]
+        self.names = [self.names[row] for row in keep]
+        self.targets = [self.targets[row] for row in keep]
+        self._rows = {name: row for row, name in enumerate(self.names)}
+        self._conj = self._conj[keep]
+        self._dead = set()
 
     def nearest(
         self,
@@ -216,20 +255,21 @@ class TargetStack:
         count: int | None = None,
         exclude=None,
     ) -> tuple | None:
-        """``(row, exact distance)`` of the nearest of the first ``count``
-        rows (all when ``None``) within ``max_dist``, skipping the row named
-        ``exclude``; ``None`` when none is close enough.
+        """``(row, exact distance)`` of the nearest live row among the first
+        ``count`` (all when ``None``) within ``max_dist``, skipping the row
+        named ``exclude``; ``None`` when none is close enough.
 
         Equal to a scalar scan of those rows in order that keeps the first
-        row of smallest :func:`signature_distance` (see the module
-        docstring, "Ranking").
+        row of smallest :func:`signature_distance` (with ``by_name``, the
+        smallest name among them; see the module docstring, "Ranking").
         """
         n = len(self.names) if count is None else min(count, len(self.names))
         if n == 0:
             return None
-        if self._conj is None:
-            self._conj = np.stack(self.targets).reshape(len(self.targets), -1).conj()
         residual = 1.0 - np.abs(self._conj[:n] @ target.ravel()) / self.dim
+        for row in self._dead:
+            if row < n:
+                residual[row] = np.inf
         skip = self._rows.get(exclude)
         if skip is not None and skip < n:
             residual[skip] = np.inf
@@ -243,7 +283,17 @@ class TargetStack:
         winner = None
         for row in shortlist:
             dist = signature_distance(target, self.targets[row])
-            if dist <= max_dist and (winner is None or dist < winner[1]):
+            if dist > max_dist:
+                continue
+            if (
+                winner is None
+                or dist < winner[1]
+                or (
+                    self.by_name
+                    and dist == winner[1]
+                    and self.names[row] < self.names[winner[0]]
+                )
+            ):
                 winner = (int(row), dist)
         return winner
 
@@ -279,145 +329,220 @@ class NeighborIndex:
     """In-memory ``(dim, ctx)``-bucketed view of a library's target metadata.
 
     Thread-safe; one index per :class:`PulseLibrary`.  The index observes
-    its library, so this process's own manifest writes land in place, and
-    :meth:`sync` re-reads only the shards another writer changed (see the
-    module docstring).  An unpickled copy starts empty and builds its scan
-    on its first lookup, frozen or not.
+    its library, so this process's own journal records land as they are
+    written, and :meth:`sync` reads only what other writers appended (see
+    the module docstring).  An unpickled copy starts empty and builds its
+    scan on its first lookup, frozen or not.
     """
 
     def __init__(self, library):
         self.library = library
         self._lock = threading.Lock()
         self._buckets: dict = {}  # (dim, ctx) -> {name: sig string}
-        self._shards: dict = {}  # shard name -> {name: ((dim, ctx), sig)}
-        self._seen: dict = {}  # shard name -> identity last read or written
-        self._versions: dict = {}  # shard name -> updates applied (see sync)
-        self._decoded: dict = {}  # name -> (sig string, np.ndarray)
-        # (dim, ctx) -> (freeze token, TargetStack), all dropped whenever
-        # an indexed entry changes; a stack is never added to once built.
-        self._stacks: dict = {}
-        self._freezes = 0  # outermost freezes so far (the freeze token)
-        self._synced = False
-        # While frozen, search sees only the names captured at freeze
+        self._shards: dict = {}  # shard name -> its index entries, replayed
+        self._keys: dict = {}  # name -> (dim, ctx) of its valid metadata
+        self._seen: dict = {}  # shard name -> JournalState applied
+        self._stacks: dict = {}  # (dim, ctx) -> TargetStack, rows by arrival
+        # While frozen, search sees only the rows each stack had at freeze
         # time (depth-counted; see PulseCache.freeze_neighbors for why).
+        self._frozen: dict | None = None
         self._frozen_depth = 0
-        self._frozen_names: set | None = None
+        # A pickled freeze: the names the copy's first sync pins (see _pin).
+        self._pinned: set | None = None
+        self._synced = False
         self.lookups = 0
         self.hits = 0
         self.annotated = 0
         self.shard_reads = 0
-        library.observe(self._replace)
+        library.observe(self._observe)
 
     # The lock stays behind at pickle boundaries (a pickled cache carries
     # its index along); the receiving process rebuilds its own scan
-    # lazily.
+    # lazily.  A frozen index sends its frozen names, not its row counts:
+    # the copy's rows arrive in another order.
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
+        with self._lock:
+            state = self.__dict__.copy()
+            if self._frozen is not None:
+                state["_pinned"] = {
+                    name
+                    for key, count in self._frozen.items()
+                    for name in self._stacks[key].names[:count]
+                    if name in self._stacks[key]
+                }
         del state["_lock"]
-        for name in (
-            "_buckets", "_shards", "_seen", "_versions", "_decoded", "_stacks"
-        ):
+        for name in ("_buckets", "_shards", "_keys", "_seen", "_stacks"):
             state[name] = {}
-        state["_synced"] = False
+        state.update(_frozen=None, _synced=False)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-        self.library.observe(self._replace)
+        self.library.observe(self._observe)
 
-    # -- keeping current -------------------------------------------------------
-    def _replace(
-        self, shard: str, entries: dict, identity, version: int | None = None
-    ) -> None:
-        """Make ``entries`` (one shard's manifest, read or written at
-        ``identity``) that shard's whole contribution to the index.
-
-        The owning library calls this after every manifest it writes (see
-        :meth:`~repro.library.store.PulseLibrary.observe`).  :meth:`sync`
-        passes the shard ``version`` it saw before reading; if
-        a library write was applied since, that write is newer and the
-        read is dropped.
-        """
-        fresh = {}
-        for name, record in entries.items():
-            meta = record.get("target") if isinstance(record, dict) else None
-            if _valid_meta(meta):
-                fresh[name] = ((meta["dim"], meta["ctx"]), meta["sig"])
-        with self._lock:
-            current = self._versions.get(shard, 0)
-            if version is not None and version != current:
+    # -- keeping current (call with the lock held) ----------------------------
+    def _set(self, name: str, meta) -> None:
+        """Make ``meta`` (``None``: no valid metadata) ``name``'s target."""
+        key = (meta["dim"], meta["ctx"]) if _valid_meta(meta) else None
+        old = self._keys.get(name)
+        if old is not None:
+            bucket = self._buckets[old]
+            if old == key and bucket[name] == meta["sig"]:
                 return
-            self._versions[shard] = current + 1
-            self._seen[shard] = identity
-            old = self._shards.pop(shard, {})
-            if old != fresh:
-                self._stacks.clear()
-            for name, (key, _sig) in old.items():
-                bucket = self._buckets[key]
-                del bucket[name]
-                if not bucket:
-                    del self._buckets[key]
-                if name not in fresh:
-                    self._decoded.pop(name, None)
-            for name, (key, sig) in fresh.items():
-                self._buckets.setdefault(key, {})[name] = sig
-            self._shards[shard] = fresh
+            del bucket[name]
+            if not bucket:
+                del self._buckets[old]
+            if old != key:
+                self._unstack(old, name)
+        if key is None:
+            self._keys.pop(name, None)
+            return
+        self._keys[name] = key
+        self._buckets.setdefault(key, {})[name] = meta["sig"]
+        sig = decode_signature(meta["sig"])
+        if sig is None or sig.shape != (key[0], key[0]):
+            self._unstack(key, name)  # a damaged signature ranks nowhere
+            return
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._stacks[key] = TargetStack(key[0], by_name=True)
+        stack.add(name, sig)  # a known name keeps its row
+
+    def _unstack(self, key: tuple, name: str) -> None:
+        """Take ``name``'s row out of ranking; while unfrozen, compact a
+        stack that is mostly dead rows and drop an empty one."""
+        stack = self._stacks.get(key)
+        if stack is None or name not in stack:
+            return
+        stack.remove(name)
+        if self._frozen is None:
+            if not stack.live:
+                del self._stacks[key]
+            elif 2 * stack.dead > len(stack):
+                stack.compact()
+
+    def _index(self, entries: dict, name: str) -> None:
+        record = entries.get(name)
+        self._set(name, record.get("target") if isinstance(record, dict) else None)
+
+    def _apply(self, shard: str, record) -> None:
+        """Replay one journal record on the shard's entries
+        (:func:`~repro.library.manifest.apply_record`) and re-index its
+        name."""
+        entries = self._shards.setdefault(shard, {})
+        apply_record(entries, record)
+        if isinstance(record, dict) and isinstance(record.get("name"), str):
+            self._index(entries, record["name"])
+
+    def _replace(self, shard: str, entries: dict) -> None:
+        """Make ``entries`` (one shard's whole index) that shard's part."""
+        for name in self._shards.get(shard, {}).keys() - entries.keys():
+            self._set(name, None)
+        # A copy: the caller may still read the dict it passed.
+        entries = self._shards[shard] = dict(entries)
+        for name in entries:
+            self._index(entries, name)
+
+    def _observe(
+        self, shard: str, since, state, records=(), entries: dict | None = None
+    ) -> None:
+        """Apply a write the owning library just made (see
+        :meth:`~repro.library.store.PulseLibrary.observe`).
+
+        An append lands only when it directly follows what this index has
+        read (``since``); otherwise the next :meth:`sync` reads it from the
+        journal, in order.  A fold (``entries``) replaces the shard unless
+        this index has already read past it.
+        """
+        with self._lock:
+            seen = self._seen.get(shard)
+            if entries is not None:
+                if seen is not None and seen.gen == state.gen:
+                    if seen.offset >= state.offset:
+                        return  # a sync already read past this fold
+                self._replace(shard, entries)
+            elif seen is None or seen[:2] != since[:2]:
+                return
+            for record in records:
+                self._apply(shard, record)
+            self._seen[shard] = state
 
     def sync(self) -> int:
-        """Re-read the shards whose manifest changed since this index last
-        read or wrote it; returns how many shards were read."""
+        """Read what other writers appended to each shard's journal since
+        this index last read or wrote it; returns how many shards were
+        read."""
         root = self.library.directory
         on_disk = {
-            shard: manifest_identity(os.path.join(root, shard))
+            shard: journal_identity(os.path.join(root, shard))
             for shard in self.library.shard_names()
         }
         with self._lock:
             stale = {
-                shard: self._versions.get(shard, 0)
+                shard: self._seen.get(shard)
                 for shard, identity in on_disk.items()
-                if self._seen.get(shard) != identity
+                if shard not in self._seen or self._seen[shard].identity != identity
             }
-            gone = [shard for shard in self._shards if shard not in on_disk]
-        for shard in gone:
-            self._replace(shard, {}, None)
-        for shard, version in stale.items():
-            manifest, identity = read_manifest(self.library.directory / shard)
-            self._replace(shard, manifest["entries"], identity, version)
+            for shard in [s for s in self._shards if s not in on_disk]:
+                self._replace(shard, {})
+                del self._shards[shard]
+                self._seen.pop(shard, None)
+        for shard, since in stale.items():
+            manifest, records, state = read_manifest(root / shard, since)
+            with self._lock:
+                # A write applied meanwhile is newer than this read; the
+                # next sync reads again from where that write left off.
+                if self._seen.get(shard) != since:
+                    continue
+                if manifest is not None:
+                    self._replace(shard, manifest["entries"])
+                for record in records:
+                    self._apply(shard, record)
+                self._seen[shard] = state
         with self._lock:
             self.shard_reads += len(stale)
             self._synced = True
+            if self._pinned is not None:
+                self._pin(self._pinned)
+                self._pinned = None
         return len(stale)
+
+    def _pin(self, names: set) -> None:
+        """Freeze at exactly ``names``: each stack is rebuilt with those
+        names' rows first, and they become its frozen rows.  Row order is
+        free to change because ties go by name.  Call with the lock held."""
+        self._frozen = {}
+        for key, stack in list(self._stacks.items()):
+            live = [name for name in stack.names if name in stack]
+            rebuilt = TargetStack(stack.dim, by_name=True)
+            for name in sorted(live, key=lambda name: name not in names):
+                rebuilt.add(name, stack.targets[stack._rows[name]])
+            self._stacks[key] = rebuilt
+            self._frozen[key] = sum(name in names for name in live)
 
     # -- freeze ----------------------------------------------------------------
     def freeze(self) -> None:
-        """Pin search to the entries annotated right now.
+        """Pin search to the rows indexed right now.
 
         The outermost freeze syncs first, so it sees other writers' entries
-        too.  The frozen-name snapshot — not the bucket dicts — is what
-        pickles across to another process, so a copy that builds its own
-        scan mid-pass still resolves exactly the pre-pass candidate set.
+        too.  Rows added later stay out of search until the outermost
+        :meth:`thaw`; a row removed meanwhile drops out at once.
         """
         with self._lock:
-            outermost = self._frozen_names is None
+            outermost = self._frozen is None
         if outermost:
             self.sync()
         with self._lock:
             self._frozen_depth += 1
-            if self._frozen_names is None:
-                self._freezes += 1
-                self._frozen_names = {
-                    name
-                    for bucket in self._buckets.values()
-                    for name in bucket
-                }
+            if self._frozen is None:
+                self._frozen = {key: len(stack) for key, stack in self._stacks.items()}
 
     def thaw(self) -> None:
         """Undo one :meth:`freeze` (outermost thaw unpins)."""
         with self._lock:
             self._frozen_depth = max(0, self._frozen_depth - 1)
             if self._frozen_depth == 0:
-                self._frozen_names = None
+                self._frozen = None
 
     # -- search ----------------------------------------------------------------
     def find_nearest(
@@ -436,72 +561,43 @@ class NeighborIndex:
         name.  Syncs first unless frozen (and already built).
         """
         with self._lock:
-            needs_sync = not self._synced or self._frozen_names is None
+            needs_sync = not self._synced or self._frozen is None
         if needs_sync:
             self.sync()
         target = np.asarray(target, dtype=complex)
-        bucket_key = (int(target.shape[0]), context_token(context))
+        key = (int(target.shape[0]), context_token(context))
         with self._lock:
             self.lookups += 1
-            stack = self._stack(bucket_key)
-        found = stack.nearest(target, max_dist, exclude=exclude)
-        if found is None:
-            return None
-        with self._lock:
+            stack = self._stacks.get(key)
+            if stack is None:
+                return None
+            count = None if self._frozen is None else self._frozen.get(key, 0)
+            found = stack.nearest(target, max_dist, count=count, exclude=exclude)
+            if found is None:
+                return None
             self.hits += 1
-        return NeighborHit(name=stack.names[found[0]], distance=found[1])
-
-    def _stack(self, bucket_key: tuple) -> TargetStack:
-        """The bucket's :class:`TargetStack`, rows sorted by name (the tie
-        rule), frozen names only while frozen.  Call with the lock held."""
-        frozen = self._frozen_names
-        token = None if frozen is None else self._freezes
-        cached = self._stacks.get(bucket_key)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        dim = bucket_key[0]
-        bucket = self._buckets.get(bucket_key, {})
-        stack = TargetStack(dim)
-        for name in sorted(bucket):
-            if frozen is not None and name not in frozen:
-                continue
-            sig_text = bucket[name]
-            decoded = self._decoded.get(name)
-            if decoded is not None and decoded[0] == sig_text:
-                sig = decoded[1]
-            else:
-                sig = decode_signature(sig_text)
-                if sig is None:
-                    continue
-                self._decoded[name] = (sig_text, sig)
-            if sig.shape == (dim, dim):
-                stack.add(name, sig)
-        self._stacks[bucket_key] = (token, stack)
-        return stack
+            return NeighborHit(name=stack.names[found[0]], distance=found[1])
 
     # -- lazy healing ----------------------------------------------------------
     def annotate(self, name: str, target: np.ndarray, context: tuple) -> bool:
-        """Heal a legacy entry's missing target metadata in its manifest.
+        """Heal a legacy entry's missing target metadata in its index.
 
         Called at cache-hit time, when the caller holds the target unitary
         that hashing threw away.  A no-op (``False``) when the entry is
-        already annotated or has no manifest record; on success the
-        manifest write reaches this index in place — no rescan needed.
+        already annotated — known to this index, with no file read — or has
+        no index record; on success the one appended record reaches this
+        index in place, with no rescan.
         """
-        meta = target_metadata(target, context)
+        with self._lock:
+            if name in self._keys:
+                return False
         shard = self.library.shard_dir(name)
-        if not shard.is_dir():
-            return False
         try:
-            with self.library._shard_lock(shard):
-                manifest = load_manifest(shard)
-                record = manifest["entries"].get(name)
-                if not isinstance(record, dict) or _valid_meta(
-                    record.get("target")
-                ):
-                    return False
-                record["target"] = meta
-                self.library._write_manifest(shard, manifest)
+            record = load_manifest(shard)["entries"].get(name)
+            if not isinstance(record, dict) or _valid_meta(record.get("target")):
+                return False
+            meta = target_metadata(target, context)
+            self.library._append(shard, {"name": name, "op": "target", "target": meta})
         except OSError:
             return False
         with self._lock:

@@ -11,9 +11,9 @@ multi-process sharing:
 ``<directory>/<prefix>/``
     One shard per filename prefix (e.g. ``ab/``), so a million-entry
     library fans out across shards instead of stressing one directory.
-    Each shard holds its data files plus a ``manifest.json`` index
-    (:mod:`repro.library.manifest`) and a ``.lock`` file guarding
-    manifest updates.
+    Each shard holds its data files plus its index: a folded
+    ``manifest.json`` and the ``journal.jsonl`` of writes since
+    (:mod:`repro.library.manifest`).
 
 Filenames begin with the block unitary's hex fingerprint
 (:func:`repro.core.cache.unitary_fingerprint`), so the shard *is* the
@@ -21,15 +21,20 @@ fingerprint prefix — SHA-256 uniformity gives balanced shards for free.
 
 Consistency model
 -----------------
-Data files are the source of truth and are written atomically (unique temp
-name + ``os.replace``), so readers never observe partial entries and
-concurrent writers race benignly.  Manifests are an advisory index updated
-under a cross-process :class:`~repro.library.locking.FileLock`; a crash
-between data write and index update leaves an *orphan* that is still
-served by :meth:`get` and adopted by the next :meth:`gc`.  Eviction is
-LRU by the manifest's ``last_used`` stamp against the size budget a
-:meth:`gc` call is given (``library gc --budget-mb``), and only ever
-happens inside that call — normal puts never block on collection.
+Data file first, then one journal record.  Data files are the source of
+truth and are written atomically (unique temp name + ``os.replace``), so
+readers never observe partial entries and concurrent writers race
+benignly.  Each put, delete or healed annotation then appends one record
+to its shard's journal with a single ``O_APPEND`` write under a shared
+``flock``; a crash between the data write and the append leaves an
+*orphan* that is still served by :meth:`get` and adopted by the next
+:meth:`gc`.  A get hit writes no index at all: it bumps the data file's
+mtime, which :meth:`gc` reads as the entry's ``last_used``.  :meth:`gc`
+folds every journal into its manifest under the journal's exclusive lock,
+and a put folds its shard once the journal outgrows the manifest.
+Eviction is LRU by ``last_used`` against the size budget a :meth:`gc` call
+is given (``library gc --budget-mb``), and only ever happens inside that
+call — normal puts never block on collection.
 
 Legacy flat directories (the pre-library ``PersistentPulseCache`` layout:
 ``*.pulse`` files directly in the root) are migrated in place, once, on
@@ -50,17 +55,20 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.library.files import replace_file
+from repro.library.files import read_file, replace_file
 from repro.library.locking import FileLock
 from repro.library.manifest import (
+    JOURNAL_FILENAME,
     MANIFEST_FILENAME,
+    append_record,
     entry_record,
+    fold_journal,
     load_manifest,
     rebuild_entries,
-    save_manifest,
 )
 from repro.service.config import CACHE_SHARD_CHOICES, ServiceConfig
 
@@ -134,8 +142,8 @@ class PulseLibrary:
         # Submit threads share one library, so every lifetime counter is
         # bumped under this lock (see _bump).
         self._counter_lock = threading.Lock()
-        # Weak reference to the callback told about every manifest this
-        # instance writes (see observe): the neighbor index's.
+        # Weak reference to the callback told about every index write this
+        # instance makes (see observe): the neighbor index's.
         self._observer = None
         self.migrated_entries = 0
         self.puts = 0
@@ -212,28 +220,39 @@ class PulseLibrary:
         """Absolute path of entry ``name`` (whether or not it exists yet)."""
         return self.shard_dir(name) / name
 
-    def _shard_lock(self, shard_dir: Path) -> FileLock:
-        return FileLock(shard_dir / ".lock")
-
-    def _write_manifest(self, shard_dir: Path, manifest: dict) -> None:
-        """Save a shard's manifest and tell the observer; the caller holds
-        the shard lock, so the observer sees this shard's writes in order."""
-        identity = save_manifest(shard_dir, manifest)
+    def _notify(self, shard: str, *args, **kwargs) -> None:
         callback = self._observer() if self._observer is not None else None
         if callback is not None:
-            callback(shard_dir.name, manifest["entries"], identity)
+            callback(shard, *args, **kwargs)
+
+    def _append(self, shard_dir: Path, record: dict) -> None:
+        """Append one journal record and tell the observer; fold the shard
+        once its journal has outgrown its manifest."""
+        since, state, fold_due = append_record(shard_dir, record)
+        self._notify(shard_dir.name, since, state, records=(record,))
+        if fold_due:
+            self._fold(shard_dir)
+
+    def _fold(self, shard_dir: Path, mutate=None) -> dict:
+        """Fold a shard's journal into its manifest (see
+        :func:`~repro.library.manifest.fold_journal`) and tell the
+        observer; returns the manifest written."""
+        manifest, state = fold_journal(shard_dir, mutate)
+        self._notify(shard_dir.name, None, state, entries=manifest["entries"])
+        return manifest
 
     def observe(self, callback) -> None:
-        """Call the bound method ``callback(shard_name, entries, identity)``
-        after every manifest this instance writes, replacing any earlier
-        observer.
+        """Call the bound method ``callback`` after every index write this
+        instance makes, replacing any earlier observer.
 
-        ``entries`` is the shard's whole manifest as written and
-        ``identity`` the new file's
-        :func:`~repro.library.manifest.manifest_identity`.  The callback
-        runs under the shard lock and must not take it.  The library holds
-        it weakly, so an observer that refers back to the library forms no
-        reference cycle, and it stays behind at pickle boundaries.
+        An append calls ``callback(shard_name, since, state,
+        records=(record,))``: ``since`` and ``state`` are the
+        :class:`~repro.library.manifest.JournalState` just before and just
+        after the record.  A fold calls ``callback(shard_name, None, state,
+        entries=entries)`` with the shard's whole index as written and the
+        fresh journal's state.  The library holds the callback weakly, so
+        an observer that refers back to the library forms no reference
+        cycle, and it stays behind at pickle boundaries.
         """
         self._observer = weakref.WeakMethod(callback)
 
@@ -274,8 +293,8 @@ class PulseLibrary:
         """Migration body; caller must hold the global lock.
 
         Moves are grouped by destination shard so each shard's manifest is
-        loaded and rewritten once, not once per file — a paper-scale flat
-        directory migrates in O(entries), not O(entries²/shards).
+        folded once, not once per file — a paper-scale flat directory
+        migrates in O(entries), not O(entries²/shards).
         """
         by_shard: dict = {}
         for path in sorted(self.directory.glob(f"*{self.suffix}")):
@@ -284,25 +303,22 @@ class PulseLibrary:
         for shard_name, paths in by_shard.items():
             shard = self.directory / shard_name
             shard.mkdir(exist_ok=True)
-            moved = 0
-            with self._shard_lock(shard):
-                manifest = load_manifest(shard)
-                for path in paths:
-                    try:
-                        stat = path.stat()
-                        os.replace(path, shard / path.name)
-                    except OSError:
-                        # Another writer beat us or the file vanished; gc
-                        # will reconcile whatever remains.
-                        self._bump(index_errors=1)
-                        continue
-                    manifest["entries"][path.name] = entry_record(
-                        stat.st_size, stat.st_mtime, stat.st_mtime
-                    )
-                    moved += 1
-                if moved:
-                    self._write_manifest(shard, manifest)
-            self._bump(migrated_entries=moved)
+            moved = {}
+            for path in paths:
+                try:
+                    stat = path.stat()
+                    os.replace(path, shard / path.name)
+                except OSError:
+                    # Another writer beat us or the file vanished; gc
+                    # will reconcile whatever remains.
+                    self._bump(index_errors=1)
+                    continue
+                moved[path.name] = entry_record(
+                    stat.st_size, stat.st_mtime, stat.st_mtime
+                )
+            if moved:
+                self._fold(shard, lambda manifest: manifest["entries"].update(moved))
+            self._bump(migrated_entries=len(moved))
 
     # -- entry operations ------------------------------------------------------
     def put(
@@ -314,12 +330,13 @@ class PulseLibrary:
     ) -> None:
         """Store ``payload`` under ``name`` (overwrites) and index it.
 
-        The data write is atomic and lock-free; only the manifest update
-        takes the shard lock.  Index failures are counted, not raised —
-        the entry itself is durable either way.  ``meta`` is stored under
-        the record's ``"target"`` key (the approximate-match metadata of
+        The data write is atomic and lock-free; the index update is one
+        journal append.  Index failures are counted, not raised — the
+        entry itself is durable either way.  ``meta`` is stored under the
+        record's ``"target"`` key (the approximate-match metadata of
         :mod:`repro.library.neighbors`); an overwrite without ``meta``
-        keeps whatever metadata the previous record carried.
+        keeps whatever metadata and ``created`` stamp the previous record
+        carried.
         """
         shard = self.shard_dir(name)
         path = shard / name
@@ -330,28 +347,13 @@ class PulseLibrary:
             shard.mkdir(exist_ok=True)
             replace_file(path, payload)
         self._bump(puts=1)
-        now = time.time()
+        record = {"name": name, "size": len(payload), "t": round(time.time(), 3)}
+        if schema_version is not None:
+            record["schema_version"] = int(schema_version)
+        if isinstance(meta, dict):
+            record["target"] = meta
         try:
-            with self._shard_lock(shard):
-                manifest = load_manifest(shard)
-                previous = manifest["entries"].get(name)
-                # A damaged record (non-dict junk, missing/null stamp from a
-                # hand-edited or legacy manifest) must not crash the write.
-                created = now
-                target_meta = meta
-                if isinstance(previous, dict):
-                    stamp = previous.get("created")
-                    if isinstance(stamp, (int, float)) and not isinstance(
-                        stamp, bool
-                    ):
-                        created = stamp
-                    if target_meta is None:
-                        target_meta = previous.get("target")
-                record = entry_record(len(payload), created, now, schema_version)
-                if isinstance(target_meta, dict):
-                    record["target"] = target_meta
-                manifest["entries"][name] = record
-                self._write_manifest(shard, manifest)
+            self._append(shard, record)
         except OSError:
             self._bump(index_errors=1)
 
@@ -365,44 +367,24 @@ class PulseLibrary:
         self._bump(gets=1)
         path = self.path_for(name)
         try:
-            payload = path.read_bytes()
+            payload = read_file(path)
         except FileNotFoundError:
             # A not-yet-migrated flat file (e.g. written concurrently by an
             # old-layout process sharing the directory) still serves.
+            path = self.directory / name
             try:
-                payload = (self.directory / name).read_bytes()
+                payload = read_file(path)
             except FileNotFoundError:
                 return None
-            path = self.directory / name
         self._bump(get_hits=1)
-        self._touch(name, path)
-        return payload
-
-    def _touch(self, name: str, path: Path) -> None:
-        """Record a use of ``name``: file mtime plus the manifest stamp."""
+        # The use is recorded as the file's mtime alone; gc reconciles it
+        # into the index's last_used before evicting.
         now = time.time()
         try:
             os.utime(path, (now, now))
         except OSError:
             pass
-        shard = path.parent
-        if shard == self.directory:  # un-migrated flat entry; no manifest yet
-            return
-        try:
-            with self._shard_lock(shard):
-                manifest = load_manifest(shard)
-                record = manifest["entries"].get(name)
-                if record is None:
-                    try:
-                        size = path.stat().st_size
-                    except OSError:
-                        size = 0
-                    record = entry_record(size, now, now)
-                    manifest["entries"][name] = record
-                record["last_used"] = round(now, 3)
-                self._write_manifest(shard, manifest)
-        except OSError:
-            self._bump(index_errors=1)
+        return payload
 
     def delete(self, name: str) -> bool:
         """Remove entry ``name``; returns whether a file was deleted."""
@@ -416,10 +398,7 @@ class PulseLibrary:
             pass
         if shard.is_dir():
             try:
-                with self._shard_lock(shard):
-                    manifest = load_manifest(shard)
-                    if manifest["entries"].pop(name, None) is not None:
-                        self._write_manifest(shard, manifest)
+                self._append(shard, {"name": name, "op": "del"})
             except OSError:
                 self._bump(index_errors=1)
         return removed
@@ -442,30 +421,37 @@ class PulseLibrary:
     def gc(self, budget_mb: float | None = None) -> GCReport:
         """Reconcile the index and evict LRU entries down to the budget.
 
-        Without ``budget_mb`` the pass only reconciles manifests and
-        sweeps crash debris.  The whole pass runs
-        under the global cross-process lock, so concurrent ``gc`` calls
+        Without ``budget_mb`` the pass only reconciles and folds every
+        shard's index and sweeps crash debris.  The whole pass runs under
+        the global cross-process lock, so concurrent ``gc`` calls
         serialize; concurrent ``put``/``get`` traffic stays safe because
-        data writes are atomic and manifest updates take shard locks.
+        data writes are atomic and each fold holds its journal's exclusive
+        lock, which appends wait for.
         """
         start = time.perf_counter()
         report = GCReport(
             budget_bytes=None if budget_mb is None else int(budget_mb * 1024 * 1024)
         )
+
+        def reconcile(shard: Path, manifest: dict) -> None:
+            before = set(manifest["entries"])
+            rebuild_entries(shard, manifest, self.suffix)
+            report.ghosts_dropped += len(before - set(manifest["entries"]))
+            report.orphans_adopted += len(set(manifest["entries"]) - before)
+
+        def drop(shard: Path, names: list, manifest: dict) -> None:
+            for name in names:
+                manifest["entries"].pop(name, None)
+            manifest["evictions"] = manifest.get("evictions", 0) + len(names)
+            # A put racing the unlink above writes its file back; keep it.
+            rebuild_entries(shard, manifest, self.suffix)
+
         with self._global_lock:
             self._migrate_locked()
             inventory: list = []  # (last_used, size, name, shard_dir)
-            manifests: dict = {}
             for shard in self.shard_dirs():
-                with self._shard_lock(shard):
-                    manifest = load_manifest(shard)
-                    before = set(manifest["entries"])
-                    rebuild_entries(shard, manifest, self.suffix)
-                    report.ghosts_dropped += len(before - set(manifest["entries"]))
-                    report.orphans_adopted += len(set(manifest["entries"]) - before)
-                    report.stale_tmp_removed += self._sweep_tmp(shard)
-                    self._write_manifest(shard, manifest)
-                manifests[shard] = manifest
+                manifest = self._fold(shard, partial(reconcile, shard))
+                report.stale_tmp_removed += self._sweep_tmp(shard)
                 for name, record in manifest["entries"].items():
                     # Reconciliation heals stamps above, but belt-and-braces:
                     # a record damaged between passes (hand-edited manifest,
@@ -485,7 +471,7 @@ class PulseLibrary:
             total = report.bytes_before
             if report.budget_bytes is not None and total > report.budget_bytes:
                 inventory.sort()  # oldest last_used first
-                touched = set()
+                evicted: dict = {}  # shard -> names
                 for last_used, size, name, shard in inventory:
                     if total <= report.budget_bytes:
                         break
@@ -493,24 +479,15 @@ class PulseLibrary:
                         (shard / name).unlink()
                     except OSError:
                         continue
-                    manifest = manifests[shard]
-                    manifest["entries"].pop(name, None)
-                    manifest["evictions"] = manifest.get("evictions", 0) + 1
-                    touched.add(shard)
+                    evicted.setdefault(shard, []).append(name)
                     total -= size
                     report.evicted += 1
                     report.bytes_freed += size
                     report.evicted_names.append(name)
-                for shard in touched:
-                    with self._shard_lock(shard):
-                        # Re-merge against concurrent puts: keep entries that
-                        # appeared since our snapshot, drop only what we evicted.
-                        live = load_manifest(shard)
-                        for name in report.evicted_names:
-                            live["entries"].pop(name, None)
-                        live["evictions"] = manifests[shard]["evictions"]
-                        rebuild_entries(shard, live, self.suffix)
-                        self._write_manifest(shard, live)
+                for shard, names in evicted.items():
+                    # The fold replays appends made since the first one, so
+                    # entries that appeared meanwhile survive.
+                    self._fold(shard, partial(drop, shard, names))
             report.entries_after = report.entries_before - report.evicted
             report.bytes_after = report.bytes_before - report.bytes_freed
         report.wall_time_s = time.perf_counter() - start
@@ -592,7 +569,8 @@ class PulseLibrary:
 
         ``entries`` and ``total_bytes`` count the data files (the source of
         truth); ``indexed_entries``, occupancy and ``evictions`` come from
-        the manifests.  The cost grows with the library, so only inspection
+        the manifests with their journals replayed, and ``index_bytes``
+        counts both files.  The cost grows with the library, so only inspection
         surfaces call it — ``CompilationService.stats()`` and the CLI —
         never a request.
         """
@@ -613,10 +591,11 @@ class PulseLibrary:
             evictions += manifest.get("evictions", 0)
             if count:
                 occupancy.append(count)
-            try:
-                index_bytes += (shard / MANIFEST_FILENAME).stat().st_size
-            except OSError:
-                pass
+            for filename in (MANIFEST_FILENAME, JOURNAL_FILENAME):
+                try:
+                    index_bytes += (shard / filename).stat().st_size
+                except OSError:
+                    pass
         return {
             "entries": entries,
             "indexed_entries": indexed,

@@ -107,6 +107,7 @@ class TestDamagedManifests:
         for i in range(4):
             library.put(_name(i), b"x" * KIB)
             time.sleep(0.005)
+        library.gc()  # fold every record into manifest.json
         # Hand-damage the manifests: drop one stamp, null another, and turn
         # a third record into non-dict junk.
         damaged = 0
@@ -142,6 +143,7 @@ class TestDamagedManifests:
         library = PulseLibrary(tmp_path, shards=16)
         library.put(_name(0), b"original")
         library.put(_name(1), b"original")
+        library.gc()  # fold both records into manifest.json
         shard = library.shard_dir(_name(0))
         path = shard / "manifest.json"
         manifest = json.loads(path.read_text())

@@ -65,7 +65,8 @@ def _fill(cache: PersistentPulseCache, count: int, first: int = 0) -> list:
 
 @contextmanager
 def _counting_manifest_loads():
-    """Count every manifest read, by the module that made it."""
+    """Count every index read (manifest or journal), by the module that
+    made it."""
     calls = {"store": 0, "neighbors": 0}
     patched = []
     for label, module in (("store", store_module), ("neighbors", neighbors_module)):
@@ -74,9 +75,9 @@ def _counting_manifest_loads():
             if original is None:
                 continue
 
-            def counted(shard_dir, _original=original, _label=label):
+            def counted(*args, _original=original, _label=label):
                 calls[_label] += 1
-                return _original(shard_dir)
+                return _original(*args)
 
             patched.append((module, function, original))
             setattr(module, function, counted)

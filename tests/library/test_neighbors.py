@@ -187,12 +187,15 @@ class TestFreeze:
         pre = _unitary(102)
         pre_name = _put(library, 1, pre)
         index.freeze()
-        _put(library, 2, _unitary(103))
+        query = pre @ np.diag([1, 1j, 1, 1])
+        post_name = _put(library, 2, query)  # nearer, but written after the freeze
         clone = pickle.loads(pickle.dumps(index))
         # The clone rebuilds its scan (seeing both disk entries) but the
         # frozen-name snapshot still pins search to the pre-freeze set.
-        hit = clone.find_nearest(pre @ np.diag([1, 1j, 1, 1]), CTX, 1.0)
+        hit = clone.find_nearest(query, CTX, 1.0)
         assert hit is not None and hit.name == pre_name
+        clone.thaw()
+        assert clone.find_nearest(query, CTX, 1.0).name == post_name
 
     def test_memory_cache_freeze_ignores_later_puts(self):
         from repro.core.cache import CacheEntry

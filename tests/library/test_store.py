@@ -106,6 +106,8 @@ class TestManifest:
         assert record["created"] <= record["last_used"]
 
     def test_get_bumps_last_used(self, tmp_path):
+        """A hit records its use as the data file's mtime alone; gc's
+        reconcile carries it into the index's last_used."""
         library = PulseLibrary(tmp_path, shards=16)
         library.put(_name(6), b"x")
         shard = library.shard_dir(_name(6))
@@ -115,8 +117,9 @@ class TestManifest:
 
         time.sleep(0.005)
         library.get(_name(6))
+        library.gc()
         after = load_manifest(shard)["entries"][_name(6)]["last_used"]
-        assert after >= before
+        assert after > before
 
     def test_overwrite_preserves_created_stamp(self, tmp_path):
         library = PulseLibrary(tmp_path, shards=16)

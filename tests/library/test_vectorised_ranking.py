@@ -371,3 +371,152 @@ class TestTargetStack:
         for i in (0, 17, 36):
             row, dist = stack.nearest(targets[i], 1e-6)
             assert row == i and dist == signature_distance(targets[i], targets[i])
+
+
+class TestAppendOnlyStack:
+    """Rows stay where they were first added; removals leave dead rows."""
+
+    @staticmethod
+    def _scalar(live: dict, target, max_dist, by_name, exclude=None):
+        """Scan ``live`` (name -> target, in first-added order)."""
+        best = None
+        for name, candidate in live.items():
+            if name == exclude:
+                continue
+            dist = signature_distance(target, candidate)
+            if dist > max_dist:
+                continue
+            if (
+                best is None
+                or dist < best[1]
+                or (by_name and dist == best[1] and name < best[0])
+            ):
+                best = (name, dist)
+        return best
+
+    @staticmethod
+    def _nearest(stack, target, max_dist, exclude=None, count=None):
+        found = stack.nearest(target, max_dist, count=count, exclude=exclude)
+        return None if found is None else (stack.names[found[0]], found[1])
+
+    @pytest.mark.parametrize("by_name", [False, True])
+    def test_equal_distances_follow_the_tie_rule(self, by_name):
+        rng = np.random.default_rng(160)
+        u = _unitary(rng)
+        stack = TargetStack(4, by_name=by_name)
+        for name in ("c", "a", "b"):
+            stack.add(name, u.copy())
+        name, _ = self._nearest(stack, _near(rng, u, 0.01), 1.0)
+        assert name == ("a" if by_name else "c")
+
+    @pytest.mark.parametrize("by_name", [False, True])
+    def test_adds_replaces_removes_and_compactions_match_a_scalar_scan(self, by_name):
+        rng = np.random.default_rng(161 + by_name)
+        stack, live = TargetStack(4, by_name=by_name), {}
+        pool = [f"{i:03d}" for i in range(40)]
+        for step in range(150):
+            name = pool[int(rng.integers(len(pool)))]
+            roll = rng.uniform()
+            if roll < 0.25 and live:
+                name = list(live)[int(rng.integers(len(live)))]
+                stack.remove(name)
+                del live[name]
+            elif roll < 0.3:
+                stack.compact()
+            else:
+                target = _random_targets(rng, 1)[0]
+                stack.add(name, target)
+                # A replaced or revived name keeps its first-added place.
+                order = [n for n in stack.names if n in live or n == name]
+                live[name] = target
+                live = {n: live[n] for n in order}
+            if step % 5:
+                continue
+            targets = list(live.values()) or [_unitary(rng)]
+            for query in _queries(rng, targets)[:4]:
+                exclude = pool[int(rng.integers(len(pool)))]
+                for max_dist in _max_dists(query, targets):
+                    for skip in (None, exclude):
+                        assert self._nearest(stack, query, max_dist, skip) == (
+                            self._scalar(live, query, max_dist, by_name, skip)
+                        )
+
+    def test_a_row_count_pins_the_rows_that_existed(self):
+        rng = np.random.default_rng(170)
+        stack = TargetStack(4, by_name=True)
+        early = {f"e{i}": _unitary(rng) for i in range(6)}
+        for name, target in early.items():
+            stack.add(name, target)
+        count = len(stack)
+        for i in range(6):
+            stack.add(f"l{i}", _unitary(rng))
+        stack.remove("e2")
+        del early["e2"]
+        replacement = _unitary(rng)
+        stack.add("e4", replacement)
+        early["e4"] = replacement
+        for query in _queries(rng, list(early.values())):
+            for max_dist in _max_dists(query, list(early.values())):
+                assert self._nearest(stack, query, max_dist, count=count) == (
+                    self._scalar(early, query, max_dist, by_name=True)
+                )
+
+
+class TestIndexRowsUnderChange:
+    def test_frozen_index_sees_exactly_its_freeze_time_rows(self, tmp_path):
+        """While frozen: new names stay out, a deleted name drops out, and
+        an overwritten name ranks with its new target.  (A name is
+        content-addressed, so an overwrite keeps its bucket.)"""
+        rng = np.random.default_rng(180)
+        library = PulseLibrary(tmp_path)
+        index = NeighborIndex(library)
+        _put_all(library, rng, 16)
+        index.freeze()
+        try:
+            frozen = set(_names_in(index))
+            bucket = index._buckets[(4, context_token(CONTEXTS[0]))]
+            names = sorted(bucket)
+            library.delete(names[0])
+            for name in names[1:3]:
+                meta = target_metadata(_unitary(rng), CONTEXTS[0])
+                library.put(name, b"new", meta=meta)
+            _put_all(library, rng, 8, start=1000)
+            targets = [
+                decode_signature(sig)
+                for bucket in index._buckets.values()
+                for sig in bucket.values()
+            ]
+            for query in _queries(rng, targets):
+                for context in CONTEXTS:
+                    for max_dist in _max_dists(query, targets):
+                        assert _disk_result(
+                            index, query, context, max_dist
+                        ) == scalar_disk(index, query, context, max_dist, None, frozen)
+        finally:
+            index.thaw()
+
+    def test_sync_after_a_foreign_gc_and_overwrites_ranks_correctly(self, tmp_path):
+        rng = np.random.default_rng(190)
+        library = PulseLibrary(tmp_path)
+        index = NeighborIndex(library)
+        _put_all(library, rng, 30)
+        index.sync()
+        foreign = PulseLibrary(tmp_path)
+        names = sorted(_names_in(index))
+        for name in names[::4]:
+            foreign.put(name, b"x", meta=target_metadata(_unitary(rng), CONTEXTS[0]))
+        report = foreign.gc(budget_mb=20 * len(b"payload") / (1024 * 1024))
+        assert report.evicted > 0
+        rebuilt = NeighborIndex(PulseLibrary(tmp_path))
+        rebuilt.sync()
+        targets = [
+            decode_signature(sig)
+            for bucket in rebuilt._buckets.values()
+            for sig in bucket.values()
+        ]
+        for query in _queries(rng, targets):
+            for context in CONTEXTS:
+                for max_dist in _max_dists(query, targets):
+                    got = _disk_result(index, query, context, max_dist)
+                    assert got == scalar_disk(rebuilt, query, context, max_dist)
+        assert index._buckets == rebuilt._buckets
