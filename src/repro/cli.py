@@ -392,7 +392,6 @@ def _cmd_compile_batch(args) -> int:
         ("executor", executor_name),
         ("plan hits", plan_stats["plan_hits"]),
         ("plan misses", plan_stats["plan_misses"]),
-        ("blocking passes skipped", plan_stats["blocking_passes_skipped"]),
         *round_rows,
         (
             "pulse durations (ns, last round)",

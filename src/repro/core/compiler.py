@@ -681,3 +681,24 @@ def gate_based_program(circuit: QuantumCircuit):
     (the paper's no-delay blocking criterion, section 5.2).
     """
     return lookup_program(circuit)
+
+
+def parameter_values(parameters, values) -> dict:
+    """``values`` as a ``{Parameter: float}`` map over ``parameters``.
+
+    A sequence binds in index order and must have exactly one value per
+    parameter; a mapping must cover every parameter (extra keys are
+    ignored, as :meth:`~repro.circuits.circuit.QuantumCircuit
+    .bind_parameters` ignores them).  Every value goes through ``float``.
+    """
+    if not isinstance(values, dict):
+        values = list(values)
+        if len(values) != len(parameters):
+            raise CompilationError(
+                f"circuit has {len(parameters)} parameters, got {len(values)} values"
+            )
+        values = dict(zip(parameters, values))
+    missing = [p.name for p in parameters if p not in values]
+    if missing:
+        raise CompilationError(f"missing values for parameters {missing}")
+    return {p: float(values[p]) for p in parameters}

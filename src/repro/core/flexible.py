@@ -34,7 +34,12 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import critical_path_ns
 from repro.core.cache import PulseCache
-from repro.core.compiler import BlockPulseCompiler, default_device_for, gate_based_program
+from repro.core.compiler import (
+    BlockPulseCompiler,
+    default_device_for,
+    gate_based_program,
+    parameter_values,
+)
 from repro.core.hyperopt import (
     DEFAULT_DECAY_RATES,
     DEFAULT_LEARNING_RATES,
@@ -431,12 +436,7 @@ class _FlexiblePartialCompiler:
         has not claimed yet; on ``serial`` they run in order here.  Fixed
         entries pass straight through, so no venue ships them.
         """
-        if not isinstance(values, dict):
-            values = dict(zip(self.parameters, values))
-        missing = [p.name for p in self.parameters if p not in values]
-        if missing:
-            raise CompilationError(f"missing values for parameters {missing}")
-
+        values = parameter_values(self.parameters, values)
         start = time.perf_counter()
         worker = partial(_compile_runtime_entry, self.settings, values)
         runs = iter(

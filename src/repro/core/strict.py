@@ -11,7 +11,10 @@ The precompute phase is a configuration of the shared
 :class:`~repro.pipeline.pipeline.CompilationPipeline`:
 ``block(isolate θ) → pulse``, where Fixed blocks flow through the pluggable
 block executor (they are independent GRAPE searches) and each isolated
-``Rz(θ)`` maps straight to a lookup-pulse plan entry.
+``Rz(θ)`` maps straight to a lookup-pulse plan entry.  Nothing the runtime
+returns depends on θ — a lookup pulse's duration comes from its gate name —
+so the program and its strictly-not-worse fallback are decided once, when
+the compiler is built.
 """
 
 from __future__ import annotations
@@ -22,9 +25,13 @@ from typing import Sequence
 from repro.circuits.circuit import QuantumCircuit
 from repro.config import GATE_DURATIONS_NS
 from repro.core.cache import PulseCache
-from repro.core.compiler import BlockPulseCompiler, default_device_for, gate_based_program
+from repro.core.compiler import (
+    BlockPulseCompiler,
+    default_device_for,
+    gate_based_program,
+    parameter_values,
+)
 from repro.core.results import CompiledPulse, PrecompileReport
-from repro.errors import CompilationError
 from repro.pipeline.stages import BlockTask
 from repro.pipeline.strategies import strict_precompile_pipeline
 from repro.pulse.device import GmonDevice
@@ -39,8 +46,28 @@ def _lookup_plan_entry(task: BlockTask) -> tuple:
     return ("lookup", inst.qubits, inst.gate.name, inst.gate.params[0])
 
 
+def _lookup_pulse(entry: tuple):
+    """The lookup pulse of one ``("lookup", …)`` plan slot.
+
+    Its duration depends on the gate name only, never on θ, and its
+    controls are read-only: every result of one compiler shares them.
+    """
+    _, qubits, gate_name, _expr = entry
+    duration = GATE_DURATIONS_NS.get(gate_name, GATE_DURATIONS_NS["rz"])
+    schedule = lookup_schedule(qubits, duration)
+    schedule.controls.flags.writeable = False
+    return schedule
+
+
 class _StrictPartialCompiler:
-    """Precompiled Fixed blocks + lookup ``Rz(θ)`` pulses."""
+    """Precompiled Fixed blocks + lookup ``Rz(θ)`` pulses.
+
+    ``gate_based_ns`` is the circuit's lookup-table duration when a
+    blocking plan supplied it; without one the compiler takes it from the
+    gate-based program of the symbolic circuit.  The returned program is
+    the blocked one, or that gate-based program when it is shorter (paper
+    section 6's strictly-better guarantee).
+    """
 
     method = "strict"
 
@@ -50,12 +77,28 @@ class _StrictPartialCompiler:
         device: GmonDevice,
         plan: list,
         report: PrecompileReport,
+        gate_based_ns: float | None = None,
     ):
         self.circuit = circuit
         self.device = device
         self._plan = plan  # entries: ("pulse", schedule) | ("lookup", qubits, gate, expr)
         self.report = report
         self.parameters = circuit.parameters
+        schedules = [
+            entry[1] if entry[0] == "pulse" else _lookup_pulse(entry)
+            for entry in plan
+        ]
+        program = PulseProgram.sequence(schedules)
+        baseline = None
+        if gate_based_ns is None:
+            baseline = gate_based_program(circuit)
+            gate_based_ns = baseline.duration_ns
+        self._fallback = gate_based_ns < program.duration_ns
+        if self._fallback:
+            program = baseline if baseline is not None else gate_based_program(circuit)
+            for placed in program.placed:
+                placed.schedule.controls.flags.writeable = False
+        self._program = program
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -69,6 +112,7 @@ class _StrictPartialCompiler:
         cache: PulseCache | None = None,
         executor=None,
         config: ServiceConfig | None = None,
+        plan_cache=None,
     ) -> list:
         """Precompile a *batch* of ansätze, sharing Fixed blocks across them.
 
@@ -84,7 +128,11 @@ class _StrictPartialCompiler:
         is the batch ``[circuit]``.
 
         ``config`` (a :class:`~repro.service.ServiceConfig`) supplies the
-        warm-start setting; ``None`` uses the default.
+        warm-start setting; ``None`` uses the default.  ``plan_cache`` (a
+        :class:`~repro.pipeline.plan.PlanCache`) replays each ansatz's
+        isolate-θ blocking, Fixed-block keys and gate-based duration
+        instead of recomputing them; the Fixed blocks still go through
+        one scheduler pass.
 
         Returns one compiler per circuit, in order; each report's
         ``wall_time_s`` is the shared batch wall time and its
@@ -110,7 +158,7 @@ class _StrictPartialCompiler:
         # reading of the paper's Figure 3b, which avoids serializing
         # unrelated qubits across an Rz(θ)).
         pipeline = strict_precompile_pipeline(
-            block_compiler, _lookup_plan_entry, max_block_width, executor
+            block_compiler, _lookup_plan_entry, max_block_width, executor, plan_cache
         )
         start = time.perf_counter()
         contexts, report = pipeline.run_many(circuits)
@@ -166,39 +214,21 @@ class _StrictPartialCompiler:
             cache_stats=block_compiler.cache.stats(),
             metadata=metadata,
         )
-        return cls(circuit, device, plan, report)
+        return cls(circuit, device, plan, report, context.gate_based_ns)
 
     # -- runtime -----------------------------------------------------------
     def compile(self, values: Sequence[float] | dict) -> CompiledPulse:
         """Compile for one parametrization — pure concatenation, no GRAPE.
 
-        ``values`` binds the circuit's parameters (sequence in index order
-        or a mapping); binding only affects the *angles* of the lookup
-        pulses, not any duration, so this is exactly the gate-based runtime
-        cost.
+        ``values`` binds the circuit's parameters (a sequence with one
+        value per parameter, in index order, or a mapping).  Binding only
+        affects the *angles* of the lookup pulses, not any duration, so
+        this checks the values and returns the program decided at
+        construction: exactly the gate-based runtime cost.
         """
-        if not isinstance(values, dict):
-            values = dict(zip(self.parameters, values))
-        missing = [p.name for p in self.parameters if p not in values]
-        if missing:
-            raise CompilationError(f"missing values for parameters {missing}")
+        parameter_values(self.parameters, values)
         start = time.perf_counter()
-        schedules = []
-        for entry in self._plan:
-            if entry[0] == "pulse":
-                schedules.append(entry[1])
-            else:
-                _, qubits, gate_name, _expr = entry
-                duration = GATE_DURATIONS_NS.get(gate_name, GATE_DURATIONS_NS["rz"])
-                schedules.append(lookup_schedule(qubits, duration))
-        program = PulseProgram.sequence(schedules)
-        # Strictly-better guarantee (paper section 6): never exceed the
-        # lookup-table baseline for this parametrization.
-        used_fallback = False
-        baseline = gate_based_program(self.circuit.bind_parameters(values))
-        if baseline.duration_ns < program.duration_ns:
-            program = baseline
-            used_fallback = True
+        program = PulseProgram(list(self._program.placed))
         elapsed = time.perf_counter() - start
         return CompiledPulse(
             method=self.method,
@@ -206,9 +236,9 @@ class _StrictPartialCompiler:
             pulse_duration_ns=program.duration_ns,
             runtime_latency_s=elapsed,
             runtime_iterations=0,
-            blocks_compiled=len(schedules),
+            blocks_compiled=len(self._plan),
             metadata={
                 "precompiled_blocks": self.report.blocks_precompiled,
-                "program_fallback": used_fallback,
+                "program_fallback": self._fallback,
             },
         )

@@ -20,8 +20,9 @@ transformer framework:
   :class:`BlockScheduler` pass, and ``run`` is the batch of one.
 * :mod:`repro.pipeline.plan` — :class:`CompilationPlan` /
   :class:`PlanCache`, content-addressed reuse of the blocking output: the
-  aggregation pass and the per-block dedup-key hashing run once per ansatz
-  fingerprint, not once per compile call.
+  aggregation pass, the per-block dedup-key hashing and the gate-based
+  baseline run once per ansatz fingerprint and blocking mode (full GRAPE
+  or strict), not once per compile call; the blocking stage replays them.
 * :mod:`repro.pipeline.scheduler` — :class:`BlockScheduler`, which
   deduplicates block compilations across a batch of circuits before
   dispatch (N variational circuits sharing blocks compile each block once),

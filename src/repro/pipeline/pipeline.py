@@ -17,13 +17,7 @@ from typing import Iterable
 
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
-from repro.pipeline.stages import (
-    BindStage,
-    BlockingStage,
-    PipelineContext,
-    PulseStage,
-    Stage,
-)
+from repro.pipeline.stages import PipelineContext, PulseStage, Stage
 
 
 class CompilationPipeline:
@@ -84,45 +78,7 @@ class CompilationPipeline:
         context.stage_timings.append((stage.name, elapsed))
         get_perf_registry().record_seconds(f"pipeline.stage.{stage.name}", elapsed)
 
-    def _run_with_plan(self, circuit, context, plan_cache, plan_scope, pulse) -> None:
-        """Run the bind→block prefix through the content-addressed plan cache.
-
-        The bind stage always runs (it produces this binding's working
-        circuit); the blocking stage is replayed from a cached
-        :class:`~repro.pipeline.plan.CompilationPlan` on a hit, or run and
-        captured on a miss.  Either way the context leaves with pre-keyed
-        tasks, identical to what the ordinary path would have produced.
-        """
-        from repro.pipeline.plan import build_plan, plan_key
-
-        bind, blocking = self.stages[0], self.stages[1]
-        key = plan_key(
-            circuit, blocking._width(), pulse.block_compiler, scope=plan_scope
-        )
-        self._run_stage(bind, context)
-        start = time.perf_counter()
-        plan = plan_cache.lookup(key)
-        if plan is not None:
-            plan.apply(context)
-            plan_cache.note_skip()
-        else:
-            blocking.run(context)
-            plan_cache.insert(
-                key, build_plan(key, circuit, context, pulse.block_compiler)
-            )
-        elapsed = time.perf_counter() - start
-        context.stage_timings.append((blocking.name, elapsed))
-        get_perf_registry().record_seconds(
-            f"pipeline.stage.{blocking.name}", elapsed
-        )
-
-    def run_many(
-        self,
-        circuits,
-        values=None,
-        plan_cache=None,
-        plan_scope: str = "",
-    ) -> tuple:
+    def run_many(self, circuits, values=None) -> tuple:
         """Flow a *batch* of circuits through the pipeline, deduplicating
         block compilations across the whole batch.
 
@@ -142,13 +98,10 @@ class CompilationPipeline:
         counted in ``reused_blocks`` (see :mod:`repro.pipeline.scheduler`),
         which is how the service's strategies reuse blocks across requests.
 
-        ``plan_cache`` (a :class:`~repro.pipeline.plan.PlanCache`) makes
-        the blocking pass content-addressed: when the pipeline's pre-pulse
-        stages are exactly bind + plain blocking, each circuit's blocking
-        output is looked up by content fingerprint and replayed on a hit —
-        aggregation and per-block dedup-key hashing run once per ansatz,
-        not once per call.  Misses build and insert the plan.
-        ``plan_scope`` namespaces the cache keys per caller.
+        Blocking across calls is the blocking stage's business: a
+        :class:`~repro.pipeline.stages.BlockingStage` built with a plan
+        cache replays each circuit's content-addressed plan itself, so
+        every circuit here simply runs the stages before the pulse stage.
         """
         from repro.pipeline.scheduler import BlockScheduler
 
@@ -165,26 +118,11 @@ class CompilationPipeline:
             ], None
 
         pulse = self.stages[pulse_index]
-        # Plans replay only the plain bind→block prefix: slicer and
-        # isolate_parametrized modes derive tasks from bound values, and a
-        # transpile stage rewrites the circuit the fingerprint was taken
-        # over — those pipelines keep the ordinary per-circuit path.
-        plannable = (
-            plan_cache is not None
-            and pulse_index == 2
-            and isinstance(self.stages[0], BindStage)
-            and isinstance(self.stages[1], BlockingStage)
-            and self.stages[1].slicer is None
-            and not self.stages[1].isolate_parametrized
-        )
         contexts = []
         for circuit, vals in zip(circuits, values):
             context = PipelineContext(circuit=circuit, values=vals)
-            if plannable:
-                self._run_with_plan(circuit, context, plan_cache, plan_scope, pulse)
-            else:
-                for stage in self.stages[:pulse_index]:
-                    self._run_stage(stage, context)
+            for stage in self.stages[:pulse_index]:
+                self._run_stage(stage, context)
             contexts.append(context)
 
         scheduler = BlockScheduler(

@@ -1,35 +1,31 @@
 """Content-addressed compilation plans.
 
-Variational workloads compile one ansatz thousands of times.  The
-GRAPE-side redundancy is handled by the pulse cache and the block
-scheduler's dedup memory, but every call still re-ran the *blocking* pass —
-aggregation, per-block subcircuit extraction, and per-block dedup-key
-computation (a matrix build + SHA-256 per block) — because circuit identity
-was object identity.
+Variational workloads compile one ansatz thousands of times, and its
+blocking pass depends only on circuit content.  A :class:`CompilationPlan`
+captures that pass once per ansatz: block boundaries (instruction indices
+and sorted device qubits — :func:`repro.blocking.aggregate.aggregate_blocks`
+partitions on gate qubits, never on angles), the dedup key of every
+θ-independent block, a ``parametrized`` marker per block, and the
+circuit's gate-based duration (ASAP lookup durations come from gate names
+only, so the strictly-not-worse baseline is θ-independent too).
 
-A :class:`CompilationPlan` captures the binding-independent part of that
-work once per ansatz *content*:
+A plan has one of two blocking modes, and :func:`plan_key` names it:
+``plain`` blocks a bound circuit for full GRAPE, and replay leaves each
+parametrized block's θ-dependent key to the scheduler; ``isolate`` is
+strict partial compilation's isolate-θ blocking of the symbolic circuit,
+and replay rebuilds each ``Rz(θ)`` singleton from the request's own
+circuit.  Slicer-mode blocking (flexible) has no plan.
 
-* block boundaries (instruction indices and the sorted device-qubit order
-  of each block) — :func:`repro.blocking.aggregate.aggregate_blocks`
-  partitions on gate qubits only, never on angle values, so the partition
-  is identical for every binding of one symbolic circuit;
-* the dedup key of every θ-independent block — the expensive
-  unitary-fingerprint + control-context hash, also binding-independent;
-* a ``parametrized`` marker for blocks whose gates depend on a symbolic
-  parameter: their unitary changes with θ, so replay recomputes their keys
-  per binding (the scheduler does this when a task arrives without a key).
-
-Plans live in a :class:`PlanCache` keyed by
-:meth:`~repro.circuits.circuit.QuantumCircuit.content_fingerprint` plus
-everything the blocking output depends on (block width, device geometry and
-drive limits, GRAPE time step and fidelity target, and a caller scope).
-Replaying a plan rebuilds each block's bound subcircuit directly from the
-stored indices and hands the scheduler pre-keyed tasks — the hot
-variational loop skips straight to dispatch.
-
-Used by :class:`repro.service.facade.CompilationService`'s full-GRAPE
-strategy, which keeps one plan cache for the service's lifetime.
+The key also holds the symbolic circuit's
+:meth:`~repro.circuits.circuit.QuantumCircuit.content_fingerprint` and
+everything the blocking output depends on: block width, device geometry
+and drive limits, GRAPE time step and fidelity target.
+:class:`~repro.pipeline.stages.BlockingStage` is the one replay route: a
+stage wired with a :class:`PlanCache` replays a hit with
+:meth:`CompilationPlan.apply` and blocks and inserts a miss with
+:func:`build_plan`.  A :class:`repro.service.CompilationService` keeps one
+plan cache for its lifetime and hands it to the full-grape and
+strict-partial pipelines of cached requests.
 """
 
 from __future__ import annotations
@@ -38,7 +34,11 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.pipeline.stages import BlockTask, PipelineContext
+from repro.pipeline.stages import BlockTask, PipelineContext, lookup_program
+
+#: Blocking modes a plan can capture (see the module docstring).
+PLAIN = "plain"
+ISOLATE = "isolate"
 
 
 def device_token(device) -> tuple:
@@ -61,17 +61,21 @@ def device_token(device) -> tuple:
     )
 
 
-def plan_key(circuit: QuantumCircuit, max_width: int, block_compiler, scope: str = "") -> tuple:
+def plan_key(
+    circuit: QuantumCircuit, max_width: int, block_compiler, mode: str = PLAIN
+) -> tuple:
     """The cache identity of a blocking plan.
 
     ``circuit`` is the *symbolic* (pre-binding) circuit — every binding of
-    one ansatz shares its fingerprint and therefore its plan.  The rest of
-    the key covers every input the blocking output depends on: block width,
-    device, and the GRAPE settings baked into per-block dedup keys.
+    one ansatz shares its fingerprint and therefore its plan.  ``mode``
+    (:data:`PLAIN` or :data:`ISOLATE`) keeps the two blockings of one
+    circuit apart.  The rest of the key covers every input the blocking
+    output depends on: block width, device, and the GRAPE settings baked
+    into per-block dedup keys.
     """
     settings = block_compiler.settings
     return (
-        scope,
+        mode,
         circuit.content_fingerprint(),
         int(max_width),
         device_token(block_compiler.device),
@@ -86,8 +90,8 @@ class PlanBlock:
 
     ``dedup_key`` is the precomputed scheduler/cache key for θ-independent
     blocks (``None`` for trivial zero-duration blocks); ``parametrized``
-    blocks store no key — their unitary depends on the binding, so replay
-    leaves key computation to the scheduler.
+    blocks store no key — a plain plan leaves their binding-dependent key
+    to the scheduler, an isolate plan replays them as ``Rz(θ)`` tasks.
     """
 
     instruction_indices: tuple
@@ -99,31 +103,51 @@ class PlanBlock:
 
 @dataclass(frozen=True)
 class CompilationPlan:
-    """The reusable blocking output for one circuit content + config."""
+    """The reusable blocking output for one circuit content + config.
+
+    ``gate_based_ns`` is the circuit's lookup-table duration (``None`` on
+    hand-built plans); ``isolate`` says which blocking mode the blocks
+    came from.
+    """
 
     key: tuple
-    num_qubits: int
     blocks: tuple
+    gate_based_ns: float | None = None
+    isolate: bool = False
 
     def apply(self, context: PipelineContext) -> None:
         """Populate ``context.tasks`` from the plan, skipping aggregation.
 
-        ``context`` must already hold a bound working circuit (the bind
-        stage ran).  Rebuilds each block's local subcircuit exactly as
+        Reads the context's working circuit (bound for a plain plan,
+        symbolic for an isolate plan).  Rebuilds each fixed block's local
+        subcircuit exactly as
         :meth:`~repro.blocking.aggregate.BlockedCircuit.local_circuit`
-        would, and pre-keys every θ-independent task so the scheduler
-        skips its per-block fingerprinting too.
+        would and pre-keys every θ-independent one, so the scheduler skips
+        its per-block fingerprinting too; an isolate plan's parametrized
+        singletons take the instruction at their stored index.
         """
-        bound = context.working
+        circuit = context.working
         tasks = []
         for spec in self.blocks:
+            if self.isolate and spec.parametrized:
+                tasks.append(
+                    BlockTask(
+                        index=len(tasks),
+                        subcircuit=None,
+                        device_qubits=spec.qubit_order,
+                        kind="parametrized",
+                        instruction=circuit[spec.instruction_indices[0]],
+                        local_index=spec.local_index,
+                    )
+                )
+                continue
             local = {q: i for i, q in enumerate(spec.qubit_order)}
             sub = QuantumCircuit(
                 len(spec.qubit_order),
-                name=f"{bound.name}_block{spec.local_index}",
+                name=f"{circuit.name}_block{spec.local_index}",
             )
             for idx in spec.instruction_indices:
-                inst = bound[idx]
+                inst = circuit[idx]
                 sub.append(inst.gate, tuple(local[q] for q in inst.qubits))
             task = BlockTask(
                 index=len(tasks),
@@ -136,31 +160,33 @@ class CompilationPlan:
                 task.dedup_key_known = True
             tasks.append(task)
         context.tasks = tasks
+        context.gate_based_ns = self.gate_based_ns
         context.metadata["blocks"] = len(tasks)
         context.metadata["plan_cache"] = "hit"
 
 
 def build_plan(
-    key: tuple, circuit: QuantumCircuit, context: PipelineContext, block_compiler
+    key: tuple, context: PipelineContext, block_compiler, isolate: bool = False
 ) -> CompilationPlan:
     """Capture a freshly-blocked context as a reusable plan.
 
-    ``circuit`` is the symbolic input circuit (block indices refer to its
-    instruction order, which binding preserves); ``context`` has been
-    through bind + plain blocking, so ``context.blocked[0].blocks`` aligns
-    one-to-one with ``context.tasks``.  As a side effect every task gets
-    its dedup key attached, so the cold pass's scheduler does not compute
-    them a second time.
+    ``context.circuit`` is the symbolic input circuit (block indices refer
+    to its instruction order, which binding preserves) and
+    ``context.blocked[0].blocks`` aligns one-to-one with
+    ``context.tasks``.  As a side effect every fixed task gets its dedup
+    key attached, so the cold pass's scheduler does not compute them a
+    second time, and the context gets the plan's gate-based duration.
     """
-    blocked = context.blocked[0]
+    symbolic = context.circuit
     specs = []
-    for task, block in zip(context.tasks, blocked.blocks):
-        task.dedup_key, task.target = block_compiler.task_identity(
-            task.subcircuit, task.device_qubits
-        )
-        task.dedup_key_known = True
+    for task, block in zip(context.tasks, context.blocked[0].blocks):
+        if task.kind == "fixed":
+            task.dedup_key, task.target = block_compiler.task_identity(
+                task.subcircuit, task.device_qubits
+            )
+            task.dedup_key_known = True
         parametrized = any(
-            circuit[idx].parameters for idx in block.instruction_indices
+            symbolic[idx].parameters for idx in block.instruction_indices
         )
         specs.append(
             PlanBlock(
@@ -171,8 +197,12 @@ def build_plan(
                 dedup_key=None if parametrized else task.dedup_key,
             )
         )
+    context.gate_based_ns = lookup_program(context.working).duration_ns
     return CompilationPlan(
-        key=key, num_qubits=circuit.num_qubits, blocks=tuple(specs)
+        key=key,
+        blocks=tuple(specs),
+        gate_based_ns=context.gate_based_ns,
+        isolate=isolate,
     )
 
 
@@ -191,7 +221,6 @@ class PlanCache:
     plans: dict = field(default_factory=dict)  # key -> CompilationPlan, LRU order
     hits: int = 0
     misses: int = 0
-    blocking_passes_skipped: int = 0
     evictions: int = 0
 
     def __post_init__(self):
@@ -222,11 +251,6 @@ class PlanCache:
                 self.plans.pop(next(iter(self.plans)))
                 self.evictions += 1
 
-    def note_skip(self) -> None:
-        """Count one blocking pass served from a plan instead of computed."""
-        with self._lock:
-            self.blocking_passes_skipped += 1
-
     def clear(self) -> None:
         with self._lock:
             self.plans.clear()
@@ -237,6 +261,5 @@ class PlanCache:
                 "entries": len(self.plans),
                 "plan_hits": self.hits,
                 "plan_misses": self.misses,
-                "blocking_passes_skipped": self.blocking_passes_skipped,
                 "evictions": self.evictions,
             }

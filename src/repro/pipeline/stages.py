@@ -77,7 +77,11 @@ class BlockTask:
 
 @dataclass
 class PipelineContext:
-    """Everything a compilation run accumulates while flowing through stages."""
+    """Everything a compilation run accumulates while flowing through stages.
+
+    ``gate_based_ns`` is the working circuit's lookup-table duration when a
+    blocking plan (:mod:`repro.pipeline.plan`) supplied it, else ``None``.
+    """
 
     circuit: QuantumCircuit
     values: Any = None
@@ -87,6 +91,7 @@ class PipelineContext:
     block_results: list | None = None
     schedules: list | None = None
     program: PulseProgram | None = None
+    gate_based_ns: float | None = None
     used_fallback: bool = False
     executor_info: dict = field(default_factory=dict)
     stage_timings: list = field(default_factory=list)
@@ -151,6 +156,14 @@ class BlockingStage(Stage):
       compilation's single-θ slices, Figure 3c), each sliced piece blocked
       independently; blocks containing a parametrized gate become
       parametrized tasks.
+
+    With a ``plan_cache`` (a :class:`~repro.pipeline.plan.PlanCache`) and
+    the ``block_compiler`` whose settings key the plans, the plain and
+    isolate modes are content-addressed: the stage keys the context's
+    symbolic circuit with :func:`~repro.pipeline.plan.plan_key`, replays
+    a cached plan on a hit and blocks and inserts one on a miss.  This is
+    the one replay route; the pipeline factories wire it only when no
+    transpile stage rewrites the circuit after fingerprinting.
     """
 
     name = "block"
@@ -160,12 +173,20 @@ class BlockingStage(Stage):
         max_width: int | None = None,
         slicer: Callable | None = None,
         isolate_parametrized: bool = False,
+        plan_cache=None,
+        block_compiler=None,
     ):
         if slicer is not None and isolate_parametrized:
             raise PipelineError("slicer and isolate_parametrized are exclusive")
+        if plan_cache is not None and (slicer is not None or block_compiler is None):
+            raise PipelineError(
+                "a plan cache needs plain or isolate blocking and a block compiler"
+            )
         self.max_width = max_width
         self.slicer = slicer
         self.isolate_parametrized = isolate_parametrized
+        self.plan_cache = plan_cache
+        self.block_compiler = block_compiler
 
     def _width(self) -> int:
         if self.max_width is not None:
@@ -173,6 +194,29 @@ class BlockingStage(Stage):
         return get_preset().max_block_qubits
 
     def run(self, context: PipelineContext) -> None:
+        if self.plan_cache is None:
+            self._block(context)
+            return
+        # Imported here: repro.pipeline.plan imports this module.
+        from repro.pipeline.plan import ISOLATE, PLAIN, build_plan, plan_key
+
+        key = plan_key(
+            context.circuit,
+            self._width(),
+            self.block_compiler,
+            ISOLATE if self.isolate_parametrized else PLAIN,
+        )
+        plan = self.plan_cache.lookup(key)
+        if plan is not None:
+            plan.apply(context)
+            return
+        self._block(context)
+        self.plan_cache.insert(
+            key,
+            build_plan(key, context, self.block_compiler, self.isolate_parametrized),
+        )
+
+    def _block(self, context: PipelineContext) -> None:
         circuit = context.working
         width = self._width()
         tasks: list[BlockTask] = []
@@ -322,6 +366,9 @@ class AssembleStage(Stage):
     lookup-table baseline of the working circuit and replaced by it when
     blocking cost more slack than GRAPE recovered — the paper's guarantee
     that pulse compilation is never worse than gate-based compilation.
+    The comparison takes the baseline's duration from the blocking plan
+    when one supplied it, so the lookup program is built only to fall
+    back.
     """
 
     name = "assemble"
@@ -341,8 +388,14 @@ class AssembleStage(Stage):
         program = PulseProgram.sequence(schedules)
         context.used_fallback = False
         if self.fallback:
-            baseline = lookup_program(context.working)
-            if baseline.duration_ns < program.duration_ns:
+            baseline = None
+            gate_ns = context.gate_based_ns
+            if gate_ns is None:
+                baseline = lookup_program(context.working)
+                gate_ns = baseline.duration_ns
+            if gate_ns < program.duration_ns:
+                if baseline is None:
+                    baseline = lookup_program(context.working)
                 program = baseline
                 context.used_fallback = True
         context.program = program

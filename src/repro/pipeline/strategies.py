@@ -16,7 +16,9 @@ flexible precompile block(θ-slices) → pulse(fixed ∥, θ→tuning)
 
 The pulse stage dispatches fixed blocks through the configured
 :class:`~repro.pipeline.executors.BlockExecutor`, which is where the
-independent per-block GRAPE searches parallelize.
+independent per-block GRAPE searches parallelize.  The full-GRAPE and
+strict factories take an optional ``plan_cache`` and hand it, with the
+block compiler, to their blocking stage (see :mod:`repro.pipeline.plan`).
 """
 
 from __future__ import annotations
@@ -53,13 +55,23 @@ def full_grape_pipeline(
     max_width: int | None = None,
     executor: str | BlockExecutor | None = None,
     pass_manager=None,
+    plan_cache=None,
 ) -> CompilationPipeline:
-    """Blocked minimum-time GRAPE over the whole bound circuit."""
+    """Blocked minimum-time GRAPE over the whole bound circuit.
+
+    ``plan_cache`` replays the blocking of each ansatz; it is wired only
+    without a ``pass_manager``, whose rewrite would change the circuit the
+    plan key fingerprints.
+    """
+    if pass_manager is not None:
+        plan_cache = None
     return CompilationPipeline(
         _prefix(pass_manager)
         + [
             BindStage(),
-            BlockingStage(max_width),
+            BlockingStage(
+                max_width, plan_cache=plan_cache, block_compiler=block_compiler
+            ),
             PulseStage(block_compiler, executor=resolve_executor(executor)),
             AssembleStage(fallback=True),
         ],
@@ -72,15 +84,22 @@ def strict_precompile_pipeline(
     parametrized_handler: Callable,
     max_width: int | None = None,
     executor: str | BlockExecutor | None = None,
+    plan_cache=None,
 ) -> CompilationPipeline:
     """Strict partial precompilation: isolate θ-gates, GRAPE the rest.
 
     ``parametrized_handler`` maps an isolated ``Rz(θ)`` task to the
-    strategy's runtime plan entry (a lookup pulse slot).
+    strategy's runtime plan entry (a lookup pulse slot).  ``plan_cache``
+    replays the isolate-θ blocking of each ansatz.
     """
     return CompilationPipeline(
         [
-            BlockingStage(max_width, isolate_parametrized=True),
+            BlockingStage(
+                max_width,
+                isolate_parametrized=True,
+                plan_cache=plan_cache,
+                block_compiler=block_compiler,
+            ),
             PulseStage(
                 block_compiler,
                 executor=resolve_executor(executor),

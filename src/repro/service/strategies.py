@@ -181,17 +181,17 @@ class FullGrapeStrategy(_StrategyBase):
             cache,
             warm_start=service.config.warm_start,
         )
-        pipeline = full_grape_pipeline(
-            block_compiler, first.max_block_width, service.executor
-        )
         # An uncached request must pay the honest out-of-the-box latency,
         # so it also skips the plan cache (its fresh pulse cache already
         # holds no earlier block).
-        plan_cache = service.plan_cache if first.use_cache else None
-        start = time.perf_counter()
-        contexts, report = pipeline.run_many(
-            circuits, values, plan_cache=plan_cache, plan_scope=self.name
+        pipeline = full_grape_pipeline(
+            block_compiler,
+            first.max_block_width,
+            service.executor,
+            plan_cache=service.plan_cache if first.use_cache else None,
         )
+        start = time.perf_counter()
+        contexts, report = pipeline.run_many(circuits, values)
         elapsed = time.perf_counter() - start
         extra = {"scheduler": report.as_dict() if report is not None else None}
         if batch:
@@ -224,14 +224,19 @@ class _PartialStrategyBase(_StrategyBase):
 class StrictPartialStrategy(_PartialStrategyBase):
     """GRAPE-precompiled Fixed blocks + lookup ``Rz(θ)`` at runtime.
 
-    Precompilation flows through the service's pulse cache, so the
-    Fixed blocks of an ansatz the service has seen before cost zero GRAPE
-    dispatches.  Each request still runs the (GRAPE-free) blocking pass
-    and a cache claim per Fixed block; re-keying a block the service
-    has already fingerprinted is a memo hit on the service cache (see
-    DESIGN.md "Block identity").  Callers replaying one ansatz thousands
-    of times can precompile once (``values=None``) and reuse
-    ``result.compiler.compile(values)`` directly.
+    Strict partial compilation precompiles the *symbolic* circuit, so its
+    blocking output, Fixed-block keys and gate-based duration depend only
+    on the ansatz.  A cached request replays them from the service's plan
+    cache (the first request of an ansatz blocks and records the plan), so
+    a warm request runs no aggregation, no block keying and no binding.
+    It still runs one scheduler pass that claims every Fixed block on the
+    service's pulse cache: that keeps single-flight GRAPE for concurrent
+    requests, judges each reused pulse against the block's own gate time
+    and reports the request's reuse counts.  Those Fixed blocks cost zero
+    GRAPE dispatches once the service has compiled them.  An uncached
+    request (``use_cache=False``) uses neither cache.  Callers replaying
+    one ansatz thousands of times can precompile once (``values=None``)
+    and reuse ``result.compiler.compile(values)`` directly.
     """
 
     name = "strict-partial"
@@ -250,6 +255,7 @@ class StrictPartialStrategy(_PartialStrategyBase):
             cache=service.cache if request.use_cache else PulseCache(),
             executor=service.executor,
             config=service.config,
+            plan_cache=service.plan_cache if request.use_cache else None,
         )[0]
 
 

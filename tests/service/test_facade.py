@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PulseCache
-from repro.errors import PipelineError, ReproError
+from repro.errors import CompilationError, PipelineError, ReproError
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.service import (
     CompilationService,
@@ -146,6 +146,39 @@ class TestRequestSurface:
         assert replay.runtime_iterations == 0
         with pytest.raises(ReproError):
             _ = result.pulse_duration_ns
+
+    @pytest.mark.parametrize(
+        "strategy, options",
+        [
+            ("strict-partial", {}),
+            ("flexible-partial", {"tuning_samples": 1}),
+        ],
+    )
+    @pytest.mark.parametrize("extra", [-1, 3])
+    def test_partial_runtimes_reject_wrong_value_counts(
+        self, workload, coarse_settings, coarse_hyper, strategy, options, extra
+    ):
+        """A value sequence must bind every parameter exactly once: the
+        partial runtimes refuse one too long or too short, as full-grape
+        and gate do, instead of truncating it."""
+        circuit, theta = workload
+        values = list(theta) + [0.5] * extra if extra > 0 else theta[:extra]
+        with CompilationService(
+            settings=coarse_settings, hyperparameters=coarse_hyper
+        ) as service:
+            with pytest.raises(CompilationError) as excinfo:
+                service.compile(
+                    CompileRequest(
+                        circuit,
+                        values,
+                        strategy=strategy,
+                        max_block_width=2,
+                        options=options,
+                    )
+                )
+        message = str(excinfo.value)
+        assert f"{len(theta)} parameters" in message
+        assert f"{len(values)} values" in message
 
     def test_unknown_strategy_rejected(self, workload):
         circuit, theta = workload

@@ -38,7 +38,6 @@ def test_blocking_runs_once_per_ansatz(loop_results):
     plan = stats["plan_cache"]
     assert plan["plan_misses"] == 1
     assert plan["plan_hits"] == len(THETAS) - 1
-    assert plan["blocking_passes_skipped"] == len(THETAS) - 1
     assert plan["entries"] == 1
 
 
@@ -83,6 +82,5 @@ def test_cache_off_bypasses_plans(workload, coarse_settings, coarse_hyper):
         "entries": 0,
         "plan_hits": 0,
         "plan_misses": 0,
-        "blocking_passes_skipped": 0,
         "evictions": 0,
     }

@@ -30,7 +30,10 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 #: timed what ``benchmarks/e2e`` already measures (their checks are plain
 #: tests now) and the second serial-vs-``auto`` bench: ``pipeline`` is
 #: the one.  Then the scheduler's cross-call memory: the pulse cache's
-#: memory tier is the one memory of compiled blocks.
+#: memory tier is the one memory of compiled blocks.  Then the plan
+#: cache's duplicate counter (it always equalled ``plan_hits``) and the
+#: caller scope string: a plan key names its blocking mode, and the
+#: blocking stage is the one replay route.
 REMOVED_NAMES = (
     "GateBasedCompiler",
     "StepFunctionGateCompiler",
@@ -60,6 +63,9 @@ REMOVED_NAMES = (
     "scheduler_state",
     "_SeenBlock",
     "_retarget_outcome",
+    "note_skip",
+    "blocking_passes_skipped",
+    "plan_scope",
 )
 # A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
 # must not match their removed public names.
