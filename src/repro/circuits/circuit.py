@@ -64,6 +64,12 @@ class Instruction:
 class QuantumCircuit:
     """An ordered list of gate applications on ``num_qubits`` qubits."""
 
+    # Caches of ``parameters`` and ``content_fingerprint()``; ``append``,
+    # the one mutator, clears them.  Circuits built without ``__init__``
+    # (unpickled copies) read these class defaults.
+    _parameters: tuple | None = None
+    _fingerprint: str | None = None
+
     def __init__(self, num_qubits: int, name: str = "circuit"):
         if num_qubits < 1:
             raise CircuitError(f"circuit needs at least one qubit, got {num_qubits}")
@@ -79,6 +85,7 @@ class QuantumCircuit:
             if q < 0 or q >= self.num_qubits:
                 raise CircuitError(f"qubit {q} out of range for width {self.num_qubits}")
         self._instructions.append(Instruction(gate, qubits))
+        self._parameters = self._fingerprint = None
         return self
 
     # Convenience constructors for the gate library.
@@ -174,10 +181,12 @@ class QuantumCircuit:
     @property
     def parameters(self) -> tuple:
         """Symbolic parameters in index order (θ_0, θ_1, …)."""
-        seen: set = set()
-        for inst in self._instructions:
-            seen |= inst.parameters
-        return tuple(sorted(seen))
+        if self._parameters is None:
+            seen: set = set()
+            for inst in self._instructions:
+                seen |= inst.parameters
+            self._parameters = tuple(sorted(seen))
+        return self._parameters
 
     def is_parameterized(self) -> bool:
         return any(inst.parameters for inst in self._instructions)
@@ -217,19 +226,22 @@ class QuantumCircuit:
         keys on the pre-binding circuit), and circuits that differ in any
         gate, qubit, or angle get distinct keys.  The digest is independent
         of the circuit ``name``, interpreter hash randomization, and
-        pickling, so it is safe to key on-disk state.
+        pickling, so it is safe to key on-disk state.  It is hashed once
+        and kept until the next :meth:`append`.
         """
-        items = [("width", self.num_qubits)]
-        for inst in self._instructions:
-            items.append(
-                (
-                    inst.gate.name,
-                    inst.qubits,
-                    tuple(angle_token(p) for p in inst.gate.params),
+        if self._fingerprint is None:
+            items = [("width", self.num_qubits)]
+            for inst in self._instructions:
+                items.append(
+                    (
+                        inst.gate.name,
+                        inst.qubits,
+                        tuple(angle_token(p) for p in inst.gate.params),
+                    )
                 )
-            )
-        payload = repr(items).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+            payload = repr(items).encode("utf-8")
+            self._fingerprint = hashlib.sha256(payload).hexdigest()
+        return self._fingerprint
 
     # -- transformations --------------------------------------------------------
     def copy(self, name: str | None = None) -> "QuantumCircuit":

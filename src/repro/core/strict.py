@@ -19,6 +19,7 @@ the compiler is built.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Sequence
 
@@ -46,13 +47,13 @@ def _lookup_plan_entry(task: BlockTask) -> tuple:
     return ("lookup", inst.qubits, inst.gate.name, inst.gate.params[0])
 
 
-def _lookup_pulse(entry: tuple):
-    """The lookup pulse of one ``("lookup", …)`` plan slot.
+@functools.cache
+def _lookup_pulse(qubits: tuple, gate_name: str):
+    """The lookup pulse of a ``("lookup", qubits, gate_name, θ)`` plan slot.
 
-    Its duration depends on the gate name only, never on θ, and its
-    controls are read-only: every result of one compiler shares them.
+    Its duration depends on the gate name only, never on θ, so it is
+    built once; every result shares its read-only controls.
     """
-    _, qubits, gate_name, _expr = entry
     duration = GATE_DURATIONS_NS.get(gate_name, GATE_DURATIONS_NS["rz"])
     schedule = lookup_schedule(qubits, duration)
     schedule.controls.flags.writeable = False
@@ -85,7 +86,7 @@ class _StrictPartialCompiler:
         self.report = report
         self.parameters = circuit.parameters
         schedules = [
-            entry[1] if entry[0] == "pulse" else _lookup_pulse(entry)
+            entry[1] if entry[0] == "pulse" else _lookup_pulse(*entry[1:3])
             for entry in plan
         ]
         program = PulseProgram.sequence(schedules)

@@ -4,10 +4,11 @@ Variational workloads compile one ansatz thousands of times, and its
 blocking pass depends only on circuit content.  A :class:`CompilationPlan`
 captures that pass once per ansatz: block boundaries (instruction indices
 and sorted device qubits — :func:`repro.blocking.aggregate.aggregate_blocks`
-partitions on gate qubits, never on angles), the dedup key of every
-θ-independent block, a ``parametrized`` marker per block, and the
-circuit's gate-based duration (ASAP lookup durations come from gate names
-only, so the strictly-not-worse baseline is θ-independent too).
+partitions on gate qubits, never on angles), the dedup key, local
+subcircuit and gate-based time of every θ-independent block, a
+``parametrized`` marker per block, and the circuit's gate-based duration
+(ASAP lookup durations come from gate names only, so the
+strictly-not-worse baseline is θ-independent too).
 
 A plan has one of two blocking modes, and :func:`plan_key` names it:
 ``plain`` blocks a bound circuit for full GRAPE, and replay leaves each
@@ -34,6 +35,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.dag import critical_path_ns
 from repro.pipeline.stages import BlockTask, PipelineContext, lookup_program
 
 #: Blocking modes a plan can capture (see the module docstring).
@@ -47,18 +49,22 @@ def device_token(device) -> tuple:
     Everything :func:`~repro.pulse.control.build_control_set` folds into a
     block's control context must appear here — a plan's cached dedup keys
     embed per-block control contexts, so two devices with different tokens
-    must never share a plan.
+    must never share a plan.  A device is immutable once built, so the
+    token is computed once and kept on it.
     """
-    return (
-        type(device).__name__,
-        device.num_qubits,
-        device.topology.edges,
-        device.levels,
-        float(device.max_charge).hex(),
-        float(device.max_flux).hex(),
-        float(device.max_coupling).hex(),
-        float(device.anharmonicity).hex(),
-    )
+    token = getattr(device, "_plan_token", None)
+    if token is None:
+        token = device._plan_token = (
+            type(device).__name__,
+            device.num_qubits,
+            device.topology.edges,
+            device.levels,
+            float(device.max_charge).hex(),
+            float(device.max_flux).hex(),
+            float(device.max_coupling).hex(),
+            float(device.anharmonicity).hex(),
+        )
+    return token
 
 
 def plan_key(
@@ -92,6 +98,9 @@ class PlanBlock:
     blocks (``None`` for trivial zero-duration blocks); ``parametrized``
     blocks store no key — a plain plan leaves their binding-dependent key
     to the scheduler, an isolate plan replays them as ``Rz(θ)`` tasks.
+    A θ-independent block's ``subcircuit`` is shared, read-only, by every
+    replay; ``gate_ns``, its gate-based time, depends on gate names only
+    (``None`` for isolated ``Rz(θ)`` singletons).
     """
 
     instruction_indices: tuple
@@ -99,6 +108,8 @@ class PlanBlock:
     local_index: int
     parametrized: bool
     dedup_key: tuple | None
+    subcircuit: QuantumCircuit | None
+    gate_ns: float | None
 
 
 @dataclass(frozen=True)
@@ -118,13 +129,13 @@ class CompilationPlan:
     def apply(self, context: PipelineContext) -> None:
         """Populate ``context.tasks`` from the plan, skipping aggregation.
 
-        Reads the context's working circuit (bound for a plain plan,
-        symbolic for an isolate plan).  Rebuilds each fixed block's local
-        subcircuit exactly as
-        :meth:`~repro.blocking.aggregate.BlockedCircuit.local_circuit`
-        would and pre-keys every θ-independent one, so the scheduler skips
-        its per-block fingerprinting too; an isolate plan's parametrized
-        singletons take the instruction at their stored index.
+        Every θ-independent block takes its stored subcircuit, dedup key
+        and gate time, so replay builds no circuit and the scheduler keys
+        and times none of these blocks.  Only a plain plan's parametrized
+        blocks are rebuilt, from the context's bound working circuit,
+        exactly as :meth:`~repro.blocking.aggregate.BlockedCircuit
+        .local_circuit` would; an isolate plan's parametrized singletons
+        take the symbolic instruction at their stored index.
         """
         circuit = context.working
         tasks = []
@@ -141,19 +152,22 @@ class CompilationPlan:
                     )
                 )
                 continue
-            local = {q: i for i, q in enumerate(spec.qubit_order)}
-            sub = QuantumCircuit(
-                len(spec.qubit_order),
-                name=f"{circuit.name}_block{spec.local_index}",
-            )
-            for idx in spec.instruction_indices:
-                inst = circuit[idx]
-                sub.append(inst.gate, tuple(local[q] for q in inst.qubits))
+            sub = spec.subcircuit
+            if spec.parametrized:
+                local = {q: i for i, q in enumerate(spec.qubit_order)}
+                sub = QuantumCircuit(
+                    len(spec.qubit_order),
+                    name=f"{circuit.name}_block{spec.local_index}",
+                )
+                for idx in spec.instruction_indices:
+                    inst = circuit[idx]
+                    sub.append(inst.gate, tuple(local[q] for q in inst.qubits))
             task = BlockTask(
                 index=len(tasks),
                 subcircuit=sub,
                 device_qubits=spec.qubit_order,
                 local_index=spec.local_index,
+                gate_ns=spec.gate_ns,
             )
             if not spec.parametrized:
                 task.dedup_key = spec.dedup_key
@@ -174,8 +188,9 @@ def build_plan(
     to its instruction order, which binding preserves) and
     ``context.blocked[0].blocks`` aligns one-to-one with
     ``context.tasks``.  As a side effect every fixed task gets its dedup
-    key attached, so the cold pass's scheduler does not compute them a
-    second time, and the context gets the plan's gate-based duration.
+    key and gate time attached, so the cold pass's scheduler does not
+    compute them a second time, and the context gets the plan's gate-based
+    duration.
     """
     symbolic = context.circuit
     specs = []
@@ -185,6 +200,7 @@ def build_plan(
                 task.subcircuit, task.device_qubits
             )
             task.dedup_key_known = True
+            task.gate_ns = critical_path_ns(task.subcircuit)
         parametrized = any(
             symbolic[idx].parameters for idx in block.instruction_indices
         )
@@ -195,6 +211,8 @@ def build_plan(
                 local_index=task.local_index,
                 parametrized=parametrized,
                 dedup_key=None if parametrized else task.dedup_key,
+                subcircuit=None if parametrized else task.subcircuit,
+                gate_ns=task.gate_ns,
             )
         )
     context.gate_based_ns = lookup_program(context.working).duration_ns

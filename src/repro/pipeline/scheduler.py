@@ -114,8 +114,11 @@ class BlockScheduler:
     def _served(self, task, entry):
         """A block's outcome from a cache entry compiled for its key: the
         cache-hit rule, judged against this task's own gate time."""
+        gate_ns = task.gate_ns
+        if gate_ns is None:
+            gate_ns = critical_path_ns(task.subcircuit)
         return self.block_compiler._cache_hit_outcome(
-            task.device_qubits, critical_path_ns(task.subcircuit), entry
+            task.device_qubits, gate_ns, entry
         )
 
     def _dispatch_all(self, order: list, dispatch_tasks: list) -> tuple:

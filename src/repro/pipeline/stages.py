@@ -62,6 +62,8 @@ class BlockTask:
         (:meth:`~repro.core.compiler.BlockPulseCompiler.task_identity`),
         else ``None``; the compile route reuses it instead of building
         the matrix again.
+    gate_ns:
+        The block's gate-based time when a plan supplied it, else ``None``.
     """
 
     index: int
@@ -73,6 +75,7 @@ class BlockTask:
     dedup_key: Any = None
     dedup_key_known: bool = False
     target: Any = None
+    gate_ns: float | None = None
 
 
 @dataclass

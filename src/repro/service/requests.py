@@ -11,6 +11,8 @@ strategies, the reusable precompiled plan.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -27,8 +29,10 @@ class CompileRequest:
         The (possibly parametrized) :class:`~repro.circuits.QuantumCircuit`.
     values:
         Parameter values to bind — a sequence in parameter-index order or a
-        mapping.  ``None`` is allowed for bound circuits, and for the
-        partial-compilation strategies it means *precompile only*: the
+        mapping.  A NaN or infinite value raises
+        :class:`~repro.errors.ReproError` naming its parameter.  ``None``
+        is allowed for bound circuits, and for the partial-compilation
+        strategies it means *precompile only*: the
         result carries the reusable plan compiler but no pulse program.
     strategy:
         Registry key of the compilation strategy (``"gate"``,
@@ -70,6 +74,23 @@ class CompileRequest:
                 f"CompileRequest.strategy must be a registry key, "
                 f"got {self.strategy!r}"
             )
+        self._check_finite()
+
+    def _check_finite(self) -> None:
+        """Reject a NaN or infinite value, naming its parameter: the one
+        check for every strategy and the wire decode."""
+        if self.values is None:
+            return
+        if isinstance(self.values, Mapping):
+            pairs = self.values.items()
+        else:
+            pairs = zip(getattr(self.circuit, "parameters", ()), self.values)
+        for param, value in pairs:
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ReproError(
+                    f"parameter {getattr(param, 'name', param)} must have "
+                    f"a finite value, got {value!r}"
+                )
 
     def option(self, name: str, default=None):
         """One strategy-specific option, with a default."""

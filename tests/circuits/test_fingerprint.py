@@ -129,3 +129,46 @@ class TestSeparation:
         b = ansatz.bind_parameters([1.1, -0.3])
         assert a.content_fingerprint() != b.content_fingerprint()
         assert a.content_fingerprint() != ansatz.content_fingerprint()
+
+
+class TestCachedKeys:
+    """The fingerprint and the parameter tuple are computed once per
+    circuit, and ``append`` — the one mutator — drops both."""
+
+    def test_append_refreshes_fingerprint_and_parameters(self):
+        circuit = _ansatz()
+        before = circuit.content_fingerprint()
+        assert circuit.parameters == (Parameter("theta_0"), Parameter("theta_1"))
+        extra = Parameter("theta_2")
+        circuit.ry(extra, 0)
+        rebuilt = _ansatz()
+        rebuilt.ry(extra, 0)
+        assert circuit.content_fingerprint() != before
+        assert circuit.content_fingerprint() == rebuilt.content_fingerprint()
+        assert circuit.parameters == rebuilt.parameters
+        assert circuit.parameters[-1] == extra
+
+    def test_copy_and_compose_do_not_share_the_cache(self):
+        circuit = _ansatz()
+        key = circuit.content_fingerprint()
+        grown = circuit.compose(_ansatz())
+        copied = circuit.copy()
+        copied.h(2)
+        assert circuit.content_fingerprint() == key
+        assert len({key, grown.content_fingerprint(), copied.content_fingerprint()}) == 3
+
+    def test_circuit_built_without_init_computes_its_keys(self):
+        """An unpickled circuit from before the cache existed carries no
+        cache attributes; it falls back to computing them."""
+        circuit = _ansatz()
+        bare = QuantumCircuit.__new__(QuantumCircuit)
+        bare.__dict__.update(
+            num_qubits=circuit.num_qubits,
+            name=circuit.name,
+            _instructions=list(circuit),
+        )
+        assert bare.content_fingerprint() == circuit.content_fingerprint()
+        assert bare.parameters == circuit.parameters
+        clone = pickle.loads(pickle.dumps(circuit))
+        clone.h(0)
+        assert clone.content_fingerprint() != circuit.content_fingerprint()

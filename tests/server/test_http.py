@@ -141,6 +141,18 @@ class TestErrorPaths:
         assert exc_info.value.status == 400
         assert next(iter(options)) in str(exc_info.value)
 
+    @pytest.mark.parametrize("strategy", ["gate", "full-grape", "strict-partial"])
+    def test_non_finite_value_is_400(self, client, raw_post, make_request, strategy):
+        """JSON's ``NaN`` reaches the server as a float; the request is
+        refused before any compile, as a bad request."""
+        payload = encode_request(make_request(strategy, max_block_width=2))
+        payload["values"][1] = float("nan")
+        status, body = raw_post(
+            client.url + "/v1/compile", json.dumps(payload).encode()
+        )
+        assert status == 400
+        assert "theta_1" in body["error"] and "finite" in body["error"]
+
     def test_unknown_mode_is_400(self, client, make_request):
         payload = encode_request(make_request("gate"))
         payload["mode"] = "telepathy"

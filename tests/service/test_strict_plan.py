@@ -1,21 +1,24 @@
 """Strict partial compilation replays a per-ansatz blocking plan.
 
 A strict request precompiles the *symbolic* circuit, so its isolate-θ
-blocking, its Fixed-block keys and its gate-based duration depend only on
-the ansatz.  The first request of an ansatz records them in the service's
-plan cache; every later request replays them inside
-``BlockingStage.run`` and still runs one scheduler pass over the pulse
-cache.
+blocking, its Fixed-block keys and subcircuits, their gate times and the
+gate-based duration depend only on the ansatz.  The first request of an
+ansatz records them in the service's plan cache; every later request
+replays them inside ``BlockingStage.run`` and still runs one scheduler
+pass over the pulse cache.
 """
 
 import hashlib
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.circuits import Parameter, QuantumCircuit
+from repro.core.cache import PulseCache
 from repro.core.compiler import BlockPulseCompiler
+from repro.pipeline.scheduler import BlockScheduler
 from repro.pipeline.stages import BlockingStage
 from repro.service import CompilationService, CompileRequest, ServiceConfig
 
@@ -110,6 +113,119 @@ def test_second_request_replays_the_plan(
     # The scheduler pass still claims every Fixed block on the pulse cache.
     scheduler = second.precompile_report.metadata["scheduler"]
     assert scheduler["reused_blocks"] == second.precompile_report.blocks_precompiled
+
+
+def test_warm_request_builds_no_circuit_times_no_block_and_hashes_nothing(
+    monkeypatch, workload, coarse_settings, coarse_hyper
+):
+    """A call count, not a timing: the second request of an ansatz takes
+    every Fixed subcircuit and gate time from the plan and its circuit's
+    fingerprint from the circuit, yet still runs every layer and claims
+    each Fixed block on the pulse cache."""
+    circuit, _ = workload
+    with _service(coarse_settings, coarse_hyper) as service:
+        service.compile(_strict(circuit, THETAS[0]))
+        (plan,) = service.plan_cache.plans.values()
+        spies = {
+            "append": _spy_method(monkeypatch, QuantumCircuit, "append"),
+            "critical_path_ns": _spy_everywhere(
+                monkeypatch, "repro.circuits.dag", "critical_path_ns"
+            ),
+            "sha256": _Counter(hashlib.sha256),
+        }
+        monkeypatch.setattr(hashlib, "sha256", spies["sha256"])
+        layers = {
+            "blocking": _spy_method(monkeypatch, BlockingStage, "run"),
+            "scheduler": _spy_method(monkeypatch, BlockScheduler, "run"),
+            "claim": _spy_method(monkeypatch, PulseCache, "claim"),
+        }
+        service.compile(_strict(circuit, THETAS[1]))
+    assert {name: spy.calls for name, spy in spies.items()} == dict.fromkeys(spies, 0)
+    fixed = [b for b in plan.blocks if not b.parametrized and b.dedup_key is not None]
+    assert fixed
+    assert {name: spy.calls for name, spy in layers.items()} == {
+        "blocking": 1,
+        "scheduler": 1,
+        "claim": len(fixed),
+    }
+
+
+@pytest.mark.parametrize("strategy", ["strict-partial", "full-grape"])
+def test_a_circuit_changed_after_its_first_request_gets_its_own_plan(
+    workload, coarse_settings, coarse_hyper, strategy
+):
+    """Appending to a circuit drops its cached fingerprint, so the next
+    request keys, blocks and compiles the new content — exactly what a
+    fresh service makes of an equal circuit."""
+    circuit, theta = workload
+    circuit = circuit.copy()
+
+    def request(c):
+        return CompileRequest(c, theta, strategy=strategy, max_block_width=2)
+
+    with _service(coarse_settings, coarse_hyper) as service:
+        before = service.compile(request(circuit))
+        circuit.h(0).cx(0, 1)
+        after = service.compile(request(circuit))
+        plan = service.stats()["plan_cache"]
+    with _service(coarse_settings, coarse_hyper) as fresh:
+        reference = fresh.compile(request(circuit.copy()))
+    assert (plan["plan_misses"], plan["plan_hits"], plan["entries"]) == (2, 0, 2)
+    assert _digest(after) == _digest(reference)
+    assert _digest(after) != _digest(before)
+
+
+def test_concurrent_strict_and_full_grape_replays_match_serial(
+    workload, coarse_settings, coarse_hyper
+):
+    """Concurrent replays of one ansatz's plans share each plan's stored
+    subcircuits across threads; every result is bit-identical to the
+    same requests compiled one by one.  Warm start is off, so no result
+    depends on which request cached its pulses first."""
+    circuit, _ = workload
+    config = ServiceConfig(executor="serial", warm_start=False)
+    warmup = [
+        _strict(circuit, THETAS[0]),
+        CompileRequest(circuit, THETAS[0], strategy="full-grape", max_block_width=2),
+    ]
+    requests = [
+        CompileRequest(circuit, theta, strategy=strategy, max_block_width=2)
+        for theta in THETAS[1:] + THETAS[1:]
+        for strategy in ("strict-partial", "full-grape")
+    ]
+
+    def service():
+        return CompilationService(
+            config=config, settings=coarse_settings, hyperparameters=coarse_hyper
+        )
+
+    with service() as serial_service:
+        for request in warmup:
+            serial_service.compile(request)
+        serial = [serial_service.compile(request) for request in requests]
+
+    with service() as concurrent_service:
+        for request in warmup:
+            concurrent_service.compile(request)
+        futures = [None] * len(requests)
+        barrier = threading.Barrier(len(requests))
+
+        def submit(index):
+            barrier.wait()
+            futures[index] = concurrent_service.submit(requests[index])
+
+        threads = [
+            threading.Thread(target=submit, args=(i,)) for i in range(len(requests))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        concurrent = [future.result(timeout=300) for future in futures]
+        plan = concurrent_service.stats()["plan_cache"]
+
+    assert (plan["plan_misses"], plan["plan_hits"]) == (2, len(requests))
+    assert [_digest(r) for r in concurrent] == [_digest(r) for r in serial]
 
 
 def test_results_are_bit_identical_with_and_without_cache(

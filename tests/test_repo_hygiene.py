@@ -189,6 +189,66 @@ def test_removed_knob_is_not_a_field(field_name, value):
         ServiceConfig(**{field_name: value})
 
 
+#: List methods that change a list in place.
+_LIST_MUTATORS = frozenset(
+    {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+)
+
+
+def _instruction_writers(tree) -> list:
+    """``(function, line)`` of every write to an ``_instructions``
+    attribute in ``tree``: assignment, deletion, item assignment or an
+    in-place list method.  ``function`` is the innermost enclosing
+    ``def`` (``None`` at module level)."""
+
+    def is_target(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_instructions"
+
+    writers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        writes = (
+            (is_target(node) and isinstance(node.ctx, (ast.Store, ast.Del)))
+            or (
+                isinstance(node, ast.Subscript)
+                and is_target(node.value)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+            )
+            or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _LIST_MUTATORS
+                and is_target(node.func.value)
+            )
+        )
+        if writes:
+            writers.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return writers
+
+
+def test_only_the_circuit_constructors_and_append_write_instructions():
+    """``QuantumCircuit`` caches its fingerprint and parameters and
+    ``append`` clears them, so a method that changed ``_instructions``
+    any other way would serve a stale key.  Only ``__init__``, ``append``
+    and ``copy`` (which fills a fresh circuit) in ``circuits/circuit.py``
+    write it, and no other module does."""
+    home = REPO / "src" / "repro" / "circuits" / "circuit.py"
+    found = {}
+    for path in SRC_MODULES:
+        writers = _instruction_writers(ast.parse(path.read_text()))
+        if path == home:
+            assert {name for name, _ in writers} == {"__init__", "append", "copy"}
+        elif writers:
+            found[str(path.relative_to(REPO))] = writers
+    assert found == {}
+
+
 def test_service_config_field_count_is_pinned():
     """A ratchet: adding a knob means editing this number, so every new
     field shows up in review as a test change."""
