@@ -28,13 +28,6 @@ the service's caches, sessions and HTTP frontend are plain tests.
   services.  Both must give the same blocks and pulse duration; ``auto``
   must never be slower than ``serial`` beyond a noise margin on any
   host, and must win outright when it forked a search worker.
-* ``service_load`` — concurrent clients pushing disjoint requests
-  through one service with the in-process dispatcher (the ``auto``
-  executor and its forked worker pool) vs the ``queue`` dispatcher
-  drained by 1 and 2 ``repro worker`` processes on the same host,
-  reporting per-request latency (p50/p99) and throughput, results
-  checked identical across dispatchers.  The CI gate: the in-process
-  pool is never slower than the 2-worker fleet beyond a noise margin.
 * ``warm_start`` — warm-started GRAPE: near-miss variants of a cached
   block compiled cold vs neighbor-seeded (approximate-match retrieval
   from the pulse cache) vs KAK-seeded (analytic fallback, empty cache).
@@ -42,7 +35,7 @@ the service's caches, sessions and HTTP frontend are plain tests.
   lengthens the pulses; the committed full run must show the ≥30%
   iteration-reduction headline.
 
-The compile-level benches (``pipeline``, ``service_load``) run through
+The compile-level bench (``pipeline``) runs through
 :class:`repro.service.CompilationService` — the supported front door — so
 the numbers track what real callers see.
 
@@ -326,246 +319,6 @@ def bench_pipeline(quick: bool) -> dict:
             f"{auto['wall_s']:.2f} s vs {serial_wall:.2f} s"
         )
     return {"entries": entries, "derived": derived}
-
-
-def bench_service_load(quick: bool) -> dict:
-    """Concurrent clients vs dispatcher choice: in-process vs worker fleet.
-
-    The load generator drives one :class:`~repro.service.CompilationService`
-    with C concurrent clients submitting disjoint requests (no shared
-    blocks), once per dispatcher config:
-
-    * ``inline`` — the default in-process dispatcher: the ``auto``
-      executor, whose overlapping requests hand their tasks to its forked
-      worker pool.
-    * ``fleet_1w`` / ``fleet_2w`` — a ``fleet_dir`` drained by 1
-      and 2 ``python -m repro worker`` processes started beside the
-      service, pulling :class:`~repro.pipeline.jobs.BlockJob`\\ s from the
-      file-backed queue (quick mode runs only ``fleet_2w``).
-
-    Every config gets one untimed warmup round (absorbing numpy import and
-    cold caches) and then timed rounds over *fresh* circuits (distinct
-    rotation angles, so neither the pulse cache nor block dedup can hide
-    compile work).  Reported: per-request latency p50/p99 and round
-    throughput, best-of across rounds.  Results must be identical across
-    dispatchers (warm start pinned off — neighbor seeding depends on cache
-    arrival order, which concurrency would make nondeterministic).
-
-    The gate: on one host the in-process pool is the local venue, so it
-    must never be slower than the 2-worker fleet beyond a noise margin
-    (``fleet_2w_vs_inline`` ≤ 1.35).  The fleet is for workers on other
-    hosts; this bench keeps its per-job queue cost in view.
-    """
-    import tempfile
-
-    # Full mode drives enough concurrent clients that the inline
-    # dispatcher's submit threads overlap in run_tasks (each overlapping
-    # request hands its search to one of auto's forked workers, or runs
-    # it under the interpreter lock when none is idle), and takes best-of
-    # over several rounds so one scheduler hiccup cannot decide the
-    # ratio.
-    clients = 4 if quick else 6
-    per_client = 1 if quick else 2
-    timed_rounds = 2 if quick else 3
-    n_requests = clients * per_client
-    # A tight fidelity target keeps each block's GRAPE search substantial,
-    # so the fixed per-job queue cost (pickle + poll + lease) is measured
-    # against realistic compile times, not against trivial blocks.
-    settings = GrapeSettings(dt_ns=0.5, target_fidelity=0.99)
-    hyper = GrapeHyperparameters(
-        learning_rate=0.05,
-        decay_rate=0.002,
-        # Same iteration budget in both modes: quick shrinks the client
-        # count and rounds, not the per-block compile the overhead is
-        # measured against (trivial blocks would gate on queue constants).
-        max_iterations=300,
-    )
-    root = Path(tempfile.mkdtemp(prefix="bench_service_load_"))
-
-    def _load_circuit(tag: str, offset: float) -> QuantumCircuit:
-        # One 2-qubit block per request — the block IS the fleet's
-        # dispatch unit, so a single-block workload measures dispatch
-        # against compute.  (Multi-block requests would let the inline
-        # path fold same-shape blocks into the cross-block batched GRAPE
-        # kernel — a real but orthogonal advantage, measured on its own
-        # in BENCH_grape_batch.)  The offset makes every circuit's
-        # rotation (hence block unitary) unique across rounds/requests.
-        circuit = QuantumCircuit(2, name=f"load_{tag}")
-        circuit.h(0)
-        circuit.cx(0, 1)
-        circuit.rz(offset + 0.1, 1)
-        circuit.cx(0, 1)
-        return circuit
-
-    def _round_circuits(round_index: int) -> list:
-        return [
-            _load_circuit(
-                f"r{round_index}_{i}", 0.07 * (round_index * n_requests + i + 1)
-            )
-            for i in range(n_requests)
-        ]
-
-    def _run_round(service, circuits):
-        """Submit one batch concurrently; per-request latency via callbacks."""
-        latencies: list = []
-        futures = []
-        start = time.perf_counter()
-        for circuit in circuits:
-            request = CompileRequest(
-                circuit=circuit, strategy="full-grape", max_block_width=2
-            )
-            submitted = time.perf_counter()
-            future = service.submit(request)
-            future.add_done_callback(
-                lambda _f, t=submitted: latencies.append(
-                    time.perf_counter() - t
-                )
-            )
-            futures.append(future)
-        results = [future.result(timeout=600) for future in futures]
-        wall = time.perf_counter() - start
-        return wall, latencies, [r.program.duration_ns for r in results]
-
-    configs = [
-        ("inline", 0, ServiceConfig(submit_workers=clients, warm_start=False,
-                                    queue_depth=n_requests)),
-    ]
-    fleet_counts = (2,) if quick else (1, 2)
-    for count in fleet_counts:
-        configs.append(
-            (
-                f"fleet_{count}w",
-                count,
-                ServiceConfig(
-                    submit_workers=clients,
-                    warm_start=False,
-                    queue_depth=n_requests,
-                    fleet_dir=str(root / f"fleet_{count}w"),
-                ),
-            )
-        )
-
-    entries = []
-    derived: dict = {}
-    durations_by_round: dict = {}
-    for config_name, worker_count, config in configs:
-        walls, all_latencies = [], []
-        workers = _start_fleet_workers(config.fleet_dir, worker_count)
-        service = CompilationService(
-            config=config,
-            device=GmonDevice(line_topology(4)),
-            settings=settings,
-            hyperparameters=hyper,
-        )
-        try:
-            # Warmup (untimed): pays the fleet workers' first-job imports
-            # and warms module caches for every config.
-            _run_round(service, _round_circuits(100))
-            for round_index in range(timed_rounds):
-                wall, latencies, durations = _run_round(
-                    service, _round_circuits(round_index)
-                )
-                walls.append(wall)
-                all_latencies.extend(latencies)
-                durations_by_round.setdefault(round_index, {})[config_name] = (
-                    durations
-                )
-                entries.append(
-                    {
-                        "name": f"{config_name}_round_{round_index}",
-                        "wall_s": round(wall, 4),
-                        "requests": n_requests,
-                        "clients": clients,
-                        "throughput_rps": round(n_requests / wall, 3),
-                    }
-                )
-            executor_info = service.executor.describe()
-            backpressure = service.stats()["requests"]["backpressure_waits"]
-        finally:
-            service.close()
-            _stop_fleet_workers(workers)
-        best_wall = min(walls)
-        latencies_ms = np.asarray(all_latencies) * 1e3
-        derived[f"{config_name}_throughput_rps"] = round(
-            n_requests / best_wall, 3
-        )
-        derived[f"{config_name}_p50_ms"] = round(
-            float(np.percentile(latencies_ms, 50)), 1
-        )
-        derived[f"{config_name}_p99_ms"] = round(
-            float(np.percentile(latencies_ms, 99)), 1
-        )
-        derived[f"{config_name}_backpressure_waits"] = backpressure
-        if config_name.startswith("fleet"):
-            derived[f"{config_name}_completions_by_worker"] = executor_info[
-                "completions_by_worker"
-            ]
-        print(
-            f"  service_load {config_name}: best {best_wall:.2f} s "
-            f"({n_requests / best_wall:.2f} req/s, "
-            f"p50 {derived[f'{config_name}_p50_ms']:.0f} ms, "
-            f"p99 {derived[f'{config_name}_p99_ms']:.0f} ms)"
-        )
-
-    for round_index, by_config in durations_by_round.items():
-        expected = by_config["inline"]
-        for config_name, durations in by_config.items():
-            if durations != expected:
-                raise AssertionError(
-                    f"dispatcher {config_name} disagreed with inline on "
-                    f"round {round_index}: {durations} vs {expected}"
-                )
-    derived["durations_match"] = True
-
-    ratio = round(
-        derived["fleet_2w_throughput_rps"] / derived["inline_throughput_rps"],
-        3,
-    )
-    derived["fleet_2w_vs_inline"] = ratio
-    # The "never slower" gate, on the venue a service uses on one host.
-    if ratio > 1.35:
-        raise AssertionError(
-            f"the in-process pool was slower than a 2-worker fleet beyond "
-            f"the noise margin: fleet {ratio:.2f}x in-process"
-        )
-    return {"entries": entries, "derived": derived}
-
-
-def _start_fleet_workers(fleet_dir, count: int) -> list:
-    """``count`` ``repro worker`` processes on ``fleet_dir``, returned once
-    the queue counts them live."""
-    import subprocess
-
-    from repro.fleet.queue import FleetQueue
-    from repro.fleet.worker import spawn_worker
-
-    if not count:
-        return []
-    workers = [
-        spawn_worker(fleet_dir, "--poll", "0.05", stderr=subprocess.DEVNULL)
-        for _ in range(count)
-    ]
-    queue = FleetQueue(fleet_dir)
-    deadline = time.monotonic() + 120
-    while queue.live_workers() < count:
-        if time.monotonic() > deadline or any(
-            worker.poll() is not None for worker in workers
-        ):
-            _stop_fleet_workers(workers)
-            raise RuntimeError(f"fleet workers on {fleet_dir} never registered")
-        time.sleep(0.02)
-    return workers
-
-
-def _stop_fleet_workers(workers) -> None:
-    """SIGTERM (drain) every worker, then reap it."""
-    import signal
-
-    for worker in workers:
-        if worker.poll() is None:
-            worker.send_signal(signal.SIGTERM)
-    for worker in workers:
-        worker.wait(timeout=60)
 
 
 def bench_grape_batch(quick: bool) -> dict:
@@ -867,7 +620,6 @@ BENCHES = {
     "grape_batch": bench_grape_batch,
     "grape_kernel": bench_grape_kernel,
     "pipeline": bench_pipeline,
-    "service_load": bench_service_load,
     "warm_start": bench_warm_start,
 }
 

@@ -26,7 +26,6 @@ from repro import (
     blocking,
     circuits,
     core,
-    fleet,
     linalg,
     pipeline,
     pulse,
@@ -48,7 +47,6 @@ __all__ = [
     "blocking",
     "circuits",
     "core",
-    "fleet",
     "get_preset",
     "linalg",
     "pipeline",

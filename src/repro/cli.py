@@ -20,17 +20,6 @@ Small utilities for poking at the reproduction without writing a script:
 * ``config show`` — the fully resolved ``ServiceConfig``: every field with
   its value and provenance (default / env / CLI), so debugging ``REPRO_*``
   environment variables never requires a source dive.
-* ``worker`` — run one fleet worker against a file-backed work queue:
-  claim leased pure tasks (seed-carrying block searches), run them, write
-  completion records.  A worker opens no pulse library.
-  SIGTERM drains the in-flight job before exit; ``--max-jobs`` and
-  ``--idle-exit`` bound a worker's lifetime for tests and batch runs;
-  ``--lease-ttl`` is the TTL its leases and heartbeat record carry, and
-  ``--host-label`` simulates a distinct host on one box.
-* ``fleet status`` — inspect a fleet queue directory: pending/leased job
-  counts, per-lease age and staleness, worker heartbeats and
-  registrations grouped by host, live workers counted by the rule the
-  service dispatches by; ``--json`` emits the machine-readable snapshot.
 * ``serve`` — run the HTTP compilation frontend
   (:mod:`repro.server`): ``POST /v1/compile`` over one
   ``CompilationService``, with SIGTERM draining in-flight requests
@@ -185,10 +174,6 @@ CONFIG_FLAGS = {
         "action": argparse.BooleanOptionalAction,
         "help": "seed GRAPE from the nearest cached pulse or the analytic "
         "KAK decomposition (REPRO_WARM_START, else on)",
-    }),
-    "fleet_dir": ("--fleet-dir", {
-        "help": "send block searches to the `repro worker` processes "
-        "draining this queue directory (REPRO_FLEET_DIR, else in-process)",
     }),
     "queue_depth": ("--queue-depth", {
         "type": int,
@@ -486,102 +471,6 @@ def _cmd_library_gc(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from repro.fleet import FleetWorker
-
-    worker = FleetWorker(
-        args.fleet_dir,
-        lease_ttl_s=args.lease_ttl,
-        poll_s=args.poll,
-        max_jobs=args.max_jobs,
-        idle_exit_s=args.idle_exit,
-        worker_id=args.worker_id,
-        host_label=args.host_label,
-    )
-    worker.install_signal_handlers()
-    print(
-        f"worker {worker.worker_id} pulling from {args.fleet_dir}",
-        file=sys.stderr,
-    )
-    return worker.run()
-
-
-def _empty_fleet_status(directory: str) -> dict:
-    """The ``status()`` shape for a queue directory nobody created yet."""
-    return {
-        "directory": directory,
-        "pending_jobs": 0,
-        "leased_jobs": 0,
-        "completed_results": 0,
-        "leases": [],
-        "workers": [],
-        "live_workers": 0,
-        "hosts": {},
-    }
-
-
-def _cmd_fleet_status(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.fleet import FleetQueue
-
-    if not Path(args.dir).is_dir():
-        # Same contract as library stats: a queue directory nobody has
-        # written to is an *empty queue*, and inspecting it must not
-        # create it.
-        status = _empty_fleet_status(args.dir)
-        title = "fleet queue (empty — not created yet)"
-    else:
-        status = FleetQueue(args.dir).status()
-        title = "fleet queue"
-    if args.json:
-        # The machine-readable snapshot — one JSON object, nothing else.
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    rows = [
-        ("directory", status["directory"]),
-        ("pending jobs", status["pending_jobs"]),
-        ("leased jobs", status["leased_jobs"]),
-        ("completed results", status["completed_results"]),
-        ("live workers", status["live_workers"]),
-    ]
-    for host, group in sorted(status["hosts"].items()):
-        rows.append(
-            (
-                f"host {host}",
-                f"workers={group['workers']} active={group['active']} "
-                f"leases={group['leases']} jobs_done={group['jobs_done']}",
-            )
-        )
-    for lease in status["leases"]:
-        state = "STALE" if lease["stale"] else "live"
-        rows.append(
-            (
-                f"lease {lease['job_id']}",
-                f"worker={lease['worker']} host={lease.get('host')} "
-                f"age={lease['age_s']:.1f}s "
-                f"heartbeat={lease['heartbeat_age_s']:.1f}s "
-                f"reclaims={lease['reclaims']} {state}",
-            )
-        )
-    for worker in status["workers"]:
-        rows.append(
-            (
-                f"worker {worker['worker']}",
-                f"pid={worker['pid']} host={worker.get('host')} "
-                f"state={worker['state']} "
-                f"jobs_done={worker['jobs_done']} "
-                f"heartbeat={worker['heartbeat_age_s']:.1f}s "
-                f"ttl={worker.get('lease_ttl_s')}s "
-                f"version={worker.get('version')} "
-                f"{'live' if worker['live'] else 'gone'}",
-            )
-        )
-    print(format_table(("property", "value"), rows, title=title))
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import signal
     import threading
@@ -690,11 +579,9 @@ def _cmd_remote_compile(args) -> int:
         from repro.service import CompilationService
 
         # Recompile in-process with the local environment's config, minus
-        # anything non-local: the in-process run must not route through a
-        # fleet or read a warm on-disk cache the server also writes.
-        config = _resolve_config(args)[0].replace(
-            fleet_dir=None, cache_dir=None
-        )
+        # the on-disk cache: the in-process run must not read a warm
+        # library the server also writes.
+        config = _resolve_config(args)[0].replace(cache_dir=None)
         with CompilationService(config=config) as service:
             local = service.compile(request)
         verified = _pulses_identical(compiled, local.compiled)
@@ -774,84 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--iterations", type=int, default=150)
     batch.add_argument("--block-width", type=int, default=2)
     batch.add_argument("--seed", type=int, default=0)
-    _add_config_flags(
-        batch, ("executor", "cache_dir", "fleet_dir", "queue_depth")
-    )
+    _add_config_flags(batch, ("executor", "cache_dir", "queue_depth"))
     batch.set_defaults(func=_cmd_compile_batch)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run one fleet worker: claim queued tasks (block searches), "
-        "run them, write completion records (SIGTERM drains the in-flight "
-        "job)",
-    )
-    worker.add_argument(
-        "--fleet-dir",
-        required=True,
-        dest="fleet_dir",
-        help="fleet queue directory shared with the dispatcher",
-    )
-    worker.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        dest="lease_ttl",
-        help="seconds without a heartbeat before this worker's lease may "
-        "be reclaimed and its record counted gone; written into both, so "
-        "every reader judges the worker by it",
-    )
-    worker.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        help="longest idle sleep between queue polls (seconds); idle "
-        "polls back off from 1 ms up to it",
-    )
-    worker.add_argument(
-        "--max-jobs",
-        type=int,
-        default=None,
-        dest="max_jobs",
-        help="exit after completing this many jobs (default: run forever)",
-    )
-    worker.add_argument(
-        "--idle-exit",
-        type=float,
-        default=None,
-        dest="idle_exit",
-        help="exit after this many consecutive idle seconds "
-        "(default: keep polling)",
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        dest="worker_id",
-        help="identity used in leases and heartbeats (default: host-pid)",
-    )
-    worker.add_argument(
-        "--host-label",
-        default=None,
-        dest="host_label",
-        help="hostname written into leases/heartbeats instead of the real "
-        "one (simulated multi-host testing; disables same-host pid probes)",
-    )
-    worker.set_defaults(func=_cmd_worker)
-
-    fleet = sub.add_parser(
-        "fleet", help="operate on a fleet work-queue directory"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_status = fleet_sub.add_parser(
-        "status",
-        help="queue depth, leases (with staleness), and worker heartbeats",
-    )
-    fleet_status.add_argument("--dir", required=True, help="fleet queue directory")
-    fleet_status.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable status snapshot as JSON",
-    )
-    fleet_status.set_defaults(func=_cmd_fleet_status)
 
     serve = sub.add_parser(
         "serve",
@@ -865,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
             "server_port",
             "executor",
             "cache_dir",
-            "fleet_dir",
             "queue_depth",
         ),
         server_host="--host",

@@ -19,10 +19,10 @@ Two backends are provided:
   sharded on-disk :class:`repro.library.PulseLibrary`, fingerprint-keyed,
   so a *second process* (or a later session) starts warm.  Writes are
   atomic (temp file + ``os.replace``), which makes the directory safe
-  under concurrent writers — including :mod:`repro.fleet` worker
-  processes and other hosts sharing the directory over a network
-  filesystem.  The library also carries the index, the LRU/budget
-  ``gc()``, and the one-time migration of legacy flat directories.
+  under concurrent writers — other processes, and other hosts sharing
+  the directory over a network filesystem.  The library also carries
+  the index, the LRU/budget ``gc()``, and the one-time migration of
+  legacy flat directories.
 
 The service picks the backend from its ``ServiceConfig.cache_dir``; every
 other caller passes the cache it wants.

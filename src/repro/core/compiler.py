@@ -610,7 +610,8 @@ def compile_jobs(jobs: list, cache, executor) -> list:
     The one home of the per-block sequence (cache hit, warm-start seed,
     search, strictly-not-worse judgment) behind :meth:`BlockPulseCompiler
     .compile_block`, :meth:`~BlockPulseCompiler.compile_job` and every
-    executor's fixed-block route (the batch scheduler, fleet included): cache hits and warm-start seeds are resolved here,
+    executor's fixed-block route (the batch scheduler): cache hits and
+    warm-start seeds are resolved here,
     before any result is written, the cold jobs travel as seed-carrying
     pure searches through ``executor``'s ``run_tasks``, and the results
     are cached and judged here in job order.

@@ -13,9 +13,7 @@ per-θ GRAPE runs (:meth:`repro.core.flexible._FlexiblePartialCompiler
 seeds before any search runs and caches and judges the results itself,
 in block order (:func:`repro.core.compiler.compile_jobs`), so no
 executor ever ships or consults a pulse cache, and every executor gives
-the same pulses.  The fleet's ``queue`` dispatcher
-(:class:`repro.fleet.QueueDispatcher`) speaks the same ``run_tasks``
-contract, so a fixed block has one route whichever venue searches it.
+the same pulses.
 
 Choosing an executor
 --------------------
@@ -37,8 +35,6 @@ lock: only processes overlap it.
 
 Both prefer the scheduler's cross-block batched route
 (:meth:`~repro.core.compiler.BlockPulseCompiler.compile_blocks_batched`).
-Large batches reach more processes through the ``queue`` dispatcher, not
-an executor.
 """
 
 from __future__ import annotations

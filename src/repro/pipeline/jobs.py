@@ -13,8 +13,7 @@ the dispatching process resolved cache hits and seeds before any search
 ran, and it writes and judges the results itself, in block order
 (:func:`repro.core.compiler.compile_jobs`).  Every venue runs it through
 :meth:`~repro.pipeline.executors.BlockExecutor.run_tasks`: the calling
-thread, one of the ``auto`` executor's forked search workers, or a
-:mod:`repro.fleet` worker process.
+thread or one of the ``auto`` executor's forked search workers.
 
 GRAPE is deterministic for a given (target, context, settings, seed), so
 the same job searches to the same pulse bit-for-bit no matter which venue

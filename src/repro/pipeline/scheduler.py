@@ -141,7 +141,7 @@ class BlockScheduler:
 
         fixed_idx = [j for j, (kind, _) in enumerate(order) if kind == "group"]
         # Stacking needs an executor that *prefers* batching (serial and
-        # auto; the fleet's queue dispatcher ships searches instead) and at
+        # auto; an overlapping executor ships searches instead) and at
         # least two fixed representatives.
         if len(fixed_idx) >= 2 and getattr(self.executor, "prefers_batched", False):
             outcomes, stats = self.block_compiler.compile_blocks_batched(

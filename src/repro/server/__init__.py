@@ -1,7 +1,7 @@
 """The network layer: an HTTP frontend over the compilation service.
 
-The ROADMAP's fleet milestone 2 — clients on other machines compile
-through ``POST /v1/compile`` instead of importing :mod:`repro`:
+Clients on other machines compile through ``POST /v1/compile`` instead
+of importing :mod:`repro`:
 
 * :mod:`repro.server.wire` — fingerprint-stable JSON codecs for
   circuits, requests, and results (exact-float round-trips, so a remote

@@ -126,7 +126,7 @@ class ServerClient:
         return self._roundtrip("GET", "/healthz")
 
     def stats(self) -> dict:
-        """``GET /v1/stats`` — server counters + service stats + fleet."""
+        """``GET /v1/stats`` — server counters + service stats."""
         return self._roundtrip("GET", "/v1/stats")
 
     def compile(self, request):

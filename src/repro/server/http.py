@@ -14,7 +14,7 @@ Routes::
                          mode "sync" (default) → 200 with the result
                          mode "ticket"         → 202 with a ticket id
     GET  /v1/jobs/<id>   ticket state: pending | done (+ result) | error
-    GET  /v1/stats       server counters + service stats + fleet status
+    GET  /v1/stats       server counters + service stats
     GET  /healthz        200 ok | 503 draining
 
 Structured error mapping — every failure is JSON with an ``error`` field:

@@ -1,8 +1,8 @@
 """Typed, immutable configuration for the compilation service.
 
 :class:`ServiceConfig` consolidates the ``REPRO_*`` environment knobs —
-executor, cache directory and sharding, warm-start seeding, the fleet
-queue directory and server settings — into one frozen dataclass.  This
+executor, cache directory and sharding, warm-start seeding, admission
+and server settings — into one frozen dataclass.  This
 module is the **only** place in the whole package that reads ``REPRO_*``
 environment variables (a repo test greps for strays), so "what
 configuration am I actually running with?" always has one answer:
@@ -111,8 +111,7 @@ class ServiceConfig:
         whichever of one idle worker and the calling thread is free next,
         or all to an idle worker while another request runs tasks (see
         :class:`repro.pipeline.executors.AutoExecutor`); ``"serial"``
-        runs everything in the calling thread.  Searches on worker
-        processes of other hosts go through ``fleet_dir``.
+        runs everything in the calling thread.
     submit_workers:
         Size of the request-level thread pool behind
         :meth:`repro.service.CompilationService.submit`
@@ -124,7 +123,8 @@ class ServiceConfig:
         ``None`` keeps the cache purely in memory.  It is the one way a
         new process picks up earlier work: a service over a warm
         directory serves every block compiled there before from the
-        library, with zero GRAPE iterations.
+        library, with zero GRAPE iterations.  Hosts that share this
+        directory on a common filesystem share finished pulses.
     cache_shards:
         Shard fan-out of the on-disk pulse library
         (``REPRO_CACHE_SHARDS``); one of :data:`CACHE_SHARD_CHOICES`.
@@ -135,13 +135,6 @@ class ServiceConfig:
         (``REPRO_WARM_START``).  A best-of guard makes seeding strictly
         safe (never a worse pulse than a cold start), so this knob exists
         for debugging and A/B iteration counts.
-    fleet_dir:
-        The fleet queue directory (``REPRO_FLEET_DIR``).  Set, the
-        service sends its pure tasks (cold fixed-block searches, flexible
-        runtime entries) through a :class:`repro.fleet.QueueDispatcher`
-        to the worker processes (``python -m repro worker``) that drain
-        this directory, and runs them inline while none is live.
-        ``None`` (default) keeps them on ``executor``.
     queue_depth:
         Bounded admission for :meth:`repro.service.CompilationService
         .submit` (``REPRO_QUEUE_DEPTH``): at most this many requests may
@@ -167,7 +160,6 @@ class ServiceConfig:
     cache_dir: str | None = None
     cache_shards: int = 16
     warm_start: bool = True
-    fleet_dir: str | None = None
     queue_depth: int | None = None
     server_host: str = "127.0.0.1"
     server_port: int = 8642
@@ -273,11 +265,6 @@ class ServiceConfig:
                 )
 
         _env_bool("REPRO_WARM_START", "warm_start", values, sources)
-
-        fleet_dir = os.environ.get("REPRO_FLEET_DIR")
-        if fleet_dir:
-            values["fleet_dir"] = fleet_dir
-            sources["fleet_dir"] = "env"
 
         _env_number(
             "REPRO_QUEUE_DEPTH", "queue_depth", int,

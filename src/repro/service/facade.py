@@ -96,12 +96,7 @@ class CompilationService:
             if self.config.cache_dir
             else PulseCache()
         )
-        if self.config.fleet_dir:
-            from repro.fleet import QueueDispatcher
-
-            self.executor = QueueDispatcher(self.config.fleet_dir)
-        else:
-            self.executor = resolve_executor(self.config.executor)
+        self.executor = resolve_executor(self.config.executor)
         # Blocking plans keyed by ansatz content: repeated requests for one
         # symbolic circuit replay blocking instead of recomputing it.
         self.plan_cache = PlanCache()
@@ -303,7 +298,6 @@ class CompilationService:
         from repro.pulse.grape.batched import batch_telemetry
         from repro.pulse.grape.seeding import warm_start_telemetry
 
-        executor_info = self.executor.describe()
         return {
             "config": self.config.as_dict(),
             "requests": {
@@ -317,14 +311,7 @@ class CompilationService:
             "grape_memo": self.grape_memo.stats(),
             # The one per-service call that sweeps the disk library.
             "cache": self.cache.stats(sweep=True),
-            "executor": executor_info,
-            # Fleet telemetry (queue depth, worker hosts, pool size) when
-            # the executor is a QueueDispatcher, else None.
-            "fleet": (
-                executor_info.get("fleet")
-                if isinstance(executor_info, dict)
-                else None
-            ),
+            "executor": self.executor.describe(),
             "grape_batch": batch_telemetry(),
             "warm_start": warm_start_telemetry(),
         }

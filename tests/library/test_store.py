@@ -182,7 +182,7 @@ class TestStats:
 
 class TestSharedDirectory:
     """Every read goes to disk, so two library objects over one directory
-    (two submit threads' processes, a fleet worker and its dispatcher)
+    (two processes, or two hosts over a shared filesystem)
     see each other's writes at once, with no refresh step."""
 
     @pytest.fixture

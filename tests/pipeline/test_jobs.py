@@ -23,7 +23,6 @@ from repro.circuits.parameters import Parameter
 from repro.core import PersistentPulseCache, PulseCache
 from repro.core.compiler import BlockPulseCompiler, compile_jobs, search_job
 from repro.errors import CompilationError
-from repro.fleet.queue import unpack_result
 from repro.perf import get_perf_registry
 from repro.pipeline import SerialExecutor
 from repro.pipeline.jobs import BlockJob
@@ -36,13 +35,12 @@ SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
 HYPER = GrapeHyperparameters(0.05, 0.002, max_iterations=120)
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
-#: Search a pickled job in a bare interpreter and emit the packed result.
+#: Search a pickled job in a bare interpreter and pickle the result.
 _SUBPROCESS_RUNNER = (
     "import sys, pickle; sys.path.insert(0, sys.argv[1]); "
     "from repro.core.compiler import search_job; "
-    "from repro.fleet.queue import pack_result; "
     "job = pickle.load(open(sys.argv[2], 'rb')); "
-    "print(pack_result(search_job(job)))"
+    "pickle.dump(search_job(job), open(sys.argv[3], 'wb'))"
 )
 
 
@@ -131,6 +129,7 @@ class TestCompileJobs:
         job = _seeded(_compiler().make_job(_block(0.4), (0, 1)))
         job_path = tmp_path / "job.pkl"
         job_path.write_bytes(pickle.dumps(job, pickle.HIGHEST_PROTOCOL))
+        result_path = tmp_path / "result.pkl"
         proc = subprocess.run(
             [
                 sys.executable,
@@ -138,13 +137,14 @@ class TestCompileJobs:
                 _SUBPROCESS_RUNNER,
                 str(SRC_ROOT),
                 str(job_path),
+                str(result_path),
             ],
             capture_output=True,
             text=True,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        remote = unpack_result(proc.stdout.strip())
+        remote = pickle.loads(result_path.read_bytes())
         local = search_job(job)
         assert remote.schedule.controls.tobytes() == local.schedule.controls.tobytes()
         assert remote.duration_ns == local.duration_ns

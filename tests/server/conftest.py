@@ -1,10 +1,9 @@
 """Shared fixtures for the HTTP compilation frontend tests.
 
 The service fixture pins ``warm_start=False``, so these tests' pulses do
-not depend on the warm-start defaults.  Bit-identity between compilation
-venues (in-process vs HTTP vs fleet-served HTTP) holds with warm start on
-too: the dispatching service resolves every seed itself, and the fleet
-parity test runs both settings.
+not depend on the warm-start defaults.  Bit-identity between in-process
+and HTTP compiles holds with warm start on too: ``test_serve.py`` runs
+both settings over a default ``auto`` service.
 """
 
 from __future__ import annotations

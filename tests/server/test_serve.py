@@ -1,9 +1,11 @@
-"""End-to-end: HTTP compile served by fleet workers in other processes.
+"""End-to-end: HTTP compile over the default service, and the CLI pair
+operators run.
 
-The issue's acceptance path — ``POST /v1/compile`` lands on a service
-whose queue dispatcher ships the block searches to a worker *process*,
-and the pulses that come back over the wire are bit-identical to an
-inline ``service.compile`` with warm start off or on — plus the CLI pair that operators actually run:
+``POST /v1/compile`` lands on a service built from a default
+``ServiceConfig()`` (the ``auto`` executor, with its forked search
+workers where a second CPU exists), and the pulses that come back over
+the wire are bit-identical to an inline ``serial`` ``service.compile``
+with warm start off or on.  Then the real processes:
 ``python -m repro serve`` (SIGTERM drains) and
 ``python -m repro remote-compile --verify-local``.
 """
@@ -18,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.fleet.worker import _WORKER_BOOTSTRAP
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.server import CompilationServer, ServerClient
 from repro.service import CompilationService, ServiceConfig
@@ -30,24 +31,33 @@ HYPER = GrapeHyperparameters(
 
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
+#: ``python -c`` shim that puts this checkout's ``src`` on ``sys.path``
+#: (first argv entry) and hands the rest to the repro CLI.
+CLI_BOOTSTRAP = (
+    "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "from repro.cli import main; sys.exit(main(sys.argv[1:]))"
+)
 
-class TestFleetServedCompile:
+
+def _cli(*args) -> list:
+    """The argv of ``python -m repro *args`` run from this checkout."""
+    return [sys.executable, "-c", CLI_BOOTSTRAP, str(SRC_ROOT), *args]
+
+
+class TestDefaultServiceOverHttp:
     @pytest.mark.parametrize("warm_start", [False, True])
     def test_http_compile_bit_identical_to_inline(
-        self, tmp_path, make_request, programs_identical, fleet_workers, warm_start
+        self, make_request, programs_identical, warm_start
     ):
-        """One request through HTTP + queue dispatcher + worker process;
+        """One request through HTTP over a default (``auto``) service;
         the same request inline through a serial service; same bits."""
         request = make_request("strict-partial", max_block_width=2)
-        fleet_workers(tmp_path / "fleet", 1)
-        fleet_cfg = ServiceConfig(
-            fleet_dir=str(tmp_path / "fleet"),
-            warm_start=warm_start,
-        )
         with CompilationService(
-            config=fleet_cfg, settings=SETTINGS, hyperparameters=HYPER
-        ) as fleet_service:
-            with CompilationServer(fleet_service, port=0).start() as srv:
+            config=ServiceConfig(warm_start=warm_start),
+            settings=SETTINGS,
+            hyperparameters=HYPER,
+        ) as auto_service:
+            with CompilationServer(auto_service, port=0).start() as srv:
                 client = ServerClient(srv.url, timeout_s=600.0)
                 remote = client.compile(request)
                 stats = client.stats()
@@ -60,15 +70,7 @@ class TestFleetServedCompile:
         assert programs_identical(
             remote.compiled.program, inline.compiled.program
         )
-        # The work demonstrably left the server's address space.
-        executor_stats = stats["service"]["executor"]
-        assert executor_stats["executor"] == "queue"
-        assert executor_stats["completed_jobs"] >= 1
-        assert executor_stats["completions_by_worker"]
-        # And the host-aware fleet section rode along on /v1/stats.
-        fleet_stats = stats["service"]["fleet"]
-        assert fleet_stats["live_workers"] == 1
-        assert fleet_stats["pending_jobs"] == 0
+        assert stats["service"]["executor"]["executor"] == "auto"
 
 
 def _terminate(proc: subprocess.Popen) -> None:
@@ -80,23 +82,18 @@ def _terminate(proc: subprocess.Popen) -> None:
 @pytest.fixture
 def serve_process():
     """A real ``python -m repro serve`` child on an ephemeral port."""
-    cmd = [
-        sys.executable,
-        "-c",
-        _WORKER_BOOTSTRAP,
-        str(SRC_ROOT),
-        "serve",
-        "--host",
-        "127.0.0.1",
-        "--port",
-        "0",
-        "--executor",
-        "serial",
-        "--grace",
-        "30",
-    ]
     proc = subprocess.Popen(
-        cmd,
+        _cli(
+            "serve",
+            "--host",
+            "127.0.0.1",
+            "--port",
+            "0",
+            "--executor",
+            "serial",
+            "--grace",
+            "30",
+        ),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
@@ -114,11 +111,7 @@ class TestServeCli:
     def test_remote_compile_verifies_against_local(self, serve_process):
         proc, url = serve_process
         done = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _WORKER_BOOTSTRAP,
-                str(SRC_ROOT),
+            _cli(
                 "remote-compile",
                 "--url",
                 url,
@@ -129,7 +122,7 @@ class TestServeCli:
                 "--iterations",
                 "80",
                 "--verify-local",
-            ],
+            ),
             capture_output=True,
             text=True,
             timeout=560,

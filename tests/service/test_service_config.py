@@ -64,7 +64,7 @@ class TestEnvConsolidation:
         from repro.service.config import preset_from_env
 
         field_reads = _variables_read_by(monkeypatch, ServiceConfig.from_env)
-        assert len(field_reads) == len(fields(ServiceConfig)) == 11
+        assert len(field_reads) == len(fields(ServiceConfig)) == 10
         preset_reads = _variables_read_by(monkeypatch, preset_from_env)
         assert preset_reads == {"REPRO_PRESET"}
         read = field_reads | preset_reads
@@ -136,7 +136,6 @@ class TestFromEnv:
             "REPRO_CACHE_DIR",
             "REPRO_CACHE_SHARDS",
             "REPRO_WARM_START",
-            "REPRO_FLEET_DIR",
             "REPRO_QUEUE_DEPTH",
             "REPRO_SERVER_HOST",
             "REPRO_SERVER_PORT",
@@ -154,7 +153,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/pulses")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
         monkeypatch.setenv("REPRO_WARM_START", "no")
-        monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
         monkeypatch.setenv("REPRO_QUEUE_DEPTH", "16")
         monkeypatch.setenv("REPRO_SERVER_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_SERVER_PORT", "9001")
@@ -166,7 +164,6 @@ class TestFromEnv:
         assert config.cache_dir == "/tmp/pulses"
         assert config.cache_shards == 256
         assert config.warm_start is False
-        assert config.fleet_dir == "/tmp/fleet"
         assert config.queue_depth == 16
         assert config.server_host == "0.0.0.0"
         assert config.server_port == 9001
@@ -215,7 +212,7 @@ class TestValidation:
             ServiceConfig(max_workers=2)
 
     def test_fleet_worker_count_is_not_a_field(self):
-        """The service spawns no fleet workers; operators start them."""
+        """The service spawns no worker processes beyond its executor's."""
         with pytest.raises(TypeError):
             ServiceConfig(fleet_workers=2)
 
@@ -239,8 +236,8 @@ class TestValidation:
         assert legacy.CACHE_SHARD_CHOICES is CACHE_SHARD_CHOICES
 
 
-class TestFleetServerValidation:
-    """Constructor validation for the fleet/server knobs (CLI and direct
+class TestServerValidation:
+    """Constructor validation for the admission/server knobs (CLI and direct
     construction paths — the env path is tolerant instead, see below)."""
 
     @pytest.mark.parametrize(

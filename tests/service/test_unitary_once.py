@@ -33,20 +33,12 @@ def unitary_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dispatcher", ["executor", "queue"])
 def test_one_unitary_per_cold_block(
-    workload, coarse_settings, coarse_hyper, unitary_calls, dispatcher, tmp_path
+    workload, coarse_settings, coarse_hyper, unitary_calls
 ):
-    """The fleet's ``queue`` dispatcher does not prefer batching, so it
-    sends fixed blocks down the job route (inline, with no worker
-    registered)."""
     circuit, _ = workload
     perf = get_perf_registry()
-    config = ServiceConfig(
-        executor="serial",
-        fleet_dir=str(tmp_path) if dispatcher == "queue" else None,
-    )
-    with CompilationService(config) as service:
+    with CompilationService(ServiceConfig(executor="serial")) as service:
         for theta in THETAS:
             before = len(unitary_calls)
             lookups = perf.counter("grape.warm_start.lookups")

@@ -259,159 +259,68 @@ class TestCommands:
         assert re.search(r"runtime GRAPE iterations \|\s+0\b", out)
 
 
-class TestFleetCli:
-    """The worker entrypoint, ``fleet status``, and the fleet flags."""
+class TestAdmissionAndRemovedFlags:
+    """``--queue-depth``, and the flags and commands that are gone."""
 
-    def test_worker_requires_fleet_dir(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
-    def test_worker_defaults(self):
-        args = build_parser().parse_args(["worker", "--fleet-dir", "/tmp/q"])
-        assert args.lease_ttl == 30.0
-        assert args.poll == 0.2
-        assert args.max_jobs is None
-        assert args.idle_exit is None
-        assert args.worker_id is None
-
-    def test_worker_takes_no_cache_dir(self):
-        """A worker opens no pulse library: the dispatching service caches
-        every result itself."""
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["worker", "--fleet-dir", "/tmp/q", "--cache-dir", "/tmp/c"]
-            )
-
-    def test_fleet_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fleet"])
-
-    def test_compile_batch_accepts_fleet_flags(self):
+    def test_compile_batch_accepts_queue_depth(self):
         args = build_parser().parse_args(
-            [
-                "compile-batch", "--benchmark", "vqe:H2",
-                "--fleet-dir", "/tmp/q", "--queue-depth", "8",
-            ]
+            ["compile-batch", "--benchmark", "vqe:H2", "--queue-depth", "8"]
         )
-        assert args.fleet_dir == "/tmp/q"
         assert args.queue_depth == 8
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["compile-batch", "--benchmark", "vqe:H2", "--dispatcher", "queue"],
-            ["serve", "--dispatcher", "queue"],
-            ["config", "show", "--dispatcher", "queue"],
-            ["config", "show", "--fleet-lease-ttl", "5"],
-            ["config", "show", "--cache-budget-mb", "10"],
-            ["worker", "--fleet-dir", "/tmp/q", "--announce"],
+            (
+                ["compile-batch", "--benchmark", "vqe:H2",
+                 "--dispatcher", "queue"],
+                "unrecognized arguments",
+            ),
+            (["serve", "--dispatcher", "queue"], "unrecognized arguments"),
+            (["config", "show", "--dispatcher", "queue"], "unrecognized arguments"),
+            (["config", "show", "--fleet-lease-ttl", "5"], "unrecognized arguments"),
+            (["config", "show", "--cache-budget-mb", "10"], "unrecognized arguments"),
+            (
+                ["compile-batch", "--benchmark", "vqe:H2",
+                 "--fleet-dir", "/tmp/q"],
+                "unrecognized arguments",
+            ),
+            (["serve", "--fleet-dir", "/tmp/q"], "unrecognized arguments"),
+            (["config", "show", "--fleet-dir", "/tmp/q"], "unrecognized arguments"),
+            (["worker", "--fleet-dir", "/tmp/q"], "invalid choice"),
+            (["fleet", "status", "--dir", "/tmp/q"], "invalid choice"),
         ],
         ids=[
             "compile-batch-dispatcher", "serve-dispatcher",
             "config-show-dispatcher", "fleet-lease-ttl", "cache-budget-mb",
-            "worker-announce",
+            "compile-batch-fleet-dir", "serve-fleet-dir",
+            "config-show-fleet-dir", "worker", "fleet-status",
         ],
     )
-    def test_removed_flags_are_usage_errors(self, capsys, argv):
-        """A set ``fleet_dir`` is the fleet, each worker sets its own lease
-        TTL, every beat carries the registration, and a gc budget is an
-        argument of ``library gc``: these flags are gone."""
+    def test_removed_flags_are_usage_errors(self, capsys, argv, message):
+        """The executor is the one venue for block searches (no queue
+        dispatcher, fleet directory or worker command), and a gc budget
+        is an argument of ``library gc``: these flags and commands are
+        gone."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
-    def test_fleet_status_missing_dir_reports_empty(self, capsys, tmp_path):
-        """A queue directory nobody has written to is an empty queue, and
-        inspecting it must not create it."""
-        missing = tmp_path / "never-created"
-        assert main(["fleet", "status", "--dir", str(missing)]) == 0
-        out = capsys.readouterr().out
-        assert "empty" in out and "pending jobs" in out
-        assert not missing.exists()
-
-    def test_fleet_status_reports_leases_and_workers(self, capsys, tmp_path):
-        from repro.fleet import FleetQueue
-
-        queue = FleetQueue(tmp_path)
-        queue.enqueue("a")
-        queue.enqueue("b")
-        assert queue.claim("w1") is not None
-        queue.write_worker_heartbeat("w1", "busy", 0)
-
-        assert main(["fleet", "status", "--dir", str(tmp_path)]) == 0
+    def test_config_show_reports_queue_depth(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_QUEUE_DEPTH", raising=False)
+        assert main(["config", "show", "--queue-depth", "4"]) == 0
         out = capsys.readouterr().out
         lines = {
             line.split("|")[0].strip(): line
             for line in out.splitlines()
             if "|" in line
         }
-        # Pending counts every job file still queued, leased ones included.
-        assert "2" in lines["pending jobs"]
-        assert "1" in lines["leased jobs"]
-        lease_row = next(v for k, v in lines.items() if k.startswith("lease "))
-        assert "worker=w1" in lease_row and "live" in lease_row
-        assert "state=busy" in lines["worker w1"]
-
-    def test_worker_idle_exit_through_main(self, tmp_path):
-        """The CLI entrypoint runs a real worker loop to clean idle exit."""
-        import signal
-
-        previous = {
-            sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)
-        }
-        try:
-            code = main(
-                [
-                    "worker", "--fleet-dir", str(tmp_path),
-                    "--poll", "0.05", "--idle-exit", "0.2",
-                ]
-            )
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
-        assert code == 0
-
-    def test_config_show_reports_fleet_knobs(self, capsys, monkeypatch):
-        for name in ("REPRO_FLEET_DIR", "REPRO_QUEUE_DEPTH"):
-            monkeypatch.delenv(name, raising=False)
-        assert (
-            main(
-                [
-                    "config", "show",
-                    "--fleet-dir", "/tmp/q", "--queue-depth", "4",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        lines = {
-            line.split("|")[0].strip(): line
-            for line in out.splitlines()
-            if "|" in line
-        }
-        for field in ("fleet_dir", "queue_depth"):
-            assert "CLI" in lines[field], field
-
-    @pytest.mark.slow
-    def test_compile_batch_through_fleet_dispatcher(
-        self, capsys, tmp_path, fleet_workers
-    ):
-        fleet_workers(tmp_path / "q", 2)
-        code = main(
-            [
-                "compile-batch", "--benchmark", "qaoa:3regular:4:1",
-                "--batch", "2", "--iterations", "50", "--fidelity", "0.9",
-                "--fleet-dir", str(tmp_path / "q"),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "unique blocks compiled" in out
+        assert "CLI" in lines["queue_depth"]
 
 
 class TestServerCli:
-    """The ``serve`` / ``remote-compile`` parsers and the new fleet flags."""
+    """The ``serve`` / ``remote-compile`` parsers and the server flags."""
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -431,8 +340,8 @@ class TestServerCli:
         ids=["autoscale", "min-workers", "max-workers", "fleet-workers"],
     )
     def test_serve_has_no_pool_manager(self, flags):
-        """The server starts no fleet workers: operators run ``python -m
-        repro worker`` on the hosts sharing the queue directory."""
+        """The server starts no worker pool of its own: block searches run
+        on its service's executor."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", *flags])
 
@@ -492,28 +401,6 @@ class TestServerCli:
 
         assert list(CONFIG_FLAGS) == [f.name for f in fields(ServiceConfig)]
 
-    def test_worker_host_label_flag(self):
-        args = build_parser().parse_args(
-            ["worker", "--fleet-dir", "/tmp/q", "--host-label", "simhost-a"]
-        )
-        assert args.host_label == "simhost-a"
-
-    def test_worker_heartbeat_follows_the_lease_ttl(self, tmp_path):
-        """The renewal interval is always ``lease_ttl / 3``."""
-        from repro.fleet import FleetWorker
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["worker", "--fleet-dir", "/tmp/q", "--heartbeat", "2.5"]
-            )
-        assert FleetWorker(tmp_path, lease_ttl_s=9.0).heartbeat_s == 3.0
-
-    def test_fleet_status_json_flag(self):
-        args = build_parser().parse_args(
-            ["fleet", "status", "--dir", "/tmp/q", "--json"]
-        )
-        assert args.json is True
-
     def test_config_show_reports_server_knobs(self, capsys, monkeypatch):
         for name in (
             "REPRO_SERVER_HOST", "REPRO_SERVER_PORT",
@@ -562,7 +449,7 @@ class TestServerCli:
             if "|" in line
         ]
         names = [f.name for f in fields(ServiceConfig)]
-        assert len(names) == 11
+        assert len(names) == 10
         # The header row, one row per field, then the active preset.
         assert rows[1:] == [*names, "preset"]
 

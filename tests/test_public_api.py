@@ -14,7 +14,6 @@ PACKAGES = [
     "repro.blocking",
     "repro.circuits",
     "repro.core",
-    "repro.fleet",
     "repro.library",
     "repro.linalg",
     "repro.perf",

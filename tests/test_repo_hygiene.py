@@ -33,7 +33,9 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 #: memory tier is the one memory of compiled blocks.  Then the plan
 #: cache's duplicate counter (it always equalled ``plan_hits``) and the
 #: caller scope string: a plan key names its blocking mode, and the
-#: blocking stage is the one replay route.
+#: blocking stage is the one replay route.  Then the file-queue fleet and
+#: the bench that timed it: the executor is the one venue for pure tasks,
+#: and hosts share finished pulses through a shared ``cache_dir``.
 REMOVED_NAMES = (
     "GateBasedCompiler",
     "StepFunctionGateCompiler",
@@ -66,6 +68,11 @@ REMOVED_NAMES = (
     "note_skip",
     "blocking_passes_skipped",
     "plan_scope",
+    "QueueDispatcher",
+    "FleetQueue",
+    "FleetWorker",
+    "spawn_worker",
+    "bench_service_load",
 )
 # A lookbehind, not \b: the kept ``_StrictPartialCompiler`` and friends
 # must not match their removed public names.
@@ -114,10 +121,18 @@ def test_version_consistent_with_pyproject():
 def test_every_subpackage_reachable_from_root():
     import repro
 
-    for sub in ("analysis", "blocking", "circuits", "core", "fleet",
-                "linalg", "pipeline", "pulse", "qaoa", "service", "sim",
-                "transpile", "vqe"):
+    for sub in ("analysis", "blocking", "circuits", "core", "linalg",
+                "pipeline", "pulse", "qaoa", "service", "sim", "transpile",
+                "vqe"):
         assert hasattr(repro, sub)
+
+
+def test_fleet_package_is_gone():
+    import repro
+
+    assert not hasattr(repro, "fleet")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.fleet")
 
 
 def test_docs_exist_and_nonempty():
@@ -145,7 +160,7 @@ def test_removed_compile_routes_stay_gone(tree):
 
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.core", "repro.fleet", "repro.pipeline", "repro.service"],
+    ["repro", "repro.core", "repro.pipeline", "repro.service"],
 )
 def test_removed_compile_routes_not_exported(package):
     module = importlib.import_module(package)
@@ -168,6 +183,7 @@ REMOVED_KNOBS = [
     ("dispatcher", "REPRO_DISPATCHER", "queue"),
     ("fleet_lease_ttl_s", "REPRO_FLEET_LEASE_TTL", "5"),
     ("cache_budget_mb", "REPRO_CACHE_BUDGET_MB", "10"),
+    ("fleet_dir", "REPRO_FLEET_DIR", "/tmp/fleet"),
 ]
 #: Removed fields whose variable still means something elsewhere:
 #: ``REPRO_PRESET`` sets the process-wide preset at import.
@@ -254,7 +270,7 @@ def test_service_config_field_count_is_pinned():
     field shows up in review as a test change."""
     from repro.service import ServiceConfig
 
-    assert len(fields(ServiceConfig)) == 11
+    assert len(fields(ServiceConfig)) == 10
 
 
 @pytest.mark.parametrize(
