@@ -178,9 +178,12 @@ def decode_settings(data: dict | None):
 
     if not isinstance(data, dict):
         raise WireError(f"settings must be an object, got {data!r}")
+    weights = data.get("regularization") or {}
+    if not isinstance(weights, dict):
+        raise WireError(f"regularization must be an object, got {weights!r}")
     try:
         regularization = RegularizationSettings(
-            **{str(k): v for k, v in (data.get("regularization") or {}).items()}
+            **{str(k): v for k, v in weights.items()}
         )
         known = {
             key: data[key]

@@ -241,6 +241,104 @@ class TestClaimLoop:
         assert executor.describe()["worker_fallbacks"] == 0
 
 
+def _count_and_pid(index):
+    """A pure task that moves one ``repro.perf`` counter, takes 20 ms so a
+    worker claims a share, and reports the process that ran it."""
+    from repro.perf import get_perf_registry
+
+    get_perf_registry().count("test.run_tasks.ran")
+    time.sleep(0.02)
+    return os.getpid(), index
+
+
+@pytest.fixture(params=["serial", "auto", "auto-pool"])
+def venue(request, monkeypatch):
+    """Each way ``run_tasks`` runs a request's pure tasks: ``serial``,
+    ``auto`` without search workers, and ``auto`` with a pool of two."""
+    import repro.pipeline.executors as executors_module
+
+    if request.param == "serial":
+        yield SerialExecutor()
+        return
+    executor = executors_module.AutoExecutor()
+    if request.param == "auto-pool":
+        monkeypatch.setattr(executors_module, "_usable_cpus", lambda: 2)
+        assert executor.start_workers() == 2
+    yield executor
+    executor.close()
+
+
+class TestRunTasksContract:
+    """``run_tasks`` is the one venue for a request's pure tasks: results
+    in input order, each task run once, its ``repro.perf`` counts moved
+    in the calling process, and its errors raised there."""
+
+    def test_empty_task_list_is_a_noop(self, venue):
+        before = venue.describe()
+        assert venue.run_tasks(_square, []) == []
+        assert venue.describe() == before
+
+    def test_results_in_input_order_each_task_once(self, venue, tmp_path):
+        results = venue.run_tasks(partial(_mark, str(tmp_path), 0.02), range(8))
+        assert [index for _, index in results] == list(range(8))
+        assert sorted(os.listdir(tmp_path)) == sorted(map(str, range(8)))
+
+    def test_any_iterable_is_accepted(self, venue):
+        items = (x for x in range(5))
+        assert venue.run_tasks(_square, items) == [x * x for x in range(5)]
+
+    def test_perf_counts_come_home(self, venue):
+        from repro.perf import get_perf_registry
+
+        perf = get_perf_registry()
+        before = perf.counter("test.run_tasks.ran")
+        results = venue.run_tasks(_count_and_pid, range(6))
+        assert [index for _, index in results] == list(range(6))
+        assert perf.counter("test.run_tasks.ran") - before == 6
+
+    def test_raising_task_raises_in_the_caller(self, venue):
+        with pytest.raises(ValueError, match="task 3 failed"):
+            venue.run_tasks(partial(_fail_at, 3), range(6))
+        assert venue.run_tasks(partial(_fail_at, -1), range(3)) == [0, 1, 2]
+
+
+class TestAutoRunsInline:
+    """Where ``auto`` has no worker to share with, every task runs in the
+    calling process."""
+
+    def test_a_single_task_alone_stays_inline(self, executor):
+        assert executor.run_tasks(_count_and_pid, [0]) == [(os.getpid(), 0)]
+        info = executor.describe()
+        assert info["inline_searches"] == 1
+        assert info["worker_searches"] == 0
+
+    def test_no_workers_runs_every_task_inline(self):
+        from repro.pipeline.executors import AutoExecutor
+
+        executor = AutoExecutor()
+        results = executor.run_tasks(_count_and_pid, range(4))
+        assert {pid for pid, _ in results} == {os.getpid()}
+        assert executor.describe()["inline_searches"] == 4
+
+    def test_closed_executor_forks_nothing_again(self, executor):
+        executor.close()
+        assert executor.start_workers() == 0
+        results = executor.run_tasks(_count_and_pid, range(4))
+        assert {pid for pid, _ in results} == {os.getpid()}
+        assert executor.describe()["search_workers"] == 0
+
+    def test_unpickled_copy_leaves_the_workers_behind(self, executor):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(executor))
+        assert copy.describe()["search_workers"] == 0
+        assert copy.start_workers() == 0
+        results = copy.run_tasks(_count_and_pid, range(3))
+        assert {pid for pid, _ in results} == {os.getpid()}
+        # The original keeps its pool.
+        assert executor.describe()["search_workers"] == 2
+
+
 class TestOverlappingRequests:
     """A request that enters ``run_tasks`` while another is in it hands
     its whole task list to an idle worker."""

@@ -153,6 +153,36 @@ class TestErrorPaths:
         assert status == 400
         assert "theta_1" in body["error"] and "finite" in body["error"]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("settings", [0.5, 0.95], "settings must be an object"),
+            ("settings", {"regularization": [1e-3]}, "regularization must be"),
+            ("settings", {"regularization": {"turbo_weight": 1.0}}, "turbo_weight"),
+            ("hyperparameters", {"optimizer": "sgd"}, "sgd"),
+            ("hyperparameters", {"max_iterations": 0}, "max_iterations"),
+        ],
+        ids=[
+            "settings-not-an-object",
+            "regularization-not-an-object",
+            "unknown-regularization-field",
+            "unknown-optimizer",
+            "zero-iterations",
+        ],
+    )
+    def test_malformed_grape_payload_is_400(
+        self, client, raw_post, make_request, field, value, message
+    ):
+        """A settings or hyperparameters payload the codec cannot rebuild
+        is the client's error, answered before any compile."""
+        payload = encode_request(make_request("gate"))
+        payload[field] = value
+        status, body = raw_post(
+            client.url + "/v1/compile", json.dumps(payload).encode()
+        )
+        assert status == 400
+        assert message in body["error"]
+
     def test_unknown_mode_is_400(self, client, make_request):
         payload = encode_request(make_request("gate"))
         payload["mode"] = "telepathy"

@@ -21,14 +21,24 @@ import pytest
 
 from repro.circuits import Parameter, QuantumCircuit
 from repro.server import WireError, decode_request, encode_request
+from repro.pulse.grape.cost import RegularizationSettings
+from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.server.wire import (
     WIRE_VERSION,
     _decode_schedule,
     _encode_schedule,
     decode_circuit,
+    decode_compiled,
+    decode_hyperparameters,
+    decode_report,
     decode_result,
+    decode_settings,
     encode_circuit,
+    encode_compiled,
+    encode_hyperparameters,
+    encode_report,
     encode_result,
+    encode_settings,
 )
 from repro.service import CompileRequest
 
@@ -167,6 +177,78 @@ class TestRequestCodec:
             decode_request([1, 2, 3])
 
 
+class TestGrapeCodec:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            GrapeSettings(),
+            GrapeSettings(dt_ns=0.5, target_fidelity=0.95, seed=7),
+            GrapeSettings(
+                dt_ns=0.25,
+                regularization=RegularizationSettings.realistic(),
+                plateau_patience=5,
+                plateau_tolerance=1e-9,
+            ),
+        ],
+        ids=["preset-deferring", "coarse", "realistic"],
+    )
+    def test_settings_round_trip(self, settings):
+        assert decode_settings(_roundtrip(encode_settings(settings))) == settings
+
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            GrapeHyperparameters(),
+            GrapeHyperparameters(0.05, 0.002, max_iterations=80),
+            GrapeHyperparameters(0.1, 0.0, max_iterations=1, optimizer="lbfgs"),
+        ],
+        ids=["preset-deferring", "adam", "lbfgs"],
+    )
+    def test_hyperparameters_round_trip(self, hyper):
+        decoded = decode_hyperparameters(_roundtrip(encode_hyperparameters(hyper)))
+        assert decoded == hyper
+
+    @pytest.mark.parametrize(
+        "encode, decode",
+        [
+            (encode_settings, decode_settings),
+            (encode_hyperparameters, decode_hyperparameters),
+            (encode_compiled, decode_compiled),
+            (encode_report, decode_report),
+        ],
+        ids=["settings", "hyperparameters", "compiled", "report"],
+    )
+    def test_absent_value_stays_absent(self, encode, decode):
+        assert encode(None) is None
+        assert decode(None) is None
+
+    @pytest.mark.parametrize(
+        "decode, payload",
+        [
+            (decode_settings, "fast"),
+            (decode_settings, {"regularization": [1e-3]}),
+            (decode_settings, {"regularization": {"turbo_weight": 1.0}}),
+            (decode_hyperparameters, [0.05]),
+            (decode_hyperparameters, {"optimizer": "sgd"}),
+            (decode_hyperparameters, {"max_iterations": 0}),
+        ],
+        ids=[
+            "settings-not-an-object",
+            "regularization-not-an-object",
+            "unknown-regularization-field",
+            "hyperparameters-not-an-object",
+            "unknown-optimizer",
+            "zero-iterations",
+        ],
+    )
+    def test_malformed_payloads_raise_wire_error(self, decode, payload):
+        with pytest.raises(WireError):
+            decode(payload)
+
+    def test_unknown_settings_keys_are_dropped(self):
+        assert decode_settings({"warp": 9, "seed": 3}) == GrapeSettings(seed=3)
+
+
 class TestScheduleCodec:
     def test_controls_round_trip_bit_identically(self):
         """Every float64 sample survives JSON exactly, signed zeros and
@@ -231,3 +313,54 @@ class TestResultCodec:
     def test_bad_result_payload_raises_wire_error(self):
         with pytest.raises(WireError):
             decode_result({"compiled": {"schedules": "nope"}})
+
+    def test_compiled_pulse_round_trips_bit_identical(
+        self, service, make_request, programs_identical
+    ):
+        compiled = service.compile(make_request("full-grape")).compiled
+        decoded = decode_compiled(_roundtrip(encode_compiled(compiled)))
+        assert programs_identical(decoded.program, compiled.program)
+        assert decoded.program.duration_ns == compiled.program.duration_ns
+        for name in (
+            "method",
+            "pulse_duration_ns",
+            "runtime_latency_s",
+            "runtime_iterations",
+            "blocks_compiled",
+            "cache_hits",
+        ):
+            assert getattr(decoded, name) == getattr(compiled, name), name
+
+    def test_report_defaults_fill_missing_counts(self):
+        report = decode_report(
+            {
+                "method": "strict",
+                "wall_time_s": 1.5,
+                "grape_iterations": 40,
+                "blocks_precompiled": 3,
+            }
+        )
+        assert (report.method, report.grape_iterations) == ("strict", 40)
+        assert report.parametrized_blocks == 0
+        assert report.cache_hits == 0
+        assert report.executor == "serial"
+        assert report.cache_stats == {} and report.metadata == {}
+
+    @pytest.mark.parametrize(
+        "decode, payload",
+        [
+            (decode_compiled, {"schedules": []}),
+            (decode_compiled, {"method": "gate", "schedules": 5}),
+            (decode_report, {"method": "strict"}),
+            (decode_report, [1]),
+        ],
+        ids=[
+            "compiled-missing-method",
+            "compiled-schedules-not-a-list",
+            "report-missing-counts",
+            "report-not-an-object",
+        ],
+    )
+    def test_bad_part_payload_raises_wire_error(self, decode, payload):
+        with pytest.raises(WireError):
+            decode(payload)

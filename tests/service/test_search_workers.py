@@ -295,6 +295,85 @@ class TestWorkerRoute:
         _assert_same_work(routed, serial, programs_identical)
 
 
+#: Every built-in strategy, each with the one-point tuning grid where it
+#: has one.
+ALL_STRATEGIES = [
+    "gate",
+    "step-function",
+    "full-grape",
+    "strict-partial",
+    "flexible-partial",
+]
+
+
+class TestEveryStrategyOnWorkers:
+    @pytest.mark.parametrize("warm_start", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_bit_identical_to_serial(
+        self,
+        strategy,
+        warm_start,
+        workload,
+        coarse_settings,
+        coarse_hyper,
+        programs_identical,
+    ):
+        """A request sequence on the worker pool gives serial's pulses,
+        iterations and warm-start movement, whatever the strategy."""
+        circuit, _ = workload
+        runs = []
+        for executor in ("serial", "auto"):
+            before = warm_start_telemetry()
+            with CompilationService(
+                ServiceConfig(executor=executor, warm_start=warm_start)
+            ) as service:
+                results = [
+                    service.compile(
+                        CompileRequest(
+                            circuit,
+                            theta,
+                            strategy=strategy,
+                            settings=coarse_settings,
+                            hyperparameters=coarse_hyper,
+                            max_block_width=2,
+                            options=dict(_OPTIONS.get(strategy, {})),
+                        )
+                    )
+                    for theta in THETAS[:2]
+                ]
+                stats = service.stats()["executor"]
+            after = warm_start_telemetry()
+            moved = {name: after[name] - before[name] for name in after}
+            runs.append((results, moved, stats))
+        (serial, serial_moved, _), (routed, routed_moved, stats) = runs
+        assert stats["search_workers"] == 2
+        assert stats["worker_fallbacks"] == 0
+        assert all(result.strategy == strategy for result in routed)
+        _assert_same_work(routed, serial, programs_identical)
+        assert routed_moved == serial_moved
+
+    def test_worker_pulses_land_in_the_service_library(
+        self, tmp_path, workload, coarse_settings, coarse_hyper, programs_identical
+    ):
+        """With a ``cache_dir``, pulses a worker searched are cached in the
+        service's library: a later serial service over the same directory
+        — another process or another host on a shared filesystem —
+        compiles from hits alone."""
+        circuit, _ = workload
+        cache_dir = str(tmp_path / "cache")
+        request = _request(circuit, THETAS[0], coarse_settings, coarse_hyper)
+        with CompilationService(WORKERS.replace(cache_dir=cache_dir)) as service:
+            routed = service.compile(request)
+            assert service.stats()["executor"]["worker_searches"] > 0
+        with CompilationService(
+            ServiceConfig(executor="serial", cache_dir=cache_dir)
+        ) as service:
+            warm = service.compile(request)
+        assert routed.compiled.runtime_iterations > 0
+        assert warm.compiled.runtime_iterations == 0
+        assert programs_identical(warm.program, routed.program)
+
+
 class TestWorkerLifecycle:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_killed_worker_is_dropped_alone(
